@@ -138,7 +138,7 @@ fn main() {
 
     println!("\n=== E17: warm service vs cold batch ===");
     section(&mut bench, "server_warm", || {
-        let e = server_warm::run(&lab.cfg, 5, 4, 3, None);
+        let e = server_warm::run(&lab.cfg, 5, 12, None);
         let t = server_warm::table(&e);
         print!("{}", t.render());
         write_csv(&t, "server_warm");

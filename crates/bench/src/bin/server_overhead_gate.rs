@@ -2,13 +2,16 @@
 //! non-zero if the warm path stops paying for itself or stops being
 //! correct.
 //!
-//! Three legs:
+//! Four legs:
 //!
 //! * **Speedup**: E17 warm-vs-cold — the median repeat recommend on a
 //!   live server must be at least `XIA_SERVER_GATE_MIN_SPEEDUP` (default
 //!   5) times faster than a cold batch run of the same workload. Timing
 //!   is noisy on shared CI runners, so the gate retries a few rounds and
-//!   fails only if every round misses the bar.
+//!   fails only if every round misses a bar.
+//! * **Scaling**: sessions read one snapshot without a lock, so two
+//!   concurrent sessions must serve at least 1.4× the replies per second
+//!   of one. Needs two cores; skipped, with a note, on a 1-core runner.
 //! * **Identity**: a fast wrong answer must not pass — every round's
 //!   warm recommendation (single-session and across concurrent sessions)
 //!   must be byte-identical to the cold one. Identity failures are not
@@ -28,6 +31,8 @@ use xia_storage::Database;
 use xia_workloads::tpox::{self, TpoxConfig};
 
 const ROUNDS: usize = 5;
+/// Least acceptable ratio of 2-session to 1-session throughput.
+const MIN_SCALING: f64 = 1.4;
 
 fn env_num<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name)
@@ -42,11 +47,11 @@ fn main() {
     let jobs = (jobs > 0).then_some(jobs);
     let cfg = TpoxConfig::tiny();
 
-    // Speedup + identity legs.
+    // Speedup, scaling and identity legs.
     let mut best: Option<server_warm::E17> = None;
     let mut pass = false;
     for round in 1..=ROUNDS {
-        let e = server_warm::run(&cfg, 5, 4, 3, jobs);
+        let e = server_warm::run(&cfg, 5, 12, jobs);
         assert!(
             e.identical,
             "warm recommendation diverged from the cold one (round {round})"
@@ -55,19 +60,27 @@ fn main() {
             e.concurrent_identical,
             "a concurrent session's recommendation diverged from the cold one (round {round})"
         );
-        let ok = e.speedup >= min_speedup;
+        let fast = e.speedup >= min_speedup;
+        // One core cannot run two sessions in parallel: nothing to gate.
+        let scales = e.cores < 2 || e.scaling(2) >= MIN_SCALING;
         println!(
-            "round {round}: cold {:.1} ms, warm {:.2} ms ({:.1}x), {:.0} replies/s [{}]",
+            "round {round}: cold {:.1} ms, warm {:.2} ms ({:.1}x) [{}], \
+             2 sessions serve {:.2}x the replies/s of 1 [{}]",
             e.cold_secs * 1e3,
             e.warm_secs * 1e3,
             e.speedup,
-            e.throughput_rps,
-            if ok { "ok" } else { "TOO SLOW" },
+            if fast { "ok" } else { "TOO SLOW" },
+            e.scaling(2),
+            match (scales, e.cores) {
+                (_, 1) => "skipped: 1 core",
+                (true, _) => "ok",
+                (false, _) => "NOT SCALING",
+            },
         );
         if best.as_ref().is_none_or(|b| e.speedup > b.speedup) {
             best = Some(e);
         }
-        if ok {
+        if fast && scales {
             pass = true;
             break;
         }
@@ -79,8 +92,9 @@ fn main() {
     }
     if !pass {
         eprintln!(
-            "server gate: FAIL — warm repeat recommend under {min_speedup:.0}x cold in all \
-             {ROUNDS} rounds (best {:.1}x)",
+            "server gate: FAIL — no round of {ROUNDS} had both warm repeat recommend \
+             {min_speedup:.0}x faster than cold and 2-session throughput {MIN_SCALING}x \
+             1-session (best speedup {:.1}x)",
             best.speedup
         );
         std::process::exit(1);

@@ -7,17 +7,20 @@
 //! candidate set and the warm cost store resident, so the 2nd..Nth
 //! recommends replay previously captured costings instead of re-running
 //! the optimizer. The warm path is measured over a real TCP connection,
-//! so protocol framing, JSON rendering, and the shared-database lock are
-//! all inside the measurement, not excluded from it.
+//! so protocol framing and JSON rendering are inside the measurement,
+//! not excluded from it.
 //!
 //! The experiment reports three things: median cold latency, median warm
-//! repeat-recommend latency (with the speedup between them), and
-//! concurrent-session throughput — plus byte-identity checks proving
-//! that the fast path returns the *same* recommendation as the cold one,
-//! for a single session and across concurrent sessions.
+//! repeat-recommend latency (with the speedup between them), and how
+//! throughput scales from 1 to 8 concurrent sessions — sessions read one
+//! shared snapshot without a lock, so it should scale with the cores —
+//! plus byte-identity checks proving that the fast path returns the
+//! *same* recommendation as the cold one, for a single session and
+//! across concurrent sessions.
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use crate::report::{f, Table};
@@ -95,6 +98,9 @@ pub fn recommend_line() -> String {
     .render()
 }
 
+/// Concurrent-session counts of the throughput leg.
+pub const SESSION_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
 /// E17 results.
 #[derive(Debug, Clone)]
 pub struct E17 {
@@ -108,15 +114,31 @@ pub struct E17 {
     pub identical: bool,
     /// Measurement rounds per leg.
     pub rounds: usize,
-    /// Concurrent sessions in the throughput leg.
-    pub sessions: usize,
     /// Recommends issued per session in the throughput leg.
     pub recommends_per_session: usize,
-    /// Total replies served per second in the throughput leg.
-    pub throughput_rps: f64,
+    /// Cores the run had (`available_parallelism`); throughput cannot
+    /// scale past them.
+    pub cores: usize,
+    /// `(sessions, median replies served per second)` for each of
+    /// [`SESSION_COUNTS`].
+    pub throughput: Vec<(usize, f64)>,
     /// Every concurrent session's final recommendation matched the cold
     /// one byte for byte.
     pub concurrent_identical: bool,
+}
+
+impl E17 {
+    /// Throughput at `sessions` concurrent sessions over throughput at
+    /// one.
+    pub fn scaling(&self, sessions: usize) -> f64 {
+        let rps = |n| {
+            self.throughput
+                .iter()
+                .find(|&&(s, _)| s == n)
+                .map_or(f64::NAN, |&(_, rps)| rps)
+        };
+        rps(sessions) / rps(1)
+    }
 }
 
 fn median(samples: &mut [f64]) -> f64 {
@@ -132,18 +154,55 @@ fn recommendation_of(reply: &str) -> String {
         .unwrap_or_else(|| format!("unparseable reply: {reply}"))
 }
 
+/// One throughput measurement: `sessions` new connections, each observing
+/// the workload and issuing `recommends` recommends, all released
+/// together once every connection is up. Returns replies per second and
+/// each session's last reply.
+fn throughput_round(
+    addr: &str,
+    texts: &[String],
+    sessions: usize,
+    recommends: usize,
+) -> (f64, Vec<String>) {
+    let start = Arc::new(Barrier::new(sessions + 1));
+    let workers: Vec<_> = (0..sessions)
+        .map(|_| {
+            let (addr, observe) = (addr.to_string(), observe_line(texts));
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut c = Conn::connect(&addr).expect("connect concurrent session");
+                start.wait();
+                c.request(&observe).expect("observe");
+                let mut last = String::new();
+                for _ in 0..recommends {
+                    last = c.request(&recommend_line()).expect("recommend");
+                }
+                last
+            })
+        })
+        .collect();
+    start.wait();
+    let t0 = Instant::now();
+    let finals: Vec<String> = workers
+        .into_iter()
+        .map(|w| w.join().expect("session thread"))
+        .collect();
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    ((sessions * (recommends + 1)) as f64 / secs, finals)
+}
+
 /// Runs E17 at the given TPoX scale: `rounds` timing rounds per leg,
-/// then `sessions` concurrent connections each issuing
-/// `recommends_per_session` recommends. `jobs` overrides the what-if
-/// worker count on both paths (`None` = advisor default).
+/// the throughput leg at each of [`SESSION_COUNTS`] with every session
+/// issuing `recommends_per_session` recommends. `jobs` overrides the
+/// what-if worker count on both paths (`None` = advisor default).
 pub fn run(
     cfg: &TpoxConfig,
     rounds: usize,
-    sessions: usize,
     recommends_per_session: usize,
     jobs: Option<usize>,
 ) -> E17 {
     let rounds = rounds.max(1);
+    let recommends_per_session = recommends_per_session.max(1);
     let texts = tpox::queries(cfg);
 
     // Serialize the database once; both legs start from the same image.
@@ -161,7 +220,7 @@ pub fn run(
     let mut cold_json = String::new();
     for _ in 0..rounds {
         let t0 = Instant::now();
-        let mut db = xia_storage::persist::load_database_from(&mut std::io::Cursor::new(&image))
+        let db = xia_storage::persist::load_database_from(&mut std::io::Cursor::new(&image))
             .expect("database image round-trips");
         let mut session = TuningSession::new();
         if let Some(j) = jobs {
@@ -175,7 +234,7 @@ pub fn run(
             session.observe(t).expect("generated TPoX queries parse");
         }
         let rec = session
-            .recommend(&mut db, BUDGET, ALGO)
+            .recommend(&db, BUDGET, ALGO)
             .expect("TPoX workload recommends");
         cold_times.push(t0.elapsed().as_secs_f64());
         cold_json = render_recommendation(&rec).render();
@@ -187,7 +246,9 @@ pub fn run(
         .expect("database image round-trips");
     let config = ServerConfig {
         tcp: Some("127.0.0.1:0".into()),
-        max_connections: sessions.max(2) + 1,
+        // Room for the largest leg plus the previous leg's connections,
+        // whose threads may not have noticed their peers closing yet.
+        max_connections: 4 * SESSION_COUNTS[SESSION_COUNTS.len() - 1],
         jobs,
         ..Default::default()
     };
@@ -207,29 +268,22 @@ pub fn run(
     let identical = recommendation_of(&warm_reply) == cold_json;
 
     // Throughput leg: concurrent sessions against the same warm server.
-    let t0 = Instant::now();
-    let workers: Vec<_> = (0..sessions)
-        .map(|_| {
-            let addr = addr.clone();
-            let texts = texts.clone();
-            std::thread::spawn(move || {
-                let mut c = Conn::connect(&addr).expect("connect concurrent session");
-                c.request(&observe_line(&texts)).expect("observe");
-                let mut last = String::new();
-                for _ in 0..recommends_per_session.max(1) {
-                    last = c.request(&recommend_line()).expect("recommend");
-                }
-                last
-            })
+    let mut concurrent_identical = true;
+    let throughput = SESSION_COUNTS
+        .iter()
+        .map(|&sessions| {
+            let mut rps: Vec<f64> = (0..rounds)
+                .map(|_| {
+                    let (rps, finals) =
+                        throughput_round(&addr, &texts, sessions, recommends_per_session);
+                    concurrent_identical &=
+                        finals.iter().all(|r| recommendation_of(r) == cold_json);
+                    rps
+                })
+                .collect();
+            (sessions, median(&mut rps))
         })
         .collect();
-    let finals: Vec<String> = workers
-        .into_iter()
-        .map(|w| w.join().expect("session thread"))
-        .collect();
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let total_replies = sessions * (recommends_per_session.max(1) + 1);
-    let concurrent_identical = finals.iter().all(|r| recommendation_of(r) == cold_json);
 
     handle.shutdown();
     drop(conn);
@@ -243,9 +297,9 @@ pub fn run(
         speedup: cold_secs / warm_secs,
         identical,
         rounds,
-        sessions,
-        recommends_per_session: recommends_per_session.max(1),
-        throughput_rps: total_replies as f64 / secs,
+        recommends_per_session,
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        throughput,
         concurrent_identical,
     }
 }
@@ -267,12 +321,21 @@ pub fn table(e: &E17) -> Table {
     ]);
     t.row(vec!["warm speedup (x)".into(), f(e.speedup)]);
     t.row(vec!["byte-identical".into(), yes_no(e.identical)]);
-    t.row(vec!["concurrent sessions".into(), e.sessions.to_string()]);
     t.row(vec![
         "recommends/session".into(),
         e.recommends_per_session.to_string(),
     ]);
-    t.row(vec!["throughput (replies/s)".into(), f(e.throughput_rps)]);
+    t.row(vec!["cores".into(), e.cores.to_string()]);
+    for &(sessions, rps) in &e.throughput {
+        t.row(vec![
+            format!("throughput at {sessions} sessions (replies/s)"),
+            f(rps),
+        ]);
+    }
+    t.row(vec![
+        "throughput 2 vs 1 sessions (x)".into(),
+        f(e.scaling(2)),
+    ]);
     t.row(vec![
         "concurrent byte-identical".into(),
         yes_no(e.concurrent_identical),
@@ -289,12 +352,25 @@ pub fn bench_fields(e: &E17) -> Vec<(String, Json)> {
         ("speedup".into(), Json::Num(e.speedup)),
         ("identical".into(), Json::Bool(e.identical)),
         ("rounds".into(), Json::Num(e.rounds as f64)),
-        ("sessions".into(), Json::Num(e.sessions as f64)),
         (
             "recommends_per_session".into(),
             Json::Num(e.recommends_per_session as f64),
         ),
-        ("throughput_rps".into(), Json::Num(e.throughput_rps)),
+        ("cores".into(), Json::Num(e.cores as f64)),
+        (
+            "throughput".into(),
+            Json::Arr(
+                e.throughput
+                    .iter()
+                    .map(|&(sessions, rps)| {
+                        Json::Obj(vec![
+                            ("sessions".into(), Json::Num(sessions as f64)),
+                            ("rps".into(), Json::Num(rps)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
         (
             "concurrent_identical".into(),
             Json::Bool(e.concurrent_identical),

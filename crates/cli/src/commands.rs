@@ -899,7 +899,7 @@ pub fn indexes(db_path: Option<&str>) -> Result<String, CliError> {
 
 /// `xia serve <db> [--tcp <addr>] [--socket <path>] [--max-conns <n>]
 /// [--drift-threshold <x>] [--what-if-budget <calls>] [--jobs <n>]
-/// [--inject <site>:<rate>] [--fault-seed <n>] [--no-prewarm]`
+/// [--inject <site>:<rate>] [--fault-seed <n>]`
 ///
 /// Starts the warm advisor service over the given database and blocks
 /// until a client sends the `shutdown` verb (or the process is killed).
@@ -967,10 +967,6 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
                     .parse()
                     .map_err(|_| CliError::usage(format!("bad fault seed `{v}`")))?;
                 i += 2;
-            }
-            "--no-prewarm" => {
-                config.prewarm = false;
-                i += 1;
             }
             other => return Err(CliError::usage(format!("unknown serve flag `{other}`"))),
         }

@@ -223,7 +223,7 @@ USAGE:
   xia serve     <db> (--tcp <addr> | --socket <path>)
                 [--max-conns <n>] [--drift-threshold <0..1>]
                 [--what-if-budget <calls>] [--jobs <n>]
-                [--inject <site>:<rate>] [--fault-seed <n>] [--no-prewarm]
+                [--inject <site>:<rate>] [--fault-seed <n>]
                                              run the warm advisor service
   xia client    (--tcp <addr> | --socket <path>) <verb> [...]
                                              talk to a running server; verbs:

@@ -2,15 +2,15 @@
 
 use crate::benefit::{BenefitEvaluator, EvalStats, WhatIfBudget};
 use crate::candidate::{CandId, CandOrigin, CandidateSet};
-use crate::enumerate::{enumerate_candidates_traced, size_candidates_traced};
+use crate::enumerate::{enumerate_candidates_into, size_candidates_ids};
 use crate::error::{StatementIssue, XiaError};
-use crate::generalize::{generalize_set_fast, generalize_set_naive};
+use crate::generalize::{generalize_set_extend, generalize_set_naive};
 use crate::runctl::{RunController, StopReason};
 use crate::search;
 use std::time::{Duration, Instant};
 use xia_fault::FaultInjector;
 use xia_obs::{Counter, Event, EventJournal, Telemetry};
-use xia_storage::Database;
+use xia_storage::{Database, StatsView};
 use xia_workloads::Workload;
 use xia_xpath::ValueKind;
 
@@ -283,22 +283,60 @@ impl Recommendation {
 pub struct Advisor;
 
 impl Advisor {
+    /// The one-shot preamble, and the only part of advising that writes
+    /// the database: refreshes stale statistics, drops virtual indexes a
+    /// previous tool left in the catalogs, and attaches the sink that
+    /// counts such storage-side work. Every `&mut Database` entry point
+    /// runs it and then the same read-only code a shared snapshot runs
+    /// ([`crate::TuningSession`]); a no-op on a database already fresh.
+    pub fn freshen(db: &mut Database, telemetry: &Telemetry) {
+        db.set_telemetry(telemetry);
+        db.runstats_all();
+        db.drop_all_virtual();
+    }
+
     /// Enumerates, generalizes, and sizes the candidate set for a workload
     /// (steps 1–2 of the pipeline). Exposed separately so experiments can
     /// share one candidate set across searches.
     pub fn prepare(db: &mut Database, workload: &Workload, params: &AdvisorParams) -> CandidateSet {
+        Self::freshen(db, &params.telemetry);
+        Self::prepare_on(db, workload, params)
+    }
+
+    /// [`Advisor::prepare`] over a database that is only read.
+    pub(crate) fn prepare_on(
+        db: &Database,
+        workload: &Workload,
+        params: &AdvisorParams,
+    ) -> CandidateSet {
+        let mut set = CandidateSet::new();
+        Self::extend_prepared(db, workload, 0, &mut set, params);
+        set
+    }
+
+    /// Brings a prepared candidate set up to date with a workload that
+    /// grew by entries `from..`: enumerates the new statements into `set`,
+    /// extends the generalization closure from the new candidates, and
+    /// sizes what was added. With `from == 0` and an empty set this is the
+    /// whole of preparation. Enumeration and sizing each see their own
+    /// stats-unavailable roll; the database is only read.
+    pub(crate) fn extend_prepared(
+        db: &Database,
+        workload: &Workload,
+        from: usize,
+        set: &mut CandidateSet,
+        params: &AdvisorParams,
+    ) {
         let t = &params.telemetry;
-        // Thread the fault injector through storage before any statistics
-        // work, so stats-unavailable faults fire during enumeration too.
-        db.set_faults(&params.faults);
-        db.set_telemetry(t);
-        let mut set = {
+        let mut added = {
             let _enumerate = t.span("enumerate");
-            enumerate_candidates_traced(db, workload, t)
+            let view = StatsView::roll(db, &params.faults);
+            enumerate_candidates_into(&view, workload, from, set, t)
         };
-        t.add(Counter::CandidatesEnumerated, set.len() as u64);
+        t.add(Counter::CandidatesEnumerated, added.len() as u64);
         if params.journal.is_enabled() {
-            for c in set.iter() {
+            for &id in &added {
+                let c = set.get(id);
                 params.journal.emit(|| Event::CandidateGenerated {
                     collection: c.collection.clone(),
                     pattern: c.pattern.to_string(),
@@ -310,19 +348,20 @@ impl Advisor {
         if params.generalize {
             let created = {
                 let _generalize = t.span("generalize");
-                if params.fastpath {
-                    generalize_set_fast(&mut set, t, &params.journal)
+                // Seeded with every candidate of a new set, the extending
+                // fixpoint is the fast path's full fixpoint.
+                if params.fastpath || from > 0 {
+                    generalize_set_extend(set, &added, t, &params.journal)
                 } else {
-                    generalize_set_naive(&mut set, t, &params.journal)
+                    generalize_set_naive(set, t, &params.journal)
                 }
             };
             t.add(Counter::CandidatesGeneralized, created.len() as u64);
+            added.extend(created);
         }
-        {
-            let _size = t.span("size");
-            size_candidates_traced(db, &mut set, t);
-        }
-        set
+        let _size = t.span("size");
+        let view = StatsView::roll(db, &params.faults);
+        size_candidates_ids(&view, set, &added, t);
     }
 
     /// The *All Index* configuration: one index per basic candidate — the
@@ -349,35 +388,20 @@ impl Advisor {
         if workload.is_empty() {
             return Err(XiaError::EmptyWorkload);
         }
-        if algorithm == SearchAlgorithm::Cophy && params.compress {
-            let compressed = {
-                let _compress = params.telemetry.span("compress");
-                crate::compress::compress_workload(workload, &params.telemetry, &params.journal)
-            };
-            return Self::recommend_inner(db, &compressed.workload, budget, algorithm, params);
-        }
-        Self::recommend_inner(db, workload, budget, algorithm, params)
-    }
-
-    fn recommend_inner(
-        db: &mut Database,
-        workload: &Workload,
-        budget: u64,
-        algorithm: SearchAlgorithm,
-        params: &AdvisorParams,
-    ) -> Result<Recommendation, XiaError> {
+        Self::freshen(db, &params.telemetry);
+        let compressed;
+        let workload = if algorithm == SearchAlgorithm::Cophy && params.compress {
+            let _compress = params.telemetry.span("compress");
+            compressed =
+                crate::compress::compress_workload(workload, &params.telemetry, &params.journal);
+            &compressed.workload
+        } else {
+            workload
+        };
         let start = Instant::now();
         let _advise = params.telemetry.span("advise");
-        let set = Self::prepare(db, workload, params);
-        let basic = set.basic_ids().len();
-        let total = set.len();
-        let mut ev = BenefitEvaluator::configured(db, workload, &set, params);
-        Self::check_viability(&ev, params)?;
-        let config = {
-            let _search = params.telemetry.span("search");
-            Self::search_with(&mut ev, &set, budget, algorithm, params)
-        };
-        Self::finish_checked(&set, &mut ev, config, basic, total, start, params)
+        let set = Self::prepare_on(db, workload, params);
+        Self::search_prepared(db, workload, &set, budget, algorithm, params, start)
     }
 
     /// Runs only the search step over a prepared candidate set (used by
@@ -390,11 +414,38 @@ impl Advisor {
         algorithm: SearchAlgorithm,
         params: &AdvisorParams,
     ) -> Result<Recommendation, XiaError> {
+        Self::freshen(db, &params.telemetry);
+        Self::recommend_prepared_on(db, workload, set, budget, algorithm, params)
+    }
+
+    /// [`Advisor::recommend_prepared`] over a database that is only read.
+    pub(crate) fn recommend_prepared_on(
+        db: &Database,
+        workload: &Workload,
+        set: &CandidateSet,
+        budget: u64,
+        algorithm: SearchAlgorithm,
+        params: &AdvisorParams,
+    ) -> Result<Recommendation, XiaError> {
         if workload.is_empty() {
             return Err(XiaError::EmptyWorkload);
         }
         let start = Instant::now();
         let _advise = params.telemetry.span("advise");
+        Self::search_prepared(db, workload, set, budget, algorithm, params, start)
+    }
+
+    /// Baseline costing, search, and pricing of the chosen configuration;
+    /// `start` is when the enclosing "advise" span opened.
+    fn search_prepared(
+        db: &Database,
+        workload: &Workload,
+        set: &CandidateSet,
+        budget: u64,
+        algorithm: SearchAlgorithm,
+        params: &AdvisorParams,
+        start: Instant,
+    ) -> Result<Recommendation, XiaError> {
         let basic = set.basic_ids().len();
         let total = set.len();
         let mut ev = BenefitEvaluator::configured(db, workload, set, params);
@@ -557,9 +608,10 @@ impl Advisor {
         if workload.is_empty() {
             return Err(XiaError::EmptyWorkload);
         }
+        Self::freshen(db, &params.telemetry);
         let start = Instant::now();
         let _advise = params.telemetry.span("advise");
-        let mut set = Self::prepare(db, workload, params);
+        let mut set = Self::prepare_on(db, workload, params);
         let mut config = Vec::new();
         let basics = set.basic_ids();
         for (coll, pattern, kind) in indexes {
@@ -581,7 +633,9 @@ impl Advisor {
                 config.push(id);
             }
         }
-        size_candidates_traced(db, &mut set, &params.telemetry);
+        let ids: Vec<CandId> = set.ids().collect();
+        let view = StatsView::roll(db, &params.faults);
+        size_candidates_ids(&view, &mut set, &ids, &params.telemetry);
         let basic = set.basic_ids().len();
         let total = set.len();
         let mut ev = BenefitEvaluator::configured(db, workload, &set, params);

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use xia_fault::FaultInjector;
 use xia_obs::{Counter, Event, EventJournal, Hist, Telemetry};
 use xia_optimizer::{maintenance, Optimizer};
-use xia_storage::{CatalogOverlay, Database, IndexStats};
+use xia_storage::{CatalogOverlay, Database, IndexStats, StatsView};
 use xia_workloads::Workload;
 use xia_xpath::{CoverCache, LinearPath, RelevanceMatrix};
 
@@ -293,7 +293,9 @@ const SALT_EVALUATE: u64 = 0xE7A1;
 /// salts) serially and merges results in task order, which keeps
 /// recommendations and counter totals byte-identical for any `jobs`.
 pub struct BenefitEvaluator<'a> {
-    db: &'a Database,
+    /// The database as this run sees it: statistics hidden by a
+    /// stats-unavailable fault stay hidden for the whole evaluation.
+    db: StatsView<'a>,
     workload: &'a Workload,
     set: &'a CandidateSet,
     /// Baseline (no-candidate) cost per statement.
@@ -403,9 +405,11 @@ impl<'a> BenefitEvaluator<'a> {
 
     /// Creates an evaluator configured from [`crate::advisor::AdvisorParams`]:
     /// telemetry, fault injector, and what-if budget are all in effect from
-    /// baseline costing onwards.
+    /// baseline costing onwards. The database is only read, so its
+    /// statistics must already be fresh and its catalogs free of virtual
+    /// indexes (see [`crate::Advisor::freshen`]).
     pub fn configured(
-        db: &'a mut Database,
+        db: &'a Database,
         workload: &'a Workload,
         set: &'a CandidateSet,
         params: &crate::advisor::AdvisorParams,
@@ -427,10 +431,12 @@ impl<'a> BenefitEvaluator<'a> {
     }
 
     /// Creates an evaluator with a fault injector and what-if budget in
-    /// effect from baseline costing onwards. Statements whose collection
-    /// is missing are quarantined here; statements whose costing fails
-    /// (stats unavailable, injected optimizer fault) get a heuristic
-    /// baseline and the run is marked degraded.
+    /// effect from baseline costing onwards, after refreshing the
+    /// database's statistics and clearing stale virtual indexes.
+    /// Statements whose collection is missing are quarantined here;
+    /// statements whose costing fails (stats unavailable, injected
+    /// optimizer fault) get a heuristic baseline and the run is marked
+    /// degraded.
     pub fn with_faults(
         db: &'a mut Database,
         workload: &'a Workload,
@@ -438,6 +444,7 @@ impl<'a> BenefitEvaluator<'a> {
         faults: &FaultInjector,
         budget: WhatIfBudget,
     ) -> Self {
+        crate::Advisor::freshen(db, &Telemetry::off());
         Self::build(
             db,
             workload,
@@ -454,7 +461,7 @@ impl<'a> BenefitEvaluator<'a> {
 
     #[allow(clippy::too_many_arguments)]
     fn build(
-        db: &'a mut Database,
+        db: &'a Database,
         workload: &'a Workload,
         set: &'a CandidateSet,
         faults: &FaultInjector,
@@ -465,24 +472,11 @@ impl<'a> BenefitEvaluator<'a> {
         journal: &EventJournal,
         ctl: &RunController,
     ) -> Self {
-        // Setup is the only phase that mutates the database: attach the
-        // sinks, refresh statistics, and clear stale virtual indexes. From
-        // here on the evaluator holds the database immutably — what-if
+        // The evaluator only ever reads the database — what-if
         // configurations live in catalog overlays, never in the catalogs.
-        db.set_faults(faults);
-        db.set_telemetry(telemetry);
-        db.runstats_all();
-        for name in db
-            .collection_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-        {
-            if let Some(cat) = db.catalog_mut(&name) {
-                cat.drop_all_virtual();
-            }
-        }
-        let db: &'a Database = db;
+        // One stats-unavailable roll per collection fixes which statistics
+        // this run can see.
+        let db = StatsView::roll(db, faults);
         // Relevance matrix: one signature per statement, one bitset per
         // candidate. Pure containment work — no optimizer calls.
         let matrix = RelevanceMatrix::new(
@@ -618,7 +612,7 @@ impl<'a> BenefitEvaluator<'a> {
         } else {
             vec![None; n]
         };
-        let (db, workload) = (self.db, self.workload);
+        let (db, workload) = (&self.db, self.workload);
         let faults = self.faults.clone();
         let warm_ref = &warm;
         let results = run_indexed(n, self.jobs, &self.telemetry.clone(), |si, tel| {
@@ -1172,7 +1166,7 @@ impl<'a> BenefitEvaluator<'a> {
         };
 
         // Phase 4 (workers): pure costing, fanned out over `jobs` threads.
-        let (db, workload) = (self.db, self.workload);
+        let (db, workload) = (&self.db, self.workload);
         let faults = self.faults.clone();
         let warm_ref = &warm;
         let results = run_indexed(tasks.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
@@ -1499,7 +1493,7 @@ impl<'a> BenefitEvaluator<'a> {
                 self.db.parts(coll).is_some()
             })
             .count() as u64;
-        let (db, workload) = (self.db, self.workload);
+        let (db, workload) = (&self.db, self.workload);
         let by_key = &by_key;
         let overlays = &overlays;
         let results = run_indexed(stmts.len(), self.jobs, &self.telemetry.clone(), |i, tel| {

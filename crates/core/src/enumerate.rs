@@ -1,50 +1,35 @@
 //! Basic-candidate enumeration via the optimizer's Enumerate Indexes mode
 //! (paper Section IV).
+//!
+//! The `&mut Database` functions are one-shot conveniences that refresh
+//! statistics first; everything else reads a [`StatsView`] and never
+//! writes, so any number of sessions can enumerate over one database.
 
-use crate::candidate::{CandOrigin, CandidateSet};
+use crate::candidate::{CandId, CandOrigin, CandidateSet};
 use xia_obs::{Counter, Telemetry};
 use xia_optimizer::Optimizer;
-use xia_storage::Database;
+use xia_storage::{Database, StatsView};
 use xia_workloads::Workload;
 
 /// Runs every workload statement through the optimizer's Enumerate Indexes
 /// mode and collects the basic candidate set, with affected sets
-/// (statement indices) recorded per candidate.
-///
-/// Statistics must be fresh; this refreshes them via
-/// [`Database::runstats_all`] if needed.
+/// (statement indices) recorded per candidate. Refreshes statistics via
+/// [`Database::runstats_all`] first.
 pub fn enumerate_candidates(db: &mut Database, workload: &Workload) -> CandidateSet {
+    db.runstats_all();
     enumerate_candidates_traced(db, workload, &Telemetry::off())
 }
 
-/// [`enumerate_candidates`] with per-statement optimizer activity counted
-/// against a telemetry sink.
+/// [`enumerate_candidates`] over a database whose statistics are already
+/// fresh, with per-statement optimizer activity counted against a
+/// telemetry sink.
 pub fn enumerate_candidates_traced(
-    db: &mut Database,
+    db: &Database,
     workload: &Workload,
     telemetry: &Telemetry,
 ) -> CandidateSet {
-    db.runstats_all();
     let mut set = CandidateSet::new();
-    for (si, entry) in workload.entries().iter().enumerate() {
-        let coll_name = entry.statement.collection().to_string();
-        let Some(collection) = db.collection(&coll_name) else {
-            continue; // statement over a collection that does not exist
-        };
-        // Statistics can be absent when collection under a stats-unavailable
-        // fault (see xia-fault); skip the statement rather than panic — the
-        // benefit evaluator degrades it to a heuristic cost downstream.
-        let Some(stats) = db.stats_cached(&coll_name) else {
-            continue;
-        };
-        let catalog = db.catalog(&coll_name).expect("collection has a catalog");
-        let mut optimizer = Optimizer::new(collection, stats, catalog);
-        optimizer.set_telemetry(telemetry);
-        for cand in optimizer.enumerate_indexes(&entry.statement) {
-            let id = set.insert(&cand.collection, cand.pattern, cand.kind, CandOrigin::Basic);
-            set.get_mut(id).affected.insert(si);
-        }
-    }
+    enumerate_candidates_into(&db.view(), workload, 0, &mut set, telemetry);
     set
 }
 
@@ -58,30 +43,29 @@ pub fn enumerate_candidates_traced(
 /// Returns the ids of candidates that were *not* in the set before this
 /// call (the generalization frontier for [`crate::generalize::generalize_set_extend`]).
 pub fn enumerate_candidates_into(
-    db: &mut Database,
+    view: &StatsView<'_>,
     workload: &Workload,
     from: usize,
     set: &mut CandidateSet,
     telemetry: &Telemetry,
-) -> Vec<crate::candidate::CandId> {
-    db.runstats_all();
+) -> Vec<CandId> {
     let mut fresh = Vec::new();
     for (si, entry) in workload.entries().iter().enumerate().skip(from) {
-        let coll_name = entry.statement.collection().to_string();
-        let Some(collection) = db.collection(&coll_name) else {
+        // A statement over a collection that does not exist, or whose
+        // statistics the view hides (a stats-unavailable fault, see
+        // xia-fault), is skipped rather than a panic — the benefit
+        // evaluator quarantines or degrades it downstream.
+        let Some((collection, catalog, stats)) = view.parts(entry.statement.collection()) else {
             continue;
         };
-        let Some(stats) = db.stats_cached(&coll_name) else {
-            continue;
-        };
-        let catalog = db.catalog(&coll_name).expect("collection has a catalog");
         let mut optimizer = Optimizer::new(collection, stats, catalog);
         optimizer.set_telemetry(telemetry);
         for cand in optimizer.enumerate_indexes(&entry.statement) {
-            let existed = set.lookup(&cand.collection, &cand.pattern, cand.kind);
+            let known = set.len();
             let id = set.insert(&cand.collection, cand.pattern, cand.kind, CandOrigin::Basic);
             set.get_mut(id).affected.insert(si);
-            if existed.is_none() {
+            // Ids are append-only, so one past the old end is a new one.
+            if id.index() >= known {
                 fresh.push(id);
             }
         }
@@ -91,38 +75,36 @@ pub fn enumerate_candidates_into(
 
 /// Fills in size estimates for every candidate from derived virtual-index
 /// statistics (paper Section III: index statistics derived from data
-/// statistics).
+/// statistics). Refreshes statistics first.
 pub fn size_candidates(db: &mut Database, set: &mut CandidateSet) {
+    db.runstats_all();
     size_candidates_traced(db, set, &Telemetry::off())
 }
 
-/// [`size_candidates`] with each statistics derivation counted against a
-/// telemetry sink.
-pub fn size_candidates_traced(db: &mut Database, set: &mut CandidateSet, telemetry: &Telemetry) {
+/// [`size_candidates`] over a database whose statistics are already
+/// fresh, with each statistics derivation counted against a telemetry
+/// sink.
+pub fn size_candidates_traced(db: &Database, set: &mut CandidateSet, telemetry: &Telemetry) {
     let ids: Vec<_> = set.ids().collect();
-    size_candidates_ids(db, set, &ids, telemetry)
+    size_candidates_ids(&db.view(), set, &ids, telemetry)
 }
 
 /// Sizes only the given candidate ids — the incremental-preparation path,
 /// where pre-existing candidates already carry sizes derived from the same
 /// statistics and re-deriving them would be pure waste.
 pub fn size_candidates_ids(
-    db: &mut Database,
+    view: &StatsView<'_>,
     set: &mut CandidateSet,
-    ids: &[crate::candidate::CandId],
+    ids: &[CandId],
     telemetry: &Telemetry,
 ) {
-    db.runstats_all();
     for &id in ids {
         let (coll_name, pattern, kind) = {
             let c = set.get(id);
             (c.collection.clone(), c.pattern.clone(), c.kind)
         };
-        let Some(collection) = db.collection(&coll_name) else {
-            continue;
-        };
-        let Some(stats) = db.stats_cached(&coll_name) else {
-            continue; // stats unavailable (fault-injected); keep size 0
+        let Some((collection, _, stats)) = view.parts(&coll_name) else {
+            continue; // no such collection, or stats hidden: keep size 0
         };
         telemetry.incr(Counter::StatsDerivations);
         let (_, istats) = xia_storage::Catalog::derive_stats(collection, stats, &pattern, kind);

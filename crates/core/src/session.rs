@@ -14,7 +14,7 @@
 //!   moving them), so new statements enumerate their basic candidates
 //!   into the existing set and the semi-naive generalization fixpoint
 //!   extends the closure from just the new frontier
-//!   ([`generalize_set_extend`]). Candidate ids are append-only too,
+//!   ([`crate::generalize::generalize_set_extend`]). Candidate ids are append-only too,
 //!   which keeps previously captured warm cost entries valid.
 //! * **Warm benefit costs** — every `recommend` runs under a
 //!   [`RunController`] armed with in-memory warm capture; the run's
@@ -24,23 +24,24 @@
 //!   re-fanning out. The store resets whenever the database changes
 //!   underneath the session (`apply`) or the advisor parameters change.
 //!
-//! The session does not hold the database borrow; every call that needs
-//! the database takes `&mut Database`, so a serving layer can share one
-//! database across many sessions behind its own synchronization.
+//! The session does not hold the database borrow and, [`TuningSession::apply`]
+//! aside, never writes it: every call takes `&Database` with fresh
+//! statistics (see [`Advisor::freshen`]) and sees injected `stats-unavailable`
+//! faults through a per-phase [`xia_storage::StatsView`], so a serving layer
+//! shares one immutable database across sessions with no synchronization.
 
 use crate::advisor::{Advisor, AdvisorParams, Recommendation, SearchAlgorithm};
 use crate::candidate::CandidateSet;
-use crate::enumerate::{enumerate_candidates_into, size_candidates_ids};
 use crate::error::XiaError;
-use crate::generalize::generalize_set_extend;
 use crate::runctl::{RunController, WarmCostStore};
-use xia_obs::{Counter, Event};
+use std::cell::OnceCell;
 use xia_storage::Database;
 use xia_workloads::Workload;
 use xia_xpath::ParseError;
 
 /// Prepared candidate state plus how much of the compressed workload it
 /// covers.
+#[derive(Default)]
 struct Prepared {
     set: CandidateSet,
     /// Compressed-workload entries already enumerated into `set`.
@@ -51,6 +52,9 @@ struct Prepared {
 #[derive(Default)]
 pub struct TuningSession {
     workload: Workload,
+    /// `workload` with duplicates merged: computed by the first reader
+    /// after an observation, so a request compresses at most once.
+    compressed: OnceCell<Workload>,
     params: AdvisorParams,
     prepared: Option<Prepared>,
     warm: WarmCostStore,
@@ -83,6 +87,7 @@ impl TuningSession {
     /// are kept; the next `recommend` extends them incrementally.
     pub fn observe_with_freq(&mut self, statement_text: &str, freq: f64) -> Result<(), ParseError> {
         self.workload.push_with_freq(statement_text, freq)?;
+        self.compressed.take();
         Ok(())
     }
 
@@ -98,8 +103,8 @@ impl TuningSession {
     }
 
     /// The accumulated workload (compressed: duplicates merged).
-    pub fn workload(&self) -> Workload {
-        self.workload.compress()
+    pub fn workload(&self) -> &Workload {
+        self.compressed.get_or_init(|| self.workload.compress())
     }
 
     /// Distinct warm costings carried to the next `recommend`.
@@ -108,69 +113,31 @@ impl TuningSession {
     }
 
     /// Brings the prepared candidate set up to date with the compressed
-    /// workload: a full [`Advisor::prepare`] on first use, an incremental
-    /// extension afterwards.
-    fn ensure_prepared(&mut self, db: &mut Database) {
-        let compressed = self.workload.compress();
-        match &mut self.prepared {
-            None => {
-                let set = Advisor::prepare(db, &compressed, &self.params);
-                self.prepared = Some(Prepared {
-                    set,
-                    covered: compressed.len(),
-                });
-            }
-            Some(p) if p.covered < compressed.len() => {
-                let t = &self.params.telemetry;
-                db.set_faults(&self.params.faults);
-                db.set_telemetry(t);
-                let fresh = {
-                    let _enumerate = t.span("enumerate");
-                    enumerate_candidates_into(db, &compressed, p.covered, &mut p.set, t)
-                };
-                t.add(Counter::CandidatesEnumerated, fresh.len() as u64);
-                if self.params.journal.is_enabled() {
-                    for &id in &fresh {
-                        let c = p.set.get(id);
-                        self.params.journal.emit(|| Event::CandidateGenerated {
-                            collection: c.collection.clone(),
-                            pattern: c.pattern.to_string(),
-                            kind: c.kind.to_string(),
-                            origin: "basic".to_string(),
-                        });
-                    }
-                }
-                let mut to_size = fresh.clone();
-                if self.params.generalize {
-                    let created = {
-                        let _generalize = t.span("generalize");
-                        generalize_set_extend(&mut p.set, &fresh, t, &self.params.journal)
-                    };
-                    t.add(Counter::CandidatesGeneralized, created.len() as u64);
-                    to_size.extend(created);
-                }
-                {
-                    let _size = t.span("size");
-                    size_candidates_ids(db, &mut p.set, &to_size, t);
-                }
-                p.covered = compressed.len();
-            }
-            Some(_) => {}
+    /// workload: a full preparation on first use, an incremental
+    /// extension afterwards ([`Advisor::extend_prepared`] either way).
+    fn ensure_prepared(&mut self, db: &Database) -> &Prepared {
+        let compressed = self.compressed.get_or_init(|| self.workload.compress());
+        // The first preparation runs even over an empty workload, so a
+        // session's fault stream does not depend on when it first asked.
+        let first = self.prepared.is_none();
+        let p = self.prepared.get_or_insert_with(Prepared::default);
+        if first || p.covered < compressed.len() {
+            Advisor::extend_prepared(db, compressed, p.covered, &mut p.set, &self.params);
+            p.covered = compressed.len();
         }
+        p
     }
 
     /// Candidate count after enumeration + generalization (for monitoring).
-    pub fn candidate_count(&mut self, db: &mut Database) -> usize {
-        self.ensure_prepared(db);
-        self.prepared.as_ref().map_or(0, |p| p.set.len())
+    pub fn candidate_count(&mut self, db: &Database) -> usize {
+        self.ensure_prepared(db).set.len()
     }
 
     /// The prepared candidate set, brought up to date first — for
     /// serving-path introspection and the incremental-vs-full parity
     /// tests.
-    pub fn candidates(&mut self, db: &mut Database) -> &CandidateSet {
-        self.ensure_prepared(db);
-        &self.prepared.as_ref().expect("prepared above").set
+    pub fn candidates(&mut self, db: &Database) -> &CandidateSet {
+        &self.ensure_prepared(db).set
     }
 
     /// Produces a recommendation for the accumulated workload, reusing
@@ -180,21 +147,21 @@ impl TuningSession {
     /// [`Advisor::recommend`].
     pub fn recommend(
         &mut self,
-        db: &mut Database,
+        db: &Database,
         budget: u64,
         algorithm: SearchAlgorithm,
     ) -> Result<Recommendation, XiaError> {
         self.ensure_prepared(db);
-        let compressed = self.workload.compress();
+        let compressed = self.workload();
         let set = &self.prepared.as_ref().expect("prepared above").set;
         // Warm cost reuse rides on the run controller. When the caller
         // armed their own controller (deadline, checkpointing) it is used
         // untouched and the session's warm store stays out of the run;
         // otherwise the run captures its costing log for the next call.
         if self.params.ctl.is_enabled() {
-            return Advisor::recommend_prepared(
+            return Advisor::recommend_prepared_on(
                 db,
-                &compressed,
+                compressed,
                 set,
                 budget,
                 algorithm,
@@ -207,7 +174,7 @@ impl TuningSession {
         }
         let mut params = self.params.clone();
         params.ctl = ctl.clone();
-        let out = Advisor::recommend_prepared(db, &compressed, set, budget, algorithm, &params);
+        let out = Advisor::recommend_prepared_on(db, compressed, set, budget, algorithm, &params);
         self.warm.absorb(ctl.export_warm_log());
         out
     }
@@ -217,8 +184,8 @@ impl TuningSession {
     /// the warm cost store resets: physical indexes change what the
     /// optimizer would cost.
     pub fn apply(&mut self, db: &mut Database, rec: &Recommendation) -> usize {
-        self.ensure_prepared(db);
-        let p = self.prepared.as_ref().expect("prepared above");
+        Advisor::freshen(db, &self.params.telemetry);
+        let p = self.ensure_prepared(db);
         let n = Advisor::materialize(db, &p.set, &rec.config);
         self.warm.reset();
         n
@@ -238,7 +205,7 @@ mod tests {
 
     #[test]
     fn session_accumulates_and_recommends() {
-        let mut db = db();
+        let db = db();
         let mut session = TuningSession::new();
         session
             .observe(
@@ -247,7 +214,7 @@ mod tests {
             .unwrap();
         assert_eq!(session.observed(), 1);
         let rec1 = session
-            .recommend(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         assert_eq!(rec1.indexes.len(), 1);
 
@@ -255,7 +222,7 @@ mod tests {
             .observe(r#"for $o in ORDER('ODOC')/Order where $o/AccountId = "A00001" return $o"#)
             .unwrap();
         let rec2 = session
-            .recommend(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         assert!(rec2.indexes.len() >= 2, "{:?}", rec2.indexes);
     }
@@ -275,25 +242,25 @@ mod tests {
 
     #[test]
     fn prepared_state_extends_incrementally_across_observes() {
-        let mut db = db();
+        let db = db();
         let mut session = TuningSession::new();
         session
             .observe(r#"collection('SDOC')/Security[Symbol = "SYM00003"]"#)
             .unwrap();
-        let c1 = session.candidate_count(&mut db);
-        let c2 = session.candidate_count(&mut db);
+        let c1 = session.candidate_count(&db);
+        let c2 = session.candidate_count(&db);
         assert_eq!(c1, c2);
         session
             .observe(r#"collection('SDOC')/Security[Yield > 4]"#)
             .unwrap();
-        let c3 = session.candidate_count(&mut db);
+        let c3 = session.candidate_count(&db);
         assert!(c3 >= c1);
         // A duplicate observation merges into the compressed workload
         // without growing the candidate set.
         session
             .observe(r#"collection('SDOC')/Security[Symbol = "SYM00003"]"#)
             .unwrap();
-        assert_eq!(session.candidate_count(&mut db), c3);
+        assert_eq!(session.candidate_count(&db), c3);
     }
 
     #[test]
@@ -305,14 +272,14 @@ mod tests {
             .unwrap();
         assert_eq!(session.warm_costings(), 0);
         let rec = session
-            .recommend(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         let after_first = session.warm_costings();
         assert!(after_first > 0, "recommend must capture warm costings");
         // A repeat recommend replays warm entries and returns an
         // identical recommendation.
         let rec2 = session
-            .recommend(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         assert_eq!(rec.ddl(), rec2.ddl());
         assert_eq!(
@@ -337,7 +304,7 @@ mod tests {
             .observe(r#"collection('SDOC')/Security[Symbol = "SYM00004"]"#)
             .unwrap();
         let rec = session
-            .recommend(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         let n = session.apply(&mut db, &rec);
         assert_eq!(n, rec.indexes.len());
@@ -353,7 +320,7 @@ mod tests {
 
     #[test]
     fn ddl_renders_create_index_statements() {
-        let mut db = db();
+        let db = db();
         let mut session = TuningSession::new();
         session
             .observe(r#"collection('SDOC')/Security[Symbol = "SYM00005"]"#)
@@ -362,7 +329,7 @@ mod tests {
             .observe(r#"collection('SDOC')/Security[Yield > 4.5]"#)
             .unwrap();
         let rec = session
-            .recommend(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         let ddl = rec.ddl();
         assert!(ddl.contains("CREATE INDEX idx_sdoc_1"), "{ddl}");

@@ -37,7 +37,8 @@ pub enum FaultSite {
     StorageIo,
     /// Evaluate-mode optimizer costing (`Optimizer::try_optimize`).
     OptimizerCost,
-    /// Statistics collection (RUNSTATS) unavailable for a collection.
+    /// Statistics (RUNSTATS output) unavailable for a collection, for one
+    /// advisor phase (`xia_storage::StatsView::roll`).
     StatsUnavailable,
     /// Run-checkpoint I/O (checkpoint file reads and writes). A firing
     /// write abandons that checkpoint (the previous one survives); a

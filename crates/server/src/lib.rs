@@ -17,7 +17,8 @@
 //!   [`TuningSession`](xia_advisor::TuningSession) with drift-triggered
 //!   incremental re-advise over compressed-template mass.
 //! * [`server`] — listeners, thread-per-connection with an admission
-//!   cap, shared-database locking, and deterministic cleanup.
+//!   cap, one immutable database snapshot read without a lock, and
+//!   deterministic cleanup.
 //!
 //! Every session is a pure function of its own request stream, so N
 //! concurrent clients get byte-identical replies to the same requests

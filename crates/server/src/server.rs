@@ -1,22 +1,21 @@
 //! The daemon: listeners, admission control, and the connection loop.
 //!
-//! One [`Server`] holds one [`Database`] behind a mutex, warm across
-//! requests and connections. Each accepted connection gets its own OS
-//! thread and its own [`ServerSession`]; a request locks the database
-//! only for the duration of its dispatch, so sessions interleave at
-//! request granularity while each session's caches stay private.
+//! One [`Server`] publishes one immutable [`Database`] snapshot, warm
+//! across requests and connections. Each accepted connection gets its own
+//! OS thread and its own [`ServerSession`]; a request reads the snapshot
+//! through a plain shared reference with no lock, so sessions run in
+//! parallel, one core each, while each session's caches stay private.
 //!
 //! Listeners are non-blocking and polled, so `shutdown` (the wire verb or
 //! [`ServerHandle::shutdown`]) stops the accept loop promptly; connection
 //! reads use a short timeout and re-check the stop flag, so connection
 //! threads drain within one poll interval.
 //!
-//! **Determinism under sharing.** Sessions with fault injection enabled
-//! can leave shared database state (collection statistics staleness)
-//! behind; after every faulted request the server re-canonicalizes the
-//! database (fault-free `runstats_all`) while still holding the lock, so
-//! the next request — whichever session it comes from — starts from the
-//! same database state regardless of interleaving.
+//! **Determinism under sharing.** No verb writes the database, and an
+//! injected `stats-unavailable` fault reaches the advisor through a
+//! per-phase [`xia_storage::StatsView`] private to the request, so no
+//! session can leave anything behind for another: every reply is a
+//! function of the snapshot and the session's own request stream.
 
 use crate::protocol::{ok_reply, parse_request, Request, WireError, MAX_LINE_BYTES};
 use crate::session::{ServerSession, SessionOptions};
@@ -27,8 +26,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use xia_advisor::Advisor;
 use xia_fault::FaultInjector;
 use xia_obs::json::Json;
+use xia_obs::Telemetry;
 use xia_storage::Database;
 
 /// How long a connection read waits before re-checking the stop flag.
@@ -56,7 +57,8 @@ pub struct ServerConfig {
     pub fault_specs: Vec<String>,
     /// Seed for the per-session fault streams.
     pub fault_seed: u64,
-    /// Warm up collection statistics and columnar stores at startup.
+    /// Inert: [`start`] always freshens the database before publishing
+    /// it. Kept so `ServerConfig { prewarm, .. }` literals still build.
     pub prewarm: bool,
 }
 
@@ -91,7 +93,8 @@ pub struct ServerCounters {
 }
 
 struct Shared {
-    db: Mutex<Database>,
+    /// The published snapshot; connections only ever read it.
+    db: Arc<Database>,
     config: ServerConfig,
     stop: AtomicBool,
     active: AtomicUsize,
@@ -100,13 +103,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock_db(&self) -> std::sync::MutexGuard<'_, Database> {
-        match self.db.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     fn stats_json(&self) -> Json {
         Json::Obj(vec![
             (
@@ -214,9 +210,9 @@ pub fn start(config: ServerConfig, mut db: Database) -> io::Result<ServerHandle>
             "server needs a TCP address or a unix socket path",
         ));
     }
-    if config.prewarm {
-        db.prewarm();
-    }
+    // Sessions only read the snapshot, so stale statistics and leftover
+    // virtual indexes are fixed up here, before it is published.
+    Advisor::freshen(&mut db, &Telemetry::off());
     let tcp = match &config.tcp {
         Some(addr) => {
             let l = TcpListener::bind(addr)?;
@@ -249,7 +245,7 @@ pub fn start(config: ServerConfig, mut db: Database) -> io::Result<ServerHandle>
     }
     let socket_path = config.socket.clone();
     let shared = Arc::new(Shared {
-        db: Mutex::new(db),
+        db: Arc::new(db),
         config,
         stop: AtomicBool::new(false),
         active: AtomicUsize::new(0),
@@ -352,6 +348,10 @@ where
     match spawned {
         Ok(handle) => {
             if let Ok(mut conns) = shared.conns.lock() {
+                // Reap connections that already ended, so a long-lived
+                // daemon holds one handle per live connection, not one
+                // per connection ever accepted.
+                conns.retain(|h| !h.is_finished());
                 conns.push(handle);
             }
         }
@@ -373,15 +373,18 @@ fn write_line<S: Write>(stream: &mut S, line: &str) -> io::Result<()> {
 
 /// Byte-capped, stop-aware line reader. Keeps leftover bytes between
 /// calls so pipelined requests in one TCP segment all surface.
+#[derive(Default)]
 struct LineReader {
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched and free of newlines, so
+    /// each chunk is searched once however many reads a line takes.
+    scanned: usize,
+    /// Bytes searched for a newline so far.
+    #[cfg(test)]
+    compared: usize,
 }
 
 impl LineReader {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
-    }
-
     /// `Ok(None)` on EOF or server stop; `Ok(Some(Err(..)))` on an
     /// oversized or non-UTF-8 line (protocol error — the caller replies
     /// and closes); `Err` on a fatal transport error.
@@ -391,7 +394,12 @@ impl LineReader {
         stop: &AtomicBool,
     ) -> io::Result<Option<Result<String, WireError>>> {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+            let found = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+            #[cfg(test)]
+            (self.compared += found.map_or(self.buf.len() - self.scanned, |off| off + 1));
+            if let Some(off) = found {
+                let pos = self.scanned + off;
+                self.scanned = 0;
                 if pos > MAX_LINE_BYTES {
                     return Ok(Some(Err(WireError::input(format!(
                         "request line exceeds {MAX_LINE_BYTES} bytes"
@@ -407,6 +415,7 @@ impl LineReader {
                         .map_err(|_| WireError::input("request line is not valid UTF-8")),
                 ));
             }
+            self.scanned = self.buf.len();
             // No newline yet: bound the buffer so a client cannot stream
             // an endless line into memory.
             if self.buf.len() > MAX_LINE_BYTES {
@@ -442,7 +451,7 @@ fn conn_loop<S: Read + Write>(shared: &Arc<Shared>, mut stream: S) {
         faults,
     };
     let mut session = ServerSession::new(&opts);
-    let mut reader = LineReader::new();
+    let mut reader = LineReader::default();
     loop {
         let line = match reader.next_line(&mut stream, &shared.stop) {
             Ok(Some(Ok(line))) => line,
@@ -459,13 +468,7 @@ fn conn_loop<S: Read + Write>(shared: &Arc<Shared>, mut stream: S) {
             continue;
         }
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let reply = match parse_request(&line) {
-            Err(e) => {
-                // The line framed correctly; a malformed request does not
-                // cost the client its connection.
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                e.render()
-            }
+        let outcome = match parse_request(&line) {
             Ok(Request::Shutdown) => {
                 let _ = write_line(
                     &mut stream,
@@ -474,27 +477,14 @@ fn conn_loop<S: Read + Write>(shared: &Arc<Shared>, mut stream: S) {
                 shared.stop.store(true, Ordering::SeqCst);
                 return;
             }
-            Ok(req) => {
-                let mut db = shared.lock_db();
-                let outcome = dispatch(&mut session, &mut db, &req, shared);
-                if session.faults_enabled() {
-                    // Faulted requests may leave statistics stale in the
-                    // shared database; restore the canonical all-fresh
-                    // state so the next request (from any session) sees
-                    // the same starting point in every interleaving.
-                    db.set_faults(&FaultInjector::off());
-                    db.runstats_all();
-                }
-                drop(db);
-                match outcome {
-                    Ok(reply) => reply,
-                    Err(e) => {
-                        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        e.render()
-                    }
-                }
-            }
+            parsed => parsed.and_then(|req| dispatch(&mut session, &shared.db, &req, shared)),
         };
+        // The line framed correctly, so an error reply — malformed request
+        // or failed verb — does not cost the client its connection.
+        let reply = outcome.unwrap_or_else(|e| {
+            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+            e.render()
+        });
         if write_line(&mut stream, &reply).is_err() {
             return;
         }
@@ -503,7 +493,7 @@ fn conn_loop<S: Read + Write>(shared: &Arc<Shared>, mut stream: S) {
 
 fn dispatch(
     session: &mut ServerSession,
-    db: &mut Database,
+    db: &Database,
     req: &Request,
     shared: &Shared,
 ) -> Result<String, WireError> {
@@ -664,6 +654,56 @@ mod tests {
             .read_line(&mut rest)
             .expect("read after close");
         assert_eq!(n, 0, "connection must be closed, got {rest:?}");
+        handle.stop();
+    }
+
+    /// Hands out one chunk per read.
+    struct Chunked<'a>(std::slice::Chunks<'a, u8>);
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let chunk = self.0.next().unwrap_or(&[]);
+            buf[..chunk.len()].copy_from_slice(chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn a_maximal_line_frames_in_any_chunking_with_a_linear_scan() {
+        let mut data = vec![b'x'; MAX_LINE_BYTES];
+        data.extend_from_slice(b"\nping\r\n");
+        let stop = AtomicBool::new(false);
+        for step in [1, 4096] {
+            let mut reader = LineReader::default();
+            let mut stream = Chunked(data.chunks(step));
+            let mut next = || reader.next_line(&mut stream, &stop).expect("transport");
+            let line = next().expect("a line").expect("within the cap");
+            assert_eq!(line.len(), MAX_LINE_BYTES, "step {step}");
+            assert_eq!(next().expect("a line").expect("short line"), "ping");
+            assert!(next().is_none(), "EOF after the last line");
+            assert!(
+                reader.compared <= data.len(),
+                "step {step}: {}",
+                reader.compared
+            );
+        }
+    }
+
+    #[test]
+    fn finished_connections_are_reaped_on_admission() {
+        let handle = start_tcp(ServerConfig::default());
+        let mut most = 0;
+        for _ in 0..200 {
+            let mut c = connect(&handle);
+            let _ = roundtrip(&mut c, r#"{"verb":"ping"}"#);
+            most = most.max(handle.shared.conns.lock().expect("conns").len());
+            drop(c);
+            // Its thread gives the slot back as its last act.
+            while handle.shared.active.load(Ordering::SeqCst) > 0 {
+                std::thread::yield_now();
+            }
+        }
+        assert!(most <= 4, "{most} handles held with one live connection");
         handle.stop();
     }
 

@@ -98,12 +98,6 @@ impl ServerSession {
         }
     }
 
-    /// Whether this session injects faults (the server re-canonicalizes
-    /// shared database state after faulted requests).
-    pub fn faults_enabled(&self) -> bool {
-        self.params.faults.is_enabled()
-    }
-
     /// Drift-triggered re-advises so far.
     pub fn readvises(&self) -> u64 {
         self.readvises
@@ -155,7 +149,7 @@ impl ServerSession {
     /// crossed the threshold since the last recommendation.
     pub fn observe(
         &mut self,
-        db: &mut Database,
+        db: &Database,
         statements: &[(String, f64)],
     ) -> Result<String, WireError> {
         let mut accepted = 0u64;
@@ -254,7 +248,7 @@ impl ServerSession {
     /// Handles `recommend`.
     pub fn recommend_reply(
         &mut self,
-        db: &mut Database,
+        db: &Database,
         budget: u64,
         algorithm: SearchAlgorithm,
     ) -> Result<String, WireError> {
@@ -274,7 +268,7 @@ impl ServerSession {
     /// drift and memorizes the request shape for future re-advises.
     fn recommend_inner(
         &mut self,
-        db: &mut Database,
+        db: &Database,
         budget: u64,
         algorithm: SearchAlgorithm,
     ) -> Result<Recommendation, xia_advisor::XiaError> {
@@ -365,7 +359,7 @@ mod tests {
         db
     }
 
-    fn observe_lines(s: &mut ServerSession, db: &mut Database, texts: &[&str]) -> Json {
+    fn observe_lines(s: &mut ServerSession, db: &Database, texts: &[&str]) -> Json {
         let stmts: Vec<(String, f64)> = texts.iter().map(|t| (t.to_string(), 1.0)).collect();
         let reply = s.observe(db, &stmts).unwrap();
         Json::parse(&reply).unwrap()
@@ -376,13 +370,13 @@ mod tests {
 
     #[test]
     fn observe_then_recommend_round_trip() {
-        let mut db = db();
+        let db = db();
         let mut s = ServerSession::new(&SessionOptions::default());
-        let v = observe_lines(&mut s, &mut db, &[Q_SYMBOL]);
+        let v = observe_lines(&mut s, &db, &[Q_SYMBOL]);
         assert_eq!(v.get("observed").unwrap().as_num(), Some(1.0));
         assert_eq!(v.get("readvised"), Some(&Json::Bool(false)));
         let reply = s
-            .recommend_reply(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend_reply(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         let v = Json::parse(&reply).unwrap();
         let rec = v.get("recommendation").unwrap();
@@ -399,9 +393,9 @@ mod tests {
 
     #[test]
     fn unparseable_statements_quarantine_leniently() {
-        let mut db = db();
+        let db = db();
         let mut s = ServerSession::new(&SessionOptions::default());
-        let v = observe_lines(&mut s, &mut db, &[Q_SYMBOL, "NOT A STATEMENT ((("]);
+        let v = observe_lines(&mut s, &db, &[Q_SYMBOL, "NOT A STATEMENT ((("]);
         assert_eq!(v.get("observed").unwrap().as_num(), Some(1.0));
         assert_eq!(v.get("quarantined").unwrap().as_num(), Some(1.0));
         assert!(!v.get("errors").unwrap().as_arr().unwrap().is_empty());
@@ -409,23 +403,23 @@ mod tests {
 
     #[test]
     fn drift_crossing_readvises_exactly_once() {
-        let mut db = db();
+        let db = db();
         let mut s = ServerSession::new(&SessionOptions {
             drift_threshold: 0.3,
             ..SessionOptions::default()
         });
-        observe_lines(&mut s, &mut db, &[Q_SYMBOL]);
-        s.recommend_reply(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+        observe_lines(&mut s, &db, &[Q_SYMBOL]);
+        s.recommend_reply(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         assert_eq!(s.readvises(), 0);
         // Shift all new mass onto a different template: drift crosses the
         // threshold on this batch.
-        let v = observe_lines(&mut s, &mut db, &[Q_YIELD, Q_YIELD, Q_YIELD]);
+        let v = observe_lines(&mut s, &db, &[Q_YIELD, Q_YIELD, Q_YIELD]);
         assert_eq!(v.get("readvised"), Some(&Json::Bool(true)));
         assert!(v.get("recommendation").is_some());
         assert_eq!(s.readvises(), 1);
         // The baseline reset: the same mix again does not re-trigger.
-        let v = observe_lines(&mut s, &mut db, &[Q_YIELD]);
+        let v = observe_lines(&mut s, &db, &[Q_YIELD]);
         assert_eq!(v.get("readvised"), Some(&Json::Bool(false)));
         assert_eq!(s.readvises(), 1);
         // Exactly one drift_detected event in the journal.
@@ -439,26 +433,26 @@ mod tests {
 
     #[test]
     fn no_readvise_before_first_recommend() {
-        let mut db = db();
+        let db = db();
         let mut s = ServerSession::new(&SessionOptions {
             drift_threshold: 0.01,
             ..SessionOptions::default()
         });
-        let v = observe_lines(&mut s, &mut db, &[Q_SYMBOL, Q_YIELD]);
+        let v = observe_lines(&mut s, &db, &[Q_SYMBOL, Q_YIELD]);
         assert_eq!(v.get("readvised"), Some(&Json::Bool(false)));
         assert_eq!(s.readvises(), 0);
     }
 
     #[test]
     fn repeat_recommend_is_byte_identical_and_warm() {
-        let mut db = db();
+        let db = db();
         let mut s = ServerSession::new(&SessionOptions::default());
-        observe_lines(&mut s, &mut db, &[Q_SYMBOL, Q_YIELD]);
+        observe_lines(&mut s, &db, &[Q_SYMBOL, Q_YIELD]);
         let r1 = s
-            .recommend_reply(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend_reply(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         let r2 = s
-            .recommend_reply(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend_reply(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         assert_eq!(r1, r2, "warm replay must reproduce the reply bytes");
         let v = Json::parse(&r2).unwrap();
@@ -467,10 +461,10 @@ mod tests {
 
     #[test]
     fn reset_returns_the_session_to_cold() {
-        let mut db = db();
+        let db = db();
         let mut s = ServerSession::new(&SessionOptions::default());
-        observe_lines(&mut s, &mut db, &[Q_SYMBOL]);
-        s.recommend_reply(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+        observe_lines(&mut s, &db, &[Q_SYMBOL]);
+        s.recommend_reply(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
         s.reset_reply();
         let v = s.stats_json();
@@ -478,21 +472,19 @@ mod tests {
         assert_eq!(v.get("recommends").unwrap().as_num(), Some(0.0));
         assert_eq!(v.get("journal_events").unwrap().as_num(), Some(0.0));
         let e = s
-            .recommend_reply(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+            .recommend_reply(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap_err();
         assert_eq!(e.code, 3, "empty workload after reset is an input error");
     }
 
     #[test]
     fn stats_reply_is_a_pure_function_of_the_request_stream() {
-        let mut db1 = db();
-        let mut db2 = db();
+        let db = db();
         let mut s1 = ServerSession::new(&SessionOptions::default());
         let mut s2 = ServerSession::new(&SessionOptions::default());
-        for s_db in [(&mut s1, &mut db1), (&mut s2, &mut db2)] {
-            observe_lines(s_db.0, s_db.1, &[Q_SYMBOL, Q_YIELD]);
-            s_db.0
-                .recommend_reply(s_db.1, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+        for s in [&mut s1, &mut s2] {
+            observe_lines(s, &db, &[Q_SYMBOL, Q_YIELD]);
+            s.recommend_reply(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
                 .unwrap();
         }
         assert_eq!(s1.stats_json().render(), s2.stats_json().render());

@@ -18,7 +18,6 @@ struct Entry {
 pub struct Database {
     entries: Vec<Entry>,
     by_name: HashMap<String, usize>,
-    faults: FaultInjector,
 }
 
 impl Database {
@@ -115,8 +114,7 @@ impl Database {
     /// `None` if the collection is missing or its statistics are stale —
     /// call [`Database::runstats_all`] (or [`Database::stats`]) first.
     pub fn parts(&self, name: &str) -> Option<(&Collection, &Catalog, &CollectionStats)> {
-        let e = self.entry(name)?;
-        Some((&e.collection, &e.catalog, e.stats.as_ref()?))
+        self.view().parts(name)
     }
 
     /// Compacts every collection (drops tombstones, renumbers documents)
@@ -148,54 +146,34 @@ impl Database {
         reclaimed
     }
 
-    /// Runs statistics collection on every collection (RUNSTATS). With a
-    /// fault injector attached, a fired `stats-unavailable` fault leaves
-    /// that collection's statistics stale — [`Database::parts`] then
-    /// returns `None` for it while [`Database::collection`] still works,
-    /// which is how callers distinguish "no stats" from "no collection".
+    /// Runs statistics collection on every collection (RUNSTATS). Fresh
+    /// statistics stay as they are — every mutation path clears `stats`,
+    /// so `Some` means nothing changed since the last RUNSTATS and
+    /// recomputing would produce the same values. This also materializes
+    /// each stale collection's columnar leaf store, so a server calls it
+    /// once before publishing the database as a shared snapshot.
     pub fn runstats_all(&mut self) {
-        let faults = self.faults.clone();
         for e in &mut self.entries {
-            // Fresh statistics stay as they are — every mutation path
-            // clears `stats`, so `Some` means nothing changed since the
-            // last RUNSTATS and recomputing would produce the same values.
-            // With an armed injector the roll still happens for every
-            // collection (fresh or not) so fault streams keep their
-            // per-call sequence.
-            if faults.is_armed(FaultSite::StatsUnavailable) {
-                if faults.roll(FaultSite::StatsUnavailable).is_err() {
-                    e.stats = None;
-                    continue;
-                }
-            } else if e.stats.is_some() {
-                continue;
+            if e.stats.is_none() {
+                e.collection.ensure_columns();
+                e.stats = Some(runstats(&e.collection));
             }
-            e.collection.ensure_columns();
-            e.stats = Some(runstats(&e.collection));
         }
     }
 
-    /// Serving-path warm-up: materializes every collection's columnar
-    /// leaf store and statistics up front, so the first request against a
-    /// freshly opened database does not pay the lazy `ensure_columns` /
-    /// RUNSTATS cost inside a connection's critical section. Returns the
-    /// number of collections whose statistics are fresh afterwards (a
-    /// `stats-unavailable` fault leaves that collection cold, exactly as
-    /// [`Database::runstats_all`] would).
-    pub fn prewarm(&mut self) -> usize {
-        self.runstats_all();
-        self.entries.iter().filter(|e| e.stats.is_some()).count()
+    /// Drops every virtual index in every catalog (what-if configurations
+    /// live in [`crate::CatalogOverlay`]s; anything virtual left in a
+    /// catalog is stale).
+    pub fn drop_all_virtual(&mut self) {
+        for e in &mut self.entries {
+            e.catalog.drop_all_virtual();
+        }
     }
 
-    /// Borrows statistics, computing them if stale. Returns `None` when an
-    /// attached fault injector fires `stats-unavailable`.
+    /// Borrows statistics, computing them if stale.
     pub fn stats(&mut self, name: &str) -> Option<&CollectionStats> {
-        let faults = self.faults.clone();
         let e = self.entry_mut(name)?;
         if e.stats.is_none() {
-            if faults.roll(FaultSite::StatsUnavailable).is_err() {
-                return None;
-            }
             e.collection.ensure_columns();
             e.stats = Some(runstats(&e.collection));
         }
@@ -223,15 +201,62 @@ impl Database {
         }
     }
 
-    /// Attaches a fault injector; statistics collection rolls its
-    /// `stats-unavailable` site (see [`Database::runstats_all`]).
-    pub fn set_faults(&mut self, faults: &FaultInjector) {
-        self.faults = faults.clone();
+    /// This database with every collection's statistics visible.
+    pub fn view(&self) -> StatsView<'_> {
+        StatsView {
+            db: self,
+            hidden: Vec::new(),
+        }
+    }
+}
+
+/// A read-only view of a [`Database`] for one advisor phase: the database
+/// plus a mask of collections whose statistics are hidden.
+///
+/// This is how the `stats-unavailable` fault reaches the advisor without
+/// touching the database, which many sessions may be reading at once:
+/// [`StatsView::roll`] draws one verdict per collection and a hidden
+/// collection answers [`StatsView::parts`] with `None` while
+/// [`StatsView::collection`] still works — the same "no stats" versus "no
+/// collection" distinction a stale [`Database`] gives. The mask lives and
+/// dies with the view; the database is never written.
+pub struct StatsView<'a> {
+    db: &'a Database,
+    /// `hidden[i]` hides entry `i`'s statistics; empty hides nothing.
+    hidden: Vec<bool>,
+}
+
+impl<'a> StatsView<'a> {
+    /// Rolls the injector's `stats-unavailable` site once per collection,
+    /// in creation order, hiding the collections whose roll fires. An
+    /// injector with the site unarmed rolls nothing and hides nothing.
+    pub fn roll(db: &'a Database, faults: &FaultInjector) -> Self {
+        let hidden = if faults.is_armed(FaultSite::StatsUnavailable) {
+            db.entries
+                .iter()
+                .map(|_| faults.roll(FaultSite::StatsUnavailable).is_err())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Self { db, hidden }
     }
 
-    /// The attached fault injector (disabled unless set).
-    pub fn faults(&self) -> &FaultInjector {
-        &self.faults
+    /// Borrows a collection (hidden statistics do not hide the data).
+    pub fn collection(&self, name: &str) -> Option<&'a Collection> {
+        self.db.collection(name)
+    }
+
+    /// Borrows collection, catalog, and statistics; `None` if the
+    /// collection is missing, its statistics are stale, or this view
+    /// hides them.
+    pub fn parts(&self, name: &str) -> Option<(&'a Collection, &'a Catalog, &'a CollectionStats)> {
+        let i = *self.db.by_name.get(name)?;
+        if self.hidden.get(i).copied().unwrap_or(false) {
+            return None;
+        }
+        let e = &self.db.entries[i];
+        Some((&e.collection, &e.catalog, e.stats.as_ref()?))
     }
 }
 
@@ -268,8 +293,7 @@ mod tests {
         assert_eq!(n2, 4);
     }
 
-    #[test]
-    fn prewarm_freshens_every_collection() {
+    fn two_collections() -> Database {
         let mut db = Database::new();
         db.create_collection("A")
             .insert_xml("<a><b>1</b></a>")
@@ -277,10 +301,74 @@ mod tests {
         db.create_collection("B")
             .insert_xml("<x><y>2</y></x>")
             .unwrap();
+        db
+    }
+
+    #[test]
+    fn runstats_all_freshens_every_collection() {
+        let mut db = two_collections();
         assert!(db.stats_cached("A").is_none());
-        assert_eq!(db.prewarm(), 2);
+        db.runstats_all();
         assert!(db.stats_cached("A").is_some());
         assert!(db.stats_cached("B").is_some());
+    }
+
+    /// Sessions on separate threads share one `&Database`.
+    #[test]
+    fn database_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Database>();
+    }
+
+    #[test]
+    fn a_stats_fault_hides_statistics_in_its_view_only() {
+        let mut db = two_collections();
+        db.runstats_all();
+        let stats_before = db.stats_cached("A").cloned();
+
+        let always = FaultInjector::seeded(7).with_always(FaultSite::StatsUnavailable);
+        let hidden = StatsView::roll(&db, &always);
+        assert_eq!(
+            always.calls(FaultSite::StatsUnavailable),
+            2,
+            "one roll per collection"
+        );
+        assert!(hidden.parts("A").is_none() && hidden.parts("B").is_none());
+        assert!(hidden.collection("A").is_some(), "the data stays reachable");
+
+        // A mixed schedule hides exactly the collections whose roll fired,
+        // in creation order, and the next phase's view rolls afresh.
+        let half = FaultInjector::seeded(7).with_rate(FaultSite::StatsUnavailable, 0.5);
+        let replay = FaultInjector::seeded(7).with_rate(FaultSite::StatsUnavailable, 0.5);
+        for _phase in 0..8 {
+            let view = StatsView::roll(&db, &half);
+            for name in ["A", "B"] {
+                let fired = replay.roll(FaultSite::StatsUnavailable).is_err();
+                assert_eq!(view.parts(name).is_none(), fired, "{name}");
+            }
+        }
+
+        // An unarmed injector rolls nothing and hides nothing.
+        let unarmed = FaultInjector::seeded(7).with_always(FaultSite::OptimizerCost);
+        assert!(StatsView::roll(&db, &unarmed).parts("A").is_some());
+        assert_eq!(unarmed.calls(FaultSite::StatsUnavailable), 0);
+
+        // The database itself was never touched: statistics still cached
+        // and identical, no virtual index anywhere.
+        assert_eq!(db.stats_cached("A").cloned(), stats_before);
+        assert!(db.stats_cached("B").is_some());
+        assert!(db.view().parts("A").is_some());
+        for name in ["A", "B"] {
+            assert!(db.catalog(name).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_view_does_not_invent_statistics() {
+        let db = two_collections();
+        assert!(db.view().collection("A").is_some());
+        assert!(db.view().parts("A").is_none(), "stale stays stale");
+        assert!(db.view().parts("NOPE").is_none());
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod stats;
 pub use catalog::{Catalog, CatalogOverlay, CatalogView, IndexDef, IndexId, IndexStats};
 pub use collection::{Collection, DocId};
 pub use columnar::{ColumnStore, PathColumn};
-pub use database::Database;
+pub use database::{Database, StatsView};
 pub use index::{OrdF64, PhysicalIndex, Posting};
 pub use ingest::{ingest_batch, resolve_jobs, IngestError, IngestOptions, IngestReport};
 pub use persist::{

@@ -341,10 +341,10 @@ fn ablation_beta_zero_blocks_generals() {
 
 #[test]
 fn e17_warm_path_is_byte_identical_and_faster() {
-    // Reduced scale: 2 timing rounds, 2 concurrent sessions. The 5x bar
-    // belongs to the release-mode `server_overhead_gate`; a debug smoke
-    // run only asserts correctness plus a sane warm-path advantage.
-    let e = server_warm::run(&xia_workloads::tpox::TpoxConfig::tiny(), 2, 2, 2, None);
+    // Reduced scale: 2 timing rounds. The 5x and scaling bars belong to
+    // the release-mode `server_overhead_gate`; a debug smoke run only
+    // asserts correctness plus a sane warm-path advantage.
+    let e = server_warm::run(&xia_workloads::tpox::TpoxConfig::tiny(), 2, 2, None);
     assert!(e.identical, "warm recommendation diverged from cold");
     assert!(
         e.concurrent_identical,
@@ -356,7 +356,9 @@ fn e17_warm_path_is_byte_identical_and_faster() {
         "warm repeat recommend slower than a cold run: {:.2}x",
         e.speedup
     );
-    assert!(e.throughput_rps > 0.0);
+    let sessions: Vec<usize> = e.throughput.iter().map(|&(n, _)| n).collect();
+    assert_eq!(sessions, server_warm::SESSION_COUNTS);
+    assert!(e.throughput.iter().all(|&(_, rps)| rps > 0.0));
     let t = server_warm::table(&e);
     assert!(t.render().contains("warm speedup"));
     assert_eq!(server_warm::bench_fields(&e).len(), 10);

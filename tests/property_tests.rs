@@ -742,7 +742,7 @@ fn incremental_prepare_matches_full_preparation() {
                 incremental.observe(t).expect("TPoX queries parse");
                 // Force a prepare after every observation so each step
                 // exercises the incremental extension.
-                incremental.candidate_count(&mut db);
+                incremental.candidate_count(&db);
             }
 
             let mut db_full = Database::new();
@@ -753,8 +753,8 @@ fn incremental_prepare_matches_full_preparation() {
                 full.observe(t).expect("TPoX queries parse");
             }
 
-            let ci = canon(incremental.candidates(&mut db));
-            let cf = canon(full.candidates(&mut db_full));
+            let ci = canon(incremental.candidates(&db));
+            let cf = canon(full.candidates(&db_full));
             assert_eq!(ci.len(), cf.len(), "{case}: candidate counts diverge");
             for (k, v) in &cf {
                 assert_eq!(
@@ -765,14 +765,10 @@ fn incremental_prepare_matches_full_preparation() {
             }
 
             let ri = incremental
-                .recommend(&mut db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
+                .recommend(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
                 .expect("incremental recommend");
             let rf = full
-                .recommend(
-                    &mut db_full,
-                    u64::MAX / 2,
-                    SearchAlgorithm::GreedyHeuristics,
-                )
+                .recommend(&db_full, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
                 .expect("full recommend");
             let pick = |r: &xia_advisor::Recommendation| {
                 let mut v: Vec<String> = r

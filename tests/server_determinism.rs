@@ -4,7 +4,8 @@
 //! request stream. N concurrent connections issuing interleaved
 //! observe/recommend traffic must produce byte-identical replies,
 //! session counters, and journal events to the same per-session scripts
-//! replayed serially — clean and with injected faults, at jobs 1 and 4.
+//! replayed serially — clean and with injected faults, at jobs 1 and 4 —
+//! and must leave the shared snapshot as they found it.
 //! Server-level gauges (total connections, global request counts) are
 //! interleaving-dependent by design and excluded from the comparison.
 
@@ -71,7 +72,7 @@ fn run_script(addr: &str, lines: &[String]) -> Vec<String> {
 }
 
 fn assert_concurrent_matches_serial(fault_specs: Vec<String>, jobs: Option<usize>) {
-    const SESSIONS: usize = 4;
+    const SESSIONS: usize = 8;
     let case = format!("faults={fault_specs:?} jobs={jobs:?}");
 
     // Serial replay: one connection at a time against a fresh server.
@@ -95,9 +96,16 @@ fn assert_concurrent_matches_serial(fault_specs: Vec<String>, jobs: Option<usize
         .into_iter()
         .map(|w| w.join().expect("session thread"))
         .collect();
+    // The storm left nothing behind in the snapshot: one more session on
+    // the same server still answers as it would on a fresh one.
+    let after_storm = run_script(&addr, &script(0));
     handle.shutdown();
     handle.join();
 
+    assert_eq!(
+        serial[0], after_storm,
+        "{case}: a session after the storm diverges from one on a fresh server"
+    );
     for (i, (s, c)) in serial.iter().zip(&concurrent).enumerate() {
         assert_eq!(s.len(), c.len(), "{case}: session {i} transcript length");
         for (step, (a, b)) in s.iter().zip(c).enumerate() {
@@ -116,11 +124,15 @@ fn concurrent_sessions_match_serial_replay_clean() {
 }
 
 #[test]
-fn concurrent_sessions_match_serial_replay_with_faults() {
-    let specs = vec![
-        "optimizer-cost:0.2".to_string(),
-        "stats-unavailable:0.1".to_string(),
-    ];
+fn concurrent_sessions_match_serial_replay_with_optimizer_faults() {
+    let specs = vec!["optimizer-cost:0.2".to_string()];
+    assert_concurrent_matches_serial(specs.clone(), Some(1));
+    assert_concurrent_matches_serial(specs, Some(4));
+}
+
+#[test]
+fn concurrent_sessions_match_serial_replay_with_stats_faults() {
+    let specs = vec!["stats-unavailable:0.3".to_string()];
     assert_concurrent_matches_serial(specs.clone(), Some(1));
     assert_concurrent_matches_serial(specs, Some(4));
 }
