@@ -90,6 +90,44 @@ fn bench_optimizer() {
     bench("optimizer/enumerate_mode", quick(), || {
         opt.enumerate_indexes(std::hint::black_box(&stmt))
     });
+    // One advisor what-if task: the statement prepared once, planned under
+    // an overlay of two pre-derived candidates. This, against the pool
+    // spawn below, is what `PAR_MIN_TASKS` in xia-advisor is sized from.
+    let prepared = opt.prepare(&stmt);
+    let defs = [
+        ("/Security/Yield", xia_xpath::ValueKind::Num),
+        ("/Security/SecInfo//Sector", xia_xpath::ValueKind::Str),
+    ]
+    .iter()
+    .enumerate()
+    .map(|(slot, (p, kind))| {
+        let p = parse_linear_path(p).unwrap();
+        std::sync::Arc::new(catalog.derive_virtual(coll, stats, &p, *kind, slot))
+    })
+    .collect::<Vec<_>>();
+    bench("optimizer/prepare", quick(), || {
+        opt.prepare(std::hint::black_box(&stmt))
+    });
+    bench("optimizer/whatif_task_prepared", quick(), || {
+        let mut overlay = catalog.overlay();
+        for def in &defs {
+            overlay.add(def.clone());
+        }
+        Optimizer::with_view(coll, stats, overlay.view()).plan(std::hint::black_box(&prepared))
+    });
+    for workers in [2, 4] {
+        bench(
+            &format!("par/scoped_pool_spawn_join_{workers}"),
+            quick(),
+            || {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> =
+                        (0..workers).map(|_| scope.spawn(Telemetry::new)).collect();
+                    handles.into_iter().filter_map(|h| h.join().ok()).count()
+                })
+            },
+        );
+    }
 }
 
 fn bench_execution() {

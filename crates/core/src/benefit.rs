@@ -33,18 +33,29 @@
 //! projection hit is bitwise identical to re-running the optimizer; the
 //! pruned and unpruned paths produce byte-identical recommendations (pinned
 //! by `tests/determinism.rs`). `prune` toggles the layer for ablation.
+//!
+//! What is left — an optimizer call per (statement, projection) — is made
+//! cheap by doing its configuration-invariant half once (DESIGN.md §18):
+//! the evaluator prepares every costable statement at construction
+//! ([`xia_optimizer::Optimizer::prepare_shared`], one statistics pass per
+//! distinct path of a collection) and derives each candidate's virtual
+//! index definition at first use; a what-if task is then index matching
+//! and arithmetic over those ([`xia_optimizer::Optimizer::plan`] under a
+//! [`CatalogOverlay`] of shared definitions).
 
 use crate::candidate::{CandId, CandidateSet, StmtSet};
 use crate::error::{IssueStage, StatementIssue};
 use crate::runctl::{GovernorRung, RunController, WarmEntry, WarmKey};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 use xia_fault::FaultInjector;
 use xia_obs::{Counter, Event, EventJournal, Hist, Telemetry};
-use xia_optimizer::{maintenance, Optimizer};
-use xia_storage::{CatalogOverlay, Database, IndexStats, StatsView};
+use xia_optimizer::{maintenance, CostModel, Optimizer, PathStatsMemo, PreparedStatement};
+use xia_storage::{
+    Catalog, CatalogOverlay, CatalogView, Collection, Database, IndexDef, StatsView,
+};
 use xia_workloads::Workload;
 use xia_xpath::{CoverCache, LinearPath, RelevanceMatrix};
 
@@ -155,14 +166,19 @@ impl ShardedCache {
     }
 }
 
-/// Minimum task count before `run_indexed` spawns workers. Costing one
-/// statement takes single-digit microseconds while a scoped spawn+join of
-/// a small worker pool costs ~150µs; fanning out a handful of tasks is a
-/// guaranteed slowdown. Small batches (the greedy search's incremental
-/// `benefit()` probes) stay serial; large ones (`benefit_batch` over all
-/// candidates, baseline costing) parallelize. Results are identical
-/// either way.
-const PAR_MIN_TASKS: usize = 48;
+/// Minimum task count before `run_indexed` spawns workers: a fanned-out
+/// batch must carry at least one pool spawn's worth of work, or the
+/// fan-out is a guaranteed slowdown. Measured with `cargo bench -p
+/// xia-bench` on the 2-core reference box: planning one prepared
+/// statement under a two-index overlay takes 0.70–0.82 µs
+/// (`optimizer/whatif_task_prepared`); a scoped spawn+join costs 98–107 µs
+/// for 2 workers and 163 µs for 4 (`par/scoped_pool_spawn_join_*`). 256
+/// tasks ≈ 190 µs of costing: one 4-worker spawn, and the two 2-worker
+/// spawns at which `--jobs 2` breaks even. Small batches (the greedy
+/// search's incremental `benefit()` probes) stay serial; large ones
+/// (`benefit_batch` over all candidates, baseline costing of a few hundred
+/// statements) parallelize. Results are identical either way.
+const PAR_MIN_TASKS: usize = 256;
 
 /// Runs `f(0..n)` across `jobs` scoped worker threads (work-stealing via a
 /// shared atomic cursor) and returns the results in index order. With one
@@ -279,6 +295,57 @@ struct CostTask {
     proj: Option<Vec<CandId>>,
 }
 
+/// A statement the optimizer can cost: the configuration-invariant half of
+/// its what-if calls, prepared once, plus the collection parts each call's
+/// optimizer binds to.
+struct Costable<'a> {
+    collection: &'a Collection,
+    catalog: &'a Catalog,
+    prepared: PreparedStatement<'a>,
+}
+
+/// The view a statement is costed under for one sub-configuration: its
+/// collection's overlay if the group has members there, the bare catalog
+/// otherwise.
+fn overlay_view<'v>(
+    overlays: &'v [(&str, CatalogOverlay<'_>)],
+    stmt: &Costable<'v>,
+) -> CatalogView<'v> {
+    let coll = stmt.prepared.statement().collection();
+    overlays
+        .iter()
+        .find(|(name, _)| *name == coll)
+        .map(|(_, ov)| ov.view())
+        .unwrap_or_else(|| stmt.catalog.view())
+}
+
+/// One worker-side what-if call: roll the task's fault stream, then plan
+/// the prepared statement under `view`. Returns the cost (`None` on an
+/// injected fault) and, while checkpointing is armed, the call's counter
+/// footprint.
+fn what_if(
+    stmt: &Costable<'_>,
+    view: CatalogView<'_>,
+    faults: &FaultInjector,
+    capture: bool,
+    tel: &Telemetry,
+) -> (Option<f64>, Vec<(usize, u64)>) {
+    let before = capture.then(|| counter_snapshot(tel));
+    let mut optimizer = Optimizer::with_view(stmt.collection, stmt.prepared.stats(), view);
+    optimizer.set_telemetry(tel);
+    optimizer.set_faults(faults);
+    let t0 = tel.is_enabled().then(Instant::now);
+    let cost = optimizer
+        .try_plan(&stmt.prepared)
+        .ok()
+        .map(|p| p.total_cost);
+    if let Some(t0) = t0 {
+        tel.record(Hist::WhatIfCall, t0.elapsed());
+    }
+    let deltas = before.map(|b| counter_deltas(&b, tel)).unwrap_or_default();
+    (cost, deltas)
+}
+
 /// Fault-stream phase tags (keep baseline and evaluation schedules apart).
 const SALT_BASELINE: u64 = 0xBA5E;
 const SALT_EVALUATE: u64 = 0xE7A1;
@@ -300,8 +367,16 @@ pub struct BenefitEvaluator<'a> {
     set: &'a CandidateSet,
     /// Baseline (no-candidate) cost per statement.
     baseline: Vec<f64>,
-    /// Derived index statistics per candidate (for maintenance costs).
-    istats: HashMap<CandId, IndexStats>,
+    /// The prepared form of every statement whose collection is known and
+    /// whose statistics this run can see (`None` otherwise: those take the
+    /// quarantine / stats-fallback paths). Built serially at construction;
+    /// workers only ever plan against it.
+    prepared: Vec<Option<Costable<'a>>>,
+    /// Each candidate's virtual-index definition, derived from the visible
+    /// statistics at first use and shared by every overlay and maintenance
+    /// costing it takes part in. Outer `None`: not derived yet; inner
+    /// `None`: the candidate's collection has no visible statistics.
+    defs: Vec<Option<Option<Arc<IndexDef>>>>,
     /// Total (frequency-weighted) maintenance cost per candidate.
     mc_totals: HashMap<CandId, f64>,
     /// Memoized sub-configuration benefits (query side, before mc).
@@ -518,7 +593,8 @@ impl<'a> BenefitEvaluator<'a> {
             workload,
             set,
             baseline: Vec::new(),
-            istats: HashMap::new(),
+            prepared: Vec::new(),
+            defs: vec![None; set.len()],
             mc_totals: HashMap::new(),
             cache: ShardedCache::new(),
             relevance,
@@ -571,9 +647,33 @@ impl<'a> BenefitEvaluator<'a> {
             Cost { salt: u64 },
         }
         let mut plans = Vec::with_capacity(n);
+        // Prepared here, once, through one path-statistics memo per
+        // collection: statements (and CoPhy templates in their thousands)
+        // share a few hundred distinct paths.
+        let workload = self.workload;
+        let mut preparers: Vec<(&str, Optimizer<'a>, PathStatsMemo)> = Vec::new();
+        self.prepared = Vec::with_capacity(n);
         for si in 0..n {
-            let entry = &self.workload.entries()[si];
+            let entry = &workload.entries()[si];
             let coll = entry.statement.collection();
+            self.prepared
+                .push(self.db.parts(coll).map(|(collection, catalog, stats)| {
+                    let at = preparers
+                        .iter()
+                        .position(|(name, ..)| *name == coll)
+                        .unwrap_or_else(|| {
+                            let mut optimizer = Optimizer::new(collection, stats, catalog);
+                            optimizer.set_telemetry(&self.telemetry);
+                            preparers.push((coll, optimizer, PathStatsMemo::default()));
+                            preparers.len() - 1
+                        });
+                    let (_, optimizer, memo) = &mut preparers[at];
+                    Costable {
+                        collection,
+                        catalog,
+                        prepared: optimizer.prepare_shared(&entry.statement, memo),
+                    }
+                }));
             plans.push(if self.db.collection(coll).is_none() {
                 self.active[si] = false;
                 self.telemetry.incr(Counter::StatementsQuarantined);
@@ -584,7 +684,7 @@ impl<'a> BenefitEvaluator<'a> {
                     detail: format!("unknown collection `{coll}`"),
                 });
                 BasePlan::Quarantined
-            } else if self.db.parts(coll).is_none() {
+            } else if self.prepared[si].is_none() {
                 // The collection exists but statistics are unavailable.
                 BasePlan::StatsFallback
             } else {
@@ -612,7 +712,7 @@ impl<'a> BenefitEvaluator<'a> {
         } else {
             vec![None; n]
         };
-        let (db, workload) = (&self.db, self.workload);
+        let prepared = &self.prepared;
         let faults = self.faults.clone();
         let warm_ref = &warm;
         let results = run_indexed(n, self.jobs, &self.telemetry.clone(), |si, tel| {
@@ -623,21 +723,16 @@ impl<'a> BenefitEvaluator<'a> {
                 // Served from the warm store at merge time.
                 return (None, Vec::new());
             }
-            let stmt = &workload.entries()[si].statement;
-            let Some((collection, catalog, stats)) = db.parts(stmt.collection()) else {
+            let Some(stmt) = &prepared[si] else {
                 return (None, Vec::new());
             };
-            let before = capture.then(|| counter_snapshot(tel));
-            let mut optimizer = Optimizer::with_view(collection, stats, catalog.view());
-            optimizer.set_telemetry(tel);
-            optimizer.set_faults(&faults.derive_stream(salt));
-            let t0 = tel.is_enabled().then(Instant::now);
-            let cost = optimizer.try_optimize(stmt).ok().map(|p| p.total_cost);
-            if let Some(t0) = t0 {
-                tel.record(Hist::WhatIfCall, t0.elapsed());
-            }
-            let deltas = before.map(|b| counter_deltas(&b, tel)).unwrap_or_default();
-            (cost, deltas)
+            what_if(
+                stmt,
+                stmt.catalog.view(),
+                &faults.derive_stream(salt),
+                capture,
+                tel,
+            )
         });
         for (si, (plan, (result, deltas))) in plans.iter().zip(results).enumerate() {
             let served = warm[si].take();
@@ -914,24 +1009,26 @@ impl<'a> BenefitEvaluator<'a> {
     /// shared catalogs are never mutated; candidates whose collection has
     /// no statistics are skipped (mirroring the old install path, which
     /// could not create their virtual indexes either).
-    fn build_overlays(&self, key: &[CandId]) -> Vec<(String, CatalogOverlay<'a>)> {
-        let mut per: Vec<(String, CatalogOverlay<'a>)> = Vec::new();
+    fn build_overlays(&mut self, key: &[CandId]) -> Vec<(&'a str, CatalogOverlay<'a>)> {
+        let set = self.set;
+        let mut per: Vec<(&'a str, CatalogOverlay<'a>)> = Vec::new();
         for &id in key {
-            let c = self.set.get(id);
-            let Some((collection, catalog, stats)) = self.db.parts(&c.collection) else {
+            let Some(def) = self.derived_def(id) else {
                 continue;
             };
-            let slot = match per.iter().position(|(name, _)| name == &c.collection) {
-                Some(i) => &mut per[i].1,
-                None => {
+            let coll = set.get(id).collection.as_str();
+            let at = per
+                .iter()
+                .position(|(name, _)| *name == coll)
+                .unwrap_or_else(|| {
+                    let catalog = self.db.parts(coll).expect("a definition was derived").1;
                     per.push((
-                        c.collection.clone(),
+                        coll,
                         CatalogOverlay::with_telemetry(catalog, &self.telemetry),
                     ));
-                    &mut per.last_mut().expect("just pushed").1
-                }
-            };
-            slot.add_virtual(collection, stats, &c.pattern, c.kind);
+                    per.len() - 1
+                });
+            per[at].1.add(def);
         }
         per
     }
@@ -1132,17 +1229,15 @@ impl<'a> BenefitEvaluator<'a> {
                 needs_overlay[task.group] = true;
             }
         }
-        let overlays: Vec<Vec<(String, CatalogOverlay<'a>)>> = misses
-            .iter()
-            .enumerate()
-            .map(|(g, key)| {
-                if needs_overlay[g] {
-                    self.build_overlays(key)
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
+        let mut overlays: Vec<Vec<(&'a str, CatalogOverlay<'a>)>> =
+            Vec::with_capacity(misses.len());
+        for (key, &needed) in misses.iter().zip(&needs_overlay) {
+            overlays.push(if needed {
+                self.build_overlays(key)
+            } else {
+                Vec::new()
+            });
+        }
 
         // Warm-store consult (coordinator-side): a resumed run serves any
         // optimizer task the interrupted run already executed. The
@@ -1166,7 +1261,7 @@ impl<'a> BenefitEvaluator<'a> {
         };
 
         // Phase 4 (workers): pure costing, fanned out over `jobs` threads.
-        let (db, workload) = (&self.db, self.workload);
+        let prepared = &self.prepared;
         let faults = self.faults.clone();
         let warm_ref = &warm;
         let results = run_indexed(tasks.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
@@ -1178,27 +1273,11 @@ impl<'a> BenefitEvaluator<'a> {
                 // Served from the warm store at merge time.
                 return (None, Vec::new());
             }
-            let stmt = &workload.entries()[task.si].statement;
-            let coll = stmt.collection();
-            let Some((collection, catalog, stats)) = db.parts(coll) else {
+            let Some(stmt) = &prepared[task.si] else {
                 return (None, Vec::new());
             };
-            let view = overlays[task.group]
-                .iter()
-                .find(|(name, _)| name == coll)
-                .map(|(_, ov)| ov.view())
-                .unwrap_or_else(|| catalog.view());
-            let before = capture.then(|| counter_snapshot(tel));
-            let mut optimizer = Optimizer::with_view(collection, stats, view);
-            optimizer.set_telemetry(tel);
-            optimizer.set_faults(&faults.derive_stream(salt));
-            let t0 = tel.is_enabled().then(Instant::now);
-            let cost = optimizer.try_optimize(stmt).ok().map(|p| p.total_cost);
-            if let Some(t0) = t0 {
-                tel.record(Hist::WhatIfCall, t0.elapsed());
-            }
-            let deltas = before.map(|b| counter_deltas(&b, tel)).unwrap_or_default();
-            (cost, deltas)
+            let view = overlay_view(&overlays[task.group], stmt);
+            what_if(stmt, view, &faults.derive_stream(salt), capture, tel)
         });
 
         // Phase 5 (coordinator): merge in task order — the floating-point
@@ -1470,13 +1549,6 @@ impl<'a> BenefitEvaluator<'a> {
         if config.is_empty() {
             return Vec::new();
         }
-        // Map (collection, pattern, kind) → CandId to resolve the overlay
-        // index definitions a plan used back to candidates.
-        let mut by_key: HashMap<(String, String, xia_xpath::ValueKind), CandId> = HashMap::new();
-        for &id in config {
-            let c = self.set.get(id);
-            by_key.insert((c.collection.clone(), c.pattern.to_string(), c.kind), id);
-        }
         let overlays = self.build_overlays(config);
         let stmts: Vec<usize> = self
             .affected_statements(config)
@@ -1486,38 +1558,28 @@ impl<'a> BenefitEvaluator<'a> {
         // Compiling (Evaluate mode without fault rolls) consumes one
         // optimizer call per statement with statistics available — counted
         // at planning time so the total is deterministic.
-        let planned: u64 = stmts
+        let planned = stmts
             .iter()
-            .filter(|&&si| {
-                let coll = self.workload.entries()[si].statement.collection();
-                self.db.parts(coll).is_some()
-            })
+            .filter(|&&si| self.prepared[si].is_some())
             .count() as u64;
-        let (db, workload) = (&self.db, self.workload);
-        let by_key = &by_key;
+        let prepared = &self.prepared;
         let overlays = &overlays;
         let results = run_indexed(stmts.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
-            let stmt = &workload.entries()[stmts[i]].statement;
-            let coll = stmt.collection();
-            let Some((collection, catalog, stats)) = db.parts(coll) else {
+            let Some(stmt) = &prepared[stmts[i]] else {
                 return Vec::new();
             };
-            let view = overlays
-                .iter()
-                .find(|(name, _)| name == coll)
-                .map(|(_, ov)| ov.view())
-                .unwrap_or_else(|| catalog.view());
-            let mut optimizer = Optimizer::with_view(collection, stats, view);
+            let view = overlay_view(overlays, stmt);
+            let mut optimizer = Optimizer::with_view(stmt.collection, stmt.prepared.stats(), view);
             optimizer.set_telemetry(tel);
-            let plan = optimizer.optimize(stmt);
-            plan.used_indexes()
+            // A definition's overlay id is its candidate's slot past the
+            // catalog's own ids (see `derived_def`).
+            let first_slot = stmt.catalog.slot_capacity();
+            optimizer
+                .plan(&stmt.prepared)
+                .used_indexes()
                 .into_iter()
-                .filter_map(|ix| {
-                    let def = view.get(ix)?;
-                    by_key
-                        .get(&(coll.to_string(), def.pattern.to_string(), def.kind))
-                        .copied()
-                })
+                .filter_map(|ix| ix.index().checked_sub(first_slot))
+                .map(|slot| CandId(slot as u32))
                 .collect::<Vec<CandId>>()
         });
         self.stats.optimizer_calls += planned;
@@ -1532,21 +1594,25 @@ impl<'a> BenefitEvaluator<'a> {
         used
     }
 
-    fn derived_istats(&mut self, id: CandId) -> IndexStats {
-        if let Some(s) = self.istats.get(&id) {
-            return s.clone();
+    /// The candidate's virtual-index definition under this run's visible
+    /// statistics, derived at first use — the one place the evaluator
+    /// turns data statistics into index statistics. Its overlay id is the
+    /// candidate id past the catalog's own ids, so plans map back to
+    /// candidates by subtraction.
+    fn derived_def(&mut self, id: CandId) -> Option<Arc<IndexDef>> {
+        if let Some(def) = &self.defs[id.index()] {
+            return def.clone();
         }
         let c = self.set.get(id);
-        let (coll, pattern, kind) = (c.collection.clone(), c.pattern.clone(), c.kind);
-        let stats = match self.db.parts(&coll) {
-            Some((collection, _, stats)) => {
+        let def = self
+            .db
+            .parts(&c.collection)
+            .map(|(collection, catalog, stats)| {
                 self.telemetry.incr(Counter::StatsDerivations);
-                xia_storage::Catalog::derive_stats(collection, stats, &pattern, kind).1
-            }
-            None => IndexStats::default(),
-        };
-        self.istats.insert(id, stats.clone());
-        stats
+                Arc::new(catalog.derive_virtual(collection, stats, &c.pattern, c.kind, id.index()))
+            });
+        self.defs[id.index()] = Some(def.clone());
+        def
     }
 
     /// Total frequency-weighted maintenance cost of one candidate over the
@@ -1555,29 +1621,24 @@ impl<'a> BenefitEvaluator<'a> {
         if let Some(&v) = self.mc_totals.get(&id) {
             return v;
         }
-        let istats = self.derived_istats(id);
-        let c = self.set.get(id);
-        let (coll, pattern, kind) = (c.collection.clone(), c.pattern.clone(), c.kind);
         let mut total = 0.0;
-        for entry in self.workload.entries() {
-            if !entry.statement.is_modification() || entry.statement.collection() != coll {
-                continue;
+        if let Some(def) = self.derived_def(id) {
+            let coll = self.set.get(id).collection.as_str();
+            let cm = CostModel::default();
+            for (entry, stmt) in self.workload.entries().iter().zip(&self.prepared) {
+                if !entry.statement.is_modification() || entry.statement.collection() != coll {
+                    continue;
+                }
+                let Some(stmt) = stmt else { continue };
+                let mc = maintenance::maintenance_cost(
+                    &def.pattern,
+                    def.kind,
+                    &def.stats,
+                    &stmt.prepared,
+                    &cm,
+                );
+                total += entry.freq * mc;
             }
-            let Some((collection, catalog, stats)) = self.db.parts(&coll) else {
-                continue;
-            };
-            let mut optimizer = Optimizer::new(collection, stats, catalog);
-            optimizer.set_telemetry(&self.telemetry);
-            let mc = maintenance::maintenance_cost(
-                &pattern,
-                kind,
-                &istats,
-                &entry.statement,
-                &optimizer,
-                stats,
-                optimizer.cost_model(),
-            );
-            total += entry.freq * mc;
         }
         self.mc_totals.insert(id, total);
         total
@@ -1725,6 +1786,106 @@ mod tests {
             "insert of a Security must charge the symbol index"
         );
         let _ = n_queries;
+    }
+
+    #[test]
+    fn mc_total_matches_the_per_candidate_formula_bit_for_bit() {
+        // The prepared statements carry each insert's parsed payload and
+        // each delete/update's victim estimate; `mc_total` must still be
+        // the sum the per-(candidate, statement) formula gives when it
+        // parses the payload and re-estimates the victims every time.
+        use xia_xpath::{contain, Statement, ValueKind};
+        let mut db = Database::new();
+        let cfg = TpoxConfig::tiny();
+        tpox::generate(&mut db, &cfg);
+        let mut texts = tpox::queries(&cfg);
+        texts.extend(tpox::update_mix(&cfg));
+        let w = Workload::from_texts(texts.iter().map(|s| s.as_str())).unwrap();
+        let set = candidates(&mut db, &w);
+        let got: Vec<u64> = {
+            let mut ev = BenefitEvaluator::new(&mut db, &w, &set);
+            set.ids().map(|id| ev.mc_total(id).to_bits()).collect()
+        };
+
+        let payload_entries = |xml: &str, pattern: &LinearPath, kind: ValueKind| -> u64 {
+            let mut vocab = xia_xml::Vocabulary::new();
+            let doc = xia_xml::parse_document(xml, &mut vocab).expect("the mix is well-formed");
+            doc.nodes()
+                .filter(|(_, node)| {
+                    let Some(value) = &node.value else {
+                        return false;
+                    };
+                    let labels: Vec<&str> = vocab
+                        .paths
+                        .labels(node.path)
+                        .iter()
+                        .map(|&s| vocab.names.resolve(s))
+                        .collect();
+                    (kind == ValueKind::Str || value.as_num().is_some())
+                        && pattern.matches_labels(&labels)
+                })
+                .count() as u64
+        };
+        let cm = CostModel::default();
+        let mut charged = 0;
+        for (id, got) in set.ids().zip(got) {
+            let c = set.get(id);
+            let (collection, catalog, stats) = db.parts(&c.collection).unwrap();
+            let istats = Catalog::derive_stats(collection, stats, &c.pattern, c.kind).1;
+            let mut want = 0.0;
+            for entry in w.entries() {
+                let stmt = &entry.statement;
+                if !stmt.is_modification() || stmt.collection() != c.collection {
+                    continue;
+                }
+                // No index is in place, so the one-shot plan is the scan
+                // and its document estimate is the victim estimate.
+                let victims = || {
+                    Optimizer::new(collection, stats, catalog)
+                        .optimize(stmt)
+                        .est_docs
+                };
+                let mc = match stmt {
+                    Statement::Query(_) => unreachable!("queries are not modifications"),
+                    Statement::Insert { xml, .. } => {
+                        payload_entries(xml, &c.pattern, c.kind) as f64 * cm.update_entry
+                    }
+                    Statement::Delete { .. } => {
+                        let per_doc = istats.entries as f64 / stats.doc_count as f64;
+                        victims() * per_doc * cm.update_entry
+                    }
+                    Statement::Update { set: path, .. } => {
+                        if contain::covers(&c.pattern, path) {
+                            victims() * 2.0 * cm.update_entry
+                        } else {
+                            0.0
+                        }
+                    }
+                };
+                want += entry.freq * mc;
+            }
+            assert_eq!(got, want.to_bits(), "candidate {c}");
+            charged += usize::from(want > 0.0);
+        }
+        assert!(charged > 3, "the update mix must charge several candidates");
+    }
+
+    #[test]
+    fn fanned_out_batches_keep_order_and_merge_counters() {
+        // Above the threshold `run_indexed` really spawns; results must
+        // come back in index order and every worker's scratch counters
+        // must land in the caller's sink.
+        let n = PAR_MIN_TASKS + 17;
+        let tel = Telemetry::new();
+        for jobs in [1, 4] {
+            let before = tel.get(Counter::OptimizerEvaluateCalls);
+            let out = run_indexed(n, jobs, &tel, |i, t| {
+                t.incr(Counter::OptimizerEvaluateCalls);
+                i * i
+            });
+            assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(tel.get(Counter::OptimizerEvaluateCalls) - before, n as u64);
+        }
     }
 
     #[test]

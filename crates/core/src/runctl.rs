@@ -472,10 +472,16 @@ pub fn candidate_digest(set: &CandidateSet) -> u64 {
     fnv1a64(buf.as_bytes())
 }
 
+/// First line of a checkpoint. The version names the per-task counter
+/// footprint the entries replay: v2 tasks plan prepared statements and no
+/// longer count selectivity estimates, so a v1 file's deltas are foreign —
+/// it fails this check and the run cold-starts with the usual warning.
+const CHECKPOINT_HEADER: &str = "XIACKPT v2";
+
 /// Renders the checkpoint body: a v2-style checksummed line format.
 fn render_checkpoint(digest: u64, log: &[(WarmKey, WarmEntry)]) -> String {
     let mut body = String::new();
-    let _ = writeln!(body, "XIACKPT v1");
+    let _ = writeln!(body, "{CHECKPOINT_HEADER}");
     let _ = writeln!(body, "META {digest:016x} {}", log.len());
     for (key, entry) in log {
         let proj = if key.proj.is_empty() {
@@ -552,8 +558,10 @@ pub fn parse_checkpoint(
         return Err("truncated checkpoint (unterminated trailer)".to_string());
     }
     let mut lines = text.lines();
-    if lines.next() != Some("XIACKPT v1") {
-        return Err("not a checkpoint file (missing XIACKPT v1 header)".to_string());
+    if lines.next() != Some(CHECKPOINT_HEADER) {
+        return Err(format!(
+            "not a checkpoint file (missing {CHECKPOINT_HEADER} header)"
+        ));
     }
     let meta = lines.next().ok_or("truncated checkpoint (no META line)")?;
     let mut meta_parts = meta.split(' ');
@@ -750,6 +758,18 @@ mod tests {
         let body = render_checkpoint(0xD1657, &log);
         let back = parse_checkpoint(&body, 0xD1657).unwrap();
         assert_eq!(back, log);
+    }
+
+    #[test]
+    fn older_format_version_is_rejected() {
+        // A v1 checkpoint is intact and checksummed, but its per-task
+        // counter deltas describe tasks that re-analysed the statement;
+        // replaying them would inflate the counters, so it must not load.
+        let body = render_checkpoint(1, &sample_log());
+        assert!(body.starts_with("XIACKPT v2\n"));
+        let v1 = body.replacen("XIACKPT v2", "XIACKPT v1", 1);
+        let err = parse_checkpoint(&v1, 1).unwrap_err();
+        assert!(err.contains("missing XIACKPT v2 header"), "{err}");
     }
 
     #[test]

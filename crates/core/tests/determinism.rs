@@ -13,6 +13,7 @@ use xia_advisor::{Advisor, AdvisorParams, SearchAlgorithm, WhatIfBudget};
 use xia_fault::{FaultInjector, FaultSite};
 use xia_obs::{Counter, Telemetry};
 use xia_storage::Database;
+use xia_workloads::synthetic::{generate_queries, SyntheticConfig};
 use xia_workloads::tpox::{self, TpoxConfig};
 use xia_workloads::Workload;
 
@@ -50,10 +51,33 @@ struct Fingerprint {
 }
 
 fn run(algo: SearchAlgorithm, jobs: usize, make_params: impl Fn() -> AdvisorParams) -> Fingerprint {
+    run_with(algo, jobs, 0, make_params)
+}
+
+/// [`run`] over the TPoX queries plus `synthetic` random path queries and
+/// (when there are any) the update mix.
+fn run_with(
+    algo: SearchAlgorithm,
+    jobs: usize,
+    synthetic: usize,
+    make_params: impl Fn() -> AdvisorParams,
+) -> Fingerprint {
     let mut db = Database::new();
     let cfg = TpoxConfig::tiny();
     tpox::generate(&mut db, &cfg);
-    let w = Workload::from_texts(tpox::queries(&cfg).iter().map(|s| s.as_str())).unwrap();
+    let mut texts = tpox::queries(&cfg);
+    if synthetic > 0 {
+        texts.extend(generate_queries(
+            db.collection(tpox::SECURITY_COLL).expect("generated"),
+            &SyntheticConfig {
+                queries: synthetic,
+                seed: SEED,
+                ..Default::default()
+            },
+        ));
+        texts.extend(tpox::update_mix(&cfg));
+    }
+    let w = Workload::from_texts(texts.iter().map(|s| s.as_str())).unwrap();
     let params = AdvisorParams {
         jobs,
         telemetry: Telemetry::new(),
@@ -88,6 +112,43 @@ fn assert_jobs_invariant(algo: SearchAlgorithm, make_params: impl Fn() -> Adviso
             reference, other,
             "jobs=1 and jobs={jobs} disagree for {algo:?}"
         );
+    }
+}
+
+#[test]
+fn fanned_out_batches_are_jobs_invariant() {
+    // The TPoX queries alone never fill a batch past the fan-out
+    // threshold (256 tasks), so everything above runs its workers'
+    // code serially. 300 more statements put baseline costing and the
+    // standalone-benefit batch over it: here the pool really spawns —
+    // clean, with every third optimizer call failing, and with statistics
+    // going missing.
+    // A seed whose rolls hide some collection's statistics but leave the
+    // security collection (all 300 synthetic statements) costable.
+    const STATS_SEED: u64 = 6;
+    let mixes: [fn() -> AdvisorParams; 3] = [
+        AdvisorParams::default,
+        || AdvisorParams {
+            faults: FaultInjector::seeded(SEED).with_rate(FaultSite::OptimizerCost, 0.3),
+            ..Default::default()
+        },
+        || AdvisorParams {
+            faults: FaultInjector::seeded(STATS_SEED).with_rate(FaultSite::StatsUnavailable, 0.4),
+            ..Default::default()
+        },
+    ];
+    for (m, make_params) in mixes.into_iter().enumerate() {
+        let reference = run_with(SearchAlgorithm::GreedyHeuristics, 1, 300, make_params);
+        assert!(reference.optimizer_calls > 1000, "mix {m}: a wide workload");
+        let fallbacks = reference
+            .counters
+            .iter()
+            .find(|(c, _)| *c == Counter::CostFallbacks);
+        assert_eq!(fallbacks.is_some_and(|(_, n)| *n > 0), m > 0, "mix {m}");
+        for jobs in [4, 8] {
+            let other = run_with(SearchAlgorithm::GreedyHeuristics, jobs, 300, make_params);
+            assert_eq!(reference, other, "mix {m}: jobs=1 and jobs={jobs} disagree");
+        }
     }
 }
 

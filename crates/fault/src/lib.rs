@@ -35,7 +35,7 @@ use std::sync::Arc;
 pub enum FaultSite {
     /// Storage-layer I/O (persisted-database reads and writes).
     StorageIo,
-    /// Evaluate-mode optimizer costing (`Optimizer::try_optimize`).
+    /// Evaluate-mode optimizer costing (`Optimizer::try_optimize` / `try_plan`).
     OptimizerCost,
     /// Statistics (RUNSTATS output) unavailable for a collection, for one
     /// advisor phase (`xia_storage::StatsView::roll`).

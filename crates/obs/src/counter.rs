@@ -5,7 +5,7 @@
 /// `DESIGN.md` for the paper artifact each counter reproduces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Counter {
-    /// Evaluate-mode optimizer invocations (`Optimizer::optimize`) — the
+    /// Evaluate-mode optimizer invocations (`Optimizer::plan`) — the
     /// paper's "number of optimizer calls" axis (Fig. 3).
     OptimizerEvaluateCalls,
     /// Enumerate-mode optimizer invocations (`Optimizer::enumerate_indexes`).
@@ -13,7 +13,8 @@ pub enum Counter {
     /// Index definitions tested for pattern containment during plan
     /// matching.
     IndexMatchingAttempts,
-    /// Selectivity estimations performed while costing index plans.
+    /// Path-statistics collections performed while preparing statements
+    /// for costing (one per distinct path; planning performs none).
     SelectivityEstimates,
     /// Benefit evaluations answered from the sub-configuration cache.
     BenefitCacheHits,

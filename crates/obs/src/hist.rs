@@ -183,7 +183,7 @@ pub struct HistSummary {
 /// own per-call histogram); these cover the hot per-call sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Hist {
-    /// One what-if optimizer call (`Optimizer::try_optimize`) during
+    /// One what-if optimizer call (`Optimizer::try_plan`) during
     /// benefit evaluation or baseline costing.
     WhatIfCall,
     /// One containment check answered through the evaluator

@@ -36,6 +36,6 @@ pub mod selectivity;
 pub use cost::CostModel;
 pub use exec::{execute_query, execute_query_items, ExecError, ExecResult};
 pub use matching::{index_matches, statement_signature, CandidatePattern};
-pub use modes::{CostError, Optimizer};
+pub use modes::{CostError, Optimizer, PathStatsMemo, PreparedStatement};
 pub use plan::{AccessChoice, IndexUse, Plan, PlanStep};
 pub use selectivity::PatternStats;

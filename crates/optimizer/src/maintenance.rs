@@ -8,72 +8,87 @@
 //! CS-2007-22). We model it as: entries touched × per-entry update cost.
 
 use crate::cost::CostModel;
-use crate::modes::Optimizer;
-use xia_storage::{CollectionStats, IndexStats};
+use crate::modes::PreparedStatement;
+use xia_storage::IndexStats;
 use xia_xml::{parse_document, Vocabulary};
 use xia_xpath::{contain, LinearPath, Statement, ValueKind};
 
-/// Counts the entries an index with `pattern`/`kind` would gain from an
-/// inserted XML payload (parses into a scratch vocabulary; the payload may
-/// introduce paths the collection has never seen).
-pub fn payload_matching_entries(xml: &str, pattern: &LinearPath, kind: ValueKind) -> u64 {
-    let mut vocab = Vocabulary::new();
-    let Ok(doc) = parse_document(xml, &mut vocab) else {
-        return 0;
-    };
-    let mut count = 0u64;
-    for (_, node) in doc.nodes() {
-        let Some(value) = &node.value else { continue };
-        if kind == ValueKind::Num && value.as_num().is_none() {
-            continue;
-        }
-        let labels: Vec<&str> = vocab
-            .paths
-            .labels(node.path)
-            .iter()
-            .map(|&s| vocab.names.resolve(s))
-            .collect();
-        if pattern.matches_labels(&labels) {
-            count += 1;
-        }
-    }
-    count
+/// One valued node of an insert payload, as index maintenance sees it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PayloadValue {
+    /// Labels from the document root to the node.
+    pub labels: Vec<String>,
+    /// Whether the value parses as a number (a numeric index keeps it).
+    pub numeric: bool,
 }
 
-/// Maintenance cost of one index for one statement.
+/// The valued nodes of an inserted XML payload (parses into a scratch
+/// vocabulary; the payload may introduce paths the collection has never
+/// seen). A payload that does not parse adds nothing to any index.
+pub fn payload_values(xml: &str) -> Vec<PayloadValue> {
+    let mut vocab = Vocabulary::new();
+    let Ok(doc) = parse_document(xml, &mut vocab) else {
+        return Vec::new();
+    };
+    doc.nodes()
+        .filter_map(|(_, node)| {
+            let value = node.value.as_ref()?;
+            Some(PayloadValue {
+                labels: vocab
+                    .paths
+                    .labels(node.path)
+                    .iter()
+                    .map(|&s| vocab.names.resolve(s).to_string())
+                    .collect(),
+                numeric: value.as_num().is_some(),
+            })
+        })
+        .collect()
+}
+
+/// Counts the entries an index with `pattern`/`kind` would gain from a
+/// payload's valued nodes.
+pub fn matching_entries(values: &[PayloadValue], pattern: &LinearPath, kind: ValueKind) -> u64 {
+    values
+        .iter()
+        .filter(|v| (kind == ValueKind::Str || v.numeric) && pattern.matches_labels(&v.labels))
+        .count() as u64
+}
+
+/// Maintenance cost of one index for one prepared statement.
 ///
 /// * queries: 0;
 /// * insert: entries the payload adds to the index;
 /// * delete: estimated victim docs × the index's entries-per-document;
 /// * update: if the index covers the rewritten path, estimated victim docs
 ///   × 2 (delete + insert of the key).
+///
+/// Everything read off the statement — the parsed payload, the victim
+/// estimate — was computed once when it was prepared, not per index.
 pub fn maintenance_cost(
     pattern: &LinearPath,
     kind: ValueKind,
     index_stats: &IndexStats,
-    stmt: &Statement,
-    optimizer: &Optimizer<'_>,
-    coll_stats: &CollectionStats,
+    prepared: &PreparedStatement<'_>,
     cm: &CostModel,
 ) -> f64 {
-    match stmt {
+    match prepared.statement() {
         Statement::Query(_) => 0.0,
-        Statement::Insert { xml, .. } => {
-            payload_matching_entries(xml, pattern, kind) as f64 * cm.update_entry
+        Statement::Insert { .. } => {
+            prepared.payload_entries(pattern, kind) as f64 * cm.update_entry
         }
         Statement::Delete { .. } => {
-            let docs = optimizer.estimate_target_docs(stmt);
-            let per_doc = if coll_stats.doc_count == 0 {
+            let doc_count = prepared.stats().doc_count;
+            let per_doc = if doc_count == 0 {
                 0.0
             } else {
-                index_stats.entries as f64 / coll_stats.doc_count as f64
+                index_stats.entries as f64 / doc_count as f64
             };
-            docs * per_doc * cm.update_entry
+            prepared.target_docs() * per_doc * cm.update_entry
         }
         Statement::Update { set, .. } => {
             if contain::covers(pattern, set) {
-                let docs = optimizer.estimate_target_docs(stmt);
-                docs * 2.0 * cm.update_entry
+                prepared.target_docs() * 2.0 * cm.update_entry
             } else {
                 0.0
             }
@@ -84,8 +99,13 @@ pub fn maintenance_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modes::Optimizer;
     use xia_storage::{runstats, Catalog, Collection};
     use xia_xpath::{parse_linear_path, parse_statement};
+
+    fn payload_matching_entries(xml: &str, pattern: &LinearPath, kind: ValueKind) -> u64 {
+        matching_entries(&payload_values(xml), pattern, kind)
+    }
 
     #[test]
     fn payload_matching_counts_by_pattern_and_kind() {
@@ -137,9 +157,7 @@ mod tests {
             &def.pattern,
             def.kind,
             &def.stats,
-            &q,
-            &opt,
-            &s,
+            &opt.prepare(&q),
             opt.cost_model(),
         );
         assert_eq!(mc, 0.0);
@@ -156,9 +174,7 @@ mod tests {
             &def.pattern,
             def.kind,
             &def.stats,
-            &ins,
-            &opt,
-            &s,
+            &opt.prepare(&ins),
             opt.cost_model(),
         );
         assert!((mc - opt.cost_model().update_entry).abs() < 1e-9);
@@ -176,18 +192,14 @@ mod tests {
             &def.pattern,
             def.kind,
             &def.stats,
-            &selective,
-            &opt,
-            &s,
+            &opt.prepare(&selective),
             opt.cost_model(),
         );
         let mc_broad = maintenance_cost(
             &def.pattern,
             def.kind,
             &def.stats,
-            &broad,
-            &opt,
-            &s,
+            &opt.prepare(&broad),
             opt.cost_model(),
         );
         assert!(mc_broad > mc_sel * 10.0, "sel={mc_sel} broad={mc_broad}");
@@ -208,18 +220,14 @@ mod tests {
             &sym,
             ValueKind::Str,
             &def.stats,
-            &upd,
-            &opt,
-            &s,
+            &opt.prepare(&upd),
             opt.cost_model(),
         );
         let mc_yld = maintenance_cost(
             &yld,
             ValueKind::Num,
             &def.stats,
-            &upd,
-            &opt,
-            &s,
+            &opt.prepare(&upd),
             opt.cost_model(),
         );
         assert_eq!(mc_sym, 0.0);

@@ -92,25 +92,6 @@ pub fn matching_indexes_view<'c>(view: CatalogView<'c>, ap: &AccessPattern) -> V
     view.iter().filter(|d| index_matches(d, ap)).collect()
 }
 
-/// [`matching_indexes_view`] with each containment test counted against a
-/// telemetry sink (one attempt per live index definition probed).
-pub fn matching_indexes_traced<'c>(
-    view: CatalogView<'c>,
-    ap: &AccessPattern,
-    telemetry: &xia_obs::Telemetry,
-) -> Vec<&'c IndexDef> {
-    let mut attempts = 0u64;
-    let out = view
-        .iter()
-        .filter(|d| {
-            attempts += 1;
-            index_matches(d, ap)
-        })
-        .collect();
-    telemetry.add(xia_obs::Counter::IndexMatchingAttempts, attempts);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,15 +1,30 @@
 //! The optimizer proper, with the two advisor-facing modes.
+//!
+//! Evaluate mode is split in two. [`Optimizer::prepare`] does everything
+//! about a statement that no catalog can change — normalization, one
+//! [`PatternStats::collect`] per distinct path, per-pattern document and
+//! posting estimates, the scan alternative's cost — and
+//! [`Optimizer::plan`] does the rest per configuration: index matching,
+//! probe costing against each matching definition's statistics, greedy
+//! index-ANDing. `plan` is the only planner; [`Optimizer::optimize`] is
+//! `plan(&prepare(stmt))`. An advisor that prices one statement under
+//! thousands of sub-configurations prepares it once.
 
 use crate::cost::CostModel;
+use crate::maintenance;
 use crate::matching::{self, CandidatePattern};
 use crate::plan::{AccessChoice, IndexUse, Plan, PlanStep};
 use crate::selectivity::PatternStats;
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::fmt;
 use xia_fault::{FaultInjector, FaultSite, InjectedFault};
 use xia_obs::{Counter, Telemetry};
 use xia_storage::{Catalog, CatalogView, Collection, CollectionStats};
-use xia_xpath::{normalize_statement, NormalizedQuery, Statement, ValueKind};
+use xia_xpath::{
+    normalize_statement, AccessPattern, LinearPath, NormalizedQuery, PatternPred, Statement,
+    ValueKind,
+};
 
 /// An Evaluate-mode costing failure. The what-if interface treats the
 /// optimizer as an oracle; this is the oracle declining to answer — the
@@ -173,42 +188,129 @@ impl<'a> Optimizer<'a> {
     /// **Evaluate Indexes mode** (paper Section III): return the best plan
     /// for `stmt` under the current catalog, virtual indexes included.
     /// Counted — the advisor's benefit evaluation efficiency is measured in
-    /// these calls.
+    /// these calls. The one-shot form of [`Optimizer::prepare`] followed by
+    /// [`Optimizer::plan`].
     pub fn optimize(&self, stmt: &Statement) -> Plan {
-        self.evaluate_calls.set(self.evaluate_calls.get() + 1);
-        self.telemetry.incr(Counter::OptimizerEvaluateCalls);
-        match normalize_statement(stmt) {
-            Some(nq) => self.plan_normalized(&nq),
-            None => self.plan_insert(stmt),
-        }
+        self.plan(&self.prepare(stmt))
     }
 
     /// Fallible Evaluate-mode entry point: like [`Optimizer::optimize`],
     /// but rolls the attached fault injector's `optimizer-cost` site first
-    /// and reports the failure instead of costing. The advisor uses this
-    /// for what-if calls so it can degrade gracefully; direct execution
-    /// paths keep the infallible [`Optimizer::optimize`].
+    /// and reports the failure instead of costing. Direct execution paths
+    /// keep the infallible [`Optimizer::optimize`].
     pub fn try_optimize(&self, stmt: &Statement) -> Result<Plan, CostError> {
-        if let Err(e) = self.faults.roll(FaultSite::OptimizerCost) {
-            self.telemetry.incr(Counter::FaultsInjected);
-            return Err(CostError::Injected(e));
-        }
+        self.roll_cost_fault()?;
         Ok(self.optimize(stmt))
     }
 
-    /// Plans a normalized statement (shared by queries, deletes, updates).
-    pub fn plan_normalized(&self, nq: &NormalizedQuery) -> Plan {
-        let cm = &self.cost_model;
-        let total_nodes = self.stats.node_count as f64;
-        let total_bytes = self.stats.value_bytes as f64;
-        let pred_count = nq.patterns.len() + nq.or_groups.len();
+    /// [`Optimizer::try_optimize`] over a prepared statement: the fault
+    /// roll, then [`Optimizer::plan`]. The advisor's what-if calls go
+    /// through this so they can degrade gracefully.
+    pub fn try_plan(&self, prepared: &PreparedStatement<'_>) -> Result<Plan, CostError> {
+        self.roll_cost_fault()?;
+        Ok(self.plan(prepared))
+    }
 
-        // --- Scan alternative -------------------------------------------
-        self.telemetry.incr(Counter::SelectivityEstimates);
-        let root_stats = PatternStats::collect(&nq.root, self.collection, self.stats);
-        let root_docs = root_stats.docs_upper as f64;
-        let est_docs_scan = self.estimate_result_docs(nq, root_docs);
-        let mut scan_cost = cm.scan_cost(total_nodes, total_bytes, pred_count);
+    fn roll_cost_fault(&self) -> Result<(), CostError> {
+        self.faults.roll(FaultSite::OptimizerCost).map_err(|e| {
+            self.telemetry.incr(Counter::FaultsInjected);
+            CostError::Injected(e)
+        })
+    }
+
+    /// The configuration-invariant half of an Evaluate-mode call:
+    /// normalizes `stmt` and estimates everything about it that the
+    /// catalog cannot change. One [`PatternStats::collect`] per distinct
+    /// path of the statement.
+    pub fn prepare<'s>(&self, stmt: &'s Statement) -> PreparedStatement<'s>
+    where
+        'a: 's,
+    {
+        self.prepare_shared(stmt, &mut PathStatsMemo::default())
+    }
+
+    /// [`Optimizer::prepare`] through a caller-held memo, so statements
+    /// that share paths share the collection passes. The memo must only
+    /// ever see optimizers bound to one collection's statistics.
+    pub fn prepare_shared<'s>(
+        &self,
+        stmt: &'s Statement,
+        memo: &mut PathStatsMemo,
+    ) -> PreparedStatement<'s>
+    where
+        'a: 's,
+    {
+        let shape = match normalize_statement(stmt) {
+            Some(nq) => Shape::Access(self.prepare_access(nq, memo)),
+            None => {
+                let Statement::Insert { xml, .. } = stmt else {
+                    unreachable!("only inserts normalize to None");
+                };
+                let nodes = estimate_payload_nodes(xml) as f64;
+                Shape::Insert {
+                    cost: self.cost_model.insert_cost(nodes, xml.len() as f64),
+                    payload: maintenance::payload_values(xml),
+                }
+            }
+        };
+        PreparedStatement {
+            stmt,
+            stats: self.stats,
+            shape,
+        }
+    }
+
+    fn prepare_access(&self, nq: NormalizedQuery, memo: &mut PathStatsMemo) -> AccessShape {
+        let cm = &self.cost_model;
+        let root_docs = self.pattern_stats(&nq.root, memo).docs_upper as f64;
+        let patterns: Vec<PreparedPattern> = nq
+            .patterns
+            .into_iter()
+            .map(|ap| self.prepare_pattern(ap, memo))
+            .collect();
+        let or_groups: Vec<PreparedGroup> = nq
+            .or_groups
+            .into_iter()
+            .map(|group| {
+                let branches: Vec<PreparedPattern> = group
+                    .into_iter()
+                    .map(|ap| self.prepare_pattern(ap, memo))
+                    .collect();
+                // Selectivity of a disjunction group: 1 − Π(1 − sel_branch).
+                let selectivity = if root_docs == 0.0 {
+                    0.0
+                } else {
+                    let miss: f64 = branches
+                        .iter()
+                        .map(|b| 1.0 - (b.docs / root_docs).clamp(0.0, 1.0))
+                        .product();
+                    (1.0 - miss).clamp(0.0, 1.0)
+                };
+                PreparedGroup {
+                    branches,
+                    selectivity,
+                }
+            })
+            .collect();
+
+        // Result documents applying all predicates by navigation.
+        let est_docs_scan = if root_docs == 0.0 {
+            0.0
+        } else {
+            let mut docs = root_docs;
+            for p in &patterns {
+                docs *= (p.docs / root_docs).clamp(0.0, 1.0);
+            }
+            for g in &or_groups {
+                docs *= g.selectivity;
+            }
+            docs
+        };
+        let mut scan_cost = cm.scan_cost(
+            self.stats.node_count as f64,
+            self.stats.value_bytes as f64,
+            patterns.len() + or_groups.len(),
+        );
         if nq.is_modification {
             scan_cost += cm.write_cost(
                 est_docs_scan,
@@ -216,36 +318,115 @@ impl<'a> Optimizer<'a> {
                 self.stats.avg_doc_bytes(),
             );
         }
+        AccessShape {
+            root_docs,
+            est_docs_scan,
+            scan_cost,
+            is_modification: nq.is_modification,
+            patterns,
+            or_groups,
+        }
+    }
 
-        // --- Index alternative -------------------------------------------
+    /// Everything index costing needs to know about one access pattern.
+    fn prepare_pattern(&self, ap: AccessPattern, memo: &mut PathStatsMemo) -> PreparedPattern {
+        let ps = self.pattern_stats(&ap.linear, memo);
+        let (docs, postings, leak) = match &ap.pred {
+            // Existence: answered from the index's per-path document lists
+            // (structural postings); the probe is keyed by path id, so a
+            // general index pays no extra.
+            PatternPred::Exists => {
+                let docs = ps.docs_upper as f64;
+                (docs, docs, None)
+            }
+            PatternPred::Compare(op, _) => {
+                // Pattern-level matches (what survives path filtering).
+                let kind = ap.pred.value_kind().unwrap_or(ValueKind::Str);
+                let matching_nodes = ps.matching_nodes(&ap.pred, kind, self.stats);
+                let leak = Leak {
+                    entries_pattern: ps.entries_for(kind) as f64,
+                    selectivity: ps.predicate_selectivity(&ap.pred, self.stats),
+                    fraction: if op.is_equality() { 0.05 } else { 0.25 },
+                };
+                (ps.matching_docs(matching_nodes), matching_nodes, Some(leak))
+            }
+        };
+        PreparedPattern {
+            ap,
+            docs,
+            postings,
+            leak,
+        }
+    }
+
+    /// The memoized [`PatternStats`] of `path`, collected on first sight.
+    fn pattern_stats<'m>(
+        &self,
+        path: &LinearPath,
+        memo: &'m mut PathStatsMemo,
+    ) -> &'m PatternStats {
+        if !memo.by_path.contains_key(path) {
+            self.telemetry.incr(Counter::SelectivityEstimates);
+            let ps = PatternStats::collect(path, self.collection, self.stats);
+            memo.by_path.insert(path.clone(), ps);
+        }
+        &memo.by_path[path]
+    }
+
+    /// The per-configuration half of an Evaluate-mode call, and the only
+    /// planner: index matching against the catalog view, probe costing from
+    /// the prepared estimates and each matching definition's statistics,
+    /// greedy index-ANDing. Counted like [`Optimizer::optimize`]. The
+    /// prepared statement must come from an optimizer over the same
+    /// statistics and cost model.
+    pub fn plan(&self, prepared: &PreparedStatement<'_>) -> Plan {
+        debug_assert!(
+            std::ptr::eq(prepared.stats, self.stats),
+            "statement prepared against other statistics"
+        );
+        self.evaluate_calls.set(self.evaluate_calls.get() + 1);
+        self.telemetry.incr(Counter::OptimizerEvaluateCalls);
+        let q = match &prepared.shape {
+            Shape::Access(q) => q,
+            Shape::Insert { cost, .. } => {
+                return Plan {
+                    access: AccessChoice::Scan,
+                    est_docs: 1.0,
+                    total_cost: *cost,
+                    scan_cost: *cost,
+                }
+            }
+        };
+
         let mut steps: Vec<PlanStep> = Vec::new();
-        for (pi, ap) in nq.patterns.iter().enumerate() {
-            if let Some(u) = self.best_index_use(pi, ap) {
+        for (pi, p) in q.patterns.iter().enumerate() {
+            if let Some(u) = self.best_index_use(pi, p) {
                 steps.push(PlanStep::Probe(u));
             }
         }
         // Index-ORing: a disjunction group is indexable only if *every*
         // branch has a matching index (otherwise the union is incomplete
         // and the group must be evaluated residually).
-        for (gi, group) in nq.or_groups.iter().enumerate() {
+        for (gi, group) in q.or_groups.iter().enumerate() {
             let branches: Vec<Option<IndexUse>> = group
+                .branches
                 .iter()
                 .enumerate()
-                .map(|(bi, ap)| self.best_index_use(bi, ap))
+                .map(|(bi, p)| self.best_index_use(bi, p))
                 .collect();
-            if branches.iter().all(|b| b.is_some()) && !group.is_empty() {
+            if branches.iter().all(|b| b.is_some()) && !branches.is_empty() {
                 let branches: Vec<IndexUse> = branches
                     .into_iter()
                     .map(|b| b.expect("checked all some"))
                     .collect();
-                let est_docs = if root_docs == 0.0 {
+                let est_docs = if q.root_docs == 0.0 {
                     0.0
                 } else {
                     let miss: f64 = branches
                         .iter()
-                        .map(|u| 1.0 - (u.est_docs / root_docs).clamp(0.0, 1.0))
+                        .map(|u| 1.0 - (u.est_docs / q.root_docs).clamp(0.0, 1.0))
                         .product();
-                    root_docs * (1.0 - miss)
+                    q.root_docs * (1.0 - miss)
                 };
                 steps.push(PlanStep::Union {
                     group: gi,
@@ -262,46 +443,46 @@ impl<'a> Optimizer<'a> {
                 .partial_cmp(&b.est_docs())
                 .expect("finite doc estimates")
         });
-        let mut chosen: Vec<PlanStep> = Vec::new();
         let mut best_cost = f64::INFINITY;
         let mut best_len = 0usize;
         for i in 0..steps.len() {
-            let prefix = &steps[..=i];
-            let cost = self.index_and_cost(nq, prefix, root_docs);
+            let cost = self.index_and_cost(q, &steps[..=i]);
             if cost < best_cost {
                 best_cost = cost;
                 best_len = i + 1;
             }
         }
-        chosen.extend_from_slice(&steps[..best_len]);
+        steps.truncate(best_len);
 
-        if chosen.is_empty() || best_cost >= scan_cost {
+        if steps.is_empty() || best_cost >= q.scan_cost {
             Plan {
                 access: AccessChoice::Scan,
-                est_docs: est_docs_scan,
-                total_cost: scan_cost,
-                scan_cost,
+                est_docs: q.est_docs_scan,
+                total_cost: q.scan_cost,
+                scan_cost: q.scan_cost,
             }
         } else {
-            let est_docs = self.combined_docs(&chosen, root_docs, nq, true);
+            let est_docs = combined_docs(q, &steps, true);
             Plan {
-                access: AccessChoice::IndexAnd(chosen),
+                access: AccessChoice::IndexAnd(steps),
                 est_docs,
                 total_cost: best_cost,
-                scan_cost,
+                scan_cost: q.scan_cost,
             }
         }
     }
 
     /// The cheapest matching index probe for one access pattern, if any.
-    fn best_index_use(
-        &self,
-        pattern_idx: usize,
-        ap: &xia_xpath::AccessPattern,
-    ) -> Option<IndexUse> {
+    fn best_index_use(&self, pattern_idx: usize, p: &PreparedPattern) -> Option<IndexUse> {
         let mut best: Option<IndexUse> = None;
-        for def in matching::matching_indexes_traced(self.catalog, ap, &self.telemetry) {
-            let use_ = self.cost_index_use(pattern_idx, ap, def);
+        // One matching attempt per live definition in the view.
+        let mut attempts = 0u64;
+        for def in self.catalog.iter() {
+            attempts += 1;
+            if !matching::index_matches(def, &p.ap) {
+                continue;
+            }
+            let use_ = self.cost_index_use(pattern_idx, p, def);
             let better = match &best {
                 None => true,
                 Some(b) => {
@@ -313,48 +494,32 @@ impl<'a> Optimizer<'a> {
                 best = Some(use_);
             }
         }
+        self.telemetry.add(Counter::IndexMatchingAttempts, attempts);
         best
     }
 
     fn cost_index_use(
         &self,
         pattern_idx: usize,
-        ap: &xia_xpath::AccessPattern,
+        p: &PreparedPattern,
         def: &xia_storage::IndexDef,
     ) -> IndexUse {
-        let cm = &self.cost_model;
-        self.telemetry.incr(Counter::SelectivityEstimates);
-        let pat_stats = PatternStats::collect(&ap.linear, self.collection, self.stats);
-        let (est_docs, est_postings) = match &ap.pred {
-            // Existence: answered from the index's per-path document lists
-            // (structural postings); the probe is keyed by path id, so a
-            // general index pays no extra.
-            xia_xpath::PatternPred::Exists => {
-                let docs = pat_stats.docs_upper as f64;
-                (docs, docs)
-            }
-            xia_xpath::PatternPred::Compare(op, _) => {
-                // Pattern-level matches (what survives path filtering).
-                let kind = ap.pred.value_kind().unwrap_or(ValueKind::Str);
-                let sel_q = pat_stats.predicate_selectivity(&ap.pred, self.stats);
-                let m_nodes = pat_stats.matching_nodes(&ap.pred, kind, self.stats);
-                let est_docs = pat_stats.matching_docs(m_nodes);
-                // A probe of a more general index also scans postings from
-                // paths beyond the query pattern's (path-filtered away
-                // afterwards). We charge a leakage fraction of the extra
-                // entries: small for equality probes (mostly disjoint key
-                // domains), larger for range probes (numeric ranges overlap
-                // across paths). This keeps the specific index strictly
-                // preferable when both match, while the general index still
-                // beats a scan — the trade-off the paper's search
-                // algorithms navigate.
-                let entries_pattern = pat_stats.entries_for(kind) as f64;
-                let extra_entries = (def.stats.entries as f64 - entries_pattern).max(0.0);
-                let leak = if op.is_equality() { 0.05 } else { 0.25 };
-                (est_docs, m_nodes + extra_entries * sel_q * leak)
+        // A probe of a more general index also scans postings from paths
+        // beyond the query pattern's (path-filtered away afterwards). We
+        // charge a leakage fraction of the extra entries: small for
+        // equality probes (mostly disjoint key domains), larger for range
+        // probes (numeric ranges overlap across paths). This keeps the
+        // specific index strictly preferable when both match, while the
+        // general index still beats a scan — the trade-off the paper's
+        // search algorithms navigate.
+        let est_postings = match &p.leak {
+            None => p.postings,
+            Some(leak) => {
+                let extra_entries = (def.stats.entries as f64 - leak.entries_pattern).max(0.0);
+                p.postings + extra_entries * leak.selectivity * leak.fraction
             }
         };
-        let probe_cost = cm.probe_cost(
+        let probe_cost = self.cost_model.probe_cost(
             def.stats.levels,
             est_postings,
             def.stats.avg_key_width + xia_storage::size::POSTING_BYTES,
@@ -363,91 +528,16 @@ impl<'a> Optimizer<'a> {
             index: def.id,
             pattern_idx,
             est_postings,
-            est_docs,
+            est_docs: p.docs,
             probe_cost,
         }
     }
 
-    /// Estimated documents surviving the intersection of the chosen index
-    /// probes (independence assumption), optionally applying the residual
-    /// (non-indexed) predicates too.
-    fn combined_docs(
-        &self,
-        steps: &[PlanStep],
-        root_docs: f64,
-        nq: &NormalizedQuery,
-        apply_residual: bool,
-    ) -> f64 {
-        if root_docs == 0.0 {
-            return 0.0;
-        }
-        let mut docs = root_docs;
-        for s in steps {
-            docs *= (s.est_docs() / root_docs).clamp(0.0, 1.0);
-        }
-        if apply_residual {
-            let covered: std::collections::HashSet<usize> = steps
-                .iter()
-                .filter_map(|s| match s {
-                    PlanStep::Probe(u) => Some(u.pattern_idx),
-                    PlanStep::Union { .. } => None,
-                })
-                .collect();
-            let covered_groups: std::collections::HashSet<usize> = steps
-                .iter()
-                .filter_map(|s| match s {
-                    PlanStep::Union { group, .. } => Some(*group),
-                    PlanStep::Probe(_) => None,
-                })
-                .collect();
-            for (pi, ap) in nq.patterns.iter().enumerate() {
-                if covered.contains(&pi) {
-                    continue;
-                }
-                let d = self.pattern_docs(ap);
-                docs *= (d / root_docs).clamp(0.0, 1.0);
-            }
-            for (gi, group) in nq.or_groups.iter().enumerate() {
-                if covered_groups.contains(&gi) {
-                    continue;
-                }
-                docs *= self.group_selectivity(group, root_docs);
-            }
-        }
-        docs
-    }
-
-    /// Selectivity of a disjunction group: 1 − Π(1 − sel_branch).
-    fn group_selectivity(&self, group: &[xia_xpath::AccessPattern], root_docs: f64) -> f64 {
-        if root_docs == 0.0 {
-            return 0.0;
-        }
-        let miss: f64 = group
-            .iter()
-            .map(|ap| 1.0 - (self.pattern_docs(ap) / root_docs).clamp(0.0, 1.0))
-            .product();
-        (1.0 - miss).clamp(0.0, 1.0)
-    }
-
-    /// Estimated documents satisfying one access pattern.
-    fn pattern_docs(&self, ap: &xia_xpath::AccessPattern) -> f64 {
-        self.telemetry.incr(Counter::SelectivityEstimates);
-        let ps = PatternStats::collect(&ap.linear, self.collection, self.stats);
-        match &ap.pred {
-            xia_xpath::PatternPred::Exists => ps.docs_upper as f64,
-            xia_xpath::PatternPred::Compare(..) => {
-                let kind = ap.pred.value_kind().unwrap_or(ValueKind::Str);
-                let m = ps.matching_nodes(&ap.pred, kind, self.stats);
-                ps.matching_docs(m)
-            }
-        }
-    }
-
-    fn index_and_cost(&self, nq: &NormalizedQuery, steps: &[PlanStep], root_docs: f64) -> f64 {
+    fn index_and_cost(&self, q: &AccessShape, steps: &[PlanStep]) -> f64 {
         let cm = &self.cost_model;
         let probe: f64 = steps.iter().map(|s| s.probe_cost()).sum();
-        let docs_after_indexes = self.combined_docs(steps, root_docs, nq, false);
-        let residual_preds = (nq.patterns.len() + nq.or_groups.len()).saturating_sub(steps.len());
+        let docs_after_indexes = combined_docs(q, steps, false);
+        let residual_preds = (q.patterns.len() + q.or_groups.len()).saturating_sub(steps.len());
         let mut cost = probe
             + cm.fetch_cost(
                 docs_after_indexes,
@@ -455,8 +545,8 @@ impl<'a> Optimizer<'a> {
                 self.stats.avg_doc_bytes(),
                 residual_preds,
             );
-        if nq.is_modification {
-            let final_docs = self.combined_docs(steps, root_docs, nq, true);
+        if q.is_modification {
+            let final_docs = combined_docs(q, steps, true);
             cost += cm.write_cost(
                 final_docs,
                 self.stats.avg_doc_nodes(),
@@ -465,48 +555,143 @@ impl<'a> Optimizer<'a> {
         }
         cost
     }
+}
 
-    /// Estimated result documents applying all predicates by navigation.
-    fn estimate_result_docs(&self, nq: &NormalizedQuery, root_docs: f64) -> f64 {
-        if root_docs == 0.0 {
-            return 0.0;
+/// Estimated documents surviving the intersection of the chosen index
+/// probes (independence assumption), optionally applying the residual
+/// (non-indexed) predicates too.
+fn combined_docs(q: &AccessShape, steps: &[PlanStep], apply_residual: bool) -> f64 {
+    if q.root_docs == 0.0 {
+        return 0.0;
+    }
+    let mut docs = q.root_docs;
+    for s in steps {
+        docs *= (s.est_docs() / q.root_docs).clamp(0.0, 1.0);
+    }
+    if apply_residual {
+        // A plan has a handful of steps: scanning them per predicate beats
+        // building a set.
+        for (pi, p) in q.patterns.iter().enumerate() {
+            let probed = steps
+                .iter()
+                .any(|s| matches!(s, PlanStep::Probe(u) if u.pattern_idx == pi));
+            if !probed {
+                docs *= (p.docs / q.root_docs).clamp(0.0, 1.0);
+            }
         }
-        let mut docs = root_docs;
-        for ap in &nq.patterns {
-            let d = self.pattern_docs(ap);
-            docs *= (d / root_docs).clamp(0.0, 1.0);
+        for (gi, g) in q.or_groups.iter().enumerate() {
+            let unioned = steps
+                .iter()
+                .any(|s| matches!(s, PlanStep::Union { group, .. } if *group == gi));
+            if !unioned {
+                docs *= g.selectivity;
+            }
         }
-        for group in &nq.or_groups {
-            docs *= self.group_selectivity(group, root_docs);
-        }
-        docs
+    }
+    docs
+}
+
+/// [`PatternStats`] per distinct linear path of one collection — what lets
+/// statements prepared together share the dictionary passes. Build-local:
+/// a prepared statement keeps the estimates, not the statistics.
+#[derive(Debug, Default)]
+pub struct PathStatsMemo {
+    by_path: HashMap<LinearPath, PatternStats>,
+}
+
+/// The configuration-invariant half of a what-if call, built by
+/// [`Optimizer::prepare`] and costed under any number of catalog views by
+/// [`Optimizer::plan`]. It borrows the collection statistics it was
+/// estimated from, so it can neither outlive nor go stale against them.
+#[derive(Debug)]
+pub struct PreparedStatement<'s> {
+    stmt: &'s Statement,
+    stats: &'s CollectionStats,
+    shape: Shape,
+}
+
+#[derive(Debug)]
+enum Shape {
+    /// Inserts read nothing: their plan is the payload's insert cost.
+    Insert {
+        cost: f64,
+        payload: Vec<maintenance::PayloadValue>,
+    },
+    Access(AccessShape),
+}
+
+/// A normalized query, delete or update with its scan alternative costed.
+#[derive(Debug)]
+struct AccessShape {
+    /// Documents under the iterated root path.
+    root_docs: f64,
+    /// Result documents applying every predicate by navigation.
+    est_docs_scan: f64,
+    /// Cost of the scan alternative (with the write term for
+    /// modifications).
+    scan_cost: f64,
+    is_modification: bool,
+    patterns: Vec<PreparedPattern>,
+    or_groups: Vec<PreparedGroup>,
+}
+
+#[derive(Debug)]
+struct PreparedGroup {
+    branches: Vec<PreparedPattern>,
+    /// 1 − Π(1 − sel_branch) when evaluated residually.
+    selectivity: f64,
+}
+
+#[derive(Debug)]
+struct PreparedPattern {
+    ap: AccessPattern,
+    /// Estimated documents satisfying the pattern, by navigation or by a
+    /// probe after path filtering.
+    docs: f64,
+    /// Postings a probe of an index holding exactly this pattern's nodes
+    /// reads.
+    postings: f64,
+    /// Value comparisons only: what a broader index leaks into the probe.
+    leak: Option<Leak>,
+}
+
+#[derive(Debug)]
+struct Leak {
+    /// Entries an index on exactly this pattern would hold.
+    entries_pattern: f64,
+    /// The predicate's selectivity over those entries.
+    selectivity: f64,
+    /// Share of the extra entries charged (by comparison operator).
+    fraction: f64,
+}
+
+impl<'s> PreparedStatement<'s> {
+    /// The statement this was prepared from.
+    pub fn statement(&self) -> &'s Statement {
+        self.stmt
+    }
+
+    /// The collection statistics the estimates were made from.
+    pub fn stats(&self) -> &'s CollectionStats {
+        self.stats
     }
 
     /// Estimated documents a modification statement touches (used by the
-    /// maintenance-cost model).
-    pub fn estimate_target_docs(&self, stmt: &Statement) -> f64 {
-        match normalize_statement(stmt) {
-            Some(nq) => {
-                self.telemetry.incr(Counter::SelectivityEstimates);
-                let root_stats = PatternStats::collect(&nq.root, self.collection, self.stats);
-                self.estimate_result_docs(&nq, root_stats.docs_upper as f64)
-            }
-            None => 1.0, // an insert affects exactly its own document
+    /// maintenance-cost model); an insert affects exactly its own
+    /// document.
+    pub fn target_docs(&self) -> f64 {
+        match &self.shape {
+            Shape::Insert { .. } => 1.0,
+            Shape::Access(q) => q.est_docs_scan,
         }
     }
 
-    fn plan_insert(&self, stmt: &Statement) -> Plan {
-        let Statement::Insert { xml, .. } = stmt else {
-            unreachable!("only inserts normalize to None");
-        };
-        let nodes = estimate_payload_nodes(xml) as f64;
-        let bytes = xml.len() as f64;
-        let cost = self.cost_model.insert_cost(nodes, bytes);
-        Plan {
-            access: AccessChoice::Scan,
-            est_docs: 1.0,
-            total_cost: cost,
-            scan_cost: cost,
+    /// Entries an index with `pattern`/`kind` would gain from an insert's
+    /// payload (zero for every other statement).
+    pub fn payload_entries(&self, pattern: &LinearPath, kind: ValueKind) -> u64 {
+        match &self.shape {
+            Shape::Insert { payload, .. } => maintenance::matching_entries(payload, pattern, kind),
+            Shape::Access(_) => 0,
         }
     }
 }
@@ -788,15 +973,49 @@ mod tests {
     }
 
     #[test]
-    fn estimate_target_docs_for_selective_delete() {
+    fn prepare_collects_once_per_distinct_path_and_plan_collects_nothing() {
+        let c = big_collection();
+        let s = runstats(&c);
+        let mut cat = Catalog::new();
+        for p in ["/Security/Symbol", "/Security//*"] {
+            cat.create_virtual(&c, &s, &parse_linear_path(p).unwrap(), ValueKind::Str);
+        }
+        let t = Telemetry::new();
+        let mut opt = Optimizer::new(&c, &s, &cat);
+        opt.set_telemetry(&t);
+        let other = parse_statement(
+            r#"for $s in SECURITY('SDOC')/Security where $s/Symbol = "S7" return $s"#,
+        )
+        .unwrap();
+        let (q, mut memo) = (q_symbol(), PathStatsMemo::default());
+        // Root and predicate path: two collections for the first
+        // statement, none for a second one over the same paths.
+        let first = opt.prepare_shared(&q, &mut memo);
+        assert_eq!(t.get(Counter::SelectivityEstimates), 2);
+        let second = opt.prepare_shared(&other, &mut memo);
+        assert_eq!(t.get(Counter::SelectivityEstimates), 2);
+        // Planning matches and costs two indexes per call and estimates
+        // nothing.
+        let one_shot = opt.optimize(&q);
+        let estimates = t.get(Counter::SelectivityEstimates);
+        assert_eq!(opt.plan(&first), one_shot);
+        assert_eq!(opt.plan(&first), one_shot);
+        assert!(opt.plan(&second).uses_indexes());
+        assert_eq!(t.get(Counter::SelectivityEstimates), estimates);
+        assert_eq!(t.get(Counter::OptimizerEvaluateCalls), 4);
+        assert_eq!(opt.evaluate_calls(), 4);
+    }
+
+    #[test]
+    fn target_docs_for_selective_delete() {
         let c = big_collection();
         let s = runstats(&c);
         let cat = Catalog::new();
         let opt = Optimizer::new(&c, &s, &cat);
         let del = parse_statement(r#"delete from SDOC where /Security[Symbol = "S42"]"#).unwrap();
-        let docs = opt.estimate_target_docs(&del);
+        let docs = opt.prepare(&del).target_docs();
         assert!((0.5..=5.0).contains(&docs), "docs = {docs}");
         let ins = parse_statement("insert into SDOC <a/>").unwrap();
-        assert_eq!(opt.estimate_target_docs(&ins), 1.0);
+        assert_eq!(opt.prepare(&ins).target_docs(), 1.0);
     }
 }

@@ -2,7 +2,7 @@
 
 use xia_storage::{Collection, CollectionStats};
 use xia_xml::PathId;
-use xia_xpath::{AccessPattern, CmpOp, LinearPath, Literal, PathMatcher, PatternPred, ValueKind};
+use xia_xpath::{CmpOp, LinearPath, Literal, PathMatcher, PatternPred, ValueKind};
 
 /// Aggregated statistics for the set of rooted paths an access pattern (or
 /// an index pattern) targets.
@@ -163,19 +163,6 @@ impl PatternStats {
             .max(matching_nodes.min(1.0))
             .min(self.docs_upper as f64)
     }
-}
-
-/// Convenience: full estimate for one access pattern.
-pub fn estimate_pattern(
-    ap: &AccessPattern,
-    collection: &Collection,
-    stats: &CollectionStats,
-) -> (PatternStats, f64, f64) {
-    let ps = PatternStats::collect(&ap.linear, collection, stats);
-    let kind = ap.pred.value_kind().unwrap_or(ValueKind::Str);
-    let nodes = ps.matching_nodes(&ap.pred, kind, stats);
-    let docs = ps.matching_docs(nodes);
-    (ps, nodes, docs)
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use crate::collection::Collection;
 use crate::index::PhysicalIndex;
 use crate::size::{index_levels, index_size_bytes};
 use crate::stats::CollectionStats;
+use std::sync::Arc;
 use xia_obs::{Counter, Telemetry};
 use xia_xml::PathId;
 use xia_xpath::{LinearPath, PathMatcher, ValueKind};
@@ -143,6 +144,32 @@ impl Catalog {
         (matched, istats)
     }
 
+    /// Derives the definition of a what-if index for overlays on this
+    /// catalog: statistics from [`Catalog::derive_stats`], id `slot` places
+    /// past [`Catalog::slot_capacity`]. Nothing is registered and nothing
+    /// is counted — the caller derives a definition once, keeps it, and
+    /// [`CatalogOverlay::add`]s it to every overlay it is a member of, so
+    /// `slot` must be unique among the definitions that can share an
+    /// overlay (the advisor passes the candidate id).
+    pub fn derive_virtual(
+        &self,
+        collection: &Collection,
+        stats: &CollectionStats,
+        pattern: &LinearPath,
+        kind: ValueKind,
+        slot: usize,
+    ) -> IndexDef {
+        let (matched_paths, istats) = Self::derive_stats(collection, stats, pattern, kind);
+        IndexDef {
+            id: IndexId((self.defs.len() + slot) as u32),
+            pattern: pattern.clone(),
+            kind,
+            matched_paths,
+            stats: istats,
+            physical: None,
+        }
+    }
+
     fn push(&mut self, mut def: IndexDef) -> IndexId {
         let id = IndexId(self.defs.len() as u32);
         def.id = id;
@@ -274,7 +301,6 @@ impl Catalog {
         CatalogView {
             base: self,
             overlay: &[],
-            overlay_base: self.defs.len(),
         }
     }
 
@@ -294,14 +320,16 @@ impl Catalog {
 /// never touched, so any number of overlays can cost concurrently against
 /// the same catalog.
 ///
-/// Overlay entries get ids past [`Catalog::slot_capacity`], so plans can
-/// reference overlay indexes without ambiguity, and the created/dropped
-/// telemetry balance is preserved: every index added here is counted
-/// created, and counted dropped when the overlay goes away.
+/// An overlay derives nothing: its members are definitions the caller
+/// derived once with [`Catalog::derive_virtual`] and shares across every
+/// overlay they appear in. Their ids lie past [`Catalog::slot_capacity`],
+/// so plans can reference overlay indexes without ambiguity, and the
+/// created/dropped telemetry balance is preserved: every index added here
+/// is counted created, and counted dropped when the overlay goes away.
 #[derive(Debug)]
 pub struct CatalogOverlay<'a> {
     base: &'a Catalog,
-    defs: Vec<IndexDef>,
+    defs: Vec<Arc<IndexDef>>,
     telemetry: Telemetry,
 }
 
@@ -315,29 +343,30 @@ impl<'a> CatalogOverlay<'a> {
         }
     }
 
-    /// Adds a virtual index with derived statistics (the overlay analogue
-    /// of [`Catalog::create_virtual`]).
-    pub fn add_virtual(
-        &mut self,
-        collection: &Collection,
-        stats: &CollectionStats,
-        pattern: &LinearPath,
-        kind: ValueKind,
-    ) -> IndexId {
-        let (matched_paths, istats) = Catalog::derive_stats(collection, stats, pattern, kind);
-        self.telemetry.incr(Counter::StatsDerivations);
+    /// Adds a virtual index from its pre-derived definition (the overlay
+    /// analogue of [`Catalog::create_virtual`], minus the derivation).
+    ///
+    /// # Panics
+    /// If the definition is physical or its id collides with the base
+    /// catalog's id space — it was not derived by
+    /// [`Catalog::derive_virtual`] on this catalog. (That each member has
+    /// a slot of its own is the caller's side of the contract, checked in
+    /// debug builds.)
+    pub fn add(&mut self, def: Arc<IndexDef>) -> IndexId {
+        assert!(
+            def.is_virtual() && def.id.index() >= self.base.defs.len(),
+            "overlay members are virtual and live past the catalog's id space"
+        );
+        debug_assert!(
+            self.defs.iter().all(|d| d.id != def.id),
+            "overlay slot {} used twice",
+            def.id.0
+        );
         self.telemetry.incr(Counter::VirtualIndexesCreated);
         self.telemetry
-            .add(Counter::EstIndexBytes, istats.size_bytes);
-        let id = IndexId((self.base.defs.len() + self.defs.len()) as u32);
-        self.defs.push(IndexDef {
-            id,
-            pattern: pattern.clone(),
-            kind,
-            matched_paths,
-            stats: istats,
-            physical: None,
-        });
+            .add(Counter::EstIndexBytes, def.stats.size_bytes);
+        let id = def.id;
+        self.defs.push(def);
         id
     }
 
@@ -356,7 +385,6 @@ impl<'a> CatalogOverlay<'a> {
         CatalogView {
             base: self.base,
             overlay: &self.defs,
-            overlay_base: self.base.defs.len(),
         }
     }
 }
@@ -378,15 +406,16 @@ impl Drop for CatalogOverlay<'_> {
 #[derive(Debug, Clone, Copy)]
 pub struct CatalogView<'a> {
     base: &'a Catalog,
-    overlay: &'a [IndexDef],
-    overlay_base: usize,
+    overlay: &'a [Arc<IndexDef>],
 }
 
 impl<'a> CatalogView<'a> {
     /// Borrows an index definition, routing by the overlay id boundary.
+    /// Overlay ids are sparse (one slot per definition, not per position),
+    /// so the overlay side is a scan of its handful of members.
     pub fn get(&self, id: IndexId) -> Option<&'a IndexDef> {
-        if id.index() >= self.overlay_base {
-            self.overlay.get(id.index() - self.overlay_base)
+        if id.index() >= self.base.defs.len() {
+            self.overlay.iter().find(|d| d.id == id).map(|d| &**d)
         } else {
             self.base.get(id)
         }
@@ -394,7 +423,7 @@ impl<'a> CatalogView<'a> {
 
     /// Iterates over live base definitions, then overlay definitions.
     pub fn iter(&self) -> impl Iterator<Item = &'a IndexDef> {
-        self.base.iter().chain(self.overlay.iter())
+        self.base.iter().chain(self.overlay.iter().map(|d| &**d))
     }
 
     /// Number of live indexes visible through the view.
@@ -542,8 +571,12 @@ mod tests {
         let ph = cat.create_physical(&c, &p, ValueKind::Str);
         let t = Telemetry::new();
         let mut ov = CatalogOverlay::with_telemetry(&cat, &t);
-        let v = ov.add_virtual(&c, &s, &p, ValueKind::Num);
-        assert!(v.index() >= cat.slot_capacity(), "overlay ids are disjoint");
+        let v = ov.add(Arc::new(cat.derive_virtual(&c, &s, &p, ValueKind::Num, 7)));
+        assert_eq!(
+            v.index(),
+            cat.slot_capacity() + 7,
+            "overlay ids are disjoint"
+        );
 
         let view = ov.view();
         assert_eq!(view.len(), 2);
@@ -562,14 +595,22 @@ mod tests {
         let cat = Catalog::new();
         let t = Telemetry::new();
         {
+            // One derivation serves every overlay the definition joins.
+            let shared = Arc::new(cat.derive_virtual(&c, &s, &p, ValueKind::Str, 0));
             let mut ov = CatalogOverlay::with_telemetry(&cat, &t);
-            ov.add_virtual(&c, &s, &p, ValueKind::Str);
-            ov.add_virtual(&c, &s, &p, ValueKind::Num);
-            assert_eq!(t.get(Counter::VirtualIndexesCreated), 2);
-            assert_eq!(t.get(Counter::StatsDerivations), 2);
+            ov.add(Arc::clone(&shared));
+            ov.add(Arc::new(cat.derive_virtual(&c, &s, &p, ValueKind::Num, 1)));
+            let mut ov2 = CatalogOverlay::with_telemetry(&cat, &t);
+            ov2.add(shared);
+            assert_eq!(t.get(Counter::VirtualIndexesCreated), 3);
+            assert_eq!(
+                t.get(Counter::StatsDerivations),
+                0,
+                "overlays derive nothing"
+            );
             assert_eq!(t.get(Counter::VirtualIndexesDropped), 0);
         }
-        assert_eq!(t.get(Counter::VirtualIndexesDropped), 2);
+        assert_eq!(t.get(Counter::VirtualIndexesDropped), 3);
     }
 
     #[test]
@@ -579,7 +620,7 @@ mod tests {
         let mut cat = Catalog::new();
         let direct = cat.create_virtual(&c, &s, &p, ValueKind::Num);
         let mut ov = cat.overlay();
-        let layered = ov.add_virtual(&c, &s, &p, ValueKind::Num);
+        let layered = ov.add(Arc::new(cat.derive_virtual(&c, &s, &p, ValueKind::Num, 0)));
         let view = ov.view();
         let a = &view.get(direct).unwrap().stats;
         let b = &view.get(layered).unwrap().stats;

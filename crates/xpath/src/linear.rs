@@ -207,7 +207,7 @@ impl LinearPath {
     /// Dynamic programming over (steps × labels); the pattern denotes the
     /// regular expression obtained by mapping `/l` to `l`, `//l` to `Σ* l`,
     /// `/*` to `Σ` and `//*` to `Σ* Σ`.
-    pub fn matches_labels(&self, labels: &[&str]) -> bool {
+    pub fn matches_labels<S: AsRef<str>>(&self, labels: &[S]) -> bool {
         // cur[j] = the first j labels can be consumed by the steps so far.
         let n = labels.len();
         let mut cur = vec![false; n + 1];
@@ -218,7 +218,7 @@ impl LinearPath {
             match step.axis {
                 Axis::Child => {
                     for j in 1..=n {
-                        next[j] = cur[j - 1] && step.test.accepts(labels[j - 1]);
+                        next[j] = cur[j - 1] && step.test.accepts(labels[j - 1].as_ref());
                     }
                 }
                 Axis::Descendant => {
@@ -226,7 +226,7 @@ impl LinearPath {
                     let mut reach = false;
                     for j in 1..=n {
                         reach |= cur[j - 1];
-                        next[j] = reach && step.test.accepts(labels[j - 1]);
+                        next[j] = reach && step.test.accepts(labels[j - 1].as_ref());
                     }
                 }
             }
@@ -366,7 +366,7 @@ mod tests {
         let u = LinearPath::universal();
         assert!(u.matches_labels(&["anything"]));
         assert!(u.matches_labels(&["a", "b", "c"]));
-        assert!(!u.matches_labels(&[]));
+        assert!(!u.matches_labels::<&str>(&[]));
     }
 
     #[test]
@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn empty_path_matches_only_empty() {
         let p = LinearPath::default();
-        assert!(p.matches_labels(&[]));
+        assert!(p.matches_labels::<&str>(&[]));
         assert!(!p.matches_labels(&["a"]));
     }
 }

@@ -799,3 +799,156 @@ fn incremental_prepare_matches_full_preparation() {
         }
     }
 }
+
+/// Prepared what-if costing against the one-shot oracle: for random data,
+/// random statements (queries with conjunctions and disjunctions, inserts,
+/// deletes, updates) and random sub-configurations, planning one
+/// `PreparedStatement` under an overlay of pre-derived definitions must
+/// equal `Optimizer::new(..).optimize(..)` over the same indexes created
+/// with `Catalog::create_virtual` — every cost bit for bit and the same
+/// access choice. The same prepared statement is then costed under a
+/// second configuration and the first again: reuse must leave no trace.
+#[test]
+fn prepared_plans_equal_one_shot_plans() {
+    use std::sync::Arc;
+    use xia_advisor::{Advisor, AdvisorParams};
+    use xia_optimizer::{AccessChoice, Optimizer, Plan, PlanStep};
+    use xia_storage::{CatalogView, Database};
+    use xia_workloads::synthetic::{generate_queries, SyntheticConfig};
+    use xia_workloads::tpox::{self, TpoxConfig};
+    use xia_workloads::Workload;
+
+    /// A plan with index ids resolved to what they index, so plans over a
+    /// catalog and over an overlay compare.
+    fn shape(plan: &Plan, view: CatalogView<'_>) -> Vec<String> {
+        let AccessChoice::IndexAnd(steps) = &plan.access else {
+            return vec!["scan".to_string()];
+        };
+        let probe = |u: &xia_optimizer::IndexUse| {
+            let def = view.get(u.index).expect("plans use visible indexes");
+            format!(
+                "{}:{:?}@p{} postings={:016x} docs={:016x} cost={:016x}",
+                def.pattern,
+                def.kind,
+                u.pattern_idx,
+                u.est_postings.to_bits(),
+                u.est_docs.to_bits(),
+                u.probe_cost.to_bits()
+            )
+        };
+        steps
+            .iter()
+            .map(|s| match s {
+                PlanStep::Probe(u) => probe(u),
+                PlanStep::Union {
+                    group,
+                    branches,
+                    est_docs,
+                } => format!(
+                    "or{group}[{}] docs={:016x}",
+                    branches.iter().map(probe).collect::<Vec<_>>().join(" | "),
+                    est_docs.to_bits()
+                ),
+            })
+            .collect()
+    }
+    fn bits(plan: &Plan) -> [u64; 3] {
+        [
+            plan.total_cost.to_bits(),
+            plan.scan_cost.to_bits(),
+            plan.est_docs.to_bits(),
+        ]
+    }
+
+    let mut rng = Prng::seed_from_u64(0x15);
+    let mut indexed_plans = 0usize;
+    for _ in 0..6 {
+        let cfg = TpoxConfig {
+            securities: 40,
+            orders: 60,
+            customers: 30,
+            seed: rng.gen_range(0u64..1000),
+        };
+        let mut db = Database::new();
+        tpox::generate(&mut db, &cfg);
+        let mut texts = tpox::queries(&cfg);
+        texts.extend(tpox::extended_queries(&cfg));
+        texts.extend(generate_queries(
+            db.collection("SDOC").expect("generated"),
+            &SyntheticConfig {
+                queries: 12,
+                seed: rng.gen_range(0u64..1000),
+                ..Default::default()
+            },
+        ));
+        texts.extend(tpox::update_mix(&cfg));
+        let workload = Workload::from_texts(texts.iter().map(|s| s.as_str())).expect("parse");
+        let set = Advisor::prepare(&mut db, &workload, &AdvisorParams::default());
+
+        for _ in 0..6 {
+            // Two random sub-configurations; C1 is checked against the
+            // oracle, C2 only sits between the two C1 costings.
+            let draw =
+                |rng: &mut Prng| -> Vec<_> { set.ids().filter(|_| rng.gen_bool(0.3)).collect() };
+            let (c1, c2) = (draw(&mut rng), draw(&mut rng));
+
+            // Oracle: C1 created in the catalogs, one-shot optimize.
+            for &id in &c1 {
+                let c = set.get(id);
+                let (collection, catalog, stats) = db.parts_mut(&c.collection).expect("known");
+                catalog.create_virtual(collection, stats, &c.pattern, c.kind);
+            }
+            let oracle: Vec<(Plan, Vec<String>)> = workload
+                .entries()
+                .iter()
+                .map(|e| {
+                    let (collection, catalog, stats) =
+                        db.parts(e.statement.collection()).expect("known");
+                    let plan = Optimizer::new(collection, stats, catalog).optimize(&e.statement);
+                    let shape = shape(&plan, catalog.view());
+                    (plan, shape)
+                })
+                .collect();
+            db.drop_all_virtual();
+
+            for (e, (want, want_shape)) in workload.entries().iter().zip(&oracle) {
+                let coll = e.statement.collection();
+                let (collection, catalog, stats) = db.parts(coll).expect("known");
+                let prepared = Optimizer::new(collection, stats, catalog).prepare(&e.statement);
+                let cost_under = |config: &[xia_advisor::CandId]| {
+                    let mut overlay = catalog.overlay();
+                    for &id in config {
+                        let c = set.get(id);
+                        if c.collection == coll {
+                            overlay.add(Arc::new(catalog.derive_virtual(
+                                collection,
+                                stats,
+                                &c.pattern,
+                                c.kind,
+                                id.index(),
+                            )));
+                        }
+                    }
+                    let plan =
+                        Optimizer::with_view(collection, stats, overlay.view()).plan(&prepared);
+                    let shape = shape(&plan, overlay.view());
+                    (plan, shape)
+                };
+                let (first, first_shape) = cost_under(&c1);
+                let _ = cost_under(&c2);
+                let (again, _) = cost_under(&c1);
+                assert_eq!(
+                    bits(&first),
+                    bits(want),
+                    "prepared and one-shot costs differ on `{}`",
+                    e.text
+                );
+                assert_eq!(&first_shape, want_shape, "access choice on `{}`", e.text);
+                assert_eq!(first, again, "reuse changed the plan of `{}`", e.text);
+                assert_eq!(bits(&first), bits(&again));
+                indexed_plans += usize::from(first.uses_indexes());
+            }
+        }
+    }
+    assert!(indexed_plans > 100, "only {indexed_plans} indexed plans");
+}
