@@ -1,9 +1,10 @@
 //! E17: warm advisor service vs cold batch advising.
 //!
 //! Cold: every recommend pays the full `xia recommend` pipeline — open
-//! the persisted database image, RUNSTATS, candidate enumeration,
-//! generalization, sizing, and the what-if benefit fan-out — with fresh
-//! caches, which is exactly what a standalone invocation does. Warm: a live `xia-server` session keeps the prepared
+//! the persisted database image (verify it, decode its statistics),
+//! candidate enumeration, generalization, sizing, and the what-if
+//! benefit fan-out — with fresh caches, which is exactly what a
+//! standalone invocation does. Warm: a live `xia-server` session keeps the prepared
 //! candidate set and the warm cost store resident, so the 2nd..Nth
 //! recommends replay previously captured costings instead of re-running
 //! the optimizer. The warm path is measured over a real TCP connection,
@@ -213,7 +214,7 @@ pub fn run(
     drop(db);
 
     // Cold leg: every round is a full `xia recommend` invocation — open
-    // the database image, RUNSTATS, prepare, benefit fan-out, search —
+    // the database image, prepare, benefit fan-out, search —
     // with nothing carried over. This is the repeat-invocation model the
     // warm service replaces.
     let mut cold_times = Vec::with_capacity(rounds);

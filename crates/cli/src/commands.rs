@@ -147,6 +147,48 @@ fn first_line(text: &str) -> &str {
     text.lines().next().unwrap_or("").trim()
 }
 
+/// Adds what opening `db`'s image has cost so far to `telemetry`: the
+/// bytes read and verified, and the collections whose documents had to be
+/// decoded. Both are facts of the database rather than events of a sink
+/// (the image is read before any sink exists), so they are folded in
+/// once, just before the trace is rendered.
+fn count_image_reads(db: &Database, telemetry: &xia_obs::Telemetry) {
+    telemetry.add(xia_obs::Counter::ImageBytesRead, db.image_bytes());
+    telemetry.add(
+        xia_obs::Counter::DomMaterializations,
+        db.dom_materializations(),
+    );
+}
+
+/// Parses `--trace` / `--trace=json` / `--trace=text`; `None` for any
+/// other argument.
+fn parse_trace_flag(arg: &str) -> Option<Result<TraceFormat, CliError>> {
+    if arg != "--trace" && !arg.starts_with("--trace=") {
+        return None;
+    }
+    Some(match arg.strip_prefix("--trace=") {
+        None | Some("text") => Ok(TraceFormat::Text),
+        Some("json") => Ok(TraceFormat::Json),
+        Some(bad) => Err(CliError::usage(format!(
+            "bad trace format `{bad}` (expected json or text)"
+        ))),
+    })
+}
+
+/// Appends a rendered trace the way every verb prints one: JSON as the
+/// last line, text under a `--- trace ---` rule.
+fn push_trace(out: &mut String, format: TraceFormat, tr: &xia_obs::TraceReport) {
+    match format {
+        TraceFormat::Json => {
+            let _ = writeln!(out, "{}", tr.to_json());
+        }
+        TraceFormat::Text => {
+            out.push_str("--- trace ---\n");
+            out.push_str(&tr.to_text());
+        }
+    }
+}
+
 /// Builds the trace report for a finished advisor run: a snapshot of the
 /// telemetry sink plus per-statement what-if costs. The snapshot is taken
 /// *before* [`xia_advisor::TuningReport::build`] so its extra optimizer
@@ -159,6 +201,7 @@ fn trace_report(
     telemetry: &xia_obs::Telemetry,
     journal: &xia_obs::EventJournal,
 ) -> xia_obs::TraceReport {
+    count_image_reads(db, telemetry);
     let mut tr = telemetry.report();
     tr.dropped_events = journal.dropped();
     let full = xia_advisor::TuningReport::build(db, workload, set, rec);
@@ -331,10 +374,31 @@ fn explain_advisor(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `xia exec <db> <statement>`
+/// `xia exec <db> <statement> [--trace[=json|text]]`
 pub fn exec(args: &[String]) -> Result<String, CliError> {
+    let trace = match args.get(2) {
+        None => None,
+        Some(flag) => Some(
+            parse_trace_flag(flag)
+                .ok_or_else(|| CliError::usage(format!("unknown exec flag `{flag}`")))??,
+        ),
+    };
     let (path, mut db) = open(args.first().map(|s| s.as_str()))?;
-    let text = require(args, 1, "<statement>")?;
+    let telemetry = if trace.is_some() {
+        xia_obs::Telemetry::new()
+    } else {
+        xia_obs::Telemetry::off()
+    };
+    db.set_telemetry(&telemetry);
+    let mut out = exec_statement(&path, &mut db, require(args, 1, "<statement>")?)?;
+    if let Some(format) = trace {
+        count_image_reads(&db, &telemetry);
+        push_trace(&mut out, format, &telemetry.report());
+    }
+    Ok(out)
+}
+
+fn exec_statement(path: &str, db: &mut Database, text: &str) -> Result<String, CliError> {
     let stmt = parse_statement(text).map_err(CliError::new)?;
     db.runstats_all();
     let coll = stmt.collection().to_string();
@@ -370,7 +434,7 @@ pub fn exec(args: &[String]) -> Result<String, CliError> {
             xia_xpath::Statement::Query(_) => unreachable!("is_modification checked"),
         }
         db.runstats_all();
-        save_database(&db, &path)?;
+        save_database(db, path)?;
         return Ok(out);
     }
     let (collection, catalog, stats) = db
@@ -550,19 +614,13 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
                 })?);
                 i += 2;
             }
-            other if other == "--trace" || other.starts_with("--trace=") => {
-                trace = Some(match other.strip_prefix("--trace=") {
-                    None | Some("text") => TraceFormat::Text,
-                    Some("json") => TraceFormat::Json,
-                    Some(bad) => {
-                        return Err(CliError::usage(format!(
-                            "bad trace format `{bad}` (expected json or text)"
-                        )))
-                    }
-                });
-                i += 1;
-            }
-            other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
+            other => match parse_trace_flag(other) {
+                Some(format) => {
+                    trace = Some(format?);
+                    i += 1;
+                }
+                None => return Err(CliError::usage(format!("unknown flag `{other}`"))),
+            },
         }
     }
     let workload_file =
@@ -786,15 +844,8 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
             full.render()
         );
     }
-    match traced {
-        Some((TraceFormat::Json, tr)) => {
-            let _ = writeln!(out, "{}", tr.to_json());
-        }
-        Some((TraceFormat::Text, tr)) => {
-            out.push_str("--- trace ---\n");
-            out.push_str(&tr.to_text());
-        }
-        None => {}
+    if let Some((format, tr)) = &traced {
+        push_trace(&mut out, *format, tr);
     }
     if apply {
         let n = Advisor::materialize(&mut db, &set, &rec.config);
@@ -1590,6 +1641,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The regression guard for the lazy image: a count of collections
+    /// decoded, not a timing.
+    #[test]
+    fn trace_counts_whether_a_verb_touched_the_documents() {
+        let dir = tmpdir().join("trace_dom");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (db, wl) = trace_fixture(&dir);
+        // A second collection, so "per collection touched" means something.
+        let order = dir.join("o.xml");
+        std::fs::write(&order, "<Order><Id>1</Id></Order>").unwrap();
+        load(&s(&[&db, "ODOC", order.to_str().unwrap()])).unwrap();
+        let image_bytes = std::fs::metadata(&db).unwrap().len();
+        let counters = |out: &str| {
+            let tr = xia_obs::TraceReport::from_json(out.lines().last().unwrap()).unwrap();
+            (
+                tr.counter("image_bytes_read").unwrap(),
+                tr.counter("dom_materializations").unwrap(),
+            )
+        };
+
+        // Advising reads statistics and the path dictionary: no document
+        // of either collection is decoded, trace and tuning report
+        // included.
+        let out = recommend(&s(&[
+            &db,
+            "-w",
+            &wl,
+            "-b",
+            "10m",
+            "--report",
+            "--trace=json",
+        ]))
+        .unwrap();
+        assert_eq!(counters(&out.text), (image_bytes, 0), "{}", out.text);
+        // Executing a query decodes the one collection it runs against.
+        let query = r#"collection('SDOC')/Security[Symbol = "S3"]"#;
+        let out = exec(&s(&[&db, query, "--trace=json"])).unwrap();
+        assert!(out.contains("1 document(s) matched"), "{out}");
+        assert_eq!(counters(&out), (image_bytes, 1), "{out}");
+        // A modification decodes its own collection to change it and the
+        // other to save it.
+        let insert = "insert into ODOC <Order><Id>2</Id></Order>";
+        let out = exec(&s(&[&db, insert, "--trace=json"])).unwrap();
+        assert_eq!(counters(&out), (image_bytes, 2), "{out}");
+        // Once indexes are applied, opening the image rebuilds them from
+        // the indexed collection's columns: that collection is decoded by
+        // the load, the other still is not.
+        recommend(&s(&[&db, "-w", &wl, "-b", "10m", "--apply"])).unwrap();
+        let out = recommend(&s(&[&db, "-w", &wl, "-b", "10m", "--trace=json"])).unwrap();
+        assert_eq!(counters(&out.text).1, 1, "{}", out.text);
+
+        let out = exec(&s(&[&db, query, "--trace"])).unwrap();
+        assert!(out.contains("--- trace ---\nphases:"), "{out}");
+        assert!(out.contains("dom_materializations"), "{out}");
+        let err = exec(&s(&[&db, query, "--verbose"])).unwrap_err();
+        assert_eq!(err.kind, crate::ErrorKind::Usage, "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn recommend_trace_text_and_bad_format() {
         let dir = tmpdir().join("trace_text");
@@ -2158,7 +2268,7 @@ mod tests {
         let dir = tmpdir().join("trunc_db");
         std::fs::create_dir_all(&dir).unwrap();
         let (db, wl) = trace_fixture(&dir);
-        // Chop into the END trailer so the file checksum cannot verify.
+        // Chop into the trailer so the frame checksum cannot verify.
         let bytes = std::fs::read(&db).unwrap();
         std::fs::write(&db, &bytes[..bytes.len() - 5]).unwrap();
         // Strict single-statement commands refuse the corrupt file...

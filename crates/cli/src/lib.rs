@@ -9,7 +9,7 @@
 //! xia load      <db> <collection> <file...>   load XML documents [--jobs <n>] [--no-stream]
 //! xia stats     <db>                          collection/path statistics
 //! xia explain   <db> <statement>              show the optimizer's plan
-//! xia exec      <db> <statement>              execute a query
+//! xia exec      <db> <statement> [--trace]    execute a query
 //! xia recommend <db> -w <workload> -b <bytes> [-a <algo>] [--jobs <n>] [--apply] [--trace]
 //! xia whatif    <db> -w <workload> -i <spec>  price a hand-written config
 //! xia indexes   <db>                          list physical indexes
@@ -207,7 +207,8 @@ USAGE:
                                              counters, per-statement what-if costs;
                                              --why replays the decision journal for
                                              one pattern's derivation chain
-  xia exec      <db> <statement>               execute a query statement
+  xia exec      <db> <statement> [--trace[=json|text]]
+                                             execute a query statement
   xia recommend <db> -w <workload-file> -b <budget-bytes>
                 [-a greedy|heuristics|topdown-lite|topdown-full|dp|cophy]
                 [--apply] [--report] [--trace[=json|text]] [--strict]

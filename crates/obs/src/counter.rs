@@ -104,11 +104,21 @@ pub enum Counter {
     /// Iterations of the LP/knapsack relaxation loop in the `cophy`
     /// search (fractional solve + greedy rounding passes).
     LpIterations,
+    /// Bytes of the saved database image read and verified to open the
+    /// database (`Database::image_bytes`).
+    ImageBytesRead,
+    /// Collections whose DOM arenas and columnar store were decoded from
+    /// the image's document records (`Database::dom_materializations`).
+    /// The advisor reads statistics and the path dictionary only, so a
+    /// `recommend` over an image without physical indexes reports 0;
+    /// executing or mutating documents reports one per collection
+    /// touched.
+    DomMaterializations,
 }
 
 impl Counter {
     /// All counters, in declaration order.
-    pub const ALL: [Counter; 37] = [
+    pub const ALL: [Counter; 39] = [
         Counter::OptimizerEvaluateCalls,
         Counter::OptimizerEnumerateCalls,
         Counter::IndexMatchingAttempts,
@@ -146,6 +156,8 @@ impl Counter {
         Counter::TemplatesBuilt,
         Counter::StmtsCompressed,
         Counter::LpIterations,
+        Counter::ImageBytesRead,
+        Counter::DomMaterializations,
     ];
 
     /// Number of counters.
@@ -191,6 +203,8 @@ impl Counter {
             Counter::TemplatesBuilt => "templates_built",
             Counter::StmtsCompressed => "stmts_compressed",
             Counter::LpIterations => "lp_iterations",
+            Counter::ImageBytesRead => "image_bytes_read",
+            Counter::DomMaterializations => "dom_materializations",
         }
     }
 

@@ -1,6 +1,8 @@
 //! Multi-document XML collection.
 
 use crate::columnar::ColumnStore;
+use crate::persist::ImageDocs;
+use std::sync::{Mutex, OnceLock};
 use xia_obs::{Counter, Telemetry};
 use xia_xml::{
     parse_document, stream_document, DocBuilder, Document, DocumentSink, StreamSink, Symbol, Value,
@@ -27,15 +29,37 @@ impl DocId {
 /// fresh incrementally (streamed inserts fuse the column append into the
 /// parse), while deletes and in-place updates mark it dirty until the
 /// next [`Collection::ensure_columns`].
+///
+/// A collection opened from a saved image starts with its name,
+/// vocabulary and counts only: the arenas and the columns are decoded
+/// from the image's verified document records the first time something
+/// reads or writes a document ([`Collection::iter_docs`],
+/// [`Collection::doc`], [`Collection::columns`], every mutation). The
+/// advisor never does, so it never pays for them.
 #[derive(Debug)]
 pub struct Collection {
     name: String,
     vocab: Vocabulary,
-    docs: Vec<Option<Document>>,
+    /// Set from the start for a collection built in memory, on first use
+    /// for one opened from an image.
+    body: OnceLock<Body>,
+    /// The image's document records until `body` is decoded from them;
+    /// taken (and so released) by that decode.
+    image: Mutex<Option<ImageDocs>>,
+    from_image: bool,
     live: usize,
-    columns: ColumnStore,
+    /// Node total of the image's documents; read only while `body` is
+    /// unset.
+    image_nodes: u64,
     columns_clean: bool,
     telemetry: Telemetry,
+}
+
+/// The documents and their columnar projection.
+#[derive(Debug, Default)]
+struct Body {
+    docs: Vec<Option<Document>>,
+    columns: ColumnStore,
 }
 
 impl Default for Collection {
@@ -81,12 +105,60 @@ impl Collection {
         Self {
             name: name.into(),
             vocab: Vocabulary::new(),
-            docs: Vec::new(),
+            body: OnceLock::from(Body::default()),
+            image: Mutex::new(None),
+            from_image: false,
             live: 0,
-            columns: ColumnStore::new(),
+            image_nodes: 0,
             columns_clean: true,
             telemetry: Telemetry::off(),
         }
+    }
+
+    /// A collection whose documents are the verified records `image`, in
+    /// order and densely numbered, over the vocabulary they were saved
+    /// with; `nodes` is their node total. Nothing is decoded yet.
+    pub(crate) fn from_image(
+        name: String,
+        vocab: Vocabulary,
+        image: ImageDocs,
+        nodes: u64,
+    ) -> Self {
+        Self {
+            name,
+            vocab,
+            body: OnceLock::new(),
+            live: image.len(),
+            image: Mutex::new(Some(image)),
+            from_image: true,
+            image_nodes: nodes,
+            columns_clean: true,
+            telemetry: Telemetry::off(),
+        }
+    }
+
+    fn body(&self) -> &Body {
+        self.body.get_or_init(|| {
+            let image = self
+                .image
+                .lock()
+                .expect("nothing panics while holding the image")
+                .take()
+                .expect("a collection without a body still holds its image");
+            let (docs, columns) = image.decode(&self.vocab);
+            Body { docs, columns }
+        })
+    }
+
+    fn body_mut(&mut self) -> &mut Body {
+        self.body();
+        self.body.get_mut().expect("just decoded")
+    }
+
+    /// Whether this collection was opened from a saved image and its
+    /// documents have since been decoded from it.
+    pub fn decoded_from_image(&self) -> bool {
+        self.from_image && self.body.get().is_some()
     }
 
     /// The collection's name.
@@ -104,7 +176,7 @@ impl Collection {
     /// the column store, without an intermediate tree walk. Produces a
     /// state byte-identical to [`Collection::insert_xml_dom`].
     pub fn insert_xml(&mut self, xml: &str) -> Result<DocId, XmlError> {
-        let id = DocId(self.docs.len() as u32);
+        let id = DocId(self.body_mut().docs.len() as u32);
         if !self.columns_clean {
             // Columns are already stale: skip the fused append, parse
             // straight into the arena.
@@ -118,7 +190,7 @@ impl Collection {
         }
         let mut sink = ColumnDocSink {
             inner: DocumentSink::new(),
-            columns: &mut self.columns,
+            columns: &mut self.body.get_mut().expect("decoded above").columns,
             doc: id,
         };
         match stream_document(xml, &mut self.vocab, &mut sink) {
@@ -158,16 +230,18 @@ impl Collection {
     /// Stores a pre-built document. The document must have been built
     /// against this collection's vocabulary.
     pub fn insert_document(&mut self, doc: Document) -> DocId {
-        let id = DocId(self.docs.len() as u32);
-        if self.columns_clean {
-            self.columns.append_doc(id, &doc);
+        let clean = self.columns_clean;
+        let body = self.body_mut();
+        if clean {
+            body.columns.append_doc(DocId(body.docs.len() as u32), &doc);
         }
         self.push_doc(doc)
     }
 
     fn push_doc(&mut self, doc: Document) -> DocId {
-        let id = DocId(self.docs.len() as u32);
-        self.docs.push(Some(doc));
+        let docs = &mut self.body_mut().docs;
+        let id = DocId(docs.len() as u32);
+        docs.push(Some(doc));
         self.live += 1;
         id
     }
@@ -192,7 +266,7 @@ impl Collection {
     /// Removes a document, returning it. Idempotent. Marks the columnar
     /// projection stale.
     pub fn delete(&mut self, id: DocId) -> Option<Document> {
-        let slot = self.docs.get_mut(id.index())?;
+        let slot = self.body_mut().docs.get_mut(id.index())?;
         let doc = slot.take();
         if doc.is_some() {
             self.live -= 1;
@@ -203,18 +277,17 @@ impl Collection {
 
     /// Borrows a live document.
     pub fn doc(&self, id: DocId) -> Option<&Document> {
-        self.docs.get(id.index()).and_then(|d| d.as_ref())
+        self.body().docs.get(id.index()).and_then(|d| d.as_ref())
     }
 
     /// Mutably borrows a live document (used by `update` execution).
     /// Marks the columnar projection stale: the caller may rewrite leaf
     /// values behind the columns' back.
     pub fn doc_mut(&mut self, id: DocId) -> Option<&mut Document> {
-        let doc = self.docs.get_mut(id.index()).and_then(|d| d.as_mut());
-        if doc.is_some() {
+        if self.doc(id).is_some() {
             self.columns_clean = false;
         }
-        doc
+        self.body_mut().docs.get_mut(id.index())?.as_mut()
     }
 
     /// Number of live documents.
@@ -229,15 +302,19 @@ impl Collection {
 
     /// Iterates over live documents.
     pub fn iter_docs(&self) -> impl Iterator<Item = (DocId, &Document)> {
-        self.docs
+        self.body()
+            .docs
             .iter()
             .enumerate()
             .filter_map(|(i, d)| d.as_ref().map(|doc| (DocId(i as u32), doc)))
     }
 
-    /// Total node count over live documents.
+    /// Total node count over live documents. Does not decode an image.
     pub fn total_nodes(&self) -> u64 {
-        self.iter_docs().map(|(_, d)| d.len() as u64).sum()
+        match self.body.get() {
+            Some(body) => body.docs.iter().flatten().map(|d| d.len() as u64).sum(),
+            None => self.image_nodes,
+        }
     }
 
     /// Exposes the vocabulary mutably for callers that need to pre-intern
@@ -246,17 +323,19 @@ impl Collection {
         &mut self.vocab
     }
 
-    /// Total slots including tombstones.
+    /// Total slots including tombstones. Does not decode an image (its
+    /// documents are numbered densely).
     pub fn slot_count(&self) -> usize {
-        self.docs.len()
+        self.body.get().map_or(self.live, |body| body.docs.len())
     }
 
     /// Fraction of slots that are tombstones (deleted documents).
     pub fn tombstone_ratio(&self) -> f64 {
-        if self.docs.is_empty() {
+        let slots = self.slot_count();
+        if slots == 0 {
             0.0
         } else {
-            1.0 - self.live as f64 / self.docs.len() as f64
+            1.0 - self.live as f64 / slots as f64
         }
     }
 
@@ -267,13 +346,14 @@ impl Collection {
     pub fn compact(&mut self) -> Vec<(DocId, DocId)> {
         let mut mapping = Vec::with_capacity(self.live);
         let mut compacted: Vec<Option<Document>> = Vec::with_capacity(self.live);
-        for (i, slot) in self.docs.iter_mut().enumerate() {
+        let body = self.body_mut();
+        for (i, slot) in body.docs.iter_mut().enumerate() {
             if let Some(doc) = slot.take() {
                 mapping.push((DocId(i as u32), DocId(compacted.len() as u32)));
                 compacted.push(Some(doc));
             }
         }
-        self.docs = compacted;
+        body.docs = compacted;
         self.rebuild_columns();
         mapping
     }
@@ -282,7 +362,7 @@ impl Collection {
     /// delete or an in-place update). Call
     /// [`Collection::ensure_columns`] to refresh it.
     pub fn columns(&self) -> Option<&ColumnStore> {
-        self.columns_clean.then_some(&self.columns)
+        self.columns_clean.then(|| &self.body().columns)
     }
 
     /// Rebuilds the columnar projection if stale.
@@ -293,10 +373,11 @@ impl Collection {
     }
 
     fn rebuild_columns(&mut self) {
-        self.columns.clear();
-        for (i, slot) in self.docs.iter().enumerate() {
+        let Body { docs, columns } = self.body_mut();
+        columns.clear();
+        for (i, slot) in docs.iter().enumerate() {
             if let Some(doc) = slot {
-                self.columns.append_doc(DocId(i as u32), doc);
+                columns.append_doc(DocId(i as u32), doc);
             }
         }
         self.columns_clean = true;

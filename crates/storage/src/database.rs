@@ -18,6 +18,8 @@ struct Entry {
 pub struct Database {
     entries: Vec<Entry>,
     by_name: HashMap<String, usize>,
+    /// Size of the saved image this database was opened from.
+    image_bytes: u64,
 }
 
 impl Database {
@@ -45,6 +47,40 @@ impl Database {
         // Any data change invalidates cached statistics.
         self.entries[idx].stats = None;
         &mut self.entries[idx].collection
+    }
+
+    /// Adds a collection as a loader decoded it, with the statistics
+    /// saved beside it (`None` leaves them stale). The name must be new.
+    pub(crate) fn insert_loaded(&mut self, collection: Collection, stats: Option<CollectionStats>) {
+        let name = collection.name().to_string();
+        debug_assert!(!self.by_name.contains_key(&name), "loaded twice: {name}");
+        self.by_name.insert(name, self.entries.len());
+        self.entries.push(Entry {
+            collection,
+            catalog: Catalog::new(),
+            stats,
+        });
+    }
+
+    pub(crate) fn set_image_bytes(&mut self, bytes: u64) {
+        self.image_bytes = bytes;
+    }
+
+    /// Bytes of the saved image this database was opened from (0 for one
+    /// built in memory) — the `image_bytes_read` counter.
+    pub fn image_bytes(&self) -> u64 {
+        self.image_bytes
+    }
+
+    /// Collections whose documents have been decoded from that image so
+    /// far — the `dom_materializations` counter. Opening decodes none
+    /// unless it has to rebuild a physical index or recompute statistics
+    /// over a partly recovered collection.
+    pub fn dom_materializations(&self) -> u64 {
+        self.entries
+            .iter()
+            .filter(|e| e.collection.decoded_from_image())
+            .count() as u64
     }
 
     fn entry(&self, name: &str) -> Option<&Entry> {

@@ -1,6 +1,7 @@
 //! Arena-based XML document model.
 
 use crate::interner::Symbol;
+use crate::parser::MAX_XML_DEPTH;
 use crate::paths::PathId;
 // (Symbol is used in public fields and method signatures below.)
 use crate::value::Value;
@@ -46,6 +47,115 @@ pub struct Node {
     pub kind: NodeKind,
 }
 
+/// One entry of a pre-order node list: a node as a stored document
+/// records it, with its name and children left to be derived from the
+/// vocabulary and from the list's order (see [`Document::from_preorder`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreorderNode {
+    /// Interned rooted label path; its last label is the node's name.
+    pub path: PathId,
+    /// Parent node (an earlier entry), `None` for the root only.
+    pub parent: Option<NodeId>,
+    /// Element or attribute.
+    pub kind: NodeKind,
+    /// Text content, if any.
+    pub value: Option<Value>,
+}
+
+/// The rules a pre-order node list must obey to be a [`Document`] over a
+/// vocabulary, checked one node at a time without building anything:
+/// entry 0 is the root element at a one-label path; every later entry has
+/// an earlier *element* as its parent and a path that is the parent's
+/// path plus one label; every path is in the dictionary and no deeper
+/// than [`MAX_XML_DEPTH`]; attributes carry a value.
+///
+/// [`Document::from_preorder`] applies exactly these rules, so a reader
+/// that has run a list through [`PreorderCheck::admit`] once (say, when
+/// verifying a stored image) knows that building the document from the
+/// same list and vocabulary later cannot fail.
+#[derive(Debug, Default)]
+pub struct PreorderCheck {
+    /// `(path, kind)` of every node admitted so far.
+    seen: Vec<(PathId, NodeKind)>,
+}
+
+impl PreorderCheck {
+    /// A check with no node admitted yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets the admitted nodes (keeping the allocation), ready for the
+    /// next document's list.
+    pub fn restart(&mut self) {
+        self.seen.clear();
+    }
+
+    /// Admits the next node of the list and returns its name, or says
+    /// which rule it breaks. Every node of one list is checked against
+    /// the same `vocab`.
+    pub fn admit(
+        &mut self,
+        vocab: &Vocabulary,
+        path: PathId,
+        parent: Option<NodeId>,
+        kind: NodeKind,
+        has_value: bool,
+    ) -> Result<Symbol, String> {
+        let index = self.seen.len();
+        if path.index() >= vocab.paths.len() {
+            return Err(format!(
+                "node {index}: path id {} is not in the dictionary",
+                path.0
+            ));
+        }
+        let labels = vocab.paths.labels(path);
+        let Some((&name, prefix)) = labels.split_last() else {
+            return Err(format!("node {index}: path id {} has no labels", path.0));
+        };
+        if name.index() >= vocab.names.len() {
+            return Err(format!("node {index}: name {name} is not interned"));
+        }
+        if labels.len() > MAX_XML_DEPTH {
+            return Err(format!(
+                "node {index}: nested deeper than {MAX_XML_DEPTH} levels"
+            ));
+        }
+        match parent {
+            None => {
+                if index != 0 {
+                    return Err(format!("node {index} has no parent"));
+                }
+                if !prefix.is_empty() || kind != NodeKind::Element {
+                    return Err("the root is not an element at a one-label path".into());
+                }
+            }
+            Some(p) => {
+                if index == 0 {
+                    return Err("the root has a parent".into());
+                }
+                let Some(&(parent_path, parent_kind)) = self.seen.get(p.index()) else {
+                    return Err(format!("node {index}: parent {} does not precede it", p.0));
+                };
+                if parent_kind != NodeKind::Element {
+                    return Err(format!("node {index}: parent {} is an attribute", p.0));
+                }
+                if vocab.paths.labels(parent_path) != prefix {
+                    return Err(format!(
+                        "node {index}: path id {} is not one label below its parent's",
+                        path.0
+                    ));
+                }
+            }
+        }
+        if kind == NodeKind::Attribute && !has_value {
+            return Err(format!("node {index}: attribute without a value"));
+        }
+        self.seen.push((path, kind));
+        Ok(name)
+    }
+}
+
 /// An XML document: an arena of nodes with a single root element.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Document {
@@ -59,6 +169,39 @@ impl Document {
         debug_assert!(!nodes.is_empty(), "document must have a root");
         debug_assert!(nodes[0].parent.is_none(), "node 0 must be the root");
         Self { nodes }
+    }
+
+    /// Builds a document from a pre-order node list over `vocab` — the
+    /// way a stored image hands documents back, with nothing to tokenise
+    /// or intern. Names come from the paths, children lists from the
+    /// order of the entries; the list is held to the [`PreorderCheck`]
+    /// rules and the first broken one is the error.
+    pub fn from_preorder(
+        vocab: &Vocabulary,
+        nodes: impl IntoIterator<Item = PreorderNode>,
+    ) -> Result<Self, String> {
+        let nodes = nodes.into_iter();
+        let mut check = PreorderCheck::new();
+        let mut arena: Vec<Node> = Vec::with_capacity(nodes.size_hint().0);
+        for n in nodes {
+            let name = check.admit(vocab, n.path, n.parent, n.kind, n.value.is_some())?;
+            if let Some(p) = n.parent {
+                let id = NodeId(arena.len() as u32);
+                arena[p.index()].children.push(id);
+            }
+            arena.push(Node {
+                name,
+                parent: n.parent,
+                children: Vec::new(),
+                path: n.path,
+                value: n.value,
+                kind: n.kind,
+            });
+        }
+        if arena.is_empty() {
+            return Err("a document has at least a root node".into());
+        }
+        Ok(Self { nodes: arena })
     }
 
     /// The root element of the document.
@@ -174,8 +317,56 @@ impl Document {
 
 #[cfg(test)]
 mod tests {
-    use crate::DocBuilder;
+    use super::{Document, NodeId, NodeKind, PreorderNode};
     use crate::Vocabulary;
+    use crate::{DocBuilder, PathId};
+
+    fn preorder(doc: &Document) -> Vec<PreorderNode> {
+        doc.nodes()
+            .map(|(_, n)| PreorderNode {
+                path: n.path,
+                parent: n.parent,
+                kind: n.kind,
+                value: n.value.clone(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_preorder_rebuilds_names_and_children() {
+        let mut vocab = Vocabulary::new();
+        let doc = crate::parse_document(
+            r#"<a x="1"><b>2</b><c><d y="3">4 &amp; 5</d></c><b/></a>"#,
+            &mut vocab,
+        )
+        .unwrap();
+        let rebuilt = Document::from_preorder(&vocab, preorder(&doc)).unwrap();
+        assert_eq!(rebuilt, doc);
+    }
+
+    #[test]
+    fn from_preorder_rejects_every_broken_rule() {
+        let mut vocab = Vocabulary::new();
+        let doc = crate::parse_document(r#"<a x="1"><b><c>2</c></b></a>"#, &mut vocab).unwrap();
+        let good = preorder(&doc);
+        assert!(Document::from_preorder(&vocab, good.clone()).is_ok());
+        let broken = |edit: &dyn Fn(&mut Vec<PreorderNode>)| {
+            let mut nodes = good.clone();
+            edit(&mut nodes);
+            Document::from_preorder(&vocab, nodes).unwrap_err()
+        };
+        // a, a/@x, a/b, a/b/c are nodes and paths 0..=3.
+        assert!(broken(&|n| n.clear()).contains("at least a root"));
+        assert!(broken(&|n| n[0].parent = Some(NodeId(0))).contains("root has a parent"));
+        assert!(broken(&|n| n[0].path = PathId(2)).contains("one-label path"));
+        assert!(broken(&|n| n[2].parent = None).contains("no parent"));
+        assert!(broken(&|n| n[2].parent = Some(NodeId(2))).contains("does not precede"));
+        assert!(broken(&|n| n[2].parent = Some(NodeId(1))).contains("is an attribute"));
+        assert!(broken(&|n| n[3].parent = Some(NodeId(0))).contains("one label below"));
+        assert!(broken(&|n| n[3].path = PathId(9)).contains("not in the dictionary"));
+        assert!(broken(&|n| n[1].value = None).contains("attribute without a value"));
+        assert!(broken(&|n| n[0].kind = NodeKind::Attribute).contains("one-label path"));
+    }
 
     #[test]
     fn document_order_ids() {

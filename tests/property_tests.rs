@@ -952,3 +952,148 @@ fn prepared_plans_equal_one_shot_plans() {
     }
     assert!(indexed_plans > 100, "only {indexed_plans} indexed plans");
 }
+
+/// Every number in a collection's statistics, floats as their bits.
+fn stats_bits(stats: &xia_storage::CollectionStats) -> Vec<u64> {
+    let mut bits = vec![stats.doc_count, stats.node_count, stats.value_bytes];
+    for p in &stats.per_path {
+        bits.extend([
+            p.node_count,
+            p.doc_count,
+            p.value_count,
+            p.numeric_count,
+            p.distinct_values,
+            p.value_bytes,
+            p.histogram.len() as u64,
+        ]);
+        for v in [p.min_num, p.max_num] {
+            bits.extend([v.is_some() as u64, v.map_or(0, f64::to_bits)]);
+        }
+        bits.extend(p.histogram.iter().map(|b| b.to_bits()));
+    }
+    bits
+}
+
+/// The identity a saved image owes the database it was saved from: over
+/// random documents — some deleted again, one collection physically
+/// indexed — ingest → save → load gives the same vocabulary (ids of the
+/// deleted documents' names included), bit-equal statistics, and a
+/// byte-identical `Advisor::recommend` reply for a random workload, all
+/// *before* any document of the unindexed collection has been decoded;
+/// and once decoded, the documents, the column store and the physical
+/// indexes are those of a dense re-ingest (the ingested database
+/// compacted: tombstones dropped, documents renumbered, columns and
+/// indexes rebuilt).
+#[test]
+fn saved_image_is_the_ingested_database() {
+    use xia_advisor::{Advisor, AdvisorParams, Recommendation, SearchAlgorithm};
+    use xia_storage::{load_database_from, save_database_to, Database, DocId};
+    use xia_workloads::synthetic::{generate_queries, SyntheticConfig};
+    use xia_workloads::Workload;
+    use xia_xpath::ValueKind;
+
+    fn reply(db: &mut Database, workload: &Workload, budget: u64) -> String {
+        let rec = Advisor::recommend(
+            db,
+            workload,
+            budget,
+            SearchAlgorithm::GreedyHeuristics,
+            &AdvisorParams::default(),
+        )
+        .expect("the workload can be advised");
+        format!(
+            "{:?}",
+            Recommendation {
+                advisor_time: std::time::Duration::ZERO,
+                ..rec
+            }
+        )
+    }
+
+    let mut rng = Prng::seed_from_u64(0x16);
+    for case in 0..12 {
+        let mut db = Database::new();
+        let mut texts = Vec::new();
+        for name in ["P", "Q"] {
+            let coll = db.create_collection(name);
+            let docs = rng.gen_range(8..40);
+            for _ in 0..docs {
+                let mut text = String::new();
+                random_xml_element(&mut rng, 3, &mut text);
+                coll.insert_xml(&text).expect("generated XML parses");
+            }
+            // Queries over what was ingested, deleted documents included.
+            texts.extend(generate_queries(
+                coll,
+                &SyntheticConfig {
+                    queries: 6,
+                    seed: rng.gen_range(0u64..1000),
+                    ..Default::default()
+                },
+            ));
+            // The first document interned the first names and paths.
+            coll.delete(DocId(0));
+            for _ in 0..rng.gen_range(0..4) {
+                coll.delete(DocId(rng.gen_range(0..docs) as u32));
+            }
+        }
+        let (coll, catalog, _) = db.parts_mut("Q").expect("created above");
+        catalog.create_physical(coll, &linear_path(&mut rng), ValueKind::Str);
+        db.runstats_all();
+        let mut workload = Workload::new();
+        for text in &texts {
+            // A sampled value may hold a quote the statement syntax lacks.
+            let _ = workload.try_push_with_freq(text, 1.0);
+        }
+        assert!(!workload.is_empty(), "case {case}: no statement parsed");
+        let budget = 1 << rng.gen_range(8..16);
+        let expected = reply(&mut db, &workload, budget);
+
+        let mut image = Vec::new();
+        save_database_to(&db, &mut image).expect("save");
+        let mut loaded = load_database_from(&mut image.as_slice()).expect("load");
+
+        for name in ["P", "Q"] {
+            assert_eq!(
+                loaded.collection(name).unwrap().vocab(),
+                db.collection(name).unwrap().vocab(),
+                "case {case}: {name} vocabulary"
+            );
+            assert_eq!(
+                stats_bits(loaded.stats_cached(name).expect("fresh at load")),
+                stats_bits(db.stats_cached(name).unwrap()),
+                "case {case}: {name} statistics"
+            );
+        }
+        assert_eq!(
+            reply(&mut loaded, &workload, budget),
+            expected,
+            "case {case}"
+        );
+        assert!(
+            !loaded.collection("P").unwrap().decoded_from_image()
+                && loaded.dom_materializations() == 1,
+            "case {case}: advising decoded documents"
+        );
+
+        db.compact_all();
+        for name in ["P", "Q"] {
+            let (a, b) = (
+                loaded.collection(name).unwrap(),
+                db.collection(name).unwrap(),
+            );
+            assert!(a.iter_docs().eq(b.iter_docs()), "case {case}: {name} docs");
+            assert_eq!(a.columns(), b.columns(), "case {case}: {name} columns");
+            let (a, b) = (loaded.catalog(name).unwrap(), db.catalog(name).unwrap());
+            assert_eq!(a.len(), b.len(), "case {case}: {name} indexes");
+            for (d, e) in a.iter().zip(b.iter()) {
+                assert!(
+                    d.pattern == e.pattern && d.kind == e.kind && d.physical == e.physical,
+                    "case {case}: {name} index {}",
+                    d.pattern
+                );
+            }
+        }
+        assert_eq!(loaded.dom_materializations(), 2);
+    }
+}
