@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use xia_obs::{Counter, Event, EventJournal, Telemetry};
 use xia_workloads::Workload;
-use xia_xpath::{fnv1a, template_key};
+use xia_xpath::{fnv1a, write_template_key};
 
 /// One cluster of cost-identical statements.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,12 +82,16 @@ pub fn compute_weights(templates: &[WorkloadTemplate]) -> (u64, f64) {
 
 /// Compresses a workload into weighted cost-identity templates.
 ///
-/// Statements are clustered by [`template_key`]; each cluster keeps its
-/// first member as the representative and accumulates the members'
-/// frequencies (exact bookkeeping — weights are added in member order, so
-/// the result is a pure function of the workload). Emits the
+/// Statements are clustered by [`xia_xpath::template_key`]; each cluster
+/// keeps its first member as the representative and accumulates the
+/// members' frequencies (exact bookkeeping — weights are added in member
+/// order, so the result is a pure function of the workload). Emits the
 /// `templates_built` / `stmts_compressed` counters and a
 /// [`Event::WorkloadCompressed`] journal line.
+///
+/// Each statement's key is written into one reused buffer and looked up
+/// borrowed, so only a statement that opens a new template allocates (its
+/// key, once); identity is the comparison of whole keys by the map.
 pub fn compress_workload(
     w: &Workload,
     telemetry: &Telemetry,
@@ -95,9 +99,11 @@ pub fn compress_workload(
 ) -> CompressedWorkload {
     let mut by_key: HashMap<String, usize> = HashMap::new();
     let mut templates: Vec<WorkloadTemplate> = Vec::new();
+    let mut key = String::new();
     for (si, entry) in w.entries().iter().enumerate() {
-        let key = template_key(&entry.statement);
-        match by_key.get(&key) {
+        key.clear();
+        write_template_key(&entry.statement, &mut key).expect("writing to a String cannot fail");
+        match by_key.get(key.as_str()) {
             Some(&ti) => {
                 let t = &mut templates[ti];
                 // Saturating, not wrapping: see `compute_weights`.
@@ -105,11 +111,11 @@ pub fn compress_workload(
                 t.weight += entry.freq;
             }
             None => {
-                let fingerprint = fnv1a(key.as_bytes());
                 by_key.insert(key.clone(), templates.len());
                 templates.push(WorkloadTemplate {
-                    key,
-                    fingerprint,
+                    // Moved in from the map once every statement is placed.
+                    key: String::new(),
+                    fingerprint: fnv1a(key.as_bytes()),
                     representative: si,
                     members: 1,
                     weight: entry.freq,
@@ -117,7 +123,10 @@ pub fn compress_workload(
             }
         }
     }
-    let mut compressed = Workload::new();
+    for (key, ti) in by_key {
+        templates[ti].key = key;
+    }
+    let mut compressed = Workload::with_capacity(templates.len());
     for t in &templates {
         let rep = &w.entries()[t.representative];
         compressed.push_statement(rep.statement.clone(), t.weight, rep.text.clone());
@@ -195,6 +204,79 @@ mod tests {
         assert_eq!(a.templates[0].representative, 0);
         assert_eq!(a.templates[0].members, 2);
         assert_eq!(a.templates[1].representative, 1);
+    }
+
+    /// The compressor is the obvious fold — one `template_key` per
+    /// statement into a map — with the per-statement allocations taken out.
+    #[test]
+    fn compression_equals_a_per_statement_key_fold() {
+        use xia_workloads::prng::Prng;
+        use xia_xpath::template_key;
+        const NAMES: [&str; 4] = ["a", "b", "Sector", "Yield"];
+        let mut rng = Prng::seed_from_u64(0xc0de);
+        let name = |rng: &mut Prng| NAMES[rng.gen_range(0..NAMES.len())];
+        let mut w = Workload::new();
+        for _ in 0..3000 {
+            let (root, leaf, other) = (name(&mut rng), name(&mut rng), name(&mut rng));
+            let op = ["=", "=", ">=", "<", "!="][rng.gen_range(0..5)];
+            let value = match rng.gen_range(0..3) {
+                0 => format!("\"v{}\"", rng.gen_range(0..50)),
+                1 => rng.gen_range(0..4).to_string(),
+                _ => format!("{}.5", rng.gen_range(0..3)),
+            };
+            let text = match rng.gen_range(0..8) {
+                0..=3 => format!("collection('C')/{root}[{leaf} {op} {value}]"),
+                4 => format!("collection('C')/{root}[{leaf} {op} {value} or {other}]/{other}"),
+                5 => format!(
+                    "for $v in S('D')/{root} where $v/{leaf} {op} {value} \
+                     order by $v/{other} return $v/{other}"
+                ),
+                6 => format!(
+                    "delete from C where /{root}[{leaf} = {}]",
+                    rng.gen_range(0..3)
+                ),
+                _ => format!("update C set /{root}/{leaf} = {value} where /{root}[{other}]"),
+            };
+            let freq = [1.0, 0.1, 2.5, 1e-3][rng.gen_range(0..4)];
+            w.push_with_freq(&text, freq).unwrap();
+        }
+
+        let mut by_key: HashMap<String, usize> = HashMap::new();
+        let mut want: Vec<WorkloadTemplate> = Vec::new();
+        for (si, entry) in w.entries().iter().enumerate() {
+            let key = template_key(&entry.statement);
+            if let Some(&ti) = by_key.get(&key) {
+                want[ti].members += 1;
+                want[ti].weight += entry.freq;
+            } else {
+                by_key.insert(key.clone(), want.len());
+                want.push(WorkloadTemplate {
+                    fingerprint: fnv1a(key.as_bytes()),
+                    key,
+                    representative: si,
+                    members: 1,
+                    weight: entry.freq,
+                });
+            }
+        }
+        assert!(
+            want.len() > 100 && want.len() < w.len() / 2,
+            "{} templates of {} statements",
+            want.len(),
+            w.len()
+        );
+
+        let got = compress_workload(&w, &Telemetry::off(), &EventJournal::off());
+        assert_eq!(got.templates, want);
+        assert_eq!(got.original_statements, w.len());
+        assert_eq!(got.workload.len(), want.len());
+        for ((t, g), entry) in want.iter().zip(&got.templates).zip(got.workload.entries()) {
+            assert_eq!(g.weight.to_bits(), t.weight.to_bits(), "{}", t.key);
+            let rep = &w.entries()[t.representative];
+            assert_eq!(entry.text, rep.text);
+            assert_eq!(entry.statement, rep.statement);
+            assert_eq!(entry.freq.to_bits(), t.weight.to_bits());
+        }
     }
 
     #[test]

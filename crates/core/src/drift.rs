@@ -20,7 +20,7 @@
 //! fed the same statements report byte-identical drift.
 
 use std::collections::HashMap;
-use xia_xpath::{fnv1a, template_key, Statement};
+use xia_xpath::{template_fingerprint, Statement};
 
 /// Template-mass drift detector. See the module docs.
 #[derive(Debug, Clone, Default)]
@@ -39,7 +39,7 @@ impl DriftTracker {
 
     /// Accumulates one observed statement's frequency mass.
     pub fn observe(&mut self, statement: &Statement, freq: f64) {
-        let fp = fnv1a(template_key(statement).as_bytes());
+        let fp = template_fingerprint(statement);
         *self.current.entry(fp).or_insert(0.0) += freq.max(0.0);
     }
 

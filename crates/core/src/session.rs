@@ -37,7 +37,7 @@ use crate::runctl::{RunController, WarmCostStore};
 use std::cell::OnceCell;
 use xia_storage::Database;
 use xia_workloads::Workload;
-use xia_xpath::ParseError;
+use xia_xpath::{ParseError, Statement};
 
 /// Prepared candidate state plus how much of the compressed workload it
 /// covers.
@@ -86,9 +86,17 @@ impl TuningSession {
     /// Adds one statement with an explicit frequency. Prepared candidates
     /// are kept; the next `recommend` extends them incrementally.
     pub fn observe_with_freq(&mut self, statement_text: &str, freq: f64) -> Result<(), ParseError> {
-        self.workload.push_with_freq(statement_text, freq)?;
-        self.compressed.take();
+        let statement = xia_xpath::parse_statement(statement_text)?;
+        self.observe_statement(statement, freq, statement_text);
         Ok(())
+    }
+
+    /// Adds one statement the caller has already parsed from `text` (the
+    /// server parses once and reads the statement for its drift histogram
+    /// before handing it over).
+    pub fn observe_statement(&mut self, statement: Statement, freq: f64, text: &str) {
+        self.workload.push_statement(statement, freq, text.trim());
+        self.compressed.take();
     }
 
     /// Number of observed statements.
@@ -201,6 +209,36 @@ mod tests {
         let mut db = Database::new();
         tpox::generate(&mut db, &TpoxConfig::tiny());
         db
+    }
+
+    #[test]
+    fn observing_a_parsed_statement_equals_observing_its_text() {
+        let texts = [
+            "  collection('SDOC')/Security[Yield > 4.5]  ",
+            r#"for $o in ORDER('ODOC')/Order where $o/AccountId = "A00001" return $o"#,
+        ];
+        let (mut by_text, mut parsed) = (TuningSession::new(), TuningSession::new());
+        for (i, text) in texts.iter().enumerate() {
+            let freq = 1.5 + i as f64;
+            by_text.observe_with_freq(text, freq).unwrap();
+            // A cached compression must be dropped here too.
+            let _ = parsed.workload();
+            parsed.observe_statement(xia_xpath::parse_statement(text).unwrap(), freq, text);
+        }
+        assert_eq!(parsed.observed(), 2);
+        assert_eq!(parsed.workload().len(), 2);
+        let entries = |s: &TuningSession| {
+            let w = s.workload();
+            w.entries()
+                .iter()
+                .map(|e| (e.statement.clone(), e.freq.to_bits(), e.text.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(entries(&parsed), entries(&by_text));
+        assert_eq!(
+            entries(&parsed)[0].2,
+            "collection('SDOC')/Security[Yield > 4.5]"
+        );
     }
 
     #[test]

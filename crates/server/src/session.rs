@@ -156,18 +156,13 @@ impl ServerSession {
         let mut quarantined = 0u64;
         let mut diagnostics = Vec::new();
         for (i, (text, freq)) in statements.iter().enumerate() {
+            // Parsed once: the drift histogram reads the statement, the
+            // tuning session keeps it.
             match xia_xpath::parse_statement(text) {
                 Ok(statement) => {
                     self.drift.observe(&statement, *freq);
-                    match self.tuning.observe_with_freq(text, *freq) {
-                        Ok(()) => accepted += 1,
-                        Err(e) => {
-                            quarantined += 1;
-                            if diagnostics.len() < 8 {
-                                diagnostics.push((i, e.to_string()));
-                            }
-                        }
-                    }
+                    self.tuning.observe_statement(statement, *freq, text);
+                    accepted += 1;
                 }
                 Err(e) => {
                     quarantined += 1;

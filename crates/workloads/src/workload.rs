@@ -26,6 +26,13 @@ impl Workload {
         Self::default()
     }
 
+    /// Creates an empty workload with room for `statements` entries.
+    pub fn with_capacity(statements: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(statements),
+        }
+    }
+
     /// Parses and appends a statement with frequency 1.
     pub fn push(&mut self, text: &str) -> Result<(), ParseError> {
         self.push_with_freq(text, 1.0)
@@ -53,7 +60,8 @@ impl Workload {
 
     /// Builds a workload from statement texts, all with frequency 1.
     pub fn from_texts<'a>(texts: impl IntoIterator<Item = &'a str>) -> Result<Self, ParseError> {
-        let mut w = Self::new();
+        let texts = texts.into_iter();
+        let mut w = Self::with_capacity(texts.size_hint().0);
         for t in texts {
             w.push(t)?;
         }

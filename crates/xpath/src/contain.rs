@@ -300,7 +300,7 @@ impl CoverCache {
 /// statement, so a candidate index that matches *no* target here provably
 /// cannot appear in any plan for the statement — the soundness basis of
 /// relevance pruning.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StatementSignature {
     /// Collection the statement runs against.
     pub collection: String,
@@ -355,26 +355,61 @@ impl StatementSignature {
 /// pattern, the set of workload statements whose plans could possibly use
 /// it. Built once per advise run from the statements' signatures — deriving
 /// a candidate's row costs only containment checks, never optimizer calls.
+///
+/// Statements with equal signatures admit exactly the same indexes, and a
+/// workload of thousands of templates has a few hundred distinct
+/// signatures (templates that differ in a range literal or a return path
+/// probe the same patterns). The matrix therefore keeps each distinct
+/// signature once, asks it once per candidate, and fans the verdict out to
+/// its member statements.
 #[derive(Debug, Default)]
 pub struct RelevanceMatrix {
-    signatures: Vec<StatementSignature>,
+    /// The distinct signatures, in first-occurrence order.
+    distinct: Vec<StatementSignature>,
+    /// Per statement, in workload order: its signature's index in
+    /// `distinct`.
+    group_of: Vec<usize>,
 }
 
 impl RelevanceMatrix {
     /// Builds a matrix over a workload's statement signatures (one entry
     /// per statement, in workload order).
     pub fn new(signatures: Vec<StatementSignature>) -> Self {
-        Self { signatures }
+        let mut index: HashMap<StatementSignature, usize> = HashMap::new();
+        let mut distinct = Vec::new();
+        let group_of = signatures
+            .into_iter()
+            .map(|sig| match index.get(&sig) {
+                Some(&group) => group,
+                None => {
+                    distinct.push(sig.clone());
+                    index.insert(sig, distinct.len() - 1);
+                    distinct.len() - 1
+                }
+            })
+            .collect();
+        Self { distinct, group_of }
     }
 
     /// Number of statements covered.
     pub fn len(&self) -> usize {
-        self.signatures.len()
+        self.group_of.len()
     }
 
     /// Whether the matrix covers no statements.
     pub fn is_empty(&self) -> bool {
-        self.signatures.is_empty()
+        self.group_of.is_empty()
+    }
+
+    /// The statements (ascending indexes) whose signature `admits`.
+    fn members_of(&self, admits: impl Fn(&StatementSignature) -> bool) -> Vec<usize> {
+        let admitted: Vec<bool> = self.distinct.iter().map(admits).collect();
+        self.group_of
+            .iter()
+            .enumerate()
+            .filter(|(_, &group)| admitted[group])
+            .map(|(si, _)| si)
+            .collect()
     }
 
     /// The statements (ascending indexes) a candidate index with this
@@ -385,12 +420,7 @@ impl RelevanceMatrix {
         pattern: &LinearPath,
         kind: ValueKind,
     ) -> Vec<usize> {
-        self.signatures
-            .iter()
-            .enumerate()
-            .filter(|(_, sig)| sig.admits(collection, pattern, kind))
-            .map(|(si, _)| si)
-            .collect()
+        self.members_of(|sig| sig.admits(collection, pattern, kind))
     }
 
     /// [`Self::relevant_statements`] through a shared [`CoverCache`] —
@@ -403,12 +433,7 @@ impl RelevanceMatrix {
         kind: ValueKind,
         cache: &CoverCache,
     ) -> Vec<usize> {
-        self.signatures
-            .iter()
-            .enumerate()
-            .filter(|(_, sig)| sig.admits_with(collection, pattern, kind, cache))
-            .map(|(si, _)| si)
-            .collect()
+        self.members_of(|sig| sig.admits_with(collection, pattern, kind, cache))
     }
 }
 
@@ -784,6 +809,74 @@ mod tests {
             }
         }
         assert!(cache.stats().hits > 0, "repeat probes should hit the memo");
+    }
+
+    /// Grouping statements by signature changes no row: for every probe,
+    /// with and without the cover cache, the matrix returns exactly the
+    /// statements whose own signature admits the candidate, ascending —
+    /// what one `admits` call per statement returned before signatures
+    /// were shared.
+    #[test]
+    fn rows_fanned_out_from_distinct_signatures_equal_per_statement_rows() {
+        let mut state = 0x51C5u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            (z ^ (z >> 31)) as usize
+        };
+        let kinds = [Some(ValueKind::Str), Some(ValueKind::Num), None];
+        let colls = ["C1", "C2"];
+        // A template-shaped workload: 400 statements over 14 signatures,
+        // one of them an insert's (no targets).
+        let mut shapes = vec![StatementSignature {
+            collection: "C1".to_string(),
+            targets: Vec::new(),
+        }];
+        while shapes.len() < 14 {
+            let collection = colls[next() % colls.len()].to_string();
+            let targets = (0..1 + next() % 3)
+                .map(|_| (lp(POOL[next() % POOL.len()]), kinds[next() % kinds.len()]))
+                .collect();
+            shapes.push(StatementSignature {
+                collection,
+                targets,
+            });
+        }
+        let sigs: Vec<StatementSignature> = (0..400)
+            .map(|_| shapes[next() % shapes.len()].clone())
+            .collect();
+        let m = RelevanceMatrix::new(sigs.clone());
+        assert_eq!(m.len(), 400);
+        let targets_of_all_shapes: usize = shapes.iter().map(|sig| sig.targets.len()).sum();
+        let mut admitted = 0;
+        for p in &POOL {
+            let pat = lp(p);
+            for coll in &colls {
+                for kind in [ValueKind::Str, ValueKind::Num] {
+                    let cache = CoverCache::new();
+                    let want: Vec<usize> = sigs
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, sig)| sig.admits(coll, &pat, kind))
+                        .map(|(si, _)| si)
+                        .collect();
+                    assert_eq!(m.relevant_statements(coll, &pat, kind), want, "{p}");
+                    assert_eq!(
+                        m.relevant_statements_cached(coll, &pat, kind, &cache),
+                        want,
+                        "{p} through the cover cache"
+                    );
+                    // One row asks each distinct signature at most once,
+                    // however many statements carry it.
+                    let asked = cache.stats().hits + cache.stats().entries;
+                    assert!(asked as usize <= targets_of_all_shapes, "{p}: {asked}");
+                    admitted += want.len();
+                }
+            }
+        }
+        assert!(admitted > 400, "the probes must admit statements");
     }
 
     #[test]

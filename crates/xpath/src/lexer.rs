@@ -1,22 +1,38 @@
-//! Token stream shared by the XPath and XQuery-lite parsers.
+//! Token stream shared by the XPath, XQuery-lite and SQL/XML-lite parsers.
+//!
+//! Tokens **borrow** from the statement text: a name, variable or string
+//! literal is a `&str` slice of the input, so [`Token`] is `Copy` and lexing
+//! allocates once — the token buffer, reserved up front from the input's
+//! length. Nothing is lower-cased or copied here; keywords are
+//! matched case-insensitively by the parsers, and the parsers copy a slice
+//! out only where the AST keeps it (a collection name, a literal). A
+//! statement stream's lexing cost therefore follows the bytes lexed, not the
+//! number of tokens.
+//!
+//! Every failure carries the byte offset of the offending character in
+//! [`ParseError::offset`]; the message itself names no position.
 
+use crate::parser::ParseError;
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+/// A lexical token, borrowing its text from the lexed input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'a> {
     /// `/`
     Slash,
     /// `//`
     DblSlash,
     /// `*`
     Star,
+    /// `.` with no digit after it: the context node (the empty relative
+    /// path). `.5` is a number.
+    Dot,
     /// A name (element name or keyword; keywords are resolved by parsers).
-    Name(String),
+    Name(&'a str),
     /// `$name`
-    Var(String),
+    Var(&'a str),
     /// A quoted string literal (quotes stripped, entities not processed).
-    Str(String),
+    Str(&'a str),
     /// A numeric literal.
     Num(f64),
     /// `[`
@@ -49,12 +65,13 @@ pub enum Token {
     Assign,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Slash => write!(f, "/"),
             Token::DblSlash => write!(f, "//"),
             Token::Star => write!(f, "*"),
+            Token::Dot => write!(f, "."),
             Token::Name(n) => write!(f, "{n}"),
             Token::Var(v) => write!(f, "${v}"),
             Token::Str(s) => write!(f, "\"{s}\""),
@@ -77,11 +94,21 @@ impl fmt::Display for Token {
     }
 }
 
+fn lex_error(offset: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
+        offset,
+        message: message.into(),
+    }
+}
+
 /// Tokenizes `input`. Returns tokens with their byte offsets.
-pub fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, String> {
+pub fn tokenize(input: &str) -> Result<Vec<(usize, Token<'_>)>, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let mut out = Vec::new();
+    // Statement text averages four bytes a token; half the input length
+    // covers anything but runs of one-byte tokens, which grow the buffer as
+    // any `Vec` does.
+    let mut out = Vec::with_capacity(input.len() / 2 + 1);
     while pos < bytes.len() {
         let c = bytes[pos];
         match c {
@@ -156,7 +183,7 @@ pub fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, String> {
                     out.push((pos, Token::Ne));
                     pos += 2;
                 } else {
-                    return Err(format!("unexpected `!` at byte {pos}"));
+                    return Err(lex_error(pos, "unexpected `!`"));
                 }
             }
             b':' => {
@@ -164,7 +191,7 @@ pub fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, String> {
                     out.push((pos, Token::Assign));
                     pos += 2;
                 } else {
-                    return Err(format!("unexpected `:` at byte {pos}"));
+                    return Err(lex_error(pos, "unexpected `:`"));
                 }
             }
             b'$' => {
@@ -174,9 +201,9 @@ pub fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, String> {
                     end += 1;
                 }
                 if end == start {
-                    return Err(format!("expected variable name at byte {pos}"));
+                    return Err(lex_error(pos, "expected variable name"));
                 }
-                out.push((pos, Token::Var(input[start..end].to_string())));
+                out.push((pos, Token::Var(&input[start..end])));
                 pos = end;
             }
             b'"' | b'\'' => {
@@ -187,10 +214,14 @@ pub fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, String> {
                     end += 1;
                 }
                 if end == bytes.len() {
-                    return Err(format!("unterminated string literal at byte {pos}"));
+                    return Err(lex_error(pos, "unterminated string literal"));
                 }
-                out.push((pos, Token::Str(input[start..end].to_string())));
+                out.push((pos, Token::Str(&input[start..end])));
                 pos = end + 1;
+            }
+            b'.' if !bytes.get(pos + 1).is_some_and(u8::is_ascii_digit) => {
+                out.push((pos, Token::Dot));
+                pos += 1;
             }
             b'0'..=b'9' | b'-' | b'+' | b'.' => {
                 let start = pos;
@@ -208,7 +239,7 @@ pub fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, String> {
                 let text = &input[start..end];
                 let n: f64 = text
                     .parse()
-                    .map_err(|_| format!("bad numeric literal `{text}` at byte {pos}"))?;
+                    .map_err(|_| lex_error(pos, format!("bad numeric literal `{text}`")))?;
                 out.push((pos, Token::Num(n)));
                 pos = end;
             }
@@ -218,21 +249,21 @@ pub fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, String> {
                 while end < bytes.len() && is_name_byte(bytes[end]) {
                     end += 1;
                 }
-                out.push((pos, Token::Name(input[start..end].to_string())));
+                out.push((pos, Token::Name(&input[start..end])));
                 pos = end;
             }
             _ => {
-                return Err(format!(
-                    "unexpected character `{}` at byte {pos}",
-                    c as char
-                ))
+                return Err(lex_error(
+                    pos,
+                    format!("unexpected character `{}`", c as char),
+                ));
             }
         }
     }
     Ok(out)
 }
 
-fn is_name_byte(c: u8) -> bool {
+pub(crate) fn is_name_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.')
 }
 
@@ -240,18 +271,21 @@ fn is_name_byte(c: u8) -> bool {
 mod tests {
     use super::*;
 
-    #[test]
-    fn tokenizes_paths() {
-        let toks: Vec<Token> = tokenize("/Security//*")
+    fn toks(input: &str) -> Vec<Token<'_>> {
+        tokenize(input)
             .unwrap()
             .into_iter()
             .map(|(_, t)| t)
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn tokenizes_paths() {
         assert_eq!(
-            toks,
+            toks("/Security//*"),
             vec![
                 Token::Slash,
-                Token::Name("Security".into()),
+                Token::Name("Security"),
                 Token::DblSlash,
                 Token::Star
             ]
@@ -260,16 +294,11 @@ mod tests {
 
     #[test]
     fn tokenizes_predicates_and_operators() {
-        let toks: Vec<Token> = tokenize("[Yield >= 4.5]")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
         assert_eq!(
-            toks,
+            toks("[Yield >= 4.5]"),
             vec![
                 Token::LBracket,
-                Token::Name("Yield".into()),
+                Token::Name("Yield"),
                 Token::Ge,
                 Token::Num(4.5),
                 Token::RBracket
@@ -279,31 +308,76 @@ mod tests {
 
     #[test]
     fn tokenizes_variables_and_strings() {
-        let toks: Vec<Token> = tokenize("$sec/Symbol = \"BCIIPRC\"")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
         assert_eq!(
-            toks,
+            toks("$sec/Symbol = \"BCIIPRC\""),
             vec![
-                Token::Var("sec".into()),
+                Token::Var("sec"),
                 Token::Slash,
-                Token::Name("Symbol".into()),
+                Token::Name("Symbol"),
                 Token::Eq,
-                Token::Str("BCIIPRC".into())
+                Token::Str("BCIIPRC")
             ]
         );
     }
 
     #[test]
+    fn tokens_borrow_the_input_and_report_their_offsets() {
+        let input = "  $v/Name = 'x y'";
+        let tokens = tokenize(input).unwrap();
+        let offsets: Vec<usize> = tokens.iter().map(|(o, _)| *o).collect();
+        assert_eq!(offsets, vec![2, 4, 5, 10, 12]);
+        // The slices are the input's own bytes, not copies.
+        let Token::Str(s) = tokens[4].1 else {
+            panic!("expected a string literal")
+        };
+        assert!(std::ptr::eq(s.as_ptr(), input[13..].as_ptr()));
+    }
+
+    #[test]
     fn negative_numbers_and_exponents() {
-        let toks: Vec<Token> = tokenize("-1.5e3")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
-        assert_eq!(toks, vec![Token::Num(-1500.0)]);
+        assert_eq!(toks("-1.5e3"), vec![Token::Num(-1500.0)]);
+    }
+
+    #[test]
+    fn a_dot_no_digit_follows_is_the_context_node() {
+        assert_eq!(
+            toks("[. = 1]"),
+            vec![
+                Token::LBracket,
+                Token::Dot,
+                Token::Eq,
+                Token::Num(1.0),
+                Token::RBracket
+            ]
+        );
+        assert_eq!(
+            toks(".//b"),
+            vec![Token::Dot, Token::DblSlash, Token::Name("b")]
+        );
+        assert_eq!(toks("."), vec![Token::Dot]);
+        // A leading-dot fraction is still a number, and a dot inside a
+        // name still belongs to the name.
+        assert_eq!(toks(".5"), vec![Token::Num(0.5)]);
+        assert_eq!(toks("a.b"), vec![Token::Name("a.b")]);
+    }
+
+    #[test]
+    fn errors_carry_the_byte_offset_and_name_no_position() {
+        for (input, offset, message) in [
+            ("a = \"abc", 4, "unterminated string literal"),
+            ("a ! b", 2, "unexpected `!`"),
+            ("ab : c", 3, "unexpected `:`"),
+            ("x/$", 2, "expected variable name"),
+            ("/a[b = 1e]", 7, "bad numeric literal `1e`"),
+            ("/a ? b", 3, "unexpected character `?`"),
+        ] {
+            let err = tokenize(input).unwrap_err();
+            assert_eq!((err.offset, err.message.as_str()), (offset, message));
+        }
+        assert_eq!(
+            tokenize("a = \"abc").unwrap_err().to_string(),
+            "parse error at byte 4: unterminated string literal"
+        );
     }
 
     #[test]
@@ -318,11 +392,6 @@ mod tests {
 
     #[test]
     fn single_quotes_accepted() {
-        let toks: Vec<Token> = tokenize("'SDOC'")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
-        assert_eq!(toks, vec![Token::Str("SDOC".into())]);
+        assert_eq!(toks("'SDOC'"), vec![Token::Str("SDOC")]);
     }
 }

@@ -17,6 +17,10 @@
 //!   patterns*: the rewritten, indexable linear patterns the optimizer
 //!   matches indexes against (this performs the query rewrites that expose
 //!   candidates C1/C2 in the paper's Table I).
+//! * [`template`] — the cost identity of a statement: one walker over the
+//!   AST that writes the canonical template key to a `String`, an FNV-1a
+//!   fingerprint, or a caller's reused buffer (workload compression, fault
+//!   salts, drift histograms).
 
 pub mod ast;
 pub mod contain;
@@ -43,5 +47,5 @@ pub use normalize::{
 pub use parser::{parse_linear_path, parse_path_expr, ParseError, MAX_PATH_STEPS};
 pub use sqlxml::parse_sqlxml;
 pub use statement::{Statement, ValueKind};
-pub use template::{fnv1a, template_fingerprint, template_key};
+pub use template::{fnv1a, template_fingerprint, template_key, write_template_key};
 pub use xquery::{parse_statement, FlworQuery, ReturnExpr};

@@ -1,4 +1,12 @@
 //! Recursive-descent parser for XPath path expressions.
+//!
+//! All three surface languages parse from a [`TokenCursor`]: the tokens of
+//! one input, lexed eagerly (so a lexer error anywhere in the text is
+//! reported before any grammar error) and borrowed from it. The cursor
+//! lives for one parse call and never outlives the text it was built
+//! from; `peek` and `next` hand tokens out by value (`Token` is `Copy`),
+//! and a parser copies a slice into an owned `String` only where the AST
+//! keeps it.
 
 use crate::ast::{CmpOp, Literal, PathExpr, Predicate, Step};
 use crate::lexer::{tokenize, Token};
@@ -8,7 +16,8 @@ use std::fmt;
 /// Parse error with byte offset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
-    /// Byte offset of the offending token (input length for end-of-input).
+    /// Byte offset of the offending token or character (input length for
+    /// end-of-input).
     pub offset: usize,
     /// Description of what went wrong.
     pub message: String,
@@ -30,28 +39,27 @@ impl std::error::Error for ParseError {}
 /// pipeline.
 pub const MAX_PATH_STEPS: usize = 4096;
 
-pub(crate) struct TokenCursor {
-    tokens: Vec<(usize, Token)>,
+pub(crate) struct TokenCursor<'a> {
+    tokens: Vec<(usize, Token<'a>)>,
     pos: usize,
     input_len: usize,
 }
 
-impl TokenCursor {
-    pub(crate) fn new(input: &str) -> Result<Self, ParseError> {
-        let tokens = tokenize(input).map_err(|message| ParseError { offset: 0, message })?;
+impl<'a> TokenCursor<'a> {
+    pub(crate) fn new(input: &'a str) -> Result<Self, ParseError> {
         Ok(Self {
-            tokens,
+            tokens: tokenize(input)?,
             pos: 0,
             input_len: input.len(),
         })
     }
 
-    pub(crate) fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(_, t)| t)
+    pub(crate) fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).map(|&(_, t)| t)
     }
 
-    pub(crate) fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(_, t)| t.clone());
+    pub(crate) fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -72,7 +80,7 @@ impl TokenCursor {
         }
     }
 
-    pub(crate) fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
+    pub(crate) fn expect(&mut self, want: Token<'_>) -> Result<(), ParseError> {
         match self.peek() {
             Some(t) if t == want => {
                 self.pos += 1;
@@ -87,18 +95,105 @@ impl TokenCursor {
         self.pos >= self.tokens.len()
     }
 
+    /// Whether the next token is the keyword `kw` (a name, compared
+    /// case-insensitively).
+    pub(crate) fn at_keyword(&self, kw: &str) -> bool {
+        matches!(self.peek(), Some(Token::Name(n)) if n.eq_ignore_ascii_case(kw))
+    }
+
     /// Consumes a name token, failing otherwise.
-    pub(crate) fn expect_name(&mut self) -> Result<String, ParseError> {
+    pub(crate) fn expect_name(&mut self) -> Result<&'a str, ParseError> {
         match self.peek() {
-            Some(Token::Name(_)) => {
-                if let Some(Token::Name(n)) = self.next() {
-                    Ok(n)
-                } else {
-                    unreachable!("peeked a name")
-                }
+            Some(Token::Name(n)) => {
+                self.pos += 1;
+                Ok(n)
             }
             Some(t) => Err(self.err(format!("expected a name, found `{t}`"))),
             None => Err(self.err("expected a name, found end of input")),
+        }
+    }
+
+    // The two counts below read ahead in the token buffer so that a path's
+    // vectors are allocated once, at their final size: a hundred thousand
+    // parsed statements stay in memory together, and the slack `Vec::push`
+    // leaves (room for four steps where there is one) was half of their
+    // footprint. They follow the shape `parse_step_head` and its callers
+    // parse — axis, name test, bracketed groups — and nothing depends on
+    // them being right: a malformed path is merely sized long or short.
+
+    /// The index just past the bracketed group that opens at `open`, or
+    /// the end of the tokens if it never closes.
+    fn group_end(&self, open: usize) -> usize {
+        let mut depth = 0usize;
+        for (i, (_, t)) in self.tokens[open..].iter().enumerate() {
+            match t {
+                Token::LBracket => depth += 1,
+                Token::RBracket if depth == 1 => return open + i + 1,
+                Token::RBracket => depth -= 1,
+                _ => {}
+            }
+        }
+        self.tokens.len()
+    }
+
+    fn opens_group(&self, at: usize) -> bool {
+        matches!(self.tokens.get(at), Some((_, Token::LBracket)))
+    }
+
+    /// How many `[…]` groups stand at the cursor, one after another.
+    fn predicates_ahead(&self) -> usize {
+        let (mut at, mut groups) = (self.pos, 0);
+        while self.opens_group(at) && groups < MAX_PATH_STEPS {
+            at = self.group_end(at);
+            groups += 1;
+        }
+        groups
+    }
+
+    /// How many steps the path at the cursor has, predicates skipped.
+    fn steps_ahead(&self, bare_first: bool) -> usize {
+        let (mut at, mut steps) = (self.pos, 0);
+        while steps < MAX_PATH_STEPS {
+            match self.tokens.get(at) {
+                Some((_, Token::Slash | Token::DblSlash)) => at += 1,
+                Some((_, Token::Name(_) | Token::Star)) if bare_first && steps == 0 => {}
+                _ => break,
+            }
+            if !matches!(self.tokens.get(at), Some((_, Token::Name(_) | Token::Star))) {
+                break;
+            }
+            at += 1;
+            steps += 1;
+            while self.opens_group(at) {
+                at = self.group_end(at);
+            }
+        }
+        steps
+    }
+
+    /// Consumes a comparison operator, if one is next.
+    pub(crate) fn cmp_op(&mut self) -> Option<CmpOp> {
+        let op = match self.peek()? {
+            Token::Eq => CmpOp::Eq,
+            Token::Ne => CmpOp::Ne,
+            Token::Lt => CmpOp::Lt,
+            Token::Le => CmpOp::Le,
+            Token::Gt => CmpOp::Gt,
+            Token::Ge => CmpOp::Ge,
+            _ => return None,
+        };
+        self.pos += 1;
+        Some(op)
+    }
+
+    /// Consumes a string or numeric literal; `at_end` is the message for
+    /// running out of input instead.
+    pub(crate) fn expect_literal(&mut self, at_end: &str) -> Result<Literal, ParseError> {
+        match self.next() {
+            Some(Token::Str(s)) => Ok(Literal::Str(s.to_string())),
+            Some(Token::Num(n)) => Ok(Literal::Num(n)),
+            Some(t) => Err(self.err(format!("expected a literal, found `{t}`"))),
+            None => Err(self.err(at_end)),
         }
     }
 }
@@ -116,36 +211,42 @@ pub fn parse_linear_path(input: &str) -> Result<LinearPath, ParseError> {
     Ok(LinearPath::new(path))
 }
 
+/// Parses the axis and name test that open a step, or `None` when no step
+/// starts here. If `bare_first`, a name or `*` with no axis before it
+/// starts a child step (the first step of a relative path).
+fn parse_step_head(
+    cur: &mut TokenCursor,
+    bare_first: bool,
+) -> Result<Option<(Axis, NameTest)>, ParseError> {
+    let axis = match cur.peek() {
+        Some(Token::Slash) => {
+            cur.next();
+            Axis::Child
+        }
+        Some(Token::DblSlash) => {
+            cur.next();
+            Axis::Descendant
+        }
+        Some(Token::Name(_) | Token::Star) if bare_first => Axis::Child,
+        _ => return Ok(None),
+    };
+    let test = match cur.peek() {
+        Some(Token::Star) => NameTest::Wildcard,
+        Some(Token::Name(n)) => NameTest::name_of(n),
+        _ => return Err(cur.err("expected a name test after axis")),
+    };
+    cur.next();
+    Ok(Some((axis, test)))
+}
+
 /// Parses linear steps; if `absolute`, the first step must begin with an
 /// axis token; otherwise a bare initial name is allowed (relative path).
 pub(crate) fn parse_linear_steps(
     cur: &mut TokenCursor,
     absolute: bool,
 ) -> Result<Vec<LinearStep>, ParseError> {
-    let mut steps = Vec::new();
-    loop {
-        let axis = match cur.peek() {
-            Some(Token::Slash) => {
-                cur.next();
-                Axis::Child
-            }
-            Some(Token::DblSlash) => {
-                cur.next();
-                Axis::Descendant
-            }
-            Some(Token::Name(_)) | Some(Token::Star) if steps.is_empty() && !absolute => {
-                Axis::Child
-            }
-            _ => break,
-        };
-        let test = match cur.peek() {
-            Some(Token::Star) => {
-                cur.next();
-                NameTest::Wildcard
-            }
-            Some(Token::Name(_)) => NameTest::name_of(&cur.expect_name()?),
-            _ => return Err(cur.err("expected a name test after axis")),
-        };
+    let mut steps = Vec::with_capacity(cur.steps_ahead(!absolute));
+    while let Some((axis, test)) = parse_step_head(cur, steps.is_empty() && !absolute)? {
         if steps.len() >= MAX_PATH_STEPS {
             return Err(cur.err(format!("path longer than {MAX_PATH_STEPS} steps")));
         }
@@ -174,38 +275,16 @@ pub(crate) fn parse_path_expr_steps(
     cur: &mut TokenCursor,
     absolute: bool,
 ) -> Result<PathExpr, ParseError> {
-    let mut steps = Vec::new();
-    loop {
-        let axis = match cur.peek() {
-            Some(Token::Slash) => {
-                cur.next();
-                Axis::Child
-            }
-            Some(Token::DblSlash) => {
-                cur.next();
-                Axis::Descendant
-            }
-            Some(Token::Name(_)) | Some(Token::Star) if steps.is_empty() && !absolute => {
-                Axis::Child
-            }
-            _ => break,
-        };
-        let test = match cur.peek() {
-            Some(Token::Star) => {
-                cur.next();
-                NameTest::Wildcard
-            }
-            Some(Token::Name(_)) => NameTest::name_of(&cur.expect_name()?),
-            _ => return Err(cur.err("expected a name test after axis")),
-        };
-        let mut predicates = Vec::new();
-        while cur.peek() == Some(&Token::LBracket) {
+    let mut steps = Vec::with_capacity(cur.steps_ahead(!absolute));
+    while let Some((axis, test)) = parse_step_head(cur, steps.is_empty() && !absolute)? {
+        let mut predicates = Vec::with_capacity(cur.predicates_ahead());
+        while cur.peek() == Some(Token::LBracket) {
             if predicates.len() >= MAX_PATH_STEPS {
                 return Err(cur.err(format!("more than {MAX_PATH_STEPS} predicates on one step")));
             }
             cur.next();
             predicates.push(parse_predicate(cur)?);
-            cur.expect(&Token::RBracket)?;
+            cur.expect(Token::RBracket)?;
         }
         if steps.len() >= MAX_PATH_STEPS {
             return Err(cur.err(format!("path longer than {MAX_PATH_STEPS} steps")));
@@ -221,11 +300,11 @@ pub(crate) fn parse_path_expr_steps(
 
 fn parse_predicate(cur: &mut TokenCursor) -> Result<Predicate, ParseError> {
     let first = parse_simple_predicate(cur)?;
-    if !matches!(cur.peek(), Some(Token::Name(n)) if n.eq_ignore_ascii_case("or")) {
+    if !cur.at_keyword("or") {
         return Ok(first);
     }
     let mut branches = vec![first];
-    while matches!(cur.peek(), Some(Token::Name(n)) if n.eq_ignore_ascii_case("or")) {
+    while cur.at_keyword("or") {
         cur.next();
         branches.push(parse_simple_predicate(cur)?);
     }
@@ -233,28 +312,16 @@ fn parse_predicate(cur: &mut TokenCursor) -> Result<Predicate, ParseError> {
 }
 
 fn parse_simple_predicate(cur: &mut TokenCursor) -> Result<Predicate, ParseError> {
-    // Optional leading `.` (context-node) — tokenized as Name(".")? Our
-    // lexer folds `.` into names/numbers; a lone `.` lexes as a failed
-    // number, so we accept an empty relative path implicitly when the next
-    // token is an operator.
-    let rel = if matches!(
-        cur.peek(),
-        Some(Token::Eq | Token::Ne | Token::Lt | Token::Le | Token::Gt | Token::Ge)
-    ) {
-        Vec::new()
+    // The tested path is relative to the step's node: `b/c`, `*`, `//c`,
+    // or spelled from the context node — `.`, `./b`, `.//c`. A predicate
+    // that opens with the operator (`[= 1]`) tests the context node too.
+    let rel = if cur.peek() == Some(Token::Dot) {
+        cur.next();
+        parse_linear_steps(cur, true)?
     } else {
         parse_linear_steps(cur, false)?
     };
-    let op = match cur.peek() {
-        Some(Token::Eq) => Some(CmpOp::Eq),
-        Some(Token::Ne) => Some(CmpOp::Ne),
-        Some(Token::Lt) => Some(CmpOp::Lt),
-        Some(Token::Le) => Some(CmpOp::Le),
-        Some(Token::Gt) => Some(CmpOp::Gt),
-        Some(Token::Ge) => Some(CmpOp::Ge),
-        _ => None,
-    };
-    match op {
+    match cur.cmp_op() {
         None => {
             if rel.is_empty() {
                 Err(cur.err("empty predicate"))
@@ -263,13 +330,7 @@ fn parse_simple_predicate(cur: &mut TokenCursor) -> Result<Predicate, ParseError
             }
         }
         Some(op) => {
-            cur.next();
-            let value = match cur.next() {
-                Some(Token::Str(s)) => Literal::Str(s),
-                Some(Token::Num(n)) => Literal::Num(n),
-                Some(t) => return Err(cur.err(format!("expected a literal, found `{t}`"))),
-                None => return Err(cur.err("expected a literal, found end of input")),
-            };
+            let value = cur.expect_literal("expected a literal, found end of input")?;
             Ok(Predicate::Compare { rel, op, value })
         }
     }
@@ -347,6 +408,67 @@ mod tests {
         let err = parse_path_expr("/a[b=]").unwrap_err();
         assert!(err.offset > 0);
         assert!(err.message.contains("literal"));
+    }
+
+    #[test]
+    fn the_context_node_is_spelled_with_a_dot() {
+        let dotted = parse_path_expr("/a[. = 1]").unwrap();
+        assert_eq!(dotted, parse_path_expr("/a[= 1]").unwrap());
+        assert!(matches!(
+            &dotted.steps[0].predicates[0],
+            Predicate::Compare { rel, .. } if rel.is_empty()
+        ));
+        assert_eq!(dotted.to_string(), "/a[. = 1]");
+        // `./b` and `.//c` navigate from it; `.5` is still a number.
+        assert_eq!(
+            parse_path_expr("/a[./b = 1]").unwrap(),
+            parse_path_expr("/a[b = 1]").unwrap()
+        );
+        assert_eq!(
+            parse_path_expr("/a[.//c > .5]").unwrap(),
+            parse_path_expr("/a[//c > 0.5]").unwrap()
+        );
+        assert_eq!(
+            parse_path_expr("/a[b or . = 2]").unwrap().to_string(),
+            "/a[b or . = 2]"
+        );
+        // The context node always exists: testing for it says nothing.
+        let err = parse_path_expr("/a[.]").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (4, "empty predicate"));
+        assert!(parse_path_expr("/a[.b]").is_err());
+        assert!(parse_path_expr("/a/.").is_err());
+        assert!(parse_linear_path("/a/.").is_err());
+    }
+
+    #[test]
+    fn path_vectors_are_allocated_at_their_final_size() {
+        let e = parse_path_expr("/a/b[c/d = 1][.//e]/f//g[h or i/j/k/l/m]").unwrap();
+        assert_eq!((e.steps.len(), e.steps.capacity()), (4, 4));
+        let counts: Vec<(usize, usize)> = e
+            .steps
+            .iter()
+            .map(|s| (s.predicates.len(), s.predicates.capacity()))
+            .collect();
+        assert_eq!(counts, vec![(0, 0), (2, 2), (0, 0), (1, 1)]);
+        for pred in e.steps.iter().flat_map(|s| &s.predicates) {
+            let branches = match pred {
+                Predicate::Or(branches) => branches.as_slice(),
+                simple => std::slice::from_ref(simple),
+            };
+            for branch in branches {
+                let (Predicate::Compare { rel, .. } | Predicate::Exists { rel }) = branch else {
+                    panic!("nested or")
+                };
+                assert_eq!(rel.capacity(), rel.len(), "{branch}");
+            }
+        }
+        let p = parse_linear_path("/a/*//c/d/e").unwrap();
+        assert_eq!((p.steps.len(), p.steps.capacity()), (5, 5));
+        // A path the look-ahead misjudges still parses, or still fails, as
+        // it would have.
+        assert_eq!(parse_path_expr("/a[b = \"]\"]/c").unwrap().steps.len(), 2);
+        assert!(parse_path_expr("/a[[b]]/c").is_err());
+        assert!(parse_path_expr("/a[b/c").is_err());
     }
 
     #[test]

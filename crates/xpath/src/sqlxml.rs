@@ -37,17 +37,17 @@ pub fn parse_sqlxml(input: &str) -> Result<FlworQuery, ParseError> {
     // Projections.
     let mut projections: Vec<PathExpr> = Vec::new();
     let mut select_star = false;
-    if cur.peek() == Some(&Token::Star) {
+    if cur.peek() == Some(Token::Star) {
         cur.next();
         select_star = true;
     } else {
         loop {
             expect_kw(&mut cur, "xmlquery")?;
-            cur.expect(&Token::LParen)?;
+            cur.expect(Token::LParen)?;
             let path = embedded_path(&mut cur)?;
-            cur.expect(&Token::RParen)?;
+            cur.expect(Token::RParen)?;
             projections.push(path);
-            if cur.peek() == Some(&Token::Comma) {
+            if cur.peek() == Some(Token::Comma) {
                 cur.next();
             } else {
                 break;
@@ -56,18 +56,18 @@ pub fn parse_sqlxml(input: &str) -> Result<FlworQuery, ParseError> {
     }
 
     expect_kw(&mut cur, "from")?;
-    let collection = cur.expect_name()?;
+    let collection = cur.expect_name()?.to_string();
 
     // Conditions.
     let mut exists_paths: Vec<PathExpr> = Vec::new();
-    if peek_kw(&cur, "where") {
+    if cur.at_keyword("where") {
         cur.next();
         loop {
             expect_kw(&mut cur, "xmlexists")?;
-            cur.expect(&Token::LParen)?;
+            cur.expect(Token::LParen)?;
             exists_paths.push(embedded_path(&mut cur)?);
-            cur.expect(&Token::RParen)?;
-            if peek_kw(&cur, "and") {
+            cur.expect(Token::RParen)?;
+            if cur.at_keyword("and") {
                 cur.next();
             } else {
                 break;
@@ -211,10 +211,6 @@ fn expect_kw(cur: &mut TokenCursor, kw: &str) -> Result<(), ParseError> {
         Some(t) => Err(cur.err(format!("expected `{kw}`, found `{t}`"))),
         None => Err(cur.err(format!("expected `{kw}`, found end of input"))),
     }
-}
-
-fn peek_kw(cur: &TokenCursor, kw: &str) -> bool {
-    matches!(cur.peek(), Some(Token::Name(n)) if n.eq_ignore_ascii_case(kw))
 }
 
 /// Parses the quoted `'$var/path'` argument of XMLQUERY/XMLEXISTS.

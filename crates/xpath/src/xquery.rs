@@ -18,7 +18,7 @@
 //! ```
 
 use crate::ast::{CmpOp, Literal, PathExpr};
-use crate::lexer::Token;
+use crate::lexer::{is_name_byte, Token};
 use crate::linear::{LinearPath, LinearStep};
 use crate::parser::{parse_linear_steps, parse_path_expr_steps, ParseError, TokenCursor};
 use crate::statement::Statement;
@@ -63,23 +63,34 @@ pub struct FlworQuery {
 }
 
 /// Parses one workload statement.
+///
+/// The statement kind is decided by its first word, compared whole and
+/// case-insensitively: `for`, `insert`, `delete`, `update` and `select`
+/// open their statements, anything else is a path query whose first word
+/// is the collection accessor. A table that merely *starts* with a keyword
+/// (`FORECAST('FDOC')/…`, `updates('U')/…`) is therefore queried like any
+/// other.
 pub fn parse_statement(input: &str) -> Result<Statement, ParseError> {
     let trimmed = input.trim();
-    let lower = trimmed.to_ascii_lowercase();
-    if lower.starts_with("insert") {
+    let word_len = trimmed
+        .bytes()
+        .position(|b| !is_name_byte(b))
+        .unwrap_or(trimmed.len());
+    let opens_with = |kw: &str| trimmed[..word_len].eq_ignore_ascii_case(kw);
+    if opens_with("insert") {
         return parse_insert(trimmed);
     }
-    if lower.starts_with("delete") {
+    if opens_with("delete") {
         return parse_delete(trimmed);
     }
-    if lower.starts_with("update") {
+    if opens_with("update") {
         return parse_update(trimmed);
     }
-    if lower.starts_with("select") {
+    if opens_with("select") {
         return Ok(Statement::Query(crate::sqlxml::parse_sqlxml(trimmed)?));
     }
     let mut cur = TokenCursor::new(trimmed)?;
-    let q = if lower.starts_with("for") {
+    let q = if opens_with("for") {
         parse_flwor(&mut cur)?
     } else {
         parse_path_query(&mut cur)?
@@ -91,41 +102,43 @@ pub fn parse_statement(input: &str) -> Result<Statement, ParseError> {
 }
 
 fn keyword(cur: &mut TokenCursor, kw: &str) -> Result<(), ParseError> {
+    if cur.at_keyword(kw) {
+        cur.next();
+        return Ok(());
+    }
     match cur.peek() {
-        Some(Token::Name(n)) if n.eq_ignore_ascii_case(kw) => {
-            cur.next();
-            Ok(())
-        }
         Some(t) => Err(cur.err(format!("expected keyword `{kw}`, found `{t}`"))),
         None => Err(cur.err(format!("expected keyword `{kw}`, found end of input"))),
     }
 }
 
-fn peek_keyword(cur: &TokenCursor, kw: &str) -> bool {
-    matches!(cur.peek(), Some(Token::Name(n)) if n.eq_ignore_ascii_case(kw))
+/// Consumes a `$var` token; `what` names it in the error (`` `$var` ``,
+/// `a variable`, …).
+fn expect_var<'a>(cur: &mut TokenCursor<'a>, what: &str) -> Result<&'a str, ParseError> {
+    match cur.next() {
+        Some(Token::Var(v)) => Ok(v),
+        Some(t) => Err(cur.err(format!("expected {what}, found `{t}`"))),
+        None => Err(cur.err(format!("expected {what}"))),
+    }
 }
 
 /// Parses `NAME '(' STR ')'` — the collection accessor, e.g.
 /// `SECURITY('SDOC')` or `collection("orders")`.
 fn parse_collection_accessor(cur: &mut TokenCursor) -> Result<String, ParseError> {
     cur.expect_name()?; // accessor function name; DB2 uses the table name
-    cur.expect(&Token::LParen)?;
+    cur.expect(Token::LParen)?;
     let coll = match cur.next() {
-        Some(Token::Str(s)) => s,
+        Some(Token::Str(s)) => s.to_string(),
         Some(t) => return Err(cur.err(format!("expected collection name string, found `{t}`"))),
         None => return Err(cur.err("expected collection name string")),
     };
-    cur.expect(&Token::RParen)?;
+    cur.expect(Token::RParen)?;
     Ok(coll)
 }
 
 fn parse_flwor(cur: &mut TokenCursor) -> Result<FlworQuery, ParseError> {
     keyword(cur, "for")?;
-    let var = match cur.next() {
-        Some(Token::Var(v)) => v,
-        Some(t) => return Err(cur.err(format!("expected `$var`, found `{t}`"))),
-        None => return Err(cur.err("expected `$var`")),
-    };
+    let var = expect_var(cur, "`$var`")?;
     keyword(cur, "in")?;
     let collection = parse_collection_accessor(cur)?;
     let source = parse_path_expr_steps(cur, true)?;
@@ -134,25 +147,24 @@ fn parse_flwor(cur: &mut TokenCursor) -> Result<FlworQuery, ParseError> {
     }
 
     // `let $x := $v/rel` bindings; later references to $x expand inline.
-    let mut scope = Scope::new(&var);
-    while peek_keyword(cur, "let") {
+    let mut scope = Scope {
+        for_var: var,
+        lets: Vec::new(),
+    };
+    while cur.at_keyword("let") {
         cur.next();
-        let name = match cur.next() {
-            Some(Token::Var(v)) => v,
-            Some(t) => return Err(cur.err(format!("expected `$var` after let, found `{t}`"))),
-            None => return Err(cur.err("expected `$var` after let")),
-        };
-        cur.expect(&Token::Assign)?;
+        let name = expect_var(cur, "`$var` after let")?;
+        cur.expect(Token::Assign)?;
         let rel = parse_var_path(cur, &scope)?;
-        scope.bind(&name, rel);
+        scope.lets.push((name.to_string(), rel));
     }
 
     let mut conditions = Vec::new();
-    if peek_keyword(cur, "where") {
+    if cur.at_keyword("where") {
         cur.next();
         loop {
             conditions.push(parse_condition(cur, &scope)?);
-            if peek_keyword(cur, "and") {
+            if cur.at_keyword("and") {
                 cur.next();
             } else {
                 break;
@@ -161,11 +173,11 @@ fn parse_flwor(cur: &mut TokenCursor) -> Result<FlworQuery, ParseError> {
     }
 
     let mut order_by = None;
-    if peek_keyword(cur, "order") {
+    if cur.at_keyword("order") {
         cur.next();
         keyword(cur, "by")?;
         let rel = parse_var_path(cur, &scope)?;
-        if peek_keyword(cur, "ascending") || peek_keyword(cur, "descending") {
+        if cur.at_keyword("ascending") || cur.at_keyword("descending") {
             cur.next();
         }
         order_by = Some(rel);
@@ -175,7 +187,7 @@ fn parse_flwor(cur: &mut TokenCursor) -> Result<FlworQuery, ParseError> {
     let returns = parse_return(cur, &scope)?;
     Ok(FlworQuery {
         collection,
-        var: Some(var),
+        var: Some(var.to_string()),
         source,
         lets: scope.lets,
         conditions,
@@ -186,23 +198,12 @@ fn parse_flwor(cur: &mut TokenCursor) -> Result<FlworQuery, ParseError> {
 
 /// Variable scope: the `for` variable plus `let` aliases, each resolving
 /// to a path relative to the `for` binding.
-struct Scope {
-    for_var: String,
+struct Scope<'a> {
+    for_var: &'a str,
     lets: Vec<(String, Vec<LinearStep>)>,
 }
 
-impl Scope {
-    fn new(for_var: &str) -> Self {
-        Self {
-            for_var: for_var.to_string(),
-            lets: Vec::new(),
-        }
-    }
-
-    fn bind(&mut self, name: &str, rel: Vec<LinearStep>) {
-        self.lets.push((name.to_string(), rel));
-    }
-
+impl Scope<'_> {
     /// Prefix steps for a variable reference, or `None` if unknown.
     fn resolve(&self, name: &str) -> Option<Vec<LinearStep>> {
         if name == self.for_var {
@@ -219,12 +220,8 @@ impl Scope {
 /// Parses `$var rel-path?` and resolves it against the scope into a path
 /// relative to the `for` binding.
 fn parse_var_path(cur: &mut TokenCursor, scope: &Scope) -> Result<Vec<LinearStep>, ParseError> {
-    let name = match cur.next() {
-        Some(Token::Var(v)) => v,
-        Some(t) => return Err(cur.err(format!("expected a variable, found `{t}`"))),
-        None => return Err(cur.err("expected a variable")),
-    };
-    let Some(mut prefix) = scope.resolve(&name) else {
+    let name = expect_var(cur, "a variable")?;
+    let Some(mut prefix) = scope.resolve(name) else {
         return Err(cur.err(format!("unknown variable `${name}`")));
     };
     prefix.extend(parse_linear_steps(cur, true)?);
@@ -233,26 +230,8 @@ fn parse_var_path(cur: &mut TokenCursor, scope: &Scope) -> Result<Vec<LinearStep
 
 fn parse_condition(cur: &mut TokenCursor, scope: &Scope) -> Result<WhereCond, ParseError> {
     let rel = parse_var_path(cur, scope)?;
-    let cmp = match cur.peek() {
-        Some(Token::Eq) => Some(CmpOp::Eq),
-        Some(Token::Ne) => Some(CmpOp::Ne),
-        Some(Token::Lt) => Some(CmpOp::Lt),
-        Some(Token::Le) => Some(CmpOp::Le),
-        Some(Token::Gt) => Some(CmpOp::Gt),
-        Some(Token::Ge) => Some(CmpOp::Ge),
-        _ => None,
-    };
-    let cmp = match cmp {
-        Some(op) => {
-            cur.next();
-            let value = match cur.next() {
-                Some(Token::Str(s)) => Literal::Str(s),
-                Some(Token::Num(n)) => Literal::Num(n),
-                Some(t) => return Err(cur.err(format!("expected a literal, found `{t}`"))),
-                None => return Err(cur.err("expected a literal")),
-            };
-            Some((op, value))
-        }
+    let cmp = match cur.cmp_op() {
+        Some(op) => Some((op, cur.expect_literal("expected a literal")?)),
         None => {
             if rel.is_empty() {
                 return Err(cur.err("a bare `$var` is not a condition"));
@@ -269,27 +248,27 @@ fn parse_return(cur: &mut TokenCursor, scope: &Scope) -> Result<Vec<ReturnExpr>,
         Some(Token::Lt) => {
             cur.next();
             let open = cur.expect_name()?;
-            cur.expect(&Token::Gt)?;
-            cur.expect(&Token::LBrace)?;
+            cur.expect(Token::Gt)?;
+            cur.expect(Token::LBrace)?;
             let mut items = Vec::new();
             loop {
                 items.push(parse_return_item(cur, scope)?);
-                if cur.peek() == Some(&Token::Comma) {
+                if cur.peek() == Some(Token::Comma) {
                     cur.next();
                 } else {
                     break;
                 }
             }
-            cur.expect(&Token::RBrace)?;
-            cur.expect(&Token::Lt)?;
-            cur.expect(&Token::Slash)?;
+            cur.expect(Token::RBrace)?;
+            cur.expect(Token::Lt)?;
+            cur.expect(Token::Slash)?;
             let close = cur.expect_name()?;
             if close != open {
                 return Err(cur.err(format!(
                     "mismatched constructor tags `<{open}>` vs `</{close}>`"
                 )));
             }
-            cur.expect(&Token::Gt)?;
+            cur.expect(Token::Gt)?;
             Ok(items)
         }
         _ => Ok(vec![parse_return_item(cur, scope)?]),
@@ -332,7 +311,7 @@ fn parse_insert(input: &str) -> Result<Statement, ParseError> {
     let mut cur = TokenCursor::new(head)?;
     keyword(&mut cur, "insert")?;
     keyword(&mut cur, "into")?;
-    let collection = cur.expect_name()?;
+    let collection = cur.expect_name()?.to_string();
     if !cur.at_end() {
         return Err(cur.err("unexpected tokens before XML payload"));
     }
@@ -347,7 +326,7 @@ fn parse_delete(input: &str) -> Result<Statement, ParseError> {
     let mut cur = TokenCursor::new(input)?;
     keyword(&mut cur, "delete")?;
     keyword(&mut cur, "from")?;
-    let collection = cur.expect_name()?;
+    let collection = cur.expect_name()?.to_string();
     keyword(&mut cur, "where")?;
     let target = parse_path_expr_steps(&mut cur, true)?;
     if target.steps.is_empty() {
@@ -363,19 +342,14 @@ fn parse_update(input: &str) -> Result<Statement, ParseError> {
     // update NAME set /path = literal where /path[pred]
     let mut cur = TokenCursor::new(input)?;
     keyword(&mut cur, "update")?;
-    let collection = cur.expect_name()?;
+    let collection = cur.expect_name()?.to_string();
     keyword(&mut cur, "set")?;
     let set_steps = parse_linear_steps(&mut cur, true)?;
     if set_steps.is_empty() {
         return Err(cur.err("update needs a set path"));
     }
-    cur.expect(&Token::Eq)?;
-    let value = match cur.next() {
-        Some(Token::Str(s)) => Literal::Str(s),
-        Some(Token::Num(n)) => Literal::Num(n),
-        Some(t) => return Err(cur.err(format!("expected a literal, found `{t}`"))),
-        None => return Err(cur.err("expected a literal")),
-    };
+    cur.expect(Token::Eq)?;
+    let value = cur.expect_literal("expected a literal")?;
     keyword(&mut cur, "where")?;
     let target = parse_path_expr_steps(&mut cur, true)?;
     if target.steps.is_empty() {
@@ -515,6 +489,85 @@ mod tests {
         };
         assert_eq!(set.to_string(), "/Security/Yield");
         assert_eq!(value, Literal::Num(5.0));
+    }
+
+    #[test]
+    fn a_table_whose_name_starts_with_a_keyword_is_a_path_query() {
+        for accessor in [
+            "FORECAST",
+            "forecast",
+            "formats",
+            "FORMATS",
+            "insertions",
+            "INSERTIONS",
+            "deleted",
+            "DELETED",
+            "UPDATES",
+            "updates",
+            "selection",
+            "SELECTION",
+            "for.each",
+            "for-each",
+            "for_each",
+        ] {
+            let text = format!(r#"{accessor}('FDOC')/Forecast[Region = "EU"]"#);
+            let Statement::Query(q) =
+                parse_statement(&text).unwrap_or_else(|e| panic!("{text}: {e}"))
+            else {
+                panic!("{text} is a query")
+            };
+            assert_eq!(q.collection, "FDOC", "{text}");
+            assert!(q.var.is_none(), "{text}");
+            assert_eq!(q.source.predicate_count(), 1, "{text}");
+        }
+    }
+
+    #[test]
+    fn whole_keywords_still_dispatch_in_either_case() {
+        for text in [
+            "for $x in C('C')/a return $x",
+            "FOR $x in C('C')/a return $x",
+            "For$x in C('C')/a return $x",
+        ] {
+            let Statement::Query(q) = parse_statement(text).unwrap() else {
+                panic!("{text} is a query")
+            };
+            assert_eq!(q.var.as_deref(), Some("x"), "{text}");
+        }
+        assert!(matches!(
+            parse_statement("INSERT into C <a/>").unwrap(),
+            Statement::Insert { .. }
+        ));
+        assert!(matches!(
+            parse_statement("Delete from C where /a").unwrap(),
+            Statement::Delete { .. }
+        ));
+        assert!(matches!(
+            parse_statement("UPDATE C set /a/b = 1 where /a").unwrap(),
+            Statement::Update { .. }
+        ));
+        assert!(
+            !parse_statement("Select * from C where xmlexists('$d/a[b = 1]')")
+                .unwrap()
+                .is_modification()
+        );
+        // The bare keyword is still the keyword, not an accessor.
+        assert!(parse_statement("for('C')/a[b = 1]").is_err());
+        assert!(parse_statement("insert('C')/a[b = 1]").is_err());
+    }
+
+    #[test]
+    fn lexer_errors_report_where_they_are() {
+        let err = parse_statement(r#"collection('C')/a[b = "open]"#).unwrap_err();
+        assert_eq!(err.offset, 22);
+        assert_eq!(
+            err.to_string(),
+            "parse error at byte 22: unterminated string literal"
+        );
+        // Offsets count from the first non-blank byte of the statement, as
+        // the grammar errors' offsets do.
+        let err = parse_statement("  delete from C where /a[b ! 1]").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (25, "unexpected `!`"));
     }
 
     #[test]

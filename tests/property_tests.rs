@@ -9,7 +9,10 @@
 use xia_advisor::{generalize_pair, StmtSet};
 use xia_workloads::prng::Prng;
 use xia_xml::{parse_document, write_document, Vocabulary};
-use xia_xpath::{contain, parse_linear_path, Axis, LinearPath, LinearStep, NameTest};
+use xia_xpath::{
+    contain, parse_linear_path, parse_path_expr, Axis, CmpOp, LinearPath, LinearStep, Literal,
+    NameTest, PathExpr, Predicate, Step,
+};
 
 /// Small label alphabet so containment relations actually occur.
 const LABELS: [&str; 5] = ["a", "b", "c", "Security", "Sector"];
@@ -102,6 +105,78 @@ fn display_parse_round_trip() {
         let q = parse_linear_path(&s).expect("display must re-parse");
         assert_eq!(p, q, "round trip through `{s}`");
     }
+}
+
+fn simple_predicate(rng: &mut Prng) -> Predicate {
+    // An empty relative path is the context node, printed `.`.
+    let rel: Vec<LinearStep> = (0..rng.gen_range(0..4)).map(|_| step(rng)).collect();
+    if !rel.is_empty() && rng.gen_bool(0.3) {
+        return Predicate::Exists { rel };
+    }
+    let op = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ][rng.gen_range(0..6)];
+    let value = match rng.gen_range(0..4) {
+        0 => Literal::Str(label(rng)),
+        1 => Literal::Str(["", "two words", "it's"][rng.gen_range(0..3)].to_string()),
+        2 => Literal::Num(rng.gen_range(-50i64..50) as f64),
+        // Any finite double: `Display` prints the shortest decimal that
+        // reads back as the same bits, never an exponent.
+        _ => Literal::Num([4.5, -0.125, 1e21, 1e-7, f64::MAX, 5e-324][rng.gen_range(0..6)]),
+    };
+    Predicate::Compare { rel, op, value }
+}
+
+fn path_expr(rng: &mut Prng) -> PathExpr {
+    let steps = (0..rng.gen_range(1..5))
+        .map(|_| {
+            let LinearStep { axis, test } = step(rng);
+            let predicates = (0..rng.gen_range(0..3))
+                .map(|_| {
+                    if rng.gen_bool(0.25) {
+                        Predicate::Or(
+                            (0..rng.gen_range(2..4))
+                                .map(|_| simple_predicate(rng))
+                                .collect(),
+                        )
+                    } else {
+                        simple_predicate(rng)
+                    }
+                })
+                .collect();
+            Step {
+                axis,
+                test,
+                predicates,
+            }
+        })
+        .collect();
+    PathExpr { steps }
+}
+
+/// What `Display` prints for a path expression — `or` groups, existence
+/// tests, the context node `.`, `.//x`, numeric ranges — parses back to it.
+#[test]
+fn path_expr_display_parse_round_trip() {
+    let mut rng = Prng::seed_from_u64(0x18);
+    let (mut context_nodes, mut ors) = (0, 0);
+    for _ in 0..1024 {
+        let expr = path_expr(&mut rng);
+        let printed = expr.to_string();
+        assert_eq!(
+            parse_path_expr(&printed),
+            Ok(expr),
+            "round trip through `{printed}`"
+        );
+        context_nodes += usize::from(printed.contains("[. ") || printed.contains(" or . "));
+        ors += usize::from(printed.contains(" or "));
+    }
+    assert!(context_nodes > 50 && ors > 100, "{context_nodes} {ors}");
 }
 
 #[test]
