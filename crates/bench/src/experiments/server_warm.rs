@@ -5,9 +5,9 @@
 //! candidate enumeration, generalization, sizing, and the what-if
 //! benefit fan-out — with fresh caches, which is exactly what a
 //! standalone invocation does. Warm: a live `xia-server` session keeps the prepared
-//! candidate set and the warm cost store resident, so the 2nd..Nth
-//! recommends replay previously captured costings instead of re-running
-//! the optimizer. The warm path is measured over a real TCP connection,
+//! candidate set and its costing state resident, so the 2nd..Nth
+//! recommends search the costs the first one computed instead of
+//! re-running the optimizer. The warm path is measured over a real TCP connection,
 //! so protocol framing and JSON rendering are inside the measurement,
 //! not excluded from it.
 //!
@@ -242,7 +242,7 @@ pub fn run(
     }
 
     // Warm leg: one live server, one connection; the first recommend pays
-    // the preparation cost, rounds 2..N replay warm state.
+    // the preparation cost, rounds 2..N search what it kept.
     let server_db = xia_storage::persist::load_database_from(&mut std::io::Cursor::new(&image))
         .expect("database image round-trips");
     let config = ServerConfig {

@@ -1145,7 +1145,7 @@ fn workload_statements(file: &str) -> Result<Vec<xia_obs::json::Json>, CliError>
 fn build_client_requests(verb: &str, args: &[String]) -> Result<Vec<String>, CliError> {
     use xia_obs::json::Json;
     match verb {
-        "ping" | "hello" | "stats" | "journal" | "reset" | "shutdown" => {
+        "ping" | "hello" | "stats" | "journal" | "reset" | "metrics" | "shutdown" => {
             Ok(vec![Json::Obj(vec![(
                 "verb".into(),
                 Json::Str(verb.into()),

@@ -229,15 +229,17 @@ USAGE:
   xia client    (--tcp <addr> | --socket <path>) <verb> [...]
                                              talk to a running server; verbs:
                                              ping, hello, stats, journal, reset,
-                                             shutdown,
+                                             metrics (server-wide: per-verb
+                                             latency, connections, each
+                                             session's kept costs), shutdown,
                                              observe (-w <file> | <stmt>...),
                                              recommend -b <budget> [-a <algo>]
                                                [-w <file>] (-w observes first,
                                                on the same connection)
 
-`serve` keeps one database resident with statistics, prepared candidates,
-and warm what-if cost caches shared across requests; each connection gets
-its own tuning session. Sessions re-advise automatically when the
+`serve` keeps one database resident with fresh statistics; each
+connection gets its own tuning session, which keeps its prepared
+candidates and what-if costs across requests. Sessions re-advise automatically when the
 observed workload's template-mass distribution drifts past
 --drift-threshold (total-variation distance; default 0.25). A client
 error reply exits with the same code the equivalent local command would.

@@ -2,6 +2,7 @@
 
 use crate::benefit::{BenefitEvaluator, EvalStats, WhatIfBudget};
 use crate::candidate::{CandId, CandOrigin, CandidateSet};
+use crate::costing::CostingState;
 use crate::enumerate::{enumerate_candidates_into, size_candidates_ids};
 use crate::error::{StatementIssue, XiaError};
 use crate::generalize::{generalize_set_extend, generalize_set_naive};
@@ -401,7 +402,10 @@ impl Advisor {
         let start = Instant::now();
         let _advise = params.telemetry.span("advise");
         let set = Self::prepare_on(db, workload, params);
-        Self::search_prepared(db, workload, &set, budget, algorithm, params, start)
+        let mut state = CostingState::default();
+        Self::search_prepared(
+            db, workload, &set, budget, algorithm, params, start, &mut state,
+        )
     }
 
     /// Runs only the search step over a prepared candidate set (used by
@@ -415,28 +419,35 @@ impl Advisor {
         params: &AdvisorParams,
     ) -> Result<Recommendation, XiaError> {
         Self::freshen(db, &params.telemetry);
-        Self::recommend_prepared_on(db, workload, set, budget, algorithm, params)
+        let mut state = CostingState::default();
+        Self::recommend_retained(db, workload, set, budget, algorithm, params, &mut state)
     }
 
-    /// [`Advisor::recommend_prepared`] over a database that is only read.
-    pub(crate) fn recommend_prepared_on(
+    /// [`Advisor::recommend_prepared`] over a database that is only read
+    /// and a costing state the caller keeps: costs `state` already holds
+    /// for `workload` and `set` are searched, not recomputed, and what
+    /// this run computes stays in it. The one-shot entry points pass a
+    /// fresh state and drop it; [`crate::TuningSession`] keeps one.
+    pub fn recommend_retained(
         db: &Database,
         workload: &Workload,
         set: &CandidateSet,
         budget: u64,
         algorithm: SearchAlgorithm,
         params: &AdvisorParams,
+        state: &mut CostingState,
     ) -> Result<Recommendation, XiaError> {
         if workload.is_empty() {
             return Err(XiaError::EmptyWorkload);
         }
         let start = Instant::now();
         let _advise = params.telemetry.span("advise");
-        Self::search_prepared(db, workload, set, budget, algorithm, params, start)
+        Self::search_prepared(db, workload, set, budget, algorithm, params, start, state)
     }
 
     /// Baseline costing, search, and pricing of the chosen configuration;
     /// `start` is when the enclosing "advise" span opened.
+    #[allow(clippy::too_many_arguments)]
     fn search_prepared(
         db: &Database,
         workload: &Workload,
@@ -445,10 +456,11 @@ impl Advisor {
         algorithm: SearchAlgorithm,
         params: &AdvisorParams,
         start: Instant,
+        state: &mut CostingState,
     ) -> Result<Recommendation, XiaError> {
         let basic = set.basic_ids().len();
         let total = set.len();
-        let mut ev = BenefitEvaluator::configured(db, workload, set, params);
+        let mut ev = BenefitEvaluator::retained(db, workload, set, params, state);
         Self::check_viability(&ev, params)?;
         let config = {
             let _search = params.telemetry.span("search");
@@ -521,7 +533,9 @@ impl Advisor {
     ) -> Recommendation {
         ev.telemetry()
             .add(Counter::CandidatesAdmitted, config.len() as u64);
-        let cover = ev.cover_cache().stats();
+        // This run's containment work, not the lifetime total of a state
+        // that may have served earlier runs.
+        let cover = ev.cover_stats();
         ev.telemetry().add(Counter::ContainCacheHits, cover.hits);
         ev.telemetry()
             .add(Counter::ContainFastRejects, cover.fast_rejects);

@@ -36,14 +36,23 @@
 //!
 //! What is left — an optimizer call per (statement, projection) — is made
 //! cheap by doing its configuration-invariant half once (DESIGN.md §18):
-//! the evaluator prepares every costable statement at construction
+//! every costable statement is prepared once
 //! ([`xia_optimizer::Optimizer::prepare_shared`], one statistics pass per
-//! distinct path of a collection) and derives each candidate's virtual
-//! index definition at first use; a what-if task is then index matching
-//! and arithmetic over those ([`xia_optimizer::Optimizer::plan`] under a
-//! [`CatalogOverlay`] of shared definitions).
+//! distinct path of a collection) and each candidate's virtual index
+//! definition is derived at first use; a what-if task is then index
+//! matching and arithmetic over those ([`xia_optimizer::Optimizer::plan`]
+//! under a [`CatalogOverlay`] of shared definitions).
+//!
+//! The evaluator itself is the thin *per-run* half of that machinery: the
+//! budget account and its clock, the counters, the fallback and quarantine
+//! bookkeeping, the frequency-weighted memos, the run controller.
+//! Everything that depends only on (statistics snapshot, statement,
+//! candidate) lives in a [`CostingState`] (DESIGN.md §17) the evaluator
+//! reads and extends: owned and dropped with it on the one-shot paths,
+//! borrowed from a [`crate::TuningSession`] that keeps it across calls.
 
 use crate::candidate::{CandId, CandidateSet, StmtSet};
+use crate::costing::CostingState;
 use crate::error::{IssueStage, StatementIssue};
 use crate::runctl::{GovernorRung, RunController, WarmEntry, WarmKey};
 use std::collections::HashMap;
@@ -54,10 +63,11 @@ use xia_fault::FaultInjector;
 use xia_obs::{Counter, Event, EventJournal, Hist, Telemetry};
 use xia_optimizer::{maintenance, CostModel, Optimizer, PathStatsMemo, PreparedStatement};
 use xia_storage::{
-    Catalog, CatalogOverlay, CatalogView, Collection, Database, IndexDef, StatsView,
+    Catalog, CatalogOverlay, CatalogView, Collection, CollectionStats, Database, IndexDef,
+    StatsView,
 };
 use xia_workloads::Workload;
-use xia_xpath::{CoverCache, LinearPath, RelevanceMatrix};
+use xia_xpath::{CoverCacheStats, LinearPath};
 
 /// Counters exposed for the efficiency experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -295,50 +305,70 @@ struct CostTask {
     proj: Option<Vec<CandId>>,
 }
 
-/// A statement the optimizer can cost: the configuration-invariant half of
-/// its what-if calls, prepared once, plus the collection parts each call's
-/// optimizer binds to.
-struct Costable<'a> {
-    collection: &'a Collection,
-    catalog: &'a Catalog,
-    prepared: PreparedStatement<'a>,
+/// The collection parts a what-if call's optimizer binds to, as this run's
+/// view of the database hands them out.
+type Parts<'a> = (&'a Collection, &'a Catalog, &'a CollectionStats);
+
+/// The costing state an evaluator works over: its own on the one-shot
+/// paths, a session's on the serving path. One code path either way — the
+/// only difference is who drops it.
+enum StateSlot<'a> {
+    Owned(Box<CostingState>),
+    Retained(&'a mut CostingState),
 }
 
-/// The view a statement is costed under for one sub-configuration: its
-/// collection's overlay if the group has members there, the bare catalog
-/// otherwise.
+impl std::ops::Deref for StateSlot<'_> {
+    type Target = CostingState;
+    fn deref(&self) -> &CostingState {
+        match self {
+            StateSlot::Owned(state) => state,
+            StateSlot::Retained(state) => state,
+        }
+    }
+}
+
+impl std::ops::DerefMut for StateSlot<'_> {
+    fn deref_mut(&mut self) -> &mut CostingState {
+        match self {
+            StateSlot::Owned(state) => state,
+            StateSlot::Retained(state) => state,
+        }
+    }
+}
+
+/// The view a statement over `coll` is costed under for one
+/// sub-configuration: its collection's overlay if the group has members
+/// there, the bare catalog otherwise.
 fn overlay_view<'v>(
     overlays: &'v [(&str, CatalogOverlay<'_>)],
-    stmt: &Costable<'v>,
+    coll: &str,
+    catalog: &'v Catalog,
 ) -> CatalogView<'v> {
-    let coll = stmt.prepared.statement().collection();
     overlays
         .iter()
         .find(|(name, _)| *name == coll)
         .map(|(_, ov)| ov.view())
-        .unwrap_or_else(|| stmt.catalog.view())
+        .unwrap_or_else(|| catalog.view())
 }
 
 /// One worker-side what-if call: roll the task's fault stream, then plan
 /// the prepared statement under `view`. Returns the cost (`None` on an
-/// injected fault) and, while checkpointing is armed, the call's counter
-/// footprint.
+/// injected fault) and, while a checkpoint file is armed, the call's
+/// counter footprint.
 fn what_if(
-    stmt: &Costable<'_>,
+    (collection, _, stats): Parts<'_>,
+    prepared: &PreparedStatement,
     view: CatalogView<'_>,
     faults: &FaultInjector,
     capture: bool,
     tel: &Telemetry,
 ) -> (Option<f64>, Vec<(usize, u64)>) {
     let before = capture.then(|| counter_snapshot(tel));
-    let mut optimizer = Optimizer::with_view(stmt.collection, stmt.prepared.stats(), view);
+    let mut optimizer = Optimizer::with_view(collection, stats, view);
     optimizer.set_telemetry(tel);
     optimizer.set_faults(faults);
     let t0 = tel.is_enabled().then(Instant::now);
-    let cost = optimizer
-        .try_plan(&stmt.prepared)
-        .ok()
-        .map(|p| p.total_cost);
+    let cost = optimizer.try_plan(prepared).ok().map(|p| p.total_cost);
     if let Some(t0) = t0 {
         tel.record(Hist::WhatIfCall, t0.elapsed());
     }
@@ -365,56 +395,37 @@ pub struct BenefitEvaluator<'a> {
     db: StatsView<'a>,
     workload: &'a Workload,
     set: &'a CandidateSet,
-    /// Baseline (no-candidate) cost per statement.
+    /// Everything that depends only on (statistics, statement, candidate):
+    /// prepared statements, relevance rows, derived definitions, clean
+    /// baselines, per-statement costs. Extended at construction to cover
+    /// `workload` and `set`; read (and grown) by every evaluation.
+    state: StateSlot<'a>,
+    /// Per collection of the state: the parts this run's view hands out
+    /// (`None`: missing, or statistics hidden).
+    parts: Vec<Option<Parts<'a>>>,
+    /// Baseline (no-candidate) cost per statement as this run prices it:
+    /// the retained clean cost, or this run's heuristic fallback.
     baseline: Vec<f64>,
-    /// The prepared form of every statement whose collection is known and
-    /// whose statistics this run can see (`None` otherwise: those take the
-    /// quarantine / stats-fallback paths). Built serially at construction;
-    /// workers only ever plan against it.
-    prepared: Vec<Option<Costable<'a>>>,
-    /// Each candidate's virtual-index definition, derived from the visible
-    /// statistics at first use and shared by every overlay and maintenance
-    /// costing it takes part in. Outer `None`: not derived yet; inner
-    /// `None`: the candidate's collection has no visible statistics.
-    defs: Vec<Option<Option<Arc<IndexDef>>>>,
     /// Total (frequency-weighted) maintenance cost per candidate.
     mc_totals: HashMap<CandId, f64>,
     /// Memoized sub-configuration benefits (query side, before mc).
+    /// Frequency-weighted, so it lives and dies with the run.
     cache: ShardedCache,
-    /// Per-candidate relevance: the statements whose plans could possibly
-    /// consult the candidate (derived from the statements' index-matching
-    /// signatures at construction time — no optimizer calls).
-    relevance: Vec<StmtSet>,
-    /// Content-derived fault salt per statement: the FNV-1a fingerprint
-    /// of the statement's cost-identity template key. XORed into every
-    /// fault-stream salt in place of the raw statement index, so an
-    /// injected fault verdict is a pure function of *what* the statement
-    /// is (and the projection being costed), never of where it sits in
-    /// the workload — the invariant that keeps CoPhy workload compression
-    /// lossless under fault injection.
-    stmt_salts: Vec<u64>,
-    /// Per-statement cost cache: statement index → canonical projection of
-    /// a sub-configuration onto the statement's relevant candidates → cost.
-    /// Coordinator-only; maintained identically with pruning on or off so
-    /// the budget trajectory is mode-invariant. Tainted (fault/fallback)
-    /// costs are never inserted.
-    stmt_cache: HashMap<usize, HashMap<Vec<CandId>, f64>>,
-    /// What-if budget account: statements actually re-costed (statement
-    /// cache misses), charged identically with pruning on or off.
+    /// What-if budget account: optimizer calls actually made in this run
+    /// (statement-cache misses), charged identically with pruning on or
+    /// off. A costing the state already held is free.
     charged: u64,
     /// Relevance-pruning switch: serve projection hits from the statement
     /// cache instead of re-running the optimizer. Off re-executes every
     /// hit (uncharged) for the ablation; results are byte-identical.
     pub prune: bool,
     /// Fast-path switch (`--no-fastpath` turns it off): route containment
-    /// verdicts through the shared [`CoverCache`]. Verdicts are identical
+    /// verdicts through the state's shared [`xia_xpath::CoverCache`]. Verdicts are identical
     /// either way; off exists for the A/B parity check.
     fastpath: bool,
-    /// Shared containment-verdict cache: the relevance build, greedy
-    /// coverage bitmaps, and top-down leftover fill all ask the same
-    /// `(general, specific)` questions repeatedly. Coordinator-only, so
-    /// its hit counters are invariant under `jobs`.
-    cover_cache: CoverCache,
+    /// The cover cache's counters when this run began, so the run reports
+    /// its own containment work and not the state's lifetime total.
+    cover_base: CoverCacheStats,
     /// Ablation switch: restrict evaluation to affected statements.
     pub use_affected_sets: bool,
     /// Ablation switch: decompose configurations into sub-configurations.
@@ -458,8 +469,6 @@ pub struct BenefitEvaluator<'a> {
     rung: GovernorRung,
     /// Approximate live bytes of the sharded memo cache.
     memo_bytes: u64,
-    /// Approximate live bytes of the statement cost cache.
-    stmt_bytes: u64,
     /// Lifecycle warnings to surface to the caller (abandoned checkpoint
     /// writes).
     warnings: Vec<String>,
@@ -478,16 +487,40 @@ impl<'a> BenefitEvaluator<'a> {
         )
     }
 
-    /// Creates an evaluator configured from [`crate::advisor::AdvisorParams`]:
-    /// telemetry, fault injector, and what-if budget are all in effect from
-    /// baseline costing onwards. The database is only read, so its
-    /// statistics must already be fresh and its catalogs free of virtual
-    /// indexes (see [`crate::Advisor::freshen`]).
+    /// Creates an evaluator configured from [`crate::advisor::AdvisorParams`]
+    /// over a costing state of its own: telemetry, fault injector, and
+    /// what-if budget are all in effect from baseline costing onwards. The
+    /// database is only read, so its statistics must already be fresh and
+    /// its catalogs free of virtual indexes (see [`crate::Advisor::freshen`]).
     pub fn configured(
         db: &'a Database,
         workload: &'a Workload,
         set: &'a CandidateSet,
         params: &crate::advisor::AdvisorParams,
+    ) -> Self {
+        Self::from_params(db, workload, set, params, StateSlot::Owned(Box::default()))
+    }
+
+    /// [`BenefitEvaluator::configured`] over a state the caller keeps: what
+    /// `state` already holds for `workload` and `set` (both may only have
+    /// grown since) is reused, the rest is computed into it. The caller
+    /// answers for the database being the one the state was built over.
+    pub fn retained(
+        db: &'a Database,
+        workload: &'a Workload,
+        set: &'a CandidateSet,
+        params: &crate::advisor::AdvisorParams,
+        state: &'a mut CostingState,
+    ) -> Self {
+        Self::from_params(db, workload, set, params, StateSlot::Retained(state))
+    }
+
+    fn from_params(
+        db: &'a Database,
+        workload: &'a Workload,
+        set: &'a CandidateSet,
+        params: &crate::advisor::AdvisorParams,
+        state: StateSlot<'a>,
     ) -> Self {
         let mut ev = Self::build(
             db,
@@ -500,6 +533,7 @@ impl<'a> BenefitEvaluator<'a> {
             params.fastpath,
             &params.journal,
             &params.ctl,
+            state,
         );
         ev.prune = params.prune;
         ev
@@ -531,6 +565,7 @@ impl<'a> BenefitEvaluator<'a> {
             true,
             &EventJournal::off(),
             &RunController::off(),
+            StateSlot::Owned(Box::default()),
         )
     }
 
@@ -546,64 +581,31 @@ impl<'a> BenefitEvaluator<'a> {
         fastpath: bool,
         journal: &EventJournal,
         ctl: &RunController,
+        mut state: StateSlot<'a>,
     ) -> Self {
         // The evaluator only ever reads the database — what-if
         // configurations live in catalog overlays, never in the catalogs.
         // One stats-unavailable roll per collection fixes which statistics
-        // this run can see.
+        // this run can see; a state built under another mask is of no use
+        // to it and starts over.
         let db = StatsView::roll(db, faults);
-        // Relevance matrix: one signature per statement, one bitset per
-        // candidate. Pure containment work — no optimizer calls.
-        let matrix = RelevanceMatrix::new(
-            workload
-                .entries()
-                .iter()
-                .map(|e| xia_optimizer::statement_signature(&e.statement))
-                .collect(),
-        );
-        let stmt_salts: Vec<u64> = workload
-            .entries()
-            .iter()
-            .map(|e| xia_xpath::template_fingerprint(&e.statement))
-            .collect();
-        let cover_cache = CoverCache::new();
-        let relevance = set
-            .ids()
-            .map(|id| {
-                let c = set.get(id);
-                let mut s = StmtSet::new();
-                let rows = if fastpath {
-                    matrix.relevant_statements_cached(
-                        &c.collection,
-                        &c.pattern,
-                        c.kind,
-                        &cover_cache,
-                    )
-                } else {
-                    matrix.relevant_statements(&c.collection, &c.pattern, c.kind)
-                };
-                for si in rows {
-                    s.insert(si);
-                }
-                s
-            })
-            .collect();
+        if state.mask != db.mask() {
+            *state = CostingState::under(db.mask());
+        }
+        let cover_base = state.cover_cache.stats();
         let mut ev = Self {
             db,
             workload,
             set,
+            state,
+            parts: Vec::new(),
             baseline: Vec::new(),
-            prepared: Vec::new(),
-            defs: vec![None; set.len()],
             mc_totals: HashMap::new(),
             cache: ShardedCache::new(),
-            relevance,
-            stmt_salts,
-            stmt_cache: HashMap::new(),
             charged: 0,
             prune: true,
             fastpath,
-            cover_cache,
+            cover_base,
             use_affected_sets: true,
             use_subconfigs: true,
             use_cache: true,
@@ -628,13 +630,96 @@ impl<'a> BenefitEvaluator<'a> {
             },
             rung: GovernorRung::Full,
             memo_bytes: 0,
-            stmt_bytes: 0,
             warnings: Vec::new(),
         };
+        ev.extend_state();
         ev.compute_baselines();
         ev
     }
 
+    /// Brings the costing state up to date with the workload and the
+    /// candidate set, both of which only ever grow: signatures, fault
+    /// salts and prepared forms for the statements it has not seen,
+    /// relevance rows for new candidates, and existing rows grown by the
+    /// new statements. Pure containment and statistics work — no
+    /// optimizer calls. On a fresh state this is the whole of it.
+    fn extend_state(&mut self) {
+        let state = &mut *self.state;
+        let entries = self.workload.entries();
+        let (from, known) = (state.statements(), state.candidates());
+        assert!(
+            from <= entries.len() && known <= self.set.len(),
+            "a costing state only grows with its workload and candidate set"
+        );
+        for entry in &entries[from..] {
+            state
+                .matrix
+                .push(xia_optimizer::statement_signature(&entry.statement));
+            state
+                .stmt_salts
+                .push(xia_xpath::template_fingerprint(&entry.statement));
+        }
+        // Relevance rows: one signature per statement, one bitset per
+        // candidate.
+        if from < entries.len() || known < self.set.len() {
+            let cache = self.fastpath.then_some(&state.cover_cache);
+            for id in self.set.ids() {
+                let c = self.set.get(id);
+                let new = id.index() >= known;
+                if new {
+                    state.relevance.push(StmtSet::new());
+                }
+                let row_from = if new { 0 } else { from };
+                for si in
+                    state
+                        .matrix
+                        .relevant_from(row_from, &c.collection, &c.pattern, c.kind, cache)
+                {
+                    state.relevance[id.index()].insert(si);
+                }
+            }
+            state.defs.resize(self.set.len(), None);
+        }
+        // Prepared here, once per statement, through one path-statistics
+        // memo per collection: statements (and CoPhy templates in their
+        // thousands) share a few hundred distinct paths.
+        self.parts = state.colls.iter().map(|c| self.db.parts(c)).collect();
+        let mut preparers: Vec<Option<Optimizer<'a>>> = self.parts.iter().map(|_| None).collect();
+        for entry in &entries[from..] {
+            let coll = entry.statement.collection();
+            let slot = state
+                .colls
+                .iter()
+                .position(|name| name == coll)
+                .unwrap_or_else(|| {
+                    state.colls.push(coll.to_string());
+                    state.memos.push(PathStatsMemo::default());
+                    self.parts.push(self.db.parts(coll));
+                    preparers.push(None);
+                    state.colls.len() - 1
+                });
+            let prepared = self.parts[slot].map(|(collection, catalog, stats)| {
+                preparers[slot]
+                    .get_or_insert_with(|| {
+                        let mut optimizer = Optimizer::new(collection, stats, catalog);
+                        optimizer.set_telemetry(&self.telemetry);
+                        optimizer
+                    })
+                    .prepare_shared(&entry.statement, &mut state.memos[slot])
+            });
+            state.stmt_coll.push(slot);
+            state.prepared.push(prepared);
+            state.baseline.push(None);
+            state.stmt_cache.push(HashMap::new());
+        }
+    }
+
+    /// Prices every statement's baseline for this run: the clean cost the
+    /// state holds, or an optimizer call for the statements it has no
+    /// clean cost for yet (new ones, and ones whose earlier call faulted —
+    /// the fault stream is content-derived, so it faults again). What a
+    /// run does *about* a statement — quarantine it, count a fallback,
+    /// journal a fault — is this run's own and repeated by every run.
     fn compute_baselines(&mut self) {
         let n = self.workload.len();
         self.baseline = vec![0.0; n];
@@ -644,100 +729,89 @@ impl<'a> BenefitEvaluator<'a> {
         enum BasePlan {
             Quarantined,
             StatsFallback,
+            Retained(f64),
             Cost { salt: u64 },
         }
-        let mut plans = Vec::with_capacity(n);
-        // Prepared here, once, through one path-statistics memo per
-        // collection: statements (and CoPhy templates in their thousands)
-        // share a few hundred distinct paths.
         let workload = self.workload;
-        let mut preparers: Vec<(&str, Optimizer<'a>, PathStatsMemo)> = Vec::new();
-        self.prepared = Vec::with_capacity(n);
-        for si in 0..n {
-            let entry = &workload.entries()[si];
-            let coll = entry.statement.collection();
-            self.prepared
-                .push(self.db.parts(coll).map(|(collection, catalog, stats)| {
-                    let at = preparers
-                        .iter()
-                        .position(|(name, ..)| *name == coll)
-                        .unwrap_or_else(|| {
-                            let mut optimizer = Optimizer::new(collection, stats, catalog);
-                            optimizer.set_telemetry(&self.telemetry);
-                            preparers.push((coll, optimizer, PathStatsMemo::default()));
-                            preparers.len() - 1
-                        });
-                    let (_, optimizer, memo) = &mut preparers[at];
-                    Costable {
-                        collection,
-                        catalog,
-                        prepared: optimizer.prepare_shared(&entry.statement, memo),
-                    }
-                }));
-            plans.push(if self.db.collection(coll).is_none() {
+        let missing: Vec<bool> = (self.state.colls.iter())
+            .map(|coll| self.db.collection(coll).is_none())
+            .collect();
+        let mut plans = Vec::with_capacity(n);
+        for (si, entry) in workload.entries().iter().enumerate() {
+            plans.push(if missing[self.state.stmt_coll[si]] {
                 self.active[si] = false;
                 self.telemetry.incr(Counter::StatementsQuarantined);
                 self.quarantined.push(StatementIssue {
                     index: si,
                     text: entry.text.clone(),
                     stage: IssueStage::Cost,
-                    detail: format!("unknown collection `{coll}`"),
+                    detail: format!("unknown collection `{}`", entry.statement.collection()),
                 });
                 BasePlan::Quarantined
-            } else if self.prepared[si].is_none() {
+            } else if self.state.prepared[si].is_none() {
                 // The collection exists but statistics are unavailable.
                 BasePlan::StatsFallback
+            } else if let Some(cost) = self.state.baseline[si] {
+                BasePlan::Retained(cost)
             } else {
                 BasePlan::Cost {
-                    salt: key_hash(SALT_BASELINE, &[]) ^ self.stmt_salts[si],
+                    salt: key_hash(SALT_BASELINE, &[]) ^ self.state.stmt_salts[si],
                 }
             });
         }
         // Warm-store consult (coordinator-side): a resumed run serves any
         // baseline costing the interrupted run already executed.
         let capture = self.ctl.checkpointing();
-        let mut warm: Vec<Option<WarmEntry>> = if self.ctl.resumed() {
-            plans
-                .iter()
-                .enumerate()
-                .map(|(si, plan)| match plan {
-                    BasePlan::Cost { salt } => self.ctl.warm_lookup(&WarmKey {
-                        salt: *salt,
-                        si,
-                        proj: Vec::new(),
-                    }),
-                    _ => None,
-                })
-                .collect()
-        } else {
-            vec![None; n]
-        };
-        let prepared = &self.prepared;
-        let faults = self.faults.clone();
-        let warm_ref = &warm;
-        let results = run_indexed(n, self.jobs, &self.telemetry.clone(), |si, tel| {
-            let BasePlan::Cost { salt } = plans[si] else {
-                return (None, Vec::new());
+        let resumed = self.ctl.resumed();
+        let mut warm: Vec<Option<WarmEntry>> = vec![None; n];
+        let mut todo: Vec<(usize, u64)> = Vec::new();
+        for (si, plan) in plans.iter().enumerate() {
+            let BasePlan::Cost { salt } = *plan else {
+                continue;
             };
-            if warm_ref[si].is_some() {
-                // Served from the warm store at merge time.
-                return (None, Vec::new());
+            if resumed {
+                warm[si] = self.ctl.warm_lookup(&WarmKey {
+                    salt,
+                    si,
+                    proj: Vec::new(),
+                });
             }
-            let Some(stmt) = &prepared[si] else {
+            if warm[si].is_none() {
+                todo.push((si, salt));
+            }
+        }
+        let (stmt_coll, prepared) = (&self.state.stmt_coll, &self.state.prepared);
+        let (parts, faults) = (&self.parts, &self.faults);
+        let costed = run_indexed(todo.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
+            let (si, salt) = todo[i];
+            let (Some(at), Some(prepared)) = (parts[stmt_coll[si]], &prepared[si]) else {
                 return (None, Vec::new());
             };
             what_if(
-                stmt,
-                stmt.catalog.view(),
+                at,
+                prepared,
+                at.1.view(),
                 &faults.derive_stream(salt),
                 capture,
                 tel,
             )
         });
-        for (si, (plan, (result, deltas))) in plans.iter().zip(results).enumerate() {
+        let mut costed = costed.into_iter();
+        for (si, plan) in plans.into_iter().enumerate() {
             let served = warm[si].take();
+            let result = match (plan, &served) {
+                (BasePlan::Cost { .. }, None) => costed.next(),
+                _ => None,
+            };
+            if !matches!(plan, BasePlan::Quarantined) {
+                self.state.asked += 1;
+            }
             self.baseline[si] = match (plan, served, result) {
                 (BasePlan::Quarantined, _, _) => 0.0,
+                (BasePlan::Retained(cost), _, _) => {
+                    self.state.served += 1;
+                    cost
+                }
                 (BasePlan::Cost { salt }, Some(entry), _) => {
                     // Warm-served replay: reuse the exact cost and reapply
                     // the original execution's counter footprint, then log
@@ -748,20 +822,20 @@ impl<'a> BenefitEvaluator<'a> {
                     let cost = f64::from_bits(entry.cost_bits);
                     self.ctl.record_costing(
                         WarmKey {
-                            salt: *salt,
+                            salt,
                             si,
                             proj: Vec::new(),
                         },
                         entry,
                     );
-                    cost
+                    self.retain_baseline(si, cost)
                 }
-                (BasePlan::Cost { salt }, None, Some(cost)) => {
+                (BasePlan::Cost { salt }, None, Some((Some(cost), deltas))) => {
                     self.stats.optimizer_calls += 1;
                     self.charged += 1;
                     self.ctl.record_costing(
                         WarmKey {
-                            salt: *salt,
+                            salt,
                             si,
                             proj: Vec::new(),
                         },
@@ -770,7 +844,7 @@ impl<'a> BenefitEvaluator<'a> {
                             deltas,
                         },
                     );
-                    cost
+                    self.retain_baseline(si, cost)
                 }
                 (kind, _, _) => {
                     // An optimizer failure here is an injected fault — the
@@ -793,6 +867,13 @@ impl<'a> BenefitEvaluator<'a> {
                 }
             };
         }
+    }
+
+    /// Keeps a statement's clean baseline for later runs; returns it.
+    fn retain_baseline(&mut self, si: usize, cost: f64) -> f64 {
+        self.state.baseline[si] = Some(cost);
+        self.state.costings += 1;
+        cost
     }
 
     /// A crude scan-cost proxy used when the optimizer cannot answer:
@@ -880,14 +961,12 @@ impl<'a> BenefitEvaluator<'a> {
     }
 
     /// Inserts one statement costing into the projection-keyed cache
-    /// unless the governor demoted past `no_stmt_cache`, tracking the
-    /// approximate live bytes the governor budgets against.
+    /// unless the governor demoted past `no_stmt_cache` (the state tracks
+    /// the approximate live bytes the governor budgets against).
     fn insert_stmt_cost(&mut self, si: usize, proj: Vec<CandId>, cost: f64) {
-        if self.rung >= GovernorRung::NoStmtCache {
-            return;
+        if self.rung < GovernorRung::NoStmtCache {
+            self.state.insert_cost(si, proj, cost);
         }
-        self.stmt_bytes += (48 + 8 * proj.len()) as u64;
-        self.stmt_cache.entry(si).or_default().insert(proj, cost);
     }
 
     /// Batch epilogue: walk the governor's degradation ladder one rung if
@@ -896,7 +975,7 @@ impl<'a> BenefitEvaluator<'a> {
     /// decisions are jobs-invariant and replay-invariant.
     fn end_batch(&mut self) {
         if let Some(budget) = self.ctl.mem_budget() {
-            if self.memo_bytes + self.stmt_bytes > budget {
+            if self.memo_bytes + self.state.stmt_bytes > budget {
                 if let Some(next) = self.rung.next() {
                     self.rung = next;
                     match next {
@@ -907,14 +986,15 @@ impl<'a> BenefitEvaluator<'a> {
                             self.memo_bytes = 0;
                         }
                         GovernorRung::NoStmtCache | GovernorRung::HeuristicOnly => {
+                            // The statement costs go too, retained ones
+                            // included: they are what the bytes count.
                             self.cache = ShardedCache::new();
                             self.memo_bytes = 0;
-                            self.stmt_cache.clear();
-                            self.stmt_bytes = 0;
+                            self.state.clear_costs();
                         }
                         GovernorRung::Full => {}
                     }
-                    let approx_bytes = self.memo_bytes + self.stmt_bytes;
+                    let approx_bytes = self.memo_bytes + self.state.stmt_bytes;
                     self.telemetry.incr(Counter::GovernorDemotions);
                     self.journal.emit(|| Event::GovernorDemoted {
                         rung: next.name().to_string(),
@@ -963,10 +1043,17 @@ impl<'a> BenefitEvaluator<'a> {
         &self.journal
     }
 
-    /// The shared containment-verdict cache (counters feed the
-    /// `contain_cache_hits` / `contain_fast_rejects` telemetry).
-    pub fn cover_cache(&self) -> &CoverCache {
-        &self.cover_cache
+    /// Containment work this run has done through the cover cache so far
+    /// (feeds the `contain_cache_hits` / `contain_fast_rejects`
+    /// telemetry): the cache's counters less what they read when the run
+    /// began, so a run over a retained state reports its own share.
+    pub fn cover_stats(&self) -> CoverCacheStats {
+        let now = self.state.cover_cache.stats();
+        CoverCacheStats {
+            hits: now.hits - self.cover_base.hits,
+            fast_rejects: now.fast_rejects - self.cover_base.fast_rejects,
+            entries: now.entries - self.cover_base.entries,
+        }
     }
 
     /// Containment check routed through the shared cover cache when the
@@ -975,7 +1062,7 @@ impl<'a> BenefitEvaluator<'a> {
     pub fn covers(&self, general: &LinearPath, specific: &LinearPath) -> bool {
         let t0 = self.telemetry.is_enabled().then(Instant::now);
         let verdict = if self.fastpath {
-            self.cover_cache.covers(general, specific)
+            self.state.cover_cache.covers(general, specific)
         } else {
             xia_xpath::contain::covers(general, specific)
         };
@@ -1039,7 +1126,7 @@ impl<'a> BenefitEvaluator<'a> {
     fn projection(&self, key: &[CandId], si: usize) -> Vec<CandId> {
         key.iter()
             .copied()
-            .filter(|&id| self.relevance[id.index()].contains(si))
+            .filter(|&id| self.state.relevance[id.index()].contains(si))
             .collect()
     }
 
@@ -1159,13 +1246,15 @@ impl<'a> BenefitEvaluator<'a> {
                     continue;
                 }
                 let proj = self.projection(key, si);
-                let cached = self.stmt_cache.get(&si).and_then(|m| m.get(&proj)).copied();
+                let cached = self.state.stmt_cache[si].get(&proj).copied();
+                self.state.asked += 1;
                 let exhausted = self.budget.exhausted(self.charged, started.elapsed());
                 let (kind, proj) = match cached {
                     // Pruning serves every projection hit; with pruning
                     // off, hits are still served once the budget is gone
                     // (the PR2 ladder: budget → cached → heuristic).
                     Some(cost) if self.prune || exhausted => {
+                        self.state.served += 1;
                         self.stats.stmt_cache_hits += 1;
                         self.telemetry.incr(Counter::StmtCacheHits);
                         if self.prune {
@@ -1179,7 +1268,7 @@ impl<'a> BenefitEvaluator<'a> {
                     // call is not charged against the budget.
                     Some(_) => (
                         TaskKind::Optimize {
-                            salt: key_hash(SALT_EVALUATE, &proj) ^ self.stmt_salts[si],
+                            salt: key_hash(SALT_EVALUATE, &proj) ^ self.state.stmt_salts[si],
                         },
                         Some(proj),
                     ),
@@ -1192,8 +1281,9 @@ impl<'a> BenefitEvaluator<'a> {
                         (TaskKind::BudgetFallback, None)
                     }
                     None => {
-                        let coll = self.workload.entries()[si].statement.collection();
-                        if self.db.parts(coll).is_none() {
+                        // Prepared iff the collection's statistics are
+                        // visible to this run.
+                        if self.state.prepared[si].is_none() {
                             (TaskKind::StatsFallback, None)
                         } else if self.rung >= GovernorRung::HeuristicOnly {
                             // Bottom governor rung: uncached costings stop
@@ -1203,7 +1293,8 @@ impl<'a> BenefitEvaluator<'a> {
                             self.charged += 1;
                             (
                                 TaskKind::Optimize {
-                                    salt: key_hash(SALT_EVALUATE, &proj) ^ self.stmt_salts[si],
+                                    salt: key_hash(SALT_EVALUATE, &proj)
+                                        ^ self.state.stmt_salts[si],
                                 },
                                 Some(proj),
                             )
@@ -1261,8 +1352,8 @@ impl<'a> BenefitEvaluator<'a> {
         };
 
         // Phase 4 (workers): pure costing, fanned out over `jobs` threads.
-        let prepared = &self.prepared;
-        let faults = self.faults.clone();
+        let state = &*self.state;
+        let (parts, faults) = (&self.parts, &self.faults);
         let warm_ref = &warm;
         let results = run_indexed(tasks.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
             let task = &tasks[i];
@@ -1273,11 +1364,13 @@ impl<'a> BenefitEvaluator<'a> {
                 // Served from the warm store at merge time.
                 return (None, Vec::new());
             }
-            let Some(stmt) = &prepared[task.si] else {
+            let slot = state.stmt_coll[task.si];
+            let (Some(at), Some(prepared)) = (parts[slot], &state.prepared[task.si]) else {
                 return (None, Vec::new());
             };
-            let view = overlay_view(&overlays[task.group], stmt);
-            what_if(stmt, view, &faults.derive_stream(salt), capture, tel)
+            let view = overlay_view(&overlays[task.group], &state.colls[slot], at.1);
+            let stream = faults.derive_stream(salt);
+            what_if(at, prepared, view, &stream, capture, tel)
         });
 
         // Phase 5 (coordinator): merge in task order — the floating-point
@@ -1560,22 +1653,25 @@ impl<'a> BenefitEvaluator<'a> {
         // at planning time so the total is deterministic.
         let planned = stmts
             .iter()
-            .filter(|&&si| self.prepared[si].is_some())
+            .filter(|&&si| self.state.prepared[si].is_some())
             .count() as u64;
-        let prepared = &self.prepared;
+        let (state, parts) = (&*self.state, &self.parts);
         let overlays = &overlays;
         let results = run_indexed(stmts.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
-            let Some(stmt) = &prepared[stmts[i]] else {
+            let slot = state.stmt_coll[stmts[i]];
+            let (Some((collection, catalog, stats)), Some(prepared)) =
+                (parts[slot], &state.prepared[stmts[i]])
+            else {
                 return Vec::new();
             };
-            let view = overlay_view(overlays, stmt);
-            let mut optimizer = Optimizer::with_view(stmt.collection, stmt.prepared.stats(), view);
+            let view = overlay_view(overlays, &state.colls[slot], catalog);
+            let mut optimizer = Optimizer::with_view(collection, stats, view);
             optimizer.set_telemetry(tel);
             // A definition's overlay id is its candidate's slot past the
             // catalog's own ids (see `derived_def`).
-            let first_slot = stmt.catalog.slot_capacity();
+            let first_slot = catalog.slot_capacity();
             optimizer
-                .plan(&stmt.prepared)
+                .plan(prepared)
                 .used_indexes()
                 .into_iter()
                 .filter_map(|ix| ix.index().checked_sub(first_slot))
@@ -1600,7 +1696,7 @@ impl<'a> BenefitEvaluator<'a> {
     /// candidate id past the catalog's own ids, so plans map back to
     /// candidates by subtraction.
     fn derived_def(&mut self, id: CandId) -> Option<Arc<IndexDef>> {
-        if let Some(def) = &self.defs[id.index()] {
+        if let Some(def) = &self.state.defs[id.index()] {
             return def.clone();
         }
         let c = self.set.get(id);
@@ -1611,7 +1707,7 @@ impl<'a> BenefitEvaluator<'a> {
                 self.telemetry.incr(Counter::StatsDerivations);
                 Arc::new(catalog.derive_virtual(collection, stats, &c.pattern, c.kind, id.index()))
             });
-        self.defs[id.index()] = Some(def.clone());
+        self.state.defs[id.index()] = Some(def.clone());
         def
     }
 
@@ -1625,16 +1721,23 @@ impl<'a> BenefitEvaluator<'a> {
         if let Some(def) = self.derived_def(id) {
             let coll = self.set.get(id).collection.as_str();
             let cm = CostModel::default();
-            for (entry, stmt) in self.workload.entries().iter().zip(&self.prepared) {
+            for (si, entry) in self.workload.entries().iter().enumerate() {
                 if !entry.statement.is_modification() || entry.statement.collection() != coll {
                     continue;
                 }
-                let Some(stmt) = stmt else { continue };
+                let (Some((_, _, stats)), Some(prepared)) = (
+                    self.parts[self.state.stmt_coll[si]],
+                    &self.state.prepared[si],
+                ) else {
+                    continue;
+                };
                 let mc = maintenance::maintenance_cost(
                     &def.pattern,
                     def.kind,
                     &def.stats,
-                    &stmt.prepared,
+                    &entry.statement,
+                    stats,
+                    prepared,
                     &cm,
                 );
                 total += entry.freq * mc;
@@ -2080,6 +2183,97 @@ mod tests {
             charged,
             "a cache-served evaluation charged the budget"
         );
+    }
+
+    #[test]
+    fn a_retained_state_answers_the_next_run_and_extends_with_it() {
+        // Two evaluators over one state: the second asks what the first
+        // asked and makes no optimizer call; a grown workload and a grown
+        // candidate set cost only what is new, at the same bits a fresh
+        // evaluator computes.
+        use crate::advisor::AdvisorParams;
+        let (mut db, w) = setup();
+        let set = candidates(&mut db, &w);
+        let all = set.basic_ids();
+        let params = AdvisorParams::default();
+        let probe = |ev: &mut BenefitEvaluator<'_>, ids: &[CandId]| -> Vec<u64> {
+            let mut bits = vec![ev.baseline_cost().to_bits(), ev.benefit(ids).to_bits()];
+            bits.extend(ids.iter().map(|&id| ev.benefit(&[id]).to_bits()));
+            bits
+        };
+        let mut state = CostingState::default();
+        let first = {
+            let mut ev = BenefitEvaluator::retained(&db, &w, &set, &params, &mut state);
+            assert!(ev.eval_stats().optimizer_calls >= w.len() as u64);
+            probe(&mut ev, &all)
+        };
+        let kept = state.costings();
+        assert!(kept > w.len());
+        {
+            let mut ev = BenefitEvaluator::retained(&db, &w, &set, &params, &mut state);
+            assert_eq!(probe(&mut ev, &all), first);
+            assert_eq!(ev.eval_stats().optimizer_calls, 0);
+            assert_eq!(ev.budget_charged(), 0, "a kept costing is free");
+            assert_eq!(ev.cover_stats(), CoverCacheStats::default());
+        }
+        assert_eq!(state.costings(), kept);
+
+        // Half the workload first, then all of it over the candidate set
+        // extended the way a session extends it (ids append-only).
+        let half = w.prefix(w.len() / 2);
+        let mut grown = CandidateSet::new();
+        let p = AdvisorParams::default();
+        crate::Advisor::extend_prepared(&db, &half, 0, &mut grown, &p);
+        let mut state = CostingState::default();
+        {
+            let ids = grown.basic_ids();
+            let mut ev = BenefitEvaluator::retained(&db, &half, &grown, &params, &mut state);
+            probe(&mut ev, &ids);
+        }
+        crate::Advisor::extend_prepared(&db, &w, half.len(), &mut grown, &p);
+        let ids = grown.basic_ids();
+        let (extended, calls) = {
+            let mut ev = BenefitEvaluator::retained(&db, &w, &grown, &params, &mut state);
+            (probe(&mut ev, &ids), ev.eval_stats().optimizer_calls)
+        };
+        let mut fresh = BenefitEvaluator::configured(&db, &w, &grown, &params);
+        assert_eq!(extended, probe(&mut fresh, &ids));
+        assert!(calls > 0 && calls < fresh.eval_stats().optimizer_calls);
+        assert_eq!(state.statements(), w.len());
+        assert_eq!(state.candidates(), grown.len());
+    }
+
+    #[test]
+    fn retained_costs_count_against_the_governor_and_are_dropped_by_it() {
+        use crate::advisor::AdvisorParams;
+        let (mut db, w) = setup();
+        let set = candidates(&mut db, &w);
+        let all = set.basic_ids();
+        let mut state = CostingState::default();
+        {
+            let params = AdvisorParams::default();
+            let mut ev = BenefitEvaluator::retained(&db, &w, &set, &params, &mut state);
+            ev.benefit(&all);
+        }
+        let kept = state.bytes();
+        assert!(kept > 0 && state.costings() > w.len());
+        // The next run's whole budget is less than what is already kept:
+        // its first batch — served entirely from the state — tips the
+        // ladder, the second reclaims the statement costs, kept ones too.
+        let governed = AdvisorParams {
+            ctl: RunController::new().with_mem_budget(kept / 2),
+            ..AdvisorParams::default()
+        };
+        {
+            let mut ev = BenefitEvaluator::retained(&db, &w, &set, &governed, &mut state);
+            ev.benefit(&all);
+            assert_eq!(ev.eval_stats().optimizer_calls, 0);
+            assert_eq!(ev.governor_rung(), GovernorRung::ShrinkMemo);
+            ev.benefit(&all[..1]);
+            assert_eq!(ev.governor_rung(), GovernorRung::NoStmtCache);
+        }
+        assert_eq!(state.bytes(), 0);
+        assert_eq!(state.costings(), w.len(), "the clean baselines stay");
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod advisor;
 pub mod benefit;
 pub mod candidate;
 pub mod compress;
+pub mod costing;
 pub mod drift;
 pub mod enumerate;
 pub mod error;
@@ -45,6 +46,7 @@ pub use advisor::{Advisor, AdvisorParams, PartialRecommendation, Recommendation,
 pub use benefit::{BenefitEvaluator, WhatIfBudget};
 pub use candidate::{CandId, Candidate, CandidateSet, StmtSet};
 pub use compress::{compress_workload, compute_weights, CompressedWorkload, WorkloadTemplate};
+pub use costing::CostingState;
 pub use drift::DriftTracker;
 pub use enumerate::{
     enumerate_candidates, enumerate_candidates_into, enumerate_candidates_traced, size_candidates,
@@ -56,7 +58,5 @@ pub use generalize::{
     generalize_set_naive,
 };
 pub use report::TuningReport;
-pub use runctl::{
-    candidate_digest, load_checkpoint, GovernorRung, RunController, StopReason, WarmCostStore,
-};
+pub use runctl::{candidate_digest, load_checkpoint, GovernorRung, RunController, StopReason};
 pub use session::TuningSession;

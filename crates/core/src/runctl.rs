@@ -32,6 +32,11 @@
 //! (it would break that identity); resumption surfaces only through the
 //! CLI warning text and exit code.
 //!
+//! Replay is the *resume* mechanism and nothing else: the costing log is
+//! recorded (and each call's counter footprint snapshotted) only while a
+//! checkpoint file is armed. A tuning session that asks again keeps its
+//! costs in a [`crate::CostingState`] instead of replaying a log.
+//!
 //! Checkpoint files use the storage layer's FNV-1a framing (a v2-style
 //! line format with an `END <count> <checksum>` trailer), are bound to
 //! the candidate set by digest, and are written to a temp file renamed
@@ -171,10 +176,6 @@ struct CtlInner {
     /// The first stop condition to fire, latched for the rest of the run.
     stopped: Mutex<Option<StopReason>>,
     checkpoint: Option<CheckpointCfg>,
-    /// In-memory warm capture (the serving path): record the costing log
-    /// without any checkpoint file, so a caller can export it after the
-    /// run and install it into the next run's controller.
-    capture: bool,
     mem_budget: Option<u64>,
     resumed: AtomicBool,
     /// Read-only warm store installed by `--resume`.
@@ -211,7 +212,6 @@ impl RunController {
                 polls: AtomicU64::new(0),
                 stopped: Mutex::new(None),
                 checkpoint: None,
-                capture: false,
                 mem_budget: None,
                 resumed: AtomicBool::new(false),
                 warm: Mutex::new(HashMap::new()),
@@ -258,17 +258,6 @@ impl RunController {
             every: every.max(1),
         };
         self.configure(|i| i.checkpoint = Some(cfg))
-    }
-
-    /// Arms in-memory warm capture: every executed (or warm-served)
-    /// costing is recorded in the warm log exactly as under
-    /// [`RunController::with_checkpoint`], but nothing is written to
-    /// disk — the caller drains the log with
-    /// [`RunController::export_warm_log`] after the run. This is the
-    /// share half of the warm benefit-cache share/reset API used by the
-    /// serving layer.
-    pub fn with_warm_capture(self) -> Self {
-        self.configure(|i| i.capture = true)
     }
 
     /// Arms the resource governor with an approximate cache-byte budget.
@@ -336,23 +325,10 @@ impl RunController {
         self.inner.as_ref().and_then(|i| i.mem_budget)
     }
 
-    /// Whether the warm log is being recorded — by file checkpointing or
-    /// in-memory capture (drives per-task delta capture).
+    /// Whether a checkpoint file is armed, i.e. the warm log is being
+    /// recorded (drives per-task counter-footprint capture).
     pub fn checkpointing(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.checkpoint.is_some() || i.capture)
-    }
-
-    /// Drains a snapshot of this run's warm log — every costing executed
-    /// or warm-served so far, in coordinator order. Pair with
-    /// [`RunController::with_warm_capture`]; install the entries into a
-    /// later controller via [`RunController::install_warm`].
-    pub fn export_warm_log(&self) -> Vec<(WarmKey, WarmEntry)> {
-        match &self.inner {
-            Some(inner) => inner.log.lock().expect("controller poisoned").clone(),
-            None => Vec::new(),
-        }
+        self.inner.as_ref().is_some_and(|i| i.checkpoint.is_some())
     }
 
     /// Installs warm-store entries loaded from a checkpoint and marks the
@@ -382,11 +358,11 @@ impl RunController {
     }
 
     /// Appends one executed (or warm-served) costing to the warm log —
-    /// the payload of the next checkpoint or warm export. No-op unless
-    /// checkpointing or capturing.
+    /// the payload of the next checkpoint. No-op unless a checkpoint file
+    /// is armed.
     pub fn record_costing(&self, key: WarmKey, entry: WarmEntry) {
         if let Some(inner) = &self.inner {
-            if inner.checkpoint.is_some() || inner.capture {
+            if inner.checkpoint.is_some() {
                 inner
                     .log
                     .lock()
@@ -660,67 +636,6 @@ pub fn parse_checkpoint(
     Ok(entries)
 }
 
-/// Cumulative warm benefit-cache state shared across advisor runs — the
-/// share/reset API the serving layer builds on.
-///
-/// Each recommend run executes under a [`RunController`] armed with
-/// [`RunController::with_warm_capture`]; afterwards the run's warm log is
-/// [absorbed](WarmCostStore::absorb) here (last write wins per key; keys
-/// are content-derived, so a re-executed costing overwrites itself with an
-/// identical entry). The next run [installs](WarmCostStore::install) the
-/// accumulated entries and replays every previously executed costing
-/// byte-identically. [`WarmCostStore::reset`] drops everything — called
-/// whenever the underlying database changes (e.g. a recommendation was
-/// materialized), because warm costs are only valid against the catalog
-/// and statistics they were captured under.
-#[derive(Debug, Default)]
-pub struct WarmCostStore {
-    entries: HashMap<WarmKey, WarmEntry>,
-    order: Vec<WarmKey>,
-}
-
-impl WarmCostStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Merges one run's exported warm log (insertion-ordered; last write
-    /// per key wins).
-    pub fn absorb(&mut self, log: Vec<(WarmKey, WarmEntry)>) {
-        for (k, v) in log {
-            if self.entries.insert(k.clone(), v).is_none() {
-                self.order.push(k);
-            }
-        }
-    }
-
-    /// The accumulated entries in first-absorption order, ready for
-    /// [`RunController::install_warm`].
-    pub fn install(&self) -> Vec<(WarmKey, WarmEntry)> {
-        self.order
-            .iter()
-            .filter_map(|k| self.entries.get(k).map(|v| (k.clone(), v.clone())))
-            .collect()
-    }
-
-    /// Distinct costings held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store holds nothing (a cold first run).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops all warm state (the database changed underneath us).
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -855,6 +770,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt");
         let ctl = RunController::new().with_checkpoint(&path, 1);
+        // Only a checkpoint file arms the costing log (and with it the
+        // per-call counter snapshots).
+        assert!(ctl.checkpointing());
+        assert!(!RunController::new().with_mem_budget(1).checkpointing());
         for (k, v) in sample_log() {
             ctl.record_costing(k, v);
         }
@@ -901,50 +820,6 @@ mod tests {
         assert!(path.exists());
         assert_eq!(tel.get(Counter::CheckpointsWritten), 1);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn warm_capture_records_without_a_checkpoint_file() {
-        let ctl = RunController::new().with_warm_capture();
-        assert!(ctl.checkpointing(), "capture must drive delta capture");
-        for (k, v) in sample_log() {
-            ctl.record_costing(k, v);
-        }
-        assert_eq!(ctl.export_warm_log(), sample_log());
-        // No checkpoint file is involved: after_batch is a no-op.
-        let tel = Telemetry::new();
-        assert_eq!(ctl.after_batch(1, &FaultInjector::off(), &tel), None);
-        assert_eq!(tel.get(Counter::CheckpointsWritten), 0);
-        // Plain controllers record nothing.
-        let plain = RunController::new();
-        assert!(!plain.checkpointing());
-        for (k, v) in sample_log() {
-            plain.record_costing(k, v);
-        }
-        assert!(plain.export_warm_log().is_empty());
-        assert!(RunController::off().export_warm_log().is_empty());
-    }
-
-    #[test]
-    fn warm_cost_store_absorbs_dedups_and_resets() {
-        let mut store = WarmCostStore::new();
-        assert!(store.is_empty());
-        store.absorb(sample_log());
-        assert_eq!(store.len(), 2);
-        // Re-absorbing the same log (the replay model re-logs warm-served
-        // entries) leaves the store unchanged.
-        store.absorb(sample_log());
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.install(), sample_log());
-        // Installed entries replay through a fresh controller.
-        let ctl = RunController::new().with_warm_capture();
-        ctl.install_warm(store.install());
-        assert!(ctl.resumed());
-        let (key, entry) = sample_log().remove(0);
-        assert_eq!(ctl.warm_lookup(&key), Some(entry));
-        store.reset();
-        assert!(store.is_empty());
-        assert!(store.install().is_empty());
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use counter::Counter;
 pub use event::{Event, PruneReason};
 pub use hist::{Hist, HistSummary, LatencyHistogram};
 pub use journal::EventJournal;
-pub use report::{StatementTrace, TraceReport};
+pub use report::{hist_summary_to_json, StatementTrace, TraceReport};
 pub use snapshot::MetricsSnapshot;
 pub use span::SpanSnapshot;
 

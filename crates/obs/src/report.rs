@@ -246,7 +246,7 @@ impl TraceReport {
 }
 
 /// Renders a latency summary as a JSON object (all values nanoseconds).
-pub(crate) fn hist_summary_to_json(s: &HistSummary) -> Json {
+pub fn hist_summary_to_json(s: &HistSummary) -> Json {
     Json::Obj(vec![
         ("count".to_string(), Json::Num(s.count as f64)),
         ("p50_ns".to_string(), Json::Num(s.p50_ns as f64)),

@@ -9,7 +9,7 @@
 
 use crate::cost::CostModel;
 use crate::modes::PreparedStatement;
-use xia_storage::IndexStats;
+use xia_storage::{CollectionStats, IndexStats};
 use xia_xml::{parse_document, Vocabulary};
 use xia_xpath::{contain, LinearPath, Statement, ValueKind};
 
@@ -63,22 +63,26 @@ pub fn matching_entries(values: &[PayloadValue], pattern: &LinearPath, kind: Val
 /// * update: if the index covers the rewritten path, estimated victim docs
 ///   × 2 (delete + insert of the key).
 ///
-/// Everything read off the statement — the parsed payload, the victim
-/// estimate — was computed once when it was prepared, not per index.
+/// Everything estimated from the statement — the parsed payload, the
+/// victim estimate — was computed once when it was prepared, not per
+/// index; `stmt` and `stats` are the statement and collection statistics
+/// `prepared` was prepared from.
 pub fn maintenance_cost(
     pattern: &LinearPath,
     kind: ValueKind,
     index_stats: &IndexStats,
-    prepared: &PreparedStatement<'_>,
+    stmt: &Statement,
+    stats: &CollectionStats,
+    prepared: &PreparedStatement,
     cm: &CostModel,
 ) -> f64 {
-    match prepared.statement() {
+    match stmt {
         Statement::Query(_) => 0.0,
         Statement::Insert { .. } => {
             prepared.payload_entries(pattern, kind) as f64 * cm.update_entry
         }
         Statement::Delete { .. } => {
-            let doc_count = prepared.stats().doc_count;
+            let doc_count = stats.doc_count;
             let per_doc = if doc_count == 0 {
                 0.0
             } else {
@@ -144,6 +148,27 @@ mod tests {
         (c, s, cat)
     }
 
+    /// `maintenance_cost` of `stmt`, prepared on the spot.
+    fn cost(
+        opt: &Optimizer<'_>,
+        stats: &CollectionStats,
+        pattern: &LinearPath,
+        kind: ValueKind,
+        index_stats: &IndexStats,
+        stmt: &Statement,
+    ) -> f64 {
+        let prepared = opt.prepare(stmt);
+        maintenance_cost(
+            pattern,
+            kind,
+            index_stats,
+            stmt,
+            stats,
+            &prepared,
+            opt.cost_model(),
+        )
+    }
+
     #[test]
     fn queries_have_zero_maintenance() {
         let (c, s, cat) = setup();
@@ -153,13 +178,7 @@ mod tests {
         )
         .unwrap();
         let def = cat.iter().next().unwrap();
-        let mc = maintenance_cost(
-            &def.pattern,
-            def.kind,
-            &def.stats,
-            &opt.prepare(&q),
-            opt.cost_model(),
-        );
+        let mc = cost(&opt, &s, &def.pattern, def.kind, &def.stats, &q);
         assert_eq!(mc, 0.0);
     }
 
@@ -170,13 +189,7 @@ mod tests {
         let ins =
             parse_statement("insert into SDOC <Security><Symbol>X</Symbol></Security>").unwrap();
         let def = cat.iter().next().unwrap();
-        let mc = maintenance_cost(
-            &def.pattern,
-            def.kind,
-            &def.stats,
-            &opt.prepare(&ins),
-            opt.cost_model(),
-        );
+        let mc = cost(&opt, &s, &def.pattern, def.kind, &def.stats, &ins);
         assert!((mc - opt.cost_model().update_entry).abs() < 1e-9);
     }
 
@@ -188,20 +201,8 @@ mod tests {
             parse_statement(r#"delete from SDOC where /Security[Symbol = "S3"]"#).unwrap();
         let broad = parse_statement(r#"delete from SDOC where /Security[Yield >= 0]"#).unwrap();
         let def = cat.iter().next().unwrap();
-        let mc_sel = maintenance_cost(
-            &def.pattern,
-            def.kind,
-            &def.stats,
-            &opt.prepare(&selective),
-            opt.cost_model(),
-        );
-        let mc_broad = maintenance_cost(
-            &def.pattern,
-            def.kind,
-            &def.stats,
-            &opt.prepare(&broad),
-            opt.cost_model(),
-        );
+        let mc_sel = cost(&opt, &s, &def.pattern, def.kind, &def.stats, &selective);
+        let mc_broad = cost(&opt, &s, &def.pattern, def.kind, &def.stats, &broad);
         assert!(mc_broad > mc_sel * 10.0, "sel={mc_sel} broad={mc_broad}");
     }
 
@@ -216,20 +217,8 @@ mod tests {
         let sym = parse_linear_path("/Security/Symbol").unwrap();
         let yld = parse_linear_path("/Security/Yield").unwrap();
         let def = cat.iter().next().unwrap();
-        let mc_sym = maintenance_cost(
-            &sym,
-            ValueKind::Str,
-            &def.stats,
-            &opt.prepare(&upd),
-            opt.cost_model(),
-        );
-        let mc_yld = maintenance_cost(
-            &yld,
-            ValueKind::Num,
-            &def.stats,
-            &opt.prepare(&upd),
-            opt.cost_model(),
-        );
+        let mc_sym = cost(&opt, &s, &sym, ValueKind::Str, &def.stats, &upd);
+        let mc_yld = cost(&opt, &s, &yld, ValueKind::Num, &def.stats, &upd);
         assert_eq!(mc_sym, 0.0);
         assert!(mc_yld > 0.0);
     }

@@ -206,7 +206,7 @@ impl<'a> Optimizer<'a> {
     /// [`Optimizer::try_optimize`] over a prepared statement: the fault
     /// roll, then [`Optimizer::plan`]. The advisor's what-if calls go
     /// through this so they can degrade gracefully.
-    pub fn try_plan(&self, prepared: &PreparedStatement<'_>) -> Result<Plan, CostError> {
+    pub fn try_plan(&self, prepared: &PreparedStatement) -> Result<Plan, CostError> {
         self.roll_cost_fault()?;
         Ok(self.plan(prepared))
     }
@@ -222,24 +222,14 @@ impl<'a> Optimizer<'a> {
     /// normalizes `stmt` and estimates everything about it that the
     /// catalog cannot change. One [`PatternStats::collect`] per distinct
     /// path of the statement.
-    pub fn prepare<'s>(&self, stmt: &'s Statement) -> PreparedStatement<'s>
-    where
-        'a: 's,
-    {
+    pub fn prepare(&self, stmt: &Statement) -> PreparedStatement {
         self.prepare_shared(stmt, &mut PathStatsMemo::default())
     }
 
     /// [`Optimizer::prepare`] through a caller-held memo, so statements
     /// that share paths share the collection passes. The memo must only
     /// ever see optimizers bound to one collection's statistics.
-    pub fn prepare_shared<'s>(
-        &self,
-        stmt: &'s Statement,
-        memo: &mut PathStatsMemo,
-    ) -> PreparedStatement<'s>
-    where
-        'a: 's,
-    {
+    pub fn prepare_shared(&self, stmt: &Statement, memo: &mut PathStatsMemo) -> PreparedStatement {
         let shape = match normalize_statement(stmt) {
             Some(nq) => Shape::Access(self.prepare_access(nq, memo)),
             None => {
@@ -254,8 +244,7 @@ impl<'a> Optimizer<'a> {
             }
         };
         PreparedStatement {
-            stmt,
-            stats: self.stats,
+            node_count: self.stats.node_count,
             shape,
         }
     }
@@ -377,11 +366,12 @@ impl<'a> Optimizer<'a> {
     /// planner: index matching against the catalog view, probe costing from
     /// the prepared estimates and each matching definition's statistics,
     /// greedy index-ANDing. Counted like [`Optimizer::optimize`]. The
-    /// prepared statement must come from an optimizer over the same
-    /// statistics and cost model.
-    pub fn plan(&self, prepared: &PreparedStatement<'_>) -> Plan {
-        debug_assert!(
-            std::ptr::eq(prepared.stats, self.stats),
+    /// prepared statement owns its estimates and borrows nothing, so the
+    /// statistics are this optimizer's: it must be bound to the statistics
+    /// (and cost model) the statement was prepared from.
+    pub fn plan(&self, prepared: &PreparedStatement) -> Plan {
+        debug_assert_eq!(
+            prepared.node_count, self.stats.node_count,
             "statement prepared against other statistics"
         );
         self.evaluate_calls.set(self.evaluate_calls.get() + 1);
@@ -592,8 +582,9 @@ fn combined_docs(q: &AccessShape, steps: &[PlanStep], apply_residual: bool) -> f
 }
 
 /// [`PatternStats`] per distinct linear path of one collection — what lets
-/// statements prepared together share the dictionary passes. Build-local:
-/// a prepared statement keeps the estimates, not the statistics.
+/// statements prepared together share the dictionary passes, and an owner
+/// that prepares more statements later keeps sharing them. A prepared
+/// statement keeps the estimates, not the statistics.
 #[derive(Debug, Default)]
 pub struct PathStatsMemo {
     by_path: HashMap<LinearPath, PatternStats>,
@@ -601,12 +592,16 @@ pub struct PathStatsMemo {
 
 /// The configuration-invariant half of a what-if call, built by
 /// [`Optimizer::prepare`] and costed under any number of catalog views by
-/// [`Optimizer::plan`]. It borrows the collection statistics it was
-/// estimated from, so it can neither outlive nor go stale against them.
+/// [`Optimizer::plan`]. It owns its estimates and borrows nothing — the
+/// statement and the statistics are handed back in by whoever plans or
+/// prices maintenance with it — so it can be kept for as long as the
+/// statistics it was estimated from stay unchanged (a tuning session
+/// keeps it for the life of its database snapshot).
 #[derive(Debug)]
-pub struct PreparedStatement<'s> {
-    stmt: &'s Statement,
-    stats: &'s CollectionStats,
+pub struct PreparedStatement {
+    /// Node count of the statistics the estimates were made from: the
+    /// cheap stand-in `plan` checks its own statistics against.
+    node_count: u64,
     shape: Shape,
 }
 
@@ -665,17 +660,7 @@ struct Leak {
     fraction: f64,
 }
 
-impl<'s> PreparedStatement<'s> {
-    /// The statement this was prepared from.
-    pub fn statement(&self) -> &'s Statement {
-        self.stmt
-    }
-
-    /// The collection statistics the estimates were made from.
-    pub fn stats(&self) -> &'s CollectionStats {
-        self.stats
-    }
-
+impl PreparedStatement {
     /// Estimated documents a modification statement touches (used by the
     /// maintenance-cost model); an insert affects exactly its own
     /// document.

@@ -11,11 +11,12 @@
 //!
 //! * [`protocol`] — line-delimited JSON over TCP and/or a unix socket:
 //!   verbs `hello`, `ping`, `observe`, `recommend`, `stats`, `journal`,
-//!   `reset`, `shutdown`; hostile-input caps; typed error replies mapped
-//!   to the CLI's exit-code taxonomy.
+//!   `reset`, `metrics`, `shutdown`; hostile-input caps; typed error
+//!   replies mapped to the CLI's exit-code taxonomy.
 //! * [`session`] — one [`ServerSession`] per connection: an incremental
-//!   [`TuningSession`](xia_advisor::TuningSession) with drift-triggered
-//!   incremental re-advise over compressed-template mass.
+//!   [`TuningSession`](xia_advisor::TuningSession) that keeps its
+//!   prepared candidates and what-if costs across requests, with
+//!   drift-triggered incremental re-advise over compressed-template mass.
 //! * [`server`] — listeners, thread-per-connection with an admission
 //!   cap, one immutable database snapshot read without a lock, and
 //!   deterministic cleanup.
@@ -31,7 +32,7 @@ pub mod session;
 
 pub use protocol::{
     parse_request, render_recommendation, Request, WireError, MAX_LINE_BYTES,
-    MAX_STATEMENTS_PER_REQUEST,
+    MAX_STATEMENTS_PER_REQUEST, VERBS,
 };
 pub use server::{start, ServerConfig, ServerCounters, ServerHandle};
-pub use session::{ServerSession, SessionOptions};
+pub use session::{CostingGauges, ServerSession, SessionOptions};

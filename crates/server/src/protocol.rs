@@ -27,6 +27,19 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// Hard cap on statements in one `observe` request.
 pub const MAX_STATEMENTS_PER_REQUEST: usize = 1024;
 
+/// Every verb the server answers, in the order `hello` lists them.
+pub const VERBS: [&str; 9] = [
+    "hello",
+    "ping",
+    "observe",
+    "recommend",
+    "stats",
+    "journal",
+    "reset",
+    "metrics",
+    "shutdown",
+];
+
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -52,6 +65,10 @@ pub enum Request {
     Journal,
     /// Discard all session state (workload, caches, drift baseline).
     Reset,
+    /// Server-wide operational metrics: per-verb latency histograms,
+    /// connection gauges, per-session kept-cost gauges. The one verb whose
+    /// reply carries wall-clock values.
+    Metrics,
     /// Stop the whole server.
     Shutdown,
 }
@@ -175,8 +192,27 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         "stats" => Ok(Request::Stats),
         "journal" => Ok(Request::Journal),
         "reset" => Ok(Request::Reset),
+        "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(WireError::usage(format!("unknown verb `{other}`"))),
+    }
+}
+
+impl Request {
+    /// The request's verb, as the client spelled it (an entry of
+    /// [`VERBS`]).
+    pub fn verb(&self) -> &'static str {
+        match self {
+            Request::Hello => "hello",
+            Request::Ping => "ping",
+            Request::Observe { .. } => "observe",
+            Request::Recommend { .. } => "recommend",
+            Request::Stats => "stats",
+            Request::Journal => "journal",
+            Request::Reset => "reset",
+            Request::Metrics => "metrics",
+            Request::Shutdown => "shutdown",
+        }
     }
 }
 
@@ -326,10 +362,13 @@ mod tests {
             ("stats", Request::Stats),
             ("journal", Request::Journal),
             ("reset", Request::Reset),
+            ("metrics", Request::Metrics),
             ("shutdown", Request::Shutdown),
         ] {
             let req = parse_request(&format!(r#"{{"verb":"{verb}"}}"#)).unwrap();
             assert_eq!(req, want);
+            assert_eq!(req.verb(), verb);
+            assert!(VERBS.contains(&verb));
         }
     }
 

@@ -16,20 +16,26 @@
 //! per-phase [`xia_storage::StatsView`] private to the request, so no
 //! session can leave anything behind for another: every reply is a
 //! function of the snapshot and the session's own request stream.
+//!
+//! The one exception is by design: `metrics` answers for the whole server
+//! (per-verb latency histograms, connection gauges, each live session's
+//! kept-cost gauges), so its reply carries wall-clock values and what
+//! other connections did. Nothing it reports appears in any other reply.
 
-use crate::protocol::{ok_reply, parse_request, Request, WireError, MAX_LINE_BYTES};
-use crate::session::{ServerSession, SessionOptions};
+use crate::protocol::{ok_reply, parse_request, Request, WireError, MAX_LINE_BYTES, VERBS};
+use crate::session::{CostingGauges, ServerSession, SessionOptions};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xia_advisor::Advisor;
 use xia_fault::FaultInjector;
 use xia_obs::json::Json;
-use xia_obs::Telemetry;
+use xia_obs::{hist_summary_to_json, LatencyHistogram, Telemetry};
 use xia_storage::Database;
 
 /// How long a connection read waits before re-checking the stop flag.
@@ -92,6 +98,38 @@ pub struct ServerCounters {
     pub errors: AtomicU64,
 }
 
+/// The histogram row of request lines that named no verb the server
+/// knows (malformed JSON, wrong shape, unknown verb).
+const INVALID_VERB: &str = "invalid";
+
+/// What the `metrics` verb reports beyond the plain counters: wall-clock
+/// and cross-session values, kept apart from everything a deterministic
+/// reply is rendered from.
+struct Metrics {
+    /// Request latency per verb (line framed → reply written), [`VERBS`]
+    /// order then [`INVALID_VERB`]; a histogram's count is the verb's
+    /// request count.
+    verbs: Vec<(&'static str, LatencyHistogram)>,
+    /// Kept-cost gauges of every live session, by connection number.
+    sessions: BTreeMap<u64, CostingGauges>,
+    /// Finished connection threads whose handles were reaped.
+    reaped: u64,
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Self {
+            verbs: VERBS
+                .iter()
+                .chain([&INVALID_VERB])
+                .map(|&v| (v, LatencyHistogram::new()))
+                .collect(),
+            sessions: BTreeMap::new(),
+            reaped: 0,
+        }
+    }
+}
+
 struct Shared {
     /// The published snapshot; connections only ever read it.
     db: Arc<Database>,
@@ -100,6 +138,8 @@ struct Shared {
     active: AtomicUsize,
     counters: ServerCounters,
     conns: Mutex<Vec<JoinHandle<()>>>,
+    /// One short critical section per request, after its reply is written.
+    metrics: Mutex<Metrics>,
 }
 
 impl Shared {
@@ -129,6 +169,64 @@ impl Shared {
                 "max_connections".into(),
                 Json::Num(self.config.max_connections as f64),
             ),
+        ])
+    }
+
+    fn metrics(&self) -> std::sync::MutexGuard<'_, Metrics> {
+        self.metrics
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Books one answered request: its latency under its verb, and the
+    /// session's gauges as the request left them.
+    fn record_request(&self, verb: &str, elapsed: Duration, conn: u64, gauges: CostingGauges) {
+        let mut m = self.metrics();
+        if let Some((_, hist)) = m.verbs.iter_mut().find(|(v, _)| *v == verb) {
+            hist.record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+        }
+        m.sessions.insert(conn, gauges);
+    }
+
+    /// The `metrics` reply body.
+    fn metrics_json(&self) -> Json {
+        let load = |c: &AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
+        let m = self.metrics();
+        let verbs = (m.verbs.iter())
+            .filter(|(_, hist)| hist.count() > 0)
+            .map(|(verb, hist)| (verb.to_string(), hist_summary_to_json(&hist.summary())))
+            .collect();
+        let sessions = (m.sessions.iter())
+            .map(|(conn, g)| {
+                let ratio = if g.asked == 0 {
+                    0.0
+                } else {
+                    g.served as f64 / g.asked as f64
+                };
+                Json::Obj(vec![
+                    ("connection".into(), Json::Num(*conn as f64)),
+                    ("retained_costings".into(), Json::Num(g.retained as f64)),
+                    ("costings_asked".into(), Json::Num(g.asked as f64)),
+                    ("costings_served".into(), Json::Num(g.served as f64)),
+                    ("hit_ratio".into(), Json::Num(ratio)),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("verbs".into(), Json::Obj(verbs)),
+            (
+                "connections".into(),
+                Json::Obj(vec![
+                    (
+                        "live".into(),
+                        Json::Num(self.active.load(Ordering::Relaxed) as f64),
+                    ),
+                    ("accepted".into(), load(&self.counters.connections)),
+                    ("rejected".into(), load(&self.counters.rejected)),
+                    ("reaped".into(), Json::Num(m.reaped as f64)),
+                ]),
+            ),
+            ("sessions".into(), Json::Arr(sessions)),
         ])
     }
 }
@@ -251,6 +349,7 @@ pub fn start(config: ServerConfig, mut db: Database) -> io::Result<ServerHandle>
         active: AtomicUsize::new(0),
         counters: ServerCounters::default(),
         conns: Mutex::new(Vec::new()),
+        metrics: Mutex::default(),
     });
 
     let accept_shared = Arc::clone(&shared);
@@ -320,7 +419,7 @@ fn admit<S>(shared: &Arc<Shared>, mut stream: S, configure: impl Fn(&S) -> io::R
 where
     S: Read + Write + Send + 'static,
 {
-    shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+    let conn = shared.counters.connections.fetch_add(1, Ordering::Relaxed) + 1;
     if configure(&stream).is_err() {
         return;
     }
@@ -342,7 +441,8 @@ where
     let spawned = std::thread::Builder::new()
         .name("xia-conn".into())
         .spawn(move || {
-            conn_loop(&conn_shared, stream);
+            conn_loop(&conn_shared, conn, stream);
+            conn_shared.metrics().sessions.remove(&conn);
             conn_shared.active.fetch_sub(1, Ordering::SeqCst);
         });
     match spawned {
@@ -351,7 +451,9 @@ where
                 // Reap connections that already ended, so a long-lived
                 // daemon holds one handle per live connection, not one
                 // per connection ever accepted.
+                let held = conns.len();
                 conns.retain(|h| !h.is_finished());
+                shared.metrics().reaped += (held - conns.len()) as u64;
                 conns.push(handle);
             }
         }
@@ -442,7 +544,7 @@ impl LineReader {
     }
 }
 
-fn conn_loop<S: Read + Write>(shared: &Arc<Shared>, mut stream: S) {
+fn conn_loop<S: Read + Write>(shared: &Arc<Shared>, conn: u64, mut stream: S) {
     let faults = build_faults(&shared.config);
     let opts = SessionOptions {
         drift_threshold: shared.config.drift_threshold,
@@ -451,6 +553,10 @@ fn conn_loop<S: Read + Write>(shared: &Arc<Shared>, mut stream: S) {
         faults,
     };
     let mut session = ServerSession::new(&opts);
+    shared
+        .metrics()
+        .sessions
+        .insert(conn, session.costing_gauges());
     let mut reader = LineReader::default();
     loop {
         let line = match reader.next_line(&mut stream, &shared.stop) {
@@ -467,8 +573,11 @@ fn conn_loop<S: Read + Write>(shared: &Arc<Shared>, mut stream: S) {
         if line.trim().is_empty() {
             continue;
         }
+        let framed = Instant::now();
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let outcome = match parse_request(&line) {
+        let parsed = parse_request(&line);
+        let verb = parsed.as_ref().map_or(INVALID_VERB, Request::verb);
+        let outcome = match parsed {
             Ok(Request::Shutdown) => {
                 let _ = write_line(
                     &mut stream,
@@ -485,7 +594,9 @@ fn conn_loop<S: Read + Write>(shared: &Arc<Shared>, mut stream: S) {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
             e.render()
         });
-        if write_line(&mut stream, &reply).is_err() {
+        let written = write_line(&mut stream, &reply);
+        shared.record_request(verb, framed.elapsed(), conn, session.costing_gauges());
+        if written.is_err() {
             return;
         }
     }
@@ -510,6 +621,7 @@ fn dispatch(
         ])),
         Request::Journal => Ok(session.journal_reply()),
         Request::Reset => Ok(session.reset_reply()),
+        Request::Metrics => Ok(ok_reply(vec![("metrics".into(), shared.metrics_json())])),
         // Handled by the connection loop before dispatch.
         Request::Shutdown => Ok(ok_reply(vec![("stopping".into(), Json::Bool(true))])),
     }
@@ -720,6 +832,72 @@ mod tests {
         assert_eq!(r1, r2, "warm repeat must be byte-identical");
         let v = Json::parse(&r1).expect("recommend json");
         assert!(v.get("recommendation").is_some());
+        handle.stop();
+    }
+
+    #[test]
+    fn metrics_reports_verbs_connections_and_kept_costs() {
+        let handle = start_tcp(ServerConfig::default());
+        let mut a = connect(&handle);
+        let observe = r#"{"verb":"observe","statements":["collection('SDOC')/Security[Symbol = \"SYM00001\"]"]}"#;
+        let rec_req = r#"{"verb":"recommend","budget":1000000000,"algo":"greedy"}"#;
+        let _ = roundtrip(&mut a, observe);
+        let first = roundtrip(&mut a, rec_req);
+        let again = roundtrip(&mut a, rec_req);
+        assert_eq!(first, again);
+        let _ = roundtrip(&mut a, "not json");
+        // A request is booked after its reply is written; one more round
+        // trip on the connection puts everything before it on the books.
+        let _ = roundtrip(&mut a, r#"{"verb":"ping"}"#);
+        let mut b = connect(&handle);
+        let reply = roundtrip(&mut b, r#"{"verb":"metrics"}"#);
+        let v = Json::parse(&reply).expect("metrics json");
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+        let m = v.get("metrics").expect("metrics body");
+        let count = |verb: &str| {
+            let hist = m.get("verbs").and_then(|verbs| verbs.get(verb));
+            hist.and_then(|h| h.get("count")).and_then(Json::as_num)
+        };
+        assert_eq!(count("observe"), Some(1.0));
+        assert_eq!(count("recommend"), Some(2.0));
+        assert_eq!(count("invalid"), Some(1.0));
+        assert_eq!(count("stats"), None, "verbs never asked are left out");
+        let p50 = m
+            .get("verbs")
+            .unwrap()
+            .get("recommend")
+            .unwrap()
+            .get("p50_ns");
+        assert!(p50.and_then(Json::as_num).unwrap() > 0.0);
+        let conns = m.get("connections").unwrap();
+        assert_eq!(conns.get("live").unwrap().as_num(), Some(2.0));
+        assert_eq!(conns.get("accepted").unwrap().as_num(), Some(2.0));
+        assert_eq!(conns.get("rejected").unwrap().as_num(), Some(0.0));
+        // Both live sessions are listed; only the one that advised holds
+        // costings, and its repeat recommend was answered from them.
+        let sessions = m.get("sessions").unwrap().as_arr().unwrap();
+        assert_eq!(sessions.len(), 2);
+        let num = |s: &Json, f: &str| s.get(f).and_then(Json::as_num).unwrap();
+        assert!(num(&sessions[0], "retained_costings") > 0.0);
+        let ratio = num(&sessions[0], "hit_ratio");
+        assert!((0.5..1.0).contains(&ratio), "{ratio}");
+        assert_eq!(num(&sessions[1], "retained_costings"), 0.0);
+        assert_eq!(num(&sessions[1], "hit_ratio"), 0.0);
+        // A closed connection leaves the list.
+        drop(a);
+        while handle.shared.active.load(Ordering::SeqCst) > 1 {
+            std::thread::yield_now();
+        }
+        let v = Json::parse(&roundtrip(&mut b, r#"{"verb":"metrics"}"#)).expect("json");
+        let sessions = v.get("metrics").unwrap().get("sessions").unwrap();
+        assert_eq!(sessions.as_arr().unwrap().len(), 1);
+        let count = v
+            .get("metrics")
+            .unwrap()
+            .get("verbs")
+            .unwrap()
+            .get("metrics");
+        assert_eq!(count.unwrap().get("count").unwrap().as_num(), Some(1.0));
         handle.stop();
     }
 

@@ -1,8 +1,8 @@
 //! Per-connection advisor sessions.
 //!
 //! Each client connection owns one [`ServerSession`]: an incremental
-//! [`TuningSession`] (prepared candidates + warm benefit costs that
-//! persist across requests), a [`DriftTracker`] over compressed-template
+//! [`TuningSession`] (prepared candidates + what-if costs kept across
+//! requests), a [`DriftTracker`] over compressed-template
 //! mass, and a private telemetry sink + decision journal. Nothing in a
 //! session references another connection, so every reply, counter, and
 //! journal event is a pure function of the session's own request stream —
@@ -14,13 +14,13 @@
 //! histogram; when total-variation drift against the last
 //! recommendation's baseline crosses the configured threshold, the
 //! session emits a `drift_detected` journal event and re-runs the
-//! advisor *incrementally* (prepared candidates extend, warm costs
-//! replay) with the same budget and algorithm as the last explicit
+//! advisor *incrementally* (prepared candidates and kept costs extend)
+//! with the same budget and algorithm as the last explicit
 //! `recommend`. The baseline then resets, so one crossing triggers
 //! exactly one re-advise.
 
 use crate::protocol::{
-    ok_reply, render_recommendation, WireError, MAX_LINE_BYTES, MAX_STATEMENTS_PER_REQUEST,
+    ok_reply, render_recommendation, WireError, MAX_LINE_BYTES, MAX_STATEMENTS_PER_REQUEST, VERBS,
 };
 use xia_advisor::{AdvisorParams, DriftTracker, Recommendation, SearchAlgorithm, TuningSession};
 use xia_fault::FaultInjector;
@@ -51,6 +51,18 @@ impl Default for SessionOptions {
             faults: FaultInjector::off(),
         }
     }
+}
+
+/// What a session's kept costs amount to right now: the per-session row
+/// of the server's `metrics` reply.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CostingGauges {
+    /// Per-statement costings the session holds.
+    pub retained: u64,
+    /// Per-statement costings its advisor runs have asked for …
+    pub asked: u64,
+    /// … and how many of them were answered from what it held.
+    pub served: u64,
 }
 
 /// One connection's warm advisor state. See the module docs.
@@ -119,21 +131,7 @@ impl ServerSession {
             ),
             (
                 "verbs".into(),
-                Json::Arr(
-                    [
-                        "hello",
-                        "ping",
-                        "observe",
-                        "recommend",
-                        "stats",
-                        "journal",
-                        "reset",
-                        "shutdown",
-                    ]
-                    .iter()
-                    .map(|v| Json::Str((*v).into()))
-                    .collect(),
-                ),
+                Json::Arr(VERBS.iter().map(|v| Json::Str((*v).into())).collect()),
             ),
         ])
     }
@@ -274,8 +272,20 @@ impl ServerSession {
         Ok(rec)
     }
 
+    /// The session's kept-cost gauges (read by the server after each
+    /// request for its `metrics` verb).
+    pub fn costing_gauges(&self) -> CostingGauges {
+        let costing = self.tuning.costing();
+        let (asked, served) = costing.hit_counts();
+        CostingGauges {
+            retained: costing.costings() as u64,
+            asked,
+            served,
+        }
+    }
+
     /// The session half of a `stats` reply: observation totals, drift
-    /// state, warm-cache occupancy, and the full telemetry counter set.
+    /// state, kept-cost occupancy, and the full telemetry counter set.
     /// Every field is a deterministic function of this session's own
     /// request stream.
     pub fn stats_json(&self) -> Json {
@@ -326,13 +336,11 @@ impl ServerSession {
     }
 
     /// Handles `reset`: discards all session state (workload, prepared
-    /// candidates, warm costs, drift baseline, telemetry, journal).
+    /// candidates, kept costs, drift baseline, telemetry, journal).
     pub fn reset_reply(&mut self) -> String {
         self.params.telemetry.reset();
         self.params.journal.reset();
-        let mut tuning = TuningSession::new();
-        tuning.set_params(self.params.clone());
-        self.tuning = tuning;
+        self.tuning.reset();
         self.drift = DriftTracker::new();
         self.last = None;
         self.observed_total = 0;
@@ -449,9 +457,16 @@ mod tests {
         let r2 = s
             .recommend_reply(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap();
-        assert_eq!(r1, r2, "warm replay must reproduce the reply bytes");
+        assert_eq!(r1, r2, "a warm recommend must reproduce the reply bytes");
         let v = Json::parse(&r2).unwrap();
         assert!(v.get("warm_costings").unwrap().as_num().unwrap() > 0.0);
+        // The repeat was answered from kept costs, not re-costed.
+        let g = s.costing_gauges();
+        assert_eq!(
+            Some(g.retained as f64),
+            v.get("warm_costings").unwrap().as_num()
+        );
+        assert!(g.served * 2 >= g.asked, "{g:?}");
     }
 
     #[test]
@@ -466,6 +481,11 @@ mod tests {
         assert_eq!(v.get("observed").unwrap().as_num(), Some(0.0));
         assert_eq!(v.get("recommends").unwrap().as_num(), Some(0.0));
         assert_eq!(v.get("journal_events").unwrap().as_num(), Some(0.0));
+        // Nothing survives a reset: the whole `stats` reply, counters and
+        // kept costs included, is a new session's.
+        let cold = ServerSession::new(&SessionOptions::default());
+        assert_eq!(v.render(), cold.stats_json().render());
+        assert_eq!(s.costing_gauges(), CostingGauges::default());
         let e = s
             .recommend_reply(&db, u64::MAX / 2, SearchAlgorithm::GreedyHeuristics)
             .unwrap_err();

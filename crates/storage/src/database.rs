@@ -278,6 +278,13 @@ impl<'a> StatsView<'a> {
         Self { db, hidden }
     }
 
+    /// The mask this view hides statistics by (`mask[i]` hides the `i`-th
+    /// collection in creation order; empty hides nothing). State computed
+    /// through a view is valid under exactly this mask.
+    pub fn mask(&self) -> &[bool] {
+        &self.hidden
+    }
+
     /// Borrows a collection (hidden statistics do not hide the data).
     pub fn collection(&self, name: &str) -> Option<&'a Collection> {
         self.db.collection(name)

@@ -58,6 +58,13 @@ impl Workload {
         });
     }
 
+    /// Adds `freq` to entry `index`'s frequency: how a caller that merges
+    /// duplicate statements as they arrive (a tuning session) folds one
+    /// into the entry that already stands for it.
+    pub fn add_freq(&mut self, index: usize, freq: f64) {
+        self.entries[index].freq += freq;
+    }
+
     /// Builds a workload from statement texts, all with frequency 1.
     pub fn from_texts<'a>(texts: impl IntoIterator<Item = &'a str>) -> Result<Self, ParseError> {
         let texts = texts.into_iter();

@@ -366,6 +366,8 @@ impl StatementSignature {
 pub struct RelevanceMatrix {
     /// The distinct signatures, in first-occurrence order.
     distinct: Vec<StatementSignature>,
+    /// Each distinct signature's index in `distinct`.
+    index: HashMap<StatementSignature, usize>,
     /// Per statement, in workload order: its signature's index in
     /// `distinct`.
     group_of: Vec<usize>,
@@ -375,20 +377,26 @@ impl RelevanceMatrix {
     /// Builds a matrix over a workload's statement signatures (one entry
     /// per statement, in workload order).
     pub fn new(signatures: Vec<StatementSignature>) -> Self {
-        let mut index: HashMap<StatementSignature, usize> = HashMap::new();
-        let mut distinct = Vec::new();
-        let group_of = signatures
-            .into_iter()
-            .map(|sig| match index.get(&sig) {
-                Some(&group) => group,
-                None => {
-                    distinct.push(sig.clone());
-                    index.insert(sig, distinct.len() - 1);
-                    distinct.len() - 1
-                }
-            })
-            .collect();
-        Self { distinct, group_of }
+        let mut matrix = Self::default();
+        for sig in signatures {
+            matrix.push(sig);
+        }
+        matrix
+    }
+
+    /// Appends the next statement's signature: the matrix grows with an
+    /// append-only workload, and rows asked `from` the old length cover
+    /// exactly the statements added since.
+    pub fn push(&mut self, sig: StatementSignature) {
+        let group = match self.index.get(&sig) {
+            Some(&group) => group,
+            None => {
+                self.distinct.push(sig.clone());
+                self.index.insert(sig, self.distinct.len() - 1);
+                self.distinct.len() - 1
+            }
+        };
+        self.group_of.push(group);
     }
 
     /// Number of statements covered.
@@ -401,14 +409,20 @@ impl RelevanceMatrix {
         self.group_of.is_empty()
     }
 
-    /// The statements (ascending indexes) whose signature `admits`.
-    fn members_of(&self, admits: impl Fn(&StatementSignature) -> bool) -> Vec<usize> {
-        let admitted: Vec<bool> = self.distinct.iter().map(admits).collect();
-        self.group_of
-            .iter()
-            .enumerate()
-            .filter(|(_, &group)| admitted[group])
-            .map(|(si, _)| si)
+    /// The statements `from..` (ascending indexes) whose signature
+    /// `admits`. Each distinct signature among them is asked once, in
+    /// first-occurrence order.
+    fn members_from(
+        &self,
+        from: usize,
+        admits: impl Fn(&StatementSignature) -> bool,
+    ) -> Vec<usize> {
+        let mut admitted: Vec<Option<bool>> = vec![None; self.distinct.len()];
+        (from..self.group_of.len())
+            .filter(|&si| {
+                let group = self.group_of[si];
+                *admitted[group].get_or_insert_with(|| admits(&self.distinct[group]))
+            })
             .collect()
     }
 
@@ -420,7 +434,7 @@ impl RelevanceMatrix {
         pattern: &LinearPath,
         kind: ValueKind,
     ) -> Vec<usize> {
-        self.members_of(|sig| sig.admits(collection, pattern, kind))
+        self.members_from(0, |sig| sig.admits(collection, pattern, kind))
     }
 
     /// [`Self::relevant_statements`] through a shared [`CoverCache`] —
@@ -433,7 +447,24 @@ impl RelevanceMatrix {
         kind: ValueKind,
         cache: &CoverCache,
     ) -> Vec<usize> {
-        self.members_of(|sig| sig.admits_with(collection, pattern, kind, cache))
+        self.relevant_from(0, collection, pattern, kind, Some(cache))
+    }
+
+    /// The row restricted to statements `from..`: what an existing
+    /// candidate's row gains when the workload grows. Through `cache`
+    /// when one is given, by the plain containment search otherwise.
+    pub fn relevant_from(
+        &self,
+        from: usize,
+        collection: &str,
+        pattern: &LinearPath,
+        kind: ValueKind,
+        cache: Option<&CoverCache>,
+    ) -> Vec<usize> {
+        self.members_from(from, |sig| match cache {
+            Some(cache) => sig.admits_with(collection, pattern, kind, cache),
+            None => sig.admits(collection, pattern, kind),
+        })
     }
 }
 
@@ -809,6 +840,51 @@ mod tests {
             }
         }
         assert!(cache.stats().hits > 0, "repeat probes should hit the memo");
+    }
+
+    /// A matrix grown one statement at a time answers like one built whole,
+    /// and a row asked `from` an old length is exactly what the full row
+    /// gained since — what lets an append-only workload extend candidate
+    /// rows instead of rebuilding them.
+    #[test]
+    fn grown_rows_are_the_tail_of_full_rows() {
+        let mut state = 0x6A0Eu64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            (z ^ (z >> 31)) as usize
+        };
+        let kinds = [Some(ValueKind::Str), Some(ValueKind::Num), None];
+        let sigs: Vec<StatementSignature> = (0..30)
+            .map(|_| StatementSignature {
+                collection: ["C1", "C2"][next() % 2].to_string(),
+                targets: (0..1 + next() % 3)
+                    .map(|_| (lp(POOL[next() % POOL.len()]), kinds[next() % kinds.len()]))
+                    .collect(),
+            })
+            .collect();
+        let whole = RelevanceMatrix::new(sigs.clone());
+        let mut grown = RelevanceMatrix::default();
+        let cache = CoverCache::new();
+        for (at, sig) in sigs.iter().enumerate() {
+            grown.push(sig.clone());
+            for p in &POOL {
+                let pat = lp(p);
+                let full = whole.relevant_statements("C1", &pat, ValueKind::Str);
+                let upto: Vec<usize> = full.iter().copied().filter(|&si| si <= at).collect();
+                assert_eq!(grown.relevant_statements("C1", &pat, ValueKind::Str), upto);
+                for cache in [None, Some(&cache)] {
+                    let tail: Vec<usize> = upto.iter().copied().filter(|&si| si == at).collect();
+                    assert_eq!(
+                        grown.relevant_from(at, "C1", &pat, ValueKind::Str, cache),
+                        tail,
+                        "{p} from {at}"
+                    );
+                }
+            }
+        }
     }
 
     /// Grouping statements by signature changes no row: for every probe,

@@ -875,6 +875,167 @@ fn incremental_prepare_matches_full_preparation() {
     }
 }
 
+/// A session is the one-shot advisor with a memory: over seeded random
+/// interleavings of `observe` (fresh statements, duplicates, unparseable
+/// lines, an unknown collection), `recommend` (all six algorithms × four
+/// disk budgets), `apply` and `reset`, every `TuningSession::recommend`
+/// — whatever its kept costing state already holds, however it was
+/// extended — must return what a fresh `Advisor::recommend_prepared` over
+/// the same compressed workload and candidate set returns: the same
+/// configuration, the same cost bits, the same quarantine and degradation
+/// verdicts. Clean, under injected optimizer faults (content-derived, so
+/// retained costs cannot dodge them) and under statistics outages (the
+/// state is only reused under the visibility mask it was built for), at
+/// jobs 1 and 4.
+#[test]
+fn session_recommend_equals_one_shot_recommend() {
+    use xia_advisor::{Advisor, AdvisorParams, SearchAlgorithm, TuningSession};
+    use xia_fault::{FaultInjector, FaultSite};
+    use xia_storage::Database;
+    use xia_workloads::synthetic::{generate_queries, SyntheticConfig};
+    use xia_workloads::tpox::{self, TpoxConfig};
+
+    let cfg = TpoxConfig::tiny();
+    let mut pool = tpox::queries(&cfg);
+    pool.extend(tpox::extended_queries(&cfg));
+    pool.extend(tpox::update_mix(&cfg));
+    {
+        let mut db = Database::new();
+        tpox::generate(&mut db, &cfg);
+        for (i, coll) in [tpox::SECURITY_COLL, tpox::ORDER_COLL].iter().enumerate() {
+            pool.extend(generate_queries(
+                db.collection(coll).expect("generated"),
+                &SyntheticConfig {
+                    queries: 12,
+                    seed: 21 + i as u64,
+                    ..Default::default()
+                },
+            ));
+        }
+    }
+    pool.push("collection('NOPE')/a[b = 1]".to_string());
+
+    let specs: [Option<&str>; 3] = [
+        None,
+        Some("optimizer-cost:0.2"),
+        Some("stats-unavailable:0.5"),
+    ];
+    let (mut compared, mut warm_hits, mut degraded_runs) = (0usize, 0u64, 0usize);
+    for (case, spec) in specs.into_iter().enumerate() {
+        for jobs in [1usize, 4] {
+            let injector = || match spec {
+                Some(s) => FaultInjector::seeded(0x21)
+                    .with_spec(s)
+                    .expect("valid spec"),
+                None => FaultInjector::off(),
+            };
+            let params = |faults: FaultInjector| AdvisorParams {
+                faults,
+                jobs,
+                ..Default::default()
+            };
+            let session_faults = injector();
+            let mut db = Database::new();
+            tpox::generate(&mut db, &cfg);
+            Advisor::freshen(&mut db, &xia_obs::Telemetry::off());
+            let mut session = TuningSession::new();
+            session.set_params(params(session_faults.clone()));
+            let mut rng = Prng::seed_from_u64(0x5E55 + case as u64);
+            let mut recommends = 0usize;
+            for step in 0..70 {
+                let what = format!("spec={spec:?} jobs={jobs} step={step}");
+                match rng.gen_range(0u32..20) {
+                    0..=8 => {
+                        for _ in 0..rng.gen_range(1usize..6) {
+                            let text = &pool[rng.gen_range(0..pool.len())];
+                            let freq = 0.5 * rng.gen_range(1u32..6) as f64;
+                            session.observe_with_freq(text, freq).expect("pool parses");
+                        }
+                        assert!(session.observe("for $x in nonsense").is_err());
+                        assert!(session.observe("???garbage(((").is_err());
+                    }
+                    9..=17 => {
+                        let algorithm = SearchAlgorithm::ALL[recommends % 6];
+                        recommends += 1;
+                        // Bring the candidates up to date first, so the
+                        // oracle's injector can be wound to where the
+                        // session's stands when its evaluator rolls.
+                        let set = session.candidates(&db).clone();
+                        let all = set.config_size(&Advisor::all_index_config(&set));
+                        let budget = [all / 8, all / 3, all, u64::MAX / 2][rng.gen_range(0..4)];
+                        let rolled = session_faults.calls(FaultSite::StatsUnavailable);
+                        let (_, hits_before) = session.costing().hit_counts();
+                        let got = session.recommend(&db, budget, algorithm);
+                        // (A run under another visibility mask starts the
+                        // state, and its counts, afresh.)
+                        let (_, hits) = session.costing().hit_counts();
+                        warm_hits += hits.saturating_sub(hits_before);
+
+                        let oracle_faults = injector();
+                        for _ in 0..rolled {
+                            let _ = oracle_faults.roll(FaultSite::StatsUnavailable);
+                        }
+                        let workload = session.workload().clone();
+                        let want = Advisor::recommend_prepared(
+                            &mut db,
+                            &workload,
+                            &set,
+                            budget,
+                            algorithm,
+                            &params(oracle_faults),
+                        );
+                        match (got, want) {
+                            (Ok(got), Ok(want)) => {
+                                let bits = |r: &xia_advisor::Recommendation| {
+                                    [r.est_benefit, r.baseline_cost, r.workload_cost]
+                                        .map(f64::to_bits)
+                                };
+                                let quarantined = |r: &xia_advisor::Recommendation| {
+                                    r.quarantined
+                                        .iter()
+                                        .map(|q| (q.index, q.detail.clone()))
+                                        .collect::<Vec<_>>()
+                                };
+                                assert_eq!(got.config, want.config, "{what}: config");
+                                assert_eq!(bits(&got), bits(&want), "{what}: cost bits");
+                                assert_eq!(quarantined(&got), quarantined(&want), "{what}");
+                                assert_eq!(got.degraded, want.degraded, "{what}: degraded");
+                                assert_eq!(got.cost_fallbacks, want.cost_fallbacks, "{what}");
+                                degraded_runs += usize::from(got.degraded);
+                                compared += 1;
+                            }
+                            (Err(got), Err(want)) => {
+                                assert_eq!(got.to_string(), want.to_string(), "{what}")
+                            }
+                            (got, want) => panic!(
+                                "{what}: session {:?} vs one-shot {:?}",
+                                got.map(|r| r.config),
+                                want.map(|r| r.config)
+                            ),
+                        }
+                    }
+                    18 => {
+                        if let Ok(rec) = session.recommend(&db, 1 << 16, SearchAlgorithm::Greedy) {
+                            session.apply(&mut db, &rec);
+                            assert_eq!(session.warm_costings(), 0, "{what}: apply");
+                        }
+                    }
+                    _ => {
+                        session.reset();
+                        assert_eq!(session.observed(), 0, "{what}: reset");
+                    }
+                }
+            }
+        }
+    }
+    assert!(compared > 100, "only {compared} recommendations compared");
+    assert!(
+        warm_hits > 1000,
+        "sessions barely reused anything: {warm_hits}"
+    );
+    assert!(degraded_runs > 10, "faults barely bit: {degraded_runs}");
+}
+
 /// Prepared what-if costing against the one-shot oracle: for random data,
 /// random statements (queries with conjunctions and disjunctions, inserts,
 /// deletes, updates) and random sub-configurations, planning one
