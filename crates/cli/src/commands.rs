@@ -6,6 +6,7 @@ use std::fmt::Write as _;
 use xia_advisor::{Advisor, AdvisorParams, SearchAlgorithm};
 use xia_optimizer::{execute_query, Optimizer};
 use xia_storage::{load_database, save_database, Database};
+use xia_workloads::Workload;
 use xia_xpath::parse_statement;
 
 fn require<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, CliError> {
@@ -195,7 +196,7 @@ fn push_trace(out: &mut String, format: TraceFormat, tr: &xia_obs::TraceReport) 
 /// calls do not pollute the counters being reported.
 fn trace_report(
     db: &mut Database,
-    workload: &xia_workloads::Workload,
+    workload: &Workload,
     set: &xia_advisor::CandidateSet,
     rec: &xia_advisor::Recommendation,
     telemetry: &xia_obs::Telemetry,
@@ -239,6 +240,22 @@ pub fn explain(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The workload `Advisor::recommend` advises over: for `cophy`, the
+/// weighted cost-identity templates (with the statement count they came
+/// from) in place of the raw statements, which are released here rather
+/// than held through the search. Deterministic in the workload alone.
+fn advised_workload(
+    workload: Workload,
+    algo: SearchAlgorithm,
+    params: &AdvisorParams,
+) -> (Workload, Option<usize>) {
+    if algo != SearchAlgorithm::Cophy {
+        return (workload, None);
+    }
+    let compressed = xia_advisor::compress_workload(&workload, &params.telemetry, &params.journal);
+    (compressed.workload, Some(compressed.original_statements))
+}
+
 /// Advisor-mode explain: run the full pipeline and print a structured
 /// breakdown — phase timings, what-if call accounting, and per-statement
 /// cost deltas — instead of a single statement's plan. `--why <pattern>`
@@ -253,7 +270,6 @@ fn explain_advisor(args: &[String]) -> Result<String, CliError> {
     let mut jobs: Option<usize> = None;
     let mut prune = true;
     let mut fastpath = true;
-    let mut compress = true;
     let mut why: Vec<String> = Vec::new();
     let mut i = 1;
     while i < args.len() {
@@ -287,14 +303,6 @@ fn explain_advisor(args: &[String]) -> Result<String, CliError> {
                 fastpath = false;
                 i += 1;
             }
-            "--compress" => {
-                compress = true;
-                i += 1;
-            }
-            "--no-compress" => {
-                compress = false;
-                i += 1;
-            }
             "--why" => {
                 why.push(require(args, i + 1, "index pattern after --why")?.to_string());
                 i += 2;
@@ -323,13 +331,7 @@ fn explain_advisor(args: &[String]) -> Result<String, CliError> {
     if !why.is_empty() {
         params.journal = xia_obs::EventJournal::new();
     }
-    // CoPhy compression happens before candidate enumeration, exactly as
-    // in `Advisor::recommend`, so the explained run is the real run.
-    let workload = if algo == SearchAlgorithm::Cophy && compress {
-        xia_advisor::compress_workload(&workload, &params.telemetry, &params.journal).workload
-    } else {
-        workload
-    };
+    let (workload, _) = advised_workload(workload, algo, &params);
     let set = Advisor::prepare(&mut db, &workload, &params);
     let rec = Advisor::recommend_prepared(&mut db, &workload, &set, budget, algo, &params)?;
     let tr = trace_report(
@@ -482,7 +484,7 @@ enum TraceFormat {
 /// `xia recommend <db> -w <file> -b <bytes> [-a <algo>] [--apply]
 /// [--report] [--trace[=json|text]] [--strict] [--journal <path>]
 /// [--what-if-budget <calls>] [--jobs <n>] [--no-prune] [--no-fastpath]
-/// [--compress] [--no-compress] [--inject <site>:<rate>]
+/// [--inject <site>:<rate>]
 /// [--fault-seed <n>] [--deadline-ms <n>] [--checkpoint <path>]
 /// [--resume <path>] [--mem-budget <bytes>] [--cancel-after-polls <k>]`
 pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
@@ -496,7 +498,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
     let mut jobs: Option<usize> = None;
     let mut prune = true;
     let mut fastpath = true;
-    let mut compress = true;
     let mut fault_seed: u64 = 0;
     let mut inject_specs: Vec<String> = Vec::new();
     let mut trace: Option<TraceFormat> = None;
@@ -556,14 +557,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
             }
             "--no-fastpath" => {
                 fastpath = false;
-                i += 1;
-            }
-            "--compress" => {
-                compress = true;
-                i += 1;
-            }
-            "--no-compress" => {
-                compress = false;
                 i += 1;
             }
             "--inject" => {
@@ -653,7 +646,7 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
         .map_err(|e| CliError::new(format!("cannot read {workload_file}: {e}")))?;
     // Lenient workload parse: malformed statements are quarantined with a
     // diagnostic instead of rejecting the whole file.
-    let mut workload = xia_workloads::Workload::new();
+    let mut workload = Workload::new();
     let mut parse_quarantined = 0usize;
     for (freq, stmt) in crate::workload_file::split_statements(&text) {
         if let Some(e) = workload.try_push_with_freq(&stmt, freq) {
@@ -719,24 +712,14 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
     if journal_path.is_some() {
         params.journal = xia_obs::EventJournal::new();
     }
-    // CoPhy-style workload compression (cophy only, on by default): advise
-    // over weighted cost-identity templates instead of raw statements.
-    // Coordinator-side and deterministic in the workload alone, so the
-    // output stays byte-identical across --jobs values; --no-compress
-    // reproduces the uncompressed run bitwise.
-    let workload = if algo == SearchAlgorithm::Cophy && compress {
-        let compressed =
-            xia_advisor::compress_workload(&workload, &params.telemetry, &params.journal);
+    let (workload, compressed_from) = advised_workload(workload, algo, &params);
+    if let Some(statements) = compressed_from {
         let _ = writeln!(
             out,
-            "workload compressed: {} statement(s) -> {} weighted template(s)",
-            compressed.original_statements,
-            compressed.workload.len()
+            "workload compressed: {statements} statement(s) -> {} weighted template(s)",
+            workload.len()
         );
-        compressed.workload
-    } else {
-        workload
-    };
+    }
     let set = Advisor::prepare(&mut db, &workload, &params);
     // Resume: load the warm store once the candidate set (and hence the
     // digest the checkpoint must match) is known. A stale or corrupt

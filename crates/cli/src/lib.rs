@@ -213,8 +213,7 @@ USAGE:
                 [-a greedy|heuristics|topdown-lite|topdown-full|dp|cophy]
                 [--apply] [--report] [--trace[=json|text]] [--strict]
                 [--journal <path>] [--what-if-budget <calls>] [--jobs <n>]
-                [--no-prune] [--no-fastpath] [--compress] [--no-compress]
-                [--inject <site>:<rate>]
+                [--no-prune] [--no-fastpath] [--inject <site>:<rate>]
                 [--fault-seed <n>] [--deadline-ms <n>] [--checkpoint <path>]
                 [--resume <path>] [--mem-budget <bytes>]
                 [--cancel-after-polls <k>]
@@ -267,11 +266,9 @@ fixpoint, memoized containment) for `recommend` and advisor-mode
 way, only slower.
 
 -a cophy scales to huge workloads: the workload is first compressed into
-weighted cost-identity templates (on by default for cophy; --no-compress
-advises over raw statements, bitwise-identically to the uncompressed
-run), then a std-only LP/knapsack relaxation picks the configuration and
-reports a certified quality bound. Applies to `recommend` and
-advisor-mode `explain`.
+weighted cost-identity templates, then a std-only LP/knapsack relaxation
+picks the configuration and reports a certified quality bound. Applies to
+`recommend` and advisor-mode `explain`.
 
 Fault injection (for robustness testing): --inject storage-io:0.05
 injects I/O faults in 5% of storage operations; sites are storage-io,

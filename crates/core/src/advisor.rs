@@ -107,16 +107,6 @@ pub struct AdvisorParams {
     /// run on the coordinator thread in deterministic order, so the JSONL
     /// export is byte-identical for every `jobs` value.
     pub journal: EventJournal,
-    /// Workload compression (`--no-compress` turns it off): before a
-    /// [`SearchAlgorithm::Cophy`] run, cluster the workload into weighted
-    /// cost-identity templates and advise over the representatives (see
-    /// [`crate::compress`]). Lossless for advising — the recommendation
-    /// matches the uncompressed run — and the whole point of `cophy` at
-    /// scale, so on by default. Other algorithms ignore it (they exist to
-    /// reproduce the paper's per-statement behavior). Only
-    /// [`Advisor::recommend`] compresses; `recommend_prepared` callers
-    /// own their workload/candidate pairing.
-    pub compress: bool,
     /// Run-lifecycle controller (`--deadline-ms`, `--checkpoint`,
     /// `--resume`, `--mem-budget`): wall-clock deadline, cooperative
     /// cancellation, crash-safe checkpointing, and the resource governor.
@@ -159,7 +149,6 @@ impl Default for AdvisorParams {
             prune: true,
             fastpath: true,
             journal: EventJournal::off(),
-            compress: true,
             ctl: RunController::off(),
         }
     }
@@ -379,6 +368,12 @@ impl Advisor {
     /// optimizer failures fall back to heuristic costs — an `Err` means
     /// no useful recommendation exists at all (empty workload, everything
     /// quarantined, or strict mode refusing degradation).
+    ///
+    /// A [`SearchAlgorithm::Cophy`] run first clusters the workload into
+    /// weighted cost-identity templates and advises over the
+    /// representatives ([`crate::compress`]; lossless for advising). Its
+    /// per-statement reference is [`Advisor::prepare`] +
+    /// [`Advisor::recommend_prepared`] over the raw workload.
     pub fn recommend(
         db: &mut Database,
         workload: &Workload,
@@ -391,7 +386,7 @@ impl Advisor {
         }
         Self::freshen(db, &params.telemetry);
         let compressed;
-        let workload = if algorithm == SearchAlgorithm::Cophy && params.compress {
+        let workload = if algorithm == SearchAlgorithm::Cophy {
             let _compress = params.telemetry.span("compress");
             compressed =
                 crate::compress::compress_workload(workload, &params.telemetry, &params.journal);

@@ -1937,7 +1937,7 @@ mod tests {
             let istats = Catalog::derive_stats(collection, stats, &c.pattern, c.kind).1;
             let mut want = 0.0;
             for entry in w.entries() {
-                let stmt = &entry.statement;
+                let stmt = &*entry.statement;
                 if !stmt.is_modification() || stmt.collection() != c.collection {
                     continue;
                 }

@@ -18,9 +18,10 @@
 //! `--jobs` values.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use xia_obs::{Counter, Event, EventJournal, Telemetry};
 use xia_workloads::Workload;
-use xia_xpath::{fnv1a, write_template_key};
+use xia_xpath::{fnv1a, write_template_key, Statement};
 
 /// One cluster of cost-identical statements.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +52,8 @@ pub struct CompressedWorkload {
     pub templates: Vec<WorkloadTemplate>,
     /// Statement count of the original workload.
     pub original_statements: usize,
+    /// Template keys written: one per parsed statement the original holds.
+    pub keys_written: usize,
 }
 
 impl CompressedWorkload {
@@ -89,29 +92,40 @@ pub fn compute_weights(templates: &[WorkloadTemplate]) -> (u64, f64) {
 /// `templates_built` / `stmts_compressed` counters and a
 /// [`Event::WorkloadCompressed`] journal line.
 ///
-/// Each statement's key is written into one reused buffer and looked up
-/// borrowed, so only a statement that opens a new template allocates (its
-/// key, once); identity is the comparison of whole keys by the map.
+/// Entries of one text share one parsed statement ([`Workload`]): one
+/// whose allocation has been placed joins that template without its key
+/// being written again. Any other key goes into one reused buffer and is
+/// looked up borrowed, so only a statement that opens a new template
+/// allocates (its key, once); identity is the comparison of whole keys by
+/// the map. Representatives are shared into the compressed workload.
 pub fn compress_workload(
     w: &Workload,
     telemetry: &Telemetry,
     journal: &EventJournal,
 ) -> CompressedWorkload {
     let mut by_key: HashMap<String, usize> = HashMap::new();
+    // `w` is borrowed for the whole pass: an address names one statement.
+    let mut by_allocation: HashMap<*const Statement, usize> = HashMap::new();
     let mut templates: Vec<WorkloadTemplate> = Vec::new();
     let mut key = String::new();
     for (si, entry) in w.entries().iter().enumerate() {
-        key.clear();
-        write_template_key(&entry.statement, &mut key).expect("writing to a String cannot fail");
-        match by_key.get(key.as_str()) {
-            Some(&ti) => {
-                let t = &mut templates[ti];
+        // The statement's template; `templates.len()` if it opens one.
+        let ti = *by_allocation
+            .entry(Arc::as_ptr(&entry.statement))
+            .or_insert_with(|| {
+                key.clear();
+                write_template_key(&entry.statement, &mut key)
+                    .expect("writing to a String cannot fail");
+                by_key.get(key.as_str()).map_or(templates.len(), |&ti| ti)
+            });
+        match templates.get_mut(ti) {
+            Some(t) => {
                 // Saturating, not wrapping: see `compute_weights`.
                 t.members = t.members.saturating_add(1);
                 t.weight += entry.freq;
             }
             None => {
-                by_key.insert(key.clone(), templates.len());
+                by_key.insert(key.clone(), ti);
                 templates.push(WorkloadTemplate {
                     // Moved in from the map once every statement is placed.
                     key: String::new(),
@@ -129,7 +143,7 @@ pub fn compress_workload(
     let mut compressed = Workload::with_capacity(templates.len());
     for t in &templates {
         let rep = &w.entries()[t.representative];
-        compressed.push_statement(rep.statement.clone(), t.weight, rep.text.clone());
+        compressed.push_statement(Arc::clone(&rep.statement), t.weight, &rep.text);
     }
     let folded = w.len().saturating_sub(templates.len()) as u64;
     telemetry.add(Counter::TemplatesBuilt, templates.len() as u64);
@@ -142,6 +156,7 @@ pub fn compress_workload(
         workload: compressed,
         templates,
         original_statements: w.len(),
+        keys_written: by_allocation.len(),
     }
 }
 
@@ -277,6 +292,30 @@ mod tests {
             assert_eq!(entry.statement, rep.statement);
             assert_eq!(entry.freq.to_bits(), t.weight.to_bits());
         }
+
+        // Sharing is an economy, not an identity: the same entries, every
+        // statement its own allocation, compress to the same templates —
+        // it only takes a key per entry instead of one per distinct text.
+        let mut unshared = Workload::new();
+        for e in w.entries() {
+            unshared.push_statement(Arc::new(Statement::clone(&e.statement)), e.freq, &e.text);
+        }
+        let lone = compress_workload(&unshared, &Telemetry::off(), &EventJournal::off());
+        assert_eq!(lone.templates, got.templates);
+        for (l, g) in lone.templates.iter().zip(&got.templates) {
+            assert_eq!(l.weight.to_bits(), g.weight.to_bits(), "{}", g.key);
+        }
+        assert_eq!(lone.keys_written, w.len());
+        let mut texts: Vec<&str> = w.entries().iter().map(|e| e.text.as_str()).collect();
+        texts.sort_unstable();
+        texts.dedup();
+        assert_eq!(got.keys_written, texts.len());
+        assert!(
+            want.len() < texts.len() && texts.len() < w.len() * 3 / 4,
+            "{} templates, {} texts",
+            want.len(),
+            texts.len()
+        );
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! advisor does — never what it recommends. These tests draw randomized
 //! workloads of up to 200 statements (synthetic queries whose literals
 //! come from actual document values, so parameter collisions and thus
-//! non-trivial compression are common), run the cophy search with
-//! compression on and off, and require the same recommendation under a
-//! matrix of conditions: clean, injected optimizer/stats faults, and an
-//! exhausted what-if budget — each at 1 and 4 workers.
+//! non-trivial compression are common), run the cophy search compressed
+//! (`Advisor::recommend`) and over the raw statements (`Advisor::prepare`,
+//! then `Advisor::recommend_prepared`), and require the same recommendation
+//! under a matrix of conditions: clean, injected optimizer/stats faults,
+//! and an exhausted what-if budget — each at 1 and 4 workers.
 //!
 //! Configurations and index DDL must match exactly. Cost totals are
 //! compared at a 1e-9 *relative* tolerance: a template's contribution is
@@ -69,13 +70,18 @@ fn advise(
     make_params: &dyn Fn() -> AdvisorParams,
 ) -> Outcome {
     let params = AdvisorParams {
-        compress,
         jobs,
         telemetry: Telemetry::new(),
         ..make_params()
     };
-    let rec =
-        Advisor::recommend(db, w, u64::MAX / 2, SearchAlgorithm::Cophy, &params).expect("advise");
+    let (budget, algo) = (u64::MAX / 2, SearchAlgorithm::Cophy);
+    let rec = if compress {
+        Advisor::recommend(db, w, budget, algo, &params)
+    } else {
+        let set = Advisor::prepare(db, w, &params);
+        Advisor::recommend_prepared(db, w, &set, budget, algo, &params)
+    }
+    .expect("advise");
     Outcome {
         config: rec.config.clone(),
         indexes: rec.indexes.iter().map(|ix| format!("{ix:?}")).collect(),
@@ -93,7 +99,7 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 /// The property itself: same recommendation and (tolerance-equal) cost
-/// totals with compression on and off, for every worker count.
+/// totals compressed and over the raw workload, for every worker count.
 fn assert_lossless(w: &Workload, tag: &str, make_params: &dyn Fn() -> AdvisorParams) {
     for jobs in [1usize, 4] {
         let mut db_on = setup();
@@ -130,7 +136,7 @@ fn assert_lossless(w: &Workload, tag: &str, make_params: &dyn Fn() -> AdvisorPar
         );
         assert_eq!(
             off.templates_built, 0,
-            "[{tag}] --no-compress still compressed"
+            "[{tag}] the raw-workload reference compressed"
         );
     }
 }

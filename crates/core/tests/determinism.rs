@@ -9,7 +9,9 @@
 //! identical counter totals at `--jobs` 1, 4, and 8 — clean, under
 //! injected faults, and under an exhausted what-if budget.
 
-use xia_advisor::{Advisor, AdvisorParams, SearchAlgorithm, WhatIfBudget};
+use xia_advisor::{
+    Advisor, AdvisorParams, Recommendation, SearchAlgorithm, WhatIfBudget, XiaError,
+};
 use xia_fault::{FaultInjector, FaultSite};
 use xia_obs::{Counter, Telemetry};
 use xia_storage::Database;
@@ -62,6 +64,18 @@ fn run_with(
     synthetic: usize,
     make_params: impl Fn() -> AdvisorParams,
 ) -> Fingerprint {
+    run_advising(jobs, synthetic, make_params, |db, w, params| {
+        Advisor::recommend(db, w, u64::MAX / 2, algo, params)
+    })
+}
+
+/// [`run_with`], the recommendation coming from `advise`.
+fn run_advising(
+    jobs: usize,
+    synthetic: usize,
+    make_params: impl Fn() -> AdvisorParams,
+    advise: impl Fn(&mut Database, &Workload, &AdvisorParams) -> Result<Recommendation, XiaError>,
+) -> Fingerprint {
     let mut db = Database::new();
     let cfg = TpoxConfig::tiny();
     tpox::generate(&mut db, &cfg);
@@ -83,7 +97,7 @@ fn run_with(
         telemetry: Telemetry::new(),
         ..make_params()
     };
-    let rec = Advisor::recommend(&mut db, &w, u64::MAX / 2, algo, &params).expect("advise");
+    let rec = advise(&mut db, &w, &params).expect("advise");
     Fingerprint {
         config: rec.config.clone(),
         indexes: rec.indexes.iter().map(|ix| format!("{ix:?}")).collect(),
@@ -101,18 +115,24 @@ fn run_with(
 }
 
 fn assert_jobs_invariant(algo: SearchAlgorithm, make_params: impl Fn() -> AdvisorParams) {
-    let reference = run(algo, JOBS[0], &make_params);
+    assert_same_at_every_jobs(&format!("{algo:?}"), |jobs| run(algo, jobs, &make_params));
+}
+
+/// `run(jobs)` must not depend on `jobs`; returns what it gives.
+fn assert_same_at_every_jobs(what: &str, run: impl Fn(usize) -> Fingerprint) -> Fingerprint {
+    let reference = run(JOBS[0]);
     assert!(
         !reference.config.is_empty(),
         "suite must exercise a non-trivial recommendation"
     );
     for &jobs in &JOBS[1..] {
-        let other = run(algo, jobs, &make_params);
         assert_eq!(
-            reference, other,
-            "jobs=1 and jobs={jobs} disagree for {algo:?}"
+            reference,
+            run(jobs),
+            "jobs=1 and jobs={jobs} disagree for {what}"
         );
     }
+    reference
 }
 
 #[test]
@@ -184,10 +204,17 @@ fn clean_run_is_jobs_invariant_cophy() {
 
 #[test]
 fn cophy_without_compression_is_jobs_invariant() {
-    assert_jobs_invariant(SearchAlgorithm::Cophy, || AdvisorParams {
-        compress: false,
-        ..AdvisorParams::default()
+    // The per-statement reference: the same search over the raw workload.
+    let reference = assert_same_at_every_jobs("cophy over the raw workload", |jobs| {
+        run_advising(jobs, 0, AdvisorParams::default, |db, w, params| {
+            let set = Advisor::prepare(db, w, params);
+            Advisor::recommend_prepared(db, w, &set, u64::MAX / 2, SearchAlgorithm::Cophy, params)
+        })
     });
+    assert!(
+        reference.counters.contains(&(Counter::TemplatesBuilt, 0)),
+        "the reference compressed"
+    );
 }
 
 #[test]

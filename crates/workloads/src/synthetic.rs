@@ -255,7 +255,7 @@ mod tests {
         let qs = generate_queries(c, &SyntheticConfig::default());
         for q in &qs {
             let w = Workload::from_texts([q.as_str()]).unwrap();
-            let Statement::Query(_) = &w.entries()[0].statement else {
+            let Statement::Query(_) = &*w.entries()[0].statement else {
                 panic!("expected query: {q}");
             };
             let n = normalize_statement(&w.entries()[0].statement).unwrap();

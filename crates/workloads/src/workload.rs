@@ -1,13 +1,20 @@
 //! Workloads: statements with frequencies.
+//!
+//! Entries of one (trimmed) text share one parsed statement: a captured
+//! workload repeats itself, and a repeat costs a reference, not a parse.
+//! Identity is the text, so what an entry holds is what its text parses to.
 
+use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::sync::Arc;
 use xia_xpath::{parse_statement, ParseError, Statement};
 
 /// One workload entry: a statement and its frequency of occurrence
 /// (`freq_s` in the paper's benefit formula).
 #[derive(Debug, Clone)]
 pub struct WorkloadEntry {
-    /// The statement.
-    pub statement: Statement,
+    /// The statement, shared with every entry of the same text.
+    pub statement: Arc<Statement>,
     /// Frequency weight.
     pub freq: f64,
     /// The original statement text (for reports).
@@ -18,6 +25,10 @@ pub struct WorkloadEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
     entries: Vec<WorkloadEntry>,
+    /// Hash of a text (by this map's own hasher) → the first entry whose
+    /// text has that hash. A hit is confirmed by comparing the texts: two
+    /// texts with one hash cost a parse, never a wrong statement.
+    first_with: HashMap<u64, usize>,
 }
 
 impl Workload {
@@ -30,6 +41,7 @@ impl Workload {
     pub fn with_capacity(statements: usize) -> Self {
         Self {
             entries: Vec::with_capacity(statements),
+            ..Self::default()
         }
     }
 
@@ -38,23 +50,36 @@ impl Workload {
         self.push_with_freq(text, 1.0)
     }
 
-    /// Parses and appends a statement with an explicit frequency.
+    /// Appends a statement with an explicit frequency, parsing it unless an
+    /// entry of the same trimmed text already holds its statement.
     pub fn push_with_freq(&mut self, text: &str, freq: f64) -> Result<(), ParseError> {
-        let statement = parse_statement(text)?;
-        self.entries.push(WorkloadEntry {
-            statement,
-            freq,
-            text: text.trim().to_string(),
-        });
+        let trimmed = text.trim();
+        let hash = self.text_hash(trimmed);
+        let statement = match self.first_with.get(&hash).map(|&i| &self.entries[i]) {
+            Some(first) if first.text == trimmed => Arc::clone(&first.statement),
+            _ => Arc::new(parse_statement(text)?),
+        };
+        self.push_entry(hash, statement, freq, trimmed.to_string());
         Ok(())
     }
 
-    /// Appends an already-parsed statement.
-    pub fn push_statement(&mut self, statement: Statement, freq: f64, text: impl Into<String>) {
+    /// Appends an already-parsed statement; `text` is what it was parsed
+    /// from (a later push of that text shares this statement).
+    pub fn push_statement(&mut self, statement: Arc<Statement>, freq: f64, text: &str) {
+        self.push_entry(self.text_hash(text), statement, freq, text.to_string());
+    }
+
+    fn text_hash(&self, text: &str) -> u64 {
+        self.first_with.hasher().hash_one(text)
+    }
+
+    /// Appends an entry whose `text` hashes to `hash`.
+    fn push_entry(&mut self, hash: u64, statement: Arc<Statement>, freq: f64, text: String) {
+        self.first_with.entry(hash).or_insert(self.entries.len());
         self.entries.push(WorkloadEntry {
             statement,
             freq,
-            text: text.into(),
+            text,
         });
     }
 
@@ -118,42 +143,27 @@ impl Workload {
     /// A new workload containing only the first `n` statements (the
     /// training-prefix construction of the paper's Figs. 4–5).
     pub fn prefix(&self, n: usize) -> Workload {
+        let mut first_with = HashMap::with_hasher(self.first_with.hasher().clone());
+        first_with.extend(self.first_with.iter().filter(|(_, &first)| first < n));
         Workload {
             entries: self.entries.iter().take(n).cloned().collect(),
+            first_with,
         }
     }
 
     /// Concatenates two workloads.
     pub fn concat(&self, other: &Workload) -> Workload {
-        let mut entries = self.entries.clone();
-        entries.extend(other.entries.iter().cloned());
-        Workload { entries }
-    }
-
-    /// Workload compression: merges duplicate statements, summing their
-    /// frequencies. Relational advisors do this before tuning; it bounds
-    /// the number of Evaluate-mode optimizer calls by the number of
-    /// *distinct* statements.
-    pub fn compress(&self) -> Workload {
-        let mut out: Vec<WorkloadEntry> = Vec::new();
-        let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-        for e in &self.entries {
-            // Key on the parsed statement (whitespace-insensitive).
-            let key = format!("{:?}", e.statement);
-            match index.get(&key) {
-                Some(&i) => out[i].freq += e.freq,
-                None => {
-                    index.insert(key, out.len());
-                    out.push(e.clone());
-                }
-            }
+        let mut out = self.clone();
+        out.entries.reserve(other.len());
+        for e in &other.entries {
+            out.push_entry(
+                out.text_hash(&e.text),
+                e.statement.clone(),
+                e.freq,
+                e.text.clone(),
+            );
         }
-        Workload { entries: out }
-    }
-
-    /// Total frequency mass of the workload.
-    pub fn total_freq(&self) -> f64 {
-        self.entries.iter().map(|e| e.freq).sum()
+        out
     }
 
     /// Names of the collections the workload touches, deduplicated.
@@ -215,27 +225,188 @@ mod tests {
         assert_eq!(a.concat(&b).len(), 2);
     }
 
-    #[test]
-    fn compress_merges_duplicates_preserving_mass() {
-        let mut w = Workload::new();
-        w.push_with_freq(r#"collection('C')/a[b = 1]"#, 2.0)
-            .unwrap();
-        w.push_with_freq(r#"collection('C')/a[b   =   1]"#, 3.0)
-            .unwrap();
-        w.push_with_freq(r#"collection('C')/a[c = 2]"#, 1.0)
-            .unwrap();
-        let c = w.compress();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.total_freq(), w.total_freq());
-        assert_eq!(c.entries()[0].freq, 5.0);
+    /// The table names, for every text, the first entry holding it (no two
+    /// texts of these tests share a hash), and nothing else.
+    fn assert_table_names_first_entries(w: &Workload) {
+        let mut distinct = 0;
+        for (i, e) in w.entries().iter().enumerate() {
+            let first = w.entries().iter().position(|f| f.text == e.text).unwrap();
+            distinct += usize::from(first == i);
+            assert_eq!(w.first_with.get(&w.text_hash(&e.text)), Some(&first));
+        }
+        assert_eq!(w.first_with.len(), distinct);
+    }
+
+    /// Entries of one text share one allocation; no others do.
+    fn assert_shared_by_text_only(w: &Workload) {
+        for (i, a) in w.entries().iter().enumerate() {
+            for b in &w.entries()[..i] {
+                assert_eq!(
+                    Arc::ptr_eq(&a.statement, &b.statement),
+                    a.text == b.text,
+                    "`{}` / `{}`",
+                    a.text,
+                    b.text
+                );
+            }
+        }
     }
 
     #[test]
-    fn compress_of_distinct_workload_is_identity() {
-        let w =
-            Workload::from_texts([r#"collection('C')/a[b = 1]"#, r#"collection('C')/a[c = 2]"#])
-                .unwrap();
-        assert_eq!(w.compress().len(), 2);
+    fn sharing_equals_parsing_every_text_on_its_own() {
+        use crate::prng::Prng;
+        const BAD: [&str; 3] = [
+            "for $x in nonsense",
+            "  ???",
+            "collection('C')/a[b = \"open",
+        ];
+        let mut pool: Vec<String> = Vec::new();
+        for name in ["a", "b", "Yield"] {
+            for value in ["1", "2.5", "\"x\""] {
+                pool.push(format!("collection('C')/{name}[k = {value}]"));
+                // The same statement under another text.
+                pool.push(format!("collection('C')/{name}[k   =   {value}]"));
+                pool.push(format!(
+                    "for $v in S('D')/{name} where $v/k >= {value} return $v/r"
+                ));
+                pool.push(format!("update C set /{name}/k = {value} where /{name}[r]"));
+            }
+            pool.push(format!("delete from C where /{name}[k = 1]"));
+            pool.push(format!("insert into C <{name}><k>1</k></{name}>"));
+        }
+        let mut rng = Prng::seed_from_u64(0x5a4e);
+        let stream: Vec<(String, f64)> = (0..600)
+            .map(|_| {
+                let text = match rng.gen_range(0..12) {
+                    0 => BAD[rng.gen_range(0..BAD.len())].to_string(),
+                    n => {
+                        let text = &pool[rng.gen_range(0..pool.len())];
+                        // One text under surrounding whitespace is one text.
+                        ["", " ", "\n\t"][n % 3].to_string() + text + ["", "  \n"][n % 2]
+                    }
+                };
+                (text, [1.0, 0.1, 2.5, 1e-3][rng.gen_range(0..4)])
+            })
+            .collect();
+
+        let mut w = Workload::new();
+        let mut rejected = Vec::new();
+        let mut want = Vec::new();
+        let mut want_rejected = Vec::new();
+        for (text, freq) in &stream {
+            if let Some(e) = w.try_push_with_freq(text, *freq) {
+                rejected.push((text.trim().to_string(), e));
+            }
+            match parse_statement(text) {
+                Ok(statement) => want.push((statement, text.trim(), freq)),
+                Err(e) => want_rejected.push((text.trim().to_string(), e)),
+            }
+        }
+        assert_eq!(rejected, want_rejected);
+        assert!(rejected.len() > 20 && want.len() > 500);
+        assert_eq!(w.len(), want.len());
+        for (e, (statement, text, freq)) in w.entries().iter().zip(&want) {
+            assert_eq!(*e.statement, *statement);
+            assert_eq!(e.text, *text);
+            assert_eq!(e.freq.to_bits(), freq.to_bits());
+        }
+        assert_shared_by_text_only(&w);
+        assert_table_names_first_entries(&w);
+        let allocations = |w: &Workload| {
+            let mut seen: Vec<*const Statement> = w
+                .entries()
+                .iter()
+                .map(|e| Arc::as_ptr(&e.statement))
+                .collect();
+            seen.sort();
+            seen.dedup();
+            seen.len()
+        };
+        assert_eq!(allocations(&w), w.first_with.len());
+        assert!(allocations(&w) <= pool.len() && pool.len() < w.len() / 4);
+
+        // The lenient and the strict constructors are the same loop.
+        let texts = || stream.iter().map(|(text, _)| text.as_str());
+        let (lenient, lenient_rejected) = Workload::from_texts_lenient(texts());
+        assert_eq!(lenient_rejected, want_rejected);
+        let strict =
+            Workload::from_texts(texts().filter(|t| !BAD.contains(t))).expect("the rest parse");
+        for built in [&lenient, &strict] {
+            assert_eq!(built.len(), w.len());
+            for (b, e) in built.entries().iter().zip(w.entries()) {
+                assert_eq!(
+                    (&*b.statement, &b.text, b.freq),
+                    (&*e.statement, &e.text, 1.0)
+                );
+            }
+            assert_shared_by_text_only(built);
+            assert_table_names_first_entries(built);
+        }
+        assert!(Workload::from_texts(texts()).is_err());
+
+        // Derived workloads keep sharing, and keep a table that serves the
+        // next push: a text they hold is shared, any other is parsed.
+        let half = w.len() / 2;
+        let (head, copy) = (w.prefix(half), w.clone());
+        let joined = head.concat(&strict);
+        assert_eq!(joined.len(), half + strict.len());
+        let heads = [0, 1, 2, 5, w.len() + 1].map(|n| w.prefix(n));
+        for derived in heads.iter().chain([&head, &copy, &joined]) {
+            assert_table_names_first_entries(derived);
+            let mut grown = derived.clone();
+            for text in &pool {
+                grown.push(text).unwrap();
+                let pushed = grown.entries().last().unwrap();
+                assert_eq!(*pushed.statement, parse_statement(text).unwrap());
+                let first = derived.entries().iter().find(|e| e.text == *text);
+                assert_eq!(
+                    first.map(|e| Arc::as_ptr(&e.statement)),
+                    first.map(|_| Arc::as_ptr(&pushed.statement)),
+                    "{text}"
+                );
+                let held_before = derived
+                    .entries()
+                    .iter()
+                    .any(|e| Arc::ptr_eq(&e.statement, &pushed.statement));
+                assert_eq!(held_before, first.is_some(), "{text}");
+            }
+            assert_table_names_first_entries(&grown);
+        }
+        // `prefix` and `clone` share with their source; `concat` keeps both
+        // sides' allocations as they were.
+        assert_shared_by_text_only(&head);
+        assert!(Arc::ptr_eq(
+            &copy.entries()[3].statement,
+            &w.entries()[3].statement
+        ));
+        assert!(Arc::ptr_eq(
+            &joined.entries()[half].statement,
+            &strict.entries()[0].statement
+        ));
+    }
+
+    #[test]
+    fn two_texts_with_one_hash_cost_a_parse_never_a_wrong_statement() {
+        let (a, b) = ("collection('C')/a[b = 1]", "collection('C')/a[c = 2]");
+        let mut w = Workload::new();
+        w.push(a).unwrap();
+        // As if `b` hashed to where `a`'s entry is filed.
+        w.first_with.insert(w.text_hash(b), 0);
+        for text in [b, b, a] {
+            w.push(text).unwrap();
+        }
+        let e = w.entries();
+        for i in [1, 2] {
+            assert_eq!(e[i].text, b);
+            assert_eq!(*e[i].statement, parse_statement(b).unwrap());
+            assert!(!Arc::ptr_eq(&e[i].statement, &e[0].statement));
+        }
+        assert!(
+            !Arc::ptr_eq(&e[1].statement, &e[2].statement),
+            "parsed each time"
+        );
+        assert!(Arc::ptr_eq(&e[3].statement, &e[0].statement));
+        assert_eq!(w.first_with.len(), 2);
     }
 
     #[test]
