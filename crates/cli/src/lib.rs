@@ -213,8 +213,8 @@ USAGE:
                 [-a greedy|heuristics|topdown-lite|topdown-full|dp|cophy]
                 [--apply] [--report] [--trace[=json|text]] [--strict]
                 [--journal <path>] [--what-if-budget <calls>] [--jobs <n>]
-                [--no-prune] [--no-fastpath] [--inject <site>:<rate>]
-                [--fault-seed <n>] [--deadline-ms <n>] [--checkpoint <path>]
+                [--inject <site>:<rate>] [--fault-seed <n>]
+                [--deadline-ms <n>] [--checkpoint <path>]
                 [--resume <path>] [--mem-budget <bytes>]
                 [--cancel-after-polls <k>]
   xia whatif    <db> -w <workload-file> -i <coll>:<pattern>:<string|numerical> ...
@@ -255,15 +255,6 @@ coordinator, so the file is byte-identical for every --jobs value.
 --jobs (or -j) sets the what-if worker-thread count for benefit
 evaluation (0 = one per core; default 1, or the XIA_JOBS environment
 variable). The recommendation is identical for every value.
-
---no-prune disables statement-relevance pruning (the per-statement cost
-cache shortcut) for `recommend` and advisor-mode `explain`; the
-recommendation is byte-identical either way, only slower.
-
---no-fastpath disables the interning fast path (semi-naive generalization
-fixpoint, memoized containment) for `recommend` and advisor-mode
-`explain`; candidate sets and recommendations are byte-identical either
-way, only slower.
 
 -a cophy scales to huge workloads: the workload is first compressed into
 weighted cost-identity templates, then a std-only LP/knapsack relaxation

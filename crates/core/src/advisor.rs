@@ -5,7 +5,7 @@ use crate::candidate::{CandId, CandOrigin, CandidateSet};
 use crate::costing::CostingState;
 use crate::enumerate::{enumerate_candidates_into, size_candidates_ids};
 use crate::error::{StatementIssue, XiaError};
-use crate::generalize::{generalize_set_extend, generalize_set_naive};
+use crate::generalize::generalize_set_extend;
 use crate::runctl::{RunController, StopReason};
 use crate::search;
 use std::time::{Duration, Instant};
@@ -66,9 +66,6 @@ pub struct AdvisorParams {
     /// β of the greedy-heuristics size condition
     /// (`Size(x_g) ≤ (1+β)·ΣSize(x_i)`); the paper found 10% to work well.
     pub beta: f64,
-    /// Whether to run the generalization step. Disabling restricts the
-    /// space to basic candidates (used in ablations).
-    pub generalize: bool,
     /// Telemetry sink threaded through the whole pipeline: phase timers,
     /// what-if call accounting, candidate counters. Enabled by default
     /// (the handle is near-zero-cost); swap in [`Telemetry::off`] to
@@ -88,19 +85,6 @@ pub struct AdvisorParams {
     /// for every value — only wall-clock time changes. Defaults to the
     /// `XIA_JOBS` environment variable, or 1.
     pub jobs: usize,
-    /// Statement-relevance pruning (`--no-prune` turns it off): serve
-    /// per-statement what-if costings whose candidate projection was
-    /// already costed from the statement cache instead of re-running the
-    /// optimizer. Recommendations are byte-identical either way — off
-    /// exists for the ablation. On by default.
-    pub prune: bool,
-    /// Interning/semi-naive fast path (`--no-fastpath` turns it off): run
-    /// generalization as a bucketed, memoized semi-naive fixpoint and
-    /// serve containment checks through the shared cover cache with the
-    /// name-mask fast reject. Candidate sets, generalization DAGs, and
-    /// recommendations are byte-identical either way — off exists for the
-    /// A/B parity check and the E12 ablation. On by default.
-    pub fastpath: bool,
     /// Decision-provenance journal (`--journal`, `explain --why`). Unlike
     /// telemetry, journaling is *opt-in*: the default handle is disabled,
     /// so event payloads are never even constructed. All emission sites
@@ -140,14 +124,11 @@ impl Default for AdvisorParams {
     fn default() -> Self {
         Self {
             beta: 0.10,
-            generalize: true,
             telemetry: Telemetry::new(),
             faults: FaultInjector::off(),
             what_if_budget: WhatIfBudget::unlimited(),
             strict: false,
             jobs: Self::default_jobs(),
-            prune: true,
-            fastpath: true,
             journal: EventJournal::off(),
             ctl: RunController::off(),
         }
@@ -335,20 +316,14 @@ impl Advisor {
                 });
             }
         }
-        if params.generalize {
-            let created = {
-                let _generalize = t.span("generalize");
-                // Seeded with every candidate of a new set, the extending
-                // fixpoint is the fast path's full fixpoint.
-                if params.fastpath || from > 0 {
-                    generalize_set_extend(set, &added, t, &params.journal)
-                } else {
-                    generalize_set_naive(set, t, &params.journal)
-                }
-            };
-            t.add(Counter::CandidatesGeneralized, created.len() as u64);
-            added.extend(created);
-        }
+        let created = {
+            let _generalize = t.span("generalize");
+            // Seeded with every candidate of a new set, the extending
+            // fixpoint is the full semi-naive fixpoint.
+            generalize_set_extend(set, &added, t, &params.journal)
+        };
+        t.add(Counter::CandidatesGeneralized, created.len() as u64);
+        added.extend(created);
         let _size = t.span("size");
         let view = StatsView::roll(db, &params.faults);
         size_candidates_ids(&view, set, &added, t);
@@ -866,16 +841,5 @@ mod tests {
         )];
         let rec = Advisor::what_if(&mut db, &w, &config, &params).unwrap();
         assert!(rec.speedup > 1.0);
-    }
-
-    #[test]
-    fn disabling_generalization_restricts_candidates() {
-        let (mut db, w) = setup();
-        let params = AdvisorParams {
-            generalize: false,
-            ..AdvisorParams::default()
-        };
-        let set = Advisor::prepare(&mut db, &w, &params);
-        assert_eq!(set.len(), set.basic_ids().len());
     }
 }

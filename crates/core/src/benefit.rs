@@ -30,9 +30,9 @@
 //! `benefit(config ∪ {x})` probe re-costs only statements in
 //! `relevant(x)`. The optimizer consults the catalog only through index
 //! matching (the same covers/kind test the signature encodes), so serving a
-//! projection hit is bitwise identical to re-running the optimizer; the
-//! pruned and unpruned paths produce byte-identical recommendations (pinned
-//! by `tests/determinism.rs`). `prune` toggles the layer for ablation.
+//! projection hit is bitwise identical to re-running the optimizer. The
+//! reference is an evaluator with `use_cache = false`, which sends every
+//! costing to the optimizer (pinned by the unit tests below).
 //!
 //! What is left — an optimizer call per (statement, projection) — is made
 //! cheap by doing its configuration-invariant half once (DESIGN.md §18):
@@ -84,7 +84,8 @@ pub struct EvalStats {
     /// cost cache.
     pub stmt_cache_hits: u64,
     /// Per-statement costings the pruning layer served without an
-    /// optimizer call.
+    /// optimizer call. Every statement-cache hit is one, so this always
+    /// equals `stmt_cache_hits`.
     pub statements_pruned: u64,
     /// Incremental `benefit_delta` probes issued by the searches.
     pub delta_probes: u64,
@@ -261,7 +262,7 @@ enum TaskKind {
     /// projection was previously served from the statement cache).
     Optimize { salt: u64 },
     /// Answered from the statement cost cache at planning time (projection
-    /// hit, or post-exhaustion cached serve); workers skip it.
+    /// hit); workers skip it.
     Served { cost: f64 },
     /// The what-if budget was exhausted when this task was planned.
     BudgetFallback,
@@ -412,17 +413,8 @@ pub struct BenefitEvaluator<'a> {
     /// Frequency-weighted, so it lives and dies with the run.
     cache: ShardedCache,
     /// What-if budget account: optimizer calls actually made in this run
-    /// (statement-cache misses), charged identically with pruning on or
-    /// off. A costing the state already held is free.
+    /// (statement-cache misses). A costing the state already held is free.
     charged: u64,
-    /// Relevance-pruning switch: serve projection hits from the statement
-    /// cache instead of re-running the optimizer. Off re-executes every
-    /// hit (uncharged) for the ablation; results are byte-identical.
-    pub prune: bool,
-    /// Fast-path switch (`--no-fastpath` turns it off): route containment
-    /// verdicts through the state's shared [`xia_xpath::CoverCache`]. Verdicts are identical
-    /// either way; off exists for the A/B parity check.
-    fastpath: bool,
     /// The cover cache's counters when this run began, so the run reports
     /// its own containment work and not the state's lifetime total.
     cover_base: CoverCacheStats,
@@ -430,7 +422,10 @@ pub struct BenefitEvaluator<'a> {
     pub use_affected_sets: bool,
     /// Ablation switch: decompose configurations into sub-configurations.
     pub use_subconfigs: bool,
-    /// Ablation switch: memoize sub-configuration evaluations.
+    /// Ablation switch: memoize sub-configuration evaluations and serve
+    /// per-statement costings from the statement cache. Off, every
+    /// costing is a miss that goes to the optimizer — the reference the
+    /// cached path is checked against.
     pub use_cache: bool,
     stats: EvalStats,
     /// Telemetry sink for what-if accounting (off unless attached).
@@ -522,7 +517,7 @@ impl<'a> BenefitEvaluator<'a> {
         params: &crate::advisor::AdvisorParams,
         state: StateSlot<'a>,
     ) -> Self {
-        let mut ev = Self::build(
+        Self::build(
             db,
             workload,
             set,
@@ -530,13 +525,10 @@ impl<'a> BenefitEvaluator<'a> {
             params.what_if_budget,
             &params.telemetry,
             params.effective_jobs(),
-            params.fastpath,
             &params.journal,
             &params.ctl,
             state,
-        );
-        ev.prune = params.prune;
-        ev
+        )
     }
 
     /// Creates an evaluator with a fault injector and what-if budget in
@@ -562,7 +554,6 @@ impl<'a> BenefitEvaluator<'a> {
             budget,
             &Telemetry::off(),
             1,
-            true,
             &EventJournal::off(),
             &RunController::off(),
             StateSlot::Owned(Box::default()),
@@ -578,7 +569,6 @@ impl<'a> BenefitEvaluator<'a> {
         budget: WhatIfBudget,
         telemetry: &Telemetry,
         jobs: usize,
-        fastpath: bool,
         journal: &EventJournal,
         ctl: &RunController,
         mut state: StateSlot<'a>,
@@ -603,8 +593,6 @@ impl<'a> BenefitEvaluator<'a> {
             mc_totals: HashMap::new(),
             cache: ShardedCache::new(),
             charged: 0,
-            prune: true,
-            fastpath,
             cover_base,
             use_affected_sets: true,
             use_subconfigs: true,
@@ -662,7 +650,6 @@ impl<'a> BenefitEvaluator<'a> {
         // Relevance rows: one signature per statement, one bitset per
         // candidate.
         if from < entries.len() || known < self.set.len() {
-            let cache = self.fastpath.then_some(&state.cover_cache);
             for id in self.set.ids() {
                 let c = self.set.get(id);
                 let new = id.index() >= known;
@@ -670,11 +657,13 @@ impl<'a> BenefitEvaluator<'a> {
                     state.relevance.push(StmtSet::new());
                 }
                 let row_from = if new { 0 } else { from };
-                for si in
-                    state
-                        .matrix
-                        .relevant_from(row_from, &c.collection, &c.pattern, c.kind, cache)
-                {
+                for si in state.matrix.relevant_from(
+                    row_from,
+                    &c.collection,
+                    &c.pattern,
+                    c.kind,
+                    Some(&state.cover_cache),
+                ) {
                     state.relevance[id.index()].insert(si);
                 }
             }
@@ -909,7 +898,7 @@ impl<'a> BenefitEvaluator<'a> {
 
     /// Optimizer calls charged against the what-if budget so far. Only
     /// statements actually re-costed charge; costings served from the
-    /// statement cache are free, with pruning on or off.
+    /// statement cache are free.
     pub fn budget_charged(&self) -> u64 {
         self.charged
     }
@@ -1056,16 +1045,11 @@ impl<'a> BenefitEvaluator<'a> {
         }
     }
 
-    /// Containment check routed through the shared cover cache when the
-    /// fast path is on, the plain NFA search when it is off. The verdict
-    /// is identical either way (pinned by the parity suite).
+    /// Containment check routed through the state's shared cover cache
+    /// (same verdict as [`xia_xpath::contain::covers`]).
     pub fn covers(&self, general: &LinearPath, specific: &LinearPath) -> bool {
         let t0 = self.telemetry.is_enabled().then(Instant::now);
-        let verdict = if self.fastpath {
-            self.state.cover_cache.covers(general, specific)
-        } else {
-            xia_xpath::contain::covers(general, specific)
-        };
+        let verdict = self.state.cover_cache.covers(general, specific);
         if let Some(t0) = t0 {
             self.telemetry.record(Hist::ContainCheck, t0.elapsed());
         }
@@ -1234,11 +1218,8 @@ impl<'a> BenefitEvaluator<'a> {
         // costing is keyed on the projection of the group onto the
         // statement's relevant candidates: a plan can only consult
         // matching indexes, so equal projections have bitwise-equal
-        // costs. A projection hit is served without an optimizer call
-        // when pruning is on, and replayed — uncharged, under the same
-        // projection-derived fault salt, hence bitwise identically — when
-        // it is off; the budget and the cache evolve identically either
-        // way.
+        // costs, and a projection hit is served without an optimizer call.
+        // With the cache off every costing is a miss.
         let mut tasks: Vec<CostTask> = Vec::new();
         for (group, key) in misses.iter().enumerate() {
             for si in self.affected_statements(key) {
@@ -1246,33 +1227,22 @@ impl<'a> BenefitEvaluator<'a> {
                     continue;
                 }
                 let proj = self.projection(key, si);
-                let cached = self.state.stmt_cache[si].get(&proj).copied();
+                let cached = if self.use_cache {
+                    self.state.stmt_cache[si].get(&proj).copied()
+                } else {
+                    None
+                };
                 self.state.asked += 1;
-                let exhausted = self.budget.exhausted(self.charged, started.elapsed());
                 let (kind, proj) = match cached {
-                    // Pruning serves every projection hit; with pruning
-                    // off, hits are still served once the budget is gone
-                    // (the PR2 ladder: budget → cached → heuristic).
-                    Some(cost) if self.prune || exhausted => {
+                    Some(cost) => {
                         self.state.served += 1;
                         self.stats.stmt_cache_hits += 1;
+                        self.stats.statements_pruned += 1;
                         self.telemetry.incr(Counter::StmtCacheHits);
-                        if self.prune {
-                            self.stats.statements_pruned += 1;
-                            self.telemetry.incr(Counter::StatementsPruned);
-                        }
+                        self.telemetry.incr(Counter::StatementsPruned);
                         (TaskKind::Served { cost }, None)
                     }
-                    // Ablation replay: the cached value exists, so the
-                    // statement's collection is known costable and the
-                    // call is not charged against the budget.
-                    Some(_) => (
-                        TaskKind::Optimize {
-                            salt: key_hash(SALT_EVALUATE, &proj) ^ self.state.stmt_salts[si],
-                        },
-                        Some(proj),
-                    ),
-                    None if exhausted => {
+                    None if self.budget.exhausted(self.charged, started.elapsed()) => {
                         if !self.budget_event_emitted {
                             self.budget_event_emitted = true;
                             let charged = self.charged;
@@ -2084,48 +2054,50 @@ mod tests {
 
     #[test]
     fn pruned_and_unpruned_benefits_match_bitwise() {
-        // The relevance-pruning layer is a pure evaluation shortcut: with
-        // the memo cache disabled (so the statement cache carries the whole
-        // load), every benefit value must stay bitwise identical to the
-        // unpruned path, at strictly fewer optimizer calls.
+        // The relevance-pruning layer is a pure evaluation shortcut. The
+        // reference is an evaluator with the caches off, which sends every
+        // costing to the optimizer: every benefit and delta probe must be
+        // bitwise identical to it — clean and under both fault kinds — at
+        // strictly fewer optimizer calls.
+        use xia_fault::FaultSite;
         let (mut db, w) = setup();
         let set = candidates(&mut db, &w);
         let all = set.basic_ids();
-        let probe = |prune: bool, db: &mut Database| -> (Vec<u64>, u64, u64, EvalStats) {
-            let mut ev = BenefitEvaluator::new(db, &w, &set);
-            ev.prune = prune;
-            ev.use_cache = false;
-            let mut bits = Vec::new();
-            let mut base: Vec<CandId> = Vec::new();
-            for &id in all.iter().take(4) {
-                bits.push(ev.benefit_delta(&base, id).to_bits());
-                base.push(id);
-            }
-            bits.push(ev.benefit(&all).to_bits());
-            bits.push(ev.benefit(&all).to_bits());
-            (
-                bits,
-                ev.eval_stats().optimizer_calls,
-                ev.budget_charged(),
-                ev.eval_stats(),
-            )
-        };
-        let (bits_on, calls_on, charged_on, stats_on) = probe(true, &mut db);
-        let (bits_off, calls_off, charged_off, stats_off) = probe(false, &mut db);
-        assert_eq!(bits_on, bits_off, "pruning changed a benefit value");
-        assert_eq!(
-            charged_on, charged_off,
-            "pruning changed the budget trajectory"
-        );
-        assert!(
-            calls_on < calls_off,
-            "pruning saved no optimizer calls: on={calls_on} off={calls_off}"
-        );
-        assert!(stats_on.statements_pruned > 0);
-        assert!(stats_on.stmt_cache_hits > 0);
-        assert_eq!(stats_off.statements_pruned, 0);
-        assert_eq!(stats_on.delta_probes, 4);
-        assert_eq!(stats_off.delta_probes, 4);
+        let mixes: [fn() -> FaultInjector; 3] = [
+            FaultInjector::off,
+            || FaultInjector::seeded(7).with_rate(FaultSite::OptimizerCost, 0.3),
+            || FaultInjector::seeded(7).with_rate(FaultSite::StatsUnavailable, 0.5),
+        ];
+        for (m, faults) in mixes.into_iter().enumerate() {
+            let mut probe = |use_cache: bool| -> (Vec<u64>, EvalStats) {
+                let budget = WhatIfBudget::unlimited();
+                let mut ev = BenefitEvaluator::with_faults(&mut db, &w, &set, &faults(), budget);
+                ev.use_cache = use_cache;
+                let mut bits = Vec::new();
+                let mut base: Vec<CandId> = Vec::new();
+                for &id in &all {
+                    bits.push(ev.benefit_delta(&base, id).to_bits());
+                    base.push(id);
+                }
+                bits.push(ev.benefit(&all).to_bits());
+                bits.push(ev.benefit(&all).to_bits());
+                (bits, ev.eval_stats())
+            };
+            let (bits, cached) = probe(true);
+            let (reference_bits, reference) = probe(false);
+            assert_eq!(bits, reference_bits, "mix {m}: a benefit value moved");
+            assert!(
+                cached.optimizer_calls < reference.optimizer_calls,
+                "mix {m}: no optimizer call saved: cached={} reference={}",
+                cached.optimizer_calls,
+                reference.optimizer_calls
+            );
+            assert!(cached.stmt_cache_hits > 0, "mix {m}");
+            assert_eq!(cached.statements_pruned, cached.stmt_cache_hits);
+            assert_eq!(reference.stmt_cache_hits, 0);
+            assert_eq!(cached.delta_probes, all.len() as u64);
+            assert_eq!(reference.delta_probes, all.len() as u64);
+        }
     }
 
     #[test]

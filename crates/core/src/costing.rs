@@ -87,10 +87,8 @@ pub struct CostingState {
     /// `None`: the candidate's collection has no visible statistics.
     pub(crate) defs: Vec<Option<Option<Arc<IndexDef>>>>,
     /// Per statement: canonical projection of a sub-configuration onto the
-    /// statement's relevant candidates → cost. Coordinator-only;
-    /// maintained identically with pruning on or off so the budget
-    /// trajectory is mode-invariant. Tainted (fault/fallback) costs are
-    /// never inserted.
+    /// statement's relevant candidates → cost. Coordinator-only. Tainted
+    /// (fault/fallback) costs are never inserted.
     pub(crate) stmt_cache: Vec<HashMap<Vec<CandId>, f64>>,
     /// Approximate live bytes of `stmt_cache`: the part of the governor's
     /// memory account that outlives a run.

@@ -53,10 +53,7 @@ pub use enumerate::{
     size_candidates_ids, size_candidates_traced,
 };
 pub use error::{IssueStage, StatementIssue, XiaError};
-pub use generalize::{
-    generalize_pair, generalize_set, generalize_set_extend, generalize_set_fast,
-    generalize_set_naive,
-};
+pub use generalize::{generalize_pair, generalize_set, generalize_set_extend, generalize_set_fast};
 pub use report::TuningReport;
 pub use runctl::{candidate_digest, load_checkpoint, GovernorRung, RunController, StopReason};
 pub use session::TuningSession;

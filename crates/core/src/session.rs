@@ -75,14 +75,10 @@ impl TuningSession {
         Self::default()
     }
 
-    /// Replaces the advisor parameters. Invalidates prepared state if the
-    /// generalization switch changed, and always drops the costing state
-    /// — it is only kept under the costing context (faults, toggles) it
-    /// was built in.
+    /// Replaces the advisor parameters. Drops the costing state — it is
+    /// only kept under the costing context (faults, budget) it was built
+    /// in.
     pub fn set_params(&mut self, params: AdvisorParams) {
-        if params.generalize != self.params.generalize {
-            self.prepared = None;
-        }
         self.costing = CostingState::default();
         self.params = params;
     }

@@ -274,232 +274,6 @@ fn faults_and_budget_combined_are_jobs_invariant() {
     });
 }
 
-/// The value part of a fingerprint: everything the recommendation promises
-/// the user, excluding call accounting. Pruned and unpruned runs serve
-/// some costings from the statement cache instead of re-invoking the
-/// optimizer, so call counters legitimately differ across *modes* (they
-/// stay pinned across worker counts within each mode); the recommendation
-/// itself — configuration, index DDL, and every cost estimate, bit for
-/// bit — must not.
-fn values(f: &Fingerprint) -> (Vec<xia_advisor::CandId>, Vec<String>, u64, u64, u64) {
-    (
-        f.config.clone(),
-        f.indexes.clone(),
-        f.est_benefit_bits,
-        f.baseline_bits,
-        f.workload_bits,
-    )
-}
-
-fn assert_prune_invariant(algo: SearchAlgorithm, make_params: impl Fn() -> AdvisorParams) {
-    for jobs in [1, 4] {
-        let on = run(algo, jobs, || AdvisorParams {
-            prune: true,
-            ..make_params()
-        });
-        assert!(!on.config.is_empty() || algo == SearchAlgorithm::Greedy);
-        let off = run(algo, jobs, || AdvisorParams {
-            prune: false,
-            ..make_params()
-        });
-        assert_eq!(
-            values(&on),
-            values(&off),
-            "pruning changed the recommendation for {algo:?} at jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn pruning_preserves_recommendation_clean() {
-    assert_prune_invariant(SearchAlgorithm::Greedy, AdvisorParams::default);
-    assert_prune_invariant(SearchAlgorithm::GreedyHeuristics, AdvisorParams::default);
-    assert_prune_invariant(SearchAlgorithm::TopDownFull, AdvisorParams::default);
-}
-
-#[test]
-fn pruning_preserves_recommendation_under_faults() {
-    assert_prune_invariant(SearchAlgorithm::GreedyHeuristics, || AdvisorParams {
-        faults: FaultInjector::seeded(SEED).with_rate(FaultSite::OptimizerCost, 0.3),
-        ..AdvisorParams::default()
-    });
-    assert_prune_invariant(SearchAlgorithm::Greedy, || AdvisorParams {
-        faults: FaultInjector::seeded(SEED).with_rate(FaultSite::StatsUnavailable, 0.5),
-        ..AdvisorParams::default()
-    });
-}
-
-#[test]
-fn pruning_preserves_recommendation_under_exhausted_budget() {
-    // The budget account charges only statements actually re-costed —
-    // identically with pruning on or off — so the exact probe at which
-    // the budget trips (and the degradation ladder engages) is the same
-    // in both modes.
-    assert_prune_invariant(SearchAlgorithm::Greedy, || AdvisorParams {
-        what_if_budget: WhatIfBudget::calls(4),
-        ..AdvisorParams::default()
-    });
-    assert_prune_invariant(SearchAlgorithm::GreedyHeuristics, || AdvisorParams {
-        faults: FaultInjector::seeded(SEED).with_rate(FaultSite::OptimizerCost, 0.2),
-        what_if_budget: WhatIfBudget::calls(32),
-        ..AdvisorParams::default()
-    });
-}
-
-#[test]
-fn unpruned_mode_is_jobs_invariant() {
-    // `--no-prune` replays statement-cache hits through real optimizer
-    // calls; those calls are planned on the coordinator like any other,
-    // so the mode stays jobs-invariant including every pinned counter.
-    assert_jobs_invariant(SearchAlgorithm::GreedyHeuristics, || AdvisorParams {
-        prune: false,
-        ..AdvisorParams::default()
-    });
-}
-
-#[test]
-fn pruning_saves_calls_and_reports_counters() {
-    let run_with = |prune: bool| {
-        let mut db = Database::new();
-        let cfg = TpoxConfig::tiny();
-        tpox::generate(&mut db, &cfg);
-        let w = Workload::from_texts(tpox::queries(&cfg).iter().map(|s| s.as_str())).unwrap();
-        let params = AdvisorParams {
-            prune,
-            telemetry: Telemetry::new(),
-            ..AdvisorParams::default()
-        };
-        let rec = Advisor::recommend(
-            &mut db,
-            &w,
-            u64::MAX / 2,
-            SearchAlgorithm::GreedyHeuristics,
-            &params,
-        )
-        .expect("advise");
-        (rec.eval_stats.optimizer_calls, params.telemetry)
-    };
-    let (calls_on, t_on) = run_with(true);
-    let (calls_off, t_off) = run_with(false);
-    assert!(
-        calls_on < calls_off,
-        "pruning saved no optimizer calls: on={calls_on} off={calls_off}"
-    );
-    assert!(t_on.get(Counter::StatementsPruned) > 0);
-    assert!(t_on.get(Counter::StmtCacheHits) > 0);
-    assert!(t_on.get(Counter::DeltaProbes) > 0);
-    assert_eq!(t_off.get(Counter::StatementsPruned), 0);
-    // The searches issue the same probe sequence in both modes.
-    assert_eq!(
-        t_on.get(Counter::DeltaProbes),
-        t_off.get(Counter::DeltaProbes)
-    );
-}
-
-/// `--no-fastpath` parity: the interning/semi-naive fast path must leave
-/// the *entire* fingerprint untouched — recommendation, every cost bit,
-/// and every pinned counter. (The fast path's own accounting lives in
-/// counters outside the pinned set, so fast-on and fast-off runs agree on
-/// everything compared here.)
-fn assert_fastpath_invariant(algo: SearchAlgorithm, make_params: impl Fn() -> AdvisorParams) {
-    for jobs in [1, 4] {
-        let on = run(algo, jobs, || AdvisorParams {
-            fastpath: true,
-            ..make_params()
-        });
-        assert!(!on.config.is_empty() || algo == SearchAlgorithm::Greedy);
-        let off = run(algo, jobs, || AdvisorParams {
-            fastpath: false,
-            ..make_params()
-        });
-        assert_eq!(
-            on, off,
-            "fast path changed the outcome for {algo:?} at jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn fastpath_preserves_recommendation_clean() {
-    assert_fastpath_invariant(SearchAlgorithm::Greedy, AdvisorParams::default);
-    assert_fastpath_invariant(SearchAlgorithm::GreedyHeuristics, AdvisorParams::default);
-    assert_fastpath_invariant(SearchAlgorithm::TopDownFull, AdvisorParams::default);
-}
-
-#[test]
-fn fastpath_preserves_recommendation_under_faults() {
-    assert_fastpath_invariant(SearchAlgorithm::GreedyHeuristics, || AdvisorParams {
-        faults: FaultInjector::seeded(SEED).with_rate(FaultSite::OptimizerCost, 0.3),
-        ..AdvisorParams::default()
-    });
-    assert_fastpath_invariant(SearchAlgorithm::Greedy, || AdvisorParams {
-        faults: FaultInjector::seeded(SEED).with_rate(FaultSite::StatsUnavailable, 0.5),
-        ..AdvisorParams::default()
-    });
-}
-
-#[test]
-fn fastpath_preserves_recommendation_under_exhausted_budget() {
-    assert_fastpath_invariant(SearchAlgorithm::Greedy, || AdvisorParams {
-        what_if_budget: WhatIfBudget::calls(4),
-        ..AdvisorParams::default()
-    });
-}
-
-#[test]
-fn naive_mode_is_jobs_invariant() {
-    // `--no-fastpath` is the parity baseline; it must satisfy the same
-    // jobs-invariance contract as the default path.
-    assert_jobs_invariant(SearchAlgorithm::GreedyHeuristics, || AdvisorParams {
-        fastpath: false,
-        ..AdvisorParams::default()
-    });
-}
-
-/// Candidate-set-level parity on the real TPoX workload: patterns, kinds,
-/// origins, and DAG edge lists (in stored order) must be byte-identical
-/// with the semi-naive fixpoint on or off.
-#[test]
-fn fastpath_preserves_candidate_set_and_dag() {
-    let prepare = |fastpath: bool| {
-        let mut db = Database::new();
-        let cfg = TpoxConfig::tiny();
-        tpox::generate(&mut db, &cfg);
-        let w = Workload::from_texts(tpox::queries(&cfg).iter().map(|s| s.as_str())).unwrap();
-        let params = AdvisorParams {
-            fastpath,
-            telemetry: Telemetry::new(),
-            ..AdvisorParams::default()
-        };
-        let set = Advisor::prepare(&mut db, &w, &params);
-        let dump: Vec<String> = set
-            .iter()
-            .map(|c| {
-                format!(
-                    "{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
-                    c.id,
-                    c.collection,
-                    c.pattern,
-                    c.kind,
-                    c.origin,
-                    c.children,
-                    c.parents,
-                    c.affected.iter().collect::<Vec<_>>()
-                )
-            })
-            .collect();
-        (dump, params.telemetry)
-    };
-    let (fast, t_fast) = prepare(true);
-    let (naive, t_naive) = prepare(false);
-    assert_eq!(fast, naive, "candidate set diverges fast vs naive");
-    // Both modes report pair visits; the fast path visits strictly fewer.
-    let nv = t_naive.get(Counter::GeneralizePairsVisited);
-    let fv = t_fast.get(Counter::GeneralizePairsVisited);
-    assert!(nv > 0 && fv > 0, "pair-visit accounting missing");
-    assert!(fv < nv, "semi-naive visited {fv}, naive {nv}");
-}
-
 #[test]
 fn repeated_runs_at_same_jobs_are_identical() {
     for jobs in JOBS {
@@ -520,8 +294,7 @@ fn repeated_runs_at_same_jobs_are_identical() {
 // ---------------------------------------------------------------------
 // Observability surfaces: the decision journal is emitted entirely on
 // the coordinator, so its JSONL export must be byte-identical across
-// worker counts and across the fast/naive generalization paths. Trace
-// reports contain wall-clock timings; with those masked, the remaining
+// worker counts. Trace reports contain wall-clock timings; with those masked, the remaining
 // structure (counters, span tree, latency sample counts) must be
 // byte-identical across worker counts too.
 
@@ -620,22 +393,6 @@ fn journal_jsonl_is_byte_identical_across_jobs_under_exhausted_budget() {
         let (j, _) = run_observed(jobs, tight);
         assert_eq!(j1, j, "budget-exhausted journal diverged at jobs={jobs}");
     }
-}
-
-#[test]
-fn journal_jsonl_is_identical_fastpath_vs_naive() {
-    let (fast, _) = run_observed(1, || AdvisorParams {
-        fastpath: true,
-        ..AdvisorParams::default()
-    });
-    let (naive, _) = run_observed(1, || AdvisorParams {
-        fastpath: false,
-        ..AdvisorParams::default()
-    });
-    assert_eq!(
-        fast, naive,
-        "fast-path and naive generalization must derive the same events"
-    );
 }
 
 #[test]

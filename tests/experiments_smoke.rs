@@ -306,11 +306,11 @@ fn ablation_machinery_reduces_optimizer_calls() {
     let rows = ablation::run_switches(&mut lab);
     let full = rows
         .iter()
-        .find(|r| r.switches == (true, true, true, true))
+        .find(|r| r.switches == (true, true, true))
         .unwrap();
     let none = rows
         .iter()
-        .find(|r| r.switches == (false, false, false, false))
+        .find(|r| r.switches == (false, false, false))
         .unwrap();
     assert!(
         full.optimizer_calls < none.optimizer_calls,

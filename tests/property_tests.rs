@@ -319,16 +319,19 @@ fn generalization_dag_parents_cover_children() {
     }
 }
 
+#[path = "support/naive_fixpoint.rs"]
+mod naive_fixpoint;
+
 /// Fast-path parity: the semi-naive generalization fixpoint produces the
 /// same candidate set — patterns, origins, DAG edge vectors in stored
-/// order, affected sets — as the naive Algorithm 1 loop, on randomized
+/// order, affected sets — as the literal Algorithm 1 loop, on randomized
 /// multi-collection, multi-kind workloads.
 #[test]
 fn semi_naive_fixpoint_matches_naive() {
+    use naive_fixpoint::{dump, naive_fixpoint};
     use xia_advisor::candidate::CandOrigin;
-    use xia_advisor::{generalize_set_fast, generalize_set_naive, CandidateSet};
-    use xia_obs::EventJournal;
-    use xia_obs::Telemetry;
+    use xia_advisor::{generalize_set_fast, CandidateSet};
+    use xia_obs::{EventJournal, Telemetry};
 
     let mut rng = Prng::seed_from_u64(0x0c);
     let colls = ["C1", "C2"];
@@ -346,36 +349,21 @@ fn semi_naive_fixpoint_matches_naive() {
                 i,
             ));
         }
-        let build = |seeds: &[(&str, String, xia_xpath::ValueKind, usize)]| {
+        let build = || {
             let mut set = CandidateSet::new();
-            for (coll, text, kind, stmt) in seeds {
+            for (coll, text, kind, stmt) in &seeds {
                 let pattern = parse_linear_path(text).expect("constructed path parses");
                 let id = set.insert(coll, pattern, *kind, CandOrigin::Basic);
                 set.get_mut(id).affected.insert(*stmt);
             }
             set
         };
-        let mut naive = build(&seeds);
-        let mut fast = build(&seeds);
-        let created_naive =
-            generalize_set_naive(&mut naive, &Telemetry::off(), &EventJournal::off());
+        let mut naive = build();
+        let mut fast = build();
+        let (created_naive, _) = naive_fixpoint(&mut naive);
         let created_fast = generalize_set_fast(&mut fast, &Telemetry::off(), &EventJournal::off());
         assert_eq!(created_naive, created_fast, "created ids diverge");
-        assert_eq!(naive.len(), fast.len());
-        for (n, f) in naive.iter().zip(fast.iter()) {
-            assert_eq!(n.id, f.id);
-            assert_eq!(n.pattern, f.pattern, "pattern diverges at {:?}", n.id);
-            assert_eq!(
-                (&n.collection, n.kind, n.origin),
-                (&f.collection, f.kind, f.origin)
-            );
-            assert_eq!(n.children, f.children, "children diverge at {}", n.pattern);
-            assert_eq!(n.parents, f.parents, "parents diverge at {}", n.pattern);
-            assert_eq!(
-                n.affected.iter().collect::<Vec<_>>(),
-                f.affected.iter().collect::<Vec<_>>()
-            );
-        }
+        assert_eq!(dump(&naive), dump(&fast), "seeds {seeds:?}");
     }
 }
 

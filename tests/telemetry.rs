@@ -3,7 +3,7 @@
 //! tree of a full advisor run, JSON round-tripping of live reports, and
 //! the disabled-handle fast path.
 
-use xia_advisor::{Advisor, AdvisorParams, BenefitEvaluator, SearchAlgorithm};
+use xia_advisor::{Advisor, AdvisorParams, BenefitEvaluator, CostingState, SearchAlgorithm};
 use xia_obs::{Counter, Telemetry, TraceReport};
 use xia_storage::Database;
 use xia_workloads::Workload;
@@ -146,16 +146,14 @@ fn telemetry_cache_counters_match_eval_stats() {
     );
     assert!(t.get(Counter::BenefitCacheHits) > 0);
 
-    // Cache off: neither hits nor misses are counted, and the repeat
-    // evaluation pays the optimizer calls again. The statement-relevance
-    // cache is a separate layer — disable it too so the repeat truly
-    // re-costs.
+    // Cache off: neither hits nor misses are counted, the statement cache
+    // serves nothing, and the repeat evaluation pays the optimizer calls
+    // again.
     let t2 = Telemetry::new();
     {
         let mut ev2 = BenefitEvaluator::new(&mut db, &w, &set);
         ev2.set_telemetry(&t2);
         ev2.use_cache = false;
-        ev2.prune = false;
         let c1 = ev2.benefit(&all);
         let evals1 = t2.get(Counter::OptimizerEvaluateCalls);
         let c2 = ev2.benefit(&all);
@@ -165,25 +163,28 @@ fn telemetry_cache_counters_match_eval_stats() {
         assert_eq!(evals2, 2 * evals1, "uncached repeat re-costs everything");
         assert_eq!(t2.get(Counter::BenefitCacheHits), 0);
         assert_eq!(t2.get(Counter::BenefitCacheMisses), 0);
+        assert_eq!(t2.get(Counter::StmtCacheHits), 0);
     }
 
-    // Memo cache off but relevance pruning on: the repeat is served from
-    // the per-statement cost cache without further optimizer calls.
+    // Default switches: the statement cache outlives a run's memo. A
+    // second evaluator over the same costing state starts with an empty
+    // memo and misses it, and every costing is served from the statement
+    // cache without an optimizer call.
+    let mut state = CostingState::default();
+    BenefitEvaluator::retained(&db, &w, &set, &params, &mut state).benefit(&all);
     let t3 = Telemetry::new();
-    let mut ev3 = BenefitEvaluator::new(&mut db, &w, &set);
-    ev3.set_telemetry(&t3);
-    ev3.use_cache = false;
-    let d1 = ev3.benefit(&all);
-    let evals_first = t3.get(Counter::OptimizerEvaluateCalls);
-    let d2 = ev3.benefit(&all);
-    assert_eq!(d1, d2);
-    assert_eq!(d1, b1, "pruning must not change the benefit value");
-    assert_eq!(
-        t3.get(Counter::OptimizerEvaluateCalls),
-        evals_first,
-        "statement-cache repeat must not call the optimizer"
-    );
-    assert!(t3.get(Counter::StmtCacheHits) > 0);
+    let params3 = AdvisorParams {
+        telemetry: t3.clone(),
+        ..AdvisorParams::default()
+    };
+    let mut ev3 = BenefitEvaluator::retained(&db, &w, &set, &params3, &mut state);
+    assert_eq!(ev3.benefit(&all), b1, "the statement cache moved a benefit");
+    assert_eq!(t3.get(Counter::OptimizerEvaluateCalls), 0);
+    assert!(t3.get(Counter::BenefitCacheMisses) > 0);
+    let served = t3.get(Counter::StmtCacheHits);
+    assert!(served > 0, "the statement cache never served");
+    assert_eq!(served, ev3.eval_stats().stmt_cache_hits);
+    assert_eq!(t3.get(Counter::StatementsPruned), served);
 }
 
 #[test]
