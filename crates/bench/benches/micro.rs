@@ -58,6 +58,25 @@ fn bench_containment() {
     bench("contain/covers_deep", quick(), || {
         contain::covers(std::hint::black_box(&deep_a), std::hint::black_box(&deep_b))
     });
+    // Same names on both sides, so the name mask passes and the product
+    // search has to find the counterexample `/a/b`.
+    let one_level = parse_linear_path("/a/*/b").unwrap();
+    let any_depth = parse_linear_path("/a//b").unwrap();
+    bench("contain/covers_reject_by_search", quick(), || {
+        contain::covers(
+            std::hint::black_box(&one_level),
+            std::hint::black_box(&any_depth),
+        )
+    });
+    // No names at all: the alphabet is the "other" letter alone.
+    let universal = parse_linear_path("//*").unwrap();
+    let two_levels = parse_linear_path("/*/*").unwrap();
+    bench("contain/covers_wildcard_only", quick(), || {
+        contain::covers(
+            std::hint::black_box(&universal),
+            std::hint::black_box(&two_levels),
+        )
+    });
 }
 
 fn bench_generalize() {

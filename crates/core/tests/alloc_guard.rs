@@ -18,42 +18,59 @@
 //!   *statement* when every key was built as a fresh `String` from a
 //!   normalized copy of the statement).
 //!
-//! This binary holds one test on purpose: the counter is process-wide, and
-//! a second test running beside it would be counted too.
+//! It also pins that containment is allocation-free: `xia_xpath::covers`
+//! over every ordered pair of a TPoX + synthetic candidate pool makes no
+//! heap allocation at all (the product search it replaced made at least
+//! eight per call).
+//!
+//! The counter is per thread, so each test counts only its own
+//! allocations while the harness runs the tests side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use xia_advisor::compress_workload;
+use std::cell::Cell;
+use xia_advisor::{compress_workload, Advisor, AdvisorParams};
 use xia_obs::{EventJournal, Telemetry};
+use xia_optimizer::statement_signature;
 use xia_storage::Database;
 use xia_workloads::synthetic::{generate_queries, SyntheticConfig};
 use xia_workloads::tpox::{self, TpoxConfig};
 use xia_workloads::Workload;
+use xia_xpath::LinearPath;
 
 /// The system allocator, counting every block it hands out.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Blocks handed out to this thread. Constant-initialized and without
+    /// a destructor, so reading it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread is torn down, when nothing
+    // counted is running any more.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic that
-// publishes no other data and cannot allocate.
+// upholds the `GlobalAlloc` contract; the counter is a thread-local cell
+// that publishes no other data and cannot allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: the caller's obligations are `System.alloc`'s own.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A `Vec` that grows is a block the old design did not need either.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: `ptr` came from this allocator, that is, from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -67,11 +84,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `f` and returns its result with the allocations it made.
+/// Runs `f` and returns its result with the allocations it made on this
+/// thread.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let value = f();
-    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (value, ALLOCATIONS.with(Cell::get) - before)
 }
 
 const STATEMENTS: usize = 10_000;
@@ -147,5 +165,68 @@ fn the_front_end_allocates_per_template_not_per_token() {
     assert_eq!(
         compressing_doubled, compressing,
         "a statement that joins an existing template must not allocate"
+    );
+}
+
+#[test]
+fn covers_allocates_nothing() {
+    // The search-sweep workload's shape at a small scale: the TPoX
+    // queries, synthetic path queries over the securities, the update mix.
+    let cfg = TpoxConfig::tiny();
+    let mut db = Database::new();
+    tpox::generate(&mut db, &cfg);
+    let mut texts = tpox::queries(&cfg);
+    texts.extend(generate_queries(
+        db.collection(tpox::SECURITY_COLL)
+            .expect("TPoX has securities"),
+        &SyntheticConfig {
+            queries: 400,
+            seed: 42,
+            ..SyntheticConfig::default()
+        },
+    ));
+    texts.extend(tpox::update_mix(&cfg));
+    let workload =
+        Workload::from_texts(texts.iter().map(String::as_str)).expect("generated statements parse");
+    let set = Advisor::prepare(
+        &mut db,
+        &workload,
+        &AdvisorParams {
+            jobs: 1,
+            ..AdvisorParams::default()
+        },
+    );
+    // The candidates' patterns and the statements' access patterns: the
+    // pairs generalization, relevance and index matching ask about.
+    let mut patterns: Vec<LinearPath> = set.iter().map(|c| c.pattern.clone()).collect();
+    for entry in workload.entries() {
+        let targets = statement_signature(&entry.statement).targets;
+        patterns.extend(targets.into_iter().map(|(pattern, _)| pattern));
+    }
+    patterns.sort();
+    patterns.dedup();
+    assert!(
+        patterns.len() > 50,
+        "{} patterns: the pool must be large enough to mean anything",
+        patterns.len()
+    );
+
+    let (held, allocations) = counted(|| {
+        let mut held = 0u64;
+        for general in &patterns {
+            for specific in &patterns {
+                held += u64::from(xia_xpath::covers(general, specific));
+            }
+        }
+        held
+    });
+    let pairs = (patterns.len() * patterns.len()) as u64;
+    assert!(
+        held > patterns.len() as u64 && held < pairs,
+        "{held} of {pairs} pairs contained: the pool must mix verdicts"
+    );
+    assert_eq!(
+        allocations, 0,
+        "covers made {allocations} allocations over {pairs} pairs"
     );
 }

@@ -7,17 +7,37 @@
 //! coverage-bitmap heuristic of the greedy search relies on it too.
 //!
 //! Linear patterns denote regular word languages over the (unbounded)
-//! alphabet of element labels. Inclusion is decided soundly and completely
-//! by restricting to the finite alphabet of labels mentioned in either
-//! pattern plus one fresh "other" letter: wildcard and `Σ*` transitions are
-//! the only ones that accept unmentioned labels, and they treat all
-//! unmentioned labels identically, so any counterexample word can be
-//! relabeled onto the restricted alphabet.
+//! alphabet of element labels. Inclusion is decided by restricting to the
+//! finite alphabet of labels mentioned in either pattern plus one fresh
+//! "other" letter: wildcard and `Σ*` transitions are the only ones that
+//! accept unmentioned labels, and they treat all unmentioned labels
+//! identically, so any counterexample word can be relabeled onto the
+//! restricted alphabet. The decision is exact when both patterns have
+//! fewer than 63 steps and mention at most 64 distinct names between them.
+//! Any other pair falls back to equality: sound (it never invents a match)
+//! but incomplete (`//*` does not cover a 70-step path there). The parser
+//! accepts paths of up to [`crate::MAX_PATH_STEPS`] steps, so such pairs
+//! can be asked.
 //!
-//! Two fast paths sit in front of the NFA product search, both exact:
+//! **The kernel** (`covers_full`) is a bit-parallel NFA product search
+//! whose tables all live on the stack. A pattern of `k` steps has states
+//! `0..=k` ("the first `i` steps matched"), one bit each, and compiles to
+//! a self-loop mask (bit `i` when step `i + 1` is `//`), one accept mask
+//! per letter (bit `i` when step `i + 1` accepts it) and the bit of its
+//! accepting state. One step of a state set `S` on letter `l` is then
+//! `(S & loops) | ((S & accepts[l]) << 1)`. The search walks the
+//! reachable `(A-set, B-set)` pairs looking for a word `specific`
+//! accepts and `general` does not; the pairs live in a fixed-capacity
+//! list on the stack that is queue and seen set at once. Only a search
+//! that outgrows it (64 pairs; a TPoX candidate pool needs at most 16)
+//! spills to the heap, so a call normally allocates nothing.
+//!
+//! Three guards sit in front of the kernel, all decided in one place:
 //!
 //! * **identity** — `L ⊆ L` always holds, so equal patterns (an integer
 //!   compare over interned steps) accept immediately;
+//! * **length** — a pattern of 63 steps or more takes the equality
+//!   fallback above;
 //! * **name-mask reject** — every concrete name test in `general` must be
 //!   consumed by every word of `L(general)`, while `specific` always has a
 //!   witness word avoiding any name it does not mention. So if `general`
@@ -34,155 +54,230 @@
 use crate::intern::Sym;
 use crate::linear::{Axis, LinearPath, NameTest};
 use crate::statement::ValueKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 use xia_xml::{PathId, Symbol, Vocabulary};
 
-/// Letter of the restricted alphabet: index into the mentioned-names list,
-/// or `Other` for any unmentioned label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Letter {
-    Named(usize),
-    Other,
+/// Patterns of this many steps or more take the equality fallback.
+const KERNEL_STEPS: usize = 63;
+
+/// Named letters of the restricted alphabet; the "other" letter comes
+/// after them.
+const NAMES: usize = 64;
+
+/// Product pairs the kernel keeps on the stack before it spills to the
+/// heap.
+const INLINE_PAIRS: usize = 64;
+
+/// The named letters of the restricted alphabet: symbol ids in order of
+/// first mention.
+struct Alphabet {
+    ids: [u32; NAMES],
+    len: usize,
 }
 
-/// NFA over the restricted alphabet. State `i` = "first `i` steps matched";
-/// a descendant-axis step adds a self-loop (Σ*) on its source state.
-struct Nfa {
-    /// `step_tests[i]`: which letters step `i+1` accepts (bitmask over
-    /// named letters; bool for Other).
-    accepts: Vec<(u64, bool)>,
-    /// Whether state `i` has a Σ* self-loop (step `i+1` is descendant-axis).
-    self_loop: Vec<bool>,
-    states: usize,
-}
-
-fn build_nfa(path: &LinearPath, names: &[Sym]) -> Nfa {
-    assert!(
-        names.len() <= 64,
-        "containment alphabet limited to 64 names"
-    );
-    let mut accepts = Vec::with_capacity(path.len());
-    let mut self_loop = Vec::with_capacity(path.len());
-    for step in &path.steps {
-        let (mask, other) = match step.test {
-            NameTest::Wildcard => (u64::MAX >> (64 - names.len().max(1)), true),
-            NameTest::Name(n) => {
-                let mut mask = 0u64;
-                if let Some(i) = names.iter().position(|x| *x == n) {
-                    mask |= 1 << i;
-                }
-                (mask, false)
-            }
-        };
-        accepts.push((mask, other));
-        self_loop.push(step.axis == Axis::Descendant);
-    }
-    Nfa {
-        accepts,
-        self_loop,
-        states: path.len() + 1,
+impl Alphabet {
+    /// The letter of `sym`, added on first mention; `None` when it would
+    /// be the 65th distinct name.
+    fn letter(&mut self, sym: Sym) -> Option<usize> {
+        let id = sym.id();
+        if let Some(letter) = self.ids[..self.len].iter().position(|&known| known == id) {
+            return Some(letter);
+        }
+        if self.len == NAMES {
+            return None;
+        }
+        self.ids[self.len] = id;
+        self.len += 1;
+        Some(self.len - 1)
     }
 }
 
-impl Nfa {
-    /// Steps a state *set* (bitmask over states) on one letter.
-    fn step_set(&self, set: u64, letter: Letter) -> u64 {
-        let mut next = 0u64;
-        for i in 0..self.states {
-            if set & (1 << i) == 0 {
-                continue;
+/// A pattern's NFA as state masks: bit `i` is state `i`, "the first `i`
+/// steps matched".
+struct Automaton {
+    /// Per letter (the last index is "other"): bit `i` set iff step
+    /// `i + 1` accepts the letter.
+    accepts: [u64; NAMES + 1],
+    /// Bit `i` set iff step `i + 1` is a wildcard; folded into every
+    /// letter of `accepts` once the alphabet is complete.
+    wild: u64,
+    /// Bit `i` set iff state `i` has a Σ* self-loop (step `i + 1` is `//`).
+    loops: u64,
+    /// The accepting state's bit.
+    accept: u64,
+}
+
+impl Automaton {
+    /// The automaton of a pattern of `steps` steps (fewer than
+    /// [`KERNEL_STEPS`]), before its steps are added.
+    fn new(steps: usize) -> Self {
+        Self {
+            accepts: [0; NAMES + 1],
+            wild: 0,
+            loops: 0,
+            accept: 1 << steps,
+        }
+    }
+
+    /// Adds the steps of `path`, and its names to `alphabet`; `false` when
+    /// the alphabet overflows. Filled in place: the struct is half a
+    /// kilobyte, and moving it out of a constructor costs more than the
+    /// search of a short pattern.
+    fn compile(&mut self, path: &LinearPath, alphabet: &mut Alphabet) -> bool {
+        for (i, step) in path.steps.iter().enumerate() {
+            let bit = 1u64 << i;
+            if step.axis == Axis::Descendant {
+                self.loops |= bit;
             }
-            // Σ* self-loops keep state i alive on any letter.
-            if i < self.states - 1 && self.self_loop[i] {
-                next |= 1 << i;
-            }
-            if i < self.states - 1 {
-                let (mask, other) = self.accepts[i];
-                let ok = match letter {
-                    Letter::Named(n) => mask & (1 << n) != 0,
-                    Letter::Other => other,
-                };
-                if ok {
-                    next |= 1 << (i + 1);
-                }
+            match step.test {
+                NameTest::Wildcard => self.wild |= bit,
+                NameTest::Name(sym) => match alphabet.letter(sym) {
+                    Some(letter) => self.accepts[letter] |= bit,
+                    None => return false,
+                },
             }
         }
-        next
+        true
     }
 
-    fn start(&self) -> u64 {
-        1
+    /// Lets the wildcard steps accept each of the first `letters` letters.
+    fn finish(&mut self, letters: usize) {
+        for accepts in &mut self.accepts[..letters] {
+            *accepts |= self.wild;
+        }
     }
 
-    fn accepting(&self, set: u64) -> bool {
-        set & (1 << (self.states - 1)) != 0
+    /// Steps a state set on one letter.
+    fn step(&self, set: u64, letter: usize) -> u64 {
+        (set & self.loops) | ((set & self.accepts[letter]) << 1)
     }
 }
 
-/// Exact precheck: does the name-mask argument *prove* `general` cannot
-/// cover `specific`? `general` mentioning a concrete name that `specific`
-/// never matches forces a witness word in `L(specific) \ L(general)`.
-/// Conservative under bloom collisions: `false` means "no proof", not
-/// "covered".
-fn mask_rejects(general: &LinearPath, specific: &LinearPath) -> bool {
-    general.name_mask() & !specific.name_mask() != 0
+/// The product search's `(A-set, B-set)` pairs in discovery order: queue
+/// and seen set at once, since a pair is queued exactly when first seen.
+/// The first [`INLINE_PAIRS`] sit on the stack and are scanned; later ones
+/// spill to a `Vec` and a hash set, so a pattern whose subset construction
+/// blows up is not searched in quadratic time.
+struct PairList {
+    inline: [(u64, u64); INLINE_PAIRS],
+    inline_len: usize,
+    spill: Vec<(u64, u64)>,
+    spilled: HashSet<(u64, u64)>,
+}
+
+impl PairList {
+    fn new(first: (u64, u64)) -> Self {
+        let mut inline = [(0, 0); INLINE_PAIRS];
+        inline[0] = first;
+        Self {
+            inline,
+            inline_len: 1,
+            spill: Vec::new(),
+            spilled: HashSet::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.inline_len + self.spill.len()
+    }
+
+    fn get(&self, i: usize) -> (u64, u64) {
+        match i.checked_sub(INLINE_PAIRS) {
+            None => self.inline[i],
+            Some(spilled) => self.spill[spilled],
+        }
+    }
+
+    /// Appends `pair` unless it was seen before.
+    fn insert(&mut self, pair: (u64, u64)) {
+        if self.inline[..self.inline_len].contains(&pair) {
+            return;
+        }
+        if self.inline_len < INLINE_PAIRS {
+            self.inline[self.inline_len] = pair;
+            self.inline_len += 1;
+        } else if self.spilled.insert(pair) {
+            self.spill.push(pair);
+        }
+    }
+}
+
+/// How [`decide`] reached its verdict: the name-mask reject is told apart
+/// so the cover cache can count it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Covers,
+    Refuted,
+    MaskRejected,
+}
+
+/// The one containment decision behind [`covers`] and
+/// [`CoverCache::covers`]: identity, the length fallback, the name-mask
+/// reject, then the kernel. `name_masks` yields `(general, specific)`
+/// masks and is only asked when the mask test is reached.
+fn decide(
+    general: &LinearPath,
+    specific: &LinearPath,
+    name_masks: impl FnOnce() -> (u64, u64),
+) -> Verdict {
+    if general == specific {
+        return Verdict::Covers; // identity: L ⊆ L
+    }
+    if general.len() >= KERNEL_STEPS || specific.len() >= KERNEL_STEPS {
+        return Verdict::Refuted; // equality fallback, and they differ
+    }
+    let (general_mask, specific_mask) = name_masks();
+    if general_mask & !specific_mask != 0 {
+        return Verdict::MaskRejected;
+    }
+    if covers_full(general, specific) {
+        Verdict::Covers
+    } else {
+        Verdict::Refuted
+    }
 }
 
 /// Returns `true` iff every rooted label path matched by `specific` is also
 /// matched by `general` (language inclusion `L(specific) ⊆ L(general)`).
 pub fn covers(general: &LinearPath, specific: &LinearPath) -> bool {
-    // Patterns longer than 63 steps never occur in practice; guard anyway.
-    if general.len() >= 63 || specific.len() >= 63 {
-        return general == specific;
-    }
-    if general == specific {
-        return true; // identity: L ⊆ L
-    }
-    if mask_rejects(general, specific) {
-        return false;
-    }
-    covers_full(general, specific)
+    decide(general, specific, || {
+        (general.name_mask(), specific.name_mask())
+    }) == Verdict::Covers
 }
 
-/// The NFA product search, without the identity/mask fast paths. Kept
-/// separate so property tests can pin `covers ≡ covers_full`.
+/// The product search, without the identity/mask guards. Both patterns
+/// must have fewer than [`KERNEL_STEPS`] steps; more than 64 distinct
+/// names between them fall back to equality.
 fn covers_full(general: &LinearPath, specific: &LinearPath) -> bool {
-    let mut names: Vec<Sym> = Vec::new();
-    for n in general.syms().chain(specific.syms()) {
-        if !names.contains(&n) {
-            names.push(n);
-        }
-    }
-    if names.len() > 64 {
+    let mut alphabet = Alphabet {
+        ids: [0; NAMES],
+        len: 0,
+    };
+    let mut a = Automaton::new(specific.len()); // must be ⊆
+    let mut b = Automaton::new(general.len()); // must be ⊇
+    if !b.compile(general, &mut alphabet) || !a.compile(specific, &mut alphabet) {
         return general == specific;
     }
-    let a = build_nfa(specific, &names); // must be ⊆
-    let b = build_nfa(general, &names); // must be ⊇
+    let letters = alphabet.len + 1; // the named letters, then "other"
+    a.finish(letters);
+    b.finish(letters);
 
-    // Search the product of A's state-sets and B's state-sets for a word
-    // accepted by A but not by B. Both sets are bitmasks; the pair space is
-    // tiny for realistic pattern sizes.
-    let mut letters: Vec<Letter> = (0..names.len()).map(Letter::Named).collect();
-    letters.push(Letter::Other);
-
-    let start = (a.start(), b.start());
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(start);
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(start);
-    while let Some((sa, sb)) = queue.pop_front() {
-        if a.accepting(sa) && !b.accepting(sb) {
+    // Search the reachable pairs of A's and B's state sets for a word
+    // accepted by A but not by B.
+    let mut pairs = PairList::new((1, 1));
+    let mut next = 0;
+    while next < pairs.len() {
+        let (sa, sb) = pairs.get(next);
+        next += 1;
+        if sa & a.accept != 0 && sb & b.accept == 0 {
             return false; // counterexample word exists
         }
-        for &l in &letters {
-            let na = a.step_set(sa, l);
-            if na == 0 {
-                continue; // word died in A; cannot be a counterexample
-            }
-            let nb = b.step_set(sb, l);
-            if seen.insert((na, nb)) {
-                queue.push_back((na, nb));
+        for letter in 0..letters {
+            let na = a.step(sa, letter);
+            if na != 0 {
+                // A word that died in A cannot be a counterexample.
+                pairs.insert((na, b.step(sb, letter)));
             }
         }
     }
@@ -252,17 +347,13 @@ impl CoverCache {
             inner.hits += 1;
             return v;
         }
-        let long = general.len() >= 63 || specific.len() >= 63;
-        let verdict = if general == specific {
-            true
-        } else if long {
-            false // length guard: covers() falls back to equality here
-        } else if inner.masks[g.0 as usize] & !inner.masks[s.0 as usize] != 0 {
+        let decided = decide(general, specific, || {
+            (inner.masks[g.0 as usize], inner.masks[s.0 as usize])
+        });
+        if decided == Verdict::MaskRejected {
             inner.fast_rejects += 1;
-            false
-        } else {
-            covers_full(general, specific)
-        };
+        }
+        let verdict = decided == Verdict::Covers;
         inner.verdicts.insert((g, s), verdict);
         verdict
     }
@@ -320,18 +411,6 @@ impl StatementSignature {
                 .targets
                 .iter()
                 .any(|(q, kq)| kq.is_none_or(|k| k == kind) && covers(pattern, q))
-    }
-
-    /// Canonicalizes the signature in place: targets sorted by
-    /// (pattern text, value kind) and deduplicated. `admits` is a
-    /// disjunction over targets, so order and multiplicity never change a
-    /// verdict — two statements with equal canonical signatures admit
-    /// exactly the same candidate indexes. The workload compressor uses
-    /// this as its coarse clustering key before cost-identity refinement.
-    pub fn canonicalize(&mut self) {
-        self.targets
-            .sort_by(|(pa, ka), (pb, kb)| pa.to_string().cmp(&pb.to_string()).then(ka.cmp(kb)));
-        self.targets.dedup();
     }
 
     /// [`Self::admits`] with containment verdicts routed through a shared
@@ -559,6 +638,232 @@ mod tests {
 
     fn lp(s: &str) -> LinearPath {
         parse_linear_path(s).expect("parse")
+    }
+
+    /// The name-mask reject of `decide`, on its own.
+    fn mask_rejects(general: &LinearPath, specific: &LinearPath) -> bool {
+        general.name_mask() & !specific.name_mask() != 0
+    }
+
+    /// Letter of the reference search's restricted alphabet: index into
+    /// the mentioned-names list, or `Other` for any unmentioned label.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Letter {
+        Named(usize),
+        Other,
+    }
+
+    /// The reference NFA. State `i` = "first `i` steps matched"; a
+    /// descendant-axis step adds a self-loop (Σ*) on its source state.
+    struct Nfa {
+        /// `accepts[i]`: which letters step `i+1` accepts (bitmask over
+        /// named letters; bool for Other).
+        accepts: Vec<(u64, bool)>,
+        /// Whether state `i` has a Σ* self-loop (step `i+1` is descendant-axis).
+        self_loop: Vec<bool>,
+        states: usize,
+    }
+
+    fn build_nfa(path: &LinearPath, names: &[Sym]) -> Nfa {
+        assert!(
+            names.len() <= 64,
+            "containment alphabet limited to 64 names"
+        );
+        let mut accepts = Vec::with_capacity(path.len());
+        let mut self_loop = Vec::with_capacity(path.len());
+        for step in &path.steps {
+            let (mask, other) = match step.test {
+                NameTest::Wildcard => (u64::MAX >> (64 - names.len().max(1)), true),
+                NameTest::Name(n) => {
+                    let mut mask = 0u64;
+                    if let Some(i) = names.iter().position(|x| *x == n) {
+                        mask |= 1 << i;
+                    }
+                    (mask, false)
+                }
+            };
+            accepts.push((mask, other));
+            self_loop.push(step.axis == Axis::Descendant);
+        }
+        Nfa {
+            accepts,
+            self_loop,
+            states: path.len() + 1,
+        }
+    }
+
+    impl Nfa {
+        /// Steps a state *set* (bitmask over states) on one letter, one
+        /// state at a time.
+        fn step_set(&self, set: u64, letter: Letter) -> u64 {
+            let mut next = 0u64;
+            for i in 0..self.states - 1 {
+                if set & (1 << i) == 0 {
+                    continue;
+                }
+                if self.self_loop[i] {
+                    next |= 1 << i;
+                }
+                let (mask, other) = self.accepts[i];
+                let ok = match letter {
+                    Letter::Named(n) => mask & (1 << n) != 0,
+                    Letter::Other => other,
+                };
+                if ok {
+                    next |= 1 << (i + 1);
+                }
+            }
+            next
+        }
+
+        fn accepting(&self, set: u64) -> bool {
+            set & (1 << (self.states - 1)) != 0
+        }
+    }
+
+    /// The product search the kernel replaced: a name list, two `Vec`
+    /// NFAs stepped state by state, and a breadth-first search with a
+    /// hashed seen set. The oracle the kernel is held to.
+    fn covers_reference(general: &LinearPath, specific: &LinearPath) -> bool {
+        let mut names: Vec<Sym> = Vec::new();
+        for n in general.syms().chain(specific.syms()) {
+            if !names.contains(&n) {
+                names.push(n);
+            }
+        }
+        if names.len() > 64 {
+            return general == specific;
+        }
+        let a = build_nfa(specific, &names); // must be ⊆
+        let b = build_nfa(general, &names); // must be ⊇
+        let mut letters: Vec<Letter> = (0..names.len()).map(Letter::Named).collect();
+        letters.push(Letter::Other);
+
+        let start = (1u64, 1u64);
+        let mut seen = HashSet::new();
+        seen.insert(start);
+        let mut queue = std::collections::VecDeque::new();
+        queue.push_back(start);
+        while let Some((sa, sb)) = queue.pop_front() {
+            if a.accepting(sa) && !b.accepting(sb) {
+                return false;
+            }
+            for &l in &letters {
+                let na = a.step_set(sa, l);
+                if na == 0 {
+                    continue;
+                }
+                let nb = b.step_set(sb, l);
+                if seen.insert((na, nb)) {
+                    queue.push_back((na, nb));
+                }
+            }
+        }
+        true
+    }
+
+    /// A deterministic splitmix64 stream.
+    fn splitmix(mut state: u64) -> impl FnMut() -> usize {
+        move || {
+            state = state.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            (z ^ (z >> 31)) as usize
+        }
+    }
+
+    /// A random path of `len` steps over `names`: one axis in `one_in` is
+    /// `//` and one test in `one_in + 1` is `*` (all of them when `names`
+    /// is empty).
+    fn random_path(
+        next: &mut impl FnMut() -> usize,
+        names: &[&str],
+        len: usize,
+        one_in: usize,
+    ) -> LinearPath {
+        let steps = (0..len)
+            .map(|_| {
+                let axis = if next().is_multiple_of(one_in) {
+                    Axis::Descendant
+                } else {
+                    Axis::Child
+                };
+                let test = if names.is_empty() || next().is_multiple_of(one_in + 1) {
+                    NameTest::Wildcard
+                } else {
+                    NameTest::name_of(names[next() % names.len()])
+                };
+                crate::linear::LinearStep { axis, test }
+            })
+            .collect();
+        LinearPath::new(steps)
+    }
+
+    /// Differential oracle: the bit-parallel kernel and `covers` give the
+    /// reference search's verdict on every ordered pair of a seeded pool —
+    /// short paths over four names (so names repeat), all-wildcard paths
+    /// (the empty named alphabet), paths at the 62-step edge of the kernel
+    /// and past it, and wide paths whose pairs mention more than 64
+    /// distinct names (the equality fallback). Long paths are mostly
+    /// child steps: a long pattern dense in `//` and `*` makes both
+    /// searches walk an exponential number of state sets.
+    #[test]
+    fn kernel_matches_reference_nfa() {
+        let mut next = splitmix(0xC0E5);
+        let four = ["a", "b", "c", "d"];
+        let wide: Vec<String> = (0..200).map(|i| format!("kernel_w{i}")).collect();
+        let wide: Vec<&str> = wide.iter().map(String::as_str).collect();
+        let mut pool = Vec::new();
+        for _ in 0..340 {
+            let len = 1 + next() % 7;
+            pool.push(random_path(&mut next, &four, len, 3));
+        }
+        for len in 1..=6 {
+            pool.push(random_path(&mut next, &[], len, 3));
+        }
+        for len in [40, 62] {
+            pool.push(random_path(&mut next, &four, len, 12));
+            pool.push(random_path(&mut next, &four[..1], len, 12));
+        }
+        for len in [63, 64] {
+            pool.push(random_path(&mut next, &four, len, 12));
+        }
+        for len in [30, 36] {
+            pool.push(random_path(&mut next, &wide, len, 12));
+        }
+        // 62-step child paths at the kernel's edge: 62 names with their
+        // `//*` extension (the kernel), 65 with the shifted one (the
+        // equality fallback).
+        let wide_62 = LinearPath::from_labels(wide[..62].iter().copied());
+        pool.push(wide_62.clone());
+        pool.push(wide_62.join(&[crate::linear::LinearStep::descendant_wild()]));
+        pool.push(LinearPath::from_labels(wide[3..65].iter().copied()));
+
+        let mut pairs = 0;
+        let mut held = 0;
+        let mut fallbacks = 0;
+        for g in &pool {
+            for s in &pool {
+                let reference = if g.len() >= KERNEL_STEPS || s.len() >= KERNEL_STEPS {
+                    g == s
+                } else {
+                    let mut names: Vec<Sym> = g.syms().chain(s.syms()).collect();
+                    names.sort_by_key(|n| n.id());
+                    names.dedup();
+                    fallbacks += usize::from(names.len() > NAMES);
+                    let reference = covers_reference(g, s);
+                    assert_eq!(covers_full(g, s), reference, "kernel on ({g}, {s})");
+                    reference
+                };
+                assert_eq!(covers(g, s), reference, "covers on ({g}, {s})");
+                pairs += 1;
+                held += usize::from(reference);
+            }
+        }
+        assert!(pairs >= 100_000, "{pairs} pairs");
+        assert!(held > pairs / 50, "{held} of {pairs} pairs contained");
+        assert!(fallbacks > 0, "no pair overflowed the alphabet");
     }
 
     #[test]
