@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the advisor's hot paths: containment,
 //! generalization, optimizer costing, physical execution, the five
-//! configuration searches, and telemetry overhead.
+//! configuration searches, image save / load / record verification, and
+//! telemetry overhead.
 //!
 //! Uses a small internal timing harness (the build environment has no
 //! registry access, so criterion is unavailable): each benchmark is
@@ -244,6 +245,28 @@ fn bench_storage() {
             &buf,
         )))
         .unwrap()
+    });
+    // The first document record of the image — the 9-byte magic line,
+    // then records of a 13-byte header (tag, length, checksum) and a
+    // payload — with the vocabulary of the collection record before it.
+    let (mut pos, mut collections) = (9, 0);
+    let (payload, sum) = loop {
+        let len = u32::from_le_bytes(buf[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        let sum = u64::from_le_bytes(buf[pos + 5..pos + 13].try_into().unwrap());
+        match buf[pos] {
+            b'C' => collections += 1,
+            b'D' => break (&buf[pos + 13..pos + 13 + len], sum),
+            _ => {}
+        }
+        pos += 13 + len;
+    };
+    let name = lab.db.collection_names()[collections - 1];
+    let check = xia_xml::PreorderCheck::new(lab.db.collection(name).unwrap().vocab());
+    let mut seen = Vec::new();
+    bench("storage/verify_doc_record", quick(), || {
+        let payload = std::hint::black_box(payload);
+        xia_storage::sum64(payload) == sum
+            && xia_storage::persist::check_document_record(payload, &check, &mut seen).is_ok()
     });
 }
 

@@ -37,13 +37,14 @@
 //! checkpoint file is armed. A tuning session that asks again keeps its
 //! costs in a [`crate::CostingState`] instead of replaying a log.
 //!
-//! Checkpoint files use the storage layer's FNV-1a framing (a v2-style
-//! line format with an `END <count> <checksum>` trailer), are bound to
-//! the candidate set by digest, and are written to a temp file renamed
-//! into place. Any read failure — truncation, bit flips, digest
-//! mismatch, injected `checkpoint-io` fault — degrades to a cold start
-//! with a warning, never a panic or a wrong answer. A failed write
-//! abandons that checkpoint and keeps the previous one.
+//! Checkpoint files are a line format checksummed with the storage
+//! layer's FNV-1a (`xia_storage::fnv1a64`) under an `END <count>
+//! <checksum>` trailer, are bound to the candidate set by digest, and
+//! are written to a temp file renamed into place. Any read failure —
+//! truncation, bit flips, digest mismatch, injected `checkpoint-io`
+//! fault — degrades to a cold start with a warning, never a panic or a
+//! wrong answer. A failed write abandons that checkpoint and keeps the
+//! previous one.
 
 use crate::candidate::{CandId, CandidateSet};
 use std::collections::HashMap;
@@ -454,7 +455,7 @@ pub fn candidate_digest(set: &CandidateSet) -> u64 {
 /// it fails this check and the run cold-starts with the usual warning.
 const CHECKPOINT_HEADER: &str = "XIACKPT v2";
 
-/// Renders the checkpoint body: a v2-style checksummed line format.
+/// Renders the checkpoint body: a checksummed line format.
 fn render_checkpoint(digest: u64, log: &[(WarmKey, WarmEntry)]) -> String {
     let mut body = String::new();
     let _ = writeln!(body, "{CHECKPOINT_HEADER}");

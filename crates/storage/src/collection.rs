@@ -145,7 +145,7 @@ impl Collection {
                 .expect("nothing panics while holding the image")
                 .take()
                 .expect("a collection without a body still holds its image");
-            let (docs, columns) = image.decode(&self.vocab);
+            let (docs, columns) = image.decode();
             Body { docs, columns }
         })
     }

@@ -39,18 +39,23 @@
 //! payload. The trailer's frame sum covers the magic line and every
 //! record's 13-byte header, checksums included, so every byte of the
 //! file is under a checksum without the payloads being summed twice.
-//! [`load_database`] and its siblings read the file into one buffer and,
-//! in one pass over it, verify every record's checksum and the trailer,
-//! decode the small records (vocabulary, statistics, index definitions)
-//! and hold every document record to the rules of
-//! [`xia_xml::PreorderCheck`] — ids in range, parents before children,
-//! paths consistent, values UTF-8 — without building it. The strict
-//! loaders fail on the first problem; the lenient loaders skip what does
-//! not verify and say so in a [`LoadReport`], which is final when they
+//! [`load_database`] and its siblings share one reader, which streams the
+//! image in: the buffer is sized from the file's length (when there is a
+//! file), filled in 256 KiB refills, and each record is verified as soon
+//! as its bytes have arrived, while they are still in cache — its
+//! checksum, then, for the small records (vocabulary, statistics, index
+//! definitions), their decode, and for a document record one loop that
+//! reads every node and holds it to the rules of [`xia_xml::PreorderCheck`]
+//! (ids in range, parents before children, paths consistent, values
+//! UTF-8) without building it. The check is a table built once per
+//! collection, and a failure is a small code whose text is rendered only
+//! when it is reported. The trailer is verified last. The strict loaders
+//! fail on the first problem; the lenient loaders skip what does not
+//! verify and say so in a [`LoadReport`], which is final when they
 //! return: a skipped document never turns up later, and a document that
-//! was counted as loaded cannot fail to decode. When a collection loses
-//! a document (or its statistics record), its saved statistics are
-//! dropped and RUNSTATS runs over the survivors.
+//! was counted as loaded cannot fail to decode. When a collection loses a
+//! document (or its statistics record), its saved statistics are dropped
+//! and RUNSTATS runs over the survivors.
 //!
 //! ## What is decoded lazily
 //!
@@ -68,24 +73,25 @@
 //!
 //! ## Older versions
 //!
-//! `XIADB v2` (length-prefixed XML text, FNV-1a checksums) is still read,
-//! through [`v2`], and is rewritten as v3 by the next save. `XIADB v1`
-//! is no longer read.
-
-mod v2;
+//! Only `XIADB v3` is read. An image of an earlier version (`XIADB v2`
+//! was length-prefixed XML text, `XIADB v1` before it) is refused with a
+//! format error that names the version.
 
 use crate::collection::{Collection, DocId};
 use crate::columnar::ColumnStore;
 use crate::database::Database;
 use crate::stats::{runstats, CollectionStats, PathStat};
 use std::fmt;
-use std::io::{BufRead, BufWriter, Write};
+use std::fs::File;
+use std::io::{BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::Path;
+use std::str::Utf8Error;
 use std::sync::Arc;
 use xia_fault::{FaultInjector, FaultSite};
 use xia_xml::{
-    Document, NodeId, NodeKind, PathId, PreorderCheck, PreorderNode, Symbol, Value, Vocabulary,
+    Document, NodeId, NodeKind, PathId, PreorderCheck, PreorderFault, PreorderNode, Symbol, Value,
+    Vocabulary,
 };
 use xia_xpath::{parse_linear_path, LinearPath, ValueKind};
 
@@ -99,7 +105,7 @@ pub enum PersistError {
     /// The file is framed correctly but a checksum does not verify —
     /// on-disk corruption rather than a foreign format.
     Corrupt {
-        /// Where: the record and its byte offset (v3) or the line (v2).
+        /// Where: the record and its byte offset.
         at: String,
         /// What failed to verify.
         detail: String,
@@ -143,19 +149,11 @@ fn format_err(msg: impl Into<String>) -> PersistError {
     PersistError::Format(msg.into())
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continues an FNV-1a 64 hash `h` over `bytes`.
-fn fnv1a64_more(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
-/// FNV-1a 64 of `bytes`: the byte-wise checksum of `XIADB v2` records and
-/// of advisor checkpoints.
+/// FNV-1a 64 of `bytes`: the byte-wise checksum of advisor checkpoints.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_more(FNV_OFFSET, bytes)
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 /// The v3 checksum: four independent lanes, each folding one 64-bit word
@@ -202,7 +200,7 @@ pub fn sum64(bytes: &[u8]) -> u64 {
 /// everything that failed to verify. Final when the loader returns.
 #[derive(Debug, Default, Clone)]
 pub struct LoadReport {
-    /// Format version of the file (2 or 3).
+    /// Format version of the file (3, the only one read).
     pub version: u32,
     /// Documents loaded and verified.
     pub docs_loaded: u64,
@@ -228,8 +226,8 @@ impl LoadReport {
         self.diagnostics.is_empty() && self.trailer_ok && self.complete
     }
 
-    /// The one strict/lenient policy of both readers: a strict load ends
-    /// at the first problem, a lenient load notes it and goes on.
+    /// The one strict/lenient policy of the reader: a strict load ends at
+    /// the first problem, a lenient load notes it and goes on.
     fn problem(&mut self, strict: bool, err: PersistError) -> Result<(), PersistError> {
         if strict {
             return Err(err);
@@ -271,6 +269,64 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Why a payload does not read: a small code, rendered to the diagnostic
+/// text only when a load reports it.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// A field of `want` bytes with `left` bytes before the record's end.
+    PastEnd { want: usize, left: usize },
+    /// A varint longer than 64 bits.
+    LongVarint,
+    /// A varint too large for an id.
+    NotAnId(u64),
+    /// A count of more items than the `left` bytes could hold.
+    Count { n: u64, left: usize },
+    /// Text that is not UTF-8.
+    NotUtf8(Utf8Error),
+    /// Bytes after the last field.
+    Trailing(usize),
+    /// A document of more nodes than there are node ids.
+    TooManyNodes(usize),
+    /// A node flags byte with unknown bits set.
+    Flags(u8),
+    /// A node that breaks a rule of [`PreorderCheck`].
+    Rule(PreorderFault),
+}
+
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Fault::PastEnd { want, left } => write!(
+                f,
+                "a field of {want} bytes runs past the end of the record ({left} left)"
+            ),
+            Fault::LongVarint => write!(f, "a varint does not fit 64 bits"),
+            Fault::NotAnId(v) => write!(f, "{v} does not fit an id"),
+            Fault::Count { n, left } => write!(
+                f,
+                "a count of {n} items cannot fit the {left} bytes left in the record"
+            ),
+            Fault::NotUtf8(e) => write!(f, "text is not valid UTF-8: {e}"),
+            Fault::Trailing(n) => write!(f, "{n} bytes after the record's end"),
+            Fault::TooManyNodes(n) => write!(f, "{n} nodes do not fit node ids"),
+            Fault::Flags(flags) => write!(f, "unknown node flags {flags:#04x}"),
+            Fault::Rule(rule) => rule.fmt(f),
+        }
+    }
+}
+
+impl From<PreorderFault> for Fault {
+    fn from(rule: PreorderFault) -> Self {
+        Fault::Rule(rule)
+    }
+}
+
+impl From<Fault> for String {
+    fn from(fault: Fault) -> Self {
+        fault.to_string()
+    }
+}
+
 /// A bounds-checked cursor over one payload. Every count read from it is
 /// held against the bytes that remain before anything is allocated.
 struct Reader<'a> {
@@ -278,29 +334,43 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], Fault> {
         if n > self.bytes.len() {
-            return Err(format!(
-                "a field of {n} bytes runs past the end of the record ({} left)",
-                self.bytes.len()
-            ));
+            return Err(Fault::PastEnd {
+                want: n,
+                left: self.bytes.len(),
+            });
         }
         let (head, rest) = self.bytes.split_at(n);
         self.bytes = rest;
         Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
+    #[inline]
+    fn u8(&mut self) -> Result<u8, Fault> {
         Ok(self.take(1)?[0])
     }
 
-    fn u64_le(&mut self) -> Result<u64, String> {
+    fn u64_le(&mut self) -> Result<u64, Fault> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("took 8 bytes"),
         ))
     }
 
-    fn varint(&mut self) -> Result<u64, String> {
+    #[inline]
+    fn varint(&mut self) -> Result<u64, Fault> {
+        match self.bytes.split_first() {
+            Some((&b, rest)) if b < 0x80 => {
+                self.bytes = rest;
+                Ok(b as u64)
+            }
+            _ => self.long_varint(),
+        }
+    }
+
+    /// A varint of more than one byte (or none at all).
+    fn long_varint(&mut self) -> Result<u64, Fault> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let b = self.u8()?;
@@ -313,36 +383,51 @@ impl<'a> Reader<'a> {
                 return Ok(v);
             }
         }
-        Err("a varint does not fit 64 bits".into())
+        Err(Fault::LongVarint)
     }
 
-    fn varint_u32(&mut self) -> Result<u32, String> {
+    #[inline]
+    fn varint_u32(&mut self) -> Result<u32, Fault> {
         let v = self.varint()?;
-        u32::try_from(v).map_err(|_| format!("{v} does not fit an id"))
+        u32::try_from(v).map_err(|_| Fault::NotAnId(v))
     }
 
     /// A count of items that each take at least `min_bytes` more bytes.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, String> {
+    #[inline]
+    fn count(&mut self, min_bytes: usize) -> Result<usize, Fault> {
         let n = self.varint()?;
         match usize::try_from(n) {
             Ok(n) if n <= self.bytes.len() / min_bytes => Ok(n),
-            _ => Err(format!(
-                "a count of {n} items cannot fit the {} bytes left in the record",
-                self.bytes.len()
-            )),
+            _ => Err(Fault::Count {
+                n,
+                left: self.bytes.len(),
+            }),
         }
     }
 
-    fn str(&mut self) -> Result<&'a str, String> {
+    fn str(&mut self) -> Result<&'a str, Fault> {
         let n = self.count(1)?;
-        std::str::from_utf8(self.take(n)?).map_err(|e| format!("text is not valid UTF-8: {e}"))
+        std::str::from_utf8(self.take(n)?).map_err(Fault::NotUtf8)
     }
 
-    fn finish(self) -> Result<(), String> {
+    /// Length-prefixed text, checked to be UTF-8 and returned as bytes.
+    /// ASCII — all of a typical value — is told apart without the full
+    /// UTF-8 decoder.
+    #[inline]
+    fn text(&mut self) -> Result<&'a [u8], Fault> {
+        let n = self.count(1)?;
+        let bytes = self.take(n)?;
+        if !bytes.is_ascii() {
+            std::str::from_utf8(bytes).map_err(Fault::NotUtf8)?;
+        }
+        Ok(bytes)
+    }
+
+    fn finish(self) -> Result<(), Fault> {
         if self.bytes.is_empty() {
             Ok(())
         } else {
-            Err(format!("{} bytes after the record's end", self.bytes.len()))
+            Err(Fault::Trailing(self.bytes.len()))
         }
     }
 }
@@ -511,38 +596,34 @@ fn encode_document(doc: &Document, out: &mut Vec<u8>) {
     }
 }
 
-/// One node of a document record, its value still borrowed from the
-/// image.
+/// One node of a document record, its value (checked UTF-8) still
+/// borrowed from the image.
 struct NodeRecord<'a> {
     path: PathId,
     parent: Option<NodeId>,
     kind: NodeKind,
-    value: Option<&'a str>,
+    value: Option<&'a [u8]>,
 }
 
-/// The nodes of one document record, in order.
-struct DocNodes<'a> {
-    r: Reader<'a>,
-    left: usize,
-}
-
-impl<'a> DocNodes<'a> {
-    fn open(payload: &'a [u8]) -> Result<Self, String> {
-        let mut r = Reader { bytes: payload };
+impl<'a> Reader<'a> {
+    /// The node count that opens a document record.
+    fn node_count(&mut self) -> Result<usize, Fault> {
         // A node is at least a path, a parent and a flags byte.
-        let left = r.count(3)?;
-        if left > u32::MAX as usize {
-            return Err(format!("{left} nodes do not fit node ids"));
+        let n = self.count(3)?;
+        if n > u32::MAX as usize {
+            return Err(Fault::TooManyNodes(n));
         }
-        Ok(Self { r, left })
+        Ok(n)
     }
 
-    fn node(&mut self) -> Result<NodeRecord<'a>, String> {
-        let path = PathId(self.r.varint_u32()?);
-        let parent = self.r.varint_u32()?.checked_sub(1).map(NodeId);
-        let flags = self.r.u8()?;
+    /// The next node of a document record.
+    #[inline]
+    fn node(&mut self) -> Result<NodeRecord<'a>, Fault> {
+        let path = PathId(self.varint_u32()?);
+        let parent = self.varint_u32()?.checked_sub(1).map(NodeId);
+        let flags = self.u8()?;
         if flags & !(FLAG_ATTRIBUTE | FLAG_VALUE) != 0 {
-            return Err(format!("unknown node flags {flags:#04x}"));
+            return Err(Fault::Flags(flags));
         }
         Ok(NodeRecord {
             path,
@@ -553,7 +634,7 @@ impl<'a> DocNodes<'a> {
                 NodeKind::Element
             },
             value: if flags & FLAG_VALUE != 0 {
-                Some(self.r.str()?)
+                Some(self.text()?)
             } else {
                 None
             },
@@ -561,60 +642,64 @@ impl<'a> DocNodes<'a> {
     }
 }
 
-impl<'a> Iterator for DocNodes<'a> {
-    type Item = Result<NodeRecord<'a>, String>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.left = self.left.checked_sub(1)?;
-        Some(self.node())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
 /// Holds a document record to everything [`decode_document`] and
-/// [`Document::from_preorder`] rely on, building nothing. Returns its
-/// node count.
+/// [`Document::from_preorder`] rely on, building nothing: one loop reads
+/// each node's path, parent, flags and value and applies the preorder
+/// rules to it. `seen` is the rules' scratch list. Returns the node count.
 fn check_document(
     payload: &[u8],
-    vocab: &Vocabulary,
-    check: &mut PreorderCheck,
-) -> Result<u64, String> {
-    let mut nodes = DocNodes::open(payload)?;
-    let count = nodes.left as u64;
-    check.restart();
-    for node in &mut nodes {
-        let n = node?;
-        check.admit(vocab, n.path, n.parent, n.kind, n.value.is_some())?;
+    check: &PreorderCheck,
+    seen: &mut Vec<Option<PathId>>,
+) -> Result<u64, Fault> {
+    let mut r = Reader { bytes: payload };
+    let count = r.node_count()?;
+    seen.clear();
+    for _ in 0..count {
+        let n = r.node()?;
+        check.admit(seen, n.path, n.parent, n.kind, n.value.is_some())?;
     }
-    nodes.r.finish()?;
-    Ok(count)
+    r.finish()?;
+    Ok(count as u64)
 }
 
-/// Decodes a record that [`check_document`] passed against this
-/// vocabulary.
-fn decode_document(payload: &[u8], vocab: &Vocabulary) -> Document {
+/// Holds one document record's payload to the rules of `check` exactly
+/// as a load does (after its checksum), and returns its node count or
+/// the load's diagnostic text. `seen` is scratch space for the rules,
+/// reused from record to record.
+pub fn check_document_record(
+    payload: &[u8],
+    check: &PreorderCheck,
+    seen: &mut Vec<Option<PathId>>,
+) -> Result<u64, String> {
+    check_document(payload, check, seen).map_err(String::from)
+}
+
+/// Decodes a record that [`check_document`] passed against this check.
+fn decode_document(payload: &[u8], check: &PreorderCheck) -> Document {
     const CHECKED: &str = "the record was checked when the image was loaded";
-    let nodes = DocNodes::open(payload).expect(CHECKED).map(|node| {
-        let n = node.expect(CHECKED);
+    let mut r = Reader { bytes: payload };
+    let count = r.node_count().expect(CHECKED);
+    let nodes = (0..count).map(|_| {
+        let n = r.node().expect(CHECKED);
         PreorderNode {
             path: n.path,
             parent: n.parent,
             kind: n.kind,
-            value: n.value.map(Value::new),
+            value: n
+                .value
+                .map(|v| Value::new(std::str::from_utf8(v).expect(CHECKED))),
         }
     });
-    Document::from_preorder(vocab, nodes).expect(CHECKED)
+    Document::from_preorder(check, nodes).expect(CHECKED)
 }
 
 /// The verified document records of one collection, still undecoded: the
-/// loaded image (shared with the other collections of the database) and
-/// the payload span of each record.
+/// loaded image (shared with the other collections of the database), the
+/// payload span of each record and the check they passed.
 pub(crate) struct ImageDocs {
     image: Arc<Vec<u8>>,
     records: Vec<Range<usize>>,
+    check: PreorderCheck,
 }
 
 impl fmt::Debug for ImageDocs {
@@ -637,14 +722,14 @@ impl ImageDocs {
     /// Decodes every document, densely numbered in record order, and the
     /// columnar projection of them all; releases this collection's hold
     /// on the image.
-    pub(crate) fn decode(self, vocab: &Vocabulary) -> (Vec<Option<Document>>, ColumnStore) {
+    pub(crate) fn decode(self) -> (Vec<Option<Document>>, ColumnStore) {
         let mut columns = ColumnStore::new();
         let docs = self
             .records
             .iter()
             .enumerate()
             .map(|(i, span)| {
-                let doc = decode_document(&self.image[span.clone()], vocab);
+                let doc = decode_document(&self.image[span.clone()], &self.check);
                 columns.append_doc(DocId(i as u32), &doc);
                 Some(doc)
             })
@@ -783,15 +868,13 @@ pub fn save_database_faulted(
 
 /// Strictly deserializes a database from a reader: the first corrupt or
 /// malformed record is an error.
-pub fn load_database_from(input: &mut impl BufRead) -> Result<Database, PersistError> {
-    let mut image = Vec::new();
-    input.read_to_end(&mut image)?;
-    load_image(image, true, &FaultInjector::off()).map(|(db, _)| db)
+pub fn load_database_from(input: &mut impl Read) -> Result<Database, PersistError> {
+    load(input, 0, true, &FaultInjector::off()).map(|(db, _)| db)
 }
 
 /// Strictly loads a database from a file.
 pub fn load_database(path: impl AsRef<Path>) -> Result<Database, PersistError> {
-    load_image(std::fs::read(path)?, true, &FaultInjector::off()).map(|(db, _)| db)
+    load_file(path.as_ref(), true, &FaultInjector::off()).map(|(db, _)| db)
 }
 
 /// Leniently deserializes: loads every record that verifies, skips (and
@@ -799,11 +882,9 @@ pub fn load_database(path: impl AsRef<Path>) -> Result<Database, PersistError> {
 /// unrecoverable mis-framing. Errors only when nothing is loadable
 /// (missing or foreign header, unreadable input).
 pub fn load_database_lenient_from(
-    input: &mut impl BufRead,
+    input: &mut impl Read,
 ) -> Result<(Database, LoadReport), PersistError> {
-    let mut image = Vec::new();
-    input.read_to_end(&mut image)?;
-    load_image(image, false, &FaultInjector::off())
+    load(input, 0, false, &FaultInjector::off())
 }
 
 /// Leniently loads a database from a file.
@@ -821,28 +902,71 @@ pub fn load_database_lenient_faulted(
     path: impl AsRef<Path>,
     faults: &FaultInjector,
 ) -> Result<(Database, LoadReport), PersistError> {
-    load_image(std::fs::read(path)?, false, faults)
+    load_file(path.as_ref(), false, faults)
 }
 
-fn load_image(
-    image: Vec<u8>,
+/// Loads from a file, sizing the image buffer by the file's length.
+fn load_file(
+    path: &Path,
     strict: bool,
     faults: &FaultInjector,
 ) -> Result<(Database, LoadReport), PersistError> {
-    let bytes = image.len() as u64;
-    let (mut db, report) = if image.starts_with(MAGIC) {
-        load_v3(image, strict, faults)?
-    } else {
-        v2::load(&mut image.as_slice(), strict, faults)?
-    };
-    db.set_image_bytes(bytes);
-    Ok((db, report))
+    let mut file = File::open(path)?;
+    let capacity = file.metadata().map_or(0, |m| m.len() as usize);
+    load(&mut file, capacity, strict, faults)
+}
+
+/// Bytes asked of the input per refill: few enough that the records they
+/// complete are still in cache when they are summed and checked.
+const REFILL: u64 = 256 * 1024;
+
+/// The image as it streams in. `bytes` only grows, and is kept whole: the
+/// loaded collections decode their documents from it later.
+struct Incoming<'r> {
+    input: &'r mut dyn Read,
+    bytes: Vec<u8>,
+    eof: bool,
+}
+
+impl Incoming<'_> {
+    /// Refills until the first `len` bytes are in (true) or the input
+    /// ends short of them (false).
+    fn fill(&mut self, len: usize) -> std::io::Result<bool> {
+        while self.bytes.len() < len && !self.eof {
+            // `read_to_end` reads into the spare capacity without zeroing
+            // it first, and stops short of the limit only at the end.
+            let n = (&mut *self.input)
+                .take(REFILL)
+                .read_to_end(&mut self.bytes)?;
+            self.eof = (n as u64) < REFILL;
+        }
+        Ok(self.bytes.len() >= len)
+    }
+}
+
+/// The error for an input that does not open with the v3 magic line; it
+/// names the version of an image of another version.
+fn foreign_header(head: &[u8]) -> PersistError {
+    let version = head
+        .iter()
+        .position(|&b| b == b'\n')
+        .and_then(|eol| head[..eol].strip_prefix(b"XIADB v"))
+        .filter(|v| !v.is_empty() && v.iter().all(u8::is_ascii_digit));
+    match version {
+        Some(v) => format_err(format!(
+            "XIADB v{} images are no longer read; this build reads XIADB v3",
+            String::from_utf8_lossy(v)
+        )),
+        None => format_err("missing XIADB v3 header"),
+    }
 }
 
 /// A collection as the record pass gathers it.
 struct Gathered {
     name: String,
     vocab: Vocabulary,
+    /// The document rules over `vocab`.
+    check: PreorderCheck,
     stats: Option<CollectionStats>,
     indexes: Vec<(ValueKind, LinearPath)>,
     /// Payload spans of the verified document records.
@@ -852,11 +976,27 @@ struct Gathered {
     lost_docs: bool,
 }
 
-fn load_v3(
-    image: Vec<u8>,
+/// The one reader: streams the image in from `input`, summing and
+/// checking each record as soon as its bytes have arrived, and assembles
+/// the database from what verified. `capacity` is the expected length.
+fn load(
+    input: &mut dyn Read,
+    capacity: usize,
     strict: bool,
     faults: &FaultInjector,
 ) -> Result<(Database, LoadReport), PersistError> {
+    let mut image = Incoming {
+        input,
+        bytes: Vec::new(),
+        eof: false,
+    };
+    image
+        .bytes
+        .try_reserve_exact(capacity)
+        .map_err(|_| std::io::Error::from(std::io::ErrorKind::OutOfMemory))?;
+    if !image.fill(MAGIC.len())? || !image.bytes.starts_with(MAGIC) {
+        return Err(foreign_header(&image.bytes));
+    }
     let mut report = LoadReport {
         version: 3,
         complete: true,
@@ -867,7 +1007,7 @@ fn load_v3(
     // collection record and after one that did not verify, whose records
     // have no vocabulary to be read against.
     let mut current: Option<usize> = None;
-    let mut check = PreorderCheck::new();
+    let mut seen = Vec::new();
     let mut frame = MAGIC.to_vec();
     let mut records = 0u64;
     let mut pos = MAGIC.len();
@@ -875,11 +1015,12 @@ fn load_v3(
         let at = move || format!("record {} (byte {pos})", records + 1);
         let truncated =
             |what: &str| format_err(format!("{}: unexpected end of file ({what})", at()));
-        let Some(header) = image.get(pos..pos + HEADER) else {
+        if !image.fill(pos + HEADER)? {
             report.complete = false;
             report.problem(strict, truncated("no trailer"))?;
             break;
-        };
+        }
+        let header = &image.bytes[pos..pos + HEADER];
         let tag = header[0];
         let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")) as usize;
         let sum = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
@@ -896,13 +1037,15 @@ fn load_v3(
             break;
         }
         let start = pos + HEADER;
-        let Some(payload) = image.get(start..start.saturating_add(len)) else {
+        let end = start + len;
+        if !image.fill(end)? {
             report.complete = false;
             report.docs_skipped += (tag == TAG_DOC) as u64;
             report.problem(strict, truncated("record cut short"))?;
             break;
-        };
-        let end = start + len;
+        }
+        let header = &image.bytes[pos..start];
+        let payload = &image.bytes[start..end];
         let corrupt = |what: &str| PersistError::Corrupt {
             at: at(),
             detail: format!("{what} checksum mismatch"),
@@ -918,10 +1061,14 @@ fn load_v3(
             } else {
                 report.problem(strict, corrupt("trailer record count or frame"))?;
             }
-            if end != image.len() {
+            image.fill(usize::MAX)?;
+            if end != image.bytes.len() {
                 report.problem(
                     strict,
-                    format_err(format!("{} bytes after the trailer", image.len() - end)),
+                    format_err(format!(
+                        "{} bytes after the trailer",
+                        image.bytes.len() - end
+                    )),
                 )?;
             }
             break;
@@ -951,6 +1098,7 @@ fn load_v3(
                         current = Some(gathered.len());
                         gathered.push(Gathered {
                             name,
+                            check: PreorderCheck::new(&vocab),
                             vocab,
                             stats: None,
                             indexes: Vec::new(),
@@ -995,7 +1143,7 @@ fn load_v3(
                     current
                         .ok_or_else(|| "no collection to hold it".to_string())
                         .and_then(|i| {
-                            let nodes = check_document(payload, &gathered[i].vocab, &mut check)?;
+                            let nodes = check_document(payload, &gathered[i].check, &mut seen)?;
                             Ok((i, nodes))
                         })
                         .map_err(|why| malformed("document", why))
@@ -1019,7 +1167,8 @@ fn load_v3(
         }
     }
 
-    let image = Arc::new(image);
+    let bytes_read = image.bytes.len() as u64;
+    let image = Arc::new(image.bytes);
     let mut db = Database::new();
     for g in gathered {
         let stats = match g.stats {
@@ -1041,6 +1190,7 @@ fn load_v3(
         let docs = ImageDocs {
             image: Arc::clone(&image),
             records: g.docs,
+            check: g.check,
         };
         db.insert_loaded(
             Collection::from_image(g.name.clone(), g.vocab, docs, g.nodes),
@@ -1053,6 +1203,7 @@ fn load_v3(
         }
     }
     db.runstats_all();
+    db.set_image_bytes(bytes_read);
     Ok((db, report))
 }
 
@@ -1338,7 +1489,12 @@ mod tests {
         );
         let faults = FaultInjector::seeded(5).with_rate(FaultSite::StorageIo, 0.3);
         assert!(matches!(
-            load_image(std::fs::read(&path).unwrap(), true, &faults),
+            load(
+                &mut std::fs::read(&path).unwrap().as_slice(),
+                0,
+                true,
+                &faults
+            ),
             Err(PersistError::Io(_))
         ));
         std::fs::remove_dir_all(&dir).ok();

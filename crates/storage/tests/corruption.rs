@@ -5,7 +5,9 @@
 //! lenient loader recovers whatever still verifies. A second family
 //! damages a record *and re-seals it* (fresh checksums, fresh trailer),
 //! so only the decoder's own checks stand between the bytes and a panic.
-//! The last test pins `XIADB v2` readability on a checked-in fixture.
+//! The last tests hold the document check to a reference walk over
+//! mutated TPoX records, and a loader fed a few bytes per read to one fed
+//! the whole image.
 
 use xia_fault::{FaultInjector, FaultSite};
 use xia_storage::{
@@ -417,68 +419,423 @@ fn a_resealed_hostile_record_is_diagnosed_not_trusted() {
     }
 }
 
-/// `fixtures/v2.xiadb` was written by the last commit whose
-/// `save_database_to` wrote `XIADB v2`: 6 + 3 documents with an
-/// attribute, escaped text and an empty element, and one physical index.
 #[test]
-fn a_v2_image_still_loads_and_resaves_as_v3() {
-    let v2 = include_bytes!("fixtures/v2.xiadb");
-    assert!(v2.starts_with(b"XIADB v2\n"));
-    let from_v2 = strict(v2).unwrap();
-    let (lenient_v2, report) = lenient(v2).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    assert_eq!(
-        (report.version, report.docs_loaded, report.indexes_loaded),
-        (2, 9, 1)
-    );
-    assert_eq!(doc_count(&lenient_v2), 9);
+fn older_and_foreign_headers_are_refused_by_name() {
+    let v2 = b"XIADB v2\nCOLLECTION SDOC\nDOC 4 0\n<a/>\nEND 1 0\n";
+    let cases: [(&[u8], &str); 5] = [
+        (v2, "XIADB v2 images are no longer read"),
+        (
+            b"XIADB v1\nCOLLECTION X\nEND\n",
+            "XIADB v1 images are no longer read",
+        ),
+        (b"XIADB v3", "missing XIADB v3 header"),
+        (b"NOT A DB\n", "missing XIADB v3 header"),
+        (b"", "missing XIADB v3 header"),
+    ];
+    for (image, expect) in cases {
+        match strict(image) {
+            Err(PersistError::Format(m)) => assert!(m.contains(expect), "{m}"),
+            Err(other) => panic!("expected a format error, got {other}"),
+            Ok(_) => panic!("accepted {image:?}"),
+        }
+        match lenient(image) {
+            Err(PersistError::Format(m)) => assert!(m.contains(expect), "{m}"),
+            Err(other) => panic!("expected a format error, got {other}"),
+            Ok(_) => panic!("accepted {image:?}"),
+        }
+    }
+}
 
-    let v3 = dump(&from_v2);
-    assert!(v3.starts_with(MAGIC));
-    let (from_v3, report) = lenient(&v3).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    assert_eq!(
-        (report.version, report.docs_loaded, report.indexes_loaded),
-        (3, 9, 1)
+/// The document check as it stood before the table-driven loop — a
+/// cursor with `String` errors, a node iterator, and the preorder rules
+/// applied with label-slice compares — kept as the reference the loader's
+/// verdicts and diagnostics are held to.
+mod reference {
+    use xia_xml::{NodeId, NodeKind, PathId, Vocabulary, MAX_XML_DEPTH};
+
+    /// A cursor that also notes the offset of every byte it reads that is
+    /// not value text: where a mutation changes the record's structure.
+    pub struct Reader<'a> {
+        pub bytes: &'a [u8],
+        pub offset: usize,
+        pub structure: Vec<usize>,
+    }
+
+    impl<'a> Reader<'a> {
+        fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+            if n > self.bytes.len() {
+                return Err(format!(
+                    "a field of {n} bytes runs past the end of the record ({} left)",
+                    self.bytes.len()
+                ));
+            }
+            let (head, rest) = self.bytes.split_at(n);
+            self.bytes = rest;
+            self.offset += n;
+            Ok(head)
+        }
+
+        fn u8(&mut self) -> Result<u8, String> {
+            self.structure.push(self.offset);
+            Ok(self.take(1)?[0])
+        }
+
+        fn varint(&mut self) -> Result<u64, String> {
+            let mut v = 0u64;
+            for shift in (0..64).step_by(7) {
+                let b = self.u8()?;
+                let bits = (b & 0x7f) as u64;
+                if shift == 63 && bits > 1 {
+                    break;
+                }
+                v |= bits << shift;
+                if b & 0x80 == 0 {
+                    return Ok(v);
+                }
+            }
+            Err("a varint does not fit 64 bits".into())
+        }
+
+        fn varint_u32(&mut self) -> Result<u32, String> {
+            let v = self.varint()?;
+            u32::try_from(v).map_err(|_| format!("{v} does not fit an id"))
+        }
+
+        fn count(&mut self, min_bytes: usize) -> Result<usize, String> {
+            let n = self.varint()?;
+            match usize::try_from(n) {
+                Ok(n) if n <= self.bytes.len() / min_bytes => Ok(n),
+                _ => Err(format!(
+                    "a count of {n} items cannot fit the {} bytes left in the record",
+                    self.bytes.len()
+                )),
+            }
+        }
+
+        fn str(&mut self) -> Result<&'a str, String> {
+            let n = self.count(1)?;
+            std::str::from_utf8(self.take(n)?).map_err(|e| format!("text is not valid UTF-8: {e}"))
+        }
+
+        fn finish(&self) -> Result<(), String> {
+            if self.bytes.is_empty() {
+                Ok(())
+            } else {
+                Err(format!("{} bytes after the record's end", self.bytes.len()))
+            }
+        }
+    }
+
+    pub struct NodeRecord {
+        path: PathId,
+        parent: Option<NodeId>,
+        kind: NodeKind,
+        has_value: bool,
+    }
+
+    pub struct DocNodes<'a> {
+        pub r: Reader<'a>,
+        left: usize,
+    }
+
+    impl<'a> DocNodes<'a> {
+        fn open(payload: &'a [u8]) -> Result<Self, (String, Vec<usize>)> {
+            let mut r = Reader {
+                bytes: payload,
+                offset: 0,
+                structure: Vec::new(),
+            };
+            let left = match r.count(3) {
+                Ok(left) if left > u32::MAX as usize => {
+                    Err(format!("{left} nodes do not fit node ids"))
+                }
+                other => other,
+            }
+            .map_err(|e| (e, std::mem::take(&mut r.structure)))?;
+            Ok(Self { r, left })
+        }
+
+        fn node(&mut self) -> Result<NodeRecord, String> {
+            let path = PathId(self.r.varint_u32()?);
+            let parent = self.r.varint_u32()?.checked_sub(1).map(NodeId);
+            let flags = self.r.u8()?;
+            if flags & !3 != 0 {
+                return Err(format!("unknown node flags {flags:#04x}"));
+            }
+            let has_value = flags & 2 != 0;
+            if has_value {
+                self.r.str()?;
+            }
+            Ok(NodeRecord {
+                path,
+                parent,
+                kind: if flags & 1 != 0 {
+                    NodeKind::Attribute
+                } else {
+                    NodeKind::Element
+                },
+                has_value,
+            })
+        }
+    }
+
+    impl Iterator for DocNodes<'_> {
+        type Item = Result<NodeRecord, String>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            self.left = self.left.checked_sub(1)?;
+            Some(self.node())
+        }
+    }
+
+    fn admit(
+        seen: &mut Vec<(PathId, NodeKind)>,
+        vocab: &Vocabulary,
+        n: &NodeRecord,
+    ) -> Result<(), String> {
+        let (index, path) = (seen.len(), n.path);
+        if path.index() >= vocab.paths.len() {
+            return Err(format!(
+                "node {index}: path id {} is not in the dictionary",
+                path.0
+            ));
+        }
+        let labels = vocab.paths.labels(path);
+        let Some((&name, prefix)) = labels.split_last() else {
+            return Err(format!("node {index}: path id {} has no labels", path.0));
+        };
+        if name.index() >= vocab.names.len() {
+            return Err(format!("node {index}: name {name} is not interned"));
+        }
+        if labels.len() > MAX_XML_DEPTH {
+            return Err(format!(
+                "node {index}: nested deeper than {MAX_XML_DEPTH} levels"
+            ));
+        }
+        match n.parent {
+            None => {
+                if index != 0 {
+                    return Err(format!("node {index} has no parent"));
+                }
+                if !prefix.is_empty() || n.kind != NodeKind::Element {
+                    return Err("the root is not an element at a one-label path".into());
+                }
+            }
+            Some(p) => {
+                if index == 0 {
+                    return Err("the root has a parent".into());
+                }
+                let Some(&(parent_path, parent_kind)) = seen.get(p.index()) else {
+                    return Err(format!("node {index}: parent {} does not precede it", p.0));
+                };
+                if parent_kind != NodeKind::Element {
+                    return Err(format!("node {index}: parent {} is an attribute", p.0));
+                }
+                if vocab.paths.labels(parent_path) != prefix {
+                    return Err(format!(
+                        "node {index}: path id {} is not one label below its parent's",
+                        path.0
+                    ));
+                }
+            }
+        }
+        if n.kind == NodeKind::Attribute && !n.has_value {
+            return Err(format!("node {index}: attribute without a value"));
+        }
+        seen.push((path, n.kind));
+        Ok(())
+    }
+
+    /// The verdict on one document record — its node count or the first
+    /// problem — and the offsets of the structural bytes read on the way.
+    pub fn check(payload: &[u8], vocab: &Vocabulary) -> (Result<u64, String>, Vec<usize>) {
+        let mut nodes = match DocNodes::open(payload) {
+            Ok(nodes) => nodes,
+            Err((e, structure)) => return (Err(e), structure),
+        };
+        let count = nodes.left as u64;
+        let mut seen = Vec::new();
+        let mut verdict = Ok(count);
+        for node in nodes.by_ref() {
+            if let Err(e) = node.and_then(|n| admit(&mut seen, vocab, &n)) {
+                verdict = Err(e);
+                break;
+            }
+        }
+        if verdict.is_ok() {
+            verdict = nodes.r.finish().map(|()| count);
+        }
+        (verdict, nodes.r.structure)
+    }
+}
+
+/// A small TPoX database: the three collections, with attributes, deep
+/// paths and long text values.
+fn tpox_db() -> Database {
+    let mut db = Database::new();
+    xia_workloads::tpox::generate(
+        &mut db,
+        &xia_workloads::tpox::TpoxConfig {
+            securities: 40,
+            orders: 60,
+            customers: 20,
+            seed: 11,
+        },
     );
-    assert_eq!(from_v3.collection_names(), from_v2.collection_names());
-    for name in from_v2.collection_names() {
-        let (a, b) = (
-            from_v2.collection(name).unwrap(),
-            from_v3.collection(name).unwrap(),
-        );
-        assert_eq!(a.vocab(), b.vocab(), "{name}");
-        assert!(a.iter_docs().eq(b.iter_docs()), "{name}");
-        assert_eq!(from_v2.stats_cached(name), from_v3.stats_cached(name));
-        let defs = |db: &Database| -> Vec<String> {
+    db.runstats_all();
+    db
+}
+
+#[test]
+fn the_document_check_matches_the_reference_on_every_mutated_record() {
+    let db = tpox_db();
+    let clean = records(&dump(&db));
+    let trailer = clean.last().unwrap().clone();
+    let mut rng = Rng(0x5EA1ED);
+    let (mut cases, mut refused) = (0, 0);
+    // Records come collection by collection, in the database's order.
+    let mut names = db.collection_names().into_iter();
+    let (mut name, mut collection) = ("", None);
+    for (tag, payload) in &clean {
+        if *tag == b'C' {
+            name = names.next().unwrap();
+            collection = Some((*tag, payload.clone()));
+        }
+        if *tag != b'D' {
+            continue;
+        }
+        let c = collection.clone().unwrap();
+        let vocab = db.collection(name).unwrap().vocab();
+        let (verdict, structure) = reference::check(payload, vocab);
+        assert!(verdict.is_ok(), "{name}: the saved record verifies");
+        // Half the mutations hit a structural byte, half any byte.
+        for k in 0..8 {
+            let pos = if k % 2 == 0 {
+                structure[rng.next() as usize % structure.len()]
+            } else {
+                rng.next() as usize % payload.len()
+            };
+            let mut mutated = payload.clone();
+            let byte = rng.next() as u8;
+            mutated[pos] = if byte == mutated[pos] { !byte } else { byte };
+            // Collection, document, trailer: the only statistics are the
+            // ones recomputed over what loads.
+            let image = seal(&[c.clone(), (b'D', mutated.clone()), trailer.clone()]);
+            let at = MAGIC.len() + HEADER + c.1.len();
+            let (expected, _) = reference::check(&mutated, vocab);
+            let expected =
+                expected.map_err(|why| format!("record 2 (byte {at}): bad document: {why}"));
+            cases += 1;
+            match (&expected, strict(&image)) {
+                (Ok(_), Ok(loaded)) => assert_eq!(doc_count(&loaded), 1),
+                (Err(want), Err(PersistError::Format(got))) => assert_eq!(&got, want),
+                (want, got) => panic!(
+                    "{name}, byte {pos}: reference {want:?}, loader {:?}",
+                    got.map(|_| ())
+                ),
+            }
+            let (loaded, report) = lenient(&image).unwrap();
+            assert_report_is_final(&loaded, &report);
+            match &expected {
+                Ok(nodes) => {
+                    assert!(report.is_clean(), "{report:?}");
+                    assert_eq!(loaded.collection(name).unwrap().total_nodes(), *nodes);
+                }
+                Err(want) => {
+                    refused += 1;
+                    assert_eq!(report.diagnostics, vec![want.clone()]);
+                    assert_eq!((report.docs_loaded, report.docs_skipped), (0, 1));
+                }
+            }
+        }
+    }
+    assert!(cases >= 8 * 120, "{cases} mutations");
+    assert!(
+        refused * 4 > cases,
+        "{refused} of {cases} mutations refused"
+    );
+}
+
+/// A reader that hands out 1 to 17 bytes per call, in a seeded pattern.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    rng: Rng,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = (1 + self.rng.next() as usize % 17)
+            .min(buf.len())
+            .min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Everything a database holds, as comparable text.
+fn describe(db: &Database) -> String {
+    let mut out = format!("image bytes {}\n", db.image_bytes());
+    for name in db.collection_names() {
+        let coll = db.collection(name).unwrap();
+        let vocab = coll.vocab();
+        out += &format!(
+            "{name}: {:?} {:?}\n{:?}\n{:?}\n",
+            vocab.names.iter().collect::<Vec<_>>(),
+            vocab.paths.iter().collect::<Vec<_>>(),
+            db.stats_cached(name),
             db.catalog(name)
                 .unwrap()
                 .iter()
                 .map(|d| format!("{} {:?} {:?}", d.pattern, d.kind, d.physical))
-                .collect()
-        };
-        assert_eq!(defs(&from_v2), defs(&from_v3), "{name}");
+                .collect::<Vec<_>>()
+        );
+        for (id, doc) in coll.iter_docs() {
+            out += &format!("{id:?} {doc:?}\n");
+        }
     }
-    let sector = from_v3
-        .collection("SDOC")
-        .unwrap()
-        .iter_docs()
-        .flat_map(|(_, d)| d.nodes().filter_map(|(_, n)| n.value.clone()))
-        .any(|v| v.as_str() == "sector & 2");
-    assert!(
-        sector,
-        "escaped text was unescaped by the v2 parse and kept by v3"
-    );
+    out
+}
 
-    // A v2 image damaged the v2 way still degrades the v2 way.
-    let mut flipped = v2.to_vec();
-    let at = flipped.windows(4).position(|w| w == b"<Sec").unwrap();
-    flipped[at + 1] ^= 0x20;
-    assert!(matches!(
-        strict(&flipped),
-        Err(PersistError::Corrupt { .. })
-    ));
-    let (db, report) = lenient(&flipped).unwrap();
-    assert_eq!((report.docs_loaded, report.docs_skipped), (8, 1));
-    assert_eq!(doc_count(&db), 8);
+#[test]
+fn short_reads_load_what_an_in_memory_load_does() {
+    let mut db = tpox_db();
+    let (coll, cat, _) = db.parts_mut("SDOC").unwrap();
+    let pattern = xia_xpath::parse_linear_path("/Security/Symbol").unwrap();
+    cat.create_physical(coll, &pattern, xia_xpath::ValueKind::Str);
+    let bytes = dump(&db);
+    assert!(
+        bytes.len() > 256 * 1024,
+        "the image spans more than one refill"
+    );
+    let mut rng = Rng(0x7121C1E);
+    let mut images = vec![bytes.clone()];
+    for _ in 0..4 {
+        images.push(bytes[..rng.next() as usize % bytes.len()].to_vec());
+        let mut flipped = bytes.clone();
+        flipped[rng.next() as usize % bytes.len()] ^= 1 << (rng.next() % 8);
+        images.push(flipped);
+    }
+    for (i, image) in images.iter().enumerate() {
+        let trickle = |seed| Trickle {
+            bytes: image,
+            rng: Rng(seed),
+        };
+        let outcome = |loaded: Result<(Database, LoadReport), PersistError>| {
+            loaded.map(|(db, report)| format!("{report:?}\n{}", describe(&db)))
+        };
+        let strict_outcome = |loaded: Result<Database, PersistError>| {
+            loaded.map(|db| describe(&db)).map_err(|e| e.to_string())
+        };
+        assert_eq!(
+            outcome(load_database_lenient_from(&mut trickle(i as u64))).map_err(|e| e.to_string()),
+            outcome(lenient(image)).map_err(|e| e.to_string()),
+            "image {i}"
+        );
+        assert_eq!(
+            strict_outcome(load_database_from(&mut trickle(!(i as u64)))),
+            strict_outcome(strict(image)),
+            "image {i}"
+        );
+    }
 }

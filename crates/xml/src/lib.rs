@@ -29,7 +29,7 @@ pub mod writer;
 
 pub use builder::DocBuilder;
 pub use interner::{Interner, Symbol};
-pub use model::{Document, Node, NodeId, NodeKind, PreorderCheck, PreorderNode};
+pub use model::{Document, Node, NodeId, NodeKind, PreorderCheck, PreorderFault, PreorderNode};
 pub use parser::{decode_entities, parse_document, XmlError, MAX_XML_DEPTH};
 pub use paths::{PathDictionary, PathId};
 pub use stream::{parse_document_streaming, stream_document, DocumentSink, StreamSink};

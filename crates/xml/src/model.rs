@@ -6,6 +6,7 @@ use crate::paths::PathId;
 // (Symbol is used in public fields and method signatures below.)
 use crate::value::Value;
 use crate::Vocabulary;
+use std::fmt;
 
 /// Index of a node within its [`Document`] arena. Node ids are assigned in
 /// document (pre-) order, so comparing ids compares document order.
@@ -69,89 +70,213 @@ pub struct PreorderNode {
 /// path plus one label; every path is in the dictionary and no deeper
 /// than [`MAX_XML_DEPTH`]; attributes carry a value.
 ///
-/// [`Document::from_preorder`] applies exactly these rules, so a reader
-/// that has run a list through [`PreorderCheck::admit`] once (say, when
-/// verifying a stored image) knows that building the document from the
-/// same list and vocabulary later cannot fail.
-#[derive(Debug, Default)]
+/// The check is a table built once per vocabulary: per path id, the path
+/// one label up (or "a root path", or why no node may carry it) and the
+/// path's name. "One label below the parent's path" is then one integer
+/// compare. [`Document::from_preorder`] applies exactly these rules, so a
+/// reader that has run a list through [`PreorderCheck::admit`] once (say,
+/// when verifying a stored image) knows that building the document from
+/// the same list and check later cannot fail.
+#[derive(Debug, Clone)]
 pub struct PreorderCheck {
-    /// `(path, kind)` of every node admitted so far.
-    seen: Vec<(PathId, NodeKind)>,
+    /// Per path id: what a node at that path asks of its parent, and its
+    /// name (the path's last label).
+    slots: Box<[(Up, Symbol)]>,
 }
 
+/// A path's table entry: the path one label up, as far as it matters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Up {
+    /// A one-label path: the root's.
+    Root,
+    /// The path one label up.
+    Path(PathId),
+    /// A path whose prefix is not in the dictionary: no parent carries it.
+    Orphan,
+    /// A path with no labels.
+    NoLabels,
+    /// A path whose last label is not an interned name.
+    UnknownName,
+    /// A path deeper than [`MAX_XML_DEPTH`].
+    TooDeep,
+}
+
+/// The first rule a pre-order node list breaks, as a small code; its
+/// text is rendered by `Display` only when it is reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PreorderFault {
+    /// The list has no entries.
+    Empty,
+    /// A node's path id is not in the dictionary.
+    UnknownPath {
+        /// Index of the node in the list.
+        node: u32,
+        /// Its path id.
+        path: PathId,
+    },
+    /// A node's path has no labels.
+    NoLabels {
+        /// Index of the node in the list.
+        node: u32,
+        /// Its path id.
+        path: PathId,
+    },
+    /// A node's name is not interned.
+    UnknownName {
+        /// Index of the node in the list.
+        node: u32,
+        /// The name.
+        name: Symbol,
+    },
+    /// A node's path is deeper than [`MAX_XML_DEPTH`].
+    TooDeep {
+        /// Index of the node in the list.
+        node: u32,
+    },
+    /// A node other than the first has no parent.
+    NoParent {
+        /// Index of the node in the list.
+        node: u32,
+    },
+    /// The first node is not an element at a one-label path.
+    RootShape,
+    /// The first node has a parent.
+    RootHasParent,
+    /// A node's parent is not an earlier node.
+    ParentAfter {
+        /// Index of the node in the list.
+        node: u32,
+        /// Its parent.
+        parent: NodeId,
+    },
+    /// A node's parent is an attribute.
+    ParentIsAttribute {
+        /// Index of the node in the list.
+        node: u32,
+        /// Its parent.
+        parent: NodeId,
+    },
+    /// A node's path is not its parent's path plus one label.
+    NotBelowParent {
+        /// Index of the node in the list.
+        node: u32,
+        /// Its path id.
+        path: PathId,
+    },
+    /// An attribute has no value.
+    AttributeWithoutValue {
+        /// Index of the node in the list.
+        node: u32,
+    },
+}
+
+impl fmt::Display for PreorderFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            PreorderFault::Empty => write!(f, "a document has at least a root node"),
+            PreorderFault::UnknownPath { node, path } => write!(
+                f,
+                "node {node}: path id {} is not in the dictionary",
+                path.0
+            ),
+            PreorderFault::NoLabels { node, path } => {
+                write!(f, "node {node}: path id {} has no labels", path.0)
+            }
+            PreorderFault::UnknownName { node, name } => {
+                write!(f, "node {node}: name {name} is not interned")
+            }
+            PreorderFault::TooDeep { node } => {
+                write!(f, "node {node}: nested deeper than {MAX_XML_DEPTH} levels")
+            }
+            PreorderFault::NoParent { node } => write!(f, "node {node} has no parent"),
+            PreorderFault::RootShape => {
+                write!(f, "the root is not an element at a one-label path")
+            }
+            PreorderFault::RootHasParent => write!(f, "the root has a parent"),
+            PreorderFault::ParentAfter { node, parent } => {
+                write!(f, "node {node}: parent {} does not precede it", parent.0)
+            }
+            PreorderFault::ParentIsAttribute { node, parent } => {
+                write!(f, "node {node}: parent {} is an attribute", parent.0)
+            }
+            PreorderFault::NotBelowParent { node, path } => write!(
+                f,
+                "node {node}: path id {} is not one label below its parent's",
+                path.0
+            ),
+            PreorderFault::AttributeWithoutValue { node } => {
+                write!(f, "node {node}: attribute without a value")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PreorderFault {}
+
 impl PreorderCheck {
-    /// A check with no node admitted yet.
-    pub fn new() -> Self {
-        Self::default()
+    /// The check for lists over `vocab`.
+    pub fn new(vocab: &Vocabulary) -> Self {
+        let slots = vocab
+            .paths
+            .iter()
+            .map(|(_, labels)| {
+                let Some((&name, prefix)) = labels.split_last() else {
+                    return (Up::NoLabels, Symbol(0));
+                };
+                let up = if name.index() >= vocab.names.len() {
+                    Up::UnknownName
+                } else if labels.len() > MAX_XML_DEPTH {
+                    Up::TooDeep
+                } else if prefix.is_empty() {
+                    Up::Root
+                } else {
+                    vocab.paths.lookup(prefix).map_or(Up::Orphan, Up::Path)
+                };
+                (up, name)
+            })
+            .collect();
+        Self { slots }
     }
 
-    /// Forgets the admitted nodes (keeping the allocation), ready for the
-    /// next document's list.
-    pub fn restart(&mut self) {
-        self.seen.clear();
-    }
-
-    /// Admits the next node of the list and returns its name, or says
-    /// which rule it breaks. Every node of one list is checked against
-    /// the same `vocab`.
+    /// Admits the next node of a list and returns its name, or the first
+    /// rule it breaks. `seen` holds the list's nodes admitted so far —
+    /// per node its path, or `None` for an attribute, which can be no
+    /// node's parent — and the node is appended to it; it starts empty
+    /// for each list.
+    #[inline]
     pub fn admit(
-        &mut self,
-        vocab: &Vocabulary,
+        &self,
+        seen: &mut Vec<Option<PathId>>,
         path: PathId,
         parent: Option<NodeId>,
         kind: NodeKind,
         has_value: bool,
-    ) -> Result<Symbol, String> {
-        let index = self.seen.len();
-        if path.index() >= vocab.paths.len() {
-            return Err(format!(
-                "node {index}: path id {} is not in the dictionary",
-                path.0
-            ));
-        }
-        let labels = vocab.paths.labels(path);
-        let Some((&name, prefix)) = labels.split_last() else {
-            return Err(format!("node {index}: path id {} has no labels", path.0));
+    ) -> Result<Symbol, PreorderFault> {
+        let node = seen.len() as u32;
+        let Some(&(up, name)) = self.slots.get(path.index()) else {
+            return Err(PreorderFault::UnknownPath { node, path });
         };
-        if name.index() >= vocab.names.len() {
-            return Err(format!("node {index}: name {name} is not interned"));
-        }
-        if labels.len() > MAX_XML_DEPTH {
-            return Err(format!(
-                "node {index}: nested deeper than {MAX_XML_DEPTH} levels"
-            ));
-        }
-        match parent {
-            None => {
-                if index != 0 {
-                    return Err(format!("node {index} has no parent"));
+        match (up, parent) {
+            (Up::NoLabels, _) => return Err(PreorderFault::NoLabels { node, path }),
+            (Up::UnknownName, _) => return Err(PreorderFault::UnknownName { node, name }),
+            (Up::TooDeep, _) => return Err(PreorderFault::TooDeep { node }),
+            (Up::Root, None) if node == 0 && kind == NodeKind::Element => {}
+            (_, None) if node == 0 => return Err(PreorderFault::RootShape),
+            (_, None) => return Err(PreorderFault::NoParent { node }),
+            (_, Some(_)) if node == 0 => return Err(PreorderFault::RootHasParent),
+            (up, Some(parent)) => match seen.get(parent.index()) {
+                None => return Err(PreorderFault::ParentAfter { node, parent }),
+                Some(None) => return Err(PreorderFault::ParentIsAttribute { node, parent }),
+                Some(&Some(parent_path)) if up != Up::Path(parent_path) => {
+                    return Err(PreorderFault::NotBelowParent { node, path })
                 }
-                if !prefix.is_empty() || kind != NodeKind::Element {
-                    return Err("the root is not an element at a one-label path".into());
-                }
-            }
-            Some(p) => {
-                if index == 0 {
-                    return Err("the root has a parent".into());
-                }
-                let Some(&(parent_path, parent_kind)) = self.seen.get(p.index()) else {
-                    return Err(format!("node {index}: parent {} does not precede it", p.0));
-                };
-                if parent_kind != NodeKind::Element {
-                    return Err(format!("node {index}: parent {} is an attribute", p.0));
-                }
-                if vocab.paths.labels(parent_path) != prefix {
-                    return Err(format!(
-                        "node {index}: path id {} is not one label below its parent's",
-                        path.0
-                    ));
-                }
-            }
+                Some(_) => {}
+            },
         }
         if kind == NodeKind::Attribute && !has_value {
-            return Err(format!("node {index}: attribute without a value"));
+            return Err(PreorderFault::AttributeWithoutValue { node });
         }
-        self.seen.push((path, kind));
+        seen.push((kind == NodeKind::Element).then_some(path));
         Ok(name)
     }
 }
@@ -171,20 +296,20 @@ impl Document {
         Self { nodes }
     }
 
-    /// Builds a document from a pre-order node list over `vocab` — the
-    /// way a stored image hands documents back, with nothing to tokenise
-    /// or intern. Names come from the paths, children lists from the
-    /// order of the entries; the list is held to the [`PreorderCheck`]
-    /// rules and the first broken one is the error.
+    /// Builds a document from a pre-order node list — the way a stored
+    /// image hands documents back, with nothing to tokenise or intern.
+    /// Names come from the paths, children lists from the order of the
+    /// entries; the list is held to the rules of `check` (built once for
+    /// the vocabulary) and the first broken one is the error.
     pub fn from_preorder(
-        vocab: &Vocabulary,
+        check: &PreorderCheck,
         nodes: impl IntoIterator<Item = PreorderNode>,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, PreorderFault> {
         let nodes = nodes.into_iter();
-        let mut check = PreorderCheck::new();
+        let mut seen = Vec::with_capacity(nodes.size_hint().0);
         let mut arena: Vec<Node> = Vec::with_capacity(nodes.size_hint().0);
         for n in nodes {
-            let name = check.admit(vocab, n.path, n.parent, n.kind, n.value.is_some())?;
+            let name = check.admit(&mut seen, n.path, n.parent, n.kind, n.value.is_some())?;
             if let Some(p) = n.parent {
                 let id = NodeId(arena.len() as u32);
                 arena[p.index()].children.push(id);
@@ -199,7 +324,7 @@ impl Document {
             });
         }
         if arena.is_empty() {
-            return Err("a document has at least a root node".into());
+            return Err(PreorderFault::Empty);
         }
         Ok(Self { nodes: arena })
     }
@@ -317,9 +442,9 @@ impl Document {
 
 #[cfg(test)]
 mod tests {
-    use super::{Document, NodeId, NodeKind, PreorderNode};
-    use crate::Vocabulary;
+    use super::{Document, NodeId, NodeKind, PreorderCheck, PreorderNode, MAX_XML_DEPTH};
     use crate::{DocBuilder, PathId};
+    use crate::{Symbol, Vocabulary};
 
     fn preorder(doc: &Document) -> Vec<PreorderNode> {
         doc.nodes()
@@ -340,7 +465,7 @@ mod tests {
             &mut vocab,
         )
         .unwrap();
-        let rebuilt = Document::from_preorder(&vocab, preorder(&doc)).unwrap();
+        let rebuilt = Document::from_preorder(&PreorderCheck::new(&vocab), preorder(&doc)).unwrap();
         assert_eq!(rebuilt, doc);
     }
 
@@ -349,11 +474,14 @@ mod tests {
         let mut vocab = Vocabulary::new();
         let doc = crate::parse_document(r#"<a x="1"><b><c>2</c></b></a>"#, &mut vocab).unwrap();
         let good = preorder(&doc);
-        assert!(Document::from_preorder(&vocab, good.clone()).is_ok());
+        let check = PreorderCheck::new(&vocab);
+        assert!(Document::from_preorder(&check, good.clone()).is_ok());
         let broken = |edit: &dyn Fn(&mut Vec<PreorderNode>)| {
             let mut nodes = good.clone();
             edit(&mut nodes);
-            Document::from_preorder(&vocab, nodes).unwrap_err()
+            Document::from_preorder(&check, nodes)
+                .unwrap_err()
+                .to_string()
         };
         // a, a/@x, a/b, a/b/c are nodes and paths 0..=3.
         assert!(broken(&|n| n.clear()).contains("at least a root"));
@@ -366,6 +494,40 @@ mod tests {
         assert!(broken(&|n| n[3].path = PathId(9)).contains("not in the dictionary"));
         assert!(broken(&|n| n[1].value = None).contains("attribute without a value"));
         assert!(broken(&|n| n[0].kind = NodeKind::Attribute).contains("one-label path"));
+    }
+
+    #[test]
+    fn paths_no_node_may_carry_are_refused_with_their_reason() {
+        let mut vocab = Vocabulary::new();
+        let (a, b) = (vocab.names.intern("a"), vocab.names.intern("b"));
+        let root = vocab.paths.intern(&[a]);
+        // `/a/b` itself is not in the dictionary.
+        let orphan = vocab.paths.intern(&[a, b, b]);
+        let empty = vocab.paths.intern(&[]);
+        let unnamed = vocab.paths.intern(&[a, Symbol(9)]);
+        let deep = vocab.paths.intern(&vec![a; MAX_XML_DEPTH + 1]);
+        let check = PreorderCheck::new(&vocab);
+        let mut seen = Vec::new();
+        check
+            .admit(&mut seen, root, None, NodeKind::Element, false)
+            .unwrap();
+        let child = |path| {
+            check
+                .admit(
+                    &mut seen.clone(),
+                    path,
+                    Some(NodeId(0)),
+                    NodeKind::Element,
+                    false,
+                )
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(child(orphan).contains("one label below"));
+        assert!(child(empty).contains("has no labels"));
+        assert!(child(unnamed).contains("name sym#9 is not interned"));
+        assert!(child(deep).contains("nested deeper"));
+        assert!(child(PathId(99)).contains("not in the dictionary"));
     }
 
     #[test]
