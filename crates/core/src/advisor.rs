@@ -599,7 +599,7 @@ impl Advisor {
         let mut config = Vec::new();
         let basics = set.basic_ids();
         for (coll, pattern, kind) in indexes {
-            let id = set.insert(coll, pattern.clone(), *kind, CandOrigin::Generalized);
+            let id = set.insert(coll, pattern, *kind, CandOrigin::Generalized);
             // Affected set by coverage over the basic candidates.
             let mut affected = set.get(id).affected.clone();
             for &b in &basics {

@@ -369,7 +369,7 @@ fn what_if(
     optimizer.set_telemetry(tel);
     optimizer.set_faults(faults);
     let t0 = tel.is_enabled().then(Instant::now);
-    let cost = optimizer.try_plan(prepared).ok().map(|p| p.total_cost);
+    let cost = optimizer.try_plan_cost(prepared).ok();
     if let Some(t0) = t0 {
         tel.record(Hist::WhatIfCall, t0.elapsed());
     }
@@ -408,7 +408,7 @@ pub struct BenefitEvaluator<'a> {
     /// the retained clean cost, or this run's heuristic fallback.
     baseline: Vec<f64>,
     /// Total (frequency-weighted) maintenance cost per candidate.
-    mc_totals: HashMap<CandId, f64>,
+    mc_totals: Vec<Option<f64>>,
     /// Memoized sub-configuration benefits (query side, before mc).
     /// Frequency-weighted, so it lives and dies with the run.
     cache: ShardedCache,
@@ -464,6 +464,8 @@ pub struct BenefitEvaluator<'a> {
     rung: GovernorRung,
     /// Approximate live bytes of the sharded memo cache.
     memo_bytes: u64,
+    /// Reused by each evaluation for a group's affected statements.
+    scratch_affected: StmtSet,
     /// Lifecycle warnings to surface to the caller (abandoned checkpoint
     /// writes).
     warnings: Vec<String>,
@@ -590,7 +592,7 @@ impl<'a> BenefitEvaluator<'a> {
             state,
             parts: Vec::new(),
             baseline: Vec::new(),
-            mc_totals: HashMap::new(),
+            mc_totals: vec![None; set.len()],
             cache: ShardedCache::new(),
             charged: 0,
             cover_base,
@@ -618,6 +620,7 @@ impl<'a> BenefitEvaluator<'a> {
             },
             rung: GovernorRung::Full,
             memo_bytes: 0,
+            scratch_affected: StmtSet::new(),
             warnings: Vec::new(),
         };
         ev.extend_state();
@@ -639,36 +642,6 @@ impl<'a> BenefitEvaluator<'a> {
             from <= entries.len() && known <= self.set.len(),
             "a costing state only grows with its workload and candidate set"
         );
-        for entry in &entries[from..] {
-            state
-                .matrix
-                .push(xia_optimizer::statement_signature(&entry.statement));
-            state
-                .stmt_salts
-                .push(xia_xpath::template_fingerprint(&entry.statement));
-        }
-        // Relevance rows: one signature per statement, one bitset per
-        // candidate.
-        if from < entries.len() || known < self.set.len() {
-            for id in self.set.ids() {
-                let c = self.set.get(id);
-                let new = id.index() >= known;
-                if new {
-                    state.relevance.push(StmtSet::new());
-                }
-                let row_from = if new { 0 } else { from };
-                for si in state.matrix.relevant_from(
-                    row_from,
-                    &c.collection,
-                    &c.pattern,
-                    c.kind,
-                    Some(&state.cover_cache),
-                ) {
-                    state.relevance[id.index()].insert(si);
-                }
-            }
-            state.defs.resize(self.set.len(), None);
-        }
         // Prepared here, once per statement, through one path-statistics
         // memo per collection: statements (and CoPhy templates in their
         // thousands) share a few hundred distinct paths.
@@ -696,10 +669,41 @@ impl<'a> BenefitEvaluator<'a> {
                     })
                     .prepare_shared(&entry.statement, &mut state.memos[slot])
             });
+            // The signature is read off the prepared patterns; a statement
+            // without visible statistics is normalized for it.
+            state.matrix.push(match &prepared {
+                Some(prepared) => prepared.signature(coll),
+                None => xia_optimizer::statement_signature(&entry.statement),
+            });
+            state
+                .stmt_salts
+                .push(xia_xpath::template_fingerprint(&entry.statement));
             state.stmt_coll.push(slot);
             state.prepared.push(prepared);
             state.baseline.push(None);
             state.stmt_cache.push(HashMap::new());
+        }
+        // Relevance rows: one signature per statement, one bitset per
+        // candidate.
+        if from < entries.len() || known < self.set.len() {
+            for id in self.set.ids() {
+                let c = self.set.get(id);
+                let new = id.index() >= known;
+                if new {
+                    state.relevance.push(StmtSet::new());
+                }
+                let row_from = if new { 0 } else { from };
+                for si in state.matrix.relevant_from(
+                    row_from,
+                    &c.collection,
+                    &c.pattern,
+                    c.kind,
+                    Some(&state.cover_cache),
+                ) {
+                    state.relevance[id.index()].insert(si);
+                }
+            }
+            state.defs.resize(self.set.len(), None);
         }
     }
 
@@ -809,30 +813,17 @@ impl<'a> BenefitEvaluator<'a> {
                     self.charged += 1;
                     self.apply_deltas(&entry.deltas);
                     let cost = f64::from_bits(entry.cost_bits);
-                    self.ctl.record_costing(
-                        WarmKey {
-                            salt,
-                            si,
-                            proj: Vec::new(),
-                        },
-                        entry,
-                    );
+                    self.record_costing(salt, si, &[], entry);
                     self.retain_baseline(si, cost)
                 }
                 (BasePlan::Cost { salt }, None, Some((Some(cost), deltas))) => {
                     self.stats.optimizer_calls += 1;
                     self.charged += 1;
-                    self.ctl.record_costing(
-                        WarmKey {
-                            salt,
-                            si,
-                            proj: Vec::new(),
-                        },
-                        WarmEntry {
-                            cost_bits: cost.to_bits(),
-                            deltas,
-                        },
-                    );
+                    let entry = WarmEntry {
+                        cost_bits: cost.to_bits(),
+                        deltas,
+                    };
+                    self.record_costing(salt, si, &[], entry);
                     self.retain_baseline(si, cost)
                 }
                 (kind, _, _) => {
@@ -946,6 +937,15 @@ impl<'a> BenefitEvaluator<'a> {
             if let Some(&c) = Counter::ALL.get(i) {
                 self.telemetry.add(c, v);
             }
+        }
+    }
+
+    /// Logs one executed (or warm-served) costing for the next checkpoint.
+    /// The key is built only while a checkpoint file is armed.
+    fn record_costing(&self, salt: u64, si: usize, proj: &[CandId], entry: WarmEntry) {
+        if self.ctl.checkpointing() {
+            let proj = proj.to_vec();
+            self.ctl.record_costing(WarmKey { salt, si, proj }, entry);
         }
     }
 
@@ -1105,26 +1105,28 @@ impl<'a> BenefitEvaluator<'a> {
     }
 
     /// Canonical projection of a (sorted, deduplicated) sub-configuration
-    /// key onto one statement's relevant candidates. Filtering preserves
-    /// order, so the projection is itself canonical.
-    fn projection(&self, key: &[CandId], si: usize) -> Vec<CandId> {
-        key.iter()
-            .copied()
-            .filter(|&id| self.state.relevance[id.index()].contains(si))
-            .collect()
+    /// key onto one statement's relevant candidates, written over `out`.
+    /// Filtering preserves order, so the projection is itself canonical.
+    fn projection_into(&self, key: &[CandId], si: usize, out: &mut Vec<CandId>) {
+        out.clear();
+        out.extend(
+            key.iter()
+                .copied()
+                .filter(|&id| self.state.relevance[id.index()].contains(si)),
+        );
     }
 
-    /// Affected statements of a sub-configuration: the union of member
-    /// affected sets (or every statement when the optimization is off).
-    fn affected_statements(&self, key: &[CandId]) -> Vec<usize> {
+    /// Affected statements of a sub-configuration, written over `out`:
+    /// the union of member affected sets (or every statement when the
+    /// optimization is off).
+    fn affected_into(&self, key: &[CandId], out: &mut StmtSet) {
+        out.clear();
         if self.use_affected_sets {
-            let mut u = StmtSet::new();
             for &id in key {
-                u.union_with(&self.set.get(id).affected);
+                out.union_with(&self.set.get(id).affected);
             }
-            u.iter().collect()
         } else {
-            (0..self.workload.len()).collect()
+            (0..self.workload.len()).for_each(|si| out.insert(si));
         }
     }
 
@@ -1173,7 +1175,9 @@ impl<'a> BenefitEvaluator<'a> {
                     self.stats.cache_hits += 1;
                     self.telemetry.incr(Counter::BenefitCacheHits);
                     slots.push(Slot::Done(v));
-                    journal_slots.push((patterns, true));
+                    if journal_on {
+                        journal_slots.push((patterns, true));
+                    }
                     continue;
                 }
             }
@@ -1189,7 +1193,9 @@ impl<'a> BenefitEvaluator<'a> {
                     self.telemetry.incr(Counter::BenefitCacheHits);
                 }
                 slots.push(Slot::Miss(i));
-                journal_slots.push((patterns, true));
+                if journal_on {
+                    journal_slots.push((patterns, true));
+                }
                 continue;
             }
             if self.use_cache {
@@ -1197,7 +1203,9 @@ impl<'a> BenefitEvaluator<'a> {
                 self.telemetry.incr(Counter::BenefitCacheMisses);
             }
             slots.push(Slot::Miss(misses.len()));
-            journal_slots.push((patterns, false));
+            if journal_on {
+                journal_slots.push((patterns, false));
+            }
             misses.push(key);
         }
         if misses.is_empty() {
@@ -1220,15 +1228,21 @@ impl<'a> BenefitEvaluator<'a> {
         // matching indexes, so equal projections have bitwise-equal
         // costs, and a projection hit is served without an optimizer call.
         // With the cache off every costing is a miss.
+        // The projection is looked up borrowed; only a costing that goes to
+        // the optimizer keeps its own copy, which the statement cache takes
+        // over at merge.
         let mut tasks: Vec<CostTask> = Vec::new();
+        let mut affected = std::mem::take(&mut self.scratch_affected);
+        let mut proj = Vec::new();
         for (group, key) in misses.iter().enumerate() {
-            for si in self.affected_statements(key) {
+            self.affected_into(key, &mut affected);
+            for si in affected.iter() {
                 if !self.active[si] {
                     continue;
                 }
-                let proj = self.projection(key, si);
+                self.projection_into(key, si, &mut proj);
                 let cached = if self.use_cache {
-                    self.state.stmt_cache[si].get(&proj).copied()
+                    self.state.stmt_cache[si].get(proj.as_slice()).copied()
                 } else {
                     None
                 };
@@ -1266,7 +1280,7 @@ impl<'a> BenefitEvaluator<'a> {
                                     salt: key_hash(SALT_EVALUATE, &proj)
                                         ^ self.state.stmt_salts[si],
                                 },
-                                Some(proj),
+                                Some(proj.clone()),
                             )
                         }
                     }
@@ -1279,6 +1293,7 @@ impl<'a> BenefitEvaluator<'a> {
                 });
             }
         }
+        self.scratch_affected = affected;
 
         // Phase 3 (coordinator): one overlay set per missed group that
         // still needs real optimizer work, built serially so virtual-index
@@ -1318,7 +1333,7 @@ impl<'a> BenefitEvaluator<'a> {
                 })
                 .collect()
         } else {
-            vec![None; tasks.len()]
+            Vec::new()
         };
 
         // Phase 4 (workers): pure costing, fanned out over `jobs` threads.
@@ -1330,7 +1345,7 @@ impl<'a> BenefitEvaluator<'a> {
             let TaskKind::Optimize { salt } = task.kind else {
                 return (None, Vec::new());
             };
-            if warm_ref[i].is_some() {
+            if warm_ref.get(i).is_some_and(Option::is_some) {
                 // Served from the warm store at merge time.
                 return (None, Vec::new());
             }
@@ -1347,8 +1362,8 @@ impl<'a> BenefitEvaluator<'a> {
         // summation order is fixed regardless of worker interleaving.
         let mut totals = vec![0.0f64; misses.len()];
         let mut tainted = vec![false; misses.len()];
-        for (i, (task, (result, deltas))) in tasks.iter().zip(results).enumerate() {
-            let served = warm[i].take();
+        for (i, (task, (result, deltas))) in tasks.into_iter().zip(results).enumerate() {
+            let served = warm.get_mut(i).and_then(Option::take);
             let new_cost = match (task.kind, served, result) {
                 (TaskKind::Served { cost }, _, _) => cost,
                 (TaskKind::Optimize { salt }, Some(entry), _) => {
@@ -1358,16 +1373,9 @@ impl<'a> BenefitEvaluator<'a> {
                     self.stats.optimizer_calls += 1;
                     self.apply_deltas(&entry.deltas);
                     let cost = f64::from_bits(entry.cost_bits);
-                    if let Some(proj) = &task.proj {
-                        self.insert_stmt_cost(task.si, proj.clone(), cost);
-                        self.ctl.record_costing(
-                            WarmKey {
-                                salt,
-                                si: task.si,
-                                proj: proj.clone(),
-                            },
-                            entry,
-                        );
+                    if let Some(proj) = task.proj {
+                        self.record_costing(salt, task.si, &proj, entry);
+                        self.insert_stmt_cost(task.si, proj, cost);
                     }
                     cost
                 }
@@ -1376,19 +1384,13 @@ impl<'a> BenefitEvaluator<'a> {
                     // Memoize under the projection key: any configuration
                     // with the same projection onto this statement has
                     // bitwise the same cost.
-                    if let Some(proj) = &task.proj {
-                        self.insert_stmt_cost(task.si, proj.clone(), cost);
-                        self.ctl.record_costing(
-                            WarmKey {
-                                salt,
-                                si: task.si,
-                                proj: proj.clone(),
-                            },
-                            WarmEntry {
-                                cost_bits: cost.to_bits(),
-                                deltas,
-                            },
-                        );
+                    if let Some(proj) = task.proj {
+                        let entry = WarmEntry {
+                            cost_bits: cost.to_bits(),
+                            deltas,
+                        };
+                        self.record_costing(salt, task.si, &proj, entry);
+                        self.insert_stmt_cost(task.si, proj, cost);
                     }
                     cost
                 }
@@ -1423,10 +1425,10 @@ impl<'a> BenefitEvaluator<'a> {
         // budget (or past the fault) should get the real number. The
         // bottom governor rung stops memo inserts too.
         if self.use_cache && self.rung < GovernorRung::HeuristicOnly {
-            for ((key, &value), &bad) in misses.iter().zip(&totals).zip(&tainted) {
+            for ((key, &value), &bad) in misses.into_iter().zip(&totals).zip(&tainted) {
                 if !bad {
                     self.memo_bytes += (32 + 8 * key.len()) as u64;
-                    self.cache.insert(key.clone(), value);
+                    self.cache.insert(key, value);
                 }
             }
         }
@@ -1467,13 +1469,19 @@ impl<'a> BenefitEvaluator<'a> {
     /// one index, so they are evaluated — and charged maintenance cost —
     /// once.
     pub fn benefit(&mut self, config: &[CandId]) -> f64 {
+        self.benefit_of(config.to_vec())
+    }
+
+    /// [`BenefitEvaluator::benefit`] of a configuration the caller gives
+    /// up, canonicalized in place.
+    fn benefit_of(&mut self, config: Vec<CandId>) -> f64 {
         self.stats.benefit_calls += 1;
         self.telemetry.incr(Counter::BenefitEvaluations);
         let _evaluate = self.telemetry.span("evaluate");
         if config.is_empty() {
             return 0.0;
         }
-        let config = canonical_key(config.to_vec());
+        let config = canonical_key(config);
         let groups = if self.use_subconfigs {
             self.decompose(&config)
         } else {
@@ -1497,9 +1505,10 @@ impl<'a> BenefitEvaluator<'a> {
     pub fn benefit_delta(&mut self, base: &[CandId], add: CandId) -> f64 {
         self.stats.delta_probes += 1;
         self.telemetry.incr(Counter::DeltaProbes);
-        let mut config = base.to_vec();
+        let mut config = Vec::with_capacity(base.len() + 1);
+        config.extend_from_slice(base);
         config.push(add);
-        self.benefit(&config)
+        self.benefit_of(config)
     }
 
     /// Benefits of many configurations, planned and costed as one batch:
@@ -1567,32 +1576,63 @@ impl<'a> BenefitEvaluator<'a> {
     /// Splits a configuration into sub-configurations of candidates with
     /// transitively overlapping affected sets.
     pub fn decompose(&self, config: &[CandId]) -> Vec<Vec<CandId>> {
-        let n = config.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-            if parent[x] != x {
-                let r = find(parent, parent[x]);
-                parent[x] = r;
-            }
-            parent[x]
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let (a, b) = (self.set.get(config[i]), self.set.get(config[j]));
-                if a.affected.overlaps(&b.affected) {
-                    let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
-                    if ra != rb {
-                        parent[ra] = rb;
+        let words = |i: usize| self.set.get(config[i]).affected.words();
+        let stride = (0..config.len())
+            .map(|i| words(i).len())
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        // Each member's group, numbered densely. Row `g` of `unions` is the
+        // union of group g's affected sets; a member overlapping several
+        // groups merges them into the first, and the last group takes the
+        // merged one's number.
+        let mut group_of = vec![0usize; config.len()];
+        let mut unions: Vec<u64> = Vec::with_capacity(stride * config.len());
+        for i in 0..config.len() {
+            let mut joined: Option<usize> = None;
+            let mut g = 0;
+            while g * stride < unions.len() {
+                let row = &unions[g * stride..(g + 1) * stride];
+                if !row.iter().zip(words(i)).any(|(a, b)| a & b != 0) {
+                    g += 1;
+                    continue;
+                }
+                let Some(into) = joined else {
+                    joined = Some(g);
+                    g += 1;
+                    continue;
+                };
+                let last = unions.len() / stride - 1;
+                for k in 0..stride {
+                    unions[into * stride + k] |= unions[g * stride + k];
+                }
+                unions.copy_within(last * stride..(last + 1) * stride, g * stride);
+                unions.truncate(last * stride);
+                for label in &mut group_of[..i] {
+                    if *label == g {
+                        *label = into;
+                    } else if *label == last {
+                        *label = g;
                     }
                 }
             }
+            let into = joined.unwrap_or_else(|| {
+                unions.resize(unions.len() + stride, 0);
+                unions.len() / stride - 1
+            });
+            for (a, b) in unions[into * stride..].iter_mut().zip(words(i)) {
+                *a |= b;
+            }
+            group_of[i] = into;
         }
-        let mut groups: HashMap<usize, Vec<CandId>> = HashMap::new();
-        for (i, &cand) in config.iter().enumerate().take(n) {
-            let r = find(&mut parent, i);
-            groups.entry(r).or_default().push(cand);
+        let mut sizes = vec![0usize; unions.len() / stride];
+        for &g in &group_of {
+            sizes[g] += 1;
         }
-        let mut out: Vec<Vec<CandId>> = groups.into_values().collect();
+        let mut out: Vec<Vec<CandId>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (&g, &cand) in group_of.iter().zip(config) {
+            out[g].push(cand);
+        }
         for g in &mut out {
             g.sort_unstable();
         }
@@ -1613,11 +1653,9 @@ impl<'a> BenefitEvaluator<'a> {
             return Vec::new();
         }
         let overlays = self.build_overlays(config);
-        let stmts: Vec<usize> = self
-            .affected_statements(config)
-            .into_iter()
-            .filter(|&si| self.active[si])
-            .collect();
+        let mut affected = StmtSet::new();
+        self.affected_into(config, &mut affected);
+        let stmts: Vec<usize> = affected.iter().filter(|&si| self.active[si]).collect();
         // Compiling (Evaluate mode without fault rolls) consumes one
         // optimizer call per statement with statistics available — counted
         // at planning time so the total is deterministic.
@@ -1642,9 +1680,8 @@ impl<'a> BenefitEvaluator<'a> {
             let first_slot = catalog.slot_capacity();
             optimizer
                 .plan(prepared)
-                .used_indexes()
-                .into_iter()
-                .filter_map(|ix| ix.index().checked_sub(first_slot))
+                .uses()
+                .filter_map(|u| u.index.index().checked_sub(first_slot))
                 .map(|slot| CandId(slot as u32))
                 .collect::<Vec<CandId>>()
         });
@@ -1684,7 +1721,7 @@ impl<'a> BenefitEvaluator<'a> {
     /// Total frequency-weighted maintenance cost of one candidate over the
     /// workload's modification statements.
     pub fn mc_total(&mut self, id: CandId) -> f64 {
-        if let Some(&v) = self.mc_totals.get(&id) {
+        if let Some(v) = self.mc_totals[id.index()] {
             return v;
         }
         let mut total = 0.0;
@@ -1713,7 +1750,7 @@ impl<'a> BenefitEvaluator<'a> {
                 total += entry.freq * mc;
             }
         }
-        self.mc_totals.insert(id, total);
+        self.mc_totals[id.index()] = Some(total);
         total
     }
 }
@@ -1796,6 +1833,44 @@ mod tests {
             assert!(g.iter().all(|&id| &set.get(id).collection == coll));
         }
         let _ = ev.benefit(&all);
+
+        // On every prefix of every candidate ordering tried, the groups are
+        // exactly the connected components of the overlap graph: sorted,
+        // disjoint, covering, no edge between two groups, and each group
+        // connected.
+        let overlap = |a: CandId, b: CandId| set.get(a).affected.overlaps(&set.get(b).affected);
+        let ids: Vec<CandId> = set.ids().collect();
+        for stride in [1, 3, 7] {
+            let order: Vec<CandId> = (0..ids.len())
+                .map(|i| ids[(i * stride) % ids.len()])
+                .collect();
+            for len in 0..=order.len() {
+                let config = canonical_key(order[..len].to_vec());
+                let groups = ev.decompose(&config);
+                assert!(groups.windows(2).all(|w| w[0] < w[1]));
+                let mut members: Vec<CandId> = groups.concat();
+                members.sort_unstable();
+                assert_eq!(members, config);
+                for (gi, g) in groups.iter().enumerate() {
+                    assert!(g.windows(2).all(|w| w[0] < w[1]));
+                    for other in &groups[gi + 1..] {
+                        assert!(g.iter().all(|&a| other.iter().all(|&b| !overlap(a, b))));
+                    }
+                    let mut reached = vec![g[0]];
+                    let mut i = 0;
+                    while i < reached.len() {
+                        let a = reached[i];
+                        for &b in g {
+                            if !reached.contains(&b) && overlap(a, b) {
+                                reached.push(b);
+                            }
+                        }
+                        i += 1;
+                    }
+                    assert_eq!(reached.len(), g.len(), "group {g:?} is not connected");
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,16 @@ impl StmtSet {
         self.words[w] |= 1 << (idx % 64);
     }
 
+    /// The bitmap's words, lowest statements first.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Empties the set, keeping its storage.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// Membership test.
     pub fn contains(&self, idx: usize) -> bool {
         self.words
@@ -75,12 +85,14 @@ impl StmtSet {
     /// Iterates member indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| {
-                if w & (1u64 << b) != 0 {
-                    Some(wi * 64 + b)
-                } else {
-                    None
-                }
+            // Lowest set bit first, cleared as it is yielded.
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    wi * 64 + b
+                })
             })
         })
     }
@@ -135,12 +147,6 @@ impl Candidate {
     pub fn is_general_pattern(&self) -> bool {
         self.pattern.is_general()
     }
-
-    /// Key used for deduplication. Structural (the pattern itself, not its
-    /// rendered text): hashing rides the precomputed path signature.
-    pub fn key(&self) -> (String, LinearPath, ValueKind) {
-        (self.collection.clone(), self.pattern.clone(), self.kind)
-    }
 }
 
 impl fmt::Display for Candidate {
@@ -165,7 +171,10 @@ impl fmt::Display for Candidate {
 #[derive(Debug, Default, Clone)]
 pub struct CandidateSet {
     cands: Vec<Candidate>,
-    by_key: HashMap<(String, LinearPath, ValueKind), CandId>,
+    /// Candidates by pattern; the few that share one differ in collection
+    /// or kind. Keyed structurally (hashing rides the precomputed path
+    /// signature) and looked up borrowed.
+    by_pattern: HashMap<LinearPath, Vec<CandId>>,
 }
 
 impl CandidateSet {
@@ -176,25 +185,31 @@ impl CandidateSet {
 
     /// Inserts a candidate or merges with an existing identical one
     /// (union of affected sets; origin stays `Basic` if either was basic).
+    /// The pattern is copied only into a new candidate.
     pub fn insert(
         &mut self,
         collection: &str,
-        pattern: LinearPath,
+        pattern: &LinearPath,
         kind: ValueKind,
         origin: CandOrigin,
     ) -> CandId {
-        let key = (collection.to_string(), pattern.clone(), kind);
-        if let Some(&id) = self.by_key.get(&key) {
+        if let Some(id) = self.lookup(collection, pattern, kind) {
             if origin == CandOrigin::Basic {
                 self.cands[id.index()].origin = CandOrigin::Basic;
             }
             return id;
         }
         let id = CandId(self.cands.len() as u32);
+        match self.by_pattern.get_mut(pattern) {
+            Some(ids) => ids.push(id),
+            None => {
+                self.by_pattern.insert(pattern.clone(), vec![id]);
+            }
+        }
         self.cands.push(Candidate {
             id,
             collection: collection.to_string(),
-            pattern,
+            pattern: pattern.clone(),
             kind,
             origin,
             size: 0,
@@ -202,7 +217,6 @@ impl CandidateSet {
             children: Vec::new(),
             parents: Vec::new(),
         });
-        self.by_key.insert(key, id);
         id
     }
 
@@ -213,9 +227,10 @@ impl CandidateSet {
         pattern: &LinearPath,
         kind: ValueKind,
     ) -> Option<CandId> {
-        self.by_key
-            .get(&(collection.to_string(), pattern.clone(), kind))
-            .copied()
+        self.by_pattern.get(pattern)?.iter().copied().find(|&id| {
+            let c = &self.cands[id.index()];
+            c.kind == kind && c.collection == collection
+        })
     }
 
     /// Borrows a candidate.
@@ -341,13 +356,13 @@ mod tests {
         let mut set = CandidateSet::new();
         let a = set.insert(
             "SDOC",
-            lp("/Security/Symbol"),
+            &lp("/Security/Symbol"),
             ValueKind::Str,
             CandOrigin::Basic,
         );
         let b = set.insert(
             "SDOC",
-            lp("/Security/Symbol"),
+            &lp("/Security/Symbol"),
             ValueKind::Str,
             CandOrigin::Generalized,
         );
@@ -356,7 +371,7 @@ mod tests {
         // Same pattern, different kind → different candidate.
         let c = set.insert(
             "SDOC",
-            lp("/Security/Symbol"),
+            &lp("/Security/Symbol"),
             ValueKind::Num,
             CandOrigin::Basic,
         );
@@ -364,7 +379,7 @@ mod tests {
         // Same pattern, different collection → different candidate.
         let d = set.insert(
             "ODOC",
-            lp("/Security/Symbol"),
+            &lp("/Security/Symbol"),
             ValueKind::Str,
             CandOrigin::Basic,
         );
@@ -374,18 +389,18 @@ mod tests {
     #[test]
     fn basic_origin_wins_on_merge() {
         let mut set = CandidateSet::new();
-        let a = set.insert("S", lp("/a/b"), ValueKind::Str, CandOrigin::Generalized);
+        let a = set.insert("S", &lp("/a/b"), ValueKind::Str, CandOrigin::Generalized);
         assert_eq!(set.get(a).origin, CandOrigin::Generalized);
-        set.insert("S", lp("/a/b"), ValueKind::Str, CandOrigin::Basic);
+        set.insert("S", &lp("/a/b"), ValueKind::Str, CandOrigin::Basic);
         assert_eq!(set.get(a).origin, CandOrigin::Basic);
     }
 
     #[test]
     fn dag_edges_and_roots() {
         let mut set = CandidateSet::new();
-        let child1 = set.insert("S", lp("/a/b"), ValueKind::Str, CandOrigin::Basic);
-        let child2 = set.insert("S", lp("/a/c"), ValueKind::Str, CandOrigin::Basic);
-        let parent = set.insert("S", lp("/a/*"), ValueKind::Str, CandOrigin::Generalized);
+        let child1 = set.insert("S", &lp("/a/b"), ValueKind::Str, CandOrigin::Basic);
+        let child2 = set.insert("S", &lp("/a/c"), ValueKind::Str, CandOrigin::Basic);
+        let parent = set.insert("S", &lp("/a/*"), ValueKind::Str, CandOrigin::Generalized);
         set.add_edge(parent, child1);
         set.add_edge(parent, child2);
         set.add_edge(parent, child1); // idempotent
@@ -399,8 +414,8 @@ mod tests {
     #[test]
     fn config_size_sums() {
         let mut set = CandidateSet::new();
-        let a = set.insert("S", lp("/a/b"), ValueKind::Str, CandOrigin::Basic);
-        let b = set.insert("S", lp("/a/c"), ValueKind::Str, CandOrigin::Basic);
+        let a = set.insert("S", &lp("/a/b"), ValueKind::Str, CandOrigin::Basic);
+        let b = set.insert("S", &lp("/a/c"), ValueKind::Str, CandOrigin::Basic);
         set.get_mut(a).size = 100;
         set.get_mut(b).size = 250;
         assert_eq!(set.config_size(&[a, b]), 350);

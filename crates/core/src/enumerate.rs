@@ -60,15 +60,18 @@ pub fn enumerate_candidates_into(
         };
         let mut optimizer = Optimizer::new(collection, stats, catalog);
         optimizer.set_telemetry(telemetry);
-        for cand in optimizer.enumerate_indexes(&entry.statement) {
+        let coll = entry.statement.collection();
+        // A pattern the statement exposes twice merges into its first
+        // insertion, so the repeat changes nothing.
+        optimizer.enumerate_indexes_with(&entry.statement, |pattern, kind| {
             let known = set.len();
-            let id = set.insert(&cand.collection, cand.pattern, cand.kind, CandOrigin::Basic);
+            let id = set.insert(coll, pattern, kind, CandOrigin::Basic);
             set.get_mut(id).affected.insert(si);
             // Ids are append-only, so one past the old end is a new one.
             if id.index() >= known {
                 fresh.push(id);
             }
-        }
+        });
     }
     fresh
 }
@@ -210,7 +213,7 @@ mod tests {
         let mut set = enumerate_candidates(&mut db, &w);
         let g = set.insert(
             "SDOC",
-            xia_xpath::parse_linear_path("/Security//*").unwrap(),
+            &xia_xpath::parse_linear_path("/Security//*").unwrap(),
             xia_xpath::ValueKind::Str,
             crate::candidate::CandOrigin::Generalized,
         );

@@ -75,65 +75,85 @@ fn filler() -> LinearStep {
 /// the same list (`gen_axis` and `gen_node` are symmetric and Rules 2/3
 /// and the two Rule 4 alignments swap roles).
 pub fn generalize_pair(p: &LinearPath, q: &LinearPath) -> Vec<LinearPath> {
+    generalize_pair_in(p, q, &mut PairScratch::default())
+}
+
+/// The buffers one `generalize_pair` walk works in, kept by a caller that
+/// generalizes many pairs so each walk allocates only its results.
+#[derive(Default)]
+struct PairScratch {
+    /// The partial generalization all frames share.
+    gen: Vec<LinearStep>,
+    /// A finished generalization after the Rule 0 rewrite.
+    rewritten: LinearPath,
+    /// Frames: `gen`'s length when pushed, the step appended, the cursors.
+    work: Vec<(usize, Option<LinearStep>, usize, usize)>,
+    results: HashSet<LinearPath>,
+}
+
+/// [`generalize_pair`] in `scratch`.
+fn generalize_pair_in(
+    p: &LinearPath,
+    q: &LinearPath,
+    scratch: &mut PairScratch,
+) -> Vec<LinearPath> {
     if p.is_empty() || q.is_empty() {
         return Vec::new();
     }
-    let mut results: HashSet<LinearPath> = HashSet::new();
-    // An explicit worklist instead of recursion: a frame is the partial
-    // generalization built so far plus the two cursors. Rule 4 branches by
-    // pushing up to three successor frames, so the traversal is the same
-    // DFS the recursive formulation performed — but paths at the
-    // MAX_PATH_STEPS parser cap cannot overflow the thread stack.
-    let mut work: Vec<(Vec<LinearStep>, usize, usize)> = vec![(Vec::new(), 0, 0)];
-    while let Some((gen, i, j)) = work.pop() {
+    let PairScratch {
+        gen,
+        rewritten,
+        work,
+        results,
+    } = scratch;
+    // An explicit worklist instead of recursion, so paths at the
+    // MAX_PATH_STEPS parser cap cannot overflow the thread stack. All
+    // frames share one partial generalization `gen`: a frame is the length
+    // `gen` had when it was pushed, the step it appends, and the two
+    // cursors. Frames are popped depth first, so a frame's prefix is
+    // intact when it runs (its subtree writes only past it). Rule 4
+    // branches by pushing up to three successor frames.
+    work.push((0, None, 0, 0));
+    while let Some((len, step, i, j)) = work.pop() {
+        gen.truncate(len);
+        gen.extend(step);
         let last_p = i + 1 == p.steps.len();
         let last_q = j + 1 == q.steps.len();
         match (last_p, last_q) {
             // Rule 1 (via Algorithm 1 line 4-12): consume the two last
             // steps together, rewrite, emit.
             (true, true) => {
-                let mut gen = gen;
                 gen.push(gen_node(&p.steps[i], &q.steps[j]));
-                results.insert(LinearPath::new(gen).rewrite_rule0());
+                LinearPath::rewrite_rule0_into(gen, &mut rewritten.steps);
+                if !results.contains(&*rewritten) {
+                    results.insert(rewritten.clone());
+                }
             }
             // Rules 2/3: a last step can only generalize with another last
             // step; fast-forward the non-last side to its last step,
             // recording the skipped steps as a `/*` filler.
-            (true, false) => {
-                let mut gen = gen;
-                gen.push(filler());
-                work.push((gen, i, q.steps.len() - 1));
-            }
-            (false, true) => {
-                let mut gen = gen;
-                gen.push(filler());
-                work.push((gen, p.steps.len() - 1, j));
-            }
+            (true, false) => work.push((gen.len(), Some(filler()), i, q.steps.len() - 1)),
+            (false, true) => work.push((gen.len(), Some(filler()), p.steps.len() - 1, j)),
             // Rule 4: both middle steps.
             (false, false) => {
                 // (1) Consume the pair and advance both.
-                let mut g1 = gen.clone();
-                g1.push(gen_node(&p.steps[i], &q.steps[j]));
-                work.push((g1, i + 1, j + 1));
+                let node = gen_node(&p.steps[i], &q.steps[j]);
+                work.push((gen.len(), Some(node), i + 1, j + 1));
                 // (2) Align q's current step with its first re-occurrence
                 // in p's remainder (skipping p steps → filler).
                 if let Some(k) = find_occurrence(&p.steps, i + 1, q.steps[j].test) {
-                    let mut g2 = gen.clone();
-                    g2.push(filler());
-                    work.push((g2, k, j));
+                    work.push((gen.len(), Some(filler()), k, j));
                 }
                 // (3) Symmetric.
                 if let Some(k) = find_occurrence(&q.steps, j + 1, p.steps[i].test) {
-                    let mut g3 = gen;
-                    g3.push(filler());
-                    work.push((g3, i, k));
+                    work.push((gen.len(), Some(filler()), i, k));
                 }
             }
         }
     }
     // Hash-based dedup plus an explicit sort reproduces the ordering the
     // original `BTreeSet` collection gave (`Ord` on paths is total).
-    let mut out: Vec<LinearPath> = results.into_iter().collect();
+    let mut out: Vec<LinearPath> = results.drain().collect();
     out.sort_unstable();
     out
 }
@@ -173,14 +193,9 @@ fn generalize_set_naive(set: &mut CandidateSet, t: &Telemetry, j: &EventJournal)
                 if ca.collection != cb.collection || ca.kind != cb.kind {
                     continue;
                 }
-                let (pa, pb, coll, kind) = (
-                    ca.pattern.clone(),
-                    cb.pattern.clone(),
-                    ca.collection.clone(),
-                    ca.kind,
-                );
-                let results = generalize_pair(&pa, &pb);
-                apply_pair_results(set, &results, a, b, &pa, &pb, &coll, kind, j, |gid| {
+                let (coll, kind) = (ca.collection.clone(), ca.kind);
+                let results = generalize_pair(&ca.pattern, &cb.pattern);
+                apply_pair_results(set, &results, a, b, &coll, kind, j, |gid| {
                     new_ids.push(gid);
                     created.push(gid);
                 });
@@ -270,38 +285,32 @@ fn fixpoint_fast(
     j: &EventJournal,
 ) -> Vec<CandId> {
     let mut created = Vec::new();
-    let mut buckets: HashMap<(String, ValueKind), Vec<CandId>> = HashMap::new();
-    let mut all_len = 0usize;
-    let all_ids: Vec<CandId> = set.ids().collect();
-    for id in all_ids {
-        let c = set.get(id);
-        buckets
-            .entry((c.collection.clone(), c.kind))
-            .or_default()
-            .push(id);
-        all_len += 1;
+    let mut seen = Members::default();
+    for id in set.ids() {
+        seen.join(set, id);
     }
-    // Two-level memo (smaller pattern → larger pattern → results) so hits
-    // cost two borrowed lookups and misses move their already-owned
-    // patterns in — no per-pair clones on either path.
-    let mut memo: HashMap<LinearPath, HashMap<LinearPath, Vec<LinearPath>>> = HashMap::new();
+    let mut all_len = set.len();
+    // `generalize_pair` results by unordered pair of pattern ids (the
+    // rule engine is symmetric in its arguments).
+    let mut memo: HashMap<(u32, u32), Vec<LinearPath>> = HashMap::new();
+    let mut scratch = PairScratch::default();
+    // Frontier position per candidate (`usize::MAX`: not in the frontier).
+    let mut fpos: Vec<usize> = Vec::new();
     while !frontier.is_empty() {
         // Frontier positions drive the unordered-pair dedup: the naive
         // loop's first visit of a frontier pair is the one where `a` comes
         // earlier in the frontier.
-        let fpos: HashMap<CandId, usize> = frontier
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
+        fpos.clear();
+        fpos.resize(set.len(), usize::MAX);
+        for (i, &id) in frontier.iter().enumerate() {
+            fpos[id.index()] = i;
+        }
         let mut new_ids = Vec::new();
         for (fa, &a) in frontier.iter().enumerate() {
-            let ca = set.get(a);
-            let key = (ca.collection.clone(), ca.kind);
             // Buckets are only extended at round end, so the round-start
             // snapshot can be borrowed across the set mutations below
             // (only `set`, `memo`, and `new_ids` change inside the loop).
-            let bucket: &[CandId] = buckets.get(&key).map_or(&[], Vec::as_slice);
+            let ((coll, kind), bucket) = &seen.buckets[seen.bucket_of[a.index()]];
             // Everything outside the bucket is an incompatible pair the
             // naive loop would have enumerated and discarded.
             t.add(Counter::PairsSkippedBucket, (all_len - bucket.len()) as u64);
@@ -309,51 +318,31 @@ fn fixpoint_fast(
                 if b == a {
                     continue;
                 }
-                if let Some(&fb) = fpos.get(&b) {
-                    if fb < fa {
-                        // (b, a) was already processed this round; this
-                        // reversed visit is the naive loop's no-op.
-                        continue;
-                    }
+                if fpos[b.index()] < fa {
+                    // (b, a) was already processed this round; this
+                    // reversed visit is the naive loop's no-op.
+                    continue;
                 }
                 t.incr(Counter::GeneralizePairsVisited);
-                let (pa, pb, coll, kind) = {
-                    let (ca, cb) = (set.get(a), set.get(b));
-                    (
-                        ca.pattern.clone(),
-                        cb.pattern.clone(),
-                        ca.collection.clone(),
-                        ca.kind,
-                    )
+                let (ka, kb) = (seen.pattern_of[a.index()], seen.pattern_of[b.index()]);
+                let key = (ka.min(kb), ka.max(kb));
+                let on_new = |gid| {
+                    new_ids.push(gid);
+                    created.push(gid);
                 };
-                let swapped = pb < pa;
-                let cached = {
-                    let (k1, k2) = if swapped { (&pb, &pa) } else { (&pa, &pb) };
-                    memo.get(k1).and_then(|m| m.get(k2))
-                };
-                if let Some(results) = cached {
+                if let Some(results) = memo.get(&key) {
                     t.incr(Counter::PairsMemoHits);
-                    apply_pair_results(set, results, a, b, &pa, &pb, &coll, kind, j, |gid| {
-                        new_ids.push(gid);
-                        created.push(gid);
-                    });
+                    apply_pair_results(set, results, a, b, coll, *kind, j, on_new);
                 } else {
-                    let r = generalize_pair(&pa, &pb);
-                    apply_pair_results(set, &r, a, b, &pa, &pb, &coll, kind, j, |gid| {
-                        new_ids.push(gid);
-                        created.push(gid);
-                    });
-                    let (k1, k2) = if swapped { (pb, pa) } else { (pa, pb) };
-                    memo.entry(k1).or_default().insert(k2, r);
+                    let (pa, pb) = (&set.get(a).pattern, &set.get(b).pattern);
+                    let r = generalize_pair_in(pa, pb, &mut scratch);
+                    apply_pair_results(set, &r, a, b, coll, *kind, j, on_new);
+                    memo.insert(key, r);
                 }
             }
         }
         for &gid in &new_ids {
-            let c = set.get(gid);
-            buckets
-                .entry((c.collection.clone(), c.kind))
-                .or_default()
-                .push(gid);
+            seen.join(set, gid);
         }
         all_len += new_ids.len();
         frontier = new_ids;
@@ -361,45 +350,83 @@ fn fixpoint_fast(
     created
 }
 
+/// What a pair visit of the fixpoint reads besides the set, recorded once
+/// per candidate when it joins: its compatibility bucket (each bucket
+/// holding its (collection, kind) key) and the dense id of its pattern,
+/// each distinct pattern cloned once. Patterns are read from the set
+/// itself, so no visit clones a pattern or a collection name.
+#[derive(Default)]
+struct Members {
+    buckets: Vec<((String, ValueKind), Vec<CandId>)>,
+    bucket_of: Vec<usize>,
+    pattern_ids: HashMap<LinearPath, u32>,
+    pattern_of: Vec<u32>,
+}
+
+impl Members {
+    /// Records candidate `id`, the next one of `set` not yet seen.
+    fn join(&mut self, set: &CandidateSet, id: CandId) {
+        debug_assert_eq!(id.index(), self.bucket_of.len(), "joined in id order");
+        let c = set.get(id);
+        let at = (self.buckets.iter())
+            .position(|((coll, kind), _)| *coll == c.collection && *kind == c.kind)
+            .unwrap_or_else(|| {
+                self.buckets
+                    .push(((c.collection.clone(), c.kind), Vec::new()));
+                self.buckets.len() - 1
+            });
+        self.buckets[at].1.push(id);
+        self.bucket_of.push(at);
+        let pid = match self.pattern_ids.get(&c.pattern) {
+            Some(&pid) => pid,
+            None => {
+                let pid = self.pattern_ids.len() as u32;
+                self.pattern_ids.insert(c.pattern.clone(), pid);
+                pid
+            }
+        };
+        self.pattern_of.push(pid);
+    }
+}
+
 /// Applies one visited pair's generalization results to the set — the loop
 /// body shared verbatim by both fixpoints, so their per-pair effects cannot
-/// drift apart. `on_new` fires for results whose pattern was not in the set
-/// before this call; the journal records that first derivation only, so
-/// fast and naive runs emit identical event streams.
+/// drift apart. `a` and `b` live on `coll` with key type `kind`. `on_new`
+/// fires for results whose pattern was not in the set before this call;
+/// the journal records that first derivation only, so fast and naive runs
+/// emit identical event streams.
 #[allow(clippy::too_many_arguments)]
 fn apply_pair_results(
     set: &mut CandidateSet,
     results: &[LinearPath],
     a: CandId,
     b: CandId,
-    pa: &LinearPath,
-    pb: &LinearPath,
     coll: &str,
     kind: ValueKind,
     j: &EventJournal,
     mut on_new: impl FnMut(CandId),
 ) {
     for g in results {
+        let (pa, pb) = (&set.get(a).pattern, &set.get(b).pattern);
         // Safety: a generalization must cover both inputs.
         if !contain::covers(g, pa) || !contain::covers(g, pb) {
             continue;
         }
         // Skip results equivalent to an input (no new pattern).
         if g == pa || g == pb {
-            let target = if g == pa { a } else { b };
-            let other = if g == pa { b } else { a };
+            let (target, other) = if g == pa { (a, b) } else { (b, a) };
             set.add_edge(target, other);
             continue;
         }
         let existing = set.lookup(coll, g, kind);
-        let gid = set.insert(coll, g.clone(), kind, CandOrigin::Generalized);
+        let gid = existing.unwrap_or_else(|| set.insert(coll, g, kind, CandOrigin::Generalized));
         set.add_edge(gid, a);
         set.add_edge(gid, b);
         if existing.is_none() {
             j.emit(|| Event::PairGeneralized {
                 collection: coll.to_string(),
-                left: pa.to_string(),
-                right: pb.to_string(),
+                left: set.get(a).pattern.to_string(),
+                right: set.get(b).pattern.to_string(),
                 result: g.to_string(),
             });
             j.emit(|| Event::CandidateGenerated {
@@ -418,15 +445,15 @@ fn apply_pair_results(
 fn union_affected_from_basics(set: &mut CandidateSet, created: &[CandId]) {
     let basics = set.basic_ids();
     for &gid in created {
-        let gp = set.get(gid).pattern.clone();
-        let mut affected = set.get(gid).affected.clone();
+        let g = set.get(gid);
+        let mut affected = g.affected.clone();
         for &b in &basics {
             let cb = set.get(b);
-            if cb.collection == set.get(gid).collection
-                && cb.kind == set.get(gid).kind
-                && contain::covers(&gp, &cb.pattern)
+            if cb.collection == g.collection
+                && cb.kind == g.kind
+                && contain::covers(&g.pattern, &cb.pattern)
             {
-                affected.union_with(&cb.affected.clone());
+                affected.union_with(&cb.affected);
             }
         }
         set.get_mut(gid).affected = affected;
@@ -564,20 +591,20 @@ mod tests {
         let mut set = CandidateSet::new();
         let c1 = set.insert(
             "SDOC",
-            lp("/Security/Symbol"),
+            &lp("/Security/Symbol"),
             xia_xpath::ValueKind::Str,
             CandOrigin::Basic,
         );
         let c2 = set.insert(
             "SDOC",
-            lp("/Security/SecInfo/*/Sector"),
+            &lp("/Security/SecInfo/*/Sector"),
             xia_xpath::ValueKind::Str,
             CandOrigin::Basic,
         );
         // C3 is numerical: must not generalize with C1/C2 (paper Table I).
         let c3 = set.insert(
             "SDOC",
-            lp("/Security/Yield"),
+            &lp("/Security/Yield"),
             xia_xpath::ValueKind::Num,
             CandOrigin::Basic,
         );
@@ -603,13 +630,13 @@ mod tests {
         let mut set = CandidateSet::new();
         set.insert(
             "SDOC",
-            lp("/Security/Symbol"),
+            &lp("/Security/Symbol"),
             xia_xpath::ValueKind::Str,
             CandOrigin::Basic,
         );
         set.insert(
             "ODOC",
-            lp("/Order/Symbol"),
+            &lp("/Order/Symbol"),
             xia_xpath::ValueKind::Str,
             CandOrigin::Basic,
         );
@@ -623,15 +650,15 @@ mod tests {
         for leaf in ["a", "b", "c", "d", "e"] {
             set.insert(
                 "C",
-                lp(&format!("/root/mid/{leaf}")),
+                &lp(&format!("/top/mid/{leaf}")),
                 xia_xpath::ValueKind::Str,
                 CandOrigin::Basic,
             );
         }
         let created = generalize_set(&mut set);
-        // All pairs generalize to the single /root/mid/*.
+        // All pairs generalize to the single /top/mid/*.
         assert_eq!(created.len(), 1);
-        assert_eq!(set.get(created[0]).pattern.to_string(), "/root/mid/*");
+        assert_eq!(set.get(created[0]).pattern.to_string(), "/top/mid/*");
         assert_eq!(set.get(created[0]).children.len(), 5);
     }
 
@@ -640,7 +667,7 @@ mod tests {
         // Mixed-shape candidates must reach a fixpoint without explosion.
         let mut set = CandidateSet::new();
         for p in ["/s/a/x", "/s/b/x", "/s/a/y", "/s/c/d/x", "/s//y", "/t/a"] {
-            set.insert("C", lp(p), xia_xpath::ValueKind::Str, CandOrigin::Basic);
+            set.insert("C", &lp(p), xia_xpath::ValueKind::Str, CandOrigin::Basic);
         }
         let created = generalize_set(&mut set);
         assert!(!created.is_empty());
@@ -656,7 +683,7 @@ mod tests {
         let build = || {
             let mut set = CandidateSet::new();
             for (i, (coll, path, kind)) in seed_paths.iter().enumerate() {
-                let id = set.insert(coll, lp(path), *kind, CandOrigin::Basic);
+                let id = set.insert(coll, &lp(path), *kind, CandOrigin::Basic);
                 set.get_mut(id).affected.insert(i);
             }
             set
@@ -814,13 +841,13 @@ mod tests {
         // Incremental: generalize the old basics, then insert + extend.
         let mut inc = CandidateSet::new();
         for (i, (coll, path)) in old.iter().enumerate() {
-            let id = inc.insert(coll, lp(path), Str, CandOrigin::Basic);
+            let id = inc.insert(coll, &lp(path), Str, CandOrigin::Basic);
             inc.get_mut(id).affected.insert(i);
         }
         generalize_set_fast(&mut inc, &Telemetry::off(), &EventJournal::off());
         let mut new_ids = Vec::new();
         for (i, (coll, path)) in new.iter().enumerate() {
-            let id = inc.insert(coll, lp(path), Str, CandOrigin::Basic);
+            let id = inc.insert(coll, &lp(path), Str, CandOrigin::Basic);
             inc.get_mut(id).affected.insert(old.len() + i);
             new_ids.push(id);
         }
@@ -828,7 +855,7 @@ mod tests {
         // Full: everything from scratch.
         let mut full = CandidateSet::new();
         for (i, (coll, path)) in old.iter().chain(new.iter()).enumerate() {
-            let id = full.insert(coll, lp(path), Str, CandOrigin::Basic);
+            let id = full.insert(coll, &lp(path), Str, CandOrigin::Basic);
             full.get_mut(id).affected.insert(i);
         }
         generalize_set_fast(&mut full, &Telemetry::off(), &EventJournal::off());
@@ -842,15 +869,15 @@ mod tests {
     fn extend_refreshes_affected_of_existing_generalizations() {
         use xia_xpath::ValueKind::Str;
         let mut set = CandidateSet::new();
-        let a = set.insert("C", lp("/r/a/x"), Str, CandOrigin::Basic);
-        let b = set.insert("C", lp("/r/b/x"), Str, CandOrigin::Basic);
+        let a = set.insert("C", &lp("/r/a/x"), Str, CandOrigin::Basic);
+        let b = set.insert("C", &lp("/r/b/x"), Str, CandOrigin::Basic);
         set.get_mut(a).affected.insert(0);
         set.get_mut(b).affected.insert(1);
         let created = generalize_set_fast(&mut set, &Telemetry::off(), &EventJournal::off());
         assert_eq!(created.len(), 1);
         let g = created[0];
         // A later statement re-produces /r/a/x: insert merges affected.
-        let a2 = set.insert("C", lp("/r/a/x"), Str, CandOrigin::Basic);
+        let a2 = set.insert("C", &lp("/r/a/x"), Str, CandOrigin::Basic);
         assert_eq!(a2, a);
         set.get_mut(a).affected.insert(2);
         generalize_set_extend(&mut set, &[], &Telemetry::off(), &EventJournal::off());
@@ -878,7 +905,7 @@ mod tests {
         let build = || {
             let mut set = CandidateSet::new();
             for (coll, path, kind) in &seeds {
-                set.insert(coll, lp(path), *kind, CandOrigin::Basic);
+                set.insert(coll, &lp(path), *kind, CandOrigin::Basic);
             }
             set
         };

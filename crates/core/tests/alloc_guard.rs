@@ -23,12 +23,19 @@
 //! heap allocation at all (the product search it replaced made at least
 //! eight per call).
 //!
+//! And it pins the advisor core's counts on the same pool's workload (415
+//! statements, 66 candidates): preparing the candidate set, building a
+//! benefit evaluator, and one recommendation per algorithm at half the
+//! All-Index size. The core allocates per statement and per new costing,
+//! not per path step, generalization pair or probe; the counts it made
+//! when it did are kept beside the pins.
+//!
 //! The counter is per thread, so each test counts only its own
 //! allocations while the harness runs the tests side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xia_advisor::{compress_workload, Advisor, AdvisorParams};
+use xia_advisor::{compress_workload, Advisor, AdvisorParams, BenefitEvaluator, SearchAlgorithm};
 use xia_obs::{EventJournal, Telemetry};
 use xia_optimizer::statement_signature;
 use xia_storage::Database;
@@ -168,10 +175,10 @@ fn the_front_end_allocates_per_template_not_per_token() {
     );
 }
 
-#[test]
-fn covers_allocates_nothing() {
-    // The search-sweep workload's shape at a small scale: the TPoX
-    // queries, synthetic path queries over the securities, the update mix.
+/// The search-sweep workload's shape at a small scale: the TPoX queries,
+/// synthetic path queries over the securities, the update mix (415
+/// statements, 66 candidates).
+fn advisor_workload() -> (Database, Workload) {
     let cfg = TpoxConfig::tiny();
     let mut db = Database::new();
     tpox::generate(&mut db, &cfg);
@@ -188,14 +195,22 @@ fn covers_allocates_nothing() {
     texts.extend(tpox::update_mix(&cfg));
     let workload =
         Workload::from_texts(texts.iter().map(String::as_str)).expect("generated statements parse");
-    let set = Advisor::prepare(
-        &mut db,
-        &workload,
-        &AdvisorParams {
-            jobs: 1,
-            ..AdvisorParams::default()
-        },
-    );
+    (db, workload)
+}
+
+/// One worker: the counter is per thread, so costing fanned out to
+/// workers would go uncounted.
+fn one_job() -> AdvisorParams {
+    AdvisorParams {
+        jobs: 1,
+        ..AdvisorParams::default()
+    }
+}
+
+#[test]
+fn covers_allocates_nothing() {
+    let (mut db, workload) = advisor_workload();
+    let set = Advisor::prepare(&mut db, &workload, &one_job());
     // The candidates' patterns and the statements' access patterns: the
     // pairs generalization, relevance and index matching ask about.
     let mut patterns: Vec<LinearPath> = set.iter().map(|c| c.pattern.clone()).collect();
@@ -229,4 +244,55 @@ fn covers_allocates_nothing() {
         allocations, 0,
         "covers made {allocations} allocations over {pairs} pairs"
     );
+}
+
+/// Allocations of each advisor stage on [`advisor_workload`]: this
+/// build's, and what the core made while it cloned keys per probe and
+/// normalized each statement three times.
+const ADVISOR_STAGES: [(&str, u64, u64); 8] = [
+    ("prepare", 5_056, 21_997),
+    ("evaluator", 5_214, 12_934),
+    ("greedy", 14_119, 49_106),
+    ("heuristics", 16_290, 52_383),
+    ("topdown-lite", 14_338, 48_749),
+    ("topdown-full", 23_090, 80_585),
+    ("dp", 14_192, 49_179),
+    ("cophy", 6_944, 30_455),
+];
+
+#[test]
+fn the_advisor_allocates_per_statement_not_per_probe() {
+    let (mut db, workload) = advisor_workload();
+    let params = one_job();
+    let (set, preparing) = counted(|| Advisor::prepare(&mut db, &workload, &params));
+    assert_eq!(
+        (workload.len(), set.len()),
+        (415, 66),
+        "the guard's workload"
+    );
+    let (_, building) =
+        counted(|| BenefitEvaluator::configured(&db, &workload, &set, &params).baseline_cost());
+    let mut counts = vec![("prepare", preparing), ("evaluator", building)];
+    let budget = set.config_size(&Advisor::all_index_config(&set)) / 2;
+    for algorithm in SearchAlgorithm::ALL {
+        // Fresh parameters per run: a telemetry sink allocates for each
+        // span name it sees first.
+        let params = one_job();
+        let (_, recommending) = counted(|| {
+            Advisor::recommend(&mut db, &workload, budget, algorithm, &params)
+                .expect("the workload is advisable")
+        });
+        counts.push((algorithm.name(), recommending));
+    }
+    for ((stage, count), (pinned_stage, pinned, before)) in counts.into_iter().zip(ADVISOR_STAGES) {
+        assert_eq!(stage, pinned_stage);
+        assert!(
+            2 * count <= before,
+            "{stage}: {count} allocations, not half of the {before} before"
+        );
+        assert_eq!(
+            count, pinned,
+            "{stage}: {count} allocations, pinned at {pinned}; re-pin if the change is meant"
+        );
+    }
 }

@@ -30,7 +30,6 @@ pub mod journal;
 pub mod json;
 pub mod provenance;
 mod report;
-mod snapshot;
 mod span;
 
 pub use counter::Counter;
@@ -38,7 +37,6 @@ pub use event::{Event, PruneReason};
 pub use hist::{Hist, HistSummary, LatencyHistogram};
 pub use journal::EventJournal;
 pub use report::{hist_summary_to_json, StatementTrace, TraceReport};
-pub use snapshot::MetricsSnapshot;
 pub use span::SpanSnapshot;
 
 use span::SpanStore;
@@ -146,7 +144,7 @@ impl Telemetry {
 
     /// A clone of a named histogram's current state (empty on a disabled
     /// handle).
-    pub fn hist_snapshot(&self, hist: Hist) -> LatencyHistogram {
+    pub(crate) fn hist_snapshot(&self, hist: Hist) -> LatencyHistogram {
         match &self.inner {
             Some(inner) => inner.hists[hist.index()]
                 .lock()

@@ -23,7 +23,7 @@ use xia_obs::{Counter, Telemetry};
 use xia_storage::{Catalog, CatalogView, Collection, CollectionStats};
 use xia_xpath::{
     normalize_statement, AccessPattern, LinearPath, NormalizedQuery, PatternPred, Statement,
-    ValueKind,
+    StatementSignature, ValueKind,
 };
 
 /// An Evaluate-mode costing failure. The what-if interface treats the
@@ -107,7 +107,7 @@ impl<'a> Optimizer<'a> {
     }
 
     /// [`Optimizer::with_view`] with a custom cost model.
-    pub fn with_view_cost_model(
+    fn with_view_cost_model(
         collection: &'a Collection,
         stats: &'a CollectionStats,
         view: CatalogView<'a>,
@@ -146,11 +146,6 @@ impl<'a> Optimizer<'a> {
         self.evaluate_calls.get()
     }
 
-    /// Resets the Evaluate-mode call counter.
-    pub fn reset_calls(&self) {
-        self.evaluate_calls.set(0);
-    }
-
     /// **Enumerate Indexes mode** (paper Section IV): optimize `stmt` with
     /// the universal `//*` virtual index in place and return the rewritten
     /// query patterns that index matching matched — the basic candidates.
@@ -159,11 +154,32 @@ impl<'a> Optimizer<'a> {
     /// patterns of the normalized statement) and carry the key type implied
     /// by the compared literal.
     pub fn enumerate_indexes(&self, stmt: &Statement) -> Vec<CandidatePattern> {
+        let mut out: Vec<CandidatePattern> = Vec::new();
+        self.enumerate_indexes_with(stmt, |pattern, kind| {
+            let cand = CandidatePattern {
+                collection: stmt.collection().to_string(),
+                pattern: pattern.clone(),
+                kind,
+            };
+            if !out.contains(&cand) {
+                out.push(cand);
+            }
+        });
+        out
+    }
+
+    /// [`Optimizer::enumerate_indexes`] without collecting: `visit` sees
+    /// each matched pattern (over `stmt`'s collection) and its key type in
+    /// order, repeats included.
+    pub fn enumerate_indexes_with(
+        &self,
+        stmt: &Statement,
+        mut visit: impl FnMut(&LinearPath, ValueKind),
+    ) {
         self.telemetry.incr(Counter::OptimizerEnumerateCalls);
         let Some(nq) = normalize_statement(stmt) else {
-            return Vec::new(); // inserts read nothing
+            return; // inserts read nothing
         };
-        let mut out: Vec<CandidatePattern> = Vec::new();
         for ap in nq.patterns.iter().chain(nq.or_groups.iter().flatten()) {
             // The //* universal index matches every indexable pattern.
             if !matching::pattern_is_indexable(ap) {
@@ -172,17 +188,8 @@ impl<'a> Optimizer<'a> {
             // Existence patterns become string-typed candidates (the key
             // type is irrelevant for structural access; DB2 would create a
             // VARCHAR index).
-            let kind = ap.pred.value_kind().unwrap_or(ValueKind::Str);
-            let cand = CandidatePattern {
-                collection: nq.collection.clone(),
-                pattern: ap.linear.clone(),
-                kind,
-            };
-            if !out.contains(&cand) {
-                out.push(cand);
-            }
+            visit(&ap.linear, ap.pred.value_kind().unwrap_or(ValueKind::Str));
         }
-        out
     }
 
     /// **Evaluate Indexes mode** (paper Section III): return the best plan
@@ -203,12 +210,16 @@ impl<'a> Optimizer<'a> {
         Ok(self.optimize(stmt))
     }
 
-    /// [`Optimizer::try_optimize`] over a prepared statement: the fault
-    /// roll, then [`Optimizer::plan`]. The advisor's what-if calls go
-    /// through this so they can degrade gracefully.
-    pub fn try_plan(&self, prepared: &PreparedStatement) -> Result<Plan, CostError> {
+    /// The what-if call: [`Optimizer::try_optimize`]'s fault roll over a
+    /// prepared statement, then the cost [`Optimizer::plan`] would report,
+    /// without building the plan. The advisor's what-if calls go through
+    /// this so they can degrade gracefully.
+    pub fn try_plan_cost(&self, prepared: &PreparedStatement) -> Result<f64, CostError> {
         self.roll_cost_fault()?;
-        Ok(self.plan(prepared))
+        Ok(match self.count_plan(prepared) {
+            Ok(q) => self.choose(q, &mut DraftBuf::new(q)).1,
+            Err(cost) => cost,
+        })
     }
 
     fn roll_cost_fault(&self) -> Result<(), CostError> {
@@ -370,100 +381,130 @@ impl<'a> Optimizer<'a> {
     /// statistics are this optimizer's: it must be bound to the statistics
     /// (and cost model) the statement was prepared from.
     pub fn plan(&self, prepared: &PreparedStatement) -> Plan {
+        let q = match self.count_plan(prepared) {
+            Ok(q) => q,
+            Err(cost) => {
+                return Plan {
+                    access: AccessChoice::Scan,
+                    est_docs: 1.0,
+                    total_cost: cost,
+                    scan_cost: cost,
+                }
+            }
+        };
+        let mut buf = DraftBuf::new(q);
+        let (len, total_cost) = self.choose(q, &mut buf);
+        let drafts = &buf.as_mut()[..len];
+        if drafts.is_empty() {
+            return Plan {
+                access: AccessChoice::Scan,
+                est_docs: q.est_docs_scan,
+                total_cost,
+                scan_cost: q.scan_cost,
+            };
+        }
+        let steps = drafts
+            .iter()
+            .map(|d| match d.source {
+                Source::Probe(u) => PlanStep::Probe(u),
+                Source::Union(gi) => PlanStep::Union {
+                    group: gi,
+                    branches: (q.or_groups[gi].branches.iter().enumerate())
+                        .map(|(bi, p)| {
+                            self.best_index_use(bi, p, false)
+                                .expect("a union is planned only when every branch matches")
+                        })
+                        .collect(),
+                    est_docs: d.est_docs,
+                },
+            })
+            .collect();
+        Plan {
+            access: AccessChoice::IndexAnd(steps),
+            est_docs: combined_docs(q, drafts, true),
+            total_cost,
+            scan_cost: q.scan_cost,
+        }
+    }
+
+    /// Counts one Evaluate-mode call; an insert's cost needs no planning.
+    fn count_plan<'p>(&self, prepared: &'p PreparedStatement) -> Result<&'p AccessShape, f64> {
         debug_assert_eq!(
             prepared.node_count, self.stats.node_count,
             "statement prepared against other statistics"
         );
         self.evaluate_calls.set(self.evaluate_calls.get() + 1);
         self.telemetry.incr(Counter::OptimizerEvaluateCalls);
-        let q = match &prepared.shape {
-            Shape::Access(q) => q,
-            Shape::Insert { cost, .. } => {
-                return Plan {
-                    access: AccessChoice::Scan,
-                    est_docs: 1.0,
-                    total_cost: *cost,
-                    scan_cost: *cost,
-                }
-            }
-        };
+        match &prepared.shape {
+            Shape::Access(q) => Ok(q),
+            Shape::Insert { cost, .. } => Err(*cost),
+        }
+    }
 
-        let mut steps: Vec<PlanStep> = Vec::new();
+    /// Drafts every indexable step into `buf`, orders them most selective
+    /// first and keeps the prefix whose index-ANDing is cheapest. Returns
+    /// how many steps the plan keeps (none: scan) and its cost.
+    fn choose(&self, q: &AccessShape, buf: &mut DraftBuf) -> (usize, f64) {
+        let drafts = buf.as_mut();
+        let mut n = 0;
         for (pi, p) in q.patterns.iter().enumerate() {
-            if let Some(u) = self.best_index_use(pi, p) {
-                steps.push(PlanStep::Probe(u));
+            if let Some(u) = self.best_index_use(pi, p, true) {
+                drafts[n] = Draft {
+                    est_docs: u.est_docs,
+                    probe_cost: u.probe_cost,
+                    source: Source::Probe(u),
+                };
+                n += 1;
             }
         }
         // Index-ORing: a disjunction group is indexable only if *every*
         // branch has a matching index (otherwise the union is incomplete
         // and the group must be evaluated residually).
         for (gi, group) in q.or_groups.iter().enumerate() {
-            let branches: Vec<Option<IndexUse>> = group
+            let uses = group
                 .branches
                 .iter()
                 .enumerate()
-                .map(|(bi, p)| self.best_index_use(bi, p))
-                .collect();
-            if branches.iter().all(|b| b.is_some()) && !branches.is_empty() {
-                let branches: Vec<IndexUse> = branches
-                    .into_iter()
-                    .map(|b| b.expect("checked all some"))
-                    .collect();
-                let est_docs = if q.root_docs == 0.0 {
-                    0.0
-                } else {
-                    let miss: f64 = branches
-                        .iter()
-                        .map(|u| 1.0 - (u.est_docs / q.root_docs).clamp(0.0, 1.0))
-                        .product();
-                    q.root_docs * (1.0 - miss)
-                };
-                steps.push(PlanStep::Union {
-                    group: gi,
-                    branches,
-                    est_docs,
-                });
+                .map(|(bi, p)| self.best_index_use(bi, p, true));
+            if let Some(draft) = union_draft(q, gi, uses) {
+                drafts[n] = draft;
+                n += 1;
             }
         }
+        let drafts = &mut drafts[..n];
 
         // Greedy index-ANDing: most selective first; keep adding while the
         // combined cost improves. This creates real index interaction.
-        steps.sort_by(|a, b| {
-            a.est_docs()
-                .partial_cmp(&b.est_docs())
+        drafts.sort_by(|a, b| {
+            a.est_docs
+                .partial_cmp(&b.est_docs)
                 .expect("finite doc estimates")
         });
         let mut best_cost = f64::INFINITY;
         let mut best_len = 0usize;
-        for i in 0..steps.len() {
-            let cost = self.index_and_cost(q, &steps[..=i]);
+        for i in 0..drafts.len() {
+            let cost = self.index_and_cost(q, &drafts[..=i]);
             if cost < best_cost {
                 best_cost = cost;
                 best_len = i + 1;
             }
         }
-        steps.truncate(best_len);
-
-        if steps.is_empty() || best_cost >= q.scan_cost {
-            Plan {
-                access: AccessChoice::Scan,
-                est_docs: q.est_docs_scan,
-                total_cost: q.scan_cost,
-                scan_cost: q.scan_cost,
-            }
+        if best_len == 0 || best_cost >= q.scan_cost {
+            (0, q.scan_cost)
         } else {
-            let est_docs = combined_docs(q, &steps, true);
-            Plan {
-                access: AccessChoice::IndexAnd(steps),
-                est_docs,
-                total_cost: best_cost,
-                scan_cost: q.scan_cost,
-            }
+            (best_len, best_cost)
         }
     }
 
     /// The cheapest matching index probe for one access pattern, if any.
-    fn best_index_use(&self, pattern_idx: usize, p: &PreparedPattern) -> Option<IndexUse> {
+    /// `count`: charge the matching attempts to the telemetry (false only
+    /// when a plan already drafted re-derives a union's branches).
+    fn best_index_use(
+        &self,
+        pattern_idx: usize,
+        p: &PreparedPattern,
+        count: bool,
+    ) -> Option<IndexUse> {
         let mut best: Option<IndexUse> = None;
         // One matching attempt per live definition in the view.
         let mut attempts = 0u64;
@@ -484,7 +525,9 @@ impl<'a> Optimizer<'a> {
                 best = Some(use_);
             }
         }
-        self.telemetry.add(Counter::IndexMatchingAttempts, attempts);
+        if count {
+            self.telemetry.add(Counter::IndexMatchingAttempts, attempts);
+        }
         best
     }
 
@@ -523,9 +566,9 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    fn index_and_cost(&self, q: &AccessShape, steps: &[PlanStep]) -> f64 {
+    fn index_and_cost(&self, q: &AccessShape, steps: &[Draft]) -> f64 {
         let cm = &self.cost_model;
-        let probe: f64 = steps.iter().map(|s| s.probe_cost()).sum();
+        let probe: f64 = steps.iter().map(|s| s.probe_cost).sum();
         let docs_after_indexes = combined_docs(q, steps, false);
         let residual_preds = (q.patterns.len() + q.or_groups.len()).saturating_sub(steps.len());
         let mut cost = probe
@@ -550,13 +593,13 @@ impl<'a> Optimizer<'a> {
 /// Estimated documents surviving the intersection of the chosen index
 /// probes (independence assumption), optionally applying the residual
 /// (non-indexed) predicates too.
-fn combined_docs(q: &AccessShape, steps: &[PlanStep], apply_residual: bool) -> f64 {
+fn combined_docs(q: &AccessShape, steps: &[Draft], apply_residual: bool) -> f64 {
     if q.root_docs == 0.0 {
         return 0.0;
     }
     let mut docs = q.root_docs;
     for s in steps {
-        docs *= (s.est_docs() / q.root_docs).clamp(0.0, 1.0);
+        docs *= (s.est_docs / q.root_docs).clamp(0.0, 1.0);
     }
     if apply_residual {
         // A plan has a handful of steps: scanning them per predicate beats
@@ -564,7 +607,7 @@ fn combined_docs(q: &AccessShape, steps: &[PlanStep], apply_residual: bool) -> f
         for (pi, p) in q.patterns.iter().enumerate() {
             let probed = steps
                 .iter()
-                .any(|s| matches!(s, PlanStep::Probe(u) if u.pattern_idx == pi));
+                .any(|s| matches!(s.source, Source::Probe(u) if u.pattern_idx == pi));
             if !probed {
                 docs *= (p.docs / q.root_docs).clamp(0.0, 1.0);
             }
@@ -572,13 +615,99 @@ fn combined_docs(q: &AccessShape, steps: &[PlanStep], apply_residual: bool) -> f
         for (gi, g) in q.or_groups.iter().enumerate() {
             let unioned = steps
                 .iter()
-                .any(|s| matches!(s, PlanStep::Union { group, .. } if *group == gi));
+                .any(|s| matches!(s.source, Source::Union(group) if group == gi));
             if !unioned {
                 docs *= g.selectivity;
             }
         }
     }
     docs
+}
+
+/// A plan step while the plan is chosen: what ordering and index-ANDing
+/// read of it, and where it came from. `Copy`, so a plan is drafted in a
+/// buffer on the stack and becomes [`PlanStep`]s only when a caller asks
+/// for the plan itself.
+#[derive(Clone, Copy)]
+struct Draft {
+    est_docs: f64,
+    probe_cost: f64,
+    source: Source,
+}
+
+#[derive(Clone, Copy)]
+enum Source {
+    /// A probe answering one conjunctive pattern.
+    Probe(IndexUse),
+    /// Index-ORing over `or_groups[_]`, every branch matched.
+    Union(usize),
+}
+
+/// Steps a statement drafts on the stack; one with more indexable
+/// patterns drafts on the heap.
+const INLINE_DRAFTS: usize = 8;
+
+/// Room for one draft per pattern and disjunction group of a statement.
+// The inline variant's size is the point: it is the stack buffer.
+#[allow(clippy::large_enum_variant)]
+enum DraftBuf {
+    Inline([Draft; INLINE_DRAFTS]),
+    Spilled(Vec<Draft>),
+}
+
+impl DraftBuf {
+    fn new(q: &AccessShape) -> Self {
+        const EMPTY: Draft = Draft {
+            est_docs: 0.0,
+            probe_cost: 0.0,
+            source: Source::Union(0),
+        };
+        match q.patterns.len() + q.or_groups.len() {
+            n if n <= INLINE_DRAFTS => DraftBuf::Inline([EMPTY; INLINE_DRAFTS]),
+            n => DraftBuf::Spilled(vec![EMPTY; n]),
+        }
+    }
+
+    fn as_mut(&mut self) -> &mut [Draft] {
+        match self {
+            DraftBuf::Inline(drafts) => drafts,
+            DraftBuf::Spilled(drafts) => drafts,
+        }
+    }
+}
+
+/// The union step over group `gi` of `q`, if every branch matched: its
+/// documents under the independence assumption and its summed probe cost.
+fn union_draft(
+    q: &AccessShape,
+    gi: usize,
+    uses: impl Iterator<Item = Option<IndexUse>>,
+) -> Option<Draft> {
+    // Every branch is matched (and counted) before the verdict; products
+    // and sums run in branch order.
+    let (mut all, mut any) = (true, false);
+    let (mut miss, mut probe_cost) = (1.0f64, -0.0f64);
+    for u in uses {
+        any = true;
+        match u {
+            Some(u) => {
+                if q.root_docs != 0.0 {
+                    miss *= 1.0 - (u.est_docs / q.root_docs).clamp(0.0, 1.0);
+                }
+                probe_cost += u.probe_cost;
+            }
+            None => all = false,
+        }
+    }
+    (all && any).then_some(Draft {
+        est_docs: if q.root_docs == 0.0 {
+            0.0
+        } else {
+            q.root_docs * (1.0 - miss)
+        },
+        probe_cost,
+        source: Source::Union(gi),
+    })
 }
 
 /// [`PatternStats`] per distinct linear path of one collection — what lets
@@ -661,6 +790,25 @@ struct Leak {
 }
 
 impl PreparedStatement {
+    /// [`matching::statement_signature`] of the statement this was
+    /// prepared from (over `collection`, its collection), read off the
+    /// prepared patterns instead of normalizing the statement again.
+    pub fn signature(&self, collection: &str) -> StatementSignature {
+        let targets = match &self.shape {
+            Shape::Insert { .. } => Vec::new(),
+            Shape::Access(q) => (q.patterns.iter())
+                .chain(q.or_groups.iter().flat_map(|g| &g.branches))
+                .map(|p| &p.ap)
+                .filter(|ap| matching::pattern_is_indexable(ap))
+                .map(|ap| (ap.linear.clone(), ap.pred.value_kind()))
+                .collect(),
+        };
+        StatementSignature {
+            collection: collection.to_string(),
+            targets,
+        }
+    }
+
     /// Estimated documents a modification statement touches (used by the
     /// maintenance-cost model); an insert affects exactly its own
     /// document.

@@ -4,7 +4,7 @@ use std::fmt;
 use xia_storage::IndexId;
 
 /// One index probe within an index-ANDing plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexUse {
     /// The index probed.
     pub index: IndexId,
@@ -39,11 +39,11 @@ pub enum PlanStep {
 }
 
 impl PlanStep {
-    /// Indexes probed by this step.
-    pub fn indexes(&self) -> Vec<IndexId> {
+    /// The probes of this step.
+    pub fn uses(&self) -> &[IndexUse] {
         match self {
-            PlanStep::Probe(u) => vec![u.index],
-            PlanStep::Union { branches, .. } => branches.iter().map(|u| u.index).collect(),
+            PlanStep::Probe(u) => std::slice::from_ref(u),
+            PlanStep::Union { branches, .. } => branches,
         }
     }
 
@@ -90,12 +90,18 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The plan's index probes, in probe order.
+    pub fn uses(&self) -> impl Iterator<Item = &IndexUse> {
+        let steps = match &self.access {
+            AccessChoice::Scan => &[][..],
+            AccessChoice::IndexAnd(steps) => steps,
+        };
+        steps.iter().flat_map(PlanStep::uses)
+    }
+
     /// Indexes used by the plan, in probe order.
     pub fn used_indexes(&self) -> Vec<IndexId> {
-        match &self.access {
-            AccessChoice::Scan => Vec::new(),
-            AccessChoice::IndexAnd(steps) => steps.iter().flat_map(|s| s.indexes()).collect(),
-        }
+        self.uses().map(|u| u.index).collect()
     }
 
     /// Whether the plan uses any index.
@@ -238,7 +244,8 @@ mod tests {
             ],
             est_docs: 27.5,
         };
-        assert_eq!(step.indexes(), vec![IndexId(2), IndexId(5)]);
+        let probed: Vec<IndexId> = step.uses().iter().map(|u| u.index).collect();
+        assert_eq!(probed, vec![IndexId(2), IndexId(5)]);
         assert_eq!(step.est_docs(), 27.5);
         assert_eq!(step.probe_cost(), 7.0);
         let p = Plan {

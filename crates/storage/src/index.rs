@@ -340,7 +340,7 @@ impl PhysicalIndex {
     pub fn lookup_eq(&self, lit: &Literal) -> Vec<Posting> {
         match (self.kind, lit) {
             (ValueKind::Str, Literal::Str(s)) => {
-                self.str_map.get(s.as_str()).cloned().unwrap_or_default()
+                self.str_map.get(&**s).cloned().unwrap_or_default()
             }
             (ValueKind::Num, Literal::Num(n)) => {
                 self.num_map.get(&OrdF64(*n)).cloned().unwrap_or_default()
@@ -375,7 +375,7 @@ impl PhysicalIndex {
                     .collect()
             }
             (ValueKind::Str, Literal::Str(s)) => {
-                let key: Box<str> = s.as_str().into();
+                let key: Box<str> = (**s).into();
                 let mut out = Vec::new();
                 for (k, v) in self.str_map.iter() {
                     if op.eval_str(k, &key) {

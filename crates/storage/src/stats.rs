@@ -130,8 +130,19 @@ pub struct CollectionStats {
 impl CollectionStats {
     /// Statistics for one path (zeros if the path id is beyond what was
     /// collected — possible when documents were inserted after RUNSTATS).
-    pub fn path(&self, id: PathId) -> PathStat {
-        self.per_path.get(id.index()).cloned().unwrap_or_default()
+    pub fn path(&self, id: PathId) -> &PathStat {
+        static UNSEEN: PathStat = PathStat {
+            node_count: 0,
+            doc_count: 0,
+            value_count: 0,
+            numeric_count: 0,
+            distinct_values: 0,
+            min_num: None,
+            max_num: None,
+            histogram: Vec::new(),
+            value_bytes: 0,
+        };
+        self.per_path.get(id.index()).unwrap_or(&UNSEEN)
     }
 
     /// Borrowing accessor; `None` when the path id is newer than the stats.

@@ -6,6 +6,7 @@
 
 use crate::linear::{Axis, LinearPath, LinearStep, NameTest};
 use std::fmt;
+use std::sync::Arc;
 
 /// Comparison operator in a value predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,8 +73,9 @@ impl fmt::Display for CmpOp {
 /// type (string vs numerical, as in Table I).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
-    /// A string literal.
-    Str(String),
+    /// A string literal, shared: patterns normalized from a statement
+    /// hold it without copying the text.
+    Str(Arc<str>),
     /// A numeric literal.
     Num(f64),
 }

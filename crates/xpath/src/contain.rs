@@ -591,8 +591,21 @@ impl PathMatcher {
     }
 
     /// Matches an interned label sequence (same DP as
-    /// [`LinearPath::matches_labels`], over symbols).
+    /// [`LinearPath::matches_labels`], over symbols). Allocation-free for
+    /// every path the dictionary is likely to hold.
     pub fn matches(&self, labels: &[Symbol]) -> bool {
+        crate::linear::match_steps(
+            &self.steps,
+            labels.len(),
+            |s| s.axis,
+            |s, j| Self::step_accepts(s, labels[j]),
+        )
+    }
+
+    /// The straightforward two-row DP: the reference `matches` is
+    /// checked against.
+    #[cfg(test)]
+    fn matches_reference(&self, labels: &[Symbol]) -> bool {
         let n = labels.len();
         let mut cur = vec![false; n + 1];
         cur[0] = true;
@@ -1296,6 +1309,70 @@ mod tests {
         let _ = b.finish();
         let m = PathMatcher::new(&lp("/a/zzz"), &vocab);
         assert!(m.matching_path_ids(&vocab).is_empty());
+    }
+
+    /// Seeded property: the in-place DP of `PathMatcher::matches` gives
+    /// the two-row reference's verdict and `matches_labels`'s on random
+    /// patterns and label sequences of 0–70 labels, across the row's
+    /// inline limit. Half the patterns are derived from their sequence
+    /// (labels kept, widened to `*`, collapsed into `//`), so long
+    /// sequences match too.
+    #[test]
+    fn matcher_dp_matches_reference_dp() {
+        let mut next = splitmix(0xD9);
+        let mut vocab = Vocabulary::new();
+        let names = ["a", "b", "c", "d"];
+        let syms: Vec<Symbol> = names.iter().map(|n| vocab.names.intern(n)).collect();
+        let (mut held, mut long_held) = (0, 0);
+        for round in 0..4_000 {
+            let n = next() % 71;
+            let picks: Vec<usize> = (0..n).map(|_| next() % names.len()).collect();
+            let labels: Vec<Symbol> = picks.iter().map(|&i| syms[i]).collect();
+            let texts: Vec<&str> = picks.iter().map(|&i| names[i]).collect();
+            let pattern = if round % 2 == 0 {
+                // `e` is never interned: the step can never match.
+                let len = next() % 9;
+                random_path(&mut next, &["a", "b", "c", "d", "e"], len, 3)
+            } else {
+                let mut steps = Vec::new();
+                let mut descend = false;
+                for &i in &picks {
+                    if next().is_multiple_of(5) {
+                        descend = true;
+                        continue;
+                    }
+                    let test = if next().is_multiple_of(4) {
+                        NameTest::Wildcard
+                    } else {
+                        NameTest::name_of(names[i])
+                    };
+                    let axis = if descend {
+                        Axis::Descendant
+                    } else {
+                        Axis::Child
+                    };
+                    steps.push(crate::linear::LinearStep { axis, test });
+                    descend = false;
+                }
+                LinearPath::new(steps)
+            };
+            let matcher = PathMatcher::new(&pattern, &vocab);
+            let verdict = matcher.matches(&labels);
+            assert_eq!(
+                verdict,
+                matcher.matches_reference(&labels),
+                "{pattern} on {texts:?}"
+            );
+            assert_eq!(
+                verdict,
+                pattern.matches_labels(&texts),
+                "{pattern} on {texts:?}"
+            );
+            held += usize::from(verdict);
+            long_held += usize::from(verdict && n >= 64);
+        }
+        assert!(held > 400, "{held} sequences matched");
+        assert!(long_held > 0, "no sequence past the inline row matched");
     }
 
     #[test]

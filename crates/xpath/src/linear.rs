@@ -184,8 +184,14 @@ impl LinearPath {
 
     /// Appends another relative linear path, returning the concatenation.
     pub fn join(&self, rel: &[LinearStep]) -> LinearPath {
-        let mut steps = self.steps.clone();
-        steps.extend(rel.iter().copied());
+        Self::concat(&self.steps, rel)
+    }
+
+    /// The path `head` followed by `tail`, built at its final length.
+    pub(crate) fn concat(head: &[LinearStep], tail: &[LinearStep]) -> LinearPath {
+        let mut steps = Vec::with_capacity(head.len() + tail.len());
+        steps.extend_from_slice(head);
+        steps.extend_from_slice(tail);
         LinearPath { steps }
     }
 
@@ -208,31 +214,12 @@ impl LinearPath {
     /// regular expression obtained by mapping `/l` to `l`, `//l` to `Σ* l`,
     /// `/*` to `Σ` and `//*` to `Σ* Σ`.
     pub fn matches_labels<S: AsRef<str>>(&self, labels: &[S]) -> bool {
-        // cur[j] = the first j labels can be consumed by the steps so far.
-        let n = labels.len();
-        let mut cur = vec![false; n + 1];
-        cur[0] = true;
-        let mut next = vec![false; n + 1];
-        for step in &self.steps {
-            next.iter_mut().for_each(|b| *b = false);
-            match step.axis {
-                Axis::Child => {
-                    for j in 1..=n {
-                        next[j] = cur[j - 1] && step.test.accepts(labels[j - 1].as_ref());
-                    }
-                }
-                Axis::Descendant => {
-                    // prefix-OR of cur gives "reachable with Σ*".
-                    let mut reach = false;
-                    for j in 1..=n {
-                        reach |= cur[j - 1];
-                        next[j] = reach && step.test.accepts(labels[j - 1].as_ref());
-                    }
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur[n]
+        match_steps(
+            &self.steps,
+            labels.len(),
+            |s| s.axis,
+            |s, j| s.test.accepts(labels[j].as_ref()),
+        )
     }
 
     /// Applies the paper's Rule 0 rewrite: any *middle* `/*` (or `//*`) step
@@ -240,10 +227,18 @@ impl LinearPath {
     /// `/a/*/b` and `/a/*/*/b` rewrite to `/a//b`. The final step is never
     /// rewritten (it is the indexing target).
     pub fn rewrite_rule0(&self) -> LinearPath {
-        let mut steps: Vec<LinearStep> = Vec::with_capacity(self.steps.len());
+        let mut steps = Vec::with_capacity(self.steps.len());
+        Self::rewrite_rule0_into(&self.steps, &mut steps);
+        LinearPath { steps }
+    }
+
+    /// [`LinearPath::rewrite_rule0`] of `steps`, written over `out`: lets
+    /// a caller rewrite into a buffer it reuses.
+    pub fn rewrite_rule0_into(steps: &[LinearStep], out: &mut Vec<LinearStep>) {
+        out.clear();
         let mut pending_descendant = false;
-        for (i, step) in self.steps.iter().enumerate() {
-            let is_last = i + 1 == self.steps.len();
+        for (i, step) in steps.iter().enumerate() {
+            let is_last = i + 1 == steps.len();
             if !is_last && step.test == NameTest::Wildcard {
                 // Drop the middle wildcard; the next kept step becomes `//`.
                 pending_descendant = true;
@@ -253,10 +248,9 @@ impl LinearPath {
             if pending_descendant || s.axis == Axis::Descendant {
                 s.axis = Axis::Descendant;
             }
-            steps.push(s);
+            out.push(s);
             pending_descendant = false;
         }
-        LinearPath { steps }
     }
 
     /// Iterates the concrete names used in the pattern, in step order,
@@ -304,6 +298,51 @@ impl LinearPath {
     pub fn name_mask(&self) -> u64 {
         self.syms().fold(0u64, |m, s| m | (1u64 << (s.id() % 64)))
     }
+}
+
+/// Label sequences shorter than this are matched in a row on the stack.
+const DP_INLINE: usize = 64;
+
+/// The matching DP behind [`LinearPath::matches_labels`] and
+/// `PathMatcher::matches`: whether `steps` consume exactly `n` labels,
+/// where `accepts(step, j)` tests label `j`. One row, updated in place:
+/// `row[j]` = the first `j` labels can be consumed by the steps so far.
+pub(crate) fn match_steps<S>(
+    steps: &[S],
+    n: usize,
+    axis: impl Fn(&S) -> Axis,
+    accepts: impl Fn(&S, usize) -> bool,
+) -> bool {
+    let mut inline = [false; DP_INLINE];
+    let mut spilled = Vec::new();
+    let row: &mut [bool] = if n < DP_INLINE {
+        &mut inline[..=n]
+    } else {
+        spilled.resize(n + 1, false);
+        &mut spilled
+    };
+    row[0] = true;
+    for step in steps {
+        match axis(step) {
+            Axis::Child => {
+                // Downwards, so `row[j - 1]` still holds the previous row.
+                for j in (1..=n).rev() {
+                    row[j] = row[j - 1] && accepts(step, j - 1);
+                }
+            }
+            Axis::Descendant => {
+                // Prefix-OR of the previous row gives "reachable with Σ*".
+                let (mut reach, mut prev) = (false, row[0]);
+                for (j, cell) in row.iter_mut().enumerate().skip(1) {
+                    reach |= prev;
+                    prev = *cell;
+                    *cell = reach && accepts(step, j - 1);
+                }
+            }
+        }
+        row[0] = false;
+    }
+    row[n]
 }
 
 impl fmt::Display for LinearPath {

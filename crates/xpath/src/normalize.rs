@@ -101,11 +101,13 @@ pub fn normalize(stmt: &Statement) -> Option<NormalizedQuery> {
     }
 }
 
+// Every path below is built once, at its final length: the root's steps
+// are the prefix of every step predicate's pattern.
 fn normalize_flwor(q: &FlworQuery) -> NormalizedQuery {
     let root = q.source.strip_predicates();
-    let mut patterns = Vec::new();
+    let mut patterns = Vec::with_capacity(q.source.predicate_count() + q.conditions.len());
     let mut or_groups = Vec::new();
-    collect_step_predicates(&q.source, &mut patterns, &mut or_groups);
+    collect_step_predicates(&q.source, &root, &mut patterns, &mut or_groups);
     for cond in &q.conditions {
         let linear = root.join(&cond.rel);
         let pred = match &cond.cmp {
@@ -114,14 +116,11 @@ fn normalize_flwor(q: &FlworQuery) -> NormalizedQuery {
         };
         patterns.push(AccessPattern { linear, pred });
     }
-    let mut returns: Vec<LinearPath> = q
-        .returns
-        .iter()
-        .map(|r| match r {
-            ReturnExpr::Var => root.clone(),
-            ReturnExpr::Path(rel) => root.join(rel),
-        })
-        .collect();
+    let mut returns = Vec::with_capacity(q.returns.len() + usize::from(q.order_by.is_some()));
+    returns.extend(q.returns.iter().map(|r| match r {
+        ReturnExpr::Var => root.clone(),
+        ReturnExpr::Path(rel) => root.join(rel),
+    }));
     // An `order by` key must be retrieved for every result.
     if let Some(rel) = &q.order_by {
         returns.push(root.join(rel));
@@ -138,24 +137,29 @@ fn normalize_flwor(q: &FlworQuery) -> NormalizedQuery {
 
 fn normalize_target(collection: &str, target: &PathExpr) -> NormalizedQuery {
     let root = target.strip_predicates();
-    let mut patterns = Vec::new();
+    let mut patterns = Vec::with_capacity(target.predicate_count());
     let mut or_groups = Vec::new();
-    collect_step_predicates(target, &mut patterns, &mut or_groups);
+    collect_step_predicates(target, &root, &mut patterns, &mut or_groups);
+    // An update records the written node as a second return.
+    let mut returns = Vec::with_capacity(2);
+    returns.push(root.clone());
     NormalizedQuery {
         collection: collection.to_string(),
-        root: root.clone(),
+        root,
         patterns,
         or_groups,
-        returns: vec![root],
+        returns,
         is_modification: true,
     }
 }
 
 /// Collects predicates attached at any step of a path expression, rewriting
-/// each into an absolute access pattern rooted at that step's prefix.
-/// Disjunctions land in `or_out` as branch groups.
+/// each into an absolute access pattern rooted at that step's prefix of
+/// `root` (the expression's skeleton). Disjunctions land in `or_out` as
+/// branch groups.
 fn collect_step_predicates(
     expr: &PathExpr,
+    root: &LinearPath,
     out: &mut Vec<AccessPattern>,
     or_out: &mut Vec<Vec<AccessPattern>>,
 ) {
@@ -167,26 +171,17 @@ fn collect_step_predicates(
             Predicate::Exists { rel } => (rel, PatternPred::Exists),
             Predicate::Or(_) => unreachable!("nested Or is never produced by the parser"),
         };
-        let linear = LinearPath::new(prefix.to_vec()).join(rel);
+        let linear = LinearPath::concat(prefix, rel);
         AccessPattern { linear, pred: pp }
     }
-    let mut prefix: Vec<LinearStep> = Vec::new();
-    for step in &expr.steps {
-        prefix.push(LinearStep {
-            axis: step.axis,
-            test: step.test,
-        });
+    for (i, step) in expr.steps.iter().enumerate() {
+        let prefix = &root.steps[..=i];
         for pred in &step.predicates {
             match pred {
                 Predicate::Or(branches) => {
-                    or_out.push(
-                        branches
-                            .iter()
-                            .map(|b| simple_pattern(&prefix, b))
-                            .collect(),
-                    );
+                    or_out.push(branches.iter().map(|b| simple_pattern(prefix, b)).collect());
                 }
-                _ => out.push(simple_pattern(&prefix, pred)),
+                _ => out.push(simple_pattern(prefix, pred)),
             }
         }
     }

@@ -190,7 +190,7 @@ impl<'a> TokenCursor<'a> {
     /// running out of input instead.
     pub(crate) fn expect_literal(&mut self, at_end: &str) -> Result<Literal, ParseError> {
         match self.next() {
-            Some(Token::Str(s)) => Ok(Literal::Str(s.to_string())),
+            Some(Token::Str(s)) => Ok(Literal::Str(s.into())),
             Some(Token::Num(n)) => Ok(Literal::Num(n)),
             Some(t) => Err(self.err(format!("expected a literal, found `{t}`"))),
             None => Err(self.err(at_end)),

@@ -122,8 +122,8 @@ fn simple_predicate(rng: &mut Prng) -> Predicate {
         CmpOp::Ge,
     ][rng.gen_range(0..6)];
     let value = match rng.gen_range(0..4) {
-        0 => Literal::Str(label(rng)),
-        1 => Literal::Str(["", "two words", "it's"][rng.gen_range(0..3)].to_string()),
+        0 => Literal::Str(label(rng).into()),
+        1 => Literal::Str(["", "two words", "it's"][rng.gen_range(0..3)].into()),
         2 => Literal::Num(rng.gen_range(-50i64..50) as f64),
         // Any finite double: `Display` prints the shortest decimal that
         // reads back as the same bits, never an exponent.
@@ -296,7 +296,7 @@ fn generalization_dag_parents_cover_children() {
             steps.extend(path.iter().cloned());
             let text = format!("/{}", steps.join("/"));
             let pattern = parse_linear_path(&text).expect("constructed path parses");
-            set.insert("C", pattern, xia_xpath::ValueKind::Str, CandOrigin::Basic);
+            set.insert("C", &pattern, xia_xpath::ValueKind::Str, CandOrigin::Basic);
         }
         generalize_set(&mut set);
         for c in set.iter() {
@@ -353,7 +353,7 @@ fn semi_naive_fixpoint_matches_naive() {
             let mut set = CandidateSet::new();
             for (coll, text, kind, stmt) in &seeds {
                 let pattern = parse_linear_path(text).expect("constructed path parses");
-                let id = set.insert(coll, pattern, *kind, CandOrigin::Basic);
+                let id = set.insert(coll, &pattern, *kind, CandOrigin::Basic);
                 set.get_mut(id).affected.insert(*stmt);
             }
             set
@@ -1032,6 +1032,9 @@ fn session_recommend_equals_one_shot_recommend() {
 /// with `Catalog::create_virtual` — every cost bit for bit and the same
 /// access choice. The same prepared statement is then costed under a
 /// second configuration and the first again: reuse must leave no trace.
+/// The what-if cost (`try_plan_cost`, no plan built) is the plan's cost,
+/// and the signature read off the prepared statement is the one
+/// normalizing the statement gives.
 #[test]
 fn prepared_plans_equal_one_shot_plans() {
     use std::sync::Arc;
@@ -1139,6 +1142,12 @@ fn prepared_plans_equal_one_shot_plans() {
                 let coll = e.statement.collection();
                 let (collection, catalog, stats) = db.parts(coll).expect("known");
                 let prepared = Optimizer::new(collection, stats, catalog).prepare(&e.statement);
+                assert_eq!(
+                    prepared.signature(coll),
+                    xia_optimizer::statement_signature(&e.statement),
+                    "signature read off the prepared `{}`",
+                    e.text
+                );
                 let cost_under = |config: &[xia_advisor::CandId]| {
                     let mut overlay = catalog.overlay();
                     for &id in config {
@@ -1153,8 +1162,12 @@ fn prepared_plans_equal_one_shot_plans() {
                             )));
                         }
                     }
-                    let plan =
-                        Optimizer::with_view(collection, stats, overlay.view()).plan(&prepared);
+                    let optimizer = Optimizer::with_view(collection, stats, overlay.view());
+                    let plan = optimizer.plan(&prepared);
+                    let cost = optimizer
+                        .try_plan_cost(&prepared)
+                        .expect("no faults attached");
+                    assert_eq!(cost.to_bits(), plan.total_cost.to_bits(), "what-if cost");
                     let shape = shape(&plan, overlay.view());
                     (plan, shape)
                 };

@@ -48,7 +48,7 @@ pub fn naive_fixpoint(set: &mut CandidateSet) -> (Vec<CandId>, u64) {
                         continue;
                     }
                     let existing = set.lookup(&coll, &g, kind);
-                    let gid = set.insert(&coll, g, kind, CandOrigin::Generalized);
+                    let gid = set.insert(&coll, &g, kind, CandOrigin::Generalized);
                     set.add_edge(gid, a);
                     set.add_edge(gid, b);
                     if existing.is_none() {
