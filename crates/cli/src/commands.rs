@@ -509,8 +509,8 @@ impl AdviseFlags {
 /// `xia recommend <db> -w <file> -b <bytes> [-a <algo>] [--apply]
 /// [--report] [--trace[=json|text]] [--strict] [--journal <path>]
 /// [--what-if-budget <calls>] [--jobs <n>] [--inject <site>:<rate>]
-/// [--fault-seed <n>] [--deadline-ms <n>] [--checkpoint <path>]
-/// [--resume <path>] [--mem-budget <bytes>] [--cancel-after-polls <k>]`
+/// [--fault-seed <n>] [--deadline-ms <n>] [--mem-budget <bytes>]
+/// [--cancel-after-polls <k>]`
 pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
     let mut flags = AdviseFlags::new();
     let mut apply = false;
@@ -522,8 +522,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
     let mut trace: Option<TraceFormat> = None;
     let mut journal_path: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
     let mut mem_budget: Option<u64> = None;
     let mut cancel_after_polls: Option<u64> = None;
     let mut i = 1;
@@ -573,16 +571,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
                 deadline_ms = Some(v.parse().map_err(|_| {
                     CliError::usage(format!("bad deadline `{v}` (expected milliseconds)"))
                 })?);
-                i += 2;
-            }
-            "--checkpoint" => {
-                checkpoint_path =
-                    Some(require(args, i + 1, "output path after --checkpoint")?.to_string());
-                i += 2;
-            }
-            "--resume" => {
-                resume_path =
-                    Some(require(args, i + 1, "checkpoint path after --resume")?.to_string());
                 i += 2;
             }
             "--mem-budget" => {
@@ -666,11 +654,7 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
 
     // Lifecycle controller: enabled only when one of the lifecycle flags
     // is present, so the plain path keeps a single-branch off() handle.
-    let lifecycle = deadline_ms.is_some()
-        || checkpoint_path.is_some()
-        || resume_path.is_some()
-        || mem_budget.is_some()
-        || cancel_after_polls.is_some();
+    let lifecycle = deadline_ms.is_some() || mem_budget.is_some() || cancel_after_polls.is_some();
     let mut ctl = xia_advisor::RunController::off();
     if lifecycle {
         let mut c = xia_advisor::RunController::new();
@@ -679,9 +663,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
         }
         if let Some(k) = cancel_after_polls {
             c = c.with_cancel_after_polls(k);
-        }
-        if let Some(p) = &checkpoint_path {
-            c = c.with_checkpoint(p, 1);
         }
         if let Some(b) = mem_budget {
             c = c.with_mem_budget(b);
@@ -711,27 +692,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
         );
     }
     let set = Advisor::prepare(&mut db, &workload, &params);
-    // Resume: load the warm store once the candidate set (and hence the
-    // digest the checkpoint must match) is known. A stale or corrupt
-    // checkpoint degrades to a cold start with a warning — never an error.
-    if let Some(rpath) = &resume_path {
-        match xia_advisor::load_checkpoint(
-            rpath,
-            xia_advisor::candidate_digest(&set),
-            &params.faults,
-        ) {
-            Ok(entries) => {
-                params.ctl.install_warm(entries);
-                let _ = writeln!(out, "resumed from checkpoint {rpath}");
-            }
-            Err(e) => {
-                let _ = writeln!(
-                    out,
-                    "warning: cannot resume from {rpath}: {e}; starting cold"
-                );
-            }
-        }
-    }
     let rec = Advisor::recommend_prepared(&mut db, &workload, &set, budget, algo, &params)?;
     // Write the journal before any follow-up optimizer work; all events
     // are coordinator-side, so the file is byte-identical for every
@@ -763,9 +723,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
 
     for q in &rec.quarantined {
         let _ = writeln!(out, "warning: {q}");
-    }
-    for w in &rec.warnings {
-        let _ = writeln!(out, "warning: {w}");
     }
     if let Some(p) = rec.partial() {
         let _ = writeln!(
@@ -826,15 +783,9 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
         save_database(&db, &path)?;
         let _ = writeln!(out, "applied: {n} physical index(es) built; {path} saved");
     }
-    // Lifecycle exit codes: a partial (deadline/cancelled) result outranks
-    // a successful resume — scripts must know the answer is incomplete.
-    let code = if !rec.complete {
-        6
-    } else if params.ctl.resumed() {
-        7
-    } else {
-        0
-    };
+    // A partial (deadline/cancelled) result exits 6: scripts must know the
+    // answer is incomplete.
+    let code = if rec.complete { 0 } else { 6 };
     Ok(crate::CmdOutput::with_code(out, code))
 }
 
@@ -1984,122 +1935,21 @@ mod tests {
         let dir = tmpdir().join("lifecycle_deadline");
         std::fs::create_dir_all(&dir).unwrap();
         let (db, wl) = trace_fixture(&dir);
-        let cp = dir.join("dead.ckpt");
-        let out = recommend(&s(&[
-            &db,
-            "-w",
-            &wl,
-            "-b",
-            "10m",
-            "-a",
-            "heuristics",
-            "--deadline-ms",
-            "0",
-            "--checkpoint",
-            cp.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert_eq!(out.code, 6, "{}", out.text);
-        assert!(out.contains("run stopped early (deadline)"), "{}", out.text);
-        assert!(
-            cp.exists(),
-            "a stopped run must leave a final checkpoint behind"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recommend_resume_matches_uninterrupted_and_exits_7() {
-        let dir = tmpdir().join("lifecycle_resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (db, wl) = trace_fixture(&dir);
-        let cp_full = dir.join("full.ckpt");
-        let cp_kill = dir.join("kill.ckpt");
-        let cp_next = dir.join("next.ckpt");
-        let base = &[
-            db.as_str(),
-            "-w",
-            wl.as_str(),
-            "-b",
-            "10m",
-            "-a",
-            "heuristics",
-        ];
-        let run = |extra: &[&str]| {
-            let mut args: Vec<&str> = base.to_vec();
-            args.extend_from_slice(extra);
-            recommend(&s(&args)).unwrap()
-        };
-        // Uninterrupted run with checkpointing on: the reference output.
-        let full = run(&["--checkpoint", cp_full.to_str().unwrap()]);
-        assert_eq!(full.code, 0, "{}", full.text);
-        assert!(full.contains("CREATE INDEX"), "{}", full.text);
-        // Kill deterministically mid-run; the partial run leaves a
-        // checkpoint (cadence writes plus the final one on stop).
-        let killed = run(&[
-            "--cancel-after-polls",
-            "2",
-            "--checkpoint",
-            cp_kill.to_str().unwrap(),
-        ]);
-        assert_eq!(killed.code, 6, "{}", killed.text);
-        assert!(
-            killed.contains("run stopped early (cancelled)"),
-            "{}",
-            killed.text
-        );
-        // Resume from the kill point: exit 7, and apart from the resume
-        // banner the output is byte-identical to the uninterrupted run.
-        let strip = |t: &str| {
-            t.lines()
-                .filter(|l| !l.starts_with("resumed from checkpoint"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let resumed = run(&[
-            "--resume",
-            cp_kill.to_str().unwrap(),
-            "--checkpoint",
-            cp_next.to_str().unwrap(),
-        ]);
-        assert_eq!(resumed.code, 7, "{}", resumed.text);
-        assert!(
-            resumed.contains("resumed from checkpoint"),
-            "{}",
-            resumed.text
-        );
-        assert_eq!(
-            strip(&resumed),
-            strip(&full),
-            "resumed output must match the uninterrupted run"
-        );
-        // The resumed path is jobs-invariant like everything else.
-        let resumed4 = run(&[
-            "--resume",
-            cp_kill.to_str().unwrap(),
-            "--checkpoint",
-            cp_next.to_str().unwrap(),
-            "--jobs",
-            "4",
-        ]);
-        assert_eq!(resumed.text, resumed4.text, "resume diverged at --jobs 4");
-        // A garbage checkpoint degrades to a cold start with a warning.
-        let garbage = dir.join("garbage.ckpt");
-        std::fs::write(&garbage, "not a checkpoint\n").unwrap();
-        let cold = run(&["--resume", garbage.to_str().unwrap()]);
-        assert_eq!(cold.code, 0, "cold start is a plain success");
-        assert!(cold.contains("starting cold"), "{}", cold.text);
-        let strip_warn = |t: &str| {
-            t.lines()
-                .filter(|l| !l.starts_with("warning: cannot resume"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            strip_warn(&cold),
-            strip(&full),
-            "cold start must still agree"
-        );
+        let base = [&db, "-w", &wl, "-b", "10m", "-a", "heuristics"];
+        for (extra, reason) in [
+            (["--deadline-ms", "0"], "deadline"),
+            (["--cancel-after-polls", "2"], "cancelled"),
+        ] {
+            let mut args = base.to_vec();
+            args.extend_from_slice(&extra);
+            let out = recommend(&s(&args)).unwrap();
+            assert_eq!(out.code, 6, "{extra:?}: {}", out.text);
+            assert!(
+                out.contains(&format!("run stopped early ({reason})")),
+                "{}",
+                out.text
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2145,15 +1995,18 @@ mod tests {
         let dir = tmpdir().join("lifecycle_usage");
         std::fs::create_dir_all(&dir).unwrap();
         let (db, wl) = trace_fixture(&dir);
-        for bad in [
-            &["--deadline-ms", "soon"][..],
-            &["--mem-budget", "lots"][..],
-            &["--cancel-after-polls", "x"][..],
+        for (bad, why) in [
+            (["--deadline-ms", "soon"], "bad deadline"),
+            (["--mem-budget", "lots"], "bad memory budget"),
+            (["--cancel-after-polls", "x"], "bad poll count"),
+            (["--checkpoint", "x"], "unknown flag `--checkpoint`"),
+            (["--resume", "x"], "unknown flag `--resume`"),
         ] {
             let mut args = vec![db.as_str(), "-w", wl.as_str(), "-b", "10m"];
-            args.extend_from_slice(bad);
+            args.extend_from_slice(&bad);
             let err = recommend(&s(&args)).unwrap_err();
             assert_eq!(err.kind, crate::ErrorKind::Usage, "{bad:?}: {err}");
+            assert!(err.to_string().contains(why), "{bad:?}: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

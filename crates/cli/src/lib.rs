@@ -107,8 +107,8 @@ impl std::error::Error for CliError {}
 
 /// Output of a successful command: the text to print plus the process
 /// exit code. Most commands exit 0; `recommend` reserves nonzero success
-/// codes for lifecycle outcomes scripts need to distinguish — 6 for a
-/// deadline/cancel partial result, 7 for a run resumed from a checkpoint.
+/// code 6 for a deadline/cancel partial result, which scripts need to
+/// tell apart from a complete answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CmdOutput {
     /// Text to print on stdout.
@@ -214,8 +214,7 @@ USAGE:
                 [--apply] [--report] [--trace[=json|text]] [--strict]
                 [--journal <path>] [--what-if-budget <calls>] [--jobs <n>]
                 [--inject <site>:<rate>] [--fault-seed <n>]
-                [--deadline-ms <n>] [--checkpoint <path>]
-                [--resume <path>] [--mem-budget <bytes>]
+                [--deadline-ms <n>] [--mem-budget <bytes>]
                 [--cancel-after-polls <k>]
   xia whatif    <db> -w <workload-file> -i <coll>:<pattern>:<string|numerical> ...
                                              price a hand-written configuration
@@ -263,24 +262,19 @@ picks the configuration and reports a certified quality bound. Applies to
 
 Fault injection (for robustness testing): --inject storage-io:0.05
 injects I/O faults in 5% of storage operations; sites are storage-io,
-optimizer-cost, stats-unavailable, checkpoint-io. --fault-seed makes runs
-reproducible.
+optimizer-cost, stats-unavailable. --fault-seed makes runs reproducible.
 
 Run lifecycle: --deadline-ms bounds the advisor's wall-clock time; on
 expiry the run unwinds cooperatively and prints the best configuration
-found so far (a *partial* recommendation, exit 6). --checkpoint <path>
-periodically writes a checksummed, atomically-renamed snapshot of the
-what-if cost work done so far; --resume <path> warm-starts a new run from
-such a snapshot (exit 7) and produces a recommendation byte-identical to
-an uninterrupted run at any --jobs. A stale or corrupt checkpoint falls
-back to a cold start with a warning. --mem-budget bounds approximate live
-cache memory; over budget, the evaluator walks a graceful-degradation
-ladder (shrink memo -> drop statement cache -> heuristic-only costing),
-journaling every demotion. --cancel-after-polls <k> cancels at the k-th
-cooperative poll (a deterministic kill switch for testing).
+found so far (a *partial* recommendation, exit 6). --mem-budget bounds
+approximate live cache memory; over budget, the evaluator walks a
+graceful-degradation ladder (shrink memo -> drop statement cache ->
+heuristic-only costing), journaling every demotion.
+--cancel-after-polls <k> cancels at the k-th cooperative poll (a
+deterministic kill switch for testing).
 
 Exit codes: 0 ok, 2 usage, 3 bad input, 4 corrupt database, 5 internal,
-6 deadline/cancel partial result, 7 resumed from checkpoint.
+6 deadline/cancel partial result.
 ";
 
 /// Dispatches a full argument vector (excluding `argv[0]`). Returns the

@@ -91,9 +91,9 @@ pub struct AdvisorParams {
     /// run on the coordinator thread in deterministic order, so the JSONL
     /// export is byte-identical for every `jobs` value.
     pub journal: EventJournal,
-    /// Run-lifecycle controller (`--deadline-ms`, `--checkpoint`,
-    /// `--resume`, `--mem-budget`): wall-clock deadline, cooperative
-    /// cancellation, crash-safe checkpointing, and the resource governor.
+    /// Run-lifecycle controller (`--deadline-ms`, `--cancel-after-polls`,
+    /// `--mem-budget`): wall-clock deadline, cooperative cancellation, and
+    /// the resource governor.
     /// Disabled by default; a stopped run returns a partial
     /// recommendation ([`Recommendation::complete`] is `false`) instead
     /// of an error.
@@ -195,9 +195,6 @@ pub struct Recommendation {
     /// Why the run stopped early, when [`Recommendation::complete`] is
     /// `false`.
     pub stop: Option<StopReason>,
-    /// Lifecycle warnings to surface to the user (abandoned checkpoint
-    /// writes), in emission order.
-    pub warnings: Vec<String>,
 }
 
 /// A recommendation produced by a run the controller stopped early:
@@ -545,14 +542,12 @@ impl Advisor {
             });
         }
         // A stopped run records why (coordinator-side, after the partial
-        // configuration was priced) and flushes a final checkpoint so
-        // `--resume` sees every costing that completed.
+        // configuration was priced).
         let stop = ev.ctl().stopped();
         if let Some(reason) = stop {
             ev.journal().emit(|| Event::RunStopped {
                 reason: reason.name().to_string(),
             });
-            ev.final_checkpoint();
         }
         Recommendation {
             config,
@@ -573,7 +568,6 @@ impl Advisor {
             cost_fallbacks: ev.fallback_count(),
             complete: stop.is_none(),
             stop,
-            warnings: ev.warnings().to_vec(),
         }
     }
 

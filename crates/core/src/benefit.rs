@@ -54,7 +54,7 @@
 use crate::candidate::{CandId, CandidateSet, StmtSet};
 use crate::costing::CostingState;
 use crate::error::{IssueStage, StatementIssue};
-use crate::runctl::{GovernorRung, RunController, WarmEntry, WarmKey};
+use crate::runctl::{GovernorRung, RunController};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -273,25 +273,6 @@ enum TaskKind {
     GovernorFallback,
 }
 
-/// Scratch-counter snapshot taken around one worker task while
-/// checkpointing is armed, so the task's exact counter footprint can be
-/// replayed when a warm-store entry serves it on `--resume`.
-fn counter_snapshot(tel: &Telemetry) -> Vec<u64> {
-    Counter::ALL.iter().map(|&c| tel.get(c)).collect()
-}
-
-/// `(Counter::ALL index, delta)` pairs the task added over `before`.
-fn counter_deltas(before: &[u64], tel: &Telemetry) -> Vec<(usize, u64)> {
-    Counter::ALL
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &c)| {
-            let d = tel.get(c).saturating_sub(before[i]);
-            (d > 0).then_some((i, d))
-        })
-        .collect()
-}
-
 /// One planned statement costing against one missed sub-configuration.
 #[derive(Debug, Clone)]
 struct CostTask {
@@ -353,18 +334,14 @@ fn overlay_view<'v>(
 }
 
 /// One worker-side what-if call: roll the task's fault stream, then plan
-/// the prepared statement under `view`. Returns the cost (`None` on an
-/// injected fault) and, while a checkpoint file is armed, the call's
-/// counter footprint.
+/// the prepared statement under `view`. `None` on an injected fault.
 fn what_if(
     (collection, _, stats): Parts<'_>,
     prepared: &PreparedStatement,
     view: CatalogView<'_>,
     faults: &FaultInjector,
-    capture: bool,
     tel: &Telemetry,
-) -> (Option<f64>, Vec<(usize, u64)>) {
-    let before = capture.then(|| counter_snapshot(tel));
+) -> Option<f64> {
     let mut optimizer = Optimizer::with_view(collection, stats, view);
     optimizer.set_telemetry(tel);
     optimizer.set_faults(faults);
@@ -373,8 +350,7 @@ fn what_if(
     if let Some(t0) = t0 {
         tel.record(Hist::WhatIfCall, t0.elapsed());
     }
-    let deltas = before.map(|b| counter_deltas(&b, tel)).unwrap_or_default();
-    (cost, deltas)
+    cost
 }
 
 /// Fault-stream phase tags (keep baseline and evaluation schedules apart).
@@ -452,13 +428,10 @@ pub struct BenefitEvaluator<'a> {
     journal: EventJournal,
     /// `BudgetExhausted` is emitted once, at the first fallback planning.
     budget_event_emitted: bool,
-    /// Run-lifecycle controller: deadline/cancel polls, the checkpoint
-    /// warm store and log, and the governor's memory budget. All
-    /// interactions are coordinator-side, so lifecycle decisions are
-    /// jobs-invariant.
+    /// Run-lifecycle controller: deadline/cancel polls and the governor's
+    /// memory budget. All interactions are coordinator-side, so lifecycle
+    /// decisions are jobs-invariant.
     ctl: RunController,
-    /// Candidate-set digest binding checkpoint files to this run.
-    digest: u64,
     /// Resource-governor rung currently in effect (demotions are
     /// one-way).
     rung: GovernorRung,
@@ -466,9 +439,6 @@ pub struct BenefitEvaluator<'a> {
     memo_bytes: u64,
     /// Reused by each evaluation for a group's affected statements.
     scratch_affected: StmtSet,
-    /// Lifecycle warnings to surface to the caller (abandoned checkpoint
-    /// writes).
-    warnings: Vec<String>,
 }
 
 impl<'a> BenefitEvaluator<'a> {
@@ -611,17 +581,9 @@ impl<'a> BenefitEvaluator<'a> {
             journal: journal.clone(),
             budget_event_emitted: false,
             ctl: ctl.clone(),
-            // The digest only matters for checkpoint binding; skip the
-            // render when no controller is armed.
-            digest: if ctl.is_enabled() {
-                crate::runctl::candidate_digest(set)
-            } else {
-                0
-            },
             rung: GovernorRung::Full,
             memo_bytes: 0,
             scratch_affected: StmtSet::new(),
-            warnings: Vec::new(),
         };
         ev.extend_state();
         ev.compute_baselines();
@@ -752,81 +714,42 @@ impl<'a> BenefitEvaluator<'a> {
                 }
             });
         }
-        // Warm-store consult (coordinator-side): a resumed run serves any
-        // baseline costing the interrupted run already executed.
-        let capture = self.ctl.checkpointing();
-        let resumed = self.ctl.resumed();
-        let mut warm: Vec<Option<WarmEntry>> = vec![None; n];
-        let mut todo: Vec<(usize, u64)> = Vec::new();
-        for (si, plan) in plans.iter().enumerate() {
-            let BasePlan::Cost { salt } = *plan else {
-                continue;
-            };
-            if resumed {
-                warm[si] = self.ctl.warm_lookup(&WarmKey {
-                    salt,
-                    si,
-                    proj: Vec::new(),
-                });
-            }
-            if warm[si].is_none() {
-                todo.push((si, salt));
-            }
-        }
+        let todo: Vec<(usize, u64)> = (plans.iter().enumerate())
+            .filter_map(|(si, plan)| match *plan {
+                BasePlan::Cost { salt } => Some((si, salt)),
+                _ => None,
+            })
+            .collect();
         let (stmt_coll, prepared) = (&self.state.stmt_coll, &self.state.prepared);
         let (parts, faults) = (&self.parts, &self.faults);
         let costed = run_indexed(todo.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
             let (si, salt) = todo[i];
             let (Some(at), Some(prepared)) = (parts[stmt_coll[si]], &prepared[si]) else {
-                return (None, Vec::new());
+                return None;
             };
-            what_if(
-                at,
-                prepared,
-                at.1.view(),
-                &faults.derive_stream(salt),
-                capture,
-                tel,
-            )
+            what_if(at, prepared, at.1.view(), &faults.derive_stream(salt), tel)
         });
         let mut costed = costed.into_iter();
         for (si, plan) in plans.into_iter().enumerate() {
-            let served = warm[si].take();
-            let result = match (plan, &served) {
-                (BasePlan::Cost { .. }, None) => costed.next(),
+            let result = match plan {
+                BasePlan::Cost { .. } => costed.next().flatten(),
                 _ => None,
             };
             if !matches!(plan, BasePlan::Quarantined) {
                 self.state.asked += 1;
             }
-            self.baseline[si] = match (plan, served, result) {
-                (BasePlan::Quarantined, _, _) => 0.0,
-                (BasePlan::Retained(cost), _, _) => {
+            self.baseline[si] = match (plan, result) {
+                (BasePlan::Quarantined, _) => 0.0,
+                (BasePlan::Retained(cost), _) => {
                     self.state.served += 1;
                     cost
                 }
-                (BasePlan::Cost { salt }, Some(entry), _) => {
-                    // Warm-served replay: reuse the exact cost and reapply
-                    // the original execution's counter footprint, then log
-                    // the entry again so the next checkpoint carries it.
+                (BasePlan::Cost { .. }, Some(cost)) => {
                     self.stats.optimizer_calls += 1;
                     self.charged += 1;
-                    self.apply_deltas(&entry.deltas);
-                    let cost = f64::from_bits(entry.cost_bits);
-                    self.record_costing(salt, si, &[], entry);
                     self.retain_baseline(si, cost)
                 }
-                (BasePlan::Cost { salt }, None, Some((Some(cost), deltas))) => {
-                    self.stats.optimizer_calls += 1;
-                    self.charged += 1;
-                    let entry = WarmEntry {
-                        cost_bits: cost.to_bits(),
-                        deltas,
-                    };
-                    self.record_costing(salt, si, &[], entry);
-                    self.retain_baseline(si, cost)
-                }
-                (kind, _, _) => {
+                (kind, _) => {
                     // An optimizer failure here is an injected fault — the
                     // collection and its statistics were resolvable at
                     // planning time.
@@ -910,45 +833,6 @@ impl<'a> BenefitEvaluator<'a> {
         self.rung
     }
 
-    /// Lifecycle warnings accumulated so far (abandoned checkpoint
-    /// writes), in emission order.
-    pub fn warnings(&self) -> &[String] {
-        &self.warnings
-    }
-
-    /// Writes a final checkpoint unconditionally (the advisor calls this
-    /// when a run stops early, so `--resume` sees all completed work).
-    pub fn final_checkpoint(&mut self) {
-        if let Some(w) = self
-            .ctl
-            .final_checkpoint(self.digest, &self.faults, &self.telemetry)
-        {
-            self.warnings.push(w);
-        }
-    }
-
-    /// Replays a warm-store entry's counter footprint into the attached
-    /// telemetry (coordinator-side, so totals merge identically to the
-    /// original worker execution).
-    fn apply_deltas(&self, deltas: &[(usize, u64)]) {
-        for &(i, v) in deltas {
-            // Out-of-range indexes can only come from a checkpoint written
-            // by a different build; ignore them rather than panic.
-            if let Some(&c) = Counter::ALL.get(i) {
-                self.telemetry.add(c, v);
-            }
-        }
-    }
-
-    /// Logs one executed (or warm-served) costing for the next checkpoint.
-    /// The key is built only while a checkpoint file is armed.
-    fn record_costing(&self, salt: u64, si: usize, proj: &[CandId], entry: WarmEntry) {
-        if self.ctl.checkpointing() {
-            let proj = proj.to_vec();
-            self.ctl.record_costing(WarmKey { salt, si, proj }, entry);
-        }
-    }
-
     /// Inserts one statement costing into the projection-keyed cache
     /// unless the governor demoted past `no_stmt_cache` (the state tracks
     /// the approximate live bytes the governor budgets against).
@@ -959,9 +843,8 @@ impl<'a> BenefitEvaluator<'a> {
     }
 
     /// Batch epilogue: walk the governor's degradation ladder one rung if
-    /// the cache tally exceeds the memory budget, then let the controller
-    /// write a cadence checkpoint. Entirely coordinator-side, so both
-    /// decisions are jobs-invariant and replay-invariant.
+    /// the cache tally exceeds the memory budget. Entirely
+    /// coordinator-side, so the decision is jobs-invariant.
     fn end_batch(&mut self) {
         if let Some(budget) = self.ctl.mem_budget() {
             if self.memo_bytes + self.state.stmt_bytes > budget {
@@ -991,12 +874,6 @@ impl<'a> BenefitEvaluator<'a> {
                     });
                 }
             }
-        }
-        if let Some(w) = self
-            .ctl
-            .after_batch(self.digest, &self.faults, &self.telemetry)
-        {
-            self.warnings.push(w);
         }
     }
 
@@ -1315,86 +1192,41 @@ impl<'a> BenefitEvaluator<'a> {
             });
         }
 
-        // Warm-store consult (coordinator-side): a resumed run serves any
-        // optimizer task the interrupted run already executed. The
-        // overlays above are still built — their virtual-index churn
-        // counters are part of the uninterrupted run's footprint.
-        let capture = self.ctl.checkpointing();
-        let mut warm: Vec<Option<WarmEntry>> = if self.ctl.resumed() {
-            tasks
-                .iter()
-                .map(|t| match t.kind {
-                    TaskKind::Optimize { salt } => self.ctl.warm_lookup(&WarmKey {
-                        salt,
-                        si: t.si,
-                        proj: t.proj.clone().unwrap_or_default(),
-                    }),
-                    _ => None,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
         // Phase 4 (workers): pure costing, fanned out over `jobs` threads.
         let state = &*self.state;
         let (parts, faults) = (&self.parts, &self.faults);
-        let warm_ref = &warm;
         let results = run_indexed(tasks.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
             let task = &tasks[i];
             let TaskKind::Optimize { salt } = task.kind else {
-                return (None, Vec::new());
+                return None;
             };
-            if warm_ref.get(i).is_some_and(Option::is_some) {
-                // Served from the warm store at merge time.
-                return (None, Vec::new());
-            }
             let slot = state.stmt_coll[task.si];
             let (Some(at), Some(prepared)) = (parts[slot], &state.prepared[task.si]) else {
-                return (None, Vec::new());
+                return None;
             };
             let view = overlay_view(&overlays[task.group], &state.colls[slot], at.1);
             let stream = faults.derive_stream(salt);
-            what_if(at, prepared, view, &stream, capture, tel)
+            what_if(at, prepared, view, &stream, tel)
         });
 
         // Phase 5 (coordinator): merge in task order — the floating-point
         // summation order is fixed regardless of worker interleaving.
         let mut totals = vec![0.0f64; misses.len()];
         let mut tainted = vec![false; misses.len()];
-        for (i, (task, (result, deltas))) in tasks.into_iter().zip(results).enumerate() {
-            let served = warm.get_mut(i).and_then(Option::take);
-            let new_cost = match (task.kind, served, result) {
-                (TaskKind::Served { cost }, _, _) => cost,
-                (TaskKind::Optimize { salt }, Some(entry), _) => {
-                    // Warm-served replay: reuse the exact cost, reapply the
-                    // original counter footprint, and re-log the entry so
-                    // the next checkpoint carries it.
-                    self.stats.optimizer_calls += 1;
-                    self.apply_deltas(&entry.deltas);
-                    let cost = f64::from_bits(entry.cost_bits);
-                    if let Some(proj) = task.proj {
-                        self.record_costing(salt, task.si, &proj, entry);
-                        self.insert_stmt_cost(task.si, proj, cost);
-                    }
-                    cost
-                }
-                (TaskKind::Optimize { salt }, None, Some(cost)) => {
+        for (task, result) in tasks.into_iter().zip(results) {
+            let new_cost = match (task.kind, result) {
+                (TaskKind::Served { cost }, _) => cost,
+                (TaskKind::Optimize { .. }, Some(cost)) => {
                     self.stats.optimizer_calls += 1;
                     // Memoize under the projection key: any configuration
                     // with the same projection onto this statement has
                     // bitwise the same cost.
                     if let Some(proj) = task.proj {
-                        let entry = WarmEntry {
-                            cost_bits: cost.to_bits(),
-                            deltas,
-                        };
-                        self.record_costing(salt, task.si, &proj, entry);
                         self.insert_stmt_cost(task.si, proj, cost);
                     }
                     cost
                 }
-                (kind, _, _) => {
+                (kind, _) => {
                     // The degradation ladder's heuristic indexed-cost
                     // estimate: half the baseline — optimistic enough that
                     // candidates still rank by affected baseline mass.
@@ -1440,9 +1272,8 @@ impl<'a> BenefitEvaluator<'a> {
             })
             .collect();
         self.emit_what_if_events(&journal_slots, &out);
-        // Governor ladder + cadence checkpoint: only batches that actually
-        // costed something count (fully-served batches change no state
-        // worth persisting).
+        // Governor ladder: only batches that actually costed something
+        // count (fully-served batches grow no cache).
         self.end_batch();
         out
     }

@@ -251,13 +251,13 @@ fn covers_allocates_nothing() {
 /// normalized each statement three times.
 const ADVISOR_STAGES: [(&str, u64, u64); 8] = [
     ("prepare", 5_056, 21_997),
-    ("evaluator", 5_214, 12_934),
-    ("greedy", 14_119, 49_106),
-    ("heuristics", 16_290, 52_383),
-    ("topdown-lite", 14_338, 48_749),
-    ("topdown-full", 23_090, 80_585),
-    ("dp", 14_192, 49_179),
-    ("cophy", 6_944, 30_455),
+    ("evaluator", 5_213, 12_934),
+    ("greedy", 14_118, 49_106),
+    ("heuristics", 16_289, 52_383),
+    ("topdown-lite", 14_337, 48_749),
+    ("topdown-full", 23_089, 80_585),
+    ("dp", 14_191, 49_179),
+    ("cophy", 6_943, 30_455),
 ];
 
 #[test]

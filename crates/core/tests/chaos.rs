@@ -271,130 +271,6 @@ fn exhausted_what_if_budget_falls_back_and_stays_deterministic() {
     assert!(!a.config.is_empty());
 }
 
-// ---------------------------------------------------------------------
-// Checkpoint robustness: a corrupt checkpoint must never panic or poison
-// a run — every mutation is rejected at load and the advisor starts
-// cold; injected checkpoint-io faults abandon the write (with a
-// warning), never the run.
-
-use xia_advisor::RunController;
-use xia_obs::{Counter, Telemetry};
-
-/// Runs the advisor, killed deterministically mid-search so a checkpoint
-/// with real warm entries lands at `path`; returns the candidate digest
-/// the checkpoint was written against.
-fn make_checkpoint(path: &std::path::Path) -> u64 {
-    let mut db = db();
-    let w = workload();
-    let params = AdvisorParams {
-        ctl: RunController::new()
-            .with_cancel_after_polls(3)
-            .with_checkpoint(path, 1),
-        ..AdvisorParams::default()
-    };
-    let set = Advisor::prepare(&mut db, &w, &params);
-    let digest = xia_advisor::candidate_digest(&set);
-    let rec = Advisor::recommend_prepared(
-        &mut db,
-        &w,
-        &set,
-        u64::MAX / 2,
-        SearchAlgorithm::GreedyHeuristics,
-        &params,
-    )
-    .expect("a cancelled run still returns a partial recommendation");
-    assert!(!rec.complete, "cancel after 3 polls must stop the run");
-    digest
-}
-
-#[test]
-fn checkpoint_corruption_sweep_rejects_every_mutation() {
-    let dir = std::env::temp_dir().join(format!("xia_chaos_ck_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let ck = dir.join("c.ckpt");
-    let digest = make_checkpoint(&ck);
-    let off = FaultInjector::off();
-    let entries = xia_advisor::load_checkpoint(&ck, digest, &off).expect("pristine loads");
-    assert!(!entries.is_empty(), "checkpoint must hold warm entries");
-    // A checkpoint for a different candidate set is stale, not usable.
-    assert!(xia_advisor::load_checkpoint(&ck, digest ^ 1, &off).is_err());
-    let bytes = std::fs::read(&ck).unwrap();
-    let bad = dir.join("bad.ckpt");
-    // Every truncation point: no proper prefix may parse.
-    for cut in 0..bytes.len() {
-        std::fs::write(&bad, &bytes[..cut]).unwrap();
-        assert!(
-            xia_advisor::load_checkpoint(&bad, digest, &off).is_err(),
-            "truncation at {cut}/{} accepted",
-            bytes.len()
-        );
-    }
-    // Bit flips across the file: the checksum (or the framing) catches
-    // every one — wrong warm costs must never be replayed silently.
-    for pos in (0..bytes.len()).step_by(3) {
-        for bit in [0x01u8, 0x10, 0x80] {
-            let mut m = bytes.clone();
-            m[pos] ^= bit;
-            std::fs::write(&bad, &m).unwrap();
-            assert!(
-                xia_advisor::load_checkpoint(&bad, digest, &off).is_err(),
-                "bit flip at {pos} (mask {bit:#04x}) accepted"
-            );
-        }
-    }
-    // An injected read fault degrades the same way: Err, then cold start.
-    let read_faults = FaultInjector::seeded(SEED).with_always(FaultSite::CheckpointIo);
-    assert!(xia_advisor::load_checkpoint(&ck, digest, &read_faults).is_err());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn checkpoint_io_write_faults_abandon_the_write_not_the_run() {
-    let dir = std::env::temp_dir().join(format!("xia_chaos_ckw_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let ck = dir.join("w.ckpt");
-    let mut db1 = db();
-    let w = workload();
-    let params = AdvisorParams {
-        faults: FaultInjector::seeded(SEED).with_always(FaultSite::CheckpointIo),
-        telemetry: Telemetry::new(),
-        ctl: RunController::new().with_checkpoint(&ck, 1),
-        ..AdvisorParams::default()
-    };
-    let rec = Advisor::recommend(
-        &mut db1,
-        &w,
-        u64::MAX / 2,
-        SearchAlgorithm::GreedyHeuristics,
-        &params,
-    )
-    .expect("checkpoint faults must not fail the run");
-    assert!(rec.complete, "the run itself is unaffected");
-    assert!(
-        !rec.warnings.is_empty(),
-        "abandoned checkpoint writes must surface as warnings"
-    );
-    assert_eq!(
-        params.telemetry.get(Counter::CheckpointsWritten),
-        0,
-        "every write was abandoned"
-    );
-    // The recommendation is exactly what a run without checkpointing
-    // produces — lifecycle plumbing never leaks into the answer.
-    let mut db2 = db();
-    let clean = Advisor::recommend(
-        &mut db2,
-        &w,
-        u64::MAX / 2,
-        SearchAlgorithm::GreedyHeuristics,
-        &AdvisorParams::default(),
-    )
-    .unwrap();
-    assert_eq!(rec.config, clean.config);
-    assert_eq!(rec.est_benefit.to_bits(), clean.est_benefit.to_bits());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn every_fault_class_with_every_algorithm_never_panics() {
     // The full matrix at a moderate rate; each cell must end in Ok or a

@@ -418,12 +418,11 @@ fn masked_trace_report_is_byte_identical_across_jobs() {
 }
 
 // ---------------------------------------------------------------------
-// Run-lifecycle matrix: cooperative cancellation, checkpoint/resume, and
-// the resource governor must all preserve the determinism contract. A
-// run killed at *any* checkpoint and resumed must reproduce the
-// uninterrupted run bit for bit — recommendation, pinned counters, and
-// the full JSONL journal — at every worker count. (Latency histograms
-// are excluded: warm-served tasks legitimately skip what-if samples.)
+// Run-lifecycle matrix: cooperative cancellation, the deadline, and the
+// resource governor must all preserve the determinism contract. A run
+// stopped at a given poll, or walked down the governor's ladder, must
+// produce the same recommendation, pinned counters, and full JSONL
+// journal at every worker count.
 
 use xia_advisor::RunController;
 
@@ -443,10 +442,6 @@ struct LifecycleRun {
 fn lifecycle_counters(t: &Telemetry) -> Vec<(Counter, u64)> {
     let mut v: Vec<(Counter, u64)> = PINNED.iter().map(|&c| (c, t.get(c))).collect();
     v.push((
-        Counter::CheckpointsWritten,
-        t.get(Counter::CheckpointsWritten),
-    ));
-    v.push((
         Counter::GovernorDemotions,
         t.get(Counter::GovernorDemotions),
     ));
@@ -457,7 +452,6 @@ fn run_lifecycle(
     jobs: usize,
     make_params: &dyn Fn() -> AdvisorParams,
     ctl: RunController,
-    resume_from: Option<&std::path::Path>,
 ) -> LifecycleRun {
     let mut db = Database::new();
     let cfg = TpoxConfig::tiny();
@@ -471,12 +465,6 @@ fn run_lifecycle(
         ..make_params()
     };
     let set = Advisor::prepare(&mut db, &w, &params);
-    if let Some(path) = resume_from {
-        let entries =
-            xia_advisor::load_checkpoint(path, xia_advisor::candidate_digest(&set), &params.faults)
-                .expect("checkpoint must load");
-        params.ctl.install_warm(entries);
-    }
     let rec = Advisor::recommend_prepared(
         &mut db,
         &w,
@@ -496,77 +484,6 @@ fn run_lifecycle(
     }
 }
 
-fn lc_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("xia_lc_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// The any-prefix resume property: kill the run at the k-th cooperative
-/// poll for a sweep of k, resume each from its checkpoint, and require
-/// the resumed run to equal the uninterrupted (checkpointing) run —
-/// journal included — at jobs 1 and 4.
-fn assert_resume_equivalence(tag: &str, make_params: &dyn Fn() -> AdvisorParams) {
-    let dir = lc_dir(tag);
-    for jobs in [1usize, 4] {
-        let full_ck = dir.join(format!("full_{jobs}.ckpt"));
-        let full = run_lifecycle(
-            jobs,
-            make_params,
-            RunController::new().with_checkpoint(&full_ck, 1),
-            None,
-        );
-        assert!(full.complete, "uninterrupted run must complete");
-        assert!(!full.config.is_empty(), "suite needs a non-trivial run");
-        for k in 1..=4u64 {
-            let kill_ck = dir.join(format!("kill_{jobs}_{k}.ckpt"));
-            let killed = run_lifecycle(
-                jobs,
-                make_params,
-                RunController::new()
-                    .with_cancel_after_polls(k)
-                    .with_checkpoint(&kill_ck, 1),
-                None,
-            );
-            assert!(!killed.complete, "cancel at poll {k} must stop the run");
-            assert!(kill_ck.exists(), "stopped run must leave a checkpoint");
-            let next_ck = dir.join(format!("next_{jobs}_{k}.ckpt"));
-            let resumed = run_lifecycle(
-                jobs,
-                make_params,
-                RunController::new().with_checkpoint(&next_ck, 1),
-                Some(&kill_ck),
-            );
-            assert_eq!(
-                resumed, full,
-                "kill at poll {k} + resume diverged from uninterrupted (jobs={jobs}, {tag})"
-            );
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn resume_matches_uninterrupted_clean() {
-    assert_resume_equivalence("clean", &AdvisorParams::default);
-}
-
-#[test]
-fn resume_matches_uninterrupted_under_faults() {
-    assert_resume_equivalence("faults", &|| AdvisorParams {
-        faults: FaultInjector::seeded(SEED).with_rate(FaultSite::OptimizerCost, 0.3),
-        ..AdvisorParams::default()
-    });
-}
-
-#[test]
-fn resume_matches_uninterrupted_under_exhausted_budget() {
-    assert_resume_equivalence("budget", &|| AdvisorParams {
-        what_if_budget: WhatIfBudget::calls(32),
-        ..AdvisorParams::default()
-    });
-}
-
 #[test]
 fn partial_results_are_jobs_invariant() {
     // Cooperative polls happen only on the coordinator, so a cancelled
@@ -577,7 +494,6 @@ fn partial_results_are_jobs_invariant() {
             1,
             &AdvisorParams::default,
             RunController::new().with_cancel_after_polls(k),
-            None,
         );
         assert!(!r1.complete, "cancel after {k} polls must stop the run");
         assert!(
@@ -590,7 +506,6 @@ fn partial_results_are_jobs_invariant() {
                 jobs,
                 &AdvisorParams::default,
                 RunController::new().with_cancel_after_polls(k),
-                None,
             );
             assert_eq!(r1, r, "partial result diverged at jobs={jobs}, k={k}");
         }
@@ -600,7 +515,6 @@ fn partial_results_are_jobs_invariant() {
         1,
         &AdvisorParams::default,
         RunController::new().with_deadline_ms(0),
-        None,
     );
     assert!(!d1.complete);
     for jobs in [4usize, 8] {
@@ -608,7 +522,6 @@ fn partial_results_are_jobs_invariant() {
             jobs,
             &AdvisorParams::default,
             RunController::new().with_deadline_ms(0),
-            None,
         );
         assert_eq!(d1, d, "deadline partial result diverged at jobs={jobs}");
     }
@@ -620,7 +533,7 @@ fn governor_ladder_is_deterministic_across_jobs() {
     // coordinator-side byte tally makes every demotion (and the degraded
     // costings after it) identical at every worker count.
     let mk = || RunController::new().with_mem_budget(1);
-    let r1 = run_lifecycle(1, &AdvisorParams::default, mk(), None);
+    let r1 = run_lifecycle(1, &AdvisorParams::default, mk());
     assert!(
         r1.complete,
         "the governor degrades, it does not stop the run"
@@ -637,7 +550,7 @@ fn governor_ladder_is_deterministic_across_jobs() {
         "every demotion must be journaled"
     );
     for jobs in [4usize, 8] {
-        let r = run_lifecycle(jobs, &AdvisorParams::default, mk(), None);
+        let r = run_lifecycle(jobs, &AdvisorParams::default, mk());
         assert_eq!(r1, r, "governor run diverged at jobs={jobs}");
     }
 }

@@ -40,19 +40,14 @@ pub enum FaultSite {
     /// Statistics (RUNSTATS output) unavailable for a collection, for one
     /// advisor phase (`xia_storage::StatsView::roll`).
     StatsUnavailable,
-    /// Run-checkpoint I/O (checkpoint file reads and writes). A firing
-    /// write abandons that checkpoint (the previous one survives); a
-    /// firing read falls back to a cold start.
-    CheckpointIo,
 }
 
 impl FaultSite {
     /// All sites, in declaration order.
-    pub const ALL: [FaultSite; 4] = [
+    pub const ALL: [FaultSite; 3] = [
         FaultSite::StorageIo,
         FaultSite::OptimizerCost,
         FaultSite::StatsUnavailable,
-        FaultSite::CheckpointIo,
     ];
 
     /// Number of sites.
@@ -64,7 +59,6 @@ impl FaultSite {
             FaultSite::StorageIo => "storage-io",
             FaultSite::OptimizerCost => "optimizer-cost",
             FaultSite::StatsUnavailable => "stats-unavailable",
-            FaultSite::CheckpointIo => "checkpoint-io",
         }
     }
 
@@ -459,6 +453,9 @@ mod tests {
         assert!(f.is_armed(FaultSite::OptimizerCost));
         assert!(!f.is_armed(FaultSite::StorageIo));
         assert!(FaultInjector::seeded(0).with_spec("nope:0.5").is_err());
+        assert!(FaultInjector::seeded(0)
+            .with_spec("checkpoint-io:1")
+            .is_err());
         assert!(FaultInjector::seeded(0).with_spec("storage-io").is_err());
         assert!(FaultInjector::seeded(0)
             .with_spec("storage-io:2.0")

@@ -83,8 +83,6 @@ pub enum Counter {
     /// ladder walked because the cache memory tally exceeded
     /// `--mem-budget`.
     GovernorDemotions,
-    /// Run-progress checkpoints written by the run controller.
-    CheckpointsWritten,
     /// Documents ingested through the streaming (SAX-style) parse path
     /// instead of the DOM parser.
     DocsStreamed,
@@ -118,7 +116,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in declaration order.
-    pub const ALL: [Counter; 39] = [
+    pub const ALL: [Counter; 38] = [
         Counter::OptimizerEvaluateCalls,
         Counter::OptimizerEnumerateCalls,
         Counter::IndexMatchingAttempts,
@@ -149,7 +147,6 @@ impl Counter {
         Counter::ContainCacheHits,
         Counter::ContainFastRejects,
         Counter::GovernorDemotions,
-        Counter::CheckpointsWritten,
         Counter::DocsStreamed,
         Counter::IngestBatches,
         Counter::ColumnarScanRows,
@@ -196,7 +193,6 @@ impl Counter {
             Counter::ContainCacheHits => "contain_cache_hits",
             Counter::ContainFastRejects => "contain_fast_rejects",
             Counter::GovernorDemotions => "governor_demotions",
-            Counter::CheckpointsWritten => "checkpoints_written",
             Counter::DocsStreamed => "docs_streamed",
             Counter::IngestBatches => "ingest_batches",
             Counter::ColumnarScanRows => "columnar_scan_rows",

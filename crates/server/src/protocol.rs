@@ -341,12 +341,6 @@ pub fn render_recommendation(rec: &Recommendation) -> Json {
     if let Some(stop) = &rec.stop {
         fields.push(("stop".into(), Json::Str(format!("{stop:?}"))));
     }
-    if !rec.warnings.is_empty() {
-        fields.push((
-            "warnings".into(),
-            Json::Arr(rec.warnings.iter().cloned().map(Json::Str).collect()),
-        ));
-    }
     Json::Obj(fields)
 }
 

@@ -32,9 +32,8 @@ pub use database::{Database, StatsView};
 pub use index::{OrdF64, PhysicalIndex, Posting};
 pub use ingest::{ingest_batch, resolve_jobs, IngestError, IngestOptions, IngestReport};
 pub use persist::{
-    fnv1a64, load_database, load_database_from, load_database_lenient,
-    load_database_lenient_faulted, load_database_lenient_from, save_database,
-    save_database_faulted, save_database_to, save_database_to_faulted, sum64, LoadReport,
-    PersistError,
+    load_database, load_database_from, load_database_lenient, load_database_lenient_faulted,
+    load_database_lenient_from, save_database, save_database_faulted, save_database_to,
+    save_database_to_faulted, sum64, LoadReport, PersistError,
 };
 pub use stats::{runstats, runstats_scan, CollectionStats, PathStat};

@@ -149,13 +149,6 @@ fn format_err(msg: impl Into<String>) -> PersistError {
     PersistError::Format(msg.into())
 }
 
-/// FNV-1a 64 of `bytes`: the byte-wise checksum of advisor checkpoints.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 /// The v3 checksum: four independent lanes, each folding one 64-bit word
 /// of every 32-byte block with a multiply–rotate–multiply round (the
 /// XXH64 round), then folded together with the length. Every step is a

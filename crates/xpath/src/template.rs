@@ -49,7 +49,7 @@
 //! a comparison of whole keys, never of hashes. The bytes are those the
 //! earlier `normalize` + `Display` rendering produced — that renderer is
 //! kept, for tests only, as the oracle the walker is checked against — so
-//! salts, journals, checkpoints and drift values are unchanged.
+//! salts, journals and drift values are unchanged.
 
 use crate::ast::{CmpOp, Literal, Predicate, Step};
 use crate::linear::{Axis, LinearStep, NameTest};
