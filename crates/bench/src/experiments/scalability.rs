@@ -237,60 +237,6 @@ pub fn datapath_table(points: &[DataPathPoint]) -> Table {
     t
 }
 
-/// Renders both sweeps as one table (and one CSV): advisor rows carry the
-/// workload columns, datapath rows the throughput columns; cells that do
-/// not apply to a sweep hold `-`.
-pub fn combined_table(advisor: &[ScalePoint], datapath: &[DataPathPoint]) -> Table {
-    const NA: &str = "-";
-    let mut t = Table::new(
-        "Scalability — advisor cost vs workload size; data path vs corpus size",
-        &[
-            "sweep",
-            "size",
-            "candidates",
-            "ms",
-            "optimizer calls",
-            "calls/query",
-            "docs",
-            "nodes",
-            "nodes/sec",
-            "scans/sec",
-            "jobs",
-        ],
-    );
-    for p in advisor {
-        t.row(vec![
-            "advisor".to_string(),
-            p.queries.to_string(),
-            p.candidates.to_string(),
-            f(p.ms),
-            p.optimizer_calls.to_string(),
-            f(p.optimizer_calls as f64 / p.queries.max(1) as f64),
-            NA.to_string(),
-            NA.to_string(),
-            NA.to_string(),
-            NA.to_string(),
-            NA.to_string(),
-        ]);
-    }
-    for p in datapath {
-        t.row(vec![
-            "datapath".to_string(),
-            p.factor.to_string(),
-            NA.to_string(),
-            f(p.ingest_ms),
-            NA.to_string(),
-            NA.to_string(),
-            p.docs.to_string(),
-            p.nodes.to_string(),
-            f(p.nodes_per_sec),
-            f(p.scans_per_sec),
-            p.jobs.to_string(),
-        ]);
-    }
-    t
-}
-
 /// Default data-path factors: 10× to 100× the tiny generator corpus (the
 /// 100× point is ~27,000 documents, >13× the standard experiment lab).
 pub const DEFAULT_FACTORS: [usize; 3] = [10, 30, 100];

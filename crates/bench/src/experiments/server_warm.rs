@@ -44,7 +44,7 @@ pub const ALGO: SearchAlgorithm = SearchAlgorithm::GreedyHeuristics;
 
 /// A blocking request/reply client over one TCP connection — one warm
 /// session for as long as the connection lives. Shared by the E17
-/// experiment, the `server_overhead_gate` bin, and the determinism suite.
+/// experiment, `xia-bench gate server`, and the determinism suite.
 pub struct Conn {
     reader: BufReader<TcpStream>,
 }
@@ -113,8 +113,6 @@ pub struct E17 {
     pub speedup: f64,
     /// Warm reply's recommendation is byte-identical to the cold one.
     pub identical: bool,
-    /// Measurement rounds per leg.
-    pub rounds: usize,
     /// Recommends issued per session in the throughput leg.
     pub recommends_per_session: usize,
     /// Cores the run had (`available_parallelism`); throughput cannot
@@ -297,7 +295,6 @@ pub fn run(
         warm_secs,
         speedup: cold_secs / warm_secs,
         identical,
-        rounds,
         recommends_per_session,
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         throughput,
@@ -342,39 +339,4 @@ pub fn table(e: &E17) -> Table {
         yes_no(e.concurrent_identical),
     ]);
     t
-}
-
-/// The machine-readable fields for `BENCH_server.json`.
-pub fn bench_fields(e: &E17) -> Vec<(String, Json)> {
-    vec![
-        ("experiment".into(), Json::Str("E17_server_warm".into())),
-        ("cold_ms".into(), Json::Num(e.cold_secs * 1e3)),
-        ("warm_ms".into(), Json::Num(e.warm_secs * 1e3)),
-        ("speedup".into(), Json::Num(e.speedup)),
-        ("identical".into(), Json::Bool(e.identical)),
-        ("rounds".into(), Json::Num(e.rounds as f64)),
-        (
-            "recommends_per_session".into(),
-            Json::Num(e.recommends_per_session as f64),
-        ),
-        ("cores".into(), Json::Num(e.cores as f64)),
-        (
-            "throughput".into(),
-            Json::Arr(
-                e.throughput
-                    .iter()
-                    .map(|&(sessions, rps)| {
-                        Json::Obj(vec![
-                            ("sessions".into(), Json::Num(sessions as f64)),
-                            ("rps".into(), Json::Num(rps)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "concurrent_identical".into(),
-            Json::Bool(e.concurrent_identical),
-        ),
-    ]
 }

@@ -9,6 +9,15 @@ use xia_workloads::synthetic::{self, SyntheticConfig};
 use xia_workloads::tpox::{self, TpoxConfig};
 use xia_workloads::Workload;
 
+/// The value of environment variable `name`, or `default` when it is
+/// unset or does not parse.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// A TPoX-populated database with the benchmark workloads.
 pub struct TpoxLab {
     /// The populated database.
@@ -32,11 +41,7 @@ impl TpoxLab {
 
     /// The standard experiment lab. Scale with `XIA_SCALE` (default 1).
     pub fn standard() -> Self {
-        let scale: usize = std::env::var("XIA_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
-        Self::new(TpoxConfig::scaled(scale.max(1)))
+        Self::new(TpoxConfig::scaled(env_or("XIA_SCALE", 1usize).max(1)))
     }
 
     /// The 11-query TPoX workload.

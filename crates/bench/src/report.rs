@@ -82,30 +82,8 @@ fn csv_escape(s: &str) -> String {
 /// print their tables.
 pub fn write_csv(table: &Table, name: &str) -> Option<std::path::PathBuf> {
     let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return None;
-    }
     let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, table.to_csv()) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: could not write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-/// Writes `BENCH_<name>.json` in the current directory: a flat,
-/// machine-readable perf snapshot (one JSON object) so the performance
-/// trajectory is tracked across PRs instead of living only in CSVs.
-/// Returns the path written; failures are reported, not fatal.
-pub fn write_bench_json(
-    name: &str,
-    fields: Vec<(String, xia_obs::json::Json)>,
-) -> Option<std::path::PathBuf> {
-    let path = std::path::PathBuf::from(format!("BENCH_{name}.json"));
-    let body = xia_obs::json::Json::Obj(fields).render() + "\n";
-    match std::fs::write(&path, body) {
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, table.to_csv())) {
         Ok(()) => Some(path),
         Err(e) => {
             eprintln!("warning: could not write {}: {e}", path.display());
