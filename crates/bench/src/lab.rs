@@ -125,7 +125,7 @@ pub fn estimated_workload_cost(
             continue;
         };
         let optimizer = Optimizer::new(collection, stats, catalog);
-        total += entry.freq * optimizer.optimize(&entry.statement).total_cost;
+        total += entry.freq * optimizer.optimize(entry.statement).total_cost;
     }
     install_virtuals(db, set, &[]);
     total
@@ -206,13 +206,13 @@ pub fn actual_execution(
                 continue;
             };
             let optimizer = Optimizer::new(collection, stats, catalog);
-            let plan = optimizer.optimize(&entry.statement);
+            let plan = optimizer.optimize(entry.statement);
             if plan.uses_indexes() {
                 round_run.indexed_statements += 1;
             }
             let reps = entry.freq.max(1.0) as usize;
             for _ in 0..reps {
-                let result = execute_query(&entry.statement, &plan, collection, catalog)
+                let result = execute_query(entry.statement, &plan, collection, catalog)
                     .expect("physical plans execute");
                 round_run.docs += result.docs_matched;
                 round_run.nodes += result.nodes_visited;

@@ -103,8 +103,8 @@ mod tests {
         let text = "@freq 3\ncollection('C')/a[b = 1]\n\ndelete from C where /a[b = 2]";
         let w = parse_workload(text).unwrap();
         assert_eq!(w.len(), 2);
-        assert_eq!(w.entries()[0].freq, 3.0);
-        assert!(w.entries()[1].statement.is_modification());
+        assert_eq!(w.freq(0), 3.0);
+        assert!(w.entry(1).statement.is_modification());
     }
 
     #[test]

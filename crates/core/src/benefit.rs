@@ -609,7 +609,8 @@ impl<'a> BenefitEvaluator<'a> {
         // thousands) share a few hundred distinct paths.
         self.parts = state.colls.iter().map(|c| self.db.parts(c)).collect();
         let mut preparers: Vec<Option<Optimizer<'a>>> = self.parts.iter().map(|_| None).collect();
-        for entry in &entries[from..] {
+        // `skip` is O(1): extending costs the new statements only.
+        for entry in entries.iter().skip(from) {
             let coll = entry.statement.collection();
             let slot = state
                 .colls
@@ -629,17 +630,17 @@ impl<'a> BenefitEvaluator<'a> {
                         optimizer.set_telemetry(&self.telemetry);
                         optimizer
                     })
-                    .prepare_shared(&entry.statement, &mut state.memos[slot])
+                    .prepare_shared(entry.statement, &mut state.memos[slot])
             });
             // The signature is read off the prepared patterns; a statement
             // without visible statistics is normalized for it.
             state.matrix.push(match &prepared {
                 Some(prepared) => prepared.signature(coll),
-                None => xia_optimizer::statement_signature(&entry.statement),
+                None => xia_optimizer::statement_signature(entry.statement),
             });
             state
                 .stmt_salts
-                .push(xia_xpath::template_fingerprint(&entry.statement));
+                .push(xia_xpath::template_fingerprint(entry.statement));
             state.stmt_coll.push(slot);
             state.prepared.push(prepared);
             state.baseline.push(None);
@@ -765,7 +766,7 @@ impl<'a> BenefitEvaluator<'a> {
                     }
                     self.fallbacks += 1;
                     self.telemetry.incr(Counter::CostFallbacks);
-                    let coll = self.workload.entries()[si].statement.collection();
+                    let coll = self.workload.entry(si).statement.collection();
                     self.heuristic_statement_cost(coll)
                 }
             };
@@ -1246,8 +1247,7 @@ impl<'a> BenefitEvaluator<'a> {
                     0.5 * self.baseline[task.si]
                 }
             };
-            let entry = &self.workload.entries()[task.si];
-            totals[task.group] += entry.freq * (self.baseline[task.si] - new_cost);
+            totals[task.group] += self.workload.freq(task.si) * (self.baseline[task.si] - new_cost);
         }
         // Discarding the overlays here (not in a worker) keeps the
         // virtual-indexes-dropped counter deterministic too.
@@ -1573,7 +1573,7 @@ impl<'a> BenefitEvaluator<'a> {
                     &def.pattern,
                     def.kind,
                     &def.stats,
-                    &entry.statement,
+                    entry.statement,
                     stats,
                     prepared,
                     &cm,
@@ -1813,7 +1813,7 @@ mod tests {
             let istats = Catalog::derive_stats(collection, stats, &c.pattern, c.kind).1;
             let mut want = 0.0;
             for entry in w.entries() {
-                let stmt = &*entry.statement;
+                let stmt = &**entry.statement;
                 if !stmt.is_modification() || stmt.collection() != c.collection {
                     continue;
                 }

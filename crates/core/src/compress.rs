@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use xia_obs::{Counter, Event, EventJournal, Telemetry};
 use xia_workloads::Workload;
-use xia_xpath::{fnv1a, write_template_key, Statement};
+use xia_xpath::{fnv1a, write_template_key};
 
 /// One cluster of cost-identical statements.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +52,8 @@ pub struct CompressedWorkload {
     pub templates: Vec<WorkloadTemplate>,
     /// Statement count of the original workload.
     pub original_statements: usize,
-    /// Template keys written: one per parsed statement the original holds.
+    /// Template keys written: one per slot (distinct statement) the
+    /// original holds.
     pub keys_written: usize,
 }
 
@@ -92,32 +93,36 @@ pub fn compute_weights(templates: &[WorkloadTemplate]) -> (u64, f64) {
 /// `templates_built` / `stmts_compressed` counters and a
 /// [`Event::WorkloadCompressed`] journal line.
 ///
-/// Entries of one text share one parsed statement ([`Workload`]): one
-/// whose allocation has been placed joins that template without its key
-/// being written again. Any other key goes into one reused buffer and is
-/// looked up borrowed, so only a statement that opens a new template
-/// allocates (its key, once); identity is the comparison of whole keys by
-/// the map. Representatives are shared into the compressed workload.
+/// Entries of one slot share one parsed statement ([`Workload`]): the
+/// template of a slot that has been placed is read from a vector indexed
+/// by slot, and its key is not written again. Any other key goes into one
+/// reused buffer and is looked up borrowed, so only a statement that opens
+/// a new template allocates (its key, once); identity is the comparison of
+/// whole keys by the map. Representatives are shared into the compressed
+/// workload.
 pub fn compress_workload(
     w: &Workload,
     telemetry: &Telemetry,
     journal: &EventJournal,
 ) -> CompressedWorkload {
+    /// A slot not placed yet.
+    const UNPLACED: u32 = u32::MAX;
     let mut by_key: HashMap<String, usize> = HashMap::new();
-    // `w` is borrowed for the whole pass: an address names one statement.
-    let mut by_allocation: HashMap<*const Statement, usize> = HashMap::new();
+    let mut template_of = vec![UNPLACED; w.slots()];
+    let mut keys_written = 0;
     let mut templates: Vec<WorkloadTemplate> = Vec::new();
     let mut key = String::new();
     for (si, entry) in w.entries().iter().enumerate() {
         // The statement's template; `templates.len()` if it opens one.
-        let ti = *by_allocation
-            .entry(Arc::as_ptr(&entry.statement))
-            .or_insert_with(|| {
-                key.clear();
-                write_template_key(&entry.statement, &mut key)
-                    .expect("writing to a String cannot fail");
-                by_key.get(key.as_str()).map_or(templates.len(), |&ti| ti)
-            });
+        let placed = &mut template_of[w.slot(si)];
+        if *placed == UNPLACED {
+            key.clear();
+            write_template_key(entry.statement, &mut key).expect("writing to a String cannot fail");
+            keys_written += 1;
+            let ti = by_key.get(key.as_str()).map_or(templates.len(), |&ti| ti);
+            *placed = u32::try_from(ti).expect("fewer templates than slots");
+        }
+        let ti = *placed as usize;
         match templates.get_mut(ti) {
             Some(t) => {
                 // Saturating, not wrapping: see `compute_weights`.
@@ -142,8 +147,8 @@ pub fn compress_workload(
     }
     let mut compressed = Workload::with_capacity(templates.len());
     for t in &templates {
-        let rep = &w.entries()[t.representative];
-        compressed.push_statement(Arc::clone(&rep.statement), t.weight, &rep.text);
+        let rep = w.entry(t.representative);
+        compressed.push_statement(Arc::clone(rep.statement), t.weight, rep.text);
     }
     let folded = w.len().saturating_sub(templates.len()) as u64;
     telemetry.add(Counter::TemplatesBuilt, templates.len() as u64);
@@ -156,13 +161,14 @@ pub fn compress_workload(
         workload: compressed,
         templates,
         original_statements: w.len(),
-        keys_written: by_allocation.len(),
+        keys_written,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xia_xpath::Statement;
 
     fn workload(texts: &[&str]) -> Workload {
         Workload::from_texts(texts.iter().copied()).unwrap()
@@ -184,7 +190,7 @@ mod tests {
         assert_eq!(c.templates[0].members, 3);
         assert_eq!(c.templates[0].weight, 3.0);
         assert_eq!(c.templates[0].representative, 0);
-        assert_eq!(c.workload.entries()[0].freq, 3.0);
+        assert_eq!(c.workload.freq(0), 3.0);
         assert_eq!(t.get(Counter::TemplatesBuilt), 2);
         assert_eq!(t.get(Counter::StmtsCompressed), 2);
         assert!((c.ratio() - 2.0).abs() < 1e-12);
@@ -259,7 +265,7 @@ mod tests {
         let mut by_key: HashMap<String, usize> = HashMap::new();
         let mut want: Vec<WorkloadTemplate> = Vec::new();
         for (si, entry) in w.entries().iter().enumerate() {
-            let key = template_key(&entry.statement);
+            let key = template_key(entry.statement);
             if let Some(&ti) = by_key.get(&key) {
                 want[ti].members += 1;
                 want[ti].weight += entry.freq;
@@ -287,7 +293,7 @@ mod tests {
         assert_eq!(got.workload.len(), want.len());
         for ((t, g), entry) in want.iter().zip(&got.templates).zip(got.workload.entries()) {
             assert_eq!(g.weight.to_bits(), t.weight.to_bits(), "{}", t.key);
-            let rep = &w.entries()[t.representative];
+            let rep = w.entry(t.representative);
             assert_eq!(entry.text, rep.text);
             assert_eq!(entry.statement, rep.statement);
             assert_eq!(entry.freq.to_bits(), t.weight.to_bits());
@@ -298,7 +304,7 @@ mod tests {
         // it only takes a key per entry instead of one per distinct text.
         let mut unshared = Workload::new();
         for e in w.entries() {
-            unshared.push_statement(Arc::new(Statement::clone(&e.statement)), e.freq, &e.text);
+            unshared.push_statement(Arc::new(Statement::clone(e.statement)), e.freq, e.text);
         }
         let lone = compress_workload(&unshared, &Telemetry::off(), &EventJournal::off());
         assert_eq!(lone.templates, got.templates);

@@ -63,7 +63,7 @@ pub fn enumerate_candidates_into(
         let coll = entry.statement.collection();
         // A pattern the statement exposes twice merges into its first
         // insertion, so the repeat changes nothing.
-        optimizer.enumerate_indexes_with(&entry.statement, |pattern, kind| {
+        optimizer.enumerate_indexes_with(entry.statement, |pattern, kind| {
             let known = set.len();
             let id = set.insert(coll, pattern, kind, CandOrigin::Basic);
             set.get_mut(id).affected.insert(si);

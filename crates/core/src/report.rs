@@ -62,7 +62,7 @@ impl TuningReport {
         let costs_before: Vec<f64> = workload
             .entries()
             .iter()
-            .map(|e| cost_of(db, &e.statement).unwrap_or(0.0))
+            .map(|e| cost_of(db, e.statement).unwrap_or(0.0))
             .collect();
 
         // Install the recommendation as virtual indexes.
@@ -78,12 +78,12 @@ impl TuningReport {
             .iter()
             .zip(costs_before)
             .map(|(e, cost_before)| {
-                let (cost_after, plan_after) = match plan_of(db, &e.statement) {
+                let (cost_after, plan_after) = match plan_of(db, e.statement) {
                     Some((c, p)) => (c, p),
                     None => (0.0, "n/a".to_string()),
                 };
                 StatementReport {
-                    text: first_line(&e.text),
+                    text: first_line(e.text),
                     cost_before,
                     cost_after,
                     plan_after,

@@ -288,7 +288,7 @@ mod tests {
         }
         assert_eq!(session.observed(), 5);
         assert_eq!(session.workload().len(), 1);
-        assert_eq!(session.workload().entries()[0].freq, 5.0);
+        assert_eq!(session.workload().freq(0), 5.0);
     }
 
     #[test]
@@ -393,7 +393,7 @@ mod tests {
                 let key = format!("{:?}", e.statement);
                 match want.iter_mut().find(|w| w.0 == key) {
                     Some(w) => w.2 += e.freq,
-                    None => want.push((key, &e.text, e.freq)),
+                    None => want.push((key, e.text, e.freq)),
                 }
             }
             let got = session.workload();

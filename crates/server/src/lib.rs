@@ -24,7 +24,7 @@
 //! Every session is a pure function of its own request stream, so N
 //! concurrent clients get byte-identical replies to the same requests
 //! replayed serially — the property the `server_determinism` test suite
-//! and the `server_overhead_gate` release gate pin.
+//! and the `xia-bench gate server` release gate pin.
 
 pub mod protocol;
 pub mod server;

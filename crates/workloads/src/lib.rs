@@ -19,4 +19,4 @@ pub mod tpox;
 pub mod workload;
 pub mod xmark;
 
-pub use workload::{Workload, WorkloadEntry};
+pub use workload::{Entries, EntryIter, Workload, WorkloadEntry};

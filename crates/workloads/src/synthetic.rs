@@ -255,10 +255,10 @@ mod tests {
         let qs = generate_queries(c, &SyntheticConfig::default());
         for q in &qs {
             let w = Workload::from_texts([q.as_str()]).unwrap();
-            let Statement::Query(_) = &*w.entries()[0].statement else {
+            let Statement::Query(_) = &**w.entry(0).statement else {
                 panic!("expected query: {q}");
             };
-            let n = normalize_statement(&w.entries()[0].statement).unwrap();
+            let n = normalize_statement(w.entry(0).statement).unwrap();
             assert_eq!(n.patterns.len(), 1, "{q}");
         }
     }
@@ -298,7 +298,7 @@ mod tests {
         let mut anchored = 0;
         let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
         for e in w.entries() {
-            let n = normalize_statement(&e.statement).unwrap();
+            let n = normalize_statement(e.statement).unwrap();
             if n.patterns.len() == 2 {
                 anchored += 1;
                 for p in &n.patterns {

@@ -1,34 +1,48 @@
 //! Workloads: statements with frequencies.
 //!
-//! Entries of one (trimmed) text share one parsed statement: a captured
-//! workload repeats itself, and a repeat costs a reference, not a parse.
-//! Identity is the text, so what an entry holds is what its text parses to.
+//! A workload is its distinct statements. Each distinct (trimmed) text is
+//! parsed once and stored once, in a *slot*; an entry is a slot and a
+//! frequency. A captured workload repeats itself, and a repeat costs one
+//! hash, one text comparison and a 16-byte push — no allocation, no
+//! reference count, nothing to free. Identity is the slot: entries of one
+//! slot share its statement, and what a slot holds is what its text parses
+//! to.
 
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::Arc;
 use xia_xpath::{parse_statement, ParseError, Statement};
 
-/// One workload entry: a statement and its frequency of occurrence
-/// (`freq_s` in the paper's benefit formula).
+/// One distinct statement and the text it was parsed from.
 #[derive(Debug, Clone)]
-pub struct WorkloadEntry {
-    /// The statement, shared with every entry of the same text.
-    pub statement: Arc<Statement>,
+struct Distinct {
+    statement: Arc<Statement>,
+    text: String,
+}
+
+/// One workload entry: a statement and its frequency of occurrence
+/// (`freq_s` in the paper's benefit formula), borrowed from the workload.
+#[derive(Debug, Clone, Copy)]
+pub struct WorkloadEntry<'a> {
+    /// The statement, shared with every entry of the same slot.
+    pub statement: &'a Arc<Statement>,
     /// Frequency weight.
     pub freq: f64,
     /// The original statement text (for reports).
-    pub text: String,
+    pub text: &'a String,
 }
 
 /// A query/update workload — the advisor's training input.
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
-    entries: Vec<WorkloadEntry>,
-    /// Hash of a text (by this map's own hasher) → the first entry whose
+    /// The slots, numbered in order of their first entry.
+    distinct: Vec<Distinct>,
+    /// `(slot, freq)` per entry, in order.
+    entries: Vec<(u32, f64)>,
+    /// Hash of a text (by this map's own hasher) → the first slot whose
     /// text has that hash. A hit is confirmed by comparing the texts: two
     /// texts with one hash cost a parse, never a wrong statement.
-    first_with: HashMap<u64, usize>,
+    first_with: HashMap<u64, u32>,
 }
 
 impl Workload {
@@ -50,44 +64,63 @@ impl Workload {
         self.push_with_freq(text, 1.0)
     }
 
-    /// Appends a statement with an explicit frequency, parsing it unless an
-    /// entry of the same trimmed text already holds its statement.
+    /// Appends a statement with an explicit frequency, parsing it unless a
+    /// slot of the same trimmed text already holds its statement.
     pub fn push_with_freq(&mut self, text: &str, freq: f64) -> Result<(), ParseError> {
         let trimmed = text.trim();
         let hash = self.text_hash(trimmed);
-        let statement = match self.first_with.get(&hash).map(|&i| &self.entries[i]) {
-            Some(first) if first.text == trimmed => Arc::clone(&first.statement),
-            _ => Arc::new(parse_statement(text)?),
+        let slot = match self.first_with.get(&hash) {
+            Some(&slot) if self.distinct[slot as usize].text == trimmed => slot,
+            _ => {
+                let statement = Arc::new(parse_statement(text)?);
+                self.open_slot(hash, statement, trimmed.to_string())
+            }
         };
-        self.push_entry(hash, statement, freq, trimmed.to_string());
+        self.entries.push((slot, freq));
         Ok(())
     }
 
     /// Appends an already-parsed statement; `text` is what it was parsed
-    /// from (a later push of that text shares this statement).
+    /// from (a later push of that text shares this statement). It joins
+    /// the slot filed for `text` if that slot holds this very allocation,
+    /// and opens its own otherwise.
     pub fn push_statement(&mut self, statement: Arc<Statement>, freq: f64, text: &str) {
-        self.push_entry(self.text_hash(text), statement, freq, text.to_string());
+        let slot = self.slot_for(statement, text);
+        self.entries.push((slot, freq));
     }
 
     fn text_hash(&self, text: &str) -> u64 {
         self.first_with.hasher().hash_one(text)
     }
 
-    /// Appends an entry whose `text` hashes to `hash`.
-    fn push_entry(&mut self, hash: u64, statement: Arc<Statement>, freq: f64, text: String) {
-        self.first_with.entry(hash).or_insert(self.entries.len());
-        self.entries.push(WorkloadEntry {
-            statement,
-            freq,
-            text,
-        });
+    /// The slot filed for `text` if it holds `statement`, else a new one.
+    fn slot_for(&mut self, statement: Arc<Statement>, text: &str) -> u32 {
+        let hash = self.text_hash(text);
+        match self
+            .first_with
+            .get(&hash)
+            .map(|&slot| (slot, &self.distinct[slot as usize]))
+        {
+            Some((slot, d)) if Arc::ptr_eq(&d.statement, &statement) && d.text == text => slot,
+            _ => self.open_slot(hash, statement, text.to_string()),
+        }
+    }
+
+    /// Opens a slot for `statement`, parsed from `text` (which hashes to
+    /// `hash`), and files it unless a slot of that hash is filed already.
+    fn open_slot(&mut self, hash: u64, statement: Arc<Statement>, text: String) -> u32 {
+        let slot =
+            u32::try_from(self.distinct.len()).expect("at most 2^32 - 1 distinct statements");
+        self.first_with.entry(hash).or_insert(slot);
+        self.distinct.push(Distinct { statement, text });
+        slot
     }
 
     /// Adds `freq` to entry `index`'s frequency: how a caller that merges
     /// duplicate statements as they arrive (a tuning session) folds one
     /// into the entry that already stands for it.
     pub fn add_freq(&mut self, index: usize, freq: f64) {
-        self.entries[index].freq += freq;
+        self.entries[index].1 += freq;
     }
 
     /// Builds a workload from statement texts, all with frequency 1.
@@ -126,8 +159,33 @@ impl Workload {
     }
 
     /// The entries in order.
-    pub fn entries(&self) -> &[WorkloadEntry] {
-        &self.entries
+    pub fn entries(&self) -> Entries<'_> {
+        Entries {
+            entries: &self.entries,
+            distinct: &self.distinct,
+        }
+    }
+
+    /// Entry `index`. Panics if there is none.
+    pub fn entry(&self, index: usize) -> WorkloadEntry<'_> {
+        let (slot, freq) = self.entries[index];
+        entry_at(&self.distinct, slot, freq)
+    }
+
+    /// Entry `index`'s frequency. Panics if there is none.
+    pub fn freq(&self, index: usize) -> f64 {
+        self.entries[index].1
+    }
+
+    /// Entry `index`'s slot: entries of one slot share one statement.
+    /// Panics if there is none.
+    pub fn slot(&self, index: usize) -> usize {
+        self.entries[index].0 as usize
+    }
+
+    /// Number of slots (distinct statements). Every slot has an entry.
+    pub fn slots(&self) -> usize {
+        self.distinct.len()
     }
 
     /// Number of statements.
@@ -143,41 +201,123 @@ impl Workload {
     /// A new workload containing only the first `n` statements (the
     /// training-prefix construction of the paper's Figs. 4–5).
     pub fn prefix(&self, n: usize) -> Workload {
+        let entries = self.entries[..n.min(self.len())].to_vec();
+        // Slots are numbered in first-occurrence order: the ones in use
+        // are the ones below the highest.
+        let slots = (entries.iter().map(|&(slot, _)| slot as usize + 1))
+            .max()
+            .unwrap_or(0);
         let mut first_with = HashMap::with_hasher(self.first_with.hasher().clone());
-        first_with.extend(self.first_with.iter().filter(|(_, &first)| first < n));
+        first_with.extend((self.first_with.iter()).filter(|(_, &slot)| (slot as usize) < slots));
         Workload {
-            entries: self.entries.iter().take(n).cloned().collect(),
+            distinct: self.distinct[..slots].to_vec(),
+            entries,
             first_with,
         }
     }
 
-    /// Concatenates two workloads.
+    /// Concatenates two workloads. `other`'s slots are remapped once
+    /// each, into this workload's slot of the same allocation or a new one.
     pub fn concat(&self, other: &Workload) -> Workload {
         let mut out = self.clone();
-        out.entries.reserve(other.len());
-        for e in &other.entries {
-            out.push_entry(
-                out.text_hash(&e.text),
-                e.statement.clone(),
-                e.freq,
-                e.text.clone(),
-            );
-        }
+        out.distinct.reserve(other.distinct.len());
+        let remap: Vec<u32> = (other.distinct.iter())
+            .map(|d| out.slot_for(Arc::clone(&d.statement), &d.text))
+            .collect();
+        (out.entries).extend(
+            other
+                .entries
+                .iter()
+                .map(|&(slot, freq)| (remap[slot as usize], freq)),
+        );
         out
     }
 
     /// Names of the collections the workload touches, deduplicated.
     pub fn collections(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
-        for e in &self.entries {
-            let c = e.statement.collection().to_string();
-            if !out.contains(&c) {
-                out.push(c);
+        for d in &self.distinct {
+            let c = d.statement.collection();
+            if !out.iter().any(|o| o == c) {
+                out.push(c.to_string());
             }
         }
         out
     }
 }
+
+fn entry_at(distinct: &[Distinct], slot: u32, freq: f64) -> WorkloadEntry<'_> {
+    let d = &distinct[slot as usize];
+    WorkloadEntry {
+        statement: &d.statement,
+        freq,
+        text: &d.text,
+    }
+}
+
+/// A workload's entries, borrowed: see [`Workload::entries`].
+#[derive(Debug, Clone, Copy)]
+pub struct Entries<'a> {
+    entries: &'a [(u32, f64)],
+    distinct: &'a [Distinct],
+}
+
+impl<'a> Entries<'a> {
+    /// The entries in order.
+    pub fn iter(&self) -> EntryIter<'a> {
+        EntryIter {
+            entries: self.entries.iter(),
+            distinct: self.distinct,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+impl<'a> IntoIterator for Entries<'a> {
+    type Item = WorkloadEntry<'a>;
+    type IntoIter = EntryIter<'a>;
+
+    fn into_iter(self) -> EntryIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a workload's entries. `skip(n)` is O(1), so a caller
+/// that extends state from entry `n` on pays for the new entries only.
+#[derive(Debug, Clone)]
+pub struct EntryIter<'a> {
+    entries: std::slice::Iter<'a, (u32, f64)>,
+    distinct: &'a [Distinct],
+}
+
+impl<'a> Iterator for EntryIter<'a> {
+    type Item = WorkloadEntry<'a>;
+
+    fn next(&mut self) -> Option<WorkloadEntry<'a>> {
+        let &(slot, freq) = self.entries.next()?;
+        Some(entry_at(self.distinct, slot, freq))
+    }
+
+    fn nth(&mut self, n: usize) -> Option<WorkloadEntry<'a>> {
+        let &(slot, freq) = self.entries.nth(n)?;
+        Some(entry_at(self.distinct, slot, freq))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for EntryIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -215,7 +355,8 @@ mod tests {
         let mut w = Workload::new();
         w.push_with_freq(r#"collection('C')/a[b = 1]"#, 7.5)
             .unwrap();
-        assert_eq!(w.entries()[0].freq, 7.5);
+        assert_eq!(w.entry(0).freq, 7.5);
+        assert_eq!(w.freq(0), 7.5);
     }
 
     #[test]
@@ -225,29 +366,36 @@ mod tests {
         assert_eq!(a.concat(&b).len(), 2);
     }
 
-    /// The table names, for every text, the first entry holding it (no two
-    /// texts of these tests share a hash), and nothing else.
-    fn assert_table_names_first_entries(w: &Workload) {
-        let mut distinct = 0;
+    /// Slots are numbered in first-occurrence order and every one is used;
+    /// the table names, for every text, the slot of the first entry holding
+    /// it (no two texts of these tests share a hash), and nothing else.
+    fn assert_table_files_first_slots(w: &Workload) {
+        let (mut texts, mut next) = (0, 0);
         for (i, e) in w.entries().iter().enumerate() {
+            assert!(w.slot(i) <= next, "entry {i} skips a slot");
+            next += usize::from(w.slot(i) == next);
             let first = w.entries().iter().position(|f| f.text == e.text).unwrap();
-            distinct += usize::from(first == i);
-            assert_eq!(w.first_with.get(&w.text_hash(&e.text)), Some(&first));
+            texts += usize::from(first == i);
+            let filed = w.first_with.get(&w.text_hash(e.text));
+            assert_eq!(filed.map(|&slot| slot as usize), Some(w.slot(first)));
         }
-        assert_eq!(w.first_with.len(), distinct);
+        assert_eq!(next, w.slots(), "a slot without an entry");
+        assert_eq!(w.first_with.len(), texts);
     }
 
-    /// Entries of one text share one allocation; no others do.
+    /// Entries of one text share one slot and its allocation; no others do.
     fn assert_shared_by_text_only(w: &Workload) {
         for (i, a) in w.entries().iter().enumerate() {
-            for b in &w.entries()[..i] {
+            for (j, b) in w.entries().iter().take(i).enumerate() {
+                let same_text = a.text == b.text;
                 assert_eq!(
-                    Arc::ptr_eq(&a.statement, &b.statement),
-                    a.text == b.text,
+                    w.slot(i) == w.slot(j),
+                    same_text,
                     "`{}` / `{}`",
                     a.text,
                     b.text
                 );
+                assert_eq!(Arc::ptr_eq(a.statement, b.statement), same_text);
             }
         }
     }
@@ -306,23 +454,24 @@ mod tests {
         assert!(rejected.len() > 20 && want.len() > 500);
         assert_eq!(w.len(), want.len());
         for (e, (statement, text, freq)) in w.entries().iter().zip(&want) {
-            assert_eq!(*e.statement, *statement);
+            assert_eq!(**e.statement, *statement);
             assert_eq!(e.text, *text);
             assert_eq!(e.freq.to_bits(), freq.to_bits());
         }
         assert_shared_by_text_only(&w);
-        assert_table_names_first_entries(&w);
+        assert_table_files_first_slots(&w);
         let allocations = |w: &Workload| {
             let mut seen: Vec<*const Statement> = w
                 .entries()
                 .iter()
-                .map(|e| Arc::as_ptr(&e.statement))
+                .map(|e| Arc::as_ptr(e.statement))
                 .collect();
             seen.sort();
             seen.dedup();
             seen.len()
         };
         assert_eq!(allocations(&w), w.first_with.len());
+        assert_eq!(allocations(&w), w.slots());
         assert!(allocations(&w) <= pool.len() && pool.len() < w.len() / 4);
 
         // The lenient and the strict constructors are the same loop.
@@ -335,12 +484,12 @@ mod tests {
             assert_eq!(built.len(), w.len());
             for (b, e) in built.entries().iter().zip(w.entries()) {
                 assert_eq!(
-                    (&*b.statement, &b.text, b.freq),
-                    (&*e.statement, &e.text, 1.0)
+                    (&**b.statement, b.text, b.freq),
+                    (&**e.statement, e.text, 1.0)
                 );
             }
             assert_shared_by_text_only(built);
-            assert_table_names_first_entries(built);
+            assert_table_files_first_slots(built);
         }
         assert!(Workload::from_texts(texts()).is_err());
 
@@ -352,37 +501,119 @@ mod tests {
         assert_eq!(joined.len(), half + strict.len());
         let heads = [0, 1, 2, 5, w.len() + 1].map(|n| w.prefix(n));
         for derived in heads.iter().chain([&head, &copy, &joined]) {
-            assert_table_names_first_entries(derived);
+            assert_table_files_first_slots(derived);
             let mut grown = derived.clone();
             for text in &pool {
                 grown.push(text).unwrap();
-                let pushed = grown.entries().last().unwrap();
-                assert_eq!(*pushed.statement, parse_statement(text).unwrap());
-                let first = derived.entries().iter().find(|e| e.text == *text);
+                let last = grown.len() - 1;
+                let pushed = grown.entry(last);
+                assert_eq!(**pushed.statement, parse_statement(text).unwrap());
+                let first = derived.entries().iter().position(|e| e.text == text);
                 assert_eq!(
-                    first.map(|e| Arc::as_ptr(&e.statement)),
-                    first.map(|_| Arc::as_ptr(&pushed.statement)),
+                    first.map(|i| derived.slot(i)),
+                    first.map(|_| grown.slot(last))
+                );
+                assert_eq!(
+                    first.map(|i| Arc::as_ptr(derived.entry(i).statement)),
+                    first.map(|_| Arc::as_ptr(pushed.statement)),
                     "{text}"
                 );
                 let held_before = derived
                     .entries()
                     .iter()
-                    .any(|e| Arc::ptr_eq(&e.statement, &pushed.statement));
+                    .any(|e| Arc::ptr_eq(e.statement, pushed.statement));
                 assert_eq!(held_before, first.is_some(), "{text}");
             }
-            assert_table_names_first_entries(&grown);
+            assert_table_files_first_slots(&grown);
         }
         // `prefix` and `clone` share with their source; `concat` keeps both
         // sides' allocations as they were.
         assert_shared_by_text_only(&head);
+        assert!(Arc::ptr_eq(copy.entry(3).statement, w.entry(3).statement));
         assert!(Arc::ptr_eq(
-            &copy.entries()[3].statement,
-            &w.entries()[3].statement
+            joined.entry(half).statement,
+            strict.entry(0).statement
         ));
-        assert!(Arc::ptr_eq(
-            &joined.entries()[half].statement,
-            &strict.entries()[0].statement
-        ));
+    }
+
+    #[test]
+    fn a_prefix_keeps_exactly_the_slots_its_entries_use() {
+        let w = Workload::from_texts([
+            "collection('C')/a[b = 1]",
+            "collection('C')/a[b = 1]",
+            "collection('C')/a[c = 2]",
+            "collection('C')/a[b = 1]",
+            "collection('C')/a[d = 3]",
+            "collection('C')/a[c = 2]",
+        ])
+        .unwrap();
+        assert_eq!(w.slots(), 3);
+        for n in 0..=w.len() + 1 {
+            // Skipping `n` entries lands where indexing does.
+            let rest = w.entries().iter().skip(n);
+            assert_eq!(rest.len(), w.len().saturating_sub(n));
+            for (i, e) in (n..).zip(rest) {
+                assert_eq!((e.text, e.freq), (w.entry(i).text, w.freq(i)));
+            }
+            let p = w.prefix(n);
+            let mut used: Vec<usize> = (0..p.len()).map(|i| w.slot(i)).collect();
+            used.sort_unstable();
+            used.dedup();
+            assert_eq!(p.slots(), used.len(), "prefix({n})");
+            for i in 0..p.len() {
+                assert_eq!(p.slot(i), w.slot(i));
+                assert_eq!(p.freq(i).to_bits(), w.freq(i).to_bits());
+                assert!(Arc::ptr_eq(p.entry(i).statement, w.entry(i).statement));
+            }
+            assert_table_files_first_slots(&p);
+        }
+    }
+
+    #[test]
+    fn concat_shares_within_each_side_and_remaps_the_right_slots() {
+        let (x, y, z) = (
+            "collection('C')/a[b = 1]",
+            "collection('C')/a[c = 2]",
+            "collection('C')/a[d = 3]",
+        );
+        let a = Workload::from_texts([x, y, x]).unwrap();
+        let b = Workload::from_texts([y, z, y]).unwrap();
+        let joined = a.concat(&b);
+        // `b`'s `y` is its own allocation, so it keeps its own slot; the
+        // table still files `y` under `a`'s slot.
+        assert_eq!(joined.slots(), 4);
+        let slots: Vec<usize> = (0..joined.len()).map(|i| joined.slot(i)).collect();
+        assert_eq!(slots, [0, 1, 0, 2, 3, 2]);
+        assert!(Arc::ptr_eq(joined.entry(3).statement, b.entry(0).statement));
+        assert!(Arc::ptr_eq(joined.entry(1).statement, a.entry(1).statement));
+        assert_table_files_first_slots(&joined);
+        let mut grown = joined.clone();
+        grown.push(y).unwrap();
+        assert_eq!(grown.slot(joined.len()), 1);
+
+        // One allocation on both sides is one slot.
+        let twice = a.concat(&a);
+        assert_eq!(twice.slots(), a.slots());
+        let slots: Vec<usize> = (0..twice.len()).map(|i| twice.slot(i)).collect();
+        assert_eq!(slots, [0, 1, 0, 0, 1, 0]);
+        assert_shared_by_text_only(&twice);
+    }
+
+    #[test]
+    fn a_fresh_allocation_of_a_known_text_opens_its_own_slot() {
+        let text = "collection('C')/a[b = 1]";
+        let mut w = Workload::new();
+        w.push(text).unwrap();
+        w.push_statement(Arc::new(parse_statement(text).unwrap()), 2.0, text);
+        assert_eq!((w.slot(1), w.slots()), (1, 2));
+        assert!(!Arc::ptr_eq(w.entry(0).statement, w.entry(1).statement));
+        // The text stays filed under its first slot, and that slot's own
+        // allocation joins it.
+        w.push(text).unwrap();
+        let first = Arc::clone(w.entry(0).statement);
+        w.push_statement(first, 3.0, text);
+        assert_eq!((w.slot(2), w.slot(3), w.slots()), (0, 0, 2));
+        assert_eq!(w.first_with.len(), 1);
     }
 
     #[test]
@@ -390,22 +621,24 @@ mod tests {
         let (a, b) = ("collection('C')/a[b = 1]", "collection('C')/a[c = 2]");
         let mut w = Workload::new();
         w.push(a).unwrap();
-        // As if `b` hashed to where `a`'s entry is filed.
+        // As if `b` hashed to where `a`'s slot is filed.
         w.first_with.insert(w.text_hash(b), 0);
         for text in [b, b, a] {
             w.push(text).unwrap();
         }
-        let e = w.entries();
+        let e = |i| w.entry(i);
         for i in [1, 2] {
-            assert_eq!(e[i].text, b);
-            assert_eq!(*e[i].statement, parse_statement(b).unwrap());
-            assert!(!Arc::ptr_eq(&e[i].statement, &e[0].statement));
+            assert_eq!(e(i).text, b);
+            assert_eq!(**e(i).statement, parse_statement(b).unwrap());
+            assert!(!Arc::ptr_eq(e(i).statement, e(0).statement));
         }
         assert!(
-            !Arc::ptr_eq(&e[1].statement, &e[2].statement),
+            !Arc::ptr_eq(e(1).statement, e(2).statement),
             "parsed each time"
         );
-        assert!(Arc::ptr_eq(&e[3].statement, &e[0].statement));
+        assert_eq!((w.slot(1), w.slot(2)), (1, 2));
+        assert!(Arc::ptr_eq(e(3).statement, e(0).statement));
+        assert_eq!(w.slot(3), 0);
         assert_eq!(w.first_with.len(), 2);
     }
 
@@ -414,6 +647,7 @@ mod tests {
         let mut w = Workload::new();
         assert!(w.push("for $x in nonsense").is_err());
         assert!(w.is_empty());
+        assert_eq!(w.slots(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! [`DocumentSink`] driven by this scanner reproduces the DOM parser's
 //! output **byte-identically**: same arena order, same paths, same values,
 //! same errors for malformed input. The property suite and the
-//! `datapath_overhead_gate` bench hold the two paths equal.
+//! `xia-bench gate datapath` gate hold the two paths equal.
 
 use crate::interner::Symbol;
 use crate::model::{Document, Node, NodeId, NodeKind};

@@ -107,8 +107,8 @@ fn run_queries(db: &mut Database, workload: &Workload) -> f64 {
         let coll = entry.statement.collection();
         let (collection, catalog, stats) = db.parts(coll).expect("collection exists");
         let optimizer = Optimizer::new(collection, stats, catalog);
-        let plan = optimizer.optimize(&entry.statement);
-        execute_query(&entry.statement, &plan, collection, catalog).expect("plan executes");
+        let plan = optimizer.optimize(entry.statement);
+        execute_query(entry.statement, &plan, collection, catalog).expect("plan executes");
     }
     start.elapsed().as_secs_f64()
 }

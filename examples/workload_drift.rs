@@ -82,7 +82,7 @@ fn main() {
         for entry in drifted.entries() {
             let (collection, catalog, stats) = db.parts("SDOC").expect("SDOC exists");
             let optimizer = Optimizer::new(collection, stats, catalog);
-            if optimizer.optimize(&entry.statement).uses_indexes() {
+            if optimizer.optimize(entry.statement).uses_indexes() {
                 usable += 1;
             }
         }

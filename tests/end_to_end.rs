@@ -67,7 +67,7 @@ fn recommended_indexes_are_used_by_the_optimizer() {
         let coll = entry.statement.collection();
         let (collection, catalog, stats) = lab.db.parts(coll).unwrap();
         let optimizer = Optimizer::new(collection, stats, catalog);
-        let plan = optimizer.optimize(&entry.statement);
+        let plan = optimizer.optimize(entry.statement);
         for ix in plan.used_indexes() {
             used.insert((coll.to_string(), ix));
         }

@@ -17,14 +17,14 @@ fn check_workload(db: &mut Database, workload: &Workload) {
             .parts(coll)
             .unwrap_or_else(|| panic!("collection {coll} missing"));
         let optimizer = Optimizer::new(collection, stats, catalog);
-        let plan = optimizer.optimize(&entry.statement);
-        let via_plan = execute_query(&entry.statement, &plan, collection, catalog)
+        let plan = optimizer.optimize(entry.statement);
+        let via_plan = execute_query(entry.statement, &plan, collection, catalog)
             .unwrap_or_else(|e| panic!("{e} for `{}`", entry.text));
         let scan = Plan {
             access: AccessChoice::Scan,
             ..plan.clone()
         };
-        let via_scan = execute_query(&entry.statement, &scan, collection, catalog).unwrap();
+        let via_scan = execute_query(entry.statement, &scan, collection, catalog).unwrap();
         assert_eq!(
             via_plan.docs_matched, via_scan.docs_matched,
             "plan/scan disagree for `{}`",

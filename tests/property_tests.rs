@@ -456,15 +456,15 @@ fn index_plans_agree_with_scan_plans() {
             let coll = entry.statement.collection();
             let (collection, catalog, stats) = db.parts(coll).expect("collection exists");
             let optimizer = Optimizer::new(collection, stats, catalog);
-            let plan = optimizer.optimize(&entry.statement);
+            let plan = optimizer.optimize(entry.statement);
             let scan = Plan {
                 access: AccessChoice::Scan,
                 ..plan.clone()
             };
             let via_plan =
-                execute_query(&entry.statement, &plan, collection, catalog).expect("exec");
+                execute_query(entry.statement, &plan, collection, catalog).expect("exec");
             let via_scan =
-                execute_query(&entry.statement, &scan, collection, catalog).expect("exec");
+                execute_query(entry.statement, &scan, collection, catalog).expect("exec");
             assert_eq!(
                 via_plan.docs_matched, via_scan.docs_matched,
                 "plan {} disagrees with scan on `{}` (seed {seed}/{wl_seed})",
@@ -1131,7 +1131,7 @@ fn prepared_plans_equal_one_shot_plans() {
                 .map(|e| {
                     let (collection, catalog, stats) =
                         db.parts(e.statement.collection()).expect("known");
-                    let plan = Optimizer::new(collection, stats, catalog).optimize(&e.statement);
+                    let plan = Optimizer::new(collection, stats, catalog).optimize(e.statement);
                     let shape = shape(&plan, catalog.view());
                     (plan, shape)
                 })
@@ -1141,10 +1141,10 @@ fn prepared_plans_equal_one_shot_plans() {
             for (e, (want, want_shape)) in workload.entries().iter().zip(&oracle) {
                 let coll = e.statement.collection();
                 let (collection, catalog, stats) = db.parts(coll).expect("known");
-                let prepared = Optimizer::new(collection, stats, catalog).prepare(&e.statement);
+                let prepared = Optimizer::new(collection, stats, catalog).prepare(e.statement);
                 assert_eq!(
                     prepared.signature(coll),
-                    xia_optimizer::statement_signature(&e.statement),
+                    xia_optimizer::statement_signature(e.statement),
                     "signature read off the prepared `{}`",
                     e.text
                 );
