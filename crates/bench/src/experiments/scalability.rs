@@ -125,7 +125,7 @@ fn tiny_scaled(factor: usize) -> TpoxConfig {
 
 /// Runs the data-path sweep: for each factor, serialize `factor` × tiny
 /// TPoX documents, ingest them through the streaming parallel batch path,
-/// then drive [`SCAN_ROUNDS`] columnar RUNSTATS passes over the result.
+/// then drive `SCAN_ROUNDS` columnar RUNSTATS passes over the result.
 pub fn run_datapath(factors: &[usize], jobs: usize) -> Vec<DataPathPoint> {
     let mut out = Vec::new();
     for &factor in factors {

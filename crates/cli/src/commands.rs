@@ -509,8 +509,7 @@ impl AdviseFlags {
 /// `xia recommend <db> -w <file> -b <bytes> [-a <algo>] [--apply]
 /// [--report] [--trace[=json|text]] [--strict] [--journal <path>]
 /// [--what-if-budget <calls>] [--jobs <n>] [--inject <site>:<rate>]
-/// [--fault-seed <n>] [--deadline-ms <n>] [--mem-budget <bytes>]
-/// [--cancel-after-polls <k>]`
+/// [--fault-seed <n>] [--deadline-ms <n>] [--cancel-after-polls <k>]`
 pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
     let mut flags = AdviseFlags::new();
     let mut apply = false;
@@ -522,7 +521,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
     let mut trace: Option<TraceFormat> = None;
     let mut journal_path: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut mem_budget: Option<u64> = None;
     let mut cancel_after_polls: Option<u64> = None;
     let mut i = 1;
     while i < args.len() {
@@ -571,14 +569,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
                 deadline_ms = Some(v.parse().map_err(|_| {
                     CliError::usage(format!("bad deadline `{v}` (expected milliseconds)"))
                 })?);
-                i += 2;
-            }
-            "--mem-budget" => {
-                let v = require(args, i + 1, "size after --mem-budget")?;
-                mem_budget = Some(
-                    parse_size(v)
-                        .ok_or_else(|| CliError::usage(format!("bad memory budget `{v}`")))?,
-                );
                 i += 2;
             }
             "--cancel-after-polls" => {
@@ -654,7 +644,7 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
 
     // Lifecycle controller: enabled only when one of the lifecycle flags
     // is present, so the plain path keeps a single-branch off() handle.
-    let lifecycle = deadline_ms.is_some() || mem_budget.is_some() || cancel_after_polls.is_some();
+    let lifecycle = deadline_ms.is_some() || cancel_after_polls.is_some();
     let mut ctl = xia_advisor::RunController::off();
     if lifecycle {
         let mut c = xia_advisor::RunController::new();
@@ -663,9 +653,6 @@ pub fn recommend(args: &[String]) -> Result<crate::CmdOutput, CliError> {
         }
         if let Some(k) = cancel_after_polls {
             c = c.with_cancel_after_polls(k);
-        }
-        if let Some(b) = mem_budget {
-            c = c.with_mem_budget(b);
         }
         ctl = c;
     }
@@ -1954,50 +1941,13 @@ mod tests {
     }
 
     #[test]
-    fn recommend_mem_budget_walks_the_ladder_deterministically() {
-        let dir = tmpdir().join("lifecycle_governor");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (db, wl) = trace_fixture(&dir);
-        let jp = dir.join("gov.jsonl");
-        let run = || {
-            recommend(&s(&[
-                &db,
-                "-w",
-                &wl,
-                "-b",
-                "10m",
-                "-a",
-                "heuristics",
-                "--mem-budget",
-                "1",
-                "--journal",
-                jp.to_str().unwrap(),
-            ]))
-            .unwrap()
-        };
-        let a = run();
-        assert_eq!(a.code, 0, "{}", a.text);
-        let j = std::fs::read_to_string(&jp).unwrap();
-        assert!(
-            j.contains("governor_demoted"),
-            "a 1-byte budget must demote: {j}"
-        );
-        // The ladder fires at the same batches every run: output and
-        // journal are reproducible.
-        let b = run();
-        assert_eq!(a, b, "governor runs must be deterministic");
-        assert_eq!(j, std::fs::read_to_string(&jp).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn recommend_rejects_bad_lifecycle_flags_as_usage() {
         let dir = tmpdir().join("lifecycle_usage");
         std::fs::create_dir_all(&dir).unwrap();
         let (db, wl) = trace_fixture(&dir);
         for (bad, why) in [
             (["--deadline-ms", "soon"], "bad deadline"),
-            (["--mem-budget", "lots"], "bad memory budget"),
+            (["--mem-budget", "lots"], "unknown flag `--mem-budget`"),
             (["--cancel-after-polls", "x"], "bad poll count"),
             (["--checkpoint", "x"], "unknown flag `--checkpoint`"),
             (["--resume", "x"], "unknown flag `--resume`"),

@@ -214,8 +214,7 @@ USAGE:
                 [--apply] [--report] [--trace[=json|text]] [--strict]
                 [--journal <path>] [--what-if-budget <calls>] [--jobs <n>]
                 [--inject <site>:<rate>] [--fault-seed <n>]
-                [--deadline-ms <n>] [--mem-budget <bytes>]
-                [--cancel-after-polls <k>]
+                [--deadline-ms <n>] [--cancel-after-polls <k>]
   xia whatif    <db> -w <workload-file> -i <coll>:<pattern>:<string|numerical> ...
                                              price a hand-written configuration
   xia indexes   <db>                           list physical indexes
@@ -266,10 +265,7 @@ optimizer-cost, stats-unavailable. --fault-seed makes runs reproducible.
 
 Run lifecycle: --deadline-ms bounds the advisor's wall-clock time; on
 expiry the run unwinds cooperatively and prints the best configuration
-found so far (a *partial* recommendation, exit 6). --mem-budget bounds
-approximate live cache memory; over budget, the evaluator walks a
-graceful-degradation ladder (shrink memo -> drop statement cache ->
-heuristic-only costing), journaling every demotion.
+found so far (a *partial* recommendation, exit 6).
 --cancel-after-polls <k> cancels at the k-th cooperative poll (a
 deterministic kill switch for testing).
 

@@ -74,8 +74,9 @@ pub struct AdvisorParams {
     /// Fault injector threaded through storage and the optimizer
     /// (disabled by default; see the `xia-fault` crate).
     pub faults: FaultInjector,
-    /// What-if call/time budget; when exhausted, benefit evaluation falls
-    /// back to cached and then heuristic costs (unlimited by default).
+    /// What-if call budget (`--what-if-budget`); when exhausted, benefit
+    /// evaluation falls back to cached and then heuristic costs (unlimited
+    /// by default).
     pub what_if_budget: WhatIfBudget,
     /// Strict mode: fail with [`XiaError::StrictDegradation`] instead of
     /// returning a degraded recommendation.
@@ -91,9 +92,8 @@ pub struct AdvisorParams {
     /// run on the coordinator thread in deterministic order, so the JSONL
     /// export is byte-identical for every `jobs` value.
     pub journal: EventJournal,
-    /// Run-lifecycle controller (`--deadline-ms`, `--cancel-after-polls`,
-    /// `--mem-budget`): wall-clock deadline, cooperative cancellation, and
-    /// the resource governor.
+    /// Run-lifecycle controller (`--deadline-ms`, `--cancel-after-polls`):
+    /// wall-clock deadline and cooperative cancellation.
     /// Disabled by default; a stopped run returns a partial
     /// recommendation ([`Recommendation::complete`] is `false`) instead
     /// of an error.

@@ -44,8 +44,8 @@
 //! under a [`CatalogOverlay`] of shared definitions).
 //!
 //! The evaluator itself is the thin *per-run* half of that machinery: the
-//! budget account and its clock, the counters, the fallback and quarantine
-//! bookkeeping, the frequency-weighted memos, the run controller.
+//! budget account, the counters, the fallback and quarantine bookkeeping,
+//! the frequency-weighted memos, the run controller.
 //! Everything that depends only on (statistics snapshot, statement,
 //! candidate) lives in a [`CostingState`] (DESIGN.md §17) the evaluator
 //! reads and extends: owned and dropped with it on the one-shot paths,
@@ -54,11 +54,11 @@
 use crate::candidate::{CandId, CandidateSet, StmtSet};
 use crate::costing::CostingState;
 use crate::error::{IssueStage, StatementIssue};
-use crate::runctl::{GovernorRung, RunController};
+use crate::runctl::RunController;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 use xia_fault::FaultInjector;
 use xia_obs::{Counter, Event, EventJournal, Hist, Telemetry};
 use xia_optimizer::{maintenance, CostModel, Optimizer, PathStatsMemo, PreparedStatement};
@@ -91,16 +91,14 @@ pub struct EvalStats {
     pub delta_probes: u64,
 }
 
-/// A what-if evaluation budget. When either limit is reached, further
-/// benefit evaluations fall back to cached sub-configuration values and,
-/// failing that, heuristic costs (the degradation ladder: budget → cached
-/// → heuristic). Zero means unlimited.
+/// A what-if evaluation budget. When it is reached, further benefit
+/// evaluations fall back to cached sub-configuration values and, failing
+/// that, heuristic costs (the degradation ladder: budget → cached →
+/// heuristic). Zero means unlimited.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WhatIfBudget {
     /// Maximum Evaluate-mode optimizer calls (0 = unlimited).
     pub max_calls: u64,
-    /// Maximum wall-clock milliseconds spent evaluating (0 = unlimited).
-    pub max_millis: u64,
 }
 
 impl WhatIfBudget {
@@ -111,15 +109,11 @@ impl WhatIfBudget {
 
     /// A call-count budget.
     pub fn calls(max_calls: u64) -> Self {
-        Self {
-            max_calls,
-            max_millis: 0,
-        }
+        Self { max_calls }
     }
 
-    fn exhausted(&self, calls: u64, elapsed: Duration) -> bool {
-        (self.max_calls > 0 && calls >= self.max_calls)
-            || (self.max_millis > 0 && elapsed.as_millis() as u64 >= self.max_millis)
+    fn exhausted(&self, calls: u64) -> bool {
+        self.max_calls > 0 && calls >= self.max_calls
     }
 }
 
@@ -131,50 +125,13 @@ fn canonical_key(mut key: Vec<CandId>) -> Vec<CandId> {
     key
 }
 
-/// Number of memo-cache shards (a power of two; keys spread by FNV hash).
-const CACHE_SHARDS: usize = 16;
-
-/// FNV-1a over a canonical key (also used to salt per-task fault streams).
+/// FNV-1a over a canonical key: salts the per-task fault streams.
 fn key_hash(seed: u64, key: &[CandId]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
     for &CandId(id) in key {
         h = (h ^ u64::from(id)).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The sub-configuration memo cache: canonical-key entries sharded by key
-/// hash, each shard behind its own `RwLock`. Reads take a shard read lock
-/// only, so concurrent readers on different shards (or the same shard)
-/// never serialize behind one another; writes touch a single shard.
-#[derive(Debug)]
-struct ShardedCache {
-    shards: Vec<RwLock<HashMap<Vec<CandId>, f64>>>,
-}
-
-impl ShardedCache {
-    fn new() -> Self {
-        Self {
-            shards: (0..CACHE_SHARDS).map(|_| RwLock::default()).collect(),
-        }
-    }
-
-    fn shard(&self, key: &[CandId]) -> &RwLock<HashMap<Vec<CandId>, f64>> {
-        &self.shards[(key_hash(0, key) % CACHE_SHARDS as u64) as usize]
-    }
-
-    fn get(&self, key: &[CandId]) -> Option<f64> {
-        self.shard(key)
-            .read()
-            .ok()
-            .and_then(|m| m.get(key).copied())
-    }
-
-    fn insert(&self, key: Vec<CandId>, value: f64) {
-        if let Ok(mut m) = self.shard(&key).write() {
-            m.insert(key, value);
-        }
-    }
 }
 
 /// Minimum task count before `run_indexed` spawns workers: a fanned-out
@@ -268,9 +225,6 @@ enum TaskKind {
     BudgetFallback,
     /// Collection statistics were unavailable when this task was planned.
     StatsFallback,
-    /// The resource governor's `heuristic_only` rung was in effect when
-    /// this task was planned: no optimizer fan-out for uncached work.
-    GovernorFallback,
 }
 
 /// One planned statement costing against one missed sub-configuration.
@@ -385,9 +339,10 @@ pub struct BenefitEvaluator<'a> {
     baseline: Vec<f64>,
     /// Total (frequency-weighted) maintenance cost per candidate.
     mc_totals: Vec<Option<f64>>,
-    /// Memoized sub-configuration benefits (query side, before mc).
-    /// Frequency-weighted, so it lives and dies with the run.
-    cache: ShardedCache,
+    /// Memoized sub-configuration benefits (query side, before mc), keyed
+    /// on the canonical sub-configuration. Frequency-weighted, so it lives
+    /// and dies with the run. Read and written only by the coordinator.
+    cache: HashMap<Vec<CandId>, f64>,
     /// What-if budget account: optimizer calls actually made in this run
     /// (statement-cache misses). A costing the state already held is free.
     charged: u64,
@@ -408,12 +363,8 @@ pub struct BenefitEvaluator<'a> {
     telemetry: Telemetry,
     /// Fault injector that per-task streams are derived from.
     faults: FaultInjector,
-    /// What-if call/time budget; exhausted → heuristic fallbacks.
+    /// What-if call budget; exhausted → heuristic fallbacks.
     budget: WhatIfBudget,
-    /// When the first `benefit()` call arrived (anchor for the time
-    /// budget; `None` until evaluation starts, so a long prepare phase
-    /// cannot eat the budget).
-    started: Option<Instant>,
     /// Worker threads for what-if fan-out (1 = serial).
     jobs: usize,
     /// Per-statement liveness: quarantined statements are masked out of
@@ -428,15 +379,10 @@ pub struct BenefitEvaluator<'a> {
     journal: EventJournal,
     /// `BudgetExhausted` is emitted once, at the first fallback planning.
     budget_event_emitted: bool,
-    /// Run-lifecycle controller: deadline/cancel polls and the governor's
-    /// memory budget. All interactions are coordinator-side, so lifecycle
-    /// decisions are jobs-invariant.
+    /// Run-lifecycle controller: deadline and cancel polls. All
+    /// interactions are coordinator-side, so lifecycle decisions are
+    /// jobs-invariant.
     ctl: RunController,
-    /// Resource-governor rung currently in effect (demotions are
-    /// one-way).
-    rung: GovernorRung,
-    /// Approximate live bytes of the sharded memo cache.
-    memo_bytes: u64,
     /// Reused by each evaluation for a group's affected statements.
     scratch_affected: StmtSet,
 }
@@ -563,7 +509,7 @@ impl<'a> BenefitEvaluator<'a> {
             parts: Vec::new(),
             baseline: Vec::new(),
             mc_totals: vec![None; set.len()],
-            cache: ShardedCache::new(),
+            cache: HashMap::new(),
             charged: 0,
             cover_base,
             use_affected_sets: true,
@@ -573,7 +519,6 @@ impl<'a> BenefitEvaluator<'a> {
             telemetry: telemetry.clone(),
             faults: faults.clone(),
             budget,
-            started: None,
             jobs: jobs.max(1),
             active: vec![true; workload.len()],
             quarantined: Vec::new(),
@@ -581,8 +526,6 @@ impl<'a> BenefitEvaluator<'a> {
             journal: journal.clone(),
             budget_event_emitted: false,
             ctl: ctl.clone(),
-            rung: GovernorRung::Full,
-            memo_bytes: 0,
             scratch_affected: StmtSet::new(),
         };
         ev.extend_state();
@@ -829,55 +772,6 @@ impl<'a> BenefitEvaluator<'a> {
         &self.ctl
     }
 
-    /// The resource-governor rung currently in effect.
-    pub fn governor_rung(&self) -> GovernorRung {
-        self.rung
-    }
-
-    /// Inserts one statement costing into the projection-keyed cache
-    /// unless the governor demoted past `no_stmt_cache` (the state tracks
-    /// the approximate live bytes the governor budgets against).
-    fn insert_stmt_cost(&mut self, si: usize, proj: Vec<CandId>, cost: f64) {
-        if self.rung < GovernorRung::NoStmtCache {
-            self.state.insert_cost(si, proj, cost);
-        }
-    }
-
-    /// Batch epilogue: walk the governor's degradation ladder one rung if
-    /// the cache tally exceeds the memory budget. Entirely
-    /// coordinator-side, so the decision is jobs-invariant.
-    fn end_batch(&mut self) {
-        if let Some(budget) = self.ctl.mem_budget() {
-            if self.memo_bytes + self.state.stmt_bytes > budget {
-                if let Some(next) = self.rung.next() {
-                    self.rung = next;
-                    match next {
-                        GovernorRung::ShrinkMemo => {
-                            // Reclaim the memo now; it may regrow, and
-                            // renewed pressure demotes further.
-                            self.cache = ShardedCache::new();
-                            self.memo_bytes = 0;
-                        }
-                        GovernorRung::NoStmtCache | GovernorRung::HeuristicOnly => {
-                            // The statement costs go too, retained ones
-                            // included: they are what the bytes count.
-                            self.cache = ShardedCache::new();
-                            self.memo_bytes = 0;
-                            self.state.clear_costs();
-                        }
-                        GovernorRung::Full => {}
-                    }
-                    let approx_bytes = self.memo_bytes + self.state.stmt_bytes;
-                    self.telemetry.incr(Counter::GovernorDemotions);
-                    self.journal.emit(|| Event::GovernorDemoted {
-                        rung: next.name().to_string(),
-                        approx_bytes,
-                    });
-                }
-            }
-        }
-    }
-
     /// Attaches a telemetry sink: subsequent optimizer calls, cache
     /// activity, and virtual-index churn (via what-if catalog overlays)
     /// count against it. Baseline costing in [`BenefitEvaluator::new`]
@@ -1019,9 +913,6 @@ impl<'a> BenefitEvaluator<'a> {
     /// values, the memo cache, and every counter total are identical for
     /// any `jobs` value.
     fn eval_groups(&mut self, keys: Vec<Vec<CandId>>) -> Vec<f64> {
-        // The time budget is anchored at the first evaluation, not at
-        // evaluator construction: a long prepare phase must not eat it.
-        let started = *self.started.get_or_insert_with(Instant::now);
         // Coordinator-side stop check: latches a deadline crossing or a
         // cancellation. The current batch still evaluates — the searches
         // observe the latch at their next loop boundary and unwind.
@@ -1049,7 +940,7 @@ impl<'a> BenefitEvaluator<'a> {
                 Vec::new()
             };
             if self.use_cache {
-                if let Some(v) = self.cache.get(&key) {
+                if let Some(&v) = self.cache.get(&key) {
                     self.stats.cache_hits += 1;
                     self.telemetry.incr(Counter::BenefitCacheHits);
                     slots.push(Slot::Done(v));
@@ -1134,7 +1025,7 @@ impl<'a> BenefitEvaluator<'a> {
                         self.telemetry.incr(Counter::StatementsPruned);
                         (TaskKind::Served { cost }, None)
                     }
-                    None if self.budget.exhausted(self.charged, started.elapsed()) => {
+                    None if self.budget.exhausted(self.charged) => {
                         if !self.budget_event_emitted {
                             self.budget_event_emitted = true;
                             let charged = self.charged;
@@ -1147,10 +1038,6 @@ impl<'a> BenefitEvaluator<'a> {
                         // visible to this run.
                         if self.state.prepared[si].is_none() {
                             (TaskKind::StatsFallback, None)
-                        } else if self.rung >= GovernorRung::HeuristicOnly {
-                            // Bottom governor rung: uncached costings stop
-                            // fanning out to the optimizer entirely.
-                            (TaskKind::GovernorFallback, None)
                         } else {
                             self.charged += 1;
                             (
@@ -1223,7 +1110,7 @@ impl<'a> BenefitEvaluator<'a> {
                     // with the same projection onto this statement has
                     // bitwise the same cost.
                     if let Some(proj) = task.proj {
-                        self.insert_stmt_cost(task.si, proj, cost);
+                        self.state.insert_cost(task.si, proj, cost);
                     }
                     cost
                 }
@@ -1254,12 +1141,10 @@ impl<'a> BenefitEvaluator<'a> {
         drop(overlays);
 
         // Heuristic answers are not memoized: a later evaluation inside
-        // budget (or past the fault) should get the real number. The
-        // bottom governor rung stops memo inserts too.
-        if self.use_cache && self.rung < GovernorRung::HeuristicOnly {
+        // budget (or past the fault) should get the real number.
+        if self.use_cache {
             for ((key, &value), &bad) in misses.into_iter().zip(&totals).zip(&tainted) {
                 if !bad {
-                    self.memo_bytes += (32 + 8 * key.len()) as u64;
                     self.cache.insert(key, value);
                 }
             }
@@ -1272,9 +1157,6 @@ impl<'a> BenefitEvaluator<'a> {
             })
             .collect();
         self.emit_what_if_events(&journal_slots, &out);
-        // Governor ladder: only batches that actually costed something
-        // count (fully-served batches grow no cache).
-        self.end_batch();
         out
     }
 
@@ -2119,62 +2001,5 @@ mod tests {
         assert!(calls > 0 && calls < fresh.eval_stats().optimizer_calls);
         assert_eq!(state.statements(), w.len());
         assert_eq!(state.candidates(), grown.len());
-    }
-
-    #[test]
-    fn retained_costs_count_against_the_governor_and_are_dropped_by_it() {
-        use crate::advisor::AdvisorParams;
-        let (mut db, w) = setup();
-        let set = candidates(&mut db, &w);
-        let all = set.basic_ids();
-        let mut state = CostingState::default();
-        {
-            let params = AdvisorParams::default();
-            let mut ev = BenefitEvaluator::retained(&db, &w, &set, &params, &mut state);
-            ev.benefit(&all);
-        }
-        let kept = state.bytes();
-        assert!(kept > 0 && state.costings() > w.len());
-        // The next run's whole budget is less than what is already kept:
-        // its first batch — served entirely from the state — tips the
-        // ladder, the second reclaims the statement costs, kept ones too.
-        let governed = AdvisorParams {
-            ctl: RunController::new().with_mem_budget(kept / 2),
-            ..AdvisorParams::default()
-        };
-        {
-            let mut ev = BenefitEvaluator::retained(&db, &w, &set, &governed, &mut state);
-            ev.benefit(&all);
-            assert_eq!(ev.eval_stats().optimizer_calls, 0);
-            assert_eq!(ev.governor_rung(), GovernorRung::ShrinkMemo);
-            ev.benefit(&all[..1]);
-            assert_eq!(ev.governor_rung(), GovernorRung::NoStmtCache);
-        }
-        assert_eq!(state.bytes(), 0);
-        assert_eq!(state.costings(), w.len(), "the clean baselines stay");
-    }
-
-    #[test]
-    fn time_budget_clock_starts_at_first_benefit_call() {
-        // The wall-clock budget must account evaluation time, not the time
-        // since evaluator construction — expensive setup (or an idle
-        // advisor session) between construction and the first benefit()
-        // call must not burn the budget.
-        let (mut db, w) = setup();
-        let set = candidates(&mut db, &w);
-        let budget = WhatIfBudget {
-            max_calls: 0,
-            max_millis: 500,
-        };
-        let mut ev =
-            BenefitEvaluator::with_faults(&mut db, &w, &set, &FaultInjector::off(), budget);
-        std::thread::sleep(Duration::from_millis(600));
-        let b = ev.benefit(&set.basic_ids());
-        assert_eq!(
-            ev.fallback_count(),
-            0,
-            "budget clock counted pre-evaluation time"
-        );
-        assert!(b > 0.0);
     }
 }

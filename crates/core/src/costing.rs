@@ -90,9 +90,6 @@ pub struct CostingState {
     /// statement's relevant candidates → cost. Coordinator-only. Tainted
     /// (fault/fallback) costs are never inserted.
     pub(crate) stmt_cache: Vec<HashMap<Vec<CandId>, f64>>,
-    /// Approximate live bytes of `stmt_cache`: the part of the governor's
-    /// memory account that outlives a run.
-    pub(crate) stmt_bytes: u64,
     /// Shared containment-verdict cache: the relevance rows, greedy
     /// coverage bitmaps, and top-down leftover fill all ask the same
     /// `(general, specific)` questions repeatedly. Coordinator-only, so
@@ -139,27 +136,10 @@ impl CostingState {
         (self.asked, self.served)
     }
 
-    /// Approximate bytes of the retained statement cost cache.
-    pub fn bytes(&self) -> u64 {
-        self.stmt_bytes
-    }
-
     /// Records one `(statement, projection)` costing.
     pub(crate) fn insert_cost(&mut self, si: usize, proj: Vec<CandId>, cost: f64) {
-        self.stmt_bytes += (48 + 8 * proj.len()) as u64;
         if self.stmt_cache[si].insert(proj, cost).is_none() {
             self.costings += 1;
         }
-    }
-
-    /// Drops the statement cost cache (a governor demotion reclaims it
-    /// like the per-run memo). Baselines and prepared statements stay:
-    /// the run that demoted is still using them.
-    pub(crate) fn clear_costs(&mut self) {
-        for costs in &mut self.stmt_cache {
-            self.costings -= costs.len();
-            costs.clear();
-        }
-        self.stmt_bytes = 0;
     }
 }

@@ -55,5 +55,5 @@ pub use enumerate::{
 pub use error::{IssueStage, StatementIssue, XiaError};
 pub use generalize::{generalize_pair, generalize_set, generalize_set_extend, generalize_set_fast};
 pub use report::TuningReport;
-pub use runctl::{GovernorRung, RunController, StopReason};
+pub use runctl::{RunController, StopReason};
 pub use session::TuningSession;

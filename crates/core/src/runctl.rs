@@ -1,5 +1,4 @@
-//! Run-lifecycle control: deadlines, cooperative cancellation, and the
-//! resource-governor budget.
+//! Run-lifecycle control: deadlines and cooperative cancellation.
 //!
 //! [`RunController`] follows the crate's cheap-handle pattern
 //! ([`xia_obs::Telemetry`], [`xia_fault::FaultInjector`]): a cloneable
@@ -48,45 +47,6 @@ impl fmt::Display for StopReason {
     }
 }
 
-/// Rungs of the resource governor's graceful-degradation ladder, in
-/// demotion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum GovernorRung {
-    /// All caches live (the starting rung).
-    Full,
-    /// The sharded benefit memo was cleared. It may regrow; renewed
-    /// pressure demotes further down the ladder.
-    ShrinkMemo,
-    /// Both caches were cleared and statement-cache inserts stop; the
-    /// memo may still regrow.
-    NoStmtCache,
-    /// All cache inserts stop and uncached costings degrade to the
-    /// heuristic fallback; no optimizer fan-out for uncached work.
-    HeuristicOnly,
-}
-
-impl GovernorRung {
-    /// Stable snake_case name (used in the `governor_demoted` event).
-    pub fn name(self) -> &'static str {
-        match self {
-            GovernorRung::Full => "full",
-            GovernorRung::ShrinkMemo => "shrink_memo",
-            GovernorRung::NoStmtCache => "no_stmt_cache",
-            GovernorRung::HeuristicOnly => "heuristic_only",
-        }
-    }
-
-    /// The next rung down the ladder, if any.
-    pub fn next(self) -> Option<GovernorRung> {
-        match self {
-            GovernorRung::Full => Some(GovernorRung::ShrinkMemo),
-            GovernorRung::ShrinkMemo => Some(GovernorRung::NoStmtCache),
-            GovernorRung::NoStmtCache => Some(GovernorRung::HeuristicOnly),
-            GovernorRung::HeuristicOnly => None,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct CtlInner {
     /// Wall-clock deadline, anchored when the controller was built.
@@ -100,7 +60,6 @@ struct CtlInner {
     polls: AtomicU64,
     /// The first stop condition to fire, latched for the rest of the run.
     stopped: Mutex<Option<StopReason>>,
-    mem_budget: Option<u64>,
 }
 
 /// Cheap handle to shared run-lifecycle state. See the module docs.
@@ -115,8 +74,8 @@ impl RunController {
         Self { inner: None }
     }
 
-    /// An enabled controller with no deadline and no memory budget; arm
-    /// features builder-style before sharing clones.
+    /// An enabled controller with no deadline; arm features builder-style
+    /// before sharing clones.
     pub fn new() -> Self {
         Self {
             inner: Some(Arc::new(CtlInner {
@@ -125,7 +84,6 @@ impl RunController {
                 cancel_after_polls: None,
                 polls: AtomicU64::new(0),
                 stopped: Mutex::new(None),
-                mem_budget: None,
             })),
         }
     }
@@ -155,11 +113,6 @@ impl RunController {
     /// boundary.
     pub fn with_cancel_after_polls(self, n: u64) -> Self {
         self.configure(|i| i.cancel_after_polls = Some(n))
-    }
-
-    /// Arms the resource governor with an approximate cache-byte budget.
-    pub fn with_mem_budget(self, bytes: u64) -> Self {
-        self.configure(|i| i.mem_budget = Some(bytes))
     }
 
     /// Requests cancellation; the next poll latches it.
@@ -204,11 +157,6 @@ impl RunController {
         let inner = self.inner.as_ref()?;
         *inner.stopped.lock().expect("controller poisoned")
     }
-
-    /// The governor's cache-byte budget, if armed.
-    pub fn mem_budget(&self) -> Option<u64> {
-        self.inner.as_ref().and_then(|i| i.mem_budget)
-    }
 }
 
 #[cfg(test)]
@@ -246,19 +194,5 @@ mod tests {
         assert_eq!(ctl.poll(), None);
         ctl.cancel();
         assert_eq!(ctl.poll(), Some(StopReason::Cancelled));
-    }
-
-    #[test]
-    fn governor_rungs_walk_in_order() {
-        let mut rung = GovernorRung::Full;
-        let mut names = Vec::new();
-        while let Some(next) = rung.next() {
-            rung = next;
-            names.push(rung.name());
-        }
-        assert_eq!(
-            names,
-            vec!["shrink_memo", "no_stmt_cache", "heuristic_only"]
-        );
     }
 }

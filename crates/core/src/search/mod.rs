@@ -11,13 +11,19 @@
 //! | [`greedy_heuristics`]| full        | best config for *this* workload |
 //! | [`top_down`] (lite)  | ignored     | as general as possible |
 //! | [`top_down`] (full)  | full        | as general as possible |
-//! | [`dp_knapsack`]      | ignored     | optimal modulo interaction |
-//! | [`cophy`]            | ignored     | LP relaxation with a certified bound |
+//! | [`dp_knapsack`]      | ignored     | optimal for the standalone sum (weights rounded up to 1/2048 of the budget) |
+//! | [`cophy`]            | ignored     | LP relaxation with a certified bound on the standalone sum |
+//!
+//! The *standalone sum* of a configuration is the sum of its members'
+//! single-index benefits ([`standalone_benefits`]); where indexes interact,
+//! the configuration's real benefit differs from it.
 //!
 //! [`cophy`] is the scale play: paired with workload compression it costs
 //! one standalone batch over the compressed workload, solves the
 //! fractional knapsack exactly, and rounds — reporting the LP optimum as
-//! a quality certificate (see `search/cophy.rs` for the bound argument).
+//! a quality certificate: an upper bound on the standalone sum of any
+//! configuration within the budget (see `search/cophy.rs` for the bound
+//! argument).
 
 mod cophy;
 mod dp;

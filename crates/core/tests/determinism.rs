@@ -418,17 +418,15 @@ fn masked_trace_report_is_byte_identical_across_jobs() {
 }
 
 // ---------------------------------------------------------------------
-// Run-lifecycle matrix: cooperative cancellation, the deadline, and the
-// resource governor must all preserve the determinism contract. A run
-// stopped at a given poll, or walked down the governor's ladder, must
-// produce the same recommendation, pinned counters, and full JSONL
+// Run-lifecycle matrix: cooperative cancellation and the deadline must
+// both preserve the determinism contract. A run stopped at a given poll
+// must produce the same recommendation, pinned counters, and full JSONL
 // journal at every worker count.
 
 use xia_advisor::RunController;
 
 /// Everything a lifecycle run must reproduce: completion state, the
-/// recommendation, the pinned counters plus the lifecycle-specific ones,
-/// and the byte-exact journal.
+/// recommendation, the pinned counters, and the byte-exact journal.
 #[derive(Debug, PartialEq)]
 struct LifecycleRun {
     complete: bool,
@@ -437,15 +435,6 @@ struct LifecycleRun {
     est_benefit_bits: u64,
     counters: Vec<(Counter, u64)>,
     journal: String,
-}
-
-fn lifecycle_counters(t: &Telemetry) -> Vec<(Counter, u64)> {
-    let mut v: Vec<(Counter, u64)> = PINNED.iter().map(|&c| (c, t.get(c))).collect();
-    v.push((
-        Counter::GovernorDemotions,
-        t.get(Counter::GovernorDemotions),
-    ));
-    v
 }
 
 fn run_lifecycle(
@@ -479,7 +468,10 @@ fn run_lifecycle(
         config: rec.config.clone(),
         indexes: rec.indexes.iter().map(|ix| format!("{ix:?}")).collect(),
         est_benefit_bits: rec.est_benefit.to_bits(),
-        counters: lifecycle_counters(&params.telemetry),
+        counters: PINNED
+            .iter()
+            .map(|&c| (c, params.telemetry.get(c)))
+            .collect(),
         journal: params.journal.to_jsonl(),
     }
 }
@@ -524,34 +516,6 @@ fn partial_results_are_jobs_invariant() {
             RunController::new().with_deadline_ms(0),
         );
         assert_eq!(d1, d, "deadline partial result diverged at jobs={jobs}");
-    }
-}
-
-#[test]
-fn governor_ladder_is_deterministic_across_jobs() {
-    // A 1-byte budget trips on the first batch and walks the ladder; the
-    // coordinator-side byte tally makes every demotion (and the degraded
-    // costings after it) identical at every worker count.
-    let mk = || RunController::new().with_mem_budget(1);
-    let r1 = run_lifecycle(1, &AdvisorParams::default, mk());
-    assert!(
-        r1.complete,
-        "the governor degrades, it does not stop the run"
-    );
-    let demotions = r1
-        .counters
-        .iter()
-        .find(|(c, _)| *c == Counter::GovernorDemotions)
-        .map(|&(_, n)| n)
-        .unwrap_or(0);
-    assert!(demotions > 0, "a 1-byte budget must demote");
-    assert!(
-        r1.journal.contains("governor_demoted"),
-        "every demotion must be journaled"
-    );
-    for jobs in [4usize, 8] {
-        let r = run_lifecycle(jobs, &AdvisorParams::default, mk());
-        assert_eq!(r1, r, "governor run diverged at jobs={jobs}");
     }
 }
 

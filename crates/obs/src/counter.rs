@@ -49,7 +49,7 @@ pub enum Counter {
     /// Benefit evaluations answered with a heuristic fallback cost after
     /// an optimizer failure or budget exhaustion.
     CostFallbacks,
-    /// What-if evaluations refused because the call/time budget ran out.
+    /// What-if evaluations refused because the call budget ran out.
     WhatIfBudgetExhausted,
     /// Faults fired by the xia-fault injector during this run.
     FaultsInjected,
@@ -79,10 +79,6 @@ pub enum Counter {
     /// Containment verdicts decided by the name-mask fast reject without
     /// running the NFA product search.
     ContainFastRejects,
-    /// Resource-governor demotions: rungs of the graceful-degradation
-    /// ladder walked because the cache memory tally exceeded
-    /// `--mem-budget`.
-    GovernorDemotions,
     /// Documents ingested through the streaming (SAX-style) parse path
     /// instead of the DOM parser.
     DocsStreamed,
@@ -116,7 +112,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in declaration order.
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 37] = [
         Counter::OptimizerEvaluateCalls,
         Counter::OptimizerEnumerateCalls,
         Counter::IndexMatchingAttempts,
@@ -146,7 +142,6 @@ impl Counter {
         Counter::PairsMemoHits,
         Counter::ContainCacheHits,
         Counter::ContainFastRejects,
-        Counter::GovernorDemotions,
         Counter::DocsStreamed,
         Counter::IngestBatches,
         Counter::ColumnarScanRows,
@@ -192,7 +187,6 @@ impl Counter {
             Counter::PairsMemoHits => "pairs_memo_hits",
             Counter::ContainCacheHits => "contain_cache_hits",
             Counter::ContainFastRejects => "contain_fast_rejects",
-            Counter::GovernorDemotions => "governor_demotions",
             Counter::DocsStreamed => "docs_streamed",
             Counter::IngestBatches => "ingest_batches",
             Counter::ColumnarScanRows => "columnar_scan_rows",

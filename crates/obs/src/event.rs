@@ -129,15 +129,6 @@ pub enum Event {
         /// Why the run stopped (`deadline` / `cancelled`).
         reason: String,
     },
-    /// The resource governor walked one rung down the graceful-degradation
-    /// ladder because the cache memory tally exceeded the budget.
-    GovernorDemoted {
-        /// The rung entered (`shrink_memo` / `no_stmt_cache` /
-        /// `heuristic_only`).
-        rung: String,
-        /// Approximate live cache bytes when the demotion fired.
-        approx_bytes: u64,
-    },
     /// The workload was compressed into weighted cost-identity templates
     /// before the search (CoPhy-style advising).
     WorkloadCompressed {
@@ -183,7 +174,6 @@ impl Event {
             Event::FaultInjected { .. } => "fault_injected",
             Event::BudgetExhausted { .. } => "budget_exhausted",
             Event::RunStopped { .. } => "run_stopped",
-            Event::GovernorDemoted { .. } => "governor_demoted",
             Event::WorkloadCompressed { .. } => "workload_compressed",
             Event::LpRelaxed { .. } => "lp_relaxed",
             Event::DriftDetected { .. } => "drift_detected",
@@ -251,10 +241,6 @@ impl Event {
                 vec![("charged".into(), Json::Num(*charged as f64))]
             }
             Event::RunStopped { reason } => vec![("reason".into(), s(reason))],
-            Event::GovernorDemoted { rung, approx_bytes } => vec![
-                ("rung".into(), s(rung)),
-                ("approx_bytes".into(), Json::Num(*approx_bytes as f64)),
-            ],
             Event::WorkloadCompressed {
                 statements,
                 templates,
@@ -354,10 +340,6 @@ impl Event {
             "run_stopped" => Event::RunStopped {
                 reason: str_field("reason")?,
             },
-            "governor_demoted" => Event::GovernorDemoted {
-                rung: str_field("rung")?,
-                approx_bytes: num_field("approx_bytes")? as u64,
-            },
             "workload_compressed" => Event::WorkloadCompressed {
                 statements: num_field("statements")? as u64,
                 templates: num_field("templates")? as u64,
@@ -415,10 +397,6 @@ mod tests {
             Event::BudgetExhausted { charged: 500 },
             Event::RunStopped {
                 reason: "deadline".into(),
-            },
-            Event::GovernorDemoted {
-                rung: "shrink_memo".into(),
-                approx_bytes: 1 << 20,
             },
             Event::WorkloadCompressed {
                 statements: 100_000,

@@ -1,6 +1,6 @@
 //! The daemon: listeners, admission control, and the connection loop.
 //!
-//! One [`Server`] publishes one immutable [`Database`] snapshot, warm
+//! One server (see [`start`]) publishes one immutable [`Database`] snapshot, warm
 //! across requests and connections. Each accepted connection gets its own
 //! OS thread and its own [`ServerSession`]; a request reads the snapshot
 //! through a plain shared reference with no lock, so sessions run in

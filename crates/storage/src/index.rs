@@ -76,7 +76,7 @@ impl PhysicalIndex {
     /// columnar row-collection phase. `jobs == 0` resolves to the
     /// machine's available parallelism; any value yields a byte-identical
     /// index (sharding is by document range with a deterministic
-    /// concatenation — see [`PhysicalIndex::build_from_columns`]).
+    /// concatenation — see `PhysicalIndex::build_from_columns`).
     pub fn build_with_jobs(
         collection: &Collection,
         pattern: &LinearPath,

@@ -1,6 +1,6 @@
 //! Recursive-descent parser for XPath path expressions.
 //!
-//! All three surface languages parse from a [`TokenCursor`]: the tokens of
+//! All three surface languages parse from a `TokenCursor`: the tokens of
 //! one input, lexed eagerly (so a lexer error anywhere in the text is
 //! reported before any grammar error) and borrowed from it. The cursor
 //! lives for one parse call and never outlives the text it was built

@@ -9,7 +9,11 @@
 //! no search beats the optimum, every result fits its budget, the optimum
 //! is monotone in the budget, and at the All-Index size it is at least
 //! All-Index's benefit.
+//!
+//! `dp` is held to its own, narrower optimum: the best sum of standalone
+//! benefits under its quantized weights, found here by brute force.
 
+use xia_advisor::search::standalone_benefits;
 use xia_advisor::{Advisor, AdvisorParams, BenefitEvaluator, CandId, SearchAlgorithm};
 use xia_bench::lab::TpoxLab;
 
@@ -108,5 +112,69 @@ fn no_search_beats_the_exact_optimum() {
                 rec.est_benefit
             );
         }
+    }
+}
+
+/// The best sum of `values` over subsets whose `weights` sum to at most
+/// `cap`, by exhaustive search.
+fn best_subset_sum(items: &[(u64, f64)], cap: u64) -> f64 {
+    fn visit(items: &[(u64, f64)], room: u64, value: f64) -> f64 {
+        let mut best = value;
+        for (i, &(weight, item_value)) in items.iter().enumerate() {
+            if weight <= room {
+                best = best.max(visit(&items[i + 1..], room - weight, value + item_value));
+            }
+        }
+        best
+    }
+    visit(items, cap, 0.0)
+}
+
+#[test]
+fn dp_finds_the_best_standalone_sum_under_its_quantized_weights() {
+    let mut lab = TpoxLab::quick();
+    let workload = lab.workload();
+    let params = AdvisorParams::default();
+    let set = Advisor::prepare(&mut lab.db, &workload, &params);
+    assert!(set.len() <= MAX_CANDIDATES, "{} candidates", set.len());
+    let all_index_size = set.config_size(&Advisor::all_index_config(&set));
+
+    Advisor::freshen(&mut lab.db, &params.telemetry);
+    let ids: Vec<CandId> = set.ids().collect();
+    let standalone = {
+        let mut ev = BenefitEvaluator::configured(&lab.db, &workload, &set, &params);
+        standalone_benefits(&mut ev, &ids)
+    };
+
+    for fraction in BUDGETS {
+        let budget = (all_index_size as f64 * fraction).round() as u64;
+        // dp's quantization: one weight unit is 1/2048 of the budget
+        // (integer division, at least one byte); a candidate weighs its
+        // size in units rounded up, and the capacity is the budget in
+        // units rounded down. Only candidates with a positive standalone
+        // benefit and a size within the budget take part.
+        let unit = (budget / 2048).max(1);
+        let items: Vec<(u64, f64)> = (ids.iter())
+            .map(|id| (set.get(*id).size, standalone[id]))
+            .filter(|&(size, benefit)| benefit > 0.0 && size <= budget)
+            .map(|(size, benefit)| (size.div_ceil(unit), benefit))
+            .collect();
+        let best = best_subset_sum(&items, budget / unit);
+        assert!(best > 0.0, "at {fraction}x nothing is worth packing");
+
+        let rec = Advisor::recommend_prepared(
+            &mut lab.db,
+            &workload,
+            &set,
+            budget,
+            SearchAlgorithm::Dp,
+            &params,
+        )
+        .expect("the workload is advisable");
+        let sum: f64 = rec.config.iter().map(|id| standalone[id]).sum();
+        assert!(
+            (sum - best).abs() <= 1e-9 * best,
+            "dp at {fraction}x: standalone sum {sum}, brute-force best {best}"
+        );
     }
 }
