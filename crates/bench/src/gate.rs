@@ -110,6 +110,39 @@ fn advise_secs(lab: &mut TpoxLab, params: &AdvisorParams) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
+/// Advisor work each side of a macro leg does per round, in seconds: one
+/// run is well under a millisecond, too short to compare alone.
+const MACRO_SIDE_SECS: f64 = 0.05;
+
+/// Median of an odd number of samples (sorted in place).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Median wall seconds of `k` advisor runs per side, the sides
+/// alternating which one goes first: `(off, on)`. Each run on the `on`
+/// side gets freshly armed parameters, as a real run would.
+fn advise_medians(
+    lab: &mut TpoxLab,
+    off: &AdvisorParams,
+    on: impl Fn() -> AdvisorParams,
+    k: usize,
+) -> (f64, f64) {
+    let (mut base, mut armed) = (Vec::with_capacity(k), Vec::with_capacity(k));
+    for i in 0..k {
+        let on = on();
+        if i % 2 == 0 {
+            base.push(advise_secs(lab, off));
+            armed.push(advise_secs(lab, &on));
+        } else {
+            armed.push(advise_secs(lab, &on));
+            base.push(advise_secs(lab, off));
+        }
+    }
+    (median(&mut base), median(&mut armed))
+}
+
 /// Mean cost of `f` in nanoseconds over a tight loop.
 fn micro_mean_ns(f: impl Fn()) -> f64 {
     const ITERS: u32 = 5_000_000;
@@ -122,7 +155,9 @@ fn micro_mean_ns(f: impl Fn()) -> f64 {
 
 /// The overhead gate of a disabled-by-default handle. Macro leg: a full
 /// advisor run with the handle armed by `arm` stays within the tolerance
-/// of the run with it off (the production default). Micro leg: `off_op`
+/// of the run with it off (the production default), each side timed as
+/// the median of `k` order-alternated runs, `k` odd and enough for
+/// [`MACRO_SIDE_SECS`] of work per side. Micro leg: `off_op`
 /// on the off handle costs no more than `Telemetry::incr` on an off
 /// handle (both a branch on `None`), plus 1 ns of slack for timer
 /// granularity.
@@ -139,20 +174,26 @@ fn overhead(
         ..AdvisorParams::default()
     };
     let off = quiet();
-    // Warm-up: fault the caches and code paths in before timing.
-    advise_secs(&mut lab, &off);
-    let pass = any_round(|round| {
-        let base = advise_secs(&mut lab, &off);
+    // Warm-up: fault the caches and code paths in before timing; the
+    // fastest warm-up run sizes the macro leg.
+    let one = (0..3)
+        .map(|_| advise_secs(&mut lab, &off))
+        .fold(f64::MAX, f64::min);
+    let k = (MACRO_SIDE_SECS / one).ceil() as usize | 1;
+    let armed_params = || {
         let mut on = quiet();
         arm(&mut on);
-        let armed = advise_secs(&mut lab, &on);
+        on
+    };
+    let pass = any_round(|round| {
+        let (base, armed) = advise_medians(&mut lab, &off, armed_params, k);
         let op_ns = micro_mean_ns(|| off_op(&off));
         let incr_ns = micro_mean_ns(|| off.telemetry.incr(black_box(Counter::GreedyIterations)));
         let macro_ok = armed <= base * (1.0 + tol);
         let micro_ok = op_ns <= incr_ns * (1.0 + tol) + 1.0;
         println!(
-            "round {round}: advise off {:.1} ms, {handle}-on {:.1} ms ({:+.1}%) [{}]; \
-             off-handle {handle} op {op_ns:.2} ns vs incr {incr_ns:.2} ns [{}]",
+            "round {round}: median of {k} advise runs off {:.2} ms, {handle}-on {:.2} ms \
+             ({:+.1}%) [{}]; off-handle {handle} op {op_ns:.2} ns vs incr {incr_ns:.2} ns [{}]",
             base * 1e3,
             armed * 1e3,
             (armed / base - 1.0) * 100.0,
@@ -162,8 +203,8 @@ fn overhead(
         macro_ok && micro_ok
     });
     let bar = format!(
-        "{handle} on within {:.0}% of off, off-handle op at the incr floor, \
-         in one of {ROUNDS} rounds",
+        "{handle} on within {:.0}% of off (median of {k} runs each), off-handle op at \
+         the incr floor, in one of {ROUNDS} rounds",
         tol * 100.0
     );
     verdict(gate, pass, &bar)

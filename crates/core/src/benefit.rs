@@ -31,12 +31,17 @@
 //! `relevant(x)`. The optimizer consults the catalog only through index
 //! matching (the same covers/kind test the signature encodes), so serving a
 //! projection hit is bitwise identical to re-running the optimizer. The
-//! reference is an evaluator with `use_cache = false`, which sends every
-//! costing to the optimizer (pinned by the unit tests below).
+//! cache is kept per *costing class* — the statement's cost-identity
+//! template (DESIGN.md §11) — so statements of one template share their
+//! costings: one optimizer call per (template, projection), however often
+//! the template repeats, while every benefit still sums per statement in
+//! statement order. The reference is an evaluator with `use_cache = false`,
+//! which sends every per-statement costing to the optimizer (pinned by the
+//! unit tests below).
 //!
-//! What is left — an optimizer call per (statement, projection) — is made
+//! What is left — an optimizer call per (template, projection) — is made
 //! cheap by doing its configuration-invariant half once (DESIGN.md §18):
-//! every costable statement is prepared once
+//! every costable template is prepared once
 //! ([`xia_optimizer::Optimizer::prepare_shared`], one statistics pass per
 //! distinct path of a collection) and each candidate's virtual index
 //! definition is derived at first use; a what-if task is then index
@@ -72,7 +77,8 @@ use xia_xpath::{CoverCacheStats, LinearPath};
 /// Counters exposed for the efficiency experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvalStats {
-    /// Evaluate-mode optimizer invocations (one per statement costed).
+    /// Evaluate-mode optimizer invocations (one per template and
+    /// projection costed; one per statement with the cache off).
     pub optimizer_calls: u64,
     /// Sub-configuration cache hits.
     pub cache_hits: u64,
@@ -80,8 +86,9 @@ pub struct EvalStats {
     pub cache_misses: u64,
     /// `benefit()` invocations.
     pub benefit_calls: u64,
-    /// Per-statement costings answered from the projection-keyed statement
-    /// cost cache.
+    /// Per-statement costings answered without an optimizer call: from the
+    /// `(template, projection)`-keyed cost cache, or from the costing a
+    /// statement of the same template makes in the same batch.
     pub stmt_cache_hits: u64,
     /// Per-statement costings the pruning layer served without an
     /// optimizer call. Every statement-cache hit is one, so this always
@@ -218,9 +225,12 @@ enum TaskKind {
     /// independent of worker interleaving — and of whether an equal
     /// projection was previously served from the statement cache).
     Optimize { salt: u64 },
-    /// Answered from the statement cost cache at planning time (projection
+    /// Answered from the class's cost cache at planning time (projection
     /// hit); workers skip it.
     Served { cost: f64 },
+    /// Answered by task `task` of the same batch, which costs a statement
+    /// of the same class under the same projection; workers skip it.
+    Shared { task: usize },
     /// The what-if budget was exhausted when this task was planned.
     BudgetFallback,
     /// Collection statistics were unavailable when this task was planned.
@@ -344,7 +354,8 @@ pub struct BenefitEvaluator<'a> {
     /// and dies with the run. Read and written only by the coordinator.
     cache: HashMap<Vec<CandId>, f64>,
     /// What-if budget account: optimizer calls actually made in this run
-    /// (statement-cache misses). A costing the state already held is free.
+    /// (statement-cache misses). A costing the state already held, or one
+    /// a statement of the same template already paid for, is free.
     charged: u64,
     /// The cover cache's counters when this run began, so the run reports
     /// its own containment work and not the state's lifetime total.
@@ -385,6 +396,16 @@ pub struct BenefitEvaluator<'a> {
     ctl: RunController,
     /// Reused by each evaluation for a group's affected statements.
     scratch_affected: StmtSet,
+    /// Per class: the last group that planned a task for it (numbered
+    /// across batches by `group_seq`) and that task. Another member of the
+    /// class in the same group reuses the task without a lookup.
+    class_stamp: Vec<(u64, usize)>,
+    /// Groups planned so far over the evaluator's life.
+    group_seq: u64,
+    /// Per batch: `(class, projection hash)` → the task costing that class
+    /// under that projection, for classes with more than one member. A hit
+    /// is confirmed by comparing projections. Cleared, not dropped.
+    scratch_shared: HashMap<(u32, u64), usize>,
 }
 
 impl<'a> BenefitEvaluator<'a> {
@@ -527,67 +548,87 @@ impl<'a> BenefitEvaluator<'a> {
             budget_event_emitted: false,
             ctl: ctl.clone(),
             scratch_affected: StmtSet::new(),
+            class_stamp: Vec::new(),
+            group_seq: 0,
+            scratch_shared: HashMap::new(),
         };
         ev.extend_state();
+        ev.class_stamp = vec![(0, 0); ev.state.classes.len()];
         ev.compute_baselines();
         ev
     }
 
     /// Brings the costing state up to date with the workload and the
-    /// candidate set, both of which only ever grow: signatures, fault
-    /// salts and prepared forms for the statements it has not seen,
+    /// candidate set, both of which only ever grow: classes, signatures,
+    /// fault salts and prepared forms for the statements it has not seen,
     /// relevance rows for new candidates, and existing rows grown by the
     /// new statements. Pure containment and statistics work — no
     /// optimizer calls. On a fresh state this is the whole of it.
     fn extend_state(&mut self) {
         let state = &mut *self.state;
-        let entries = self.workload.entries();
+        let workload = self.workload;
+        let entries = workload.entries();
         let (from, known) = (state.statements(), state.candidates());
         assert!(
             from <= entries.len() && known <= self.set.len(),
             "a costing state only grows with its workload and candidate set"
         );
-        // Prepared here, once per statement, through one path-statistics
-        // memo per collection: statements (and CoPhy templates in their
+        // Prepared here, once per class, through one path-statistics memo
+        // per collection: statements (and CoPhy templates in their
         // thousands) share a few hundred distinct paths.
         self.parts = state.colls.iter().map(|c| self.db.parts(c)).collect();
         let mut preparers: Vec<Option<Optimizer<'a>>> = self.parts.iter().map(|_| None).collect();
+        let new = entries.len() - from;
+        state.class.reserve(new);
+        state.stmt_salts.reserve(new);
+        state.stmt_coll.reserve(new);
+        // At most one class per new statement, and per slot.
+        state.classes.reserve(new.min(workload.slots()));
+        (state.class_of_fingerprint).reserve(new.min(workload.slots()));
+        let mut keys = [String::new(), String::new()];
         // `skip` is O(1): extending costs the new statements only.
-        for entry in entries.iter().skip(from) {
-            let coll = entry.statement.collection();
-            let slot = state
-                .colls
-                .iter()
-                .position(|name| name == coll)
-                .unwrap_or_else(|| {
-                    state.colls.push(coll.to_string());
-                    state.memos.push(PathStatsMemo::default());
-                    self.parts.push(self.db.parts(coll));
-                    preparers.push(None);
-                    state.colls.len() - 1
-                });
-            let prepared = self.parts[slot].map(|(collection, catalog, stats)| {
-                preparers[slot]
-                    .get_or_insert_with(|| {
-                        let mut optimizer = Optimizer::new(collection, stats, catalog);
-                        optimizer.set_telemetry(&self.telemetry);
-                        optimizer
-                    })
-                    .prepare_shared(entry.statement, &mut state.memos[slot])
-            });
-            // The signature is read off the prepared patterns; a statement
-            // without visible statistics is normalized for it.
-            state.matrix.push(match &prepared {
-                Some(prepared) => prepared.signature(coll),
-                None => xia_optimizer::statement_signature(entry.statement),
-            });
+        for (si, entry) in entries.iter().enumerate().skip(from) {
+            let (found, salt) = state.class_for(workload, si, &mut keys);
+            let (class, slot) = match found {
+                Some(class) => (
+                    class,
+                    state.stmt_coll[state.classes[class as usize].opener as usize],
+                ),
+                None => {
+                    let coll = entry.statement.collection();
+                    let slot =
+                        (state.colls.iter().position(|name| name == coll)).unwrap_or_else(|| {
+                            state.colls.push(coll.to_string());
+                            state.memos.push(PathStatsMemo::default());
+                            self.parts.push(self.db.parts(coll));
+                            preparers.push(None);
+                            state.colls.len() - 1
+                        });
+                    let prepared = self.parts[slot].map(|(collection, catalog, stats)| {
+                        preparers[slot]
+                            .get_or_insert_with(|| {
+                                let mut optimizer = Optimizer::new(collection, stats, catalog);
+                                optimizer.set_telemetry(&self.telemetry);
+                                optimizer
+                            })
+                            .prepare_shared(entry.statement, &mut state.memos[slot])
+                    });
+                    (state.open_class(si, salt, prepared), slot)
+                }
+            };
+            state.classes[class as usize].members += 1;
+            // The signature is read off the prepared patterns, which are
+            // the class's; a statement without visible statistics is
+            // normalized for it.
             state
-                .stmt_salts
-                .push(xia_xpath::template_fingerprint(entry.statement));
+                .matrix
+                .push(match &state.classes[class as usize].prepared {
+                    Some(prepared) => prepared.signature(&state.colls[slot]),
+                    None => xia_optimizer::statement_signature(entry.statement),
+                });
+            state.stmt_salts.push(salt);
             state.stmt_coll.push(slot);
-            state.prepared.push(prepared);
-            state.baseline.push(None);
-            state.stmt_cache.push(HashMap::new());
+            state.class.push(class);
         }
         // Relevance rows: one signature per statement, one bitset per
         // candidate.
@@ -614,29 +655,40 @@ impl<'a> BenefitEvaluator<'a> {
     }
 
     /// Prices every statement's baseline for this run: the clean cost the
-    /// state holds, or an optimizer call for the statements it has no
-    /// clean cost for yet (new ones, and ones whose earlier call faulted —
-    /// the fault stream is content-derived, so it faults again). What a
-    /// run does *about* a statement — quarantine it, count a fallback,
-    /// journal a fault — is this run's own and repeated by every run.
+    /// state holds for its class, or one optimizer call per class it has
+    /// no clean cost for yet (new ones, and ones whose earlier call
+    /// faulted — the fault stream is content-derived, so it faults again),
+    /// whose answer every member of the class takes. What a run does
+    /// *about* a statement — quarantine it, count a fallback, journal a
+    /// fault — is this run's own, per statement, and repeated by every run.
     fn compute_baselines(&mut self) {
         let n = self.workload.len();
         self.baseline = vec![0.0; n];
         // Plan serially: quarantine missing collections, resolve stats
-        // availability, and assign fault-stream salts.
-        #[derive(Clone, Copy)]
+        // availability, and give each class to cost one task.
+        #[derive(Clone, Copy, PartialEq)]
         enum BasePlan {
             Quarantined,
             StatsFallback,
             Retained(f64),
-            Cost { salt: u64 },
+            /// Makes task `task`'s optimizer call …
+            Cost {
+                task: usize,
+            },
+            /// … or takes its answer, as another member of its class.
+            Shared {
+                task: usize,
+            },
         }
         let workload = self.workload;
         let missing: Vec<bool> = (self.state.colls.iter())
             .map(|coll| self.db.collection(coll).is_none())
             .collect();
+        let mut task_of: Vec<Option<usize>> = vec![None; self.state.classes.len()];
+        let mut todo: Vec<(usize, u64)> = Vec::new();
         let mut plans = Vec::with_capacity(n);
         for (si, entry) in workload.entries().iter().enumerate() {
+            let class = self.state.class[si] as usize;
             plans.push(if missing[self.state.stmt_coll[si]] {
                 self.active[si] = false;
                 self.telemetry.incr(Counter::StatementsQuarantined);
@@ -647,66 +699,70 @@ impl<'a> BenefitEvaluator<'a> {
                     detail: format!("unknown collection `{}`", entry.statement.collection()),
                 });
                 BasePlan::Quarantined
-            } else if self.state.prepared[si].is_none() {
+            } else if self.state.classes[class].prepared.is_none() {
                 // The collection exists but statistics are unavailable.
                 BasePlan::StatsFallback
-            } else if let Some(cost) = self.state.baseline[si] {
+            } else if let Some(cost) = self.state.classes[class].baseline {
                 BasePlan::Retained(cost)
+            } else if let Some(task) = task_of[class] {
+                BasePlan::Shared { task }
             } else {
+                task_of[class] = Some(todo.len());
+                todo.push((
+                    class,
+                    key_hash(SALT_BASELINE, &[]) ^ self.state.stmt_salts[si],
+                ));
                 BasePlan::Cost {
-                    salt: key_hash(SALT_BASELINE, &[]) ^ self.state.stmt_salts[si],
+                    task: todo.len() - 1,
                 }
             });
         }
-        let todo: Vec<(usize, u64)> = (plans.iter().enumerate())
-            .filter_map(|(si, plan)| match *plan {
-                BasePlan::Cost { salt } => Some((si, salt)),
-                _ => None,
-            })
-            .collect();
-        let (stmt_coll, prepared) = (&self.state.stmt_coll, &self.state.prepared);
+        let (coll_of, classes) = (&self.state.stmt_coll, &self.state.classes);
         let (parts, faults) = (&self.parts, &self.faults);
         let costed = run_indexed(todo.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
-            let (si, salt) = todo[i];
-            let (Some(at), Some(prepared)) = (parts[stmt_coll[si]], &prepared[si]) else {
+            let (class, salt) = todo[i];
+            let class = &classes[class];
+            let at = parts[coll_of[class.opener as usize]];
+            let (Some(at), Some(prepared)) = (at, &class.prepared) else {
                 return None;
             };
             what_if(at, prepared, at.1.view(), &faults.derive_stream(salt), tel)
         });
-        let mut costed = costed.into_iter();
         for (si, plan) in plans.into_iter().enumerate() {
             let result = match plan {
-                BasePlan::Cost { .. } => costed.next().flatten(),
+                BasePlan::Cost { task } | BasePlan::Shared { task } => costed[task],
                 _ => None,
             };
-            if !matches!(plan, BasePlan::Quarantined) {
+            if plan != BasePlan::Quarantined {
                 self.state.asked += 1;
+            }
+            if let BasePlan::Cost { .. } = plan {
+                self.stats.optimizer_calls += 1;
+                self.charged += 1;
             }
             self.baseline[si] = match (plan, result) {
                 (BasePlan::Quarantined, _) => 0.0,
-                (BasePlan::Retained(cost), _) => {
+                (BasePlan::Retained(cost), _) | (BasePlan::Shared { .. }, Some(cost)) => {
                     self.state.served += 1;
                     cost
                 }
                 (BasePlan::Cost { .. }, Some(cost)) => {
-                    self.stats.optimizer_calls += 1;
-                    self.charged += 1;
-                    self.retain_baseline(si, cost)
+                    let class = self.state.class[si] as usize;
+                    self.state.classes[class].baseline = Some(cost);
+                    self.state.costings += 1;
+                    cost
                 }
                 (kind, _) => {
                     // An optimizer failure here is an injected fault — the
                     // collection and its statistics were resolvable at
-                    // planning time.
-                    if matches!(kind, BasePlan::Cost { .. }) {
+                    // planning time. Every member of the class has the
+                    // verdict its own call would have rolled.
+                    if matches!(kind, BasePlan::Cost { .. } | BasePlan::Shared { .. }) {
                         self.journal.emit(|| Event::FaultInjected { statement: si });
                     }
                     // The statement is costable in principle (the data is
                     // there); fall back to a heuristic scan estimate so the
                     // run can continue degraded.
-                    if matches!(kind, BasePlan::Cost { .. }) {
-                        self.stats.optimizer_calls += 1;
-                        self.charged += 1;
-                    }
                     self.fallbacks += 1;
                     self.telemetry.incr(Counter::CostFallbacks);
                     let coll = self.workload.entry(si).statement.collection();
@@ -714,13 +770,6 @@ impl<'a> BenefitEvaluator<'a> {
                 }
             };
         }
-    }
-
-    /// Keeps a statement's clean baseline for later runs; returns it.
-    fn retain_baseline(&mut self, si: usize, cost: f64) -> f64 {
-        self.state.baseline[si] = Some(cost);
-        self.state.costings += 1;
-        cost
     }
 
     /// A crude scan-cost proxy used when the optimizer cannot answer:
@@ -902,6 +951,70 @@ impl<'a> BenefitEvaluator<'a> {
         }
     }
 
+    /// Plans the costing of statement `si` under group `key` when no
+    /// earlier member of its class in the group has: served from the
+    /// class's cost cache, shared with a task of this batch (`tasks`,
+    /// through `shared`), a fallback, or an optimizer call — which only a
+    /// task of a class with other members files in `shared`. Returns the
+    /// task's kind and, for an optimizer call, the projection it is kept
+    /// under.
+    fn plan_costing(
+        &mut self,
+        key: &[CandId],
+        si: usize,
+        proj: &mut Vec<CandId>,
+        tasks: &[CostTask],
+        shared: &mut HashMap<(u32, u64), usize>,
+    ) -> (TaskKind, Option<Vec<CandId>>) {
+        self.projection_into(key, si, proj);
+        let class = self.state.class[si];
+        if self.use_cache {
+            if let Some(&cost) = self.state.classes[class as usize]
+                .costs
+                .get(proj.as_slice())
+            {
+                self.count_served();
+                return (TaskKind::Served { cost }, None);
+            }
+        }
+        let hash = key_hash(SALT_EVALUATE, proj);
+        let shares = self.use_cache && self.state.classes[class as usize].members > 1;
+        if shares {
+            if let Some(&task) = shared.get(&(class, hash)) {
+                if tasks[task].proj.as_deref() == Some(proj.as_slice()) {
+                    return (TaskKind::Shared { task }, None);
+                }
+            }
+        }
+        if self.budget.exhausted(self.charged) {
+            if !self.budget_event_emitted {
+                self.budget_event_emitted = true;
+                let charged = self.charged;
+                self.journal.emit(|| Event::BudgetExhausted { charged });
+            }
+            return (TaskKind::BudgetFallback, None);
+        }
+        // Prepared iff the collection's statistics are visible to this run.
+        if self.state.classes[class as usize].prepared.is_none() {
+            return (TaskKind::StatsFallback, None);
+        }
+        self.charged += 1;
+        if shares {
+            shared.entry((class, hash)).or_insert(tasks.len());
+        }
+        let salt = hash ^ self.state.stmt_salts[si];
+        (TaskKind::Optimize { salt }, Some(proj.clone()))
+    }
+
+    /// Counts one per-statement costing answered without an optimizer call.
+    fn count_served(&mut self) {
+        self.state.served += 1;
+        self.stats.stmt_cache_hits += 1;
+        self.stats.statements_pruned += 1;
+        self.telemetry.incr(Counter::StmtCacheHits);
+        self.telemetry.incr(Counter::StatementsPruned);
+    }
+
     /// Evaluates a batch of canonical sub-configuration keys and returns
     /// each key's query-side benefit `Σ freq·(old − new)`, in order.
     ///
@@ -985,70 +1098,61 @@ impl<'a> BenefitEvaluator<'a> {
                     Slot::Miss(_) => 0.0,
                 })
                 .collect();
-            self.emit_what_if_events(&journal_slots, &out);
+            self.emit_what_if_events(journal_slots, &out);
             return out;
         }
 
         // Phase 2 (coordinator): plan per-statement tasks. Statement-cache
         // lookups, budget charging, and fault-stream salts all happen
         // here, in deterministic order — workers never touch them. Each
-        // costing is keyed on the projection of the group onto the
-        // statement's relevant candidates: a plan can only consult
-        // matching indexes, so equal projections have bitwise-equal
-        // costs, and a projection hit is served without an optimizer call.
+        // costing is keyed on its class and the projection of the group
+        // onto the statement's relevant candidates: a plan can only
+        // consult matching indexes, and statements of one class cost
+        // bitwise the same, so a `(class, projection)` costing the state
+        // holds is served without an optimizer call, and one an earlier
+        // task of this batch makes is shared. Within a group, a class's
+        // members have one projection (their signatures are the
+        // template's), so the first member's task stands for the rest.
         // With the cache off every costing is a miss.
         // The projection is looked up borrowed; only a costing that goes to
         // the optimizer keeps its own copy, which the statement cache takes
         // over at merge.
         let mut tasks: Vec<CostTask> = Vec::new();
         let mut affected = std::mem::take(&mut self.scratch_affected);
+        let mut shared = std::mem::take(&mut self.scratch_shared);
+        shared.clear();
         let mut proj = Vec::new();
         for (group, key) in misses.iter().enumerate() {
             self.affected_into(key, &mut affected);
+            self.group_seq += 1;
             for si in affected.iter() {
                 if !self.active[si] {
                     continue;
                 }
-                self.projection_into(key, si, &mut proj);
-                let cached = if self.use_cache {
-                    self.state.stmt_cache[si].get(proj.as_slice()).copied()
-                } else {
-                    None
-                };
                 self.state.asked += 1;
-                let (kind, proj) = match cached {
-                    Some(cost) => {
-                        self.state.served += 1;
-                        self.stats.stmt_cache_hits += 1;
-                        self.stats.statements_pruned += 1;
-                        self.telemetry.incr(Counter::StmtCacheHits);
-                        self.telemetry.incr(Counter::StatementsPruned);
-                        (TaskKind::Served { cost }, None)
+                let class = self.state.class[si] as usize;
+                let (stamped, task) = self.class_stamp[class];
+                let (kind, proj) = if self.use_cache && stamped == self.group_seq {
+                    debug_assert!(
+                        (key.iter()).all(|&id| {
+                            let row = &self.state.relevance[id.index()];
+                            row.contains(si) == row.contains(tasks[task].si)
+                        }),
+                        "a class's statements have one projection"
+                    );
+                    let kind = match tasks[task].kind {
+                        TaskKind::Optimize { .. } => TaskKind::Shared { task },
+                        kind => kind,
+                    };
+                    if let TaskKind::Served { .. } = kind {
+                        self.count_served();
                     }
-                    None if self.budget.exhausted(self.charged) => {
-                        if !self.budget_event_emitted {
-                            self.budget_event_emitted = true;
-                            let charged = self.charged;
-                            self.journal.emit(|| Event::BudgetExhausted { charged });
-                        }
-                        (TaskKind::BudgetFallback, None)
+                    (kind, None)
+                } else {
+                    if self.use_cache {
+                        self.class_stamp[class] = (self.group_seq, tasks.len());
                     }
-                    None => {
-                        // Prepared iff the collection's statistics are
-                        // visible to this run.
-                        if self.state.prepared[si].is_none() {
-                            (TaskKind::StatsFallback, None)
-                        } else {
-                            self.charged += 1;
-                            (
-                                TaskKind::Optimize {
-                                    salt: key_hash(SALT_EVALUATE, &proj)
-                                        ^ self.state.stmt_salts[si],
-                                },
-                                Some(proj.clone()),
-                            )
-                        }
-                    }
+                    self.plan_costing(key, si, &mut proj, &tasks, &mut shared)
                 };
                 tasks.push(CostTask {
                     group,
@@ -1059,6 +1163,7 @@ impl<'a> BenefitEvaluator<'a> {
             }
         }
         self.scratch_affected = affected;
+        self.scratch_shared = shared;
 
         // Phase 3 (coordinator): one overlay set per missed group that
         // still needs real optimizer work, built serially so virtual-index
@@ -1089,7 +1194,8 @@ impl<'a> BenefitEvaluator<'a> {
                 return None;
             };
             let slot = state.stmt_coll[task.si];
-            let (Some(at), Some(prepared)) = (parts[slot], &state.prepared[task.si]) else {
+            let prepared = &state.classes[state.class[task.si] as usize].prepared;
+            let (Some(at), Some(prepared)) = (parts[slot], prepared) else {
                 return None;
             };
             let view = overlay_view(&overlays[task.group], &state.colls[slot], at.1);
@@ -1101,16 +1207,25 @@ impl<'a> BenefitEvaluator<'a> {
         // summation order is fixed regardless of worker interleaving.
         let mut totals = vec![0.0f64; misses.len()];
         let mut tainted = vec![false; misses.len()];
-        for (task, result) in tasks.into_iter().zip(results) {
+        for (task, &own) in tasks.into_iter().zip(&results) {
+            let result = match task.kind {
+                TaskKind::Shared { task } => results[task],
+                _ => own,
+            };
             let new_cost = match (task.kind, result) {
                 (TaskKind::Served { cost }, _) => cost,
+                (TaskKind::Shared { .. }, Some(cost)) => {
+                    self.count_served();
+                    cost
+                }
                 (TaskKind::Optimize { .. }, Some(cost)) => {
                     self.stats.optimizer_calls += 1;
-                    // Memoize under the projection key: any configuration
-                    // with the same projection onto this statement has
-                    // bitwise the same cost.
+                    // Memoize under the class and projection key: any
+                    // configuration with the same projection onto any
+                    // statement of the class has bitwise the same cost.
                     if let Some(proj) = task.proj {
-                        self.state.insert_cost(task.si, proj, cost);
+                        let class = self.state.class[task.si];
+                        self.state.insert_cost(class, proj, cost);
                     }
                     cost
                 }
@@ -1120,8 +1235,11 @@ impl<'a> BenefitEvaluator<'a> {
                     // candidates still rank by affected baseline mass.
                     if matches!(kind, TaskKind::Optimize { .. }) {
                         self.stats.optimizer_calls += 1;
+                    }
+                    if matches!(kind, TaskKind::Optimize { .. } | TaskKind::Shared { .. }) {
                         // A planned optimizer call that came back empty is
-                        // an injected (or real) optimizer failure.
+                        // an injected (or real) optimizer failure: the
+                        // verdict of every statement of the class.
                         let si = task.si;
                         self.journal.emit(|| Event::FaultInjected { statement: si });
                     }
@@ -1156,7 +1274,7 @@ impl<'a> BenefitEvaluator<'a> {
                 Slot::Miss(i) => totals[i],
             })
             .collect();
-        self.emit_what_if_events(&journal_slots, &out);
+        self.emit_what_if_events(journal_slots, &out);
         out
     }
 
@@ -1164,15 +1282,12 @@ impl<'a> BenefitEvaluator<'a> {
     /// pairing each configuration with its final query-side benefit. Runs
     /// on the coordinator after the merge, so the journal stream is
     /// identical regardless of worker count.
-    fn emit_what_if_events(&self, journal_slots: &[(Vec<String>, bool)], values: &[f64]) {
-        if !self.journal.is_enabled() {
-            return;
-        }
-        for ((config, cache_hit), &cost) in journal_slots.iter().zip(values) {
+    fn emit_what_if_events(&self, journal_slots: Vec<(Vec<String>, bool)>, values: &[f64]) {
+        for ((config, cache_hit), &cost) in journal_slots.into_iter().zip(values) {
             self.journal.emit(|| Event::WhatIfEvaluated {
-                config: config.clone(),
+                config,
                 cost,
-                cache_hit: *cache_hit,
+                cache_hit,
             });
         }
     }
@@ -1360,7 +1475,8 @@ impl<'a> BenefitEvaluator<'a> {
     /// redundancy pass. The configuration is materialized as catalog
     /// overlays and statements are compiled across the worker pool; the
     /// result is order-insensitive (sorted), so the fan-out cannot change
-    /// it.
+    /// it. A class's statements share one plan, so one member of each is
+    /// compiled (every member, with the cache off).
     pub fn used_candidates(&mut self, config: &[CandId]) -> Vec<CandId> {
         if config.is_empty() {
             return Vec::new();
@@ -1368,20 +1484,30 @@ impl<'a> BenefitEvaluator<'a> {
         let overlays = self.build_overlays(config);
         let mut affected = StmtSet::new();
         self.affected_into(config, &mut affected);
-        let stmts: Vec<usize> = affected.iter().filter(|&si| self.active[si]).collect();
+        self.group_seq += 1;
+        let mut stmts: Vec<usize> = Vec::new();
+        for si in affected.iter().filter(|&si| self.active[si]) {
+            let stamp = &mut self.class_stamp[self.state.class[si] as usize];
+            if self.use_cache && stamp.0 == self.group_seq {
+                continue;
+            }
+            stamp.0 = self.group_seq;
+            stmts.push(si);
+        }
         // Compiling (Evaluate mode without fault rolls) consumes one
         // optimizer call per statement with statistics available — counted
         // at planning time so the total is deterministic.
+        let prepared_of = |si: usize| &self.state.classes[self.state.class[si] as usize].prepared;
         let planned = stmts
             .iter()
-            .filter(|&&si| self.state.prepared[si].is_some())
+            .filter(|&&si| prepared_of(si).is_some())
             .count() as u64;
         let (state, parts) = (&*self.state, &self.parts);
         let overlays = &overlays;
         let results = run_indexed(stmts.len(), self.jobs, &self.telemetry.clone(), |i, tel| {
             let slot = state.stmt_coll[stmts[i]];
             let (Some((collection, catalog, stats)), Some(prepared)) =
-                (parts[slot], &state.prepared[stmts[i]])
+                (parts[slot], prepared_of(stmts[i]))
             else {
                 return Vec::new();
             };
@@ -1447,7 +1573,7 @@ impl<'a> BenefitEvaluator<'a> {
                 }
                 let (Some((_, _, stats)), Some(prepared)) = (
                     self.parts[self.state.stmt_coll[si]],
-                    &self.state.prepared[si],
+                    &self.state.classes[self.state.class[si] as usize].prepared,
                 ) else {
                     continue;
                 };
@@ -1886,6 +2012,59 @@ mod tests {
             assert_eq!(cached.delta_probes, all.len() as u64);
             assert_eq!(reference.delta_probes, all.len() as u64);
         }
+    }
+
+    #[test]
+    fn a_template_is_costed_once_at_the_per_statement_bits() {
+        // Every template three times, its literals drawn from three seeds.
+        // The cached evaluator costs each (template, projection) once —
+        // as many optimizer calls as one statement per template takes —
+        // and every benefit is bitwise the one the uncached reference
+        // computes statement by statement.
+        use xia_workloads::prng::Prng;
+        let mut db = Database::new();
+        let cfg = TpoxConfig::tiny();
+        tpox::generate(&mut db, &cfg);
+        let texts: Vec<String> = (0..3)
+            .flat_map(|k| {
+                tpox::queries(&TpoxConfig {
+                    seed: cfg.seed + k,
+                    ..cfg.clone()
+                })
+            })
+            .collect();
+        let repeated = Workload::from_texts(texts.iter().map(|s| s.as_str())).unwrap();
+        let once = Workload::from_texts(texts[..11].iter().map(|s| s.as_str())).unwrap();
+        assert!(repeated.slots() > once.len(), "literals must differ");
+        let set = candidates(&mut db, &repeated);
+        let once_set = candidates(&mut db, &once);
+        assert_eq!(set.len(), once_set.len());
+        let mut rng = Prng::seed_from_u64(0xC1A5);
+        let configs: Vec<Vec<CandId>> = (0..40)
+            .map(|_| set.ids().filter(|_| rng.gen_bool(1.0 / 3.0)).collect())
+            .collect();
+        let mut evaluate = |use_cache: bool| {
+            let mut ev = BenefitEvaluator::new(&mut db, &repeated, &set);
+            ev.use_cache = use_cache;
+            let bits: Vec<u64> = configs.iter().map(|c| ev.benefit(c).to_bits()).collect();
+            (bits, ev.eval_stats())
+        };
+        let (on_bits, on) = evaluate(true);
+        let (off_bits, off) = evaluate(false);
+        assert_eq!(on_bits, off_bits);
+        let mut single = BenefitEvaluator::new(&mut db, &once, &once_set);
+        for config in &configs {
+            let same: Vec<CandId> = (config.iter())
+                .map(|&id| {
+                    let c = set.get(id);
+                    once_set.lookup(&c.collection, &c.pattern, c.kind).unwrap()
+                })
+                .collect();
+            single.benefit(&same);
+        }
+        assert_eq!(on.optimizer_calls, single.eval_stats().optimizer_calls);
+        assert!(on.optimizer_calls < off.optimizer_calls);
+        assert_eq!(on.statements_pruned, on.stmt_cache_hits);
     }
 
     #[test]

@@ -286,13 +286,13 @@ fn covers_allocates_nothing() {
 /// normalized each statement three times.
 const ADVISOR_STAGES: [(&str, u64, u64); 8] = [
     ("prepare", 5_056, 21_997),
-    ("evaluator", 5_212, 12_934),
-    ("greedy", 14_091, 49_106),
-    ("heuristics", 16_262, 52_383),
-    ("topdown-lite", 14_310, 48_749),
-    ("topdown-full", 23_053, 80_585),
-    ("dp", 14_164, 49_179),
-    ("cophy", 6_915, 30_455),
+    ("evaluator", 2_990, 12_934),
+    ("greedy", 9_708, 49_106),
+    ("heuristics", 10_855, 52_383),
+    ("topdown-lite", 10_138, 48_749),
+    ("topdown-full", 17_522, 80_585),
+    ("dp", 9_781, 49_179),
+    ("cophy", 6_893, 30_455),
 ];
 
 #[test]

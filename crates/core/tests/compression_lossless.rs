@@ -1,8 +1,10 @@
 //! Property suite: CoPhy workload compression is *lossless for advising*.
 //!
 //! Compressing a workload into weighted cost-identity templates (see
-//! `xia_advisor::compress_workload`) changes how much costing work the
-//! advisor does — never what it recommends. These tests draw randomized
+//! `xia_advisor::compress_workload`) changes how much per-statement work
+//! the advisor does — never what it recommends. Nor, on a clean run, the
+//! optimizer calls it makes: the evaluator costs each template once over
+//! the raw workload too. These tests draw randomized
 //! workloads of up to 200 statements (synthetic queries whose literals
 //! come from actual document values, so parameter collisions and thus
 //! non-trivial compression are common), run the cophy search compressed
@@ -60,6 +62,7 @@ struct Outcome {
     budget_exhausted: u64,
     faults_injected: u64,
     templates_built: u64,
+    optimizer_calls: u64,
 }
 
 fn advise(
@@ -91,6 +94,7 @@ fn advise(
         budget_exhausted: params.telemetry.get(Counter::WhatIfBudgetExhausted),
         faults_injected: params.telemetry.get(Counter::FaultsInjected),
         templates_built: params.telemetry.get(Counter::TemplatesBuilt),
+        optimizer_calls: rec.eval_stats.optimizer_calls,
     }
 }
 
@@ -100,7 +104,9 @@ fn close(a: f64, b: f64) -> bool {
 
 /// The property itself: same recommendation and (tolerance-equal) cost
 /// totals compressed and over the raw workload, for every worker count.
-fn assert_lossless(w: &Workload, tag: &str, make_params: &dyn Fn() -> AdvisorParams) {
+/// Returns the optimizer calls of each side at the last worker count.
+fn assert_lossless(w: &Workload, tag: &str, make_params: &dyn Fn() -> AdvisorParams) -> (u64, u64) {
+    let mut calls = (0, 0);
     for jobs in [1usize, 4] {
         let mut db_on = setup();
         let on = advise(&mut db_on, w, true, jobs, make_params);
@@ -138,7 +144,9 @@ fn assert_lossless(w: &Workload, tag: &str, make_params: &dyn Fn() -> AdvisorPar
             off.templates_built, 0,
             "[{tag}] the raw-workload reference compressed"
         );
+        calls = (on.optimizer_calls, off.optimizer_calls);
     }
+    calls
 }
 
 #[test]
@@ -146,11 +154,11 @@ fn compression_is_lossless_clean() {
     let db = setup();
     for (n, seed) in [(60, SEED), (200, SEED ^ 0xA5A5), (120, 0x17)] {
         let w = random_workload(&db, n, seed);
-        assert_lossless(
-            &w,
-            &format!("clean n={n} seed={seed:#x}"),
-            &AdvisorParams::default,
-        );
+        let tag = format!("clean n={n} seed={seed:#x}");
+        let (compressed, raw) = assert_lossless(&w, &tag, &AdvisorParams::default);
+        // The raw run's evaluator costs each template once, as the
+        // compressed run does: compression saves no optimizer call.
+        assert_eq!(compressed, raw, "[{tag}] optimizer calls");
     }
 }
 

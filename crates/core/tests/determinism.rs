@@ -10,7 +10,8 @@
 //! injected faults, and under an exhausted what-if budget.
 
 use xia_advisor::{
-    Advisor, AdvisorParams, Recommendation, SearchAlgorithm, WhatIfBudget, XiaError,
+    Advisor, AdvisorParams, BenefitEvaluator, Recommendation, SearchAlgorithm, WhatIfBudget,
+    XiaError,
 };
 use xia_fault::{FaultInjector, FaultSite};
 use xia_obs::{Counter, Telemetry};
@@ -47,6 +48,7 @@ struct Fingerprint {
     baseline_bits: u64,
     workload_bits: u64,
     optimizer_calls: u64,
+    stmt_cache_hits: u64,
     cache_hits: u64,
     cache_misses: u64,
     counters: Vec<(Counter, u64)>,
@@ -105,6 +107,7 @@ fn run_advising(
         baseline_bits: rec.baseline_cost.to_bits(),
         workload_bits: rec.workload_cost.to_bits(),
         optimizer_calls: rec.eval_stats.optimizer_calls,
+        stmt_cache_hits: rec.eval_stats.stmt_cache_hits,
         cache_hits: rec.eval_stats.cache_hits,
         cache_misses: rec.eval_stats.cache_misses,
         counters: PINNED
@@ -139,10 +142,13 @@ fn assert_same_at_every_jobs(what: &str, run: impl Fn(usize) -> Fingerprint) -> 
 fn fanned_out_batches_are_jobs_invariant() {
     // The TPoX queries alone never fill a batch past the fan-out
     // threshold (256 tasks), so everything above runs its workers'
-    // code serially. 300 more statements put baseline costing and the
-    // standalone-benefit batch over it: here the pool really spawns —
-    // clean, with every third optimizer call failing, and with statistics
-    // going missing.
+    // code serially. 300 more statements put the standalone-benefit
+    // batch over it: here the pool really spawns — clean, with every
+    // third optimizer call failing, and with statistics going missing.
+    // A batch has one task per statement costing, and a statement whose
+    // template another one costs in it is a task too, so the width is
+    // counted in costings; baseline costing is one task per template
+    // (87 here) and fans out in `baseline_costing_fans_out_per_class`.
     // A seed whose rolls hide some collection's statistics but leave the
     // security collection (all 300 synthetic statements) costable.
     const STATS_SEED: u64 = 6;
@@ -159,7 +165,8 @@ fn fanned_out_batches_are_jobs_invariant() {
     ];
     for (m, make_params) in mixes.into_iter().enumerate() {
         let reference = run_with(SearchAlgorithm::GreedyHeuristics, 1, 300, make_params);
-        assert!(reference.optimizer_calls > 1000, "mix {m}: a wide workload");
+        let costings = reference.optimizer_calls + reference.stmt_cache_hits;
+        assert!(costings > 1000, "mix {m}: a wide workload");
         let fallbacks = reference
             .counters
             .iter()
@@ -168,6 +175,55 @@ fn fanned_out_batches_are_jobs_invariant() {
         for jobs in [4, 8] {
             let other = run_with(SearchAlgorithm::GreedyHeuristics, jobs, 300, make_params);
             assert_eq!(reference, other, "mix {m}: jobs=1 and jobs={jobs} disagree");
+        }
+    }
+}
+
+#[test]
+fn baseline_costing_fans_out_per_class() {
+    // 300 templates (a numeric range keeps its literal in the template),
+    // each written twice under another variable name: one baseline task
+    // per template, past the fan-out threshold, whose answer — or fault
+    // verdict — both statements take.
+    let mut db = Database::new();
+    tpox::generate(&mut db, &TpoxConfig::tiny());
+    let texts: Vec<String> = (0..300)
+        .flat_map(|i| {
+            ["s", "t"].map(|v| {
+                let bound = format!("{}.{:02}", i / 100, i % 100);
+                format!("for ${v} in SECURITY('SDOC')/Security[Yield > {bound}] return ${v}")
+            })
+        })
+        .collect();
+    let w = Workload::from_texts(texts.iter().map(|s| s.as_str())).unwrap();
+    let set = Advisor::prepare(&mut db, &w, &AdvisorParams::default());
+    let mixes: [fn() -> FaultInjector; 2] = [FaultInjector::off, || {
+        FaultInjector::seeded(SEED).with_rate(FaultSite::OptimizerCost, 0.3)
+    }];
+    for (m, faults) in mixes.into_iter().enumerate() {
+        let baseline = |jobs: usize| {
+            let params = AdvisorParams {
+                jobs,
+                faults: faults(),
+                ..AdvisorParams::default()
+            };
+            let ev = BenefitEvaluator::configured(&db, &w, &set, &params);
+            (
+                ev.baseline_cost().to_bits(),
+                ev.fallback_count(),
+                ev.eval_stats(),
+            )
+        };
+        let reference = baseline(1);
+        assert_eq!(
+            reference.2.optimizer_calls, 300,
+            "mix {m}: a call per template"
+        );
+        let fallbacks = reference.1;
+        assert_eq!(fallbacks > 0, m > 0, "mix {m}");
+        assert_eq!(fallbacks % 2, 0, "mix {m}: a template's statements split");
+        for jobs in [4, 8] {
+            assert_eq!(reference, baseline(jobs), "mix {m}: jobs=1 and jobs={jobs}");
         }
     }
 }
