@@ -574,9 +574,11 @@ impl Advisor {
     /// What-if analysis: evaluates a *user-specified* index configuration
     /// (collection, pattern, kind triples) against a workload, without
     /// creating any physical index — the advisor-as-a-library equivalent
-    /// of `db2advis -i`. Patterns that duplicate enumerated candidates are
-    /// merged with them; new patterns become ad-hoc candidates with
-    /// affected sets computed by coverage against the basic candidates.
+    /// of `db2advis -i`. A pattern that duplicates an enumerated candidate
+    /// is that candidate; a new one becomes an ad-hoc candidate. Either
+    /// way the evaluator re-costs every statement in the member's
+    /// relevance row, so the reported benefit is the optimizer's own cost
+    /// difference.
     pub fn what_if(
         db: &mut Database,
         workload: &Workload,
@@ -591,22 +593,8 @@ impl Advisor {
         let _advise = params.telemetry.span("advise");
         let mut set = Self::prepare_on(db, workload, params);
         let mut config = Vec::new();
-        let basics = set.basic_ids();
         for (coll, pattern, kind) in indexes {
             let id = set.insert(coll, pattern, *kind, CandOrigin::Generalized);
-            // Affected set by coverage over the basic candidates.
-            let mut affected = set.get(id).affected.clone();
-            for &b in &basics {
-                let cb = set.get(b);
-                if &cb.collection == coll
-                    && cb.kind == *kind
-                    && xia_xpath::contain::covers(pattern, &cb.pattern)
-                {
-                    let cb_affected = cb.affected.clone();
-                    affected.union_with(&cb_affected);
-                }
-            }
-            set.get_mut(id).affected = affected;
             if !config.contains(&id) {
                 config.push(id);
             }

@@ -9,24 +9,28 @@
 //! and the paper's Section VI-C machinery to keep the number of *Evaluate
 //! Indexes* optimizer calls small:
 //!
-//! * **affected sets** — only statements whose basic patterns a candidate
-//!   covers can change cost, so only the union of the configuration's
-//!   affected sets is re-optimized;
+//! * **affected sets** — only statements whose plans could consult a
+//!   member can change cost, so only the union of the members' relevance
+//!   rows (see below) is re-optimized;
 //! * **sub-configurations** — the configuration is split into groups of
-//!   candidates with overlapping affected sets (indexes in different
+//!   candidates with overlapping relevance rows (indexes in different
 //!   groups cannot interact) and each group is evaluated independently;
 //! * **cache** — evaluated sub-configurations are memoized.
 //!
 //! All three mechanisms can be disabled independently for the ablation
-//! experiment (E9 in DESIGN.md).
+//! experiment (E9 in DESIGN.md). None of them changes a value: a
+//! statement outside every member's row has its baseline cost under the
+//! configuration, so the benefit is the optimizer's own cost difference
+//! with or without them.
 //!
-//! On top of these sits **statement-relevance pruning** (DESIGN.md §11): a
-//! relevance matrix derived from the statements' index-matching signatures
-//! tells, for each candidate, exactly which statements' plans could consult
-//! it. Each per-statement costing is keyed on the canonical *projection* of
-//! the sub-configuration onto the statement's relevant candidates and
-//! memoized in a statement-level cost cache — adding an irrelevant index or
-//! permuting the configuration is a guaranteed hit, so an incremental
+//! The one notion of relevance (DESIGN.md §11) is a relevance matrix
+//! derived from the statements' index-matching signatures: it tells, for
+//! each candidate, exactly which statements' plans could consult it — the
+//! candidate's relevance row. Each per-statement costing is keyed on the
+//! canonical *projection* of the sub-configuration onto the statement's
+//! relevant candidates and memoized in a statement-level cost cache —
+//! adding an irrelevant index or permuting the configuration is a
+//! guaranteed hit, so an incremental
 //! `benefit(config ∪ {x})` probe re-costs only statements in
 //! `relevant(x)`. The optimizer consults the catalog only through index
 //! matching (the same covers/kind test the signature encodes), so serving a
@@ -360,7 +364,8 @@ pub struct BenefitEvaluator<'a> {
     /// The cover cache's counters when this run began, so the run reports
     /// its own containment work and not the state's lifetime total.
     cover_base: CoverCacheStats,
-    /// Ablation switch: restrict evaluation to affected statements.
+    /// Ablation switch: restrict evaluation to the statements in the
+    /// members' relevance rows.
     pub use_affected_sets: bool,
     /// Ablation switch: decompose configurations into sub-configurations.
     pub use_subconfigs: bool,
@@ -394,7 +399,8 @@ pub struct BenefitEvaluator<'a> {
     /// interactions are coordinator-side, so lifecycle decisions are
     /// jobs-invariant.
     ctl: RunController,
-    /// Reused by each evaluation for a group's affected statements.
+    /// Reused by each evaluation for a group's affected statements (the
+    /// union of its members' relevance rows).
     scratch_affected: StmtSet,
     /// Per class: the last group that planned a task for it (numbered
     /// across batches by `group_seq`) and that task. Another member of the
@@ -938,13 +944,13 @@ impl<'a> BenefitEvaluator<'a> {
     }
 
     /// Affected statements of a sub-configuration, written over `out`:
-    /// the union of member affected sets (or every statement when the
-    /// optimization is off).
+    /// the union of its members' relevance rows (or every statement when
+    /// the optimization is off).
     fn affected_into(&self, key: &[CandId], out: &mut StmtSet) {
         out.clear();
         if self.use_affected_sets {
             for &id in key {
-                out.union_with(&self.set.get(id).affected);
+                out.union_with(&self.state.relevance[id.index()]);
             }
         } else {
             (0..self.workload.len()).for_each(|si| out.insert(si));
@@ -1402,16 +1408,16 @@ impl<'a> BenefitEvaluator<'a> {
     }
 
     /// Splits a configuration into sub-configurations of candidates with
-    /// transitively overlapping affected sets.
+    /// transitively overlapping relevance rows.
     pub fn decompose(&self, config: &[CandId]) -> Vec<Vec<CandId>> {
-        let words = |i: usize| self.set.get(config[i]).affected.words();
+        let words = |i: usize| self.state.relevance[config[i].index()].words();
         let stride = (0..config.len())
             .map(|i| words(i).len())
             .max()
             .unwrap_or(0)
             .max(1);
         // Each member's group, numbered densely. Row `g` of `unions` is the
-        // union of group g's affected sets; a member overlapping several
+        // union of group g's relevance rows; a member overlapping several
         // groups merges them into the first, and the last group takes the
         // merged one's number.
         let mut group_of = vec![0usize; config.len()];
@@ -1677,7 +1683,8 @@ mod tests {
         // exactly the connected components of the overlap graph: sorted,
         // disjoint, covering, no edge between two groups, and each group
         // connected.
-        let overlap = |a: CandId, b: CandId| set.get(a).affected.overlaps(&set.get(b).affected);
+        let row = |id: CandId| &ev.state.relevance[id.index()];
+        let overlap = |a: CandId, b: CandId| row(a).overlaps(row(b));
         let ids: Vec<CandId> = set.ids().collect();
         for stride in [1, 3, 7] {
             let order: Vec<CandId> = (0..ids.len())

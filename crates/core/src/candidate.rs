@@ -15,8 +15,10 @@ impl CandId {
     }
 }
 
-/// A set of workload-statement indices, stored as a bitmap — the paper's
-/// *affected set* (Section VI-C).
+/// A set of workload-statement indices, stored as a bitmap. A candidate's
+/// relevance row — the statements whose plans could consult it — is one;
+/// the paper's *affected set* of a configuration (Section VI-C) is the
+/// union of its members' rows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StmtSet {
     words: Vec<u64>,
@@ -133,9 +135,6 @@ pub struct Candidate {
     pub origin: CandOrigin,
     /// Estimated size in bytes (the knapsack weight).
     pub size: u64,
-    /// Statements whose basic patterns this candidate covers — the paper's
-    /// affected set.
-    pub affected: StmtSet,
     /// DAG children: the candidates this one directly generalizes.
     pub children: Vec<CandId>,
     /// DAG parents: generalizations of this candidate.
@@ -183,8 +182,8 @@ impl CandidateSet {
         Self::default()
     }
 
-    /// Inserts a candidate or merges with an existing identical one
-    /// (union of affected sets; origin stays `Basic` if either was basic).
+    /// Inserts a candidate or returns the existing identical one (whose
+    /// origin becomes `Basic` if either was basic).
     /// The pattern is copied only into a new candidate.
     pub fn insert(
         &mut self,
@@ -213,7 +212,6 @@ impl CandidateSet {
             kind,
             origin,
             size: 0,
-            affected: StmtSet::new(),
             children: Vec::new(),
             parents: Vec::new(),
         });

@@ -12,9 +12,10 @@ use xia_storage::{Database, StatsView};
 use xia_workloads::Workload;
 
 /// Runs every workload statement through the optimizer's Enumerate Indexes
-/// mode and collects the basic candidate set, with affected sets
-/// (statement indices) recorded per candidate. Refreshes statistics via
-/// [`Database::runstats_all`] first.
+/// mode and collects the basic candidate set. Which statements a candidate
+/// can serve is not recorded here: the benefit evaluator derives it from
+/// the statements' index-matching signatures (its relevance rows).
+/// Refreshes statistics via [`Database::runstats_all`] first.
 pub fn enumerate_candidates(db: &mut Database, workload: &Workload) -> CandidateSet {
     db.runstats_all();
     enumerate_candidates_traced(db, workload, &Telemetry::off())
@@ -35,10 +36,7 @@ pub fn enumerate_candidates_traced(
 
 /// Incremental enumeration: runs only statements `from..` of the workload
 /// through Enumerate Indexes mode, inserting into an existing candidate
-/// set. Statement indices recorded in affected sets are the *global*
-/// workload indices, so an append-only workload keeps previously recorded
-/// indices valid. Patterns already present merge their affected sets via
-/// the set's insert semantics.
+/// set. A pattern already present is the existing candidate.
 ///
 /// Returns the ids of candidates that were *not* in the set before this
 /// call (the generalization frontier for [`crate::generalize::generalize_set_extend`]).
@@ -50,7 +48,7 @@ pub fn enumerate_candidates_into(
     telemetry: &Telemetry,
 ) -> Vec<CandId> {
     let mut fresh = Vec::new();
-    for (si, entry) in workload.entries().iter().enumerate().skip(from) {
+    for entry in workload.entries().iter().skip(from) {
         // A statement over a collection that does not exist, or whose
         // statistics the view hides (a stats-unavailable fault, see
         // xia-fault), is skipped rather than a panic — the benefit
@@ -66,7 +64,6 @@ pub fn enumerate_candidates_into(
         optimizer.enumerate_indexes_with(entry.statement, |pattern, kind| {
             let known = set.len();
             let id = set.insert(coll, pattern, kind, CandOrigin::Basic);
-            set.get_mut(id).affected.insert(si);
             // Ids are append-only, so one past the old end is a new one.
             if id.index() >= known {
                 fresh.push(id);
@@ -164,27 +161,18 @@ mod tests {
                 "/Security/Yield"
             ]
         );
-        // Affected sets: C1 ← Q1; C2, C3 ← Q2.
-        let c1 = set
-            .lookup(
-                "SDOC",
-                &xia_xpath::parse_linear_path("/Security/Symbol").unwrap(),
-                xia_xpath::ValueKind::Str,
-            )
-            .unwrap();
-        assert_eq!(set.get(c1).affected.iter().collect::<Vec<_>>(), vec![0]);
-        let c3 = set
+        // C3 is numerical (paper Table I).
+        assert!(set
             .lookup(
                 "SDOC",
                 &xia_xpath::parse_linear_path("/Security/Yield").unwrap(),
                 xia_xpath::ValueKind::Num,
             )
-            .unwrap();
-        assert_eq!(set.get(c3).affected.iter().collect::<Vec<_>>(), vec![1]);
+            .is_some());
     }
 
     #[test]
-    fn shared_patterns_merge_affected_sets() {
+    fn shared_patterns_insert_one_candidate() {
         let mut db = tpox_db();
         let w = Workload::from_texts([
             r#"for $s in SECURITY('SDOC')/Security where $s/Symbol = "A" return $s"#,
@@ -193,8 +181,7 @@ mod tests {
         .unwrap();
         let set = enumerate_candidates(&mut db, &w);
         assert_eq!(set.len(), 1);
-        let c = set.iter().next().unwrap();
-        assert_eq!(c.affected.iter().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(set.basic_ids(), vec![CandId(0)]);
     }
 
     #[test]

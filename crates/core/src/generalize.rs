@@ -29,9 +29,14 @@
 //! under a canonical pair key (the rule engine is symmetric in its
 //! arguments). Skipped work is counted (`pairs_skipped_bucket`,
 //! `pairs_memo_hits`) but the *effect sequence* on the candidate set —
-//! insertion order of new candidates, DAG edge order, affected-set unions
-//! — is byte-for-byte that of the literal loop, which stays in this
-//! module's tests as the reference they compare against.
+//! insertion order of new candidates and DAG edge order — is
+//! byte-for-byte that of the literal loop, which stays in this module's
+//! tests as the reference they compare against.
+//!
+//! Generalization records no statements: which statements a generalized
+//! candidate can serve is the evaluator's relevance row for it, derived
+//! like every other candidate's from the statements' index-matching
+//! signatures.
 
 use crate::candidate::{CandId, CandOrigin, CandidateSet};
 use std::collections::{HashMap, HashSet};
@@ -204,7 +209,6 @@ fn generalize_set_naive(set: &mut CandidateSet, t: &Telemetry, j: &EventJournal)
         all.extend(new_ids.iter().copied());
         frontier = new_ids;
     }
-    union_affected_from_basics(set, &created);
     created
 }
 
@@ -239,22 +243,20 @@ fn generalize_set_naive(set: &mut CandidateSet, t: &Telemetry, j: &EventJournal)
 /// Buckets are extended with the round's new candidates only after the
 /// round completes, mirroring the naive loop's round-start snapshot of
 /// `all`.
+///
+/// This is [`generalize_set_extend`] seeded with every candidate.
 pub fn generalize_set_fast(set: &mut CandidateSet, t: &Telemetry, j: &EventJournal) -> Vec<CandId> {
-    let frontier: Vec<CandId> = set.ids().collect();
-    let created = fixpoint_fast(set, frontier, t, j);
-    union_affected_from_basics(set, &created);
-    created
+    let all: Vec<CandId> = set.ids().collect();
+    generalize_set_extend(set, &all, t, j)
 }
 
 /// Extends an already-generalized candidate set with newly enumerated
-/// candidates: the same semi-naive fixpoint as [`generalize_set_fast`],
-/// but seeded with `new_ids` as the initial frontier, so round one visits
-/// exactly the new×all pairs (old×old pairs were closed by the previous
-/// fixpoint and revisiting them is a provable no-op). `new_ids` must
-/// already be inserted into `set`. After the fixpoint, the affected sets
-/// of *every* generalized candidate are re-unioned from the basics, so
-/// pre-existing generalizations pick up statements that merged into
-/// basics they cover.
+/// candidates: the semi-naive fixpoint of [`generalize_set_fast`], seeded
+/// with `new_ids` as the initial frontier, so round one visits exactly
+/// the new×all pairs (old×old pairs were closed by the previous fixpoint
+/// and revisiting them is a provable no-op). Buckets always span the
+/// whole set, so frontier members pair against everything compatible.
+/// `new_ids` must already be inserted into `set`.
 ///
 /// Returns the ids of the newly created generalized candidates.
 pub fn generalize_set_extend(
@@ -263,27 +265,7 @@ pub fn generalize_set_extend(
     t: &Telemetry,
     j: &EventJournal,
 ) -> Vec<CandId> {
-    let created = fixpoint_fast(set, new_ids.to_vec(), t, j);
-    let generalized: Vec<CandId> = set
-        .iter()
-        .filter(|c| c.origin == CandOrigin::Generalized)
-        .map(|c| c.id)
-        .collect();
-    union_affected_from_basics(set, &generalized);
-    created
-}
-
-/// The semi-naive round loop shared by [`generalize_set_fast`] (frontier =
-/// the whole set) and [`generalize_set_extend`] (frontier = the new
-/// candidates). Buckets always span the whole set, so frontier members
-/// pair against everything compatible. Does *not* touch affected sets —
-/// callers do, because full runs and extensions union different id sets.
-fn fixpoint_fast(
-    set: &mut CandidateSet,
-    mut frontier: Vec<CandId>,
-    t: &Telemetry,
-    j: &EventJournal,
-) -> Vec<CandId> {
+    let mut frontier = new_ids.to_vec();
     let mut created = Vec::new();
     let mut seen = Members::default();
     for id in set.ids() {
@@ -440,26 +422,6 @@ fn apply_pair_results(
     }
 }
 
-/// Affected sets of generalized candidates: union over the basic
-/// candidates they cover (statements that produced covered patterns).
-fn union_affected_from_basics(set: &mut CandidateSet, created: &[CandId]) {
-    let basics = set.basic_ids();
-    for &gid in created {
-        let g = set.get(gid);
-        let mut affected = g.affected.clone();
-        for &b in &basics {
-            let cb = set.get(b);
-            if cb.collection == g.collection
-                && cb.kind == g.kind
-                && contain::covers(&g.pattern, &cb.pattern)
-            {
-                affected.union_with(&cb.affected);
-            }
-        }
-        set.get_mut(gid).affected = affected;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,9 +570,6 @@ mod tests {
             xia_xpath::ValueKind::Num,
             CandOrigin::Basic,
         );
-        set.get_mut(c1).affected.insert(0);
-        set.get_mut(c2).affected.insert(1);
-        set.get_mut(c3).affected.insert(1);
         let created = generalize_set(&mut set);
         assert_eq!(created.len(), 1);
         let g = set.get(created[0]);
@@ -619,8 +578,6 @@ mod tests {
         let mut kids = g.children.clone();
         kids.sort();
         assert_eq!(kids, vec![c1, c2]);
-        // Affected set of the generalization = union of its basics'.
-        assert!(g.affected.contains(0) && g.affected.contains(1));
         // The numeric candidate remains a root (nothing generalized it).
         assert!(set.get(c3).parents.is_empty());
     }
@@ -676,15 +633,14 @@ mod tests {
 
     /// Builds the same seeded candidate set twice and runs each fixpoint
     /// on its own copy, asserting the *entire observable state* matches:
-    /// candidate order, patterns, origins, affected sets, and DAG edge
-    /// lists (in stored order, not sorted — edge insertion order is part
-    /// of the parity contract).
+    /// candidate order, patterns, origins, and DAG edge lists (in stored
+    /// order, not sorted — edge insertion order is part of the parity
+    /// contract).
     fn assert_fixpoints_agree(seed_paths: &[(&str, &str, xia_xpath::ValueKind)]) {
         let build = || {
             let mut set = CandidateSet::new();
-            for (i, (coll, path, kind)) in seed_paths.iter().enumerate() {
-                let id = set.insert(coll, &lp(path), *kind, CandOrigin::Basic);
-                set.get_mut(id).affected.insert(i);
+            for (coll, path, kind) in seed_paths {
+                set.insert(coll, &lp(path), *kind, CandOrigin::Basic);
             }
             set
         };
@@ -710,12 +666,6 @@ mod tests {
             assert_eq!(n.origin, f.origin);
             assert_eq!(n.children, f.children, "children diverge at {}", n.pattern);
             assert_eq!(n.parents, f.parents, "parents diverge at {}", n.pattern);
-            assert_eq!(
-                n.affected.iter().collect::<Vec<_>>(),
-                f.affected.iter().collect::<Vec<_>>(),
-                "affected diverges at {}",
-                n.pattern
-            );
         }
     }
 
@@ -809,12 +759,8 @@ mod tests {
                 let mut parents: Vec<String> = c.parents.iter().map(|&k| pat(k)).collect();
                 parents.sort();
                 format!(
-                    "{}|{}|{:?}|{:?}|{:?}|kids={kids:?}|parents={parents:?}",
-                    c.collection,
-                    c.pattern,
-                    c.kind,
-                    c.origin,
-                    c.affected.iter().collect::<Vec<_>>()
+                    "{}|{}|{:?}|{:?}|kids={kids:?}|parents={parents:?}",
+                    c.collection, c.pattern, c.kind, c.origin,
                 )
             })
             .collect();
@@ -823,7 +769,7 @@ mod tests {
     }
 
     /// Extending an already-generalized set with new basics reaches the
-    /// same closure (patterns, origins, affected sets, DAG edges) as
+    /// same closure (patterns, origins, DAG edges) as
     /// generalizing everything from scratch.
     #[test]
     fn extend_matches_full_fixpoint_by_content() {
@@ -840,51 +786,22 @@ mod tests {
         ];
         // Incremental: generalize the old basics, then insert + extend.
         let mut inc = CandidateSet::new();
-        for (i, (coll, path)) in old.iter().enumerate() {
-            let id = inc.insert(coll, &lp(path), Str, CandOrigin::Basic);
-            inc.get_mut(id).affected.insert(i);
+        for (coll, path) in old {
+            inc.insert(coll, &lp(path), Str, CandOrigin::Basic);
         }
         generalize_set_fast(&mut inc, &Telemetry::off(), &EventJournal::off());
         let mut new_ids = Vec::new();
-        for (i, (coll, path)) in new.iter().enumerate() {
-            let id = inc.insert(coll, &lp(path), Str, CandOrigin::Basic);
-            inc.get_mut(id).affected.insert(old.len() + i);
-            new_ids.push(id);
+        for (coll, path) in new {
+            new_ids.push(inc.insert(coll, &lp(path), Str, CandOrigin::Basic));
         }
         generalize_set_extend(&mut inc, &new_ids, &Telemetry::off(), &EventJournal::off());
         // Full: everything from scratch.
         let mut full = CandidateSet::new();
-        for (i, (coll, path)) in old.iter().chain(new.iter()).enumerate() {
-            let id = full.insert(coll, &lp(path), Str, CandOrigin::Basic);
-            full.get_mut(id).affected.insert(i);
+        for (coll, path) in old.iter().chain(new.iter()) {
+            full.insert(coll, &lp(path), Str, CandOrigin::Basic);
         }
         generalize_set_fast(&mut full, &Telemetry::off(), &EventJournal::off());
         assert_eq!(content_signature(&inc), content_signature(&full));
-    }
-
-    /// Extending with an already-present pattern (a duplicate basic whose
-    /// statements merged into the existing candidate) refreshes the
-    /// affected sets of covering generalizations.
-    #[test]
-    fn extend_refreshes_affected_of_existing_generalizations() {
-        use xia_xpath::ValueKind::Str;
-        let mut set = CandidateSet::new();
-        let a = set.insert("C", &lp("/r/a/x"), Str, CandOrigin::Basic);
-        let b = set.insert("C", &lp("/r/b/x"), Str, CandOrigin::Basic);
-        set.get_mut(a).affected.insert(0);
-        set.get_mut(b).affected.insert(1);
-        let created = generalize_set_fast(&mut set, &Telemetry::off(), &EventJournal::off());
-        assert_eq!(created.len(), 1);
-        let g = created[0];
-        // A later statement re-produces /r/a/x: insert merges affected.
-        let a2 = set.insert("C", &lp("/r/a/x"), Str, CandOrigin::Basic);
-        assert_eq!(a2, a);
-        set.get_mut(a).affected.insert(2);
-        generalize_set_extend(&mut set, &[], &Telemetry::off(), &EventJournal::off());
-        assert!(
-            set.get(g).affected.contains(2),
-            "generalization must pick up the merged statement"
-        );
     }
 
     /// The fast path's accounting: bucketing skips cross-kind pairs, the

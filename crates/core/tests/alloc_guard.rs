@@ -285,14 +285,14 @@ fn covers_allocates_nothing() {
 /// build's, and what the core made while it cloned keys per probe and
 /// normalized each statement three times.
 const ADVISOR_STAGES: [(&str, u64, u64); 8] = [
-    ("prepare", 5_056, 21_997),
+    ("prepare", 4_947, 21_997),
     ("evaluator", 2_990, 12_934),
-    ("greedy", 9_708, 49_106),
-    ("heuristics", 10_855, 52_383),
-    ("topdown-lite", 10_138, 48_749),
-    ("topdown-full", 17_522, 80_585),
-    ("dp", 9_781, 49_179),
-    ("cophy", 6_893, 30_455),
+    ("greedy", 9_638, 49_106),
+    ("heuristics", 11_433, 52_383),
+    ("topdown-lite", 10_073, 48_749),
+    ("topdown-full", 17_432, 80_585),
+    ("dp", 9_710, 49_179),
+    ("cophy", 6_857, 30_455),
 ];
 
 #[test]

@@ -324,7 +324,7 @@ mod naive_fixpoint;
 
 /// Fast-path parity: the semi-naive generalization fixpoint produces the
 /// same candidate set — patterns, origins, DAG edge vectors in stored
-/// order, affected sets — as the literal Algorithm 1 loop, on randomized
+/// order — as the literal Algorithm 1 loop, on randomized
 /// multi-collection, multi-kind workloads.
 #[test]
 fn semi_naive_fixpoint_matches_naive() {
@@ -338,7 +338,7 @@ fn semi_naive_fixpoint_matches_naive() {
     let kinds = [xia_xpath::ValueKind::Str, xia_xpath::ValueKind::Num];
     for _ in 0..48 {
         let mut seeds = Vec::new();
-        for i in 0..rng.gen_range(2..8) {
+        for _ in 0..rng.gen_range(2..8) {
             let depth = rng.gen_range(1..4);
             let mut steps = vec!["root".to_string()];
             steps.extend((0..depth).map(|_| label(&mut rng)));
@@ -346,15 +346,13 @@ fn semi_naive_fixpoint_matches_naive() {
                 colls[rng.gen_range(0..colls.len())],
                 format!("/{}", steps.join("/")),
                 kinds[rng.gen_range(0..kinds.len())],
-                i,
             ));
         }
         let build = || {
             let mut set = CandidateSet::new();
-            for (coll, text, kind, stmt) in &seeds {
+            for (coll, text, kind) in &seeds {
                 let pattern = parse_linear_path(text).expect("constructed path parses");
-                let id = set.insert(coll, &pattern, *kind, CandOrigin::Basic);
-                set.get_mut(id).affected.insert(*stmt);
+                set.insert(coll, &pattern, *kind, CandOrigin::Basic);
             }
             set
         };
@@ -743,7 +741,7 @@ fn document_write_parse_round_trip() {
 /// serving path, which extends the prepared candidate set via basic
 /// enumeration of just the new statements plus the semi-naive new×all
 /// generalization fixpoint — must produce the same candidate *content*
-/// (patterns, kinds, origins, DAG edges, affected statements) and an
+/// (patterns, kinds, origins, DAG edges) and an
 /// equivalent recommendation as observing everything up front and
 /// preparing once. Checked clean and under injected optimizer faults, at
 /// jobs 1 and 4. Candidate *ids* are allowed to differ (the two paths
@@ -757,7 +755,7 @@ fn incremental_prepare_matches_full_preparation() {
     use xia_storage::Database;
     use xia_workloads::tpox::{self, TpoxConfig};
 
-    type Canon = BTreeMap<String, (String, Vec<usize>, Vec<String>)>;
+    type Canon = BTreeMap<String, (String, Vec<String>)>;
     fn canon(set: &CandidateSet) -> Canon {
         let key = |c: &xia_advisor::candidate::Candidate| {
             format!("{}|{}|{:?}", c.collection, c.pattern, c.kind)
@@ -767,9 +765,7 @@ fn incremental_prepare_matches_full_preparation() {
                 let mut children: Vec<String> =
                     c.children.iter().map(|&id| key(set.get(id))).collect();
                 children.sort();
-                let mut affected: Vec<usize> = c.affected.iter().collect();
-                affected.sort_unstable();
-                (key(c), (format!("{:?}", c.origin), affected, children))
+                (key(c), (format!("{:?}", c.origin), children))
             })
             .collect()
     }

@@ -61,42 +61,17 @@ pub fn naive_fixpoint(set: &mut CandidateSet) -> (Vec<CandId>, u64) {
         all.extend(new_ids.iter().copied());
         frontier = new_ids;
     }
-    // Affected sets of generalized candidates: the union over the basic
-    // candidates they cover.
-    let basics = set.basic_ids();
-    for &gid in &created {
-        let g = set.get(gid).clone();
-        let mut affected = g.affected.clone();
-        for &b in &basics {
-            let cb = set.get(b);
-            if cb.collection == g.collection
-                && cb.kind == g.kind
-                && contain::covers(&g.pattern, &cb.pattern)
-            {
-                affected.union_with(&cb.affected);
-            }
-        }
-        set.get_mut(gid).affected = affected;
-    }
     (created, visits)
 }
 
 /// Full observable state of a candidate set, one record per candidate in
-/// id order: pattern, origin, DAG edge vectors in stored order, affected
-/// set.
+/// id order: pattern, origin, DAG edge vectors in stored order.
 pub fn dump(set: &CandidateSet) -> Vec<String> {
     set.iter()
         .map(|c| {
             format!(
-                "{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
-                c.id,
-                c.collection,
-                c.pattern,
-                c.kind,
-                c.origin,
-                c.children,
-                c.parents,
-                c.affected.iter().collect::<Vec<_>>()
+                "{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}",
+                c.id, c.collection, c.pattern, c.kind, c.origin, c.children, c.parents,
             )
         })
         .collect()
