@@ -11,7 +11,9 @@
 //! * `datapath` — streaming ingest vs the DOM path, sharded vs serial
 //!   index builds.
 //! * `lifecycle` / `obs` — a disabled-by-default handle (the run
-//!   controller, the decision journal) must cost nothing when off.
+//!   controller, the decision journal): a run with it armed stays within
+//!   the tolerance of the run with it off, and an op on the off handle
+//!   costs no more than a disabled counter increment.
 //! * `server` — the warm service's speedup, scaling, identity and drift
 //!   contracts (E17).
 
@@ -160,7 +162,8 @@ fn micro_mean_ns(f: impl Fn()) -> f64 {
 /// [`MACRO_SIDE_SECS`] of work per side. Micro leg: `off_op`
 /// on the off handle costs no more than `Telemetry::incr` on an off
 /// handle (both a branch on `None`), plus 1 ns of slack for timer
-/// granularity.
+/// granularity. When the armed handle journals, each round also reports
+/// how many events one armed run records and the overhead per event.
 fn overhead(
     gate: &str,
     handle: &str,
@@ -185,15 +188,27 @@ fn overhead(
         arm(&mut on);
         on
     };
+    let events = {
+        let on = armed_params();
+        advise_secs(&mut lab, &on);
+        on.journal.high_water()
+    };
     let pass = any_round(|round| {
         let (base, armed) = advise_medians(&mut lab, &off, armed_params, k);
         let op_ns = micro_mean_ns(|| off_op(&off));
         let incr_ns = micro_mean_ns(|| off.telemetry.incr(black_box(Counter::GreedyIterations)));
         let macro_ok = armed <= base * (1.0 + tol);
         let micro_ok = op_ns <= incr_ns * (1.0 + tol) + 1.0;
+        let per_event = if events > 0 {
+            let ns = (armed - base) * 1e9 / events as f64;
+            format!(" = {events} events at {ns:.0} ns/event")
+        } else {
+            String::new()
+        };
         println!(
             "round {round}: median of {k} advise runs off {:.2} ms, {handle}-on {:.2} ms \
-             ({:+.1}%) [{}]; off-handle {handle} op {op_ns:.2} ns vs incr {incr_ns:.2} ns [{}]",
+             ({:+.1}%{per_event}) [{}]; off-handle {handle} op {op_ns:.2} ns vs incr \
+             {incr_ns:.2} ns [{}]",
             base * 1e3,
             armed * 1e3,
             (armed / base - 1.0) * 100.0,

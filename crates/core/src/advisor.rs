@@ -302,17 +302,17 @@ impl Advisor {
             enumerate_candidates_into(&view, workload, from, set, t)
         };
         t.add(Counter::CandidatesEnumerated, added.len() as u64);
-        if params.journal.is_enabled() {
-            for &id in &added {
+        params.journal.emit_batch(|| {
+            added.iter().map(|&id| {
                 let c = set.get(id);
-                params.journal.emit(|| Event::CandidateGenerated {
-                    collection: c.collection.clone(),
-                    pattern: c.pattern.to_string(),
-                    kind: c.kind.to_string(),
-                    origin: "basic".to_string(),
-                });
-            }
-        }
+                Event::CandidateGenerated {
+                    collection: c.collection.as_str().into(),
+                    pattern: c.pattern_text(),
+                    kind: c.kind.name().into(),
+                    origin: "basic".into(),
+                }
+            })
+        });
         let created = {
             let _generalize = t.span("generalize");
             // Seeded with every candidate of a new set, the extending
@@ -533,20 +533,23 @@ impl Advisor {
         // The authoritative admission record: every index in the final
         // configuration gets a KEPT decision with the configuration-level
         // benefit, whatever the search algorithm recorded along the way.
-        for ix in &indexes {
-            ev.journal().emit(|| Event::KnapsackDecision {
-                pattern: ix.pattern.clone(),
-                kept: true,
-                benefit: est_benefit,
-                size: ix.size,
-            });
-        }
+        ev.journal().emit_batch(|| {
+            config.iter().map(|&id| {
+                let c = set.get(id);
+                Event::KnapsackDecision {
+                    pattern: c.pattern_text(),
+                    kept: true,
+                    benefit: est_benefit,
+                    size: c.size,
+                }
+            })
+        });
         // A stopped run records why (coordinator-side, after the partial
         // configuration was priced).
         let stop = ev.ctl().stopped();
         if let Some(reason) = stop {
             ev.journal().emit(|| Event::RunStopped {
-                reason: reason.name().to_string(),
+                reason: reason.name().into(),
             });
         }
         Recommendation {

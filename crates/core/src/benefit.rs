@@ -1043,17 +1043,18 @@ impl<'a> BenefitEvaluator<'a> {
             Miss(usize),
         }
         // Journal bookkeeping mirrors the slot list: each input key's
-        // member patterns plus whether it was served without a fresh
-        // costing (memo hit or in-batch duplicate).
+        // member patterns (shared with the candidates) plus whether it was
+        // served without a fresh costing (memo hit or in-batch duplicate).
         let journal_on = self.journal.is_enabled();
-        let mut journal_slots: Vec<(Vec<String>, bool)> = Vec::new();
+        let mut journal_slots: Vec<(Vec<Arc<str>>, bool)> =
+            Vec::with_capacity(if journal_on { keys.len() } else { 0 });
         let mut slots: Vec<Slot> = Vec::with_capacity(keys.len());
         let mut misses: Vec<Vec<CandId>> = Vec::new();
         for key in keys {
             debug_assert!(key.windows(2).all(|w| w[0] < w[1]), "canonical keys");
-            let patterns: Vec<String> = if journal_on {
+            let patterns: Vec<Arc<str>> = if journal_on {
                 key.iter()
-                    .map(|&id| self.set.get(id).pattern.to_string())
+                    .map(|&id| self.set.get(id).pattern_text())
                     .collect()
             } else {
                 Vec::new()
@@ -1284,18 +1285,20 @@ impl<'a> BenefitEvaluator<'a> {
         out
     }
 
-    /// Emits one `WhatIfEvaluated` event per input slot, in slot order,
-    /// pairing each configuration with its final query-side benefit. Runs
-    /// on the coordinator after the merge, so the journal stream is
-    /// identical regardless of worker count.
-    fn emit_what_if_events(&self, journal_slots: Vec<(Vec<String>, bool)>, values: &[f64]) {
-        for ((config, cache_hit), &cost) in journal_slots.into_iter().zip(values) {
-            self.journal.emit(|| Event::WhatIfEvaluated {
-                config,
-                cost,
-                cache_hit,
-            });
-        }
+    /// Emits one `WhatIfEvaluated` event per input slot, in slot order and
+    /// under one journal lock, pairing each configuration with its final
+    /// query-side benefit. Runs on the coordinator after the merge, so the
+    /// journal stream is identical regardless of worker count.
+    fn emit_what_if_events(&self, journal_slots: Vec<(Vec<Arc<str>>, bool)>, values: &[f64]) {
+        self.journal.emit_batch(|| {
+            (journal_slots.into_iter().zip(values)).map(|((config, cache_hit), &cost)| {
+                Event::WhatIfEvaluated {
+                    config,
+                    cost,
+                    cache_hit,
+                }
+            })
+        });
     }
 
     /// Benefit of a configuration per the paper's formula. The

@@ -1,7 +1,9 @@
 //! Candidate indexes and the candidate set.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, OnceLock};
 use xia_xpath::{LinearPath, ValueKind};
 
 /// Identifier of a candidate within a [`CandidateSet`].
@@ -139,9 +141,32 @@ pub struct Candidate {
     pub children: Vec<CandId>,
     /// DAG parents: generalizations of this candidate.
     pub parents: Vec<CandId>,
+    /// The pattern as text, rendered by the first journal event that
+    /// names the candidate and shared by every later one.
+    rendered: OnceLock<Arc<str>>,
 }
 
 impl Candidate {
+    /// The pattern as text, shared: rendered on the first call, a
+    /// reference count on every later one. Only journal events ask, so
+    /// a run with the journal off never renders.
+    pub fn pattern_text(&self) -> Arc<str> {
+        thread_local! {
+            /// Reused by every rendering on this thread, so a pattern's
+            /// text costs one allocation: the shared copy.
+            static TEXT: RefCell<String> = const { RefCell::new(String::new()) };
+        }
+        (self.rendered)
+            .get_or_init(|| {
+                TEXT.with_borrow_mut(|text| {
+                    text.clear();
+                    write!(text, "{}", self.pattern).expect("writing to a String");
+                    Arc::from(text.as_str())
+                })
+            })
+            .clone()
+    }
+
     /// Whether the candidate pattern is general (has `//` or `*`).
     pub fn is_general_pattern(&self) -> bool {
         self.pattern.is_general()
@@ -214,6 +239,7 @@ impl CandidateSet {
             size: 0,
             children: Vec::new(),
             parents: Vec::new(),
+            rendered: OnceLock::new(),
         });
         id
     }

@@ -40,6 +40,7 @@
 
 use crate::candidate::{CandId, CandOrigin, CandidateSet};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use xia_obs::{Counter, Event, EventJournal, Telemetry};
 use xia_xpath::{contain, Axis, LinearPath, LinearStep, NameTest, ValueKind};
 
@@ -405,17 +406,23 @@ fn apply_pair_results(
         set.add_edge(gid, a);
         set.add_edge(gid, b);
         if existing.is_none() {
-            j.emit(|| Event::PairGeneralized {
-                collection: coll.to_string(),
-                left: set.get(a).pattern.to_string(),
-                right: set.get(b).pattern.to_string(),
-                result: g.to_string(),
-            });
-            j.emit(|| Event::CandidateGenerated {
-                collection: coll.to_string(),
-                pattern: g.to_string(),
-                kind: kind.to_string(),
-                origin: "generalized".to_string(),
+            j.emit_batch(|| {
+                let collection: Arc<str> = coll.into();
+                let result = set.get(gid).pattern_text();
+                [
+                    Event::PairGeneralized {
+                        collection: collection.clone(),
+                        left: set.get(a).pattern_text(),
+                        right: set.get(b).pattern_text(),
+                        result: result.clone(),
+                    },
+                    Event::CandidateGenerated {
+                        collection,
+                        pattern: result,
+                        kind: kind.name().into(),
+                        origin: "generalized".into(),
+                    },
+                ]
             });
             on_new(gid);
         }

@@ -39,7 +39,7 @@ pub fn greedy(ev: &mut BenefitEvaluator<'_>, candidates: &[CandId], budget: u64)
             false
         };
         journal.emit(|| Event::KnapsackDecision {
-            pattern: ev.candidates().get(id).pattern.to_string(),
+            pattern: ev.candidates().get(id).pattern_text(),
             kept,
             benefit: benefits[&id],
             size,
@@ -102,7 +102,7 @@ pub fn greedy_heuristics(
             if !covered_basics.is_empty() && covered_basics.iter().all(|b| covered.contains(b)) {
                 telemetry.incr(xia_obs::Counter::CandidatesPrunedHeuristic);
                 journal.emit(|| Event::CandidatePruned {
-                    pattern: ev.candidates().get(id).pattern.to_string(),
+                    pattern: ev.candidates().get(id).pattern_text(),
                     reason: PruneReason::CoverageRedundant,
                 });
                 continue;
@@ -115,7 +115,7 @@ pub fn greedy_heuristics(
             if spec_size > 0 && size as f64 > (1.0 + beta) * spec_size as f64 {
                 telemetry.incr(xia_obs::Counter::CandidatesPrunedHeuristic);
                 journal.emit(|| Event::CandidatePruned {
-                    pattern: ev.candidates().get(id).pattern.to_string(),
+                    pattern: ev.candidates().get(id).pattern_text(),
                     reason: PruneReason::SizeRule,
                 });
                 continue;
@@ -136,14 +136,14 @@ pub fn greedy_heuristics(
             if ib_general < ib_specifics {
                 telemetry.incr(xia_obs::Counter::CandidatesPrunedHeuristic);
                 journal.emit(|| Event::CandidatePruned {
-                    pattern: ev.candidates().get(id).pattern.to_string(),
+                    pattern: ev.candidates().get(id).pattern_text(),
                     reason: PruneReason::BenefitGate,
                 });
                 continue;
             }
             let kept = ib_general > chosen_benefit;
             journal.emit(|| Event::KnapsackDecision {
-                pattern: ev.candidates().get(id).pattern.to_string(),
+                pattern: ev.candidates().get(id).pattern_text(),
                 kept,
                 benefit: ib_general,
                 size,
@@ -159,7 +159,7 @@ pub fn greedy_heuristics(
             if covered.contains(&id) {
                 telemetry.incr(xia_obs::Counter::CandidatesPrunedHeuristic);
                 journal.emit(|| Event::CandidatePruned {
-                    pattern: ev.candidates().get(id).pattern.to_string(),
+                    pattern: ev.candidates().get(id).pattern_text(),
                     reason: PruneReason::CoverageRedundant,
                 });
                 continue; // its pattern is already served by a chosen index
@@ -169,7 +169,7 @@ pub fn greedy_heuristics(
             let ib = ev.benefit_delta(&chosen, id);
             let kept = ib > chosen_benefit;
             journal.emit(|| Event::KnapsackDecision {
-                pattern: ev.candidates().get(id).pattern.to_string(),
+                pattern: ev.candidates().get(id).pattern_text(),
                 kept,
                 benefit: ib,
                 size,
@@ -201,7 +201,7 @@ pub fn greedy_heuristics(
         for &id in &chosen {
             if !in_use.contains(&id) {
                 journal.emit(|| Event::CandidatePruned {
-                    pattern: ev.candidates().get(id).pattern.to_string(),
+                    pattern: ev.candidates().get(id).pattern_text(),
                     reason: PruneReason::NotUsedInPlan,
                 });
             }
@@ -229,7 +229,7 @@ pub fn greedy_heuristics(
                 if !cb.is_empty() && cb.iter().all(|b| covered.contains(b)) {
                     telemetry.incr(xia_obs::Counter::CandidatesPrunedHeuristic);
                     journal.emit(|| Event::CandidatePruned {
-                        pattern: ev.candidates().get(id).pattern.to_string(),
+                        pattern: ev.candidates().get(id).pattern_text(),
                         reason: PruneReason::CoverageRedundant,
                     });
                     continue;
@@ -239,7 +239,7 @@ pub fn greedy_heuristics(
                 if covered.contains(&id) {
                     telemetry.incr(xia_obs::Counter::CandidatesPrunedHeuristic);
                     journal.emit(|| Event::CandidatePruned {
-                        pattern: ev.candidates().get(id).pattern.to_string(),
+                        pattern: ev.candidates().get(id).pattern_text(),
                         reason: PruneReason::CoverageRedundant,
                     });
                     continue;
@@ -251,7 +251,7 @@ pub fn greedy_heuristics(
             let ib = ev.benefit_delta(&chosen, id);
             let kept = ib > chosen_benefit;
             journal.emit(|| Event::KnapsackDecision {
-                pattern: ev.candidates().get(id).pattern.to_string(),
+                pattern: ev.candidates().get(id).pattern_text(),
                 kept,
                 benefit: ib,
                 size,
@@ -277,7 +277,7 @@ pub fn greedy_heuristics(
             for &id in &chosen {
                 if !in_use.contains(&id) {
                     journal.emit(|| Event::CandidatePruned {
-                        pattern: ev.candidates().get(id).pattern.to_string(),
+                        pattern: ev.candidates().get(id).pattern_text(),
                         reason: PruneReason::NotUsedInPlan,
                     });
                 }

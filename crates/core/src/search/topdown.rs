@@ -78,7 +78,7 @@ pub fn top_down(
         };
         ev.telemetry().incr(xia_obs::Counter::TopDownExpansions);
         ev.journal().emit(|| Event::CandidatePruned {
-            pattern: ev.candidates().get(victim).pattern.to_string(),
+            pattern: ev.candidates().get(victim).pattern_text(),
             reason: PruneReason::Replaced,
         });
         let children: Vec<CandId> = ev

@@ -331,3 +331,47 @@ fn the_advisor_allocates_per_statement_not_per_probe() {
         );
     }
 }
+
+/// An armed journal allocates per event and per candidate, not per
+/// pattern mention: each candidate renders its pattern once and every
+/// event shares that string. On the standard TPoX lab's 11 queries (the
+/// `gate obs` run), an armed heuristics run may allocate at most one block
+/// per event plus one per candidate (and 32 for the ring) beyond the same
+/// run with the journal off.
+#[test]
+fn an_armed_journal_allocates_per_event_not_per_pattern() {
+    let cfg = TpoxConfig::scaled(1);
+    let mut db = Database::new();
+    tpox::generate(&mut db, &cfg);
+    let workload = Workload::from_texts(tpox::queries(&cfg).iter().map(String::as_str))
+        .expect("generated queries parse");
+    let candidates = Advisor::prepare(&mut db, &workload, &one_job()).len() as u64;
+    let mut run = |params: &AdvisorParams| {
+        counted(|| {
+            Advisor::recommend(
+                &mut db,
+                &workload,
+                u64::MAX / 2,
+                SearchAlgorithm::GreedyHeuristics,
+                params,
+            )
+            .expect("the workload is advisable")
+        })
+        .1
+    };
+    run(&one_job());
+    let off = run(&one_job());
+    let armed = AdvisorParams {
+        journal: EventJournal::new(),
+        ..one_job()
+    };
+    let on = run(&armed);
+    let events = armed.journal.high_water();
+    assert!(events > 100, "{events} events: the run must journal");
+    assert!(
+        on <= off + events + candidates + 32,
+        "armed: {on} allocations, off: {off}; {events} events and {candidates} candidates \
+         allow {}",
+        events + candidates + 32
+    );
+}

@@ -8,6 +8,8 @@
 //! byte-identical for any `--jobs` value.
 
 use crate::json::Json;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Why a candidate was rejected by a search heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,43 +57,47 @@ impl PruneReason {
 
 /// One structured pipeline event. Field values are pattern *strings*
 /// (not candidate ids) so a journal replays without the candidate set.
+/// Pattern and collection strings are shared (`Arc<str>`): the advisor
+/// renders each candidate's pattern once and every event naming it holds
+/// a reference, so emitting an event copies no text. Fields drawn from a
+/// fixed vocabulary (`kind`, `origin`, `reason`) borrow static names.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A candidate entered the candidate set (enumeration or
     /// generalization). `origin` is `"basic"` or `"generalized"`.
     CandidateGenerated {
         /// Collection the candidate indexes.
-        collection: String,
+        collection: Arc<str>,
         /// Index pattern (linear XPath).
-        pattern: String,
+        pattern: Arc<str>,
         /// Key type name (`string` / `numerical`).
-        kind: String,
+        kind: Cow<'static, str>,
         /// `"basic"` or `"generalized"`.
-        origin: String,
+        origin: Cow<'static, str>,
     },
     /// A statement pair generalized into a new pattern (Algorithm 1).
     /// Recorded for the *first* derivation of each new pattern.
     PairGeneralized {
         /// Collection of the pair.
-        collection: String,
+        collection: Arc<str>,
         /// First input pattern.
-        left: String,
+        left: Arc<str>,
         /// Second input pattern.
-        right: String,
+        right: Arc<str>,
         /// The generalization produced.
-        result: String,
+        result: Arc<str>,
     },
     /// A search heuristic rejected a candidate.
     CandidatePruned {
         /// The rejected candidate's pattern.
-        pattern: String,
+        pattern: Arc<str>,
         /// Which heuristic fired.
         reason: PruneReason,
     },
     /// One sub-configuration benefit evaluation resolved.
     WhatIfEvaluated {
         /// Patterns of the evaluated sub-configuration, in key order.
-        config: Vec<String>,
+        config: Vec<Arc<str>>,
         /// Query-side benefit of the sub-configuration
         /// (`Σ freq·(baseline − indexed)`, the cached value).
         cost: f64,
@@ -103,7 +109,7 @@ pub enum Event {
     /// The last decision for a pattern is the final one.
     KnapsackDecision {
         /// The candidate's pattern.
-        pattern: String,
+        pattern: Arc<str>,
         /// Admitted into (or confirmed in) the configuration.
         kept: bool,
         /// The configuration benefit that justified the decision.
@@ -127,7 +133,7 @@ pub enum Event {
     /// the recommendation is the best configuration found so far.
     RunStopped {
         /// Why the run stopped (`deadline` / `cancelled`).
-        reason: String,
+        reason: Cow<'static, str>,
     },
     /// The workload was compressed into weighted cost-identity templates
     /// before the search (CoPhy-style advising).
@@ -275,12 +281,13 @@ impl Event {
             .get("event")
             .and_then(Json::as_str)
             .ok_or("missing `event` tag")?;
-        let str_field = |k: &str| -> Result<String, String> {
+        let str_field = |k: &str| -> Result<&str, String> {
             v.get(k)
                 .and_then(Json::as_str)
-                .map(str::to_string)
                 .ok_or_else(|| format!("{tag}: missing `{k}`"))
         };
+        let shared = |k: &str| str_field(k).map(Arc::from);
+        let owned = |k: &str| str_field(k).map(|s| Cow::Owned(s.to_string()));
         let num_field = |k: &str| -> Result<f64, String> {
             v.get(k)
                 .and_then(Json::as_num)
@@ -294,20 +301,20 @@ impl Event {
         };
         Ok(match tag {
             "candidate_generated" => Event::CandidateGenerated {
-                collection: str_field("collection")?,
-                pattern: str_field("pattern")?,
-                kind: str_field("kind")?,
-                origin: str_field("origin")?,
+                collection: shared("collection")?,
+                pattern: shared("pattern")?,
+                kind: owned("kind")?,
+                origin: owned("origin")?,
             },
             "pair_generalized" => Event::PairGeneralized {
-                collection: str_field("collection")?,
-                left: str_field("left")?,
-                right: str_field("right")?,
-                result: str_field("result")?,
+                collection: shared("collection")?,
+                left: shared("left")?,
+                right: shared("right")?,
+                result: shared("result")?,
             },
             "candidate_pruned" => Event::CandidatePruned {
-                pattern: str_field("pattern")?,
-                reason: PruneReason::parse(&str_field("reason")?)
+                pattern: shared("pattern")?,
+                reason: PruneReason::parse(str_field("reason")?)
                     .ok_or_else(|| format!("unknown prune reason in {tag}"))?,
             },
             "what_if_evaluated" => Event::WhatIfEvaluated {
@@ -316,7 +323,7 @@ impl Event {
                         .iter()
                         .map(|p| {
                             p.as_str()
-                                .map(str::to_string)
+                                .map(Arc::from)
                                 .ok_or_else(|| "non-string config member".to_string())
                         })
                         .collect::<Result<Vec<_>, _>>()?,
@@ -326,7 +333,7 @@ impl Event {
                 cache_hit: bool_field("cache_hit")?,
             },
             "knapsack_decision" => Event::KnapsackDecision {
-                pattern: str_field("pattern")?,
+                pattern: shared("pattern")?,
                 kept: bool_field("kept")?,
                 benefit: num_field("benefit")?,
                 size: num_field("size")? as u64,
@@ -338,7 +345,7 @@ impl Event {
                 charged: num_field("charged")? as u64,
             },
             "run_stopped" => Event::RunStopped {
-                reason: str_field("reason")?,
+                reason: owned("reason")?,
             },
             "workload_compressed" => Event::WorkloadCompressed {
                 statements: num_field("statements")? as u64,

@@ -6,8 +6,9 @@
 //! costs the same as the telemetry-off path. The enabled form is a
 //! ring-buffered, seq-numbered store of [`Event`]s behind one mutex.
 //!
-//! `emit` takes a *closure* so payload construction (pattern `String`
-//! clones) is skipped entirely on a disabled handle.
+//! `emit` takes a *closure* so payload construction (shared pattern
+//! strings, configuration vectors) is skipped entirely on a disabled
+//! handle; `emit_batch` appends a whole batch under one lock.
 //!
 //! ## Determinism
 //!
@@ -35,6 +36,20 @@ struct Ring {
     next_seq: u64,
     dropped: u64,
     capacity: usize,
+}
+
+impl Ring {
+    /// Appends one event under the next seq number, dropping the oldest
+    /// at capacity.
+    fn push(&mut self, event: Event) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.events.len() >= self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back((seq, event));
+    }
 }
 
 #[derive(Debug)]
@@ -92,14 +107,21 @@ impl EventJournal {
     #[inline]
     pub fn emit(&self, make: impl FnOnce() -> Event) {
         if let Some(inner) = &self.inner {
+            inner.ring.lock().expect("journal poisoned").push(make());
+        }
+    }
+
+    /// Records a batch of events in order under one lock, as the same
+    /// number of [`EventJournal::emit`] calls would. Like `emit`, the
+    /// closure runs only on an enabled handle. The batch is drawn while
+    /// the lock is held, so building it must not emit to this journal.
+    pub fn emit_batch<I: IntoIterator<Item = Event>>(&self, make: impl FnOnce() -> I) {
+        if let Some(inner) = &self.inner {
+            let events = make();
             let mut ring = inner.ring.lock().expect("journal poisoned");
-            let seq = ring.next_seq;
-            ring.next_seq += 1;
-            if ring.events.len() >= ring.capacity {
-                ring.events.pop_front();
-                ring.dropped += 1;
+            for event in events {
+                ring.push(event);
             }
-            ring.events.push_back((seq, make()));
         }
     }
 
@@ -166,9 +188,8 @@ impl EventJournal {
         if !self.is_enabled() {
             return;
         }
-        for (_, event) in other.events() {
-            self.emit(|| event.clone());
-        }
+        let events = other.events();
+        self.emit_batch(|| events.into_iter().map(|(_, event)| event));
     }
 
     /// Renders the buffered events as JSONL: one
@@ -215,7 +236,7 @@ mod tests {
 
     fn pruned(pattern: &str) -> Event {
         Event::CandidatePruned {
-            pattern: pattern.to_string(),
+            pattern: pattern.into(),
             reason: PruneReason::SizeRule,
         }
     }
@@ -246,6 +267,22 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_journals_as_its_events_one_by_one() {
+        let one_by_one = EventJournal::with_capacity(3);
+        let batched = EventJournal::with_capacity(3);
+        one_by_one.emit(|| pruned("/a"));
+        batched.emit(|| pruned("/a"));
+        for p in ["/b", "/c", "/d"] {
+            one_by_one.emit(|| pruned(p));
+        }
+        batched.emit_batch(|| ["/b", "/c", "/d"].map(pruned));
+        assert_eq!(batched.events(), one_by_one.events());
+        assert_eq!(batched.to_jsonl(), one_by_one.to_jsonl());
+        assert_eq!((batched.high_water(), batched.dropped()), (4, 1));
+        EventJournal::off().emit_batch(|| -> Vec<Event> { unreachable!("off handle") });
+    }
+
+    #[test]
     fn ring_drops_oldest_and_counts_drops() {
         let j = EventJournal::with_capacity(2);
         for p in ["/a", "/b", "/c", "/d"] {
@@ -270,7 +307,7 @@ mod tests {
             .events()
             .iter()
             .map(|(_, e)| match e {
-                Event::CandidatePruned { pattern, .. } => pattern.clone(),
+                Event::CandidatePruned { pattern, .. } => pattern.to_string(),
                 _ => unreachable!(),
             })
             .collect();

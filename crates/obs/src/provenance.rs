@@ -53,25 +53,25 @@ pub fn derive(events: &[(u64, Event)], pattern: &str) -> Derivation {
         match e {
             Event::CandidateGenerated {
                 pattern: p, origin, ..
-            } if p == pattern && d.origin.is_none() => {
-                d.origin = Some(origin.clone());
+            } if &**p == pattern && d.origin.is_none() => {
+                d.origin = Some(origin.to_string());
             }
             Event::PairGeneralized {
                 left,
                 right,
                 result,
                 ..
-            } if result == pattern && d.generalized_from.is_none() => {
-                d.generalized_from = Some((left.clone(), right.clone()));
+            } if &**result == pattern && d.generalized_from.is_none() => {
+                d.generalized_from = Some((left.to_string(), right.to_string()));
             }
-            Event::CandidatePruned { pattern: p, reason } if p == pattern => {
+            Event::CandidatePruned { pattern: p, reason } if &**p == pattern => {
                 d.prunes.push(reason.name().to_string());
             }
             Event::WhatIfEvaluated {
                 config,
                 cost,
                 cache_hit,
-            } if config.iter().any(|c| c == pattern) => {
+            } if config.iter().any(|c| &**c == pattern) => {
                 d.benefit_deltas.push((*cost, *cache_hit));
             }
             Event::KnapsackDecision {
@@ -79,7 +79,7 @@ pub fn derive(events: &[(u64, Event)], pattern: &str) -> Derivation {
                 kept,
                 benefit,
                 size,
-            } if p == pattern => {
+            } if &**p == pattern => {
                 d.decisions.push((*kept, *benefit, *size));
             }
             _ => {}

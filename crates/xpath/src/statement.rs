@@ -23,14 +23,19 @@ impl ValueKind {
             Literal::Num(_) => ValueKind::Num,
         }
     }
+
+    /// The kind's name (`string` / `numerical`), as it displays.
+    pub fn name(self) -> &'static str {
+        match self {
+            ValueKind::Str => "string",
+            ValueKind::Num => "numerical",
+        }
+    }
 }
 
 impl fmt::Display for ValueKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ValueKind::Str => "string",
-            ValueKind::Num => "numerical",
-        })
+        f.write_str(self.name())
     }
 }
 
