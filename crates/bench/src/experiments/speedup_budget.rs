@@ -41,10 +41,6 @@ pub struct BudgetPoint {
     pub statements_pruned: u64,
     /// Incremental `benefit_delta` probes issued by the search.
     pub delta_probes: u64,
-    /// Containment verdicts answered from the shared cover cache.
-    pub contain_cache_hits: u64,
-    /// Containment verdicts decided by the name-mask fast reject.
-    pub contain_fast_rejects: u64,
 }
 
 /// Results of the budget sweep.
@@ -163,8 +159,6 @@ pub fn run_workload_jobs(
                 stmt_cache_hits: telemetry.get(Counter::StmtCacheHits),
                 statements_pruned: telemetry.get(Counter::StatementsPruned),
                 delta_probes: telemetry.get(Counter::DeltaProbes),
-                contain_cache_hits: telemetry.get(Counter::ContainCacheHits),
-                contain_fast_rejects: telemetry.get(Counter::ContainFastRejects),
             });
         }
         series.push((algo, points));
@@ -257,8 +251,6 @@ pub fn telemetry_breakdown_table(r: &SweepResult) -> Table {
             "generalize pairs visited",
             "pairs skipped bucket",
             "pairs memo hits",
-            "contain cache hits",
-            "contain fast rejects",
         ],
     );
     for (algo, points) in &r.series {
@@ -279,8 +271,6 @@ pub fn telemetry_breakdown_table(r: &SweepResult) -> Table {
                 r.generalize_pairs_visited.to_string(),
                 r.pairs_skipped_bucket.to_string(),
                 r.pairs_memo_hits.to_string(),
-                p.contain_cache_hits.to_string(),
-                p.contain_fast_rejects.to_string(),
             ]);
         }
     }

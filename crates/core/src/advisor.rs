@@ -306,7 +306,7 @@ impl Advisor {
             added.iter().map(|&id| {
                 let c = set.get(id);
                 Event::CandidateGenerated {
-                    collection: c.collection.as_str().into(),
+                    collection: c.collection.clone(),
                     pattern: c.pattern_text(),
                     kind: c.kind.name().into(),
                     origin: "basic".into(),
@@ -358,21 +358,21 @@ impl Advisor {
         }
         Self::freshen(db, &params.telemetry);
         let compressed;
-        let workload = if algorithm == SearchAlgorithm::Cophy {
+        let (workload, templates) = if algorithm == SearchAlgorithm::Cophy {
             let _compress = params.telemetry.span("compress");
             compressed =
                 crate::compress::compress_workload(workload, &params.telemetry, &params.journal);
-            &compressed.workload
+            (&compressed.workload, compressed.templates.as_slice())
         } else {
-            workload
+            (workload, &[][..])
         };
         let start = Instant::now();
         let _advise = params.telemetry.span("advise");
         let set = Self::prepare_on(db, workload, params);
         let mut state = CostingState::default();
-        Self::search_prepared(
-            db, workload, &set, budget, algorithm, params, start, &mut state,
-        )
+        let ev =
+            BenefitEvaluator::over_templates(db, workload, templates, &set, params, &mut state);
+        Self::search_prepared(ev, &set, budget, algorithm, params, start)
     }
 
     /// Runs only the search step over a prepared candidate set (used by
@@ -409,25 +409,23 @@ impl Advisor {
         }
         let start = Instant::now();
         let _advise = params.telemetry.span("advise");
-        Self::search_prepared(db, workload, set, budget, algorithm, params, start, state)
+        let ev = BenefitEvaluator::retained(db, workload, set, params, state);
+        Self::search_prepared(ev, set, budget, algorithm, params, start)
     }
 
-    /// Baseline costing, search, and pricing of the chosen configuration;
-    /// `start` is when the enclosing "advise" span opened.
-    #[allow(clippy::too_many_arguments)]
+    /// Search and pricing of the chosen configuration over an evaluator
+    /// that has costed the baselines; `start` is when the enclosing
+    /// "advise" span opened.
     fn search_prepared(
-        db: &Database,
-        workload: &Workload,
+        mut ev: BenefitEvaluator<'_>,
         set: &CandidateSet,
         budget: u64,
         algorithm: SearchAlgorithm,
         params: &AdvisorParams,
         start: Instant,
-        state: &mut CostingState,
     ) -> Result<Recommendation, XiaError> {
         let basic = set.basic_ids().len();
         let total = set.len();
-        let mut ev = BenefitEvaluator::retained(db, workload, set, params, state);
         Self::check_viability(&ev, params)?;
         let config = {
             let _search = params.telemetry.span("search");
@@ -500,12 +498,6 @@ impl Advisor {
     ) -> Recommendation {
         ev.telemetry()
             .add(Counter::CandidatesAdmitted, config.len() as u64);
-        // This run's containment work, not the lifetime total of a state
-        // that may have served earlier runs.
-        let cover = ev.cover_stats();
-        ev.telemetry().add(Counter::ContainCacheHits, cover.hits);
-        ev.telemetry()
-            .add(Counter::ContainFastRejects, cover.fast_rejects);
         let est_benefit = ev.benefit(&config);
         let baseline_cost = ev.baseline_cost();
         let workload_cost = ev.workload_cost(&config);
@@ -519,7 +511,7 @@ impl Advisor {
             .map(|&id| {
                 let c = set.get(id);
                 RecommendedIndex {
-                    collection: c.collection.clone(),
+                    collection: c.collection.to_string(),
                     pattern: c.pattern.to_string(),
                     kind: c.kind,
                     size: c.size,

@@ -61,7 +61,8 @@
 //! borrowed from a [`crate::TuningSession`] that keeps it across calls.
 
 use crate::candidate::{CandId, CandidateSet, StmtSet};
-use crate::costing::CostingState;
+use crate::compress::WorkloadTemplate;
+use crate::costing::{ByProjection, CostingState};
 use crate::error::{IssueStage, StatementIssue};
 use crate::runctl::RunController;
 use std::collections::HashMap;
@@ -76,7 +77,6 @@ use xia_storage::{
     StatsView,
 };
 use xia_workloads::Workload;
-use xia_xpath::{CoverCacheStats, LinearPath};
 
 /// Counters exposed for the efficiency experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -249,10 +249,38 @@ struct CostTask {
     /// Statement index in the workload.
     si: usize,
     kind: TaskKind,
-    /// Canonical projection of the group onto the statement's relevant
-    /// candidates — the statement-cache key an `Optimize` result is
-    /// memoized under (`None` for fallback and served tasks).
-    proj: Option<Vec<CandId>>,
+    /// For an `Optimize` task: the canonical projection of the group onto
+    /// the statement's relevant candidates — the key its result is held
+    /// under — as its hash and its range in the batch's projection arena
+    /// (`scratch_projs`). Empty for every other kind.
+    proj: Projection,
+}
+
+/// A projection planned in a batch: its FNV hash and where it sits in the
+/// batch's projection arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Projection {
+    hash: u64,
+    at: u32,
+    len: u32,
+}
+
+impl Projection {
+    fn of(self, arena: &[CandId]) -> &[CandId] {
+        &arena[self.at as usize..(self.at + self.len) as usize]
+    }
+}
+
+/// A sub-configuration as the journal names it: its members' patterns, in
+/// key order, shared by every event that evaluates it.
+type JournalConfig = Arc<[Arc<str>]>;
+
+/// A memoized sub-configuration benefit, with the configuration's journal
+/// rendering when the journal is armed (so a memo hit journals without
+/// allocating).
+struct Memoized {
+    value: f64,
+    config: Option<JournalConfig>,
 }
 
 /// The collection parts a what-if call's optimizer binds to, as this run's
@@ -356,14 +384,11 @@ pub struct BenefitEvaluator<'a> {
     /// Memoized sub-configuration benefits (query side, before mc), keyed
     /// on the canonical sub-configuration. Frequency-weighted, so it lives
     /// and dies with the run. Read and written only by the coordinator.
-    cache: HashMap<Vec<CandId>, f64>,
+    cache: HashMap<Vec<CandId>, Memoized>,
     /// What-if budget account: optimizer calls actually made in this run
     /// (statement-cache misses). A costing the state already held, or one
     /// a statement of the same template already paid for, is free.
     charged: u64,
-    /// The cover cache's counters when this run began, so the run reports
-    /// its own containment work and not the state's lifetime total.
-    cover_base: CoverCacheStats,
     /// Ablation switch: restrict evaluation to the statements in the
     /// members' relevance rows.
     pub use_affected_sets: bool,
@@ -411,7 +436,17 @@ pub struct BenefitEvaluator<'a> {
     /// Per batch: `(class, projection hash)` → the task costing that class
     /// under that projection, for classes with more than one member. A hit
     /// is confirmed by comparing projections. Cleared, not dropped.
-    scratch_shared: HashMap<(u32, u64), usize>,
+    scratch_shared: ByProjection<usize>,
+    /// Per batch: the projections of its `Optimize` tasks, end to end
+    /// ([`CostTask::proj`]). Cleared, not dropped.
+    scratch_projs: Vec<CandId>,
+    /// Per batch, with the journal armed: each input key's configuration
+    /// and whether it was served without a fresh costing, in input order
+    /// (drained into the journal) …
+    scratch_journal: Vec<(JournalConfig, bool)>,
+    /// … and each missed group's configuration (drained into the memo).
+    /// Both are cleared, not dropped.
+    scratch_configs: Vec<JournalConfig>,
 }
 
 impl<'a> BenefitEvaluator<'a> {
@@ -438,7 +473,14 @@ impl<'a> BenefitEvaluator<'a> {
         set: &'a CandidateSet,
         params: &crate::advisor::AdvisorParams,
     ) -> Self {
-        Self::from_params(db, workload, set, params, StateSlot::Owned(Box::default()))
+        Self::from_params(
+            db,
+            workload,
+            set,
+            &[],
+            params,
+            StateSlot::Owned(Box::default()),
+        )
     }
 
     /// [`BenefitEvaluator::configured`] over a state the caller keeps: what
@@ -452,13 +494,36 @@ impl<'a> BenefitEvaluator<'a> {
         params: &crate::advisor::AdvisorParams,
         state: &'a mut CostingState,
     ) -> Self {
-        Self::from_params(db, workload, set, params, StateSlot::Retained(state))
+        Self::from_params(db, workload, set, &[], params, StateSlot::Retained(state))
+    }
+
+    /// [`BenefitEvaluator::retained`] over a compressed workload, whose
+    /// statements are `templates`' representatives in order: each
+    /// statement's template fingerprint is taken from its template, not
+    /// walked again.
+    pub(crate) fn over_templates(
+        db: &'a Database,
+        workload: &'a Workload,
+        templates: &[WorkloadTemplate],
+        set: &'a CandidateSet,
+        params: &crate::advisor::AdvisorParams,
+        state: &'a mut CostingState,
+    ) -> Self {
+        Self::from_params(
+            db,
+            workload,
+            set,
+            templates,
+            params,
+            StateSlot::Retained(state),
+        )
     }
 
     fn from_params(
         db: &'a Database,
         workload: &'a Workload,
         set: &'a CandidateSet,
+        templates: &[WorkloadTemplate],
         params: &crate::advisor::AdvisorParams,
         state: StateSlot<'a>,
     ) -> Self {
@@ -466,6 +531,7 @@ impl<'a> BenefitEvaluator<'a> {
             db,
             workload,
             set,
+            templates,
             &params.faults,
             params.what_if_budget,
             &params.telemetry,
@@ -495,6 +561,7 @@ impl<'a> BenefitEvaluator<'a> {
             db,
             workload,
             set,
+            &[],
             faults,
             budget,
             &Telemetry::off(),
@@ -510,6 +577,7 @@ impl<'a> BenefitEvaluator<'a> {
         db: &'a Database,
         workload: &'a Workload,
         set: &'a CandidateSet,
+        templates: &[WorkloadTemplate],
         faults: &FaultInjector,
         budget: WhatIfBudget,
         telemetry: &Telemetry,
@@ -527,7 +595,6 @@ impl<'a> BenefitEvaluator<'a> {
         if state.mask != db.mask() {
             *state = CostingState::under(db.mask());
         }
-        let cover_base = state.cover_cache.stats();
         let mut ev = Self {
             db,
             workload,
@@ -538,7 +605,6 @@ impl<'a> BenefitEvaluator<'a> {
             mc_totals: vec![None; set.len()],
             cache: HashMap::new(),
             charged: 0,
-            cover_base,
             use_affected_sets: true,
             use_subconfigs: true,
             use_cache: true,
@@ -556,9 +622,12 @@ impl<'a> BenefitEvaluator<'a> {
             scratch_affected: StmtSet::new(),
             class_stamp: Vec::new(),
             group_seq: 0,
-            scratch_shared: HashMap::new(),
+            scratch_shared: ByProjection::default(),
+            scratch_projs: Vec::new(),
+            scratch_journal: Vec::new(),
+            scratch_configs: Vec::new(),
         };
-        ev.extend_state();
+        ev.extend_state(templates);
         ev.class_stamp = vec![(0, 0); ev.state.classes.len()];
         ev.compute_baselines();
         ev
@@ -570,7 +639,9 @@ impl<'a> BenefitEvaluator<'a> {
     /// relevance rows for new candidates, and existing rows grown by the
     /// new statements. Pure containment and statistics work — no
     /// optimizer calls. On a fresh state this is the whole of it.
-    fn extend_state(&mut self) {
+    /// `templates`, when not empty, are the workload's templates (it is a
+    /// compressed workload), whose fingerprints the classes are found by.
+    fn extend_state(&mut self, templates: &[WorkloadTemplate]) {
         let state = &mut *self.state;
         let workload = self.workload;
         let entries = workload.entries();
@@ -594,7 +665,8 @@ impl<'a> BenefitEvaluator<'a> {
         let mut keys = [String::new(), String::new()];
         // `skip` is O(1): extending costs the new statements only.
         for (si, entry) in entries.iter().enumerate().skip(from) {
-            let (found, salt) = state.class_for(workload, si, &mut keys);
+            let fingerprint = templates.get(si).map(|t| t.fingerprint);
+            let (found, salt) = state.class_for(workload, si, fingerprint, &mut keys);
             let (class, slot) = match found {
                 Some(class) => (
                     class,
@@ -622,16 +694,27 @@ impl<'a> BenefitEvaluator<'a> {
                     (state.open_class(si, salt, prepared), slot)
                 }
             };
-            state.classes[class as usize].members += 1;
+            let class_of = &mut state.classes[class as usize];
+            class_of.members += 1;
             // The signature is read off the prepared patterns, which are
             // the class's; a statement without visible statistics is
-            // normalized for it.
-            state
-                .matrix
-                .push(match &state.classes[class as usize].prepared {
+            // normalized for it. A template's statements share it, so one
+            // joining a class takes its opener's.
+            if class_of.members == 1 {
+                state.matrix.push(match &class_of.prepared {
                     Some(prepared) => prepared.signature(&state.colls[slot]),
                     None => xia_optimizer::statement_signature(entry.statement),
                 });
+            } else {
+                let opener = class_of.opener as usize;
+                debug_assert!(
+                    class_of.prepared.is_some()
+                        || xia_optimizer::statement_signature(entry.statement)
+                            == xia_optimizer::statement_signature(workload.entry(opener).statement),
+                    "a template's statements share their signature"
+                );
+                state.matrix.push_like(opener);
+            }
             state.stmt_salts.push(salt);
             state.stmt_coll.push(slot);
             state.class.push(class);
@@ -646,13 +729,10 @@ impl<'a> BenefitEvaluator<'a> {
                     state.relevance.push(StmtSet::new());
                 }
                 let row_from = if new { 0 } else { from };
-                for si in state.matrix.relevant_from(
-                    row_from,
-                    &c.collection,
-                    &c.pattern,
-                    c.kind,
-                    Some(&state.cover_cache),
-                ) {
+                for si in state
+                    .matrix
+                    .relevant_from(row_from, &c.collection, &c.pattern, c.kind)
+                {
                     state.relevance[id.index()].insert(si);
                 }
             }
@@ -859,30 +939,6 @@ impl<'a> BenefitEvaluator<'a> {
         &self.journal
     }
 
-    /// Containment work this run has done through the cover cache so far
-    /// (feeds the `contain_cache_hits` / `contain_fast_rejects`
-    /// telemetry): the cache's counters less what they read when the run
-    /// began, so a run over a retained state reports its own share.
-    pub fn cover_stats(&self) -> CoverCacheStats {
-        let now = self.state.cover_cache.stats();
-        CoverCacheStats {
-            hits: now.hits - self.cover_base.hits,
-            fast_rejects: now.fast_rejects - self.cover_base.fast_rejects,
-            entries: now.entries - self.cover_base.entries,
-        }
-    }
-
-    /// Containment check routed through the state's shared cover cache
-    /// (same verdict as [`xia_xpath::contain::covers`]).
-    pub fn covers(&self, general: &LinearPath, specific: &LinearPath) -> bool {
-        let t0 = self.telemetry.is_enabled().then(Instant::now);
-        let verdict = self.state.cover_cache.covers(general, specific);
-        if let Some(t0) = t0 {
-            self.telemetry.record(Hist::ContainCheck, t0.elapsed());
-        }
-        verdict
-    }
-
     /// Total baseline (no-index) workload cost.
     pub fn baseline_cost(&self) -> f64 {
         self.baseline
@@ -914,7 +970,7 @@ impl<'a> BenefitEvaluator<'a> {
             let Some(def) = self.derived_def(id) else {
                 continue;
             };
-            let coll = set.get(id).collection.as_str();
+            let coll = &*set.get(id).collection;
             let at = per
                 .iter()
                 .position(|(name, _)| *name == coll)
@@ -959,36 +1015,34 @@ impl<'a> BenefitEvaluator<'a> {
 
     /// Plans the costing of statement `si` under group `key` when no
     /// earlier member of its class in the group has: served from the
-    /// class's cost cache, shared with a task of this batch (`tasks`,
+    /// state's cost table, shared with a task of this batch (`tasks`,
     /// through `shared`), a fallback, or an optimizer call — which only a
     /// task of a class with other members files in `shared`. Returns the
     /// task's kind and, for an optimizer call, the projection it is kept
-    /// under.
+    /// under, appended to `projs`.
     fn plan_costing(
         &mut self,
         key: &[CandId],
         si: usize,
         proj: &mut Vec<CandId>,
         tasks: &[CostTask],
-        shared: &mut HashMap<(u32, u64), usize>,
-    ) -> (TaskKind, Option<Vec<CandId>>) {
+        shared: &mut ByProjection<usize>,
+        projs: &mut Vec<CandId>,
+    ) -> (TaskKind, Projection) {
         self.projection_into(key, si, proj);
         let class = self.state.class[si];
+        let hash = key_hash(SALT_EVALUATE, proj);
         if self.use_cache {
-            if let Some(&cost) = self.state.classes[class as usize]
-                .costs
-                .get(proj.as_slice())
-            {
+            if let Some(cost) = self.state.costs.get(class, hash, proj) {
                 self.count_served();
-                return (TaskKind::Served { cost }, None);
+                return (TaskKind::Served { cost }, Projection::default());
             }
         }
-        let hash = key_hash(SALT_EVALUATE, proj);
         let shares = self.use_cache && self.state.classes[class as usize].members > 1;
         if shares {
             if let Some(&task) = shared.get(&(class, hash)) {
-                if tasks[task].proj.as_deref() == Some(proj.as_slice()) {
-                    return (TaskKind::Shared { task }, None);
+                if tasks[task].proj.of(projs) == proj.as_slice() {
+                    return (TaskKind::Shared { task }, Projection::default());
                 }
             }
         }
@@ -998,18 +1052,25 @@ impl<'a> BenefitEvaluator<'a> {
                 let charged = self.charged;
                 self.journal.emit(|| Event::BudgetExhausted { charged });
             }
-            return (TaskKind::BudgetFallback, None);
+            return (TaskKind::BudgetFallback, Projection::default());
         }
         // Prepared iff the collection's statistics are visible to this run.
         if self.state.classes[class as usize].prepared.is_none() {
-            return (TaskKind::StatsFallback, None);
+            return (TaskKind::StatsFallback, Projection::default());
         }
         self.charged += 1;
         if shares {
             shared.entry((class, hash)).or_insert(tasks.len());
         }
         let salt = hash ^ self.state.stmt_salts[si];
-        (TaskKind::Optimize { salt }, Some(proj.clone()))
+        let at = u32::try_from(projs.len()).expect("a batch's projections fit 2^32 members");
+        projs.extend_from_slice(proj);
+        let kept = Projection {
+            hash,
+            at,
+            len: proj.len() as u32,
+        };
+        (TaskKind::Optimize { salt }, kept)
     }
 
     /// Counts one per-statement costing answered without an optimizer call.
@@ -1043,29 +1104,26 @@ impl<'a> BenefitEvaluator<'a> {
             Miss(usize),
         }
         // Journal bookkeeping mirrors the slot list: each input key's
-        // member patterns (shared with the candidates) plus whether it was
-        // served without a fresh costing (memo hit or in-batch duplicate).
+        // configuration plus whether it was served without a fresh costing
+        // (memo hit or in-batch duplicate). A configuration is rendered
+        // once per miss and shared from there: by the batch's duplicates of
+        // it, and through the memo by every later hit.
         let journal_on = self.journal.is_enabled();
-        let mut journal_slots: Vec<(Vec<Arc<str>>, bool)> =
-            Vec::with_capacity(if journal_on { keys.len() } else { 0 });
+        let mut journal_slots = std::mem::take(&mut self.scratch_journal);
+        let mut miss_configs = std::mem::take(&mut self.scratch_configs);
         let mut slots: Vec<Slot> = Vec::with_capacity(keys.len());
         let mut misses: Vec<Vec<CandId>> = Vec::new();
         for key in keys {
             debug_assert!(key.windows(2).all(|w| w[0] < w[1]), "canonical keys");
-            let patterns: Vec<Arc<str>> = if journal_on {
-                key.iter()
-                    .map(|&id| self.set.get(id).pattern_text())
-                    .collect()
-            } else {
-                Vec::new()
-            };
             if self.use_cache {
-                if let Some(&v) = self.cache.get(&key) {
+                if let Some(memo) = self.cache.get(&key) {
+                    let (value, config) = (memo.value, memo.config.clone());
                     self.stats.cache_hits += 1;
                     self.telemetry.incr(Counter::BenefitCacheHits);
-                    slots.push(Slot::Done(v));
+                    slots.push(Slot::Done(value));
                     if journal_on {
-                        journal_slots.push((patterns, true));
+                        let config = config.unwrap_or_else(|| self.journal_config(&key));
+                        journal_slots.push((config, true));
                     }
                     continue;
                 }
@@ -1083,7 +1141,7 @@ impl<'a> BenefitEvaluator<'a> {
                 }
                 slots.push(Slot::Miss(i));
                 if journal_on {
-                    journal_slots.push((patterns, true));
+                    journal_slots.push((Arc::clone(&miss_configs[i]), true));
                 }
                 continue;
             }
@@ -1093,7 +1151,9 @@ impl<'a> BenefitEvaluator<'a> {
             }
             slots.push(Slot::Miss(misses.len()));
             if journal_on {
-                journal_slots.push((patterns, false));
+                let config = self.journal_config(&key);
+                miss_configs.push(Arc::clone(&config));
+                journal_slots.push((config, false));
             }
             misses.push(key);
         }
@@ -1105,7 +1165,9 @@ impl<'a> BenefitEvaluator<'a> {
                     Slot::Miss(_) => 0.0,
                 })
                 .collect();
-            self.emit_what_if_events(journal_slots, &out);
+            self.emit_what_if_events(&mut journal_slots, &out);
+            self.scratch_journal = journal_slots;
+            self.scratch_configs = miss_configs;
             return out;
         }
 
@@ -1122,12 +1184,14 @@ impl<'a> BenefitEvaluator<'a> {
         // template's), so the first member's task stands for the rest.
         // With the cache off every costing is a miss.
         // The projection is looked up borrowed; only a costing that goes to
-        // the optimizer keeps its own copy, which the statement cache takes
-        // over at merge.
+        // the optimizer keeps it, appended to the batch's projection arena,
+        // from which the cost table copies it at merge.
         let mut tasks: Vec<CostTask> = Vec::new();
         let mut affected = std::mem::take(&mut self.scratch_affected);
         let mut shared = std::mem::take(&mut self.scratch_shared);
         shared.clear();
+        let mut projs = std::mem::take(&mut self.scratch_projs);
+        projs.clear();
         let mut proj = Vec::new();
         for (group, key) in misses.iter().enumerate() {
             self.affected_into(key, &mut affected);
@@ -1154,12 +1218,12 @@ impl<'a> BenefitEvaluator<'a> {
                     if let TaskKind::Served { .. } = kind {
                         self.count_served();
                     }
-                    (kind, None)
+                    (kind, Projection::default())
                 } else {
                     if self.use_cache {
                         self.class_stamp[class] = (self.group_seq, tasks.len());
                     }
-                    self.plan_costing(key, si, &mut proj, &tasks, &mut shared)
+                    self.plan_costing(key, si, &mut proj, &tasks, &mut shared, &mut projs)
                 };
                 tasks.push(CostTask {
                     group,
@@ -1227,13 +1291,12 @@ impl<'a> BenefitEvaluator<'a> {
                 }
                 (TaskKind::Optimize { .. }, Some(cost)) => {
                     self.stats.optimizer_calls += 1;
-                    // Memoize under the class and projection key: any
+                    // Hold it under the class and projection: any
                     // configuration with the same projection onto any
                     // statement of the class has bitwise the same cost.
-                    if let Some(proj) = task.proj {
-                        let class = self.state.class[task.si];
-                        self.state.insert_cost(class, proj, cost);
-                    }
+                    let class = self.state.class[task.si];
+                    let proj = task.proj;
+                    (self.state).insert_cost(class, proj.hash, proj.of(&projs), cost);
                     cost
                 }
                 (kind, _) => {
@@ -1264,13 +1327,16 @@ impl<'a> BenefitEvaluator<'a> {
         // Discarding the overlays here (not in a worker) keeps the
         // virtual-indexes-dropped counter deterministic too.
         drop(overlays);
+        self.scratch_projs = projs;
 
         // Heuristic answers are not memoized: a later evaluation inside
         // budget (or past the fault) should get the real number.
         if self.use_cache {
+            let mut configs = miss_configs.drain(..);
             for ((key, &value), &bad) in misses.into_iter().zip(&totals).zip(&tainted) {
+                let config = configs.next();
                 if !bad {
-                    self.cache.insert(key, value);
+                    self.cache.insert(key, Memoized { value, config });
                 }
             }
         }
@@ -1281,17 +1347,28 @@ impl<'a> BenefitEvaluator<'a> {
                 Slot::Miss(i) => totals[i],
             })
             .collect();
-        self.emit_what_if_events(journal_slots, &out);
+        self.emit_what_if_events(&mut journal_slots, &out);
+        self.scratch_journal = journal_slots;
+        miss_configs.clear();
+        self.scratch_configs = miss_configs;
         out
+    }
+
+    /// The journal's rendering of a sub-configuration: its members'
+    /// patterns, in key order.
+    fn journal_config(&self, key: &[CandId]) -> JournalConfig {
+        key.iter()
+            .map(|&id| self.set.get(id).pattern_text())
+            .collect()
     }
 
     /// Emits one `WhatIfEvaluated` event per input slot, in slot order and
     /// under one journal lock, pairing each configuration with its final
     /// query-side benefit. Runs on the coordinator after the merge, so the
     /// journal stream is identical regardless of worker count.
-    fn emit_what_if_events(&self, journal_slots: Vec<(Vec<Arc<str>>, bool)>, values: &[f64]) {
+    fn emit_what_if_events(&self, journal_slots: &mut Vec<(JournalConfig, bool)>, values: &[f64]) {
         self.journal.emit_batch(|| {
-            (journal_slots.into_iter().zip(values)).map(|((config, cache_hit), &cost)| {
+            (journal_slots.drain(..).zip(values)).map(|((config, cache_hit), &cost)| {
                 Event::WhatIfEvaluated {
                     config,
                     cost,
@@ -1574,7 +1651,7 @@ impl<'a> BenefitEvaluator<'a> {
         }
         let mut total = 0.0;
         if let Some(def) = self.derived_def(id) {
-            let coll = self.set.get(id).collection.as_str();
+            let coll = &*self.set.get(id).collection;
             let cm = CostModel::default();
             for (si, entry) in self.workload.entries().iter().enumerate() {
                 if !entry.statement.is_modification() || entry.statement.collection() != coll {
@@ -1791,7 +1868,7 @@ mod tests {
         // each delete/update's victim estimate; `mc_total` must still be
         // the sum the per-(candidate, statement) formula gives when it
         // parses the payload and re-estimates the victims every time.
-        use xia_xpath::{contain, Statement, ValueKind};
+        use xia_xpath::{contain, LinearPath, Statement, ValueKind};
         let mut db = Database::new();
         let cfg = TpoxConfig::tiny();
         tpox::generate(&mut db, &cfg);
@@ -1832,7 +1909,7 @@ mod tests {
             let mut want = 0.0;
             for entry in w.entries() {
                 let stmt = &**entry.statement;
-                if !stmt.is_modification() || stmt.collection() != c.collection {
+                if !stmt.is_modification() || stmt.collection() != &*c.collection {
                     continue;
                 }
                 // No index is in place, so the one-shot plan is the scan
@@ -2163,7 +2240,6 @@ mod tests {
             assert_eq!(probe(&mut ev, &all), first);
             assert_eq!(ev.eval_stats().optimizer_calls, 0);
             assert_eq!(ev.budget_charged(), 0, "a kept costing is free");
-            assert_eq!(ev.cover_stats(), CoverCacheStats::default());
         }
         assert_eq!(state.costings(), kept);
 

@@ -2,7 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 use xia_xpath::{LinearPath, ValueKind};
 
@@ -127,8 +127,10 @@ pub enum CandOrigin {
 pub struct Candidate {
     /// Id within the candidate set.
     pub id: CandId,
-    /// Collection (XML column) the index would be created on.
-    pub collection: String,
+    /// Collection (XML column) the index would be created on, shared by
+    /// every candidate of the set on that collection (and by the journal
+    /// events that name it).
+    pub collection: Arc<str>,
     /// The linear XPath index pattern.
     pub pattern: LinearPath,
     /// Key type.
@@ -160,7 +162,7 @@ impl Candidate {
             .get_or_init(|| {
                 TEXT.with_borrow_mut(|text| {
                     text.clear();
-                    write!(text, "{}", self.pattern).expect("writing to a String");
+                    self.pattern.push_to(text);
                     Arc::from(text.as_str())
                 })
             })
@@ -199,6 +201,9 @@ pub struct CandidateSet {
     /// or kind. Keyed structurally (hashing rides the precomputed path
     /// signature) and looked up borrowed.
     by_pattern: HashMap<LinearPath, Vec<CandId>>,
+    /// The collections of the candidates, in first-use order: each
+    /// candidate shares its collection's name.
+    collections: Vec<Arc<str>>,
 }
 
 impl CandidateSet {
@@ -230,9 +235,17 @@ impl CandidateSet {
                 self.by_pattern.insert(pattern.clone(), vec![id]);
             }
         }
+        let collection = match self.collections.iter().find(|c| ***c == *collection) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let name: Arc<str> = collection.into();
+                self.collections.push(Arc::clone(&name));
+                name
+            }
+        };
         self.cands.push(Candidate {
             id,
-            collection: collection.to_string(),
+            collection,
             pattern: pattern.clone(),
             kind,
             origin,
@@ -253,7 +266,7 @@ impl CandidateSet {
     ) -> Option<CandId> {
         self.by_pattern.get(pattern)?.iter().copied().find(|&id| {
             let c = &self.cands[id.index()];
-            c.kind == kind && c.collection == collection
+            c.kind == kind && *c.collection == *collection
         })
     }
 

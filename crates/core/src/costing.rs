@@ -6,7 +6,7 @@
 //! [`CostingState`]: prepared statements, statement signatures and fault
 //! salts, per-candidate relevance rows and derived virtual-index
 //! definitions, baselines, and the unweighted `(class, projection) → cost`
-//! cache. A [`crate::benefit::BenefitEvaluator`] is the thin per-run view
+//! table. A [`crate::benefit::BenefitEvaluator`] is the thin per-run view
 //! over one.
 //!
 //! What is costed is a *costing class*, not a statement. A statement's
@@ -47,11 +47,12 @@
 
 use crate::candidate::{CandId, StmtSet};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use xia_optimizer::{PathStatsMemo, PreparedStatement};
 use xia_storage::IndexDef;
 use xia_workloads::Workload;
-use xia_xpath::{template_fingerprint, write_template_key, CoverCache, RelevanceMatrix};
+use xia_xpath::{template_fingerprint, write_template_key, RelevanceMatrix};
 
 /// A slot no statement of the state has taken yet.
 const UNPLACED: u32 = u32::MAX;
@@ -72,10 +73,100 @@ pub(crate) struct CostClass {
     /// cleanly. A faulted or unanswerable baseline stays `None` and is
     /// asked again by the next run.
     pub(crate) baseline: Option<f64>,
-    /// Canonical projection of a sub-configuration onto the class's
-    /// relevant candidates → cost. Coordinator-only. Tainted
-    /// (fault/fallback) costs are never inserted.
-    pub(crate) costs: HashMap<Vec<CandId>, f64>,
+}
+
+/// Hashes keys that are hashes already — template fingerprints, class
+/// numbers and FNV projection hashes — with one multiply per word
+/// instead of SipHash.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(26) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+}
+
+/// A map keyed by `(class, projection hash)`.
+pub(crate) type ByProjection<V> = HashMap<(u32, u64), V, BuildHasherDefault<KeyHasher>>;
+
+/// No further entry on a collision chain.
+const END: u32 = u32::MAX;
+
+/// One held costing: where its projection sits in the arena, its cost,
+/// and the next entry filed under the same `(class, hash)`.
+struct CostEntry {
+    at: u32,
+    len: u32,
+    cost: f64,
+    next: u32,
+}
+
+/// Every `(class, projection) → cost` costing the state holds. Keyed by
+/// the class and the projection's FNV hash (the one its fault salt is
+/// made from); each projection is stored once, in one arena, and a hit is
+/// confirmed by comparing it, so two projections with one hash are chained
+/// side by side and never answer for each other. Coordinator-only.
+/// Tainted (fault/fallback) costs are never inserted.
+#[derive(Default)]
+pub(crate) struct CostTable {
+    first: ByProjection<u32>,
+    entries: Vec<CostEntry>,
+    arena: Vec<CandId>,
+}
+
+impl CostTable {
+    /// The entry holding `proj` under `(class, hash)`, if any.
+    fn find(&self, class: u32, hash: u64, proj: &[CandId]) -> Option<usize> {
+        let mut at = *self.first.get(&(class, hash))?;
+        while at != END {
+            let entry = &self.entries[at as usize];
+            let held = &self.arena[entry.at as usize..(entry.at + entry.len) as usize];
+            if held == proj {
+                return Some(at as usize);
+            }
+            at = entry.next;
+        }
+        None
+    }
+
+    /// The cost held for `proj` (of hash `hash`) under `class`.
+    pub(crate) fn get(&self, class: u32, hash: u64, proj: &[CandId]) -> Option<f64> {
+        self.find(class, hash, proj).map(|at| self.entries[at].cost)
+    }
+
+    /// Holds `cost` for `proj` (of hash `hash`) under `class`; `true` when
+    /// the costing is new (one held already is overwritten).
+    fn insert(&mut self, class: u32, hash: u64, proj: &[CandId], cost: f64) -> bool {
+        if let Some(at) = self.find(class, hash, proj) {
+            self.entries[at].cost = cost;
+            return false;
+        }
+        let id = u32::try_from(self.entries.len()).expect("fewer than 2^32 costings");
+        let next = self.first.insert((class, hash), id).unwrap_or(END);
+        self.entries.push(CostEntry {
+            at: u32::try_from(self.arena.len()).expect("projections fit 2^32 members"),
+            len: proj.len() as u32,
+            cost,
+            next,
+        });
+        self.arena.extend_from_slice(proj);
+        true
+    }
 }
 
 /// Retained costing state; see the module docs. Fields are crate-visible
@@ -97,7 +188,7 @@ pub struct CostingState {
     /// is confirmed by comparing whole template keys; a statement whose
     /// fingerprint collides with another template's opens its own class,
     /// which this map does not file.
-    pub(crate) class_of_fingerprint: HashMap<u64, u32>,
+    pub(crate) class_of_fingerprint: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
     /// Per workload slot ([`xia_workloads::Workload::slot`]): the first
     /// statement of that slot the state has seen (`u32::MAX`: none yet).
     /// A statement of a placed slot shares its statement, so it joins that
@@ -128,11 +219,8 @@ pub struct CostingState {
     /// costing it takes part in. Outer `None`: not derived yet; inner
     /// `None`: the candidate's collection has no visible statistics.
     pub(crate) defs: Vec<Option<Option<Arc<IndexDef>>>>,
-    /// Shared containment-verdict cache: the relevance rows, greedy
-    /// coverage bitmaps, and top-down leftover fill all ask the same
-    /// `(general, specific)` questions repeatedly. Coordinator-only, so
-    /// its hit counters are invariant under `jobs`.
-    pub(crate) cover_cache: CoverCache,
+    /// The `(class, projection) → cost` costings held (see [`CostTable`]).
+    pub(crate) costs: CostTable,
     /// Per-class costings held: clean baselines plus cached costs.
     pub(crate) costings: usize,
     /// Per-statement costings evaluators have asked of this state
@@ -178,14 +266,16 @@ impl CostingState {
     /// Statement `si` of `workload`'s costing class, if the state has one
     /// for it, and the statement's fault salt. A statement of a slot the
     /// state has placed joins the class of that slot's first statement; any
-    /// other one walks its template once for the fingerprint, and a
-    /// fingerprint hit is confirmed by writing both template keys into
-    /// `keys` (reused, so a confirmation allocates nothing once they have
-    /// grown).
+    /// other one takes its template fingerprint from `fingerprint` when the
+    /// caller knows it (a compressed workload's templates) and walks its
+    /// template once for it otherwise, and a fingerprint hit is confirmed
+    /// by writing both template keys into `keys` (reused, so a
+    /// confirmation allocates nothing once they have grown).
     pub(crate) fn class_for(
         &mut self,
         workload: &Workload,
         si: usize,
+        fingerprint: Option<u64>,
         keys: &mut [String; 2],
     ) -> (Option<u32>, u64) {
         let slot = workload.slot(si);
@@ -201,7 +291,8 @@ impl CostingState {
         }
         self.slot_first[slot] = u32::try_from(si).expect("fewer than 2^32 statements");
         let statement = workload.entry(si).statement;
-        let fingerprint = template_fingerprint(statement);
+        let fingerprint = fingerprint.unwrap_or_else(|| template_fingerprint(statement));
+        debug_assert_eq!(fingerprint, template_fingerprint(statement));
         let class = (self.class_of_fingerprint.get(&fingerprint).copied()).filter(|&class| {
             let opener = workload
                 .entry(self.classes[class as usize].opener as usize)
@@ -234,19 +325,58 @@ impl CostingState {
             members: 0,
             prepared,
             baseline: None,
-            costs: HashMap::new(),
         });
         class
     }
 
-    /// Records one `(class, projection)` costing.
-    pub(crate) fn insert_cost(&mut self, class: u32, proj: Vec<CandId>, cost: f64) {
-        if self.classes[class as usize]
-            .costs
-            .insert(proj, cost)
-            .is_none()
-        {
+    /// Records one `(class, projection)` costing; `hash` is the
+    /// projection's.
+    pub(crate) fn insert_cost(&mut self, class: u32, hash: u64, proj: &[CandId], cost: f64) {
+        if self.costs.insert(class, hash, proj, cost) {
             self.costings += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(raw: &[u32]) -> Vec<CandId> {
+        raw.iter().map(|&id| CandId(id)).collect()
+    }
+
+    /// Projections filed under one `(class, hash)` — a hash collision — are
+    /// chained side by side: each answers only for itself, each counts as
+    /// its own costing, and the empty projection is a projection like any
+    /// other. The same projection under another class or hash is another
+    /// costing.
+    #[test]
+    fn colliding_projections_are_held_apart() {
+        let mut state = CostingState::default();
+        let (a, b, empty) = (ids(&[1, 4]), ids(&[2, 3, 9]), ids(&[]));
+        for (proj, cost) in [(&a, 10.0), (&b, 20.0), (&empty, 30.0)] {
+            state.insert_cost(0, 7, proj, cost);
+        }
+        assert_eq!(state.costings(), 3);
+        assert_eq!(state.costs.get(0, 7, &a), Some(10.0));
+        assert_eq!(state.costs.get(0, 7, &b), Some(20.0));
+        assert_eq!(state.costs.get(0, 7, &empty), Some(30.0));
+        assert_eq!(
+            state.costs.get(0, 7, &ids(&[1])),
+            None,
+            "a prefix is not held"
+        );
+        assert_eq!(state.costs.get(1, 7, &a), None, "another class");
+        assert_eq!(state.costs.get(0, 8, &a), None, "another hash");
+
+        // Holding a costing again overwrites it and counts nothing.
+        state.insert_cost(0, 7, &b, 25.0);
+        assert_eq!(state.costings(), 3);
+        assert_eq!(state.costs.get(0, 7, &b), Some(25.0));
+        state.insert_cost(1, 7, &a, 40.0);
+        assert_eq!(state.costings(), 4);
+        assert_eq!(state.costs.get(0, 7, &a), Some(10.0));
+        assert_eq!(state.costs.get(1, 7, &a), Some(40.0));
     }
 }

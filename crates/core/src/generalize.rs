@@ -199,7 +199,7 @@ fn generalize_set_naive(set: &mut CandidateSet, t: &Telemetry, j: &EventJournal)
                 if ca.collection != cb.collection || ca.kind != cb.kind {
                     continue;
                 }
-                let (coll, kind) = (ca.collection.clone(), ca.kind);
+                let (coll, kind) = (Arc::clone(&ca.collection), ca.kind);
                 let results = generalize_pair(&ca.pattern, &cb.pattern);
                 apply_pair_results(set, &results, a, b, &coll, kind, j, |gid| {
                     new_ids.push(gid);
@@ -333,6 +333,10 @@ pub fn generalize_set_extend(
     created
 }
 
+/// A compatibility bucket's key: the collection (shared with its
+/// candidates) and the key type.
+type BucketKey = (Arc<str>, ValueKind);
+
 /// What a pair visit of the fixpoint reads besides the set, recorded once
 /// per candidate when it joins: its compatibility bucket (each bucket
 /// holding its (collection, kind) key) and the dense id of its pattern,
@@ -340,7 +344,7 @@ pub fn generalize_set_extend(
 /// itself, so no visit clones a pattern or a collection name.
 #[derive(Default)]
 struct Members {
-    buckets: Vec<((String, ValueKind), Vec<CandId>)>,
+    buckets: Vec<(BucketKey, Vec<CandId>)>,
     bucket_of: Vec<usize>,
     pattern_ids: HashMap<LinearPath, u32>,
     pattern_of: Vec<u32>,
@@ -384,7 +388,7 @@ fn apply_pair_results(
     results: &[LinearPath],
     a: CandId,
     b: CandId,
-    coll: &str,
+    coll: &Arc<str>,
     kind: ValueKind,
     j: &EventJournal,
     mut on_new: impl FnMut(CandId),
@@ -407,7 +411,7 @@ fn apply_pair_results(
         set.add_edge(gid, b);
         if existing.is_none() {
             j.emit_batch(|| {
-                let collection: Arc<str> = coll.into();
+                let collection = Arc::clone(coll);
                 let result = set.get(gid).pattern_text();
                 [
                     Event::PairGeneralized {

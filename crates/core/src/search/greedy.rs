@@ -325,17 +325,9 @@ pub(crate) fn basics_covered_by(
     id: CandId,
     basics: &[CandId],
 ) -> Vec<CandId> {
-    let set = ev.candidates();
-    let c = set.get(id);
     basics
         .iter()
         .copied()
-        .filter(|&b| {
-            let cb = set.get(b);
-            b != id
-                && cb.collection == c.collection
-                && cb.kind == c.kind
-                && ev.covers(&c.pattern, &cb.pattern)
-        })
+        .filter(|&b| b != id && super::covers_candidate(ev, id, b))
         .collect()
 }

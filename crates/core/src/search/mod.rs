@@ -38,6 +38,31 @@ pub use topdown::top_down;
 use crate::benefit::BenefitEvaluator;
 use crate::candidate::CandId;
 use std::collections::HashMap;
+use std::time::Instant;
+use xia_obs::Hist;
+
+/// Whether candidate `general`'s index could answer everything candidate
+/// `specific`'s could: same collection and kind, and a covering pattern.
+/// The searches' coverage check, timed into the `contain_check`
+/// histogram.
+pub(crate) fn covers_candidate(
+    ev: &BenefitEvaluator<'_>,
+    general: CandId,
+    specific: CandId,
+) -> bool {
+    let set = ev.candidates();
+    let (g, s) = (set.get(general), set.get(specific));
+    if g.collection != s.collection || g.kind != s.kind {
+        return false;
+    }
+    let telemetry = ev.telemetry();
+    let t0 = telemetry.is_enabled().then(Instant::now);
+    let verdict = xia_xpath::covers(&g.pattern, &s.pattern);
+    if let Some(t0) = t0 {
+        telemetry.record(Hist::ContainCheck, t0.elapsed());
+    }
+    verdict
+}
 
 /// Shared helper: standalone (single-index) benefits. Evaluated as one
 /// batch so every singleton's what-if calls fan out across the evaluator's

@@ -232,11 +232,7 @@ fn fill_leftover(
         };
         // Skip candidates already covered by a chosen index of the same
         // collection and kind — the optimizer would use only one of them.
-        let c = ev.candidates().get(id);
-        let covered = current.iter().any(|&g| {
-            let cg = ev.candidates().get(g);
-            cg.collection == c.collection && cg.kind == c.kind && ev.covers(&cg.pattern, &c.pattern)
-        });
+        let covered = current.iter().any(|&g| super::covers_candidate(ev, g, id));
         if covered {
             continue;
         }

@@ -32,14 +32,18 @@
 //! benefit evaluator, and one recommendation per algorithm at half the
 //! All-Index size. The core allocates per statement and per new costing,
 //! not per path step, generalization pair or probe; the counts it made
-//! when it did are kept beside the pins.
+//! when it did are kept beside the pins. A costing served from a retained
+//! state's cost table allocates nothing at all.
 //!
 //! The counters are per thread, so each test counts only its own
 //! allocations while the harness runs the tests side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xia_advisor::{compress_workload, Advisor, AdvisorParams, BenefitEvaluator, SearchAlgorithm};
+use xia_advisor::{
+    compress_workload, Advisor, AdvisorParams, BenefitEvaluator, CandId, CostingState,
+    SearchAlgorithm,
+};
 use xia_obs::{EventJournal, Telemetry};
 use xia_optimizer::statement_signature;
 use xia_storage::Database;
@@ -285,14 +289,14 @@ fn covers_allocates_nothing() {
 /// build's, and what the core made while it cloned keys per probe and
 /// normalized each statement three times.
 const ADVISOR_STAGES: [(&str, u64, u64); 8] = [
-    ("prepare", 4_947, 21_997),
-    ("evaluator", 2_990, 12_934),
-    ("greedy", 9_638, 49_106),
-    ("heuristics", 11_433, 52_383),
-    ("topdown-lite", 10_073, 48_749),
-    ("topdown-full", 17_432, 80_585),
-    ("dp", 9_710, 49_179),
-    ("cophy", 6_857, 30_455),
+    ("prepare", 4_813, 21_997),
+    ("evaluator", 1_914, 12_934),
+    ("greedy", 7_791, 49_106),
+    ("heuristics", 9_494, 52_383),
+    ("topdown-lite", 8_226, 48_749),
+    ("topdown-full", 15_439, 80_585),
+    ("dp", 7_865, 49_179),
+    ("cophy", 6_071, 30_455),
 ];
 
 #[test]
@@ -373,5 +377,63 @@ fn an_armed_journal_allocates_per_event_not_per_pattern() {
         "armed: {on} allocations, off: {off}; {events} events and {candidates} candidates \
          allow {}",
         events + candidates + 32
+    );
+}
+
+/// Allocations of [`a_warm_re_evaluation_allocates_nothing_per_costing`]'s
+/// warm evaluations, over the workload and over it read twice.
+const WARM_ALLOCATIONS: u64 = 1_534;
+const WARM_ALLOCATIONS_TWICE: u64 = 1_594;
+
+/// A warm re-evaluation allocates per evaluation, never per costing. A
+/// second evaluator over a costing state that already holds every costing
+/// it needs answers each one from the state's cost table, without an
+/// optimizer call. Over the workload read twice it serves twice the
+/// costings with the same allocations, bar one more growth of an
+/// evaluation's task list: the evaluation's keys, groups and tasks are
+/// all it allocates.
+#[test]
+fn a_warm_re_evaluation_allocates_nothing_per_costing() {
+    let (mut db, workload) = advisor_workload();
+    let params = one_job();
+    let set = Advisor::prepare(&mut db, &workload, &params);
+    let basics = set.basic_ids();
+    let mut configs: Vec<Vec<CandId>> = set.ids().map(|id| vec![id]).collect();
+    configs.extend(basics.windows(2).map(<[CandId]>::to_vec));
+    configs.push(basics.clone());
+    let calls = configs.len() as u64;
+    let warm = |workload: &Workload| {
+        let probe = |ev: &mut BenefitEvaluator<'_>| -> Vec<u64> {
+            configs.iter().map(|c| ev.benefit(c).to_bits()).collect()
+        };
+        let mut state = CostingState::default();
+        let cold = probe(&mut BenefitEvaluator::retained(
+            &db, workload, &set, &params, &mut state,
+        ));
+        let mut ev = BenefitEvaluator::retained(&db, workload, &set, &params, &mut state);
+        let (values, allocations) = counted(|| probe(&mut ev));
+        assert_eq!(
+            values, cold,
+            "a served costing is the one the optimizer made"
+        );
+        let stats = ev.eval_stats();
+        assert_eq!(stats.optimizer_calls, 0, "every costing is held");
+        (allocations, stats.stmt_cache_hits)
+    };
+    let (once, served) = warm(&workload);
+    let (twice, served_twice) = warm(&workload.concat(&workload));
+    assert!(
+        served > 20 * calls,
+        "{served} costings served by {calls} evaluations"
+    );
+    assert_eq!(served_twice, 2 * served);
+    assert!(
+        twice <= once + calls,
+        "{once} allocations serving {served} costings, {twice} serving {served_twice}"
+    );
+    assert_eq!(
+        (once, twice),
+        (WARM_ALLOCATIONS, WARM_ALLOCATIONS_TWICE),
+        "re-pin if the change is meant"
     );
 }

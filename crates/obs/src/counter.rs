@@ -74,11 +74,6 @@ pub enum Counter {
     /// `generalize_pair` invocations answered from the canonical-pair memo
     /// instead of re-running the rule engine.
     PairsMemoHits,
-    /// Containment verdicts answered from the shared cover cache.
-    ContainCacheHits,
-    /// Containment verdicts decided by the name-mask fast reject without
-    /// running the NFA product search.
-    ContainFastRejects,
     /// Documents ingested through the streaming (SAX-style) parse path
     /// instead of the DOM parser.
     DocsStreamed,
@@ -112,7 +107,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in declaration order.
-    pub const ALL: [Counter; 37] = [
+    pub const ALL: [Counter; 35] = [
         Counter::OptimizerEvaluateCalls,
         Counter::OptimizerEnumerateCalls,
         Counter::IndexMatchingAttempts,
@@ -140,8 +135,6 @@ impl Counter {
         Counter::GeneralizePairsVisited,
         Counter::PairsSkippedBucket,
         Counter::PairsMemoHits,
-        Counter::ContainCacheHits,
-        Counter::ContainFastRejects,
         Counter::DocsStreamed,
         Counter::IngestBatches,
         Counter::ColumnarScanRows,
@@ -185,8 +178,6 @@ impl Counter {
             Counter::GeneralizePairsVisited => "generalize_pairs_visited",
             Counter::PairsSkippedBucket => "pairs_skipped_bucket",
             Counter::PairsMemoHits => "pairs_memo_hits",
-            Counter::ContainCacheHits => "contain_cache_hits",
-            Counter::ContainFastRejects => "contain_fast_rejects",
             Counter::DocsStreamed => "docs_streamed",
             Counter::IngestBatches => "ingest_batches",
             Counter::ColumnarScanRows => "columnar_scan_rows",

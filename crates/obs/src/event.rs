@@ -59,7 +59,10 @@ impl PruneReason {
 /// (not candidate ids) so a journal replays without the candidate set.
 /// Pattern and collection strings are shared (`Arc<str>`): the advisor
 /// renders each candidate's pattern once and every event naming it holds
-/// a reference, so emitting an event copies no text. Fields drawn from a
+/// a reference, so emitting an event copies no text. A what-if event's
+/// configuration is shared whole (`Arc<[Arc<str>]>`): the evaluator keeps
+/// one per distinct sub-configuration beside its memoized value, so every
+/// later evaluation of it journals without allocating. Fields drawn from a
 /// fixed vocabulary (`kind`, `origin`, `reason`) borrow static names.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
@@ -97,7 +100,7 @@ pub enum Event {
     /// One sub-configuration benefit evaluation resolved.
     WhatIfEvaluated {
         /// Patterns of the evaluated sub-configuration, in key order.
-        config: Vec<Arc<str>>,
+        config: Arc<[Arc<str>]>,
         /// Query-side benefit of the sub-configuration
         /// (`Σ freq·(baseline − indexed)`, the cached value).
         cost: f64,
@@ -326,7 +329,7 @@ impl Event {
                                 .map(Arc::from)
                                 .ok_or_else(|| "non-string config member".to_string())
                         })
-                        .collect::<Result<Vec<_>, _>>()?,
+                        .collect::<Result<Arc<[_]>, _>>()?,
                     _ => return Err(format!("{tag}: missing `config`")),
                 },
                 cost: num_field("cost")?,
@@ -390,7 +393,7 @@ mod tests {
                 reason: PruneReason::SizeRule,
             },
             Event::WhatIfEvaluated {
-                config: vec!["/Security/Symbol".into(), "/Security/Yield".into()],
+                config: ["/Security/Symbol".into(), "/Security/Yield".into()].into(),
                 cost: 1234.5,
                 cache_hit: false,
             },

@@ -224,12 +224,12 @@ mod tests {
                 origin: "generalized".into(),
             },
             Event::WhatIfEvaluated {
-                config: vec!["/Security/*".into()],
+                config: ["/Security/*".into()].into(),
                 cost: 120.0,
                 cache_hit: false,
             },
             Event::WhatIfEvaluated {
-                config: vec!["/Security/*".into(), "/Security/Symbol".into()],
+                config: ["/Security/*".into(), "/Security/Symbol".into()].into(),
                 cost: 150.0,
                 cache_hit: true,
             },

@@ -46,16 +46,25 @@
 //!   sets: `general.mask & !specific.mask != 0` proves such a name exists
 //!   (bit collisions can only *hide* a reject, never invent one).
 //!
-//! [`CoverCache`] memoizes verdicts by pattern identity so the relevance
-//! matrix, top-down search, and greedy coverage bitmaps — which re-ask the
-//! same `(candidate, candidate)` questions many times per advise run —
-//! each pay for a verdict once.
+//! **The memo.** An advise run asks the same few hundred `(general,
+//! specific)` questions thousands of times — index matching in every
+//! what-if call, maintenance costing, generalization's safety check,
+//! relevance rows, the searches' coverage checks — so a pair that passes
+//! the guards is decided once per thread and remembered in a small
+//! fixed-capacity table (`Memo`), keyed by a one-pass hash of the two
+//! paths' steps and confirmed by comparing the steps themselves. A pair
+//! whose key another pair already holds (a hash collision) is decided
+//! directly and never answered from the other pair's verdict. The table
+//! lives in thread-local storage and is cleared whole when it fills, so it
+//! never allocates; what-if workers each keep their own. Verdicts are
+//! pure, so the memo changes no answer — only how often the product
+//! search runs ([`covers_unmemoized`] is the same decision without it).
 
 use crate::intern::Sym;
-use crate::linear::{Axis, LinearPath, NameTest};
+use crate::linear::{Axis, LinearPath, LinearStep, NameTest};
 use crate::statement::ValueKind;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
 use xia_xml::{PathId, Symbol, Vocabulary};
 
 /// Patterns of this many steps or more take the equality fallback.
@@ -203,47 +212,213 @@ impl PairList {
     }
 }
 
-/// How [`decide`] reached its verdict: the name-mask reject is told apart
-/// so the cover cache can count it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Verdict {
-    Covers,
-    Refuted,
-    MaskRejected,
-}
-
 /// The one containment decision behind [`covers`] and
-/// [`CoverCache::covers`]: identity, the length fallback, the name-mask
-/// reject, then the kernel. `name_masks` yields `(general, specific)`
-/// masks and is only asked when the mask test is reached.
+/// [`covers_unmemoized`]: identity, the length fallback and the name-mask
+/// reject, then `kernel` for a pair none of them decides.
 fn decide(
     general: &LinearPath,
     specific: &LinearPath,
-    name_masks: impl FnOnce() -> (u64, u64),
-) -> Verdict {
+    kernel: impl FnOnce(&LinearPath, &LinearPath) -> bool,
+) -> bool {
     if general == specific {
-        return Verdict::Covers; // identity: L ⊆ L
+        return true; // identity: L ⊆ L
     }
     if general.len() >= KERNEL_STEPS || specific.len() >= KERNEL_STEPS {
-        return Verdict::Refuted; // equality fallback, and they differ
+        return false; // equality fallback, and they differ
     }
-    let (general_mask, specific_mask) = name_masks();
-    if general_mask & !specific_mask != 0 {
-        return Verdict::MaskRejected;
+    if general.name_mask() & !specific.name_mask() != 0 {
+        return false;
     }
-    if covers_full(general, specific) {
-        Verdict::Covers
-    } else {
-        Verdict::Refuted
-    }
+    kernel(general, specific)
 }
 
 /// Returns `true` iff every rooted label path matched by `specific` is also
 /// matched by `general` (language inclusion `L(specific) ⊆ L(general)`).
+/// A pair the guards do not decide is answered from this thread's memo,
+/// or searched once and remembered there.
 pub fn covers(general: &LinearPath, specific: &LinearPath) -> bool {
-    decide(general, specific, || {
-        (general.name_mask(), specific.name_mask())
-    }) == Verdict::Covers
+    decide(general, specific, |general, specific| {
+        match pair_key(general, specific) {
+            Some(key) => MEMO.with(|memo| memo.borrow_mut().verdict(key, general, specific)),
+            None => covers_full(general, specific),
+        }
+    })
+}
+
+/// [`covers`] without the memo: the guards, then the product search,
+/// every time. The reference the memo is checked against.
+pub fn covers_unmemoized(general: &LinearPath, specific: &LinearPath) -> bool {
+    decide(general, specific, covers_full)
+}
+
+/// Slots of the verdict memo; a power of two.
+const MEMO_SLOTS: usize = 1024;
+
+/// Verdicts the memo holds before it is cleared: three quarters of its
+/// slots, so a probe always ends at an empty slot.
+pub const MEMO_ENTRIES: usize = MEMO_SLOTS / 4 * 3;
+
+/// Step codes the memo's arena holds; a pair whose steps do not fit clears
+/// the memo too.
+const MEMO_STEPS: usize = 8192;
+
+/// A slot's verdict byte: empty, or the remembered answer.
+const EMPTY: u8 = 0;
+const REFUTED: u8 = 1;
+const COVERED: u8 = 2;
+
+/// One remembered pair: its key, where its step codes sit in the arena
+/// (`general`'s, then `specific`'s) and its verdict.
+#[derive(Clone, Copy)]
+struct MemoSlot {
+    key: u64,
+    at: u16,
+    general_len: u8,
+    specific_len: u8,
+    verdict: u8,
+}
+
+impl MemoSlot {
+    const EMPTY: Self = Self {
+        key: 0,
+        at: 0,
+        general_len: 0,
+        specific_len: 0,
+        verdict: EMPTY,
+    };
+}
+
+/// The verdict memo: an open-addressing table of [`MEMO_SLOTS`] slots
+/// (linear probing) over an arena of step codes, all inline, so a thread's
+/// memo is one zeroed block of thread-local storage and never allocates.
+/// A step's code is its symbol id and axis ([`step_code`]); two pairs are
+/// the same pair iff their keys and codes are equal.
+struct Memo {
+    slots: [MemoSlot; MEMO_SLOTS],
+    steps: [u32; MEMO_STEPS],
+    /// Arena codes in use.
+    used: usize,
+    /// Slots in use.
+    entries: usize,
+    /// Times the memo has filled and been cleared.
+    clears: u64,
+}
+
+thread_local! {
+    /// This thread's verdict memo.
+    static MEMO: RefCell<Memo> = const { RefCell::new(Memo::EMPTY) };
+}
+
+/// A step's arena code: the wildcard's codes are 0 and 1, a name's are
+/// past them. `None` for a symbol id too large to code (the pair is then
+/// decided without the memo).
+fn step_code(step: &LinearStep) -> Option<u32> {
+    let axis = u32::from(step.axis == Axis::Descendant);
+    let test = match step.test {
+        NameTest::Wildcard => 0,
+        NameTest::Name(sym) => sym.id().checked_add(1)?,
+    };
+    test.checked_mul(2).map(|code| code | axis)
+}
+
+/// A pair's memo key: a polynomial hash of both paths' step codes (one
+/// multiply-add per step), seeded with `general`'s length so the split
+/// between the two paths counts. `None` when a step has no code.
+fn pair_key(general: &LinearPath, specific: &LinearPath) -> Option<u64> {
+    let mut key = general.len() as u64 + 1;
+    for step in general.steps.iter().chain(&specific.steps) {
+        let code = u64::from(step_code(step)?) + 1;
+        key = key.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(code);
+    }
+    Some(key)
+}
+
+impl Memo {
+    const EMPTY: Self = Self {
+        slots: [MemoSlot::EMPTY; MEMO_SLOTS],
+        steps: [0; MEMO_STEPS],
+        used: 0,
+        entries: 0,
+        clears: 0,
+    };
+
+    /// The slot a probe for `key` starts at.
+    fn home(key: u64) -> usize {
+        let mixed = (key ^ (key >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (mixed >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// Whether `slot` holds exactly the pair `(general, specific)`.
+    fn holds(&self, slot: &MemoSlot, general: &LinearPath, specific: &LinearPath) -> bool {
+        if usize::from(slot.general_len) != general.len()
+            || usize::from(slot.specific_len) != specific.len()
+        {
+            return false;
+        }
+        let codes = &self.steps[usize::from(slot.at)..];
+        (general.steps.iter().chain(&specific.steps))
+            .zip(codes)
+            .all(|(step, &code)| step_code(step) == Some(code))
+    }
+
+    /// The verdict on `(general, specific)`, filed under `key`: the
+    /// remembered one, or the product search's, remembered. A pair whose
+    /// key holds another pair is searched and not remembered. Both paths
+    /// have fewer than [`KERNEL_STEPS`] steps.
+    fn verdict(&mut self, key: u64, general: &LinearPath, specific: &LinearPath) -> bool {
+        let mut at = Self::home(key);
+        loop {
+            let slot = self.slots[at];
+            if slot.verdict == EMPTY {
+                break;
+            }
+            if slot.key == key {
+                return if self.holds(&slot, general, specific) {
+                    slot.verdict == COVERED
+                } else {
+                    covers_full(general, specific)
+                };
+            }
+            at = (at + 1) % MEMO_SLOTS;
+        }
+        let covered = covers_full(general, specific);
+        self.remember(at, key, general, specific, covered);
+        covered
+    }
+
+    /// Files a decided pair at the empty slot `at`, clearing the memo
+    /// first when it is full or its arena has no room for the steps.
+    fn remember(
+        &mut self,
+        mut at: usize,
+        key: u64,
+        general: &LinearPath,
+        specific: &LinearPath,
+        covered: bool,
+    ) {
+        let len = general.len() + specific.len();
+        if self.entries == MEMO_ENTRIES || self.used + len > MEMO_STEPS {
+            self.slots = [MemoSlot::EMPTY; MEMO_SLOTS];
+            self.used = 0;
+            self.entries = 0;
+            self.clears += 1;
+            at = Self::home(key);
+        }
+        let steps = general.steps.iter().chain(&specific.steps);
+        for (code, step) in self.steps[self.used..self.used + len].iter_mut().zip(steps) {
+            // Every step has a code: the pair has a key.
+            *code = step_code(step).unwrap_or_default();
+        }
+        self.slots[at] = MemoSlot {
+            key,
+            at: self.used as u16,
+            general_len: general.len() as u8,
+            specific_len: specific.len() as u8,
+            verdict: if covered { COVERED } else { REFUTED },
+        };
+        self.used += len;
+        self.entries += 1;
+    }
 }
 
 /// The product search, without the identity/mask guards. Both patterns
@@ -289,99 +464,6 @@ pub fn equivalent(a: &LinearPath, b: &LinearPath) -> bool {
     covers(a, b) && covers(b, a)
 }
 
-/// Dense identity of a pattern inside a [`CoverCache`]: assigned on first
-/// sight, stable for the cache's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PatternId(u32);
-
-/// Hit/reject statistics of a [`CoverCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoverCacheStats {
-    /// Verdicts answered from the memo table.
-    pub hits: u64,
-    /// Verdicts decided by the name-mask fast reject (on a memo miss).
-    pub fast_rejects: u64,
-    /// Distinct `(general, specific)` verdicts stored.
-    pub entries: u64,
-}
-
-#[derive(Default)]
-struct CoverCacheInner {
-    ids: HashMap<LinearPath, PatternId>,
-    /// Per pattern id: precomputed name mask (index = id).
-    masks: Vec<u64>,
-    verdicts: HashMap<(PatternId, PatternId), bool>,
-    hits: u64,
-    fast_rejects: u64,
-}
-
-/// Shared containment-verdict memo keyed by pattern identity.
-///
-/// One instance lives in the benefit evaluator per advise run and is
-/// consulted by everything on the coordinator path that asks containment
-/// questions about the (fixed) candidate set: relevance-matrix
-/// construction, the top-down search's covered-check, and the greedy
-/// search's coverage bitmaps. Verdicts are pure, so caching cannot change
-/// results — only how often the NFA product search runs.
-#[derive(Default)]
-pub struct CoverCache {
-    inner: Mutex<CoverCacheInner>,
-}
-
-impl CoverCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Memoized [`covers`]: identical verdicts, computed at most once per
-    /// `(general, specific)` pattern pair.
-    pub fn covers(&self, general: &LinearPath, specific: &LinearPath) -> bool {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let g = Self::id_of(&mut inner, general);
-        let s = Self::id_of(&mut inner, specific);
-        if let Some(&v) = inner.verdicts.get(&(g, s)) {
-            inner.hits += 1;
-            return v;
-        }
-        let decided = decide(general, specific, || {
-            (inner.masks[g.0 as usize], inner.masks[s.0 as usize])
-        });
-        if decided == Verdict::MaskRejected {
-            inner.fast_rejects += 1;
-        }
-        let verdict = decided == Verdict::Covers;
-        inner.verdicts.insert((g, s), verdict);
-        verdict
-    }
-
-    fn id_of(inner: &mut CoverCacheInner, pattern: &LinearPath) -> PatternId {
-        if let Some(&id) = inner.ids.get(pattern) {
-            return id;
-        }
-        let id = PatternId(inner.masks.len() as u32);
-        inner.masks.push(pattern.name_mask());
-        inner.ids.insert(pattern.clone(), id);
-        id
-    }
-
-    /// Current statistics snapshot.
-    pub fn stats(&self) -> CoverCacheStats {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        CoverCacheStats {
-            hits: inner.hits,
-            fast_rejects: inner.fast_rejects,
-            entries: inner.verdicts.len() as u64,
-        }
-    }
-}
-
 /// The access-pattern surface of one workload statement, as seen by index
 /// matching: the collection it touches and the indexable linear patterns it
 /// probes, each with the comparison's value kind (`None` for existence
@@ -412,22 +494,6 @@ impl StatementSignature {
                 .iter()
                 .any(|(q, kq)| kq.is_none_or(|k| k == kind) && covers(pattern, q))
     }
-
-    /// [`Self::admits`] with containment verdicts routed through a shared
-    /// [`CoverCache`]. Same result; repeated pattern pairs cost one lookup.
-    pub fn admits_with(
-        &self,
-        collection: &str,
-        pattern: &LinearPath,
-        kind: ValueKind,
-        cache: &CoverCache,
-    ) -> bool {
-        self.collection == collection
-            && self
-                .targets
-                .iter()
-                .any(|(q, kq)| kq.is_none_or(|k| k == kind) && cache.covers(pattern, q))
-    }
 }
 
 /// Precomputed statement-relevance matrix: for each candidate index
@@ -440,13 +506,21 @@ impl StatementSignature {
 /// signatures (templates that differ in a range literal or a return path
 /// probe the same patterns). The matrix therefore keeps each distinct
 /// signature once, asks it once per candidate, and fans the verdict out to
-/// its member statements.
+/// its member statements. Distinct signatures still share most of their
+/// targets, so those are kept once too: a row decides each distinct
+/// `(pattern, kind)` target at most once, and a signature is admitted iff
+/// it is on the row's collection and one of its targets is.
 #[derive(Debug, Default)]
 pub struct RelevanceMatrix {
-    /// The distinct signatures, in first-occurrence order.
-    distinct: Vec<StatementSignature>,
+    /// The distinct signatures, in first-occurrence order: each one's
+    /// collection and its targets' indexes in `targets`.
+    distinct: Vec<(String, Vec<u32>)>,
     /// Each distinct signature's index in `distinct`.
     index: HashMap<StatementSignature, usize>,
+    /// The distinct targets of all signatures, in first-occurrence order.
+    targets: Vec<(LinearPath, Option<ValueKind>)>,
+    /// Each distinct target's index in `targets`.
+    target_index: HashMap<(LinearPath, Option<ValueKind>), u32>,
     /// Per statement, in workload order: its signature's index in
     /// `distinct`.
     group_of: Vec<usize>,
@@ -470,12 +544,28 @@ impl RelevanceMatrix {
         let group = match self.index.get(&sig) {
             Some(&group) => group,
             None => {
-                self.distinct.push(sig.clone());
+                let ids = (sig.targets.iter())
+                    .map(|target| {
+                        let next = self.targets.len() as u32;
+                        *(self.target_index.entry(target.clone())).or_insert_with(|| {
+                            self.targets.push(target.clone());
+                            next
+                        })
+                    })
+                    .collect();
+                self.distinct.push((sig.collection.clone(), ids));
                 self.index.insert(sig, self.distinct.len() - 1);
                 self.distinct.len() - 1
             }
         };
         self.group_of.push(group);
+    }
+
+    /// Appends the next statement with the signature of statement
+    /// `earlier`, which it is known to share: no signature is built or
+    /// hashed.
+    pub fn push_like(&mut self, earlier: usize) {
+        self.group_of.push(self.group_of[earlier]);
     }
 
     /// Number of statements covered.
@@ -488,21 +578,26 @@ impl RelevanceMatrix {
         self.group_of.is_empty()
     }
 
-    /// The statements `from..` (ascending indexes) whose signature
+    /// The statements `from..` (ascending indexes) whose signature group
     /// `admits`. Each distinct signature among them is asked once, in
-    /// first-occurrence order.
-    fn members_from(
-        &self,
-        from: usize,
-        admits: impl Fn(&StatementSignature) -> bool,
-    ) -> Vec<usize> {
+    /// first-occurrence order, before any statement is collected.
+    fn members_from(&self, from: usize, mut admits: impl FnMut(usize) -> bool) -> Vec<usize> {
+        let groups = &self.group_of[from.min(self.group_of.len())..];
         let mut admitted: Vec<Option<bool>> = vec![None; self.distinct.len()];
-        (from..self.group_of.len())
-            .filter(|&si| {
-                let group = self.group_of[si];
-                *admitted[group].get_or_insert_with(|| admits(&self.distinct[group]))
-            })
-            .collect()
+        for &group in groups {
+            if admitted[group].is_none() {
+                admitted[group] = Some(admits(group));
+            }
+        }
+        let held = |&group: &usize| admitted[group] == Some(true);
+        let mut members = Vec::with_capacity(groups.iter().filter(|g| held(g)).count());
+        members.extend(
+            (from..)
+                .zip(groups)
+                .filter(|(_, g)| held(g))
+                .map(|(si, _)| si),
+        );
+        members
     }
 
     /// The statements (ascending indexes) a candidate index with this
@@ -513,36 +608,29 @@ impl RelevanceMatrix {
         pattern: &LinearPath,
         kind: ValueKind,
     ) -> Vec<usize> {
-        self.members_from(0, |sig| sig.admits(collection, pattern, kind))
-    }
-
-    /// [`Self::relevant_statements`] through a shared [`CoverCache`] —
-    /// candidates generalize each other heavily, so the same
-    /// `(pattern, target)` containment questions recur across rows.
-    pub fn relevant_statements_cached(
-        &self,
-        collection: &str,
-        pattern: &LinearPath,
-        kind: ValueKind,
-        cache: &CoverCache,
-    ) -> Vec<usize> {
-        self.relevant_from(0, collection, pattern, kind, Some(cache))
+        self.relevant_from(0, collection, pattern, kind)
     }
 
     /// The row restricted to statements `from..`: what an existing
-    /// candidate's row gains when the workload grows. Through `cache`
-    /// when one is given, by the plain containment search otherwise.
+    /// candidate's row gains when the workload grows.
     pub fn relevant_from(
         &self,
         from: usize,
         collection: &str,
         pattern: &LinearPath,
         kind: ValueKind,
-        cache: Option<&CoverCache>,
     ) -> Vec<usize> {
-        self.members_from(from, |sig| match cache {
-            Some(cache) => sig.admits_with(collection, pattern, kind, cache),
-            None => sig.admits(collection, pattern, kind),
+        // Per distinct target: not decided yet, or its verdict.
+        let mut matched: Vec<Option<bool>> = vec![None; self.targets.len()];
+        self.members_from(from, |group| {
+            let (group_collection, target_ids) = &self.distinct[group];
+            group_collection == collection
+                && target_ids.iter().any(|&t| {
+                    *matched[t as usize].get_or_insert_with(|| {
+                        let (target, target_kind) = &self.targets[t as usize];
+                        target_kind.is_none_or(|k| k == kind) && covers(pattern, target)
+                    })
+                })
         })
     }
 }
@@ -984,51 +1072,122 @@ mod tests {
         }
     }
 
-    /// The cache returns exactly what plain `covers` returns, answers
-    /// repeats from the memo table, and counts fast rejects.
-    #[test]
-    fn cover_cache_matches_plain_covers_and_counts() {
-        let cache = CoverCache::new();
+    /// The pairs of [`POOL`] that reach the memo: the ones no guard
+    /// decides.
+    fn kernel_pairs() -> Vec<(LinearPath, LinearPath)> {
+        let mut pairs = Vec::new();
         for g in &POOL {
             for s in &POOL {
                 let (gp, sp) = (lp(g), lp(s));
-                assert_eq!(
-                    cache.covers(&gp, &sp),
-                    covers(&gp, &sp),
-                    "cache verdict diverged on ({g}, {s})"
-                );
+                if gp != sp && !mask_rejects(&gp, &sp) {
+                    pairs.push((gp, sp));
+                }
             }
         }
-        let first = cache.stats();
-        assert_eq!(first.entries, (POOL.len() * POOL.len()) as u64);
-        assert_eq!(first.hits, 0, "first pass has no repeats");
-        assert!(first.fast_rejects > 0, "pool contains disjoint-name pairs");
-        // Second pass: all hits, no new entries, no new fast rejects.
-        for g in &POOL {
-            for s in &POOL {
-                let (gp, sp) = (lp(g), lp(s));
-                assert_eq!(cache.covers(&gp, &sp), covers(&gp, &sp));
-            }
-        }
-        let second = cache.stats();
-        assert_eq!(second.entries, first.entries);
-        assert_eq!(second.fast_rejects, first.fast_rejects);
-        assert_eq!(second.hits, (POOL.len() * POOL.len()) as u64);
+        pairs
     }
 
+    fn key(general: &LinearPath, specific: &LinearPath) -> u64 {
+        pair_key(general, specific).expect("every step has a code")
+    }
+
+    /// The memo gives the product search's verdict on every pair, files
+    /// each pair once, and answers a second pass from what it filed.
     #[test]
-    fn cover_cache_handles_long_path_guard() {
-        // Paths at/above the 63-step guard take the equality fallback in
-        // both the plain and cached functions.
+    fn memo_matches_the_unmemoized_search_and_files_each_pair_once() {
+        let mut memo = Box::new(Memo::EMPTY);
+        let pairs = kernel_pairs();
+        assert!(pairs.len() > 50, "{} pairs reach the kernel", pairs.len());
+        for (g, s) in &pairs {
+            assert_eq!(
+                memo.verdict(key(g, s), g, s),
+                covers_full(g, s),
+                "({g}, {s})"
+            );
+            assert_eq!(covers(g, s), covers_unmemoized(g, s), "({g}, {s})");
+        }
+        assert_eq!(memo.entries, pairs.len());
+        let used = memo.used;
+        for (g, s) in &pairs {
+            assert_eq!(
+                memo.verdict(key(g, s), g, s),
+                covers_full(g, s),
+                "({g}, {s})"
+            );
+        }
+        assert_eq!(
+            (memo.entries, memo.used, memo.clears),
+            (pairs.len(), used, 0)
+        );
+    }
+
+    /// Paths at or above the 63-step guard take the equality fallback
+    /// without reaching the memo.
+    #[test]
+    fn memo_handles_long_path_guard() {
         let long = LinearPath::from_labels((0..70).map(|_| "n").collect::<Vec<_>>());
         let short = lp("/n");
-        let cache = CoverCache::new();
-        assert!(cache.covers(&long, &long));
-        assert!(!cache.covers(&long, &short));
-        assert!(!cache.covers(&short, &long));
-        assert_eq!(cache.covers(&long, &long), covers(&long, &long));
-        assert_eq!(cache.covers(&long, &short), covers(&long, &short));
-        assert_eq!(cache.covers(&short, &long), covers(&short, &long));
+        let before = MEMO.with(|memo| memo.borrow().entries);
+        assert!(covers(&long, &long));
+        assert!(!covers(&long, &short));
+        assert!(!covers(&short, &long));
+        for (g, s) in [(&long, &long), (&long, &short), (&short, &long)] {
+            assert_eq!(covers(g, s), covers_unmemoized(g, s));
+        }
+        assert_eq!(MEMO.with(|memo| memo.borrow().entries), before);
+    }
+
+    /// Two distinct pairs forced onto one key: each is decided on its own,
+    /// the one filed first keeps its slot, and the other is never answered
+    /// from it.
+    #[test]
+    fn pairs_sharing_a_key_are_each_decided_on_their_own() {
+        let (held, refuted) = ((lp("/a//*"), lp("/a/b/c")), (lp("/a/*"), lp("/a/b/c")));
+        assert!(covers_full(&held.0, &held.1) && !covers_full(&refuted.0, &refuted.1));
+        for (first, second) in [(&held, &refuted), (&refuted, &held)] {
+            let mut memo = Box::new(Memo::EMPTY);
+            let shared = key(&first.0, &first.1);
+            let want = |pair: &(LinearPath, LinearPath)| covers_full(&pair.0, &pair.1);
+            for _ in 0..3 {
+                assert_eq!(memo.verdict(shared, &first.0, &first.1), want(first));
+                assert_eq!(memo.verdict(shared, &second.0, &second.1), want(second));
+            }
+            assert_eq!(memo.entries, 1, "the second pair is not filed");
+        }
+    }
+
+    /// A memo filled past [`MEMO_ENTRIES`] verdicts, or past its arena,
+    /// clears and goes on answering as the product search does.
+    #[test]
+    fn a_full_memo_clears_and_answers_alike() {
+        let mut memo = Box::new(Memo::EMPTY);
+        let universal = LinearPath::universal();
+        let names: Vec<String> = (0..MEMO_ENTRIES + 10)
+            .map(|i| format!("memo_f{i}"))
+            .collect();
+        for round in 1..=2 {
+            for name in &names {
+                let specific = lp(&format!("/a/{name}"));
+                let k = key(&universal, &specific);
+                assert!(memo.verdict(k, &universal, &specific));
+                assert!(memo.entries <= MEMO_ENTRIES);
+            }
+            assert_eq!(memo.clears, round, "{} pairs per round", names.len());
+        }
+        // Long pairs fill the arena before the slots.
+        let mut memo = Box::new(Memo::EMPTY);
+        let deep =
+            |i: usize| LinearPath::from_labels((0..60).map(|d| if d == i { "x" } else { "y" }));
+        for general in [lp("//x"), lp("//x//*"), lp("//*//x")] {
+            for i in 0..60 {
+                let specific = deep(i);
+                let k = key(&general, &specific);
+                let want = covers_full(&general, &specific);
+                assert_eq!(memo.verdict(k, &general, &specific), want);
+            }
+        }
+        assert!(memo.clears >= 1 && memo.entries < MEMO_ENTRIES);
+        assert!(memo.used <= MEMO_STEPS);
     }
 
     #[test]
@@ -1117,49 +1276,6 @@ mod tests {
         }
     }
 
-    /// The cached relevance rows are identical to the uncached ones for
-    /// every (collection, pattern, kind) probe over a generated workload.
-    #[test]
-    fn cached_relevance_rows_match_uncached() {
-        let mut state = 0xD37Eu64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            (z ^ (z >> 31)) as usize
-        };
-        let kinds = [Some(ValueKind::Str), Some(ValueKind::Num), None];
-        let colls = ["C1", "C2"];
-        let mut sigs = Vec::new();
-        for _ in 0..30 {
-            let collection = colls[next() % colls.len()].to_string();
-            let n = 1 + next() % 3;
-            let targets = (0..n)
-                .map(|_| (lp(POOL[next() % POOL.len()]), kinds[next() % kinds.len()]))
-                .collect();
-            sigs.push(StatementSignature {
-                collection,
-                targets,
-            });
-        }
-        let m = RelevanceMatrix::new(sigs);
-        let cache = CoverCache::new();
-        for p in &POOL {
-            let pat = lp(p);
-            for coll in &colls {
-                for kind in [ValueKind::Str, ValueKind::Num] {
-                    assert_eq!(
-                        m.relevant_statements_cached(coll, &pat, kind, &cache),
-                        m.relevant_statements(coll, &pat, kind),
-                        "cached relevance diverged for {p} on {coll}/{kind:?}"
-                    );
-                }
-            }
-        }
-        assert!(cache.stats().hits > 0, "repeat probes should hit the memo");
-    }
-
     /// A matrix grown one statement at a time answers like one built whole,
     /// and a row asked `from` an old length is exactly what the full row
     /// gained since — what lets an append-only workload extend candidate
@@ -1185,28 +1301,30 @@ mod tests {
             .collect();
         let whole = RelevanceMatrix::new(sigs.clone());
         let mut grown = RelevanceMatrix::default();
-        let cache = CoverCache::new();
         for (at, sig) in sigs.iter().enumerate() {
-            grown.push(sig.clone());
+            if at % 3 == 2 && sigs[..at].contains(sig) {
+                let earlier = sigs.iter().position(|s| s == sig).expect("seen");
+                grown.push_like(earlier);
+            } else {
+                grown.push(sig.clone());
+            }
             for p in &POOL {
                 let pat = lp(p);
                 let full = whole.relevant_statements("C1", &pat, ValueKind::Str);
                 let upto: Vec<usize> = full.iter().copied().filter(|&si| si <= at).collect();
                 assert_eq!(grown.relevant_statements("C1", &pat, ValueKind::Str), upto);
-                for cache in [None, Some(&cache)] {
-                    let tail: Vec<usize> = upto.iter().copied().filter(|&si| si == at).collect();
-                    assert_eq!(
-                        grown.relevant_from(at, "C1", &pat, ValueKind::Str, cache),
-                        tail,
-                        "{p} from {at}"
-                    );
-                }
+                let tail: Vec<usize> = upto.iter().copied().filter(|&si| si == at).collect();
+                assert_eq!(
+                    grown.relevant_from(at, "C1", &pat, ValueKind::Str),
+                    tail,
+                    "{p} from {at}"
+                );
             }
         }
     }
 
-    /// Grouping statements by signature changes no row: for every probe,
-    /// with and without the cover cache, the matrix returns exactly the
+    /// Grouping statements by signature changes no row: for every probe
+    /// the matrix returns exactly the
     /// statements whose own signature admits the candidate, ascending —
     /// what one `admits` call per statement returned before signatures
     /// were shared.
@@ -1243,13 +1361,11 @@ mod tests {
             .collect();
         let m = RelevanceMatrix::new(sigs.clone());
         assert_eq!(m.len(), 400);
-        let targets_of_all_shapes: usize = shapes.iter().map(|sig| sig.targets.len()).sum();
         let mut admitted = 0;
         for p in &POOL {
             let pat = lp(p);
             for coll in &colls {
                 for kind in [ValueKind::Str, ValueKind::Num] {
-                    let cache = CoverCache::new();
                     let want: Vec<usize> = sigs
                         .iter()
                         .enumerate()
@@ -1257,15 +1373,16 @@ mod tests {
                         .map(|(si, _)| si)
                         .collect();
                     assert_eq!(m.relevant_statements(coll, &pat, kind), want, "{p}");
-                    assert_eq!(
-                        m.relevant_statements_cached(coll, &pat, kind, &cache),
-                        want,
-                        "{p} through the cover cache"
-                    );
-                    // One row asks each distinct signature at most once,
-                    // however many statements carry it.
-                    let asked = cache.stats().hits + cache.stats().entries;
-                    assert!(asked as usize <= targets_of_all_shapes, "{p}: {asked}");
+                    // One row asks each distinct signature once, however
+                    // many statements carry it.
+                    let mut asked = 0;
+                    let row = m.members_from(0, |group| {
+                        asked += 1;
+                        let sig = m.index.iter().find(|(_, &g)| g == group).expect("filed").0;
+                        sig.admits(coll, &pat, kind)
+                    });
+                    assert_eq!(row, want, "{p}");
+                    assert!(asked <= shapes.len(), "{p}: {asked}");
                     admitted += want.len();
                 }
             }

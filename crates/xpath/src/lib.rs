@@ -6,8 +6,8 @@
 //!   name tests, wildcards, **no predicates**). These are the paper's *index
 //!   patterns* (Section III).
 //! * [`contain`] — sound and complete containment (`covers`) between linear
-//!   paths via NFA language inclusion, plus matching against concrete rooted
-//!   label paths. The optimizer's *index matching* step is built on this.
+//!   paths via NFA language inclusion, each verdict decided once per
+//!   thread, plus matching against concrete rooted label paths. The optimizer's *index matching* step is built on this.
 //! * [`PathExpr`] — XPath path expressions *with* predicates at arbitrary
 //!   steps, as allowed in workload queries.
 //! * [`xquery`] — an XQuery-lite FLWOR parser sufficient for the paper's
@@ -35,10 +35,7 @@ pub mod template;
 pub mod xquery;
 
 pub use ast::{CmpOp, Literal, PathExpr, Predicate, Step};
-pub use contain::{
-    covers, CoverCache, CoverCacheStats, PathMatcher, PatternId, RelevanceMatrix,
-    StatementSignature,
-};
+pub use contain::{covers, PathMatcher, RelevanceMatrix, StatementSignature};
 pub use intern::{intern, Sym};
 pub use linear::{Axis, LinearPath, LinearStep, NameTest};
 pub use normalize::{

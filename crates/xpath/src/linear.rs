@@ -345,22 +345,34 @@ pub(crate) fn match_steps<S>(
     row[n]
 }
 
-impl fmt::Display for LinearPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl LinearPath {
+    /// Appends the path's text (its `Display` form) to `out`, without
+    /// going through a formatter.
+    pub fn push_to(&self, out: &mut String) {
+        self.write_to(out).expect("writing to a String cannot fail");
+    }
+
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         if self.steps.is_empty() {
-            return f.write_str("/");
+            return out.write_str("/");
         }
         for step in &self.steps {
-            f.write_str(match step.axis {
+            out.write_str(match step.axis {
                 Axis::Child => "/",
                 Axis::Descendant => "//",
             })?;
             match &step.test {
-                NameTest::Name(n) => f.write_str(n.as_str())?,
-                NameTest::Wildcard => f.write_str("*")?,
+                NameTest::Name(n) => out.write_str(n.as_str())?,
+                NameTest::Wildcard => out.write_str("*")?,
             }
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for LinearPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

@@ -1148,7 +1148,7 @@ fn prepared_plans_equal_one_shot_plans() {
                     let mut overlay = catalog.overlay();
                     for &id in config {
                         let c = set.get(id);
-                        if c.collection == coll {
+                        if *c.collection == *coll {
                             overlay.add(Arc::new(catalog.derive_virtual(
                                 collection,
                                 stats,
