@@ -13,8 +13,15 @@
 //!   member can change cost, so only the union of the members' relevance
 //!   rows (see below) is re-optimized;
 //! * **sub-configurations** — the configuration is split into groups of
-//!   candidates with overlapping relevance rows (indexes in different
-//!   groups cannot interact) and each group is evaluated independently;
+//!   candidates with transitively overlapping relevance rows (indexes in
+//!   different groups cannot interact) and each group is evaluated
+//!   independently. Which candidates can interact depends only on the
+//!   workload and the candidate set, so it is worked out once per
+//!   evaluator: a class × candidate bitset table (the candidates relevant
+//!   to each costing class), from which each candidate's interaction row
+//!   is derived at first use. A split is then connected components over
+//!   those rows, a word of candidates at a time, and a statement's
+//!   projection of a group is the group AND its class's row;
 //! * **cache** — evaluated sub-configurations are memoized.
 //!
 //! All three mechanisms can be disabled independently for the ablation
@@ -60,12 +67,14 @@
 //! reads and extends: owned and dropped with it on the one-shot paths,
 //! borrowed from a [`crate::TuningSession`] that keeps it across calls.
 
-use crate::candidate::{CandId, CandidateSet, StmtSet};
+use crate::candidate::{ones, CandId, CandidateSet, StmtSet};
 use crate::compress::WorkloadTemplate;
-use crate::costing::{ByProjection, CostingState};
+use crate::costing::{ByProjection, CostingState, KeyHasher};
 use crate::error::{IssueStage, StatementIssue};
 use crate::runctl::RunController;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -126,14 +135,6 @@ impl WhatIfBudget {
     fn exhausted(&self, calls: u64) -> bool {
         self.max_calls > 0 && calls >= self.max_calls
     }
-}
-
-/// Canonicalizes a sub-configuration cache key: sorted, deduplicated. The
-/// same sub-configuration reached in any order maps to one key.
-fn canonical_key(mut key: Vec<CandId>) -> Vec<CandId> {
-    key.sort_unstable();
-    key.dedup();
-    key
 }
 
 /// FNV-1a over a canonical key: salts the per-task fault streams.
@@ -271,6 +272,121 @@ impl Projection {
     }
 }
 
+/// Which candidates can interact, worked out once per evaluator. A plan
+/// consults only candidates relevant to its statement, and the statements
+/// of one costing class share their relevance (their signatures are the
+/// template's), so two candidates interact exactly when some class is
+/// relevant to both. The class rows are that relation as a class ×
+/// candidate bitset table; a candidate's interaction row — the candidates
+/// that share a statement with it — is the OR of the class rows it is in.
+#[derive(Default)]
+struct Interactions {
+    /// Words per candidate bitset.
+    words: usize,
+    /// Per costing class, `words` each: the candidates relevant to its
+    /// statements.
+    class_rows: Vec<u64>,
+    /// Per candidate, `words` each: its interaction row, derived at first
+    /// use. A derived row holds its own candidate, unless the candidate is
+    /// relevant to no statement — it interacts with nothing, and its row
+    /// stays empty.
+    rows: RefCell<Vec<u64>>,
+}
+
+impl Interactions {
+    /// The table over `state`'s classes and relevance rows, filled in
+    /// Σ|row| work.
+    fn new(state: &CostingState) -> Self {
+        let candidates = state.relevance.len();
+        let words = candidates.div_ceil(64);
+        let mut class_rows = vec![0u64; state.classes.len() * words];
+        for (c, row) in state.relevance.iter().enumerate() {
+            for si in row.iter() {
+                class_rows[state.class[si] as usize * words + c / 64] |= 1 << (c % 64);
+            }
+        }
+        Self {
+            words,
+            class_rows,
+            rows: RefCell::new(vec![0; candidates * words]),
+        }
+    }
+
+    /// The candidates relevant to class `class`'s statements.
+    fn class_row(&self, class: u32) -> &[u64] {
+        let at = class as usize * self.words;
+        &self.class_rows[at..at + self.words]
+    }
+
+    /// Candidate `c`'s interaction row in `rows` (this table's, built
+    /// over `state`), derived from the class rows of the statements
+    /// relevant to it unless it already is.
+    fn row<'r>(&self, rows: &'r mut [u64], c: usize, state: &CostingState) -> &'r [u64] {
+        let row = &mut rows[c * self.words..(c + 1) * self.words];
+        if row[c / 64] & (1 << (c % 64)) == 0 {
+            let mut last = None;
+            for si in state.relevance[c].iter() {
+                // A class's statements are often adjacent: OR its row once.
+                let class = state.class[si];
+                if last.replace(class) != Some(class) {
+                    for (a, b) in row.iter_mut().zip(self.class_row(class)) {
+                        *a |= b;
+                    }
+                }
+            }
+        }
+        row
+    }
+}
+
+/// Sub-configuration groups, end to end: group `i` is
+/// `keys[ends[i - 1]..ends[i]]`, members ascending. Reused by every
+/// evaluation, so splitting a configuration allocates nothing once it has
+/// grown; only a memo miss copies its key out.
+#[derive(Default)]
+struct Groups {
+    keys: Vec<CandId>,
+    ends: Vec<u32>,
+}
+
+impl Groups {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, i: usize) -> &[CandId] {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.keys[start..self.ends[i] as usize]
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.ends.clear();
+    }
+
+    /// Appends a group: the set bits of a candidate bitset.
+    fn push(&mut self, bits: &[u64]) {
+        (self.keys).extend(ones(bits.iter().copied()).map(|id| CandId(id as u32)));
+        let end = u32::try_from(self.keys.len()).expect("a batch's groups fit 2^32 members");
+        self.ends.push(end);
+    }
+}
+
+/// The candidate bitsets a configuration is split in, reused by every
+/// evaluation.
+#[derive(Default)]
+struct SplitScratch {
+    /// The configuration, canonical: a set.
+    config: Vec<u64>,
+    /// Its members no group has taken yet.
+    left: Vec<u64>,
+    /// The group being grown (and, while a batch is planned, the missed
+    /// group being planned).
+    group: Vec<u64>,
+    /// Members taken into the group whose interaction rows are unread.
+    stack: Vec<usize>,
+}
+
 /// A sub-configuration as the journal names it: its members' patterns, in
 /// key order, shared by every event that evaluates it.
 type JournalConfig = Arc<[Arc<str>]>;
@@ -384,7 +500,7 @@ pub struct BenefitEvaluator<'a> {
     /// Memoized sub-configuration benefits (query side, before mc), keyed
     /// on the canonical sub-configuration. Frequency-weighted, so it lives
     /// and dies with the run. Read and written only by the coordinator.
-    cache: HashMap<Vec<CandId>, Memoized>,
+    cache: HashMap<Vec<CandId>, Memoized, BuildHasherDefault<KeyHasher>>,
     /// What-if budget account: optimizer calls actually made in this run
     /// (statement-cache misses). A costing the state already held, or one
     /// a statement of the same template already paid for, is free.
@@ -424,6 +540,12 @@ pub struct BenefitEvaluator<'a> {
     /// interactions are coordinator-side, so lifecycle decisions are
     /// jobs-invariant.
     ctl: RunController,
+    /// Which candidates can interact (see [`Interactions`]).
+    interactions: Interactions,
+    /// Reused by each evaluation: the configuration's bitsets …
+    scratch_split: SplitScratch,
+    /// … and its groups.
+    scratch_groups: Groups,
     /// Reused by each evaluation for a group's affected statements (the
     /// union of its members' relevance rows).
     scratch_affected: StmtSet,
@@ -603,7 +725,7 @@ impl<'a> BenefitEvaluator<'a> {
             parts: Vec::new(),
             baseline: Vec::new(),
             mc_totals: vec![None; set.len()],
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             charged: 0,
             use_affected_sets: true,
             use_subconfigs: true,
@@ -619,6 +741,9 @@ impl<'a> BenefitEvaluator<'a> {
             journal: journal.clone(),
             budget_event_emitted: false,
             ctl: ctl.clone(),
+            interactions: Interactions::default(),
+            scratch_split: SplitScratch::default(),
+            scratch_groups: Groups::default(),
             scratch_affected: StmtSet::new(),
             class_stamp: Vec::new(),
             group_seq: 0,
@@ -628,6 +753,7 @@ impl<'a> BenefitEvaluator<'a> {
             scratch_configs: Vec::new(),
         };
         ev.extend_state(templates);
+        ev.interactions = Interactions::new(&ev.state);
         ev.class_stamp = vec![(0, 0); ev.state.classes.len()];
         ev.compute_baselines();
         ev
@@ -987,16 +1113,14 @@ impl<'a> BenefitEvaluator<'a> {
         per
     }
 
-    /// Canonical projection of a (sorted, deduplicated) sub-configuration
-    /// key onto one statement's relevant candidates, written over `out`.
-    /// Filtering preserves order, so the projection is itself canonical.
-    fn projection_into(&self, key: &[CandId], si: usize, out: &mut Vec<CandId>) {
+    /// Canonical projection of a sub-configuration (a candidate bitset)
+    /// onto one statement's relevant candidates, written over `out`: the
+    /// group AND the statement's class row, read out in ascending order.
+    fn projection_into(&self, group: &[u64], si: usize, out: &mut Vec<CandId>) {
+        let row = self.interactions.class_row(self.state.class[si]);
+        let both = group.iter().zip(row).map(|(a, b)| a & b);
         out.clear();
-        out.extend(
-            key.iter()
-                .copied()
-                .filter(|&id| self.state.relevance[id.index()].contains(si)),
-        );
+        out.extend(ones(both).map(|id| CandId(id as u32)));
     }
 
     /// Affected statements of a sub-configuration, written over `out`:
@@ -1013,8 +1137,9 @@ impl<'a> BenefitEvaluator<'a> {
         }
     }
 
-    /// Plans the costing of statement `si` under group `key` when no
-    /// earlier member of its class in the group has: served from the
+    /// Plans the costing of statement `si` under group `group` (a
+    /// candidate bitset) when no earlier member of its class in the group
+    /// has: served from the
     /// state's cost table, shared with a task of this batch (`tasks`,
     /// through `shared`), a fallback, or an optimizer call — which only a
     /// task of a class with other members files in `shared`. Returns the
@@ -1022,14 +1147,14 @@ impl<'a> BenefitEvaluator<'a> {
     /// under, appended to `projs`.
     fn plan_costing(
         &mut self,
-        key: &[CandId],
+        group: &[u64],
         si: usize,
         proj: &mut Vec<CandId>,
         tasks: &[CostTask],
         shared: &mut ByProjection<usize>,
         projs: &mut Vec<CandId>,
     ) -> (TaskKind, Projection) {
-        self.projection_into(key, si, proj);
+        self.projection_into(group, si, proj);
         let class = self.state.class[si];
         let hash = key_hash(SALT_EVALUATE, proj);
         if self.use_cache {
@@ -1082,8 +1207,9 @@ impl<'a> BenefitEvaluator<'a> {
         self.telemetry.incr(Counter::StatementsPruned);
     }
 
-    /// Evaluates a batch of canonical sub-configuration keys and returns
-    /// each key's query-side benefit `Σ freq·(old − new)`, in order.
+    /// Evaluates a batch of sub-configuration groups and returns each
+    /// group's query-side benefit `Σ freq·(old − new)`, in order. `bits` is
+    /// scratch for a group's candidate bitset.
     ///
     /// The coordinator thread does everything order-sensitive serially —
     /// cache lookups (and their hit/miss counters), budget charging,
@@ -1092,7 +1218,7 @@ impl<'a> BenefitEvaluator<'a> {
     /// task order. Costs are pure functions of the plan, so the returned
     /// values, the memo cache, and every counter total are identical for
     /// any `jobs` value.
-    fn eval_groups(&mut self, keys: Vec<Vec<CandId>>) -> Vec<f64> {
+    fn eval_groups(&mut self, groups: &Groups, bits: &mut Vec<u64>) -> Vec<f64> {
         // Coordinator-side stop check: latches a deadline crossing or a
         // cancellation. The current batch still evaluates — the searches
         // observe the latch at their next loop boundary and unwind.
@@ -1111,24 +1237,26 @@ impl<'a> BenefitEvaluator<'a> {
         let journal_on = self.journal.is_enabled();
         let mut journal_slots = std::mem::take(&mut self.scratch_journal);
         let mut miss_configs = std::mem::take(&mut self.scratch_configs);
-        let mut slots: Vec<Slot> = Vec::with_capacity(keys.len());
-        let mut misses: Vec<Vec<CandId>> = Vec::new();
-        for key in keys {
+        let mut slots: Vec<Slot> = Vec::with_capacity(groups.len());
+        // Each miss as its group's index in `groups`.
+        let mut misses: Vec<usize> = Vec::new();
+        for g in 0..groups.len() {
+            let key = groups.get(g);
             debug_assert!(key.windows(2).all(|w| w[0] < w[1]), "canonical keys");
             if self.use_cache {
-                if let Some(memo) = self.cache.get(&key) {
+                if let Some(memo) = self.cache.get(key) {
                     let (value, config) = (memo.value, memo.config.clone());
                     self.stats.cache_hits += 1;
                     self.telemetry.incr(Counter::BenefitCacheHits);
                     slots.push(Slot::Done(value));
                     if journal_on {
-                        let config = config.unwrap_or_else(|| self.journal_config(&key));
+                        let config = config.unwrap_or_else(|| self.journal_config(key));
                         journal_slots.push((config, true));
                     }
                     continue;
                 }
             }
-            if let Some(i) = misses.iter().position(|k| k == &key) {
+            if let Some(i) = misses.iter().position(|&m| groups.get(m) == key) {
                 // A duplicate within this batch: evaluate once, fan out
                 // once, charge the budget once — even with the memo cache
                 // disabled, identical configs in one batch must not cost
@@ -1151,11 +1279,11 @@ impl<'a> BenefitEvaluator<'a> {
             }
             slots.push(Slot::Miss(misses.len()));
             if journal_on {
-                let config = self.journal_config(&key);
+                let config = self.journal_config(key);
                 miss_configs.push(Arc::clone(&config));
                 journal_slots.push((config, false));
             }
-            misses.push(key);
+            misses.push(g);
         }
         if misses.is_empty() {
             let out: Vec<f64> = slots
@@ -1193,8 +1321,10 @@ impl<'a> BenefitEvaluator<'a> {
         let mut projs = std::mem::take(&mut self.scratch_projs);
         projs.clear();
         let mut proj = Vec::new();
-        for (group, key) in misses.iter().enumerate() {
+        for (group, &g) in misses.iter().enumerate() {
+            let key = groups.get(g);
             self.affected_into(key, &mut affected);
+            self.load(key.iter().copied(), bits);
             self.group_seq += 1;
             for si in affected.iter() {
                 if !self.active[si] {
@@ -1223,7 +1353,7 @@ impl<'a> BenefitEvaluator<'a> {
                     if self.use_cache {
                         self.class_stamp[class] = (self.group_seq, tasks.len());
                     }
-                    self.plan_costing(key, si, &mut proj, &tasks, &mut shared, &mut projs)
+                    self.plan_costing(bits, si, &mut proj, &tasks, &mut shared, &mut projs)
                 };
                 tasks.push(CostTask {
                     group,
@@ -1248,9 +1378,9 @@ impl<'a> BenefitEvaluator<'a> {
         }
         let mut overlays: Vec<Vec<(&'a str, CatalogOverlay<'a>)>> =
             Vec::with_capacity(misses.len());
-        for (key, &needed) in misses.iter().zip(&needs_overlay) {
+        for (&g, &needed) in misses.iter().zip(&needs_overlay) {
             overlays.push(if needed {
-                self.build_overlays(key)
+                self.build_overlays(groups.get(g))
             } else {
                 Vec::new()
             });
@@ -1333,10 +1463,10 @@ impl<'a> BenefitEvaluator<'a> {
         // budget (or past the fault) should get the real number.
         if self.use_cache {
             let mut configs = miss_configs.drain(..);
-            for ((key, &value), &bad) in misses.into_iter().zip(&totals).zip(&tainted) {
+            for ((&g, &value), &bad) in misses.iter().zip(&totals).zip(&tainted) {
                 let config = configs.next();
                 if !bad {
-                    self.cache.insert(key, Memoized { value, config });
+                    (self.cache).insert(groups.get(g).to_vec(), Memoized { value, config });
                 }
             }
         }
@@ -1383,29 +1513,26 @@ impl<'a> BenefitEvaluator<'a> {
     /// one index, so they are evaluated — and charged maintenance cost —
     /// once.
     pub fn benefit(&mut self, config: &[CandId]) -> f64 {
-        self.benefit_of(config.to_vec())
+        self.benefit_of(config.iter().copied())
     }
 
-    /// [`BenefitEvaluator::benefit`] of a configuration the caller gives
-    /// up, canonicalized in place.
-    fn benefit_of(&mut self, config: Vec<CandId>) -> f64 {
+    /// [`BenefitEvaluator::benefit`] of a configuration given member by
+    /// member.
+    fn benefit_of(&mut self, config: impl IntoIterator<Item = CandId>) -> f64 {
         self.stats.benefit_calls += 1;
         self.telemetry.incr(Counter::BenefitEvaluations);
         let _evaluate = self.telemetry.span("evaluate");
-        if config.is_empty() {
-            return 0.0;
+        let mut split = std::mem::take(&mut self.scratch_split);
+        let mut groups = std::mem::take(&mut self.scratch_groups);
+        groups.clear();
+        let mut total = 0.0;
+        if self.load(config, &mut split.config) {
+            self.push_groups(&mut split, &mut groups);
+            let values = self.eval_groups(&groups, &mut split.group);
+            total = self.less_mc(values.iter().sum(), &split.config);
         }
-        let config = canonical_key(config);
-        let groups = if self.use_subconfigs {
-            self.decompose(&config)
-        } else {
-            vec![config.clone()]
-        };
-        let values = self.eval_groups(groups.into_iter().map(canonical_key).collect());
-        let mut total: f64 = values.iter().sum();
-        for &id in &config {
-            total -= self.mc_total(id);
-        }
+        self.scratch_split = split;
+        self.scratch_groups = groups;
         total
     }
 
@@ -1419,10 +1546,7 @@ impl<'a> BenefitEvaluator<'a> {
     pub fn benefit_delta(&mut self, base: &[CandId], add: CandId) -> f64 {
         self.stats.delta_probes += 1;
         self.telemetry.incr(Counter::DeltaProbes);
-        let mut config = Vec::with_capacity(base.len() + 1);
-        config.extend_from_slice(base);
-        config.push(add);
-        self.benefit_of(config)
+        self.benefit_of(base.iter().copied().chain([add]))
     }
 
     /// Benefits of many configurations, planned and costed as one batch:
@@ -1433,39 +1557,54 @@ impl<'a> BenefitEvaluator<'a> {
     /// over `configs`, including all counter totals.
     pub fn benefit_batch(&mut self, configs: &[Vec<CandId>]) -> Vec<f64> {
         let _evaluate = self.telemetry.span("evaluate");
-        // Canonicalize every config up front: identical configurations in
-        // one batch (after sorting and deduplication) share their group
-        // keys, which the in-batch duplicate check in `eval_groups`
-        // collapses to a single fan-out — and a single budget charge.
-        let canon: Vec<Vec<CandId>> = configs.iter().map(|c| canonical_key(c.clone())).collect();
-        let mut keys: Vec<Vec<CandId>> = Vec::new();
-        let mut ranges = Vec::with_capacity(canon.len());
-        for config in &canon {
+        // Every config is canonicalized as it is split: identical
+        // configurations in one batch (up to order and repeats) share
+        // their groups, which the in-batch duplicate check in
+        // `eval_groups` collapses to a single fan-out — and a single
+        // budget charge.
+        let mut split = std::mem::take(&mut self.scratch_split);
+        let mut groups = std::mem::take(&mut self.scratch_groups);
+        groups.clear();
+        let mut spans = Vec::with_capacity(configs.len());
+        for config in configs {
             self.stats.benefit_calls += 1;
             self.telemetry.incr(Counter::BenefitEvaluations);
-            let start = keys.len();
-            if !config.is_empty() {
-                let groups = if self.use_subconfigs {
-                    self.decompose(config)
-                } else {
-                    vec![config.clone()]
-                };
-                keys.extend(groups.into_iter().map(canonical_key));
+            let start = groups.len();
+            if self.load(config.iter().copied(), &mut split.config) {
+                self.push_groups(&mut split, &mut groups);
             }
-            ranges.push(start..keys.len());
+            spans.push(start..groups.len());
         }
-        let values = self.eval_groups(keys);
-        canon
-            .iter()
-            .zip(ranges)
-            .map(|(config, range)| {
-                let mut total: f64 = values[range].iter().sum();
-                for &id in config {
-                    total -= self.mc_total(id);
-                }
-                total
-            })
-            .collect()
+        let values = self.eval_groups(&groups, &mut split.group);
+        let mut out = Vec::with_capacity(configs.len());
+        for (config, span) in configs.iter().zip(spans) {
+            self.load(config.iter().copied(), &mut split.config);
+            out.push(self.less_mc(values[span].iter().sum(), &split.config));
+        }
+        self.scratch_split = split;
+        self.scratch_groups = groups;
+        out
+    }
+
+    /// Writes `config` over `bits` as a candidate bitset, which
+    /// canonicalizes it: member order and repeats are gone. `false` when
+    /// it is empty.
+    fn load(&self, config: impl IntoIterator<Item = CandId>, bits: &mut Vec<u64>) -> bool {
+        bits.clear();
+        bits.resize(self.interactions.words, 0);
+        for CandId(id) in config {
+            bits[id as usize / 64] |= 1 << (id % 64);
+        }
+        bits.iter().any(|&w| w != 0)
+    }
+
+    /// `total` less the maintenance cost of each member of `config` (a
+    /// candidate bitset), subtracted one by one in ascending id order.
+    fn less_mc(&mut self, mut total: f64, config: &[u64]) -> f64 {
+        for id in ones(config.iter().copied()) {
+            total -= self.mc_total(CandId(id as u32));
+        }
+        total
     }
 
     /// Estimated workload cost under a configuration
@@ -1488,70 +1627,76 @@ impl<'a> BenefitEvaluator<'a> {
     }
 
     /// Splits a configuration into sub-configurations of candidates with
-    /// transitively overlapping relevance rows.
+    /// transitively overlapping relevance rows. The configuration is
+    /// canonicalized first: members may come in any order and repeat. The
+    /// groups come back canonical too: each ascending, ordered by least
+    /// member.
     pub fn decompose(&self, config: &[CandId]) -> Vec<Vec<CandId>> {
-        let words = |i: usize| self.state.relevance[config[i].index()].words();
-        let stride = (0..config.len())
-            .map(|i| words(i).len())
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        // Each member's group, numbered densely. Row `g` of `unions` is the
-        // union of group g's relevance rows; a member overlapping several
-        // groups merges them into the first, and the last group takes the
-        // merged one's number.
-        let mut group_of = vec![0usize; config.len()];
-        let mut unions: Vec<u64> = Vec::with_capacity(stride * config.len());
-        for i in 0..config.len() {
-            let mut joined: Option<usize> = None;
-            let mut g = 0;
-            while g * stride < unions.len() {
-                let row = &unions[g * stride..(g + 1) * stride];
-                if !row.iter().zip(words(i)).any(|(a, b)| a & b != 0) {
-                    g += 1;
-                    continue;
+        let mut split = SplitScratch::default();
+        let mut groups = Groups::default();
+        if self.load(config.iter().copied(), &mut split.config) {
+            self.components_into(&mut split, &mut groups);
+        }
+        (0..groups.len()).map(|g| groups.get(g).to_vec()).collect()
+    }
+
+    /// Appends the groups of the (non-empty) configuration in
+    /// `split.config` to `out`: its sub-configurations, or the whole of it
+    /// when they are off.
+    fn push_groups(&self, split: &mut SplitScratch, out: &mut Groups) {
+        if self.use_subconfigs {
+            self.components_into(split, out);
+        } else {
+            out.push(&split.config);
+        }
+    }
+
+    /// Appends the connected components of the configuration in
+    /// `split.config` under the interaction rows to `out`, in order of
+    /// their least members. Each member's row is read once, a word at a
+    /// time: members × words of candidate bits.
+    fn components_into(&self, split: &mut SplitScratch, out: &mut Groups) {
+        let SplitScratch {
+            config,
+            left,
+            group,
+            stack,
+        } = split;
+        let mut rows = self.interactions.rows.borrow_mut();
+        left.clone_from(config);
+        let mut word = 0;
+        loop {
+            while left.get(word) == Some(&0) {
+                word += 1;
+            }
+            let Some(&bits) = left.get(word) else {
+                break;
+            };
+            // The least member left seeds the next group.
+            let seed = word * 64 + bits.trailing_zeros() as usize;
+            left[word] &= bits - 1;
+            group.clear();
+            group.resize(config.len(), 0);
+            group[word] = 1 << (seed % 64);
+            stack.push(seed);
+            while let Some(m) = stack.pop() {
+                if left.iter().all(|&w| w == 0) {
+                    stack.clear();
+                    break;
                 }
-                let Some(into) = joined else {
-                    joined = Some(g);
-                    g += 1;
-                    continue;
-                };
-                let last = unions.len() / stride - 1;
-                for k in 0..stride {
-                    unions[into * stride + k] |= unions[g * stride + k];
-                }
-                unions.copy_within(last * stride..(last + 1) * stride, g * stride);
-                unions.truncate(last * stride);
-                for label in &mut group_of[..i] {
-                    if *label == g {
-                        *label = into;
-                    } else if *label == last {
-                        *label = g;
+                let row = (self.interactions).row(&mut rows, m, &self.state);
+                for (wi, ((l, g), &r)) in left.iter_mut().zip(group.iter_mut()).zip(row).enumerate()
+                {
+                    let taken = *l & r;
+                    if taken != 0 {
+                        *l ^= taken;
+                        *g |= taken;
+                        stack.extend(ones(std::iter::once(taken)).map(|b| wi * 64 + b));
                     }
                 }
             }
-            let into = joined.unwrap_or_else(|| {
-                unions.resize(unions.len() + stride, 0);
-                unions.len() / stride - 1
-            });
-            for (a, b) in unions[into * stride..].iter_mut().zip(words(i)) {
-                *a |= b;
-            }
-            group_of[i] = into;
+            out.push(group);
         }
-        let mut sizes = vec![0usize; unions.len() / stride];
-        for &g in &group_of {
-            sizes[g] += 1;
-        }
-        let mut out: Vec<Vec<CandId>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-        for (&g, &cand) in group_of.iter().zip(config) {
-            out[g].push(cand);
-        }
-        for g in &mut out {
-            g.sort_unstable();
-        }
-        out.sort();
-        out
     }
 
     /// Which members of `config` are actually used in some statement's
@@ -1771,7 +1916,8 @@ mod tests {
                 .map(|i| ids[(i * stride) % ids.len()])
                 .collect();
             for len in 0..=order.len() {
-                let config = canonical_key(order[..len].to_vec());
+                let mut config = order[..len].to_vec();
+                config.sort_unstable();
                 let groups = ev.decompose(&config);
                 assert!(groups.windows(2).all(|w| w[0] < w[1]));
                 let mut members: Vec<CandId> = groups.concat();
@@ -1797,6 +1943,170 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The union-bitmap decomposition the interaction rows replaced, kept
+    /// as the reference they are checked against: each member of a
+    /// canonical `config` scans every group's union of relevance rows,
+    /// joins (and merges) the ones it overlaps, and the groups come back
+    /// sorted.
+    fn union_decompose(relevance: &[StmtSet], config: &[CandId]) -> Vec<Vec<CandId>> {
+        let words = |i: usize| relevance[config[i].index()].words();
+        let stride = (0..config.len())
+            .map(|i| words(i).len())
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        // Each member's group, numbered densely. Row `g` of `unions` is the
+        // union of group g's relevance rows; a member overlapping several
+        // groups merges them into the first, and the last group takes the
+        // merged one's number.
+        let mut group_of = vec![0usize; config.len()];
+        let mut unions: Vec<u64> = Vec::with_capacity(stride * config.len());
+        for i in 0..config.len() {
+            let mut joined: Option<usize> = None;
+            let mut g = 0;
+            while g * stride < unions.len() {
+                let row = &unions[g * stride..(g + 1) * stride];
+                if !row.iter().zip(words(i)).any(|(a, b)| a & b != 0) {
+                    g += 1;
+                    continue;
+                }
+                let Some(into) = joined else {
+                    joined = Some(g);
+                    g += 1;
+                    continue;
+                };
+                let last = unions.len() / stride - 1;
+                for k in 0..stride {
+                    unions[into * stride + k] |= unions[g * stride + k];
+                }
+                unions.copy_within(last * stride..(last + 1) * stride, g * stride);
+                unions.truncate(last * stride);
+                for label in &mut group_of[..i] {
+                    if *label == g {
+                        *label = into;
+                    } else if *label == last {
+                        *label = g;
+                    }
+                }
+            }
+            let into = joined.unwrap_or_else(|| {
+                unions.resize(unions.len() + stride, 0);
+                unions.len() / stride - 1
+            });
+            for (a, b) in unions[into * stride..].iter_mut().zip(words(i)) {
+                *a |= b;
+            }
+            group_of[i] = into;
+        }
+        let mut out: Vec<Vec<CandId>> = vec![Vec::new(); unions.len() / stride];
+        for (&g, &cand) in group_of.iter().zip(config) {
+            out[g].push(cand);
+        }
+        for g in &mut out {
+            g.sort_unstable();
+        }
+        out.sort();
+        out
+    }
+
+    /// The interaction rows and class rows answer what the relevance rows
+    /// answer. On the Fig. 4/5 shape (TPoX queries, 200 or 400 synthetic
+    /// ones and the update mix) and the E16 shape (1,000 synthetic ones),
+    /// `decompose` of random configurations — shuffled, with repeated
+    /// members — equals the union-bitmap reference over the canonical
+    /// configuration; and over every group a topdown-full run plans, the
+    /// class-row projection onto each statement equals the group filtered
+    /// by the statement's relevance.
+    #[test]
+    fn bitset_groups_and_projections_equal_the_relevance_reference() {
+        use crate::advisor::{Advisor, AdvisorParams};
+        use xia_workloads::prng::Prng;
+        use xia_workloads::synthetic::{generate_queries, SyntheticConfig};
+        let cfg = TpoxConfig::tiny();
+        let mut db = Database::new();
+        tpox::generate(&mut db, &cfg);
+        let synthetic = |db: &Database, queries: usize, seed: u64| {
+            let coll = db.collection(tpox::SECURITY_COLL).expect("TPoX has SDOC");
+            let config = SyntheticConfig {
+                queries,
+                seed,
+                ..SyntheticConfig::default()
+            };
+            generate_queries(coll, &config)
+        };
+        // The 200-query mix has 64 candidates, the 400-query one 66, so
+        // one candidate bitset fills a word and the other spans two.
+        let mixed = |db: &Database, queries: usize| {
+            let mut texts = tpox::queries(&cfg);
+            texts.extend(synthetic(db, queries, 0xd1f7));
+            texts.extend(tpox::update_mix(&cfg));
+            texts
+        };
+        let workloads = [
+            mixed(&db, 200),
+            mixed(&db, 400),
+            synthetic(&db, 1000, 0xE16 ^ 1000),
+        ];
+        let params = AdvisorParams {
+            jobs: 1,
+            ..AdvisorParams::default()
+        };
+        let mut rng = Prng::seed_from_u64(0xB175);
+        let mut widest = 0;
+        for texts in workloads {
+            let w = Workload::from_texts(texts.iter().map(String::as_str)).unwrap();
+            let set = Advisor::prepare(&mut db, &w, &params);
+            let ids: Vec<CandId> = set.ids().collect();
+            widest = widest.max(ids.len());
+            let ev = BenefitEvaluator::configured(&db, &w, &set, &params);
+            let relevance = &ev.state.relevance;
+            let mut multi = 0;
+            for p in [0.02, 0.1, 0.3, 0.6, 1.0] {
+                for _ in 0..40 {
+                    let mut config: Vec<CandId> =
+                        ids.iter().copied().filter(|_| rng.gen_bool(p)).collect();
+                    let canonical = config.clone();
+                    // Unsorted, with repeats.
+                    for i in (1..config.len()).rev() {
+                        config.swap(i, rng.gen_range(0..i + 1));
+                    }
+                    let repeats: Vec<CandId> = config.iter().copied().step_by(3).collect();
+                    config.extend(repeats);
+                    let groups = ev.decompose(&config);
+                    assert_eq!(groups, union_decompose(relevance, &canonical), "p = {p}");
+                    multi += usize::from(groups.len() > 1);
+                }
+            }
+            assert!(multi > 20, "{multi} configurations split: too few to tell");
+            assert_eq!(ev.decompose(&[]), Vec::<Vec<CandId>>::new());
+
+            let mut ev = BenefitEvaluator::configured(&db, &w, &set, &params);
+            let budget = set.config_size(&Advisor::all_index_config(&set)) / 4;
+            crate::search::top_down(&mut ev, &Advisor::all_index_config(&set), budget, true);
+            let planned: Vec<Vec<CandId>> = ev.cache.keys().cloned().collect();
+            assert!(
+                planned.iter().any(|g| g.len() > 1),
+                "topdown-full plans groups"
+            );
+            let (mut bits, mut proj) = (Vec::new(), Vec::new());
+            for group in &planned {
+                ev.load(group.iter().copied(), &mut bits);
+                for si in 0..w.len() {
+                    ev.projection_into(&bits, si, &mut proj);
+                    let relevant = group
+                        .iter()
+                        .copied()
+                        .filter(|id| ev.state.relevance[id.index()].contains(si));
+                    assert!(
+                        proj.iter().copied().eq(relevant),
+                        "group {group:?}, statement {si}"
+                    );
+                }
+            }
+        }
+        assert!(widest > 64, "candidate bitsets must span words");
     }
 
     #[test]

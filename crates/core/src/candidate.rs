@@ -42,6 +42,7 @@ impl StmtSet {
     }
 
     /// The bitmap's words, lowest statements first.
+    #[cfg(test)]
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
@@ -88,17 +89,7 @@ impl StmtSet {
 
     /// Iterates member indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            // Lowest set bit first, cleared as it is yielded.
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let b = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    wi * 64 + b
-                })
-            })
-        })
+        ones(self.words.iter().copied())
     }
 
     /// Whether `other` is a subset of `self`.
@@ -111,6 +102,22 @@ impl StmtSet {
         }
         true
     }
+}
+
+/// The set bits of a bitmap given word by word, lowest first, as bit
+/// indices in ascending order.
+pub(crate) fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(wi, w)| {
+        // Lowest set bit first, cleared as it is yielded.
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                wi * 64 + b
+            })
+        })
+    })
 }
 
 /// How a candidate came to exist.

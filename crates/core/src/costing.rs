@@ -76,7 +76,8 @@ pub(crate) struct CostClass {
 }
 
 /// Hashes keys that are hashes already — template fingerprints, class
-/// numbers and FNV projection hashes — with one multiply per word
+/// numbers and FNV projection hashes — or short runs of small ids (the
+/// evaluator's sub-configuration memo keys), with one multiply per word
 /// instead of SipHash.
 #[derive(Default)]
 pub(crate) struct KeyHasher(u64);
@@ -90,6 +91,10 @@ impl Hasher for KeyHasher {
 
     fn write_u32(&mut self, n: u32) {
         self.write_u64(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 
     fn write_u64(&mut self, n: u64) {
